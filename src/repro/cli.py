@@ -40,7 +40,7 @@ from repro.config import TRexConfig
 from repro.constraints.discovery import discover_fds
 from repro.constraints.fd import fds_to_dcs
 from repro.constraints.parser import format_dc, parse_dc
-from repro.constraints.violations import find_all_violations
+from repro.constraints.incremental import detector_for
 from repro.dataset.io import read_csv, write_csv
 from repro.dataset.table import CellRef
 from repro.errors import TRexError
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _command_violations(args) -> int:
     table = read_csv(args.table)
     constraints = load_constraints(args.constraints)
-    violations = find_all_violations(table, constraints)
+    violations = detector_for(table).base_violations(constraints)
     print(f"{len(violations)} violation(s) of {len(constraints)} constraint(s) "
           f"on {table.n_rows} rows.")
     for violation in violations:

@@ -43,7 +43,6 @@ from repro.constraints.incremental import (
     repair_walk_for,
     find_violations_auto,
     find_all_violations_auto,
-    find_all_violations_fast,
 )
 from repro.constraints.fd import FunctionalDependency, ConditionalFunctionalDependency
 from repro.constraints.discovery import discover_fds, discover_dcs
@@ -67,7 +66,6 @@ __all__ = [
     "repair_walk_for",
     "find_violations_auto",
     "find_all_violations_auto",
-    "find_all_violations_fast",
     "FunctionalDependency",
     "ConditionalFunctionalDependency",
     "discover_fds",

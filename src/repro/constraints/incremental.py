@@ -56,7 +56,6 @@ __all__ = [
     "repair_walk_for",
     "find_violations_auto",
     "find_all_violations_auto",
-    "find_all_violations_fast",
 ]
 
 #: Equivalence-class marker for null cells in ``!=`` partitioning: all nulls
@@ -189,15 +188,26 @@ class _ConstraintPlan:
 
 
 class _ConstraintState:
-    """Per-(base snapshot, constraint) incremental state."""
+    """Per-(base snapshot, constraint) incremental state.
 
-    __slots__ = ("plan", "index", "base_violations")
+    ``base_violations`` is built on first read by ``build`` when one is given
+    (FD shapes: a repair walk never needs the list, only the index).
+    """
+
+    __slots__ = ("plan", "index", "built", "_build")
 
     def __init__(self, plan: _ConstraintPlan, index: MultiColumnIndex | None,
-                 base_violations: list[Violation]):
+                 base_violations: list[Violation] | None, build=None):
         self.plan = plan
         self.index = index
-        self.base_violations = base_violations
+        self.built = base_violations
+        self._build = build
+
+    @property
+    def base_violations(self) -> list[Violation]:
+        if self.built is None:
+            self.built = self._build()
+        return self.built
 
 
 class IncrementalViolationDetector:
@@ -207,8 +217,9 @@ class IncrementalViolationDetector:
     ----------
     table:
         The base table (a plain :class:`~repro.dataset.table.Table`, usually
-        the dirty table).  Per-constraint base violations are computed with
-        the reference full-rescan path, once, lazily.
+        the dirty table).  Per-constraint base violations are computed once,
+        lazily: FD shapes off the equality index (:meth:`_fd_base_violations`),
+        other shapes by :func:`~repro.constraints.violations.find_violations`.
     constraints:
         Optional constraints to pre-build state for; any constraint seen later
         through :meth:`violations_for_view` is planned on first use.
@@ -249,9 +260,45 @@ class IncrementalViolationDetector:
         if state is None:
             plan = _ConstraintPlan(constraint)
             index = self._index_for(plan.eq_attrs) if plan.kind == "eq" else None
-            base_violations = list(find_violations(self.table, constraint))
-            state = self._states[constraint] = _ConstraintState(plan, index, base_violations)
+            if plan.single_ne_attr is not None:
+                state = _ConstraintState(
+                    plan, index, None, lambda: self._fd_base_violations(plan, index))
+            else:
+                state = _ConstraintState(
+                    plan, index, list(find_violations(self.table, constraint)))
+            self._states[constraint] = state
         return state
+
+    def _fd_base_violations(self, plan: _ConstraintPlan,
+                            index: MultiColumnIndex) -> list[Violation]:
+        """FD-shape base violations off the equality index, in O(n + output).
+
+        Pairs violate when they share a group and their null-aware ``!=``
+        classes differ, so single-class groups are skipped and pairs are built
+        only in mixed groups, visited by smallest row: a fresh index's order,
+        which reproduces :func:`~repro.constraints.violations.find_violations`
+        exactly even after deltas moved the shared index.
+        """
+        constraint = plan.constraint
+        ne_column = self._column(plan.single_ne_attr)
+        mixed = []
+        for rows in index._groups.values():  # read-only peek
+            if len(rows) < 2:
+                continue
+            classes = [_NULL_CLASS if is_null(value) else value
+                       for value in ne_column[rows].tolist()]
+            if classes.count(classes[0]) != len(classes):
+                mixed.append((rows, classes))
+        mixed.sort(key=lambda group: group[0][0])
+        out: list[Violation] = []
+        for rows, classes in mixed:
+            for i, row_i in enumerate(rows):
+                class_i = classes[i]
+                for j in range(i + 1, len(rows)):
+                    if class_i != classes[j]:
+                        out.append(Violation(constraint, (row_i, rows[j])))
+                        out.append(Violation(constraint, (rows[j], row_i)))
+        return out
 
     # -- vectorised key building (dictionary-encoded path) -----------------------
 
@@ -497,8 +544,11 @@ class IncrementalViolationDetector:
                 for row_id, (_, new_key) in index_changes.items():
                     index._build_keys[row_id] = new_key
 
-        # 2. retract + re-check base violations per constraint
+        # 2. retract + re-check base violations per constraint (a list not
+        # built yet is built from the moved index on first read)
         for state in self._states.values():
+            if state.built is None:
+                continue
             plan = state.plan
             touched: set[int] = set()
             for attribute in plan.mentioned:
@@ -513,12 +563,11 @@ class IncrementalViolationDetector:
                     row = row_of(row_id)
                     if check(row, row):
                         out.append(Violation(plan.constraint, (row_id,)))
-                state.base_violations = out
+                state.built = out
                 continue
             if plan.kind == "pairs":
                 # no equality partition to maintain: full rescan, same as build
-                state.base_violations = list(
-                    find_violations(self.table, plan.constraint))
+                state.built = list(find_violations(self.table, plan.constraint))
                 continue
             out = [
                 violation
@@ -526,7 +575,7 @@ class IncrementalViolationDetector:
                 if violation.rows[0] not in touched and violation.rows[1] not in touched
             ]
             self._recheck_base_equality(state, touched, out)
-            state.base_violations = out
+            state.built = out
 
         # 3. caches derived from the old base contents: the packed-key cache
         # validates only by dictionary *sizes* (a new value already present in
@@ -879,8 +928,7 @@ class _WalkConstraint:
 
     * **list** (``fd is None``) — ``violations`` holds the explicit ordered
       :class:`Violation` list (single-tuple constraints, no-equality
-      fallbacks, equality constraints with a general residual, and untouched
-      FD constraints still carrying the base snapshot's list);
+      fallbacks and equality constraints with a general residual);
     * **class-partition** (``fd`` set) — FD-shape constraints keep a
       :class:`_FDClassState`; ``violations`` doubles as the lazily
       materialised list cache (``None`` when stale).
@@ -1189,9 +1237,11 @@ class RepairWalk:
     def _prime_constraint(self, constraint: DenialConstraint) -> _WalkConstraint:
         """First detection: base→view retract + re-check, walk-local.
 
-        The derivation is exactly one :meth:`_retract_recheck` step seeded
-        with the base snapshot's violations and the full delta's touched rows
-        — the same step later passes run against the previous pass's state.
+        FD shapes build their class-partition state from the view directly.
+        For other shapes the derivation is exactly one :meth:`_retract_recheck`
+        step seeded with the base snapshot's violations and the full delta's
+        touched rows — the same step later passes run against the previous
+        pass's state.
         The walk's index is only built when some touched row actually keeps a
         non-null equality key; whatever *is* built is kept for later passes
         and the pair fork instead of being applied and reverted per
@@ -1206,10 +1256,9 @@ class RepairWalk:
             overrides = delta_columns.get(attribute)
             if overrides:
                 touched.update(overrides)
-        if plan.kind == "eq" and plan.single_ne_attr is not None and touched:
-            # FD shape with a perturbed view: build the class-partition state
-            # in one pass over the walk index (the base violation list is
-            # kept only for untouched views, where it is already exact)
+        if plan.single_ne_attr is not None:
+            # FD shape: build the class-partition state in one pass over the
+            # walk index; the base violation list is never materialised
             state = _WalkConstraint(None, len(self._log),
                                     self._build_fd_state(plan))
         else:
@@ -1318,11 +1367,6 @@ class RepairWalk:
         if plan.single_ne_attr is not None:
             fd = state.fd
             state.violations = None  # invalidate the materialisation cache
-            if fd is None:
-                # an untouched FD constraint seeing its first write: build the
-                # class-partition state from the current view wholesale
-                state.fd = self._build_fd_state(plan)
-                return
             walk_index = self._windex(plan.eq_attrs)  # sync key moves first
             keys = walk_index.keys
             build_key_of = walk_index.index.build_key_of
@@ -1417,11 +1461,6 @@ class RepairWalk:
                 continue
             state = self._synced_state(constraint)
             fd = state.fd
-            if fd is None and plan.single_ne_attr is not None and attribute in plan.mentioned:
-                # candidate scoring wants O(1) per-row counts: upgrade the
-                # untouched FD constraint to class-partition accounting now
-                fd = state.fd = self._build_fd_state(plan)
-                state.violations = None
             if fd is not None:
                 if attribute not in plan.mentioned:
                     total += fd.total
@@ -1533,9 +1572,6 @@ class RepairWalk:
                 continue
             state = self._synced_state(constraint)
             fd = state.fd
-            if fd is None and plan.single_ne_attr is not None and attribute in plan.mentioned:
-                fd = state.fd = self._build_fd_state(plan)
-                state.violations = None
             if fd is not None:
                 if attribute not in plan.mentioned:
                     base = fd.total
@@ -1667,9 +1703,6 @@ class RepairWalk:
             state = self._synced_state(constraint)
             plan = self.detector._state(constraint).plan
             fd = state.fd
-            if fd is None and plan.single_ne_attr is not None:
-                fd = state.fd = self._build_fd_state(plan)
-                state.violations = None
             if fd is not None:
                 total += fd.total
                 if fd.total:
@@ -1709,9 +1742,6 @@ class RepairWalk:
             state = self._synced_state(constraint)
             plan = self.detector._state(constraint).plan
             fd = state.fd
-            if fd is None and plan.single_ne_attr is not None:
-                fd = state.fd = self._build_fd_state(plan)
-                state.violations = None
             if fd is not None:
                 total += fd.total
                 if fd.total:
@@ -1816,22 +1846,17 @@ class RepairWalk:
         return clone
 
 
-def repair_walk_for(table: Table,
+def repair_walk_for(view: PerturbationView,
                     constraints: Sequence[DenialConstraint],
-                    vectorized: bool = False) -> RepairWalk | None:
-    """A :class:`RepairWalk` over ``table``, or ``None`` off the view hot path.
+                    vectorized: bool = False) -> RepairWalk:
+    """A :class:`RepairWalk` over a repair algorithm's working view.
 
-    Repair algorithms call this on their working snapshot: a
-    :class:`PerturbationView` gets second-order maintenance, everything else
-    (plain tables, the reference path) returns ``None`` and the caller falls
-    back to per-pass detection.  ``vectorized`` switches the walk's builds
-    and candidate trials onto the dictionary-encoded code path (results are
-    bit-identical either way).
+    The walk reads its base state from the view's base table's cached
+    detector.  ``vectorized`` switches the walk's builds and candidate trials
+    onto the dictionary-encoded code path (results are bit-identical either
+    way).
     """
-    if isinstance(table, PerturbationView):
-        return RepairWalk(table, constraints, detector_for(table.base),
-                          vectorized=vectorized)
-    return None
+    return RepairWalk(view, constraints, detector_for(view.base), vectorized=vectorized)
 
 
 # -- detector registry and dispatch helpers ---------------------------------------
@@ -1868,18 +1893,3 @@ def find_violations_auto(table: Table, constraint: DenialConstraint) -> list[Vio
     if isinstance(table, PerturbationView):
         return list(detector_for(table.base).violations_for_view(table, [constraint]))
     return find_violations(table, constraint)
-
-
-def find_all_violations_fast(table: Table,
-                             constraints: Sequence[DenialConstraint]) -> ViolationSet:
-    """Like :func:`find_all_violations_auto`, but plain tables also go through
-    the detector (cached per mutation version).
-
-    Used by the greedy repairer, whose inner loop re-detects on the same
-    snapshot for every candidate re-assignment: the snapshot's violations are
-    computed once per version and each candidate is evaluated as a one-cell
-    delta on top.
-    """
-    if isinstance(table, PerturbationView):
-        return detector_for(table.base).violations_for_view(table, list(constraints))
-    return detector_for(table).base_violations(list(constraints))

@@ -11,8 +11,8 @@ path of the library.  The Shapley hot path therefore runs on the *incremental*
 engine instead (:mod:`repro.constraints.incremental`), which maintains
 violations under sparse cell deltas; the functions here remain the
 from-scratch reference implementation that the incremental path is
-cross-checked against, and the fallback for everything that is not a
-:class:`~repro.dataset.table.PerturbationView`.
+cross-checked against (the ``incremental=False`` oracle with a
+``second_order=False`` repair algorithm runs on them end to end).
 """
 
 from __future__ import annotations

@@ -96,6 +96,14 @@ class RepairDelta:
     def __iter__(self) -> Iterator[CellChange]:
         return iter(sorted(self._changes.values(), key=lambda c: (c.cell.row, c.cell.attribute)))
 
+    def __eq__(self, other: object) -> bool:
+        """Value equality over the row-major changes (null-aware, like :meth:`Table.diff`)."""
+        if not isinstance(other, RepairDelta):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a.cell == b.cell and not values_differ(a.old_value, b.old_value)
+            and not values_differ(a.new_value, b.new_value) for a, b in zip(self, other))
+
     def cells(self) -> list[CellRef]:
         """Addresses of all repaired cells (row-major order)."""
         return [change.cell for change in self]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.constraints.dc import DenialConstraint, constraint_set_names
-from repro.constraints.incremental import detector_for
+from repro.constraints.incremental import detector_for, repair_walk_for
 from repro.dataset.table import CellRef, PerturbationView, RepairDelta, Table
 from repro.engine.stats import SharedStatistics
 from repro.engine.storage import NULL
@@ -68,6 +68,29 @@ def _padded_differing_lists(
             f"{len(differing_cells_lists)} differing-cells lists"
         )
     return differing_cells_lists
+
+
+def _walk_repair_table(algorithm, constraints: Sequence[DenialConstraint],
+                       table: Table) -> Table:
+    """``repair_table`` of the walk-based repairers (simple and greedy).
+
+    With ``second_order`` a plain input is repaired on a zero-delta view,
+    like any view, and the result materialised, so a later in-place write to
+    the input (``RepairSession.update``) cannot show through it.  The rescan
+    reference needs ``second_order=False``: a plain input is then copied and
+    every pass re-detects with ``find_violations``.
+    """
+    constraints = list(constraints)
+    name = f"{table.name}_repaired"
+    if not algorithm.second_order:
+        return algorithm._repair_loop(constraints, table.mutable_snapshot(name=name), None)
+    if isinstance(table, PerturbationView):
+        current = table.mutable_snapshot(name=name)
+    else:
+        current = table.perturbed({}, name=name, trusted=True)
+    walk = repair_walk_for(current, constraints, vectorized=algorithm.vectorized)
+    clean = algorithm._repair_loop(constraints, current, walk)
+    return clean if isinstance(table, PerturbationView) else clean.copy()
 
 
 class RepairAlgorithm(abc.ABC):
@@ -201,8 +224,10 @@ class BinaryRepairOracle:
         coalitions) through :class:`~repro.dataset.table.PerturbationView`
         overlays so the repair algorithms evaluate them with the incremental
         violation detector.  Results are identical either way (the benchmark
-        ``bench_incremental_vs_full.py`` cross-checks this); pass ``False`` to
-        force the full-rescan reference path.
+        ``bench_incremental_vs_full.py`` cross-checks this).  ``False`` hands
+        the algorithm plain tables; a walk-based algorithm still repairs those
+        on a zero-delta view, so the full-rescan reference path needs the
+        algorithm built with ``second_order=False`` as well.
     paired:
         Allow :meth:`query_pair` to evaluate a with/without instance pair in
         one shared repair walk (:meth:`RepairAlgorithm.repair_pair`): the

@@ -26,14 +26,14 @@ import numpy as np
 from repro.constraints.dc import DenialConstraint
 from repro.constraints.incremental import (
     RepairWalk,
-    find_all_violations_fast,
+    find_all_violations_auto,
     repair_walk_for,
 )
-from repro.dataset.table import CellRef, Table
+from repro.dataset.table import CellRef, PerturbationView, Table
 from repro.engine.storage import is_null
 from repro.errors import RepairError
 from repro.observability import trace as otrace
-from repro.repair.base import RepairAlgorithm, _padded_differing_lists
+from repro.repair.base import RepairAlgorithm, _padded_differing_lists, _walk_repair_table
 
 
 class GreedyHolisticRepair(RepairAlgorithm):
@@ -49,20 +49,19 @@ class GreedyHolisticRepair(RepairAlgorithm):
         scored per repaired cell.
     second_order:
         Maintain violations across the greedy steps with a
-        :class:`~repro.constraints.incremental.RepairWalk` when repairing a
-        :class:`~repro.dataset.table.PerturbationView`: each step retracts and
+        :class:`~repro.constraints.incremental.RepairWalk` (a plain input
+        table is repaired on a zero-delta view): each step retracts and
         re-checks only the cell the previous step wrote, and candidate trials
         re-check a single row instead of re-deriving the whole delta.
-        ``False`` restores first-order per-step detection.  Results are
-        identical either way.
+        ``False`` restores first-order per-step detection — on a plain table,
+        the full-rescan reference.  Results are identical either way.
     vectorized:
         Run the walk's builds over dictionary-encoded code arrays and score
         each cell's whole candidate pool in one batched pass
         (:meth:`~repro.constraints.incremental.RepairWalk.count_if_many` +
         batched co-occurrence scoring) instead of one ``count_if`` and one
         pair-table fetch per candidate.  Only effective with
-        ``second_order=True`` on a view; results are bit-identical either
-        way.
+        ``second_order=True``; results are bit-identical either way.
     """
 
     name = "greedy-holistic"
@@ -149,18 +148,12 @@ class GreedyHolisticRepair(RepairAlgorithm):
         touched row instead of copying the table and rescanning it.
         """
         trial = table.perturbed({cell: value})
-        return len(find_all_violations_fast(trial, constraints))
+        return len(find_all_violations_auto(trial, constraints))
 
     # -- main loop --------------------------------------------------------------------
 
     def repair_table(self, constraints: Sequence[DenialConstraint], table: Table) -> Table:
-        current = table.mutable_snapshot(name=f"{table.name}_repaired")
-        constraints = list(constraints)
-        if not constraints:
-            return current
-        walk = (repair_walk_for(current, constraints, vectorized=self.vectorized)
-                if self.second_order else None)
-        return self._repair_loop(constraints, current, walk)
+        return _walk_repair_table(self, constraints, table)
 
     def repair_pair(
         self,
@@ -199,21 +192,14 @@ class GreedyHolisticRepair(RepairAlgorithm):
         differing_cells_lists = _padded_differing_lists(
             differing_cells_lists, len(without_tables)
         )
-        if not constraints:
+        if not (self.second_order and isinstance(with_table, PerturbationView)):
             return (
-                with_table.mutable_snapshot(name=f"{with_table.name}_repaired"),
-                [without_table.mutable_snapshot(name=f"{without_table.name}_repaired")
-                 for without_table in without_tables],
-            )
-        with_work = with_table.mutable_snapshot(name=f"{with_table.name}_repaired")
-        walk_with = (repair_walk_for(with_work, constraints, vectorized=self.vectorized)
-                     if self.second_order else None)
-        if walk_with is None:
-            return (
-                self._repair_loop(constraints, with_work, None),
+                self.repair_table(constraints, with_table),
                 [self.repair_table(constraints, without_table)
                  for without_table in without_tables],
             )
+        with_work = with_table.mutable_snapshot(name=f"{with_table.name}_repaired")
+        walk_with = repair_walk_for(with_work, constraints, vectorized=self.vectorized)
         walk_with.prime()
         self.shared_pair_walks += len(without_tables)
         forks = []
@@ -259,7 +245,7 @@ class GreedyHolisticRepair(RepairAlgorithm):
                 if walk is not None:
                     violations = walk.all_violations()
                 else:
-                    violations = find_all_violations_fast(current, constraints)
+                    violations = find_all_violations_auto(current, constraints)
                 if not violations:
                     break
                 total_before = len(violations)

@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.constraints.dc import DenialConstraint
-from repro.constraints.incremental import find_all_violations_auto
-from repro.dataset.table import CellRef, Table
+from repro.constraints.incremental import detector_for, find_all_violations_auto
+from repro.dataset.table import CellRef, PerturbationView, Table
 from repro.engine.storage import is_null
 
 
@@ -74,8 +74,12 @@ class ErrorDetector:
 
     def _detect_constraint_cells(self, table: Table,
                                  constraints: Sequence[DenialConstraint]) -> set[CellRef]:
-        # perturbation views are evaluated incrementally against their base
-        violations = find_all_violations_auto(table, constraints)
+        # perturbation views are evaluated incrementally against their base,
+        # a plain table reads its (cached) detector's base violations
+        if isinstance(table, PerturbationView):
+            violations = find_all_violations_auto(table, constraints)
+        else:
+            violations = detector_for(table).base_violations(constraints)
         return set(violations.cells_involved())
 
     def _detect_null_cells(self, table: Table) -> set[CellRef]:

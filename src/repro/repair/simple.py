@@ -21,11 +21,11 @@ from typing import Mapping, Sequence
 
 from repro.constraints.dc import DenialConstraint
 from repro.constraints.incremental import RepairWalk, find_violations_auto, repair_walk_for
-from repro.dataset.table import CellRef, Table
+from repro.dataset.table import CellRef, PerturbationView, Table
 from repro.engine.storage import is_null
 from repro.errors import RepairError
 from repro.observability import trace as otrace
-from repro.repair.base import RepairAlgorithm, _padded_differing_lists
+from repro.repair.base import RepairAlgorithm, _padded_differing_lists, _walk_repair_table
 
 MOST_COMMON = "most_common"
 CONDITIONAL = "conditional"
@@ -113,15 +113,15 @@ class SimpleRuleRepair(RepairAlgorithm):
         Maintain violations *across* the fixpoint passes with a
         :class:`~repro.constraints.incremental.RepairWalk` (view→view deltas:
         each pass retracts and re-checks only the cells the previous pass
-        wrote) when repairing a :class:`~repro.dataset.table.PerturbationView`.
+        wrote); a plain input table is repaired on a zero-delta view.
         ``False`` restores the first-order behaviour of re-deriving every pass
-        from the base snapshot.  Results are identical either way.
+        from the base snapshot — on a plain table, the full-rescan reference.
+        Results are identical either way.
     vectorized:
         Build the walk's equality indexes and class partitions over
         dictionary-encoded code arrays (and consume the batch scheduler's
         multi-coalition precomputed builds).  Only effective with
-        ``second_order=True`` on a view; results are bit-identical either
-        way.
+        ``second_order=True``; results are bit-identical either way.
     """
 
     name = "simple-rules"
@@ -155,15 +155,7 @@ class SimpleRuleRepair(RepairAlgorithm):
         return None
 
     def repair_table(self, constraints: Sequence[DenialConstraint], table: Table) -> Table:
-        # A perturbation view is snapshotted as a sibling view (its sparse
-        # delta is forked, no columns are copied) and its violations are
-        # delta-maintained: second-order along the walk's own passes through a
-        # RepairWalk, or per pass against the base by find_violations_auto;
-        # plain tables take the original copy + full-rescan path.
-        current = table.mutable_snapshot(name=f"{table.name}_repaired")
-        walk = (repair_walk_for(current, constraints, vectorized=self.vectorized)
-                if self.second_order else None)
-        return self._repair_loop(list(constraints), current, walk)
+        return _walk_repair_table(self, constraints, table)
 
     def repair_pair(
         self,
@@ -206,15 +198,14 @@ class SimpleRuleRepair(RepairAlgorithm):
         differing_cells_lists = _padded_differing_lists(
             differing_cells_lists, len(without_tables)
         )
-        with_work = with_table.mutable_snapshot(name=f"{with_table.name}_repaired")
-        walk_with = (repair_walk_for(with_work, constraints, vectorized=self.vectorized)
-                     if self.second_order else None)
-        if walk_with is None:
+        if not (self.second_order and isinstance(with_table, PerturbationView)):
             return (
-                self._repair_loop(constraints, with_work, None),
+                self.repair_table(constraints, with_table),
                 [self.repair_table(constraints, without_table)
                  for without_table in without_tables],
             )
+        with_work = with_table.mutable_snapshot(name=f"{with_table.name}_repaired")
+        walk_with = repair_walk_for(with_work, constraints, vectorized=self.vectorized)
         walk_with.prime()
         self.shared_pair_walks += len(without_tables)
         without_works: list[Table] = []

@@ -25,8 +25,8 @@ and the repair algorithms evaluate them through the incremental violation
 detector (:mod:`repro.constraints.incremental`), which retracts and re-checks
 only the touched rows against delta-maintained indexes.  Pass
 ``incremental=False`` to :class:`CellShapleyExplainer` /
-:class:`~repro.repair.base.BinaryRepairOracle` to force the materialise-and-
-rescan reference path; estimates are identical for a fixed seed (the
+:class:`~repro.repair.base.BinaryRepairOracle`, with a ``second_order=False``
+repair algorithm, to force the materialise-and-rescan reference path; estimates are identical for a fixed seed (the
 ``bench_incremental_vs_full`` benchmark asserts this).
 """
 

@@ -11,7 +11,8 @@ coalition is a sparse copy-on-write delta on the dirty table and the
 with/without pair a one-cell sub-delta, so the repair oracle's violation
 detection is delta-maintained instead of rescanning (see
 :mod:`repro.constraints.incremental`).  ``incremental=False`` restores the
-materialised full-rescan reference path with bit-identical estimates.
+materialised full-rescan reference path with bit-identical estimates (with a
+``second_order=False`` repair algorithm behind the oracle).
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ class CellShapleyExplainer:
         instances built here; the oracle's own perturbations (cell-coalition
         and constraint-subset queries) follow the oracle's ``incremental``
         flag — construct the :class:`BinaryRepairOracle` with
-        ``incremental=False`` as well to force the reference path end to end.
+        ``incremental=False`` and a ``second_order=False`` repair algorithm
+        as well to force the reference path end to end.
     paired:
         When ``True`` (default) each Monte-Carlo sample's with/without pair
         is submitted as one :meth:`BinaryRepairOracle.query_table_pair` call,

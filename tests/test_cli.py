@@ -50,6 +50,69 @@ def test_violations_command_reports_and_signals_dirty(table_csv, constraints_fil
     assert "C1(" in output or "C3(" in output
 
 
+LA_LIGA_VIOLATIONS = """\
+12 violation(s) of 4 constraint(s) on 6 rows.
+  C1(t3, t5): t3[Team], t5[Team], t3[City], t5[City]
+  C1(t5, t3): t5[Team], t3[Team], t5[City], t3[City]
+  C1(t5, t6): t5[Team], t6[Team], t5[City], t6[City]
+  C1(t6, t5): t6[Team], t5[Team], t6[City], t5[City]
+  C3(t1, t5): t1[League], t5[League], t1[Country], t5[Country]
+  C3(t5, t1): t5[League], t1[League], t5[Country], t1[Country]
+  C3(t2, t5): t2[League], t5[League], t2[Country], t5[Country]
+  C3(t5, t2): t5[League], t2[League], t5[Country], t2[Country]
+  C3(t3, t5): t3[League], t5[League], t3[Country], t5[Country]
+  C3(t5, t3): t5[League], t3[League], t5[Country], t3[Country]
+  C3(t5, t6): t5[League], t6[League], t5[Country], t6[Country]
+  C3(t6, t5): t6[League], t5[League], t6[Country], t5[Country]
+"""
+
+
+def _reference_violations_text(table_path, constraints_path) -> str:
+    """The ``violations`` report rendered from the full-rescan reference."""
+    from repro.constraints.violations import find_all_violations
+
+    table = read_csv(table_path)
+    constraints = load_constraints(constraints_path)
+    violations = find_all_violations(table, constraints)
+    lines = [f"{len(violations)} violation(s) of {len(constraints)} constraint(s) "
+             f"on {table.n_rows} rows."]
+    lines += [f"  {v}: {', '.join(str(cell) for cell in v.cells())}" for v in violations]
+    return "\n".join(lines) + "\n"
+
+
+def test_violations_output_pinned_on_la_liga(table_csv, constraints_file, capsys):
+    main(["violations", "--table", table_csv, "--constraints", constraints_file])
+    output = capsys.readouterr().out
+    assert output == LA_LIGA_VIOLATIONS
+    assert output == _reference_violations_text(table_csv, constraints_file)
+
+
+def test_violations_output_pinned_on_hospital(tmp_path, capsys):
+    import hashlib
+
+    from repro import HospitalGenerator, format_dc
+    from repro.dataset.errors import inject_errors
+
+    dataset = HospitalGenerator(seed=11).generate(300)
+    dirty, _ = inject_errors(dataset.table, rate=0.02, seed=13)
+    table_path = write_csv(dirty, tmp_path / "hospital.csv")
+    constraints_path = tmp_path / "hospital_dcs.txt"
+    constraints_path.write_text(
+        "\n".join(format_dc(dc) for dc in dataset.constraints()) + "\n", encoding="utf-8")
+    exit_code = main(["violations", "--table", str(table_path),
+                      "--constraints", str(constraints_path)])
+    output = capsys.readouterr().out
+    assert exit_code == 1
+    assert output.splitlines()[:3] == [
+        "1270 violation(s) of 5 constraint(s) on 300 rows.",
+        "  C1(t3, t155): t3[City], t155[City], t3[State], t155[State]",
+        "  C1(t155, t3): t155[City], t3[City], t155[State], t3[State]",
+    ]
+    assert hashlib.sha256(output.encode()).hexdigest() == \
+        "849aa3598dfbded51c30516d0db72d93e395d895c93c0f3bac56d92c2aef39a8"
+    assert output == _reference_violations_text(table_path, constraints_path)
+
+
 def test_violations_command_clean_table_returns_zero(tmp_path, constraints_file, capsys):
     from repro.dataset.examples import la_liga_clean_table
 

@@ -50,10 +50,6 @@ def test_walk_empty_delta_matches_base():
     assert_walk_matches_reference(walk, constraints)
 
 
-def test_walk_only_engages_on_views():
-    assert repair_walk_for(la_liga_dirty_table(), la_liga_constraints()) is None
-
-
 def test_walk_tracks_multi_pass_writes():
     base = la_liga_dirty_table()
     constraints = la_liga_constraints()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dataset.schema import Schema
-from repro.dataset.table import CellRef, Table
+from repro.dataset.table import CellRef, RepairDelta, Table
 from repro.errors import SchemaError, UnknownAttributeError, UnknownRowError
 
 
@@ -84,6 +84,25 @@ def test_diff_produces_repair_delta():
     assert change.new_value == "Madrid"
     assert delta.new_value(CellRef(2, "City")) == "Madrid"
     assert delta.new_value(CellRef(0, "Team")) is None
+
+
+def test_repair_delta_value_equality():
+    dirty = make_table()
+    repair = {CellRef(2, "City"): "Madrid", CellRef(1, "Team"): "Barcelona"}
+    first = dirty.diff(dirty.with_values(repair))
+    second = dirty.diff(dirty.perturbed(repair))
+    assert first is not second
+    assert first == second
+    assert not first != second
+    # changes listed in a different insertion order are still equal
+    assert RepairDelta(reversed(list(first))) == first
+    assert first != dirty.diff(dirty.with_values({CellRef(2, "City"): "Madrid"}))
+    assert first != dirty.diff(dirty.with_values({**repair, CellRef(2, "City"): "Rome"}))
+    assert first != list(first)
+    # null-aware, like diff: None and NaN are the same missing value
+    nulled = dirty.diff(dirty.with_values({CellRef(0, "Team"): None}))
+    assert nulled == dirty.diff(dirty.with_values({CellRef(0, "Team"): float("nan")}))
+    assert RepairDelta([]) == dirty.diff(dirty.copy())
 
 
 def test_diff_requires_same_shape():
