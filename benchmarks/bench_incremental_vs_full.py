@@ -71,7 +71,6 @@ from repro import (
     SoccerLeagueGenerator,
     TRexConfig,
 )
-from repro.constraints.incremental import repair_walk_for
 from repro.dataset.errors import inject_errors
 from repro.dataset.generators import HospitalGenerator
 from repro.observability import trace as otrace
@@ -92,7 +91,6 @@ PAIRED_FLOOR_GREEDY = float(os.environ.get("TREX_BENCH_PAIRED_FLOOR", "2.0"))
 PAIRED_FLOOR_SIMPLE = float(os.environ.get("TREX_BENCH_PAIRED_FLOOR_SIMPLE", "2.0"))
 PARALLEL_FLOOR = float(os.environ.get("TREX_BENCH_PARALLEL_FLOOR", "1.5"))
 WARM_POOL_FLOOR = float(os.environ.get("TREX_BENCH_WARM_FLOOR", "1.2"))
-VECTORIZED_FLOOR = float(os.environ.get("TREX_BENCH_VEC_FLOOR", "1.5"))
 BULK_DELTA_FLOOR = float(os.environ.get("TREX_BENCH_BULK_FLOOR", "2.0"))
 UPDATE_REFRESH_FLOOR = float(os.environ.get("TREX_BENCH_UPDATE_FLOOR", "2.0"))
 BENCH_JSON = os.environ.get("TREX_BENCH_JSON", "BENCH_shapley.json")
@@ -134,13 +132,6 @@ BULK_DELTA_COLUMNS = 4
 BULK_DELTA_CELLS_PER_COLUMN = 2500
 BULK_DELTA_ROWS = 4000
 
-#: table size of the vectorised-walk scaling point: one greedy repair step
-#: (degree ranking + one candidate-trial pass) at dictionary-encoded scale,
-#: timed on both engines with detection and encoding primed (telemetry, no
-#: floor — the floor is asserted on the 50-row greedy loop where both paths
-#: fit the benchmark budget)
-SCALING_ROWS = int(os.environ.get("TREX_BENCH_SCALING_ROWS", "5000"))
-
 #: (incremental, paired, second_order, shared_stats, batched_pairs) per path
 PATHS = {
     "full": (False, False, False, False, False),
@@ -160,23 +151,21 @@ def _setup(n_rows: int = N_ROWS):
     return constraints, dirty, report.cells()[0]
 
 
-def _make_algorithm(name: str, second_order: bool, vectorized: bool = True):
+def _make_algorithm(name: str, second_order: bool):
     if name == "simple":
-        return SimpleRuleRepair(second_order=second_order, vectorized=vectorized)
-    return GreedyHolisticRepair(max_changes=30, second_order=second_order,
-                                vectorized=vectorized)
+        return SimpleRuleRepair(second_order=second_order)
+    return GreedyHolisticRepair(max_changes=30, second_order=second_order)
 
 
 def _explain(constraints, dirty, cell, path: str, algorithm: str = "simple",
              policy: str = "mode", n_samples: int = N_SAMPLES,
-             n_probes: int = N_PROBES, vectorized: bool = True):
+             n_probes: int = N_PROBES):
     incremental, paired, second_order, shared_stats, batched_pairs = PATHS[path]
     oracle = BinaryRepairOracle(
-        _make_algorithm(algorithm, second_order, vectorized), constraints,
+        _make_algorithm(algorithm, second_order), constraints,
         dirty, cell,
         incremental=incremental, paired=paired,
         shared_stats=shared_stats, batched_pairs=batched_pairs,
-        vectorized=vectorized,
     )
     explainer = CellShapleyExplainer(oracle, policy=policy, rng=3,
                                      incremental=incremental, paired=paired,
@@ -186,63 +175,6 @@ def _explain(constraints, dirty, cell, path: str, algorithm: str = "simple",
     start = time.perf_counter()
     result = explainer.explain(cells=probes, n_samples=n_samples)
     return result, time.perf_counter() - start, oracle
-
-
-def _walk_scaling_points(reps: int = 3):
-    """One greedy repair step at dictionary-encoded scale (``SCALING_ROWS``
-    rows), timed on both engines.
-
-    Times what the vectorised engine actually changes inside the greedy
-    loop: degree ranking plus one candidate-trial pass — read off the
-    walk's class-partition counters and the batched ``count_if_many`` with
-    the flag on, versus a materialised ``ViolationSet`` with per-cell
-    ``count_for_cell`` lookups and one scalar ``count_if`` per candidate
-    with it off.  The shared per-table detector's one-time base detection
-    (an object-level pass either engine pays exactly once per process) and
-    the base-column dictionary encoding are primed outside the timed
-    region, so the numbers are per-step costs, not first-touch setup.  The
-    hospital generator is used because the soccer league is bounded by its
-    entity pools (~90 distinct rows).  Returns ``{vectorized: (seconds,
-    n_violations, totals)}`` with the min over ``reps`` runs per engine.
-    """
-    dataset = HospitalGenerator(seed=47).generate(SCALING_ROWS)
-    constraints = dataset.constraints()
-    dirty, report = inject_errors(dataset.table, rate=0.0, n_errors=25, seed=47)
-    cell = report.cells()[0]
-    pool = sorted(
-        {dirty.value(row, cell.attribute) for row in range(200)}, key=repr
-    )[:8]
-
-    def _view():
-        # the walk engages on views only: an empty-delta view over the base
-        return dirty.perturbed({}).mutable_snapshot()
-
-    # prime both engines: base detection into the shared detector cache,
-    # base-column codes into the table's dictionary encoding
-    for vectorized in (True, False):
-        warm = repair_walk_for(_view(), constraints, vectorized=vectorized)
-        warm.count_if(cell, pool[0])
-        warm.cell_degrees()
-
-    points = {}
-    for vectorized in (True, False):
-        best = None
-        for _ in range(reps):
-            walk = repair_walk_for(_view(), constraints, vectorized=vectorized)
-            start = time.perf_counter()
-            if vectorized:
-                n_violations, _degrees = walk.cell_degrees()
-                totals = walk.count_if_many(cell, pool)
-            else:
-                violations = walk.all_violations()
-                n_violations = len(violations)
-                for degree_cell in violations.cells_involved():
-                    violations.count_for_cell(degree_cell)
-                totals = [walk.count_if(cell, value) for value in pool]
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        points[vectorized] = (best, n_violations, totals)
-    return points
 
 
 def _bulk_delta_points(reps: int = 5):
@@ -512,7 +444,6 @@ def _write_bench_json(payload: dict) -> None:
         "warm_pool_rounds": WARM_POOL_ROUNDS,
         "warm_pool_samples_per_shard": WARM_POOL_SAMPLES_PER_SHARD,
         "cpu_count": os.cpu_count(),
-        "scaling_rows": SCALING_ROWS,
         "bulk_delta_columns": BULK_DELTA_COLUMNS,
         "bulk_delta_cells_per_column": BULK_DELTA_CELLS_PER_COLUMN,
         "update_rows": UPDATE_ROWS,
@@ -525,7 +456,6 @@ def _write_bench_json(payload: dict) -> None:
             "paired_vs_incremental_simple": PAIRED_FLOOR_SIMPLE,
             "parallel_speedup": PARALLEL_FLOOR,
             "warm_pool_speedup": WARM_POOL_FLOOR,
-            "vectorized_speedup": VECTORIZED_FLOOR,
             "bulk_delta_speedup": BULK_DELTA_FLOOR,
             "update_refresh_speedup": UPDATE_REFRESH_FLOOR,
         },
@@ -574,21 +504,6 @@ def test_paths_identical_and_paired_is_faster(benchmark):
         for path in greedy_paths:
             _, elapsed, _ = _explain(constraints, dirty, cell, path, **greedy_args)
             greedy_timings[path].append(elapsed)
-
-    # -- vectorised vs object engine: the same greedy paired loop ------------------------
-    greedy_novec, _, _ = _explain(constraints, dirty, cell, "paired",
-                                  vectorized=False, **greedy_args)
-    assert greedy_novec.values == greedy_results["paired"].values
-    novec_timings = []
-    for _ in range(2):
-        _, elapsed, _ = _explain(constraints, dirty, cell, "paired",
-                                 vectorized=False, **greedy_args)
-        novec_timings.append(elapsed)
-
-    # -- vectorised greedy step at dictionary-encoded scale (SCALING_ROWS rows) ----------
-    scaling = _walk_scaling_points()
-    # identical violations and candidate-trial counts at scale
-    assert scaling[True][1:] == scaling[False][1:]
 
     # -- bulk delta encoding: a 10^4-cell coalition delta, bulk vs per-value -------------
     bulk_per_value_seconds, bulk_seconds = _bulk_delta_points()
@@ -667,7 +582,6 @@ def test_paths_identical_and_paired_is_faster(benchmark):
 
     best = {f"simple_{path}": min(times) for path, times in simple_timings.items()}
     best.update({f"greedy_{path}": min(times) for path, times in greedy_timings.items()})
-    best["greedy_paired_novec"] = min(novec_timings)
     best["greedy_sharded_1job"] = min(parallel_timings[1])
     best[f"greedy_sharded_{PARALLEL_JOBS}jobs"] = min(parallel_timings[PARALLEL_JOBS])
     best["simple_warm_pool"] = min(warm_pool_timings["warm"])
@@ -684,8 +598,6 @@ def test_paths_identical_and_paired_is_faster(benchmark):
         "parallel_speedup": (best["greedy_sharded_1job"]
                              / best[f"greedy_sharded_{PARALLEL_JOBS}jobs"]),
         "warm_pool_speedup": best["simple_cold_pool"] / best["simple_warm_pool"],
-        "vectorized_speedup": best["greedy_paired_novec"] / best["greedy_paired"],
-        "vectorized_walk_scaling": scaling[False][0] / scaling[True][0],
         "bulk_delta_speedup": bulk_per_value_seconds / bulk_seconds,
         "repeat_probe_speedup": cache_probe_timings[0] / cache_probe_timings[1],
         "update_refresh_speedup": (best["session_update_rebuild"]
@@ -707,12 +619,6 @@ def test_paths_identical_and_paired_is_faster(benchmark):
              f"{best['greedy_incremental'] / best['greedy_paired_nobatch']:.2f}x"],
             ["greedy holistic", "paired+batched+stats", f"{best['greedy_paired']:.3f}",
              f"{speedups['paired_vs_incremental_greedy']:.2f}x"],
-            ["greedy holistic", "paired, object path", f"{best['greedy_paired_novec']:.3f}",
-             f"{speedups['vectorized_speedup']:.2f}x slower than vectorised"],
-            ["greedy holistic", f"step @ {SCALING_ROWS} rows, vectorised",
-             f"{scaling[True][0]:.3f}",
-             f"{speedups['vectorized_walk_scaling']:.2f}x vs object "
-             f"({scaling[False][0]:.3f}s)"],
             ["greedy holistic", "sharded plan, 1 job", f"{best['greedy_sharded_1job']:.3f}",
              "(parallel baseline)"],
             ["greedy holistic", f"sharded, {PARALLEL_JOBS} workers",
@@ -758,12 +664,6 @@ def test_paths_identical_and_paired_is_faster(benchmark):
                 cache_probe_stats["cache_hits"]
                 / max(1, cache_probe_stats["cache_hits"]
                       + cache_probe_stats["cache_misses"]), 4),
-        },
-        "vectorized_walk_scaling": {
-            "n_rows": SCALING_ROWS,
-            "vectorized_seconds": round(scaling[True][0], 4),
-            "object_seconds": round(scaling[False][0], 4),
-            "n_violations": scaling[True][1],
         },
         "batch_scheduler": {
             key: batch_stats.get(key, 0)
@@ -823,11 +723,6 @@ def test_paths_identical_and_paired_is_faster(benchmark):
         f"paired path is only {speedups['paired_vs_incremental_simple']:.2f}x faster "
         f"than the incremental path on the rule-repair loop "
         f"(floor: {PAIRED_FLOOR_SIMPLE}x)"
-    )
-    assert speedups["vectorized_speedup"] >= VECTORIZED_FLOOR, (
-        f"the vectorised engine is only {speedups['vectorized_speedup']:.2f}x "
-        f"faster than the object path on the greedy paired loop "
-        f"(floor: {VECTORIZED_FLOOR}x)"
     )
     assert speedups["bulk_delta_speedup"] >= BULK_DELTA_FLOOR, (
         f"the bulk delta encoder is only {speedups['bulk_delta_speedup']:.2f}x "

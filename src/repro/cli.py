@@ -25,6 +25,11 @@ equivalent front end for scripted use:
 The constraints file contains one DC per line in the ASCII syntax of
 :func:`repro.constraints.parser.parse_dc`; blank lines and ``#`` comments are
 ignored.
+
+Any :mod:`repro.errors` exception — for example an unparsable cell or
+constraint, or an out-of-range option such as ``--samples 0``, ``--seed -1``
+or ``--top-cells -1`` — prints one ``error:`` line to stderr and exits with
+code 2.
 """
 
 from __future__ import annotations
@@ -73,11 +78,9 @@ def load_constraints(path: str | Path):
     return constraints
 
 
-def _build_algorithm(name: str, vectorized: bool = True):
+def _build_algorithm(name: str):
     if name not in ALGORITHMS:
         raise TRexError(f"unknown algorithm {name!r}; expected one of {sorted(ALGORITHMS)}")
-    if name in ("simple", "greedy"):
-        return ALGORITHMS[name](vectorized=vectorized)
     return ALGORITHMS[name]()
 
 
@@ -99,10 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_arguments(repair_parser)
     repair_parser.add_argument("--algorithm", default="simple", choices=sorted(ALGORITHMS))
     repair_parser.add_argument("--output", help="write the repaired table to this CSV file")
-    repair_parser.add_argument("--no-vectorized", action="store_true",
-                               help="evaluate constraint checks on the per-cell object "
-                                    "path instead of dictionary-encoded code arrays; "
-                                    "results are identical, only slower")
     repair_parser.add_argument("--stats-json", metavar="PATH",
                                help="write the repair statistics (cells repaired, "
                                     "changes, table shape) to this JSON file")
@@ -144,17 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="with --jobs: base delay of the exponential "
                                      "backoff slept before worker restarts "
                                      "(default 0.05, 0 disables)")
-    explain_parser.add_argument("--speculate", action="store_true",
-                                help="with --jobs: draw up to N sample chunks ahead "
-                                     "per unconverged cell each adaptive round, "
-                                     "discarding overshoot past the stopping point; "
-                                     "results are identical, only faster when few "
-                                     "cells remain active")
-    explain_parser.add_argument("--no-vectorized", action="store_true",
-                                help="evaluate constraint checks on the per-cell object "
-                                     "path instead of dictionary-encoded code arrays "
-                                     "(also settable via TREX_VECTORIZED=0); results "
-                                     "are identical, only slower")
     explain_parser.add_argument("--policy", default="sample", choices=["sample", "null", "mode"],
                                 help="replacement policy for out-of-coalition cells")
     explain_parser.add_argument("--update", action="append", default=[],
@@ -215,8 +203,7 @@ def _write_stats_json(path: str, stats: dict) -> None:
 def _command_repair(args) -> int:
     table = read_csv(args.table)
     constraints = load_constraints(args.constraints)
-    vectorized = not args.no_vectorized and TRexConfig().vectorized
-    algorithm = _build_algorithm(args.algorithm, vectorized=vectorized)
+    algorithm = _build_algorithm(args.algorithm)
     result = algorithm.repair(constraints, table)
     print(repair_summary(table, result.clean))
     if args.output:
@@ -245,12 +232,14 @@ def _command_explain(args) -> int:
     table = read_csv(args.table)
     constraints = load_constraints(args.constraints)
     defaults = TRexConfig()
-    # --no-vectorized wins over the TREX_VECTORIZED environment default
-    vectorized = not args.no_vectorized and defaults.vectorized
-    algorithm = _build_algorithm(args.algorithm, vectorized=vectorized)
+    algorithm = _build_algorithm(args.algorithm)
     cell = CellRef.parse(args.cell)
     if args.jobs is not None and args.jobs < 1:
         raise TRexError(f"--jobs must be a positive integer, got {args.jobs}")
+    if args.seed is not None and args.seed < 0:
+        raise TRexError(f"--seed must be non-negative, got {args.seed}")
+    if args.top_cells < 0:
+        raise TRexError(f"--top-cells must be non-negative, got {args.top_cells}")
     if args.deadline is not None and args.deadline < 0:
         raise TRexError(f"--deadline must be non-negative, got {args.deadline}")
 
@@ -266,14 +255,12 @@ def _command_explain(args) -> int:
         replacement_policy=args.policy,
         n_jobs=args.jobs,
         warm_pool=not args.cold_pool,
-        vectorized=vectorized,
         deadline_seconds=args.deadline,
         max_worker_restarts=_cap(args.max_worker_restarts, defaults.max_worker_restarts),
         max_shard_attempts=_cap(args.max_shard_attempts, defaults.max_shard_attempts),
         restart_backoff_seconds=(defaults.restart_backoff_seconds
                                  if args.restart_backoff is None
                                  else max(0.0, args.restart_backoff)),
-        speculate=args.speculate,
         incremental_updates=not args.no_incremental_updates,
     )
     if args.update:

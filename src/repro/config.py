@@ -8,7 +8,6 @@ harness can tighten or loosen them from a single place.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,17 +23,6 @@ SHAPLEY_ATOL = 1e-9
 #: Default number of permutation samples for the cell-Shapley estimator
 #: (Example 2.5 of the paper leaves ``m`` as a user parameter).
 DEFAULT_CELL_SAMPLES = 500
-
-
-def default_vectorized() -> bool:
-    """Library-wide default for the vectorised engine paths.
-
-    ``True`` unless ``TREX_VECTORIZED=0`` is set — the CI matrix uses the
-    environment switch to run the whole fast test set under both defaults
-    (results are bit-identical either way; only the evaluation strategy
-    changes).
-    """
-    return os.environ.get("TREX_VECTORIZED", "1") != "0"
 
 
 @dataclass
@@ -68,11 +56,6 @@ class TRexConfig:
         resident oracle stacks) alive across rounds, shipping only new cache
         entries home (the default).  ``False`` forces the cold
         rebuild-per-round path; results are bit-identical either way.
-    vectorized:
-        Whether the engine evaluates FD checks, statistics builds and greedy
-        ``count_if`` trials over dictionary-encoded code arrays (the
-        default).  ``False`` forces the per-cell object path; results are
-        bit-identical either way.
     deadline_seconds:
         Optional wall-clock budget for one sampled cell-Shapley explanation
         run on the ``n_jobs`` path.  On expiry the scheduler stops at a
@@ -92,12 +75,6 @@ class TRexConfig:
         Base delay of the bounded exponential backoff slept before each
         worker restart (doubles per consecutive restart of the same slot,
         capped).  ``0`` disables the backoff.
-    speculate:
-        Whether adaptive sampling on the ``n_jobs`` path draws up to
-        ``n_jobs`` chunks ahead per unconverged cell each round,
-        deterministically discarding overshoot past the merged stopping
-        point.  Estimates are bit-identical to the default ``False``; only
-        throughput and the speculation counters change.
     incremental_updates:
         Whether :meth:`RepairSession.update` delta-maintains the live
         session state — base violations, indexes, statistics, encoding,
@@ -116,12 +93,10 @@ class TRexConfig:
     cache_oracle: bool = True
     n_jobs: int | None = None
     warm_pool: bool = True
-    vectorized: bool = field(default_factory=default_vectorized)
     deadline_seconds: float | None = None
     max_worker_restarts: int | None = 5
     max_shard_attempts: int | None = 3
     restart_backoff_seconds: float = 0.05
-    speculate: bool = False
     incremental_updates: bool = True
     extra: dict = field(default_factory=dict)
 

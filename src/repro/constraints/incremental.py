@@ -430,7 +430,7 @@ class IncrementalViolationDetector:
         once, each view contributing only its sparse code-space scatter —
         and the per-view group structures are parked under the view's
         fingerprint for its :class:`RepairWalk` to consume exclusively
-        (:meth:`RepairWalk._build_windex_vectorized` pops them).  Unclaimed
+        (:meth:`RepairWalk._build_windex_codes` pops them).  Unclaimed
         entries are dropped at the next precompute.  Returns the number of
         parked builds.
         """
@@ -979,16 +979,15 @@ class RepairWalk:
     mutates the detector's shared per-base state.
     """
 
-    __slots__ = ("view", "detector", "constraints", "vectorized", "_log",
+    __slots__ = ("view", "detector", "constraints", "_log",
                  "_cstates", "_windexes", "_dirty_rows", "_local_rows",
                  "_pristine_rows", "_row_log_pos")
 
     def __init__(self, view: PerturbationView, constraints: Iterable[DenialConstraint],
-                 detector: IncrementalViolationDetector, vectorized: bool = False):
+                 detector: IncrementalViolationDetector):
         self.view = view
         self.detector = detector
         self.constraints = list(constraints)
-        self.vectorized = vectorized
         self._log = view.change_log
         self._cstates: dict[DenialConstraint, _WalkConstraint] = {}
         self._windexes: dict[tuple[str, ...], _WalkIndex] = {}
@@ -1054,16 +1053,15 @@ class RepairWalk:
         walk_index = self._windexes.get(eq_attrs)
         if walk_index is None:
             base_index = self.detector._index_for(eq_attrs)
-            built = self._build_windex_vectorized(eq_attrs) if self.vectorized \
-                else None
+            built = self._build_windex_codes(eq_attrs)
             if built is not None:
                 groups, keys = built
             else:
-                # Built from scratch in one ascending row pass (groups come
-                # out sorted) instead of forking the base index and replaying
-                # the full delta: on the heavily nulled coalition views most
-                # rows just drop out of the index, so per-row bisect moves
-                # would dominate.
+                # Unencodable key columns: built in one ascending row pass
+                # (groups come out sorted) instead of forking the base index
+                # and replaying the full delta: on the heavily nulled
+                # coalition views most rows just drop out of the index, so
+                # per-row bisect moves would dominate.
                 build_key_of = base_index.build_key_of
                 delta_columns = self.view.delta_by_column()
                 eq_overrides = [delta_columns.get(attribute) for attribute in eq_attrs]
@@ -1094,7 +1092,7 @@ class RepairWalk:
             self._sync_windex(walk_index, eq_attrs)
         return walk_index
 
-    def _build_windex_vectorized(self, eq_attrs: tuple[str, ...]):
+    def _build_windex_codes(self, eq_attrs: tuple[str, ...]):
         """``(groups, keys)`` via the code path, or ``None`` to fall back.
 
         Consumes a multi-coalition precomputed build when the batch
@@ -1286,10 +1284,11 @@ class RepairWalk:
     def _class_values(self, plan: _ConstraintPlan) -> "list | None":
         """Per-row view classes of the ``!=`` attribute, decoded in one pass.
 
-        The vectorised twin of :meth:`_class_reader`: the base column's code
-        array is translated through the decode table (``_NULL_CLASS`` at code
-        0) as one list comprehension, then the view's sparse overrides are
-        patched in.  ``None`` when the column is unencodable.
+        The base column's code array is translated through the decode table
+        (``_NULL_CLASS`` at code 0) as one list comprehension, then the view's
+        sparse overrides are patched in.  ``None`` when the column is
+        unencodable (the caller then reads classes per row through
+        :meth:`_class_reader`).
         """
         ne_attr = plan.single_ne_attr
         store = self.detector.table.store
@@ -1311,7 +1310,7 @@ class RepairWalk:
     def _build_fd_state(self, plan: _ConstraintPlan) -> _FDClassState:
         """Class-partition state of the current view, one pass over the index."""
         walk_index = self._windex(plan.eq_attrs)
-        classes = self._class_values(plan) if self.vectorized else None
+        classes = self._class_values(plan)
         class_of = classes.__getitem__ if classes is not None \
             else self._class_reader(plan)
         fd = _FDClassState()
@@ -1441,45 +1440,10 @@ class RepairWalk:
 
     # -- one-cell trials (greedy candidate scoring) -----------------------------------
 
-    def count_if(self, cell: CellRef, value: Any) -> int:
-        """Total violation count if ``cell`` were set to ``value`` (state untouched).
-
-        Equals ``len(find_all_violations(trial))`` for the materialised trial
-        table, but only the one touched row is re-checked.
-        """
-        self._consume_writes()
-        row_id, attribute = cell.row, cell.attribute
-        total = 0
-        for constraint in self.constraints:
-            plan = self.detector._state(constraint).plan
-            if plan.kind == "pairs":
-                if attribute not in plan.mentioned:
-                    total += len(self.violations_for(constraint))
-                else:
-                    trial = self.view.perturbed({cell: value}, trusted=True)
-                    total += len(find_violations(trial, constraint))
-                continue
-            state = self._synced_state(constraint)
-            fd = state.fd
-            if fd is not None:
-                if attribute not in plan.mentioned:
-                    total += fd.total
-                    continue
-                total += fd.total - fd.row_violation_count(row_id)
-            else:
-                if attribute not in plan.mentioned:
-                    total += len(state.violations)
-                    continue
-                total += sum(1 for v in state.violations if row_id not in v.rows)
-            total += self._count_row_if(constraint, plan, row_id, attribute, value)
-        return total
-
-    def _count_row_if(self, constraint: DenialConstraint, plan: _ConstraintPlan,
-                      row_id: int, attribute: str, value: Any) -> int:
-        if plan.kind == "single":
-            row = dict(self._row_of(row_id))
-            row[attribute] = value
-            return 1 if plan.residual_check(row, row) else 0
+    def _count_row_if(self, plan: _ConstraintPlan, row_id: int, attribute: str,
+                      value: Any) -> int:
+        """Violations of one general eq-kind constraint that ``row_id`` joins
+        if ``(row_id, attribute)`` were set to ``value`` (partner scan)."""
         walk_index = self._windex(plan.eq_attrs)
         eq_attrs = plan.eq_attrs
         value_of = self._value_of
@@ -1497,24 +1461,6 @@ class RepairWalk:
             key = keys[row_id] if row_id in keys else walk_index.index.build_key_of(row_id)
         if key is None:
             return 0
-        ne_attr = plan.single_ne_attr
-        if ne_attr is not None:
-            # O(1) via the class-partition counters (count_if built them)
-            fd = self._cstates[constraint].fd
-            group = fd.groups.get(key)
-            if group is None:
-                return 0
-            value_i = value if attribute == ne_attr else value_of(row_id, ne_attr)
-            class_i = _NULL_CLASS if is_null(value_i) else value_i
-            counter, m, _contribution = group
-            n = counter.get(class_i, 0)
-            assignment = fd.assigned.get(row_id)
-            if assignment is not None and assignment[0] == key:
-                # exclude the row's own current occupancy of this group
-                m -= 1
-                if assignment[1] == class_i:
-                    n -= 1
-            return 2 * (m - n)
         partners = walk_index.index._groups.get(key)
         if not partners:
             return 0
@@ -1532,29 +1478,23 @@ class RepairWalk:
                 count += 1
         return count
 
-    def count_if_many(self, cell: CellRef, values: Sequence[Any]) -> list[int]:
-        """``[count_if(cell, v) for v in values]`` with the per-call work hoisted.
-
-        Greedy candidate scoring calls this once per violating cell instead
-        of once per candidate: constraints are synced once, every
-        candidate-independent term is computed once, and the per-candidate
-        remainder runs as class-counter lookups in a tight loop.
-        Bit-identical to the one-at-a-time path.
-        """
-        return self.count_if_many_at(cell.row, cell.attribute, values)
-
     def count_if_many_at(self, row_id: int, attribute: str,
                          values: Sequence[Any]) -> list[int]:
-        """:meth:`count_if_many` addressed by ``(row, attribute)`` directly.
+        """Total violation count if ``(row_id, attribute)`` were set to each value.
 
-        The array-ranking consumers feed trial batches straight from
-        :meth:`cell_degrees_arrays` coordinates; no :class:`CellRef` is built
-        unless a ``pairs``-kind constraint forces the object fallback.
+        Element ``i`` equals ``len(find_all_violations(trial))`` for the
+        materialised trial table with the cell set to ``values[i]``; the
+        walk's state is untouched.  Greedy candidate scoring calls this once
+        per top-degree cell, fed straight from :meth:`cell_degrees_arrays`
+        coordinates: constraints are synced once, every candidate-independent
+        term is computed once, and FD-shape constraints score each candidate
+        with O(1) class-counter lookups.  No :class:`CellRef` is built unless
+        a ``pairs``-kind constraint forces a per-candidate trial rescan.
         """
         self._consume_writes()
         n_values = len(values)
         totals = [0] * n_values
-        encoding = self.detector.table.store.encoding() if self.vectorized else None
+        encoding = self.detector.table.store.encoding()
         for constraint in self.constraints:
             plan = self.detector._state(constraint).plan
             if plan.kind == "pairs":
@@ -1563,8 +1503,7 @@ class RepairWalk:
                     for i in range(n_values):
                         totals[i] += base
                 else:
-                    if encoding is not None:
-                        encoding.fallback_checks += n_values
+                    encoding.fallback_checks += n_values
                     cell = CellRef(row_id, attribute)
                     for i, value in enumerate(values):
                         trial = self.view.perturbed({cell: value}, trusted=True)
@@ -1605,18 +1544,15 @@ class RepairWalk:
         n_values = len(values)
         if ne_attr is None:
             # general residual: partner scans per candidate, no hoisting
-            if encoding is not None:
-                encoding.fallback_checks += n_values
+            encoding.fallback_checks += n_values
             for i, value in enumerate(values):
-                totals[i] += base + self._count_row_if(constraint, plan, row_id,
-                                                       attribute, value)
+                totals[i] += base + self._count_row_if(plan, row_id, attribute, value)
             return
         walk_index = self._windex(plan.eq_attrs)
         eq_attrs = plan.eq_attrs
         fd = self._cstates[constraint].fd
         assignment = fd.assigned.get(row_id)
-        if encoding is not None:
-            encoding.vectorized_checks += n_values
+        encoding.vectorized_checks += n_values
         if attribute not in eq_attrs:
             # one fixed key (and group) for every candidate
             keys = walk_index.keys
@@ -1686,44 +1622,11 @@ class RepairWalk:
                     n -= 1
             totals[i] += base + 2 * (m - n)
 
-    def cell_degrees(self) -> tuple[int, dict[CellRef, int]]:
-        """Violation total and per-cell degrees, no ``Violation`` objects.
-
-        Equivalent to materialising :meth:`all_violations` and reading
-        ``count_for_cell`` for every involved cell, but FD-shape constraints
-        contribute straight from their class-partition counters: every row of
-        a mixed group participates, its degree is the O(1)
-        ``row_violation_count``, and its cells are the row crossed with the
-        constraint's attributes.  Only non-FD constraints still walk their
-        explicit violation lists.
-        """
-        counts: dict[CellRef, int] = {}
-        total = 0
-        for constraint in self.constraints:
-            state = self._synced_state(constraint)
-            plan = self.detector._state(constraint).plan
-            fd = state.fd
-            if fd is not None:
-                total += fd.total
-                if fd.total:
-                    attrs = plan.eq_attrs + (plan.single_ne_attr,)
-                    for row_id in self.violating_rows_for(constraint):
-                        degree = fd.row_violation_count(row_id)
-                        for attr in attrs:
-                            cell = CellRef(row_id, attr)
-                            counts[cell] = counts.get(cell, 0) + degree
-                continue
-            violations = self.violations_for(constraint)
-            total += len(violations)
-            for violation in violations:
-                for cell in violation.cells():
-                    counts[cell] = counts.get(cell, 0) + 1
-        return total, counts
-
     def cell_degrees_arrays(self):
         """Violation total and per-cell degrees as parallel arrays, no objects.
 
-        The bulk twin of :meth:`cell_degrees` (property-tested equivalent):
+        Equivalent to materialising :meth:`all_violations` and reading
+        ``count_for_cell`` for every involved cell (property-tested):
         returns ``(total, rows, attr_codes, counts, attrs)`` where ``rows``/
         ``attr_codes``/``counts`` are parallel ``int64`` arrays sorted by
         ``(row, attr_code)`` and ``attrs`` is the sorted attribute tuple the
@@ -1802,7 +1705,6 @@ class RepairWalk:
         clone.view = view
         clone.detector = self.detector
         clone.constraints = list(self.constraints)
-        clone.vectorized = self.vectorized
         clone._log = view.change_log
         clone._row_log_pos = len(clone._log)
         clone._pristine_rows = self._pristine_rows  # shared row cache (see class doc)
@@ -1847,16 +1749,13 @@ class RepairWalk:
 
 
 def repair_walk_for(view: PerturbationView,
-                    constraints: Sequence[DenialConstraint],
-                    vectorized: bool = False) -> RepairWalk:
+                    constraints: Sequence[DenialConstraint]) -> RepairWalk:
     """A :class:`RepairWalk` over a repair algorithm's working view.
 
     The walk reads its base state from the view's base table's cached
-    detector.  ``vectorized`` switches the walk's builds and candidate trials
-    onto the dictionary-encoded code path (results are bit-identical either
-    way).
+    detector.
     """
-    return RepairWalk(view, constraints, detector_for(view.base), vectorized=vectorized)
+    return RepairWalk(view, constraints, detector_for(view.base))
 
 
 # -- detector registry and dispatch helpers ---------------------------------------

@@ -1,9 +1,9 @@
 """Dictionary encoding: per-column value↔``int32``-code mappings.
 
-The vectorised engine paths (``vectorized=True``) evaluate FD re-checks,
-mixed-group detection and greedy ``count_if`` trials as comparisons over
-integer code arrays instead of Python-object loops.  The encoding layer that
-makes this possible lives here:
+The repair walk evaluates FD re-checks, mixed-group detection and greedy
+candidate trials as comparisons over integer code arrays instead of
+Python-object loops.  The encoding layer that makes this possible lives
+here:
 
 * :class:`ColumnDictionary` — one column's value↔code mapping.  Code ``0`` is
   reserved for NULL (``None`` / ``NaN``); real values get codes ``1..n`` in

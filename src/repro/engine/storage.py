@@ -108,8 +108,11 @@ class ColumnStore:
         if len(unique_lengths) > 1:
             raise SchemaError(f"columns have inconsistent lengths: {lengths}")
         self._n_rows = unique_lengths.pop() if unique_lengths else 0
+        # fromiter keeps every column 1-D: np.array would turn a column of
+        # equal-length tuples or lists into a 2-D array
         self._columns: dict[str, np.ndarray] = {
-            name: np.array(list(values), dtype=object) for name, values in columns.items()
+            name: np.fromiter(values, dtype=object, count=self._n_rows)
+            for name, values in columns.items()
         }
         self._fingerprint: Fingerprint | None = None
         self._encoding = None

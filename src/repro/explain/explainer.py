@@ -135,7 +135,6 @@ class TRExExplainer:
             cell=cell,
             target_value=repair_result.clean[cell],
             use_cache=self.config.cache_oracle,
-            vectorized=self.config.vectorized,
         )
 
     def explain_constraints(self, cell: CellRef, exact: bool = True,
@@ -185,7 +184,6 @@ class TRExExplainer:
             n_jobs=self.config.n_jobs, warm_pool=self.config.warm_pool,
             retry_policy=self.config.retry_policy(),
             deadline_seconds=self.config.deadline_seconds,
-            speculate=self.config.speculate,
         )
         if cells is None and only_relevant:
             cells = relevant_cells(self.dirty_table, self.constraints, cell)
@@ -194,7 +192,8 @@ class TRExExplainer:
         with explainer:
             result = explainer.explain(
                 cells=cells,
-                n_samples=n_samples or self.config.cell_samples,
+                n_samples=(self.config.cell_samples if n_samples is None
+                           else n_samples),
                 exclude_cell_of_interest=exclude_cell_of_interest,
             )
         return Explanation(

@@ -53,7 +53,7 @@ from repro.repair.updates import (
     apply_table_update,
     collect_changes,
 )
-from repro.shapley.cells import CellShapleyExplainer, relevant_cells
+from repro.shapley.cells import CellShapleyExplainer, check_sample_count, relevant_cells
 from repro.shapley.convergence import RunningMean
 from repro.shapley.game import ShapleyResult
 from repro.shapley.sampling import ReplacementPolicy, SampledShapleyEstimate
@@ -69,6 +69,7 @@ class LiveExplainState:
     """
 
     def __init__(self, session, cell: CellRef, n_samples: int):
+        check_sample_count(n_samples)
         config = session.config
         self.cell = cell
         self.n_samples = int(n_samples)
@@ -85,7 +86,6 @@ class LiveExplainState:
             n_jobs=config.n_jobs, warm_pool=config.warm_pool,
             retry_policy=config.retry_policy(),
             deadline_seconds=config.deadline_seconds,
-            speculate=config.speculate,
         )
         #: the explained cells in fresh-session submission order (the
         #: relevance pre-filter is content-independent: it reads constraint

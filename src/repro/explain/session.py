@@ -187,7 +187,7 @@ class RepairSession:
         from repro.explain.live import LiveExplainState
 
         cell = self.cell_of_interest
-        resolved = n_samples or self.config.cell_samples
+        resolved = self.config.cell_samples if n_samples is None else n_samples
         if self._live is not None and not self._live.matches(cell, resolved, self.config):
             self._drop_live()
         if self._live is None:

@@ -1,7 +1,7 @@
 """The typed metrics registry behind the oracle's statistics surface.
 
 Every counter the explain stack reports — oracle calls, cache traffic,
-pool health, speculative-sharding bookkeeping — is declared here once with
+pool health, live-update bookkeeping — is declared here once with
 its *kind*, and the kind decides how values combine when per-worker
 snapshots are folded into one aggregate:
 
@@ -74,8 +74,6 @@ ORACLE_METRICS: tuple[Metric, ...] = (
     Metric("shards_poisoned"),
     Metric("deadline_expired"),
     Metric("restart_backoff_seconds", TIMER),
-    Metric("chunks_speculated"),
-    Metric("chunks_discarded"),
     Metric("base_updates_applied"),
     Metric("estimates_invalidated"),
     Metric("cache_entries_invalidated"),

@@ -7,8 +7,7 @@ nested phases of an explain run::
 
 Tracing is **off by default** and zero-cost when off: every instrumented
 call site reads :func:`current` (a module global plus a pid check) and
-skips all span work on ``None`` — the same guard discipline as the
-engine's ``vectorized`` flag.  Spans observe wall-clock only; they never
+skips all span work on ``None``.  Spans observe wall-clock only; they never
 touch a random stream, so estimates are bit-identical with tracing on or
 off (golden-tested).
 

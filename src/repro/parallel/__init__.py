@@ -72,11 +72,14 @@ optional spans (``explain_job → cell → shard → …``) exportable as a Chro
 trace.  The full counter/span/event glossary lives in
 ``docs/OBSERVABILITY.md``.
 
+Adaptive runs (:meth:`ShardedExplainScheduler.run_adaptive`) draw one
+sample chunk per unconverged cell per round and decide stopping on the
+merged cross-shard accumulator only.
+
 Entry points for users are ``CellShapleyExplainer(..., n_jobs=...,
-deadline_seconds=..., speculate=...)``, ``TRexConfig(n_jobs=...,
-warm_pool=..., deadline_seconds=..., max_worker_restarts=...,
-speculate=...)`` and the CLI's ``--jobs`` / ``--cold-pool`` /
-``--deadline`` / ``--max-worker-restarts`` / ``--speculate``; this package
+deadline_seconds=...)``, ``TRexConfig(n_jobs=..., warm_pool=...,
+deadline_seconds=..., max_worker_restarts=...)`` and the CLI's ``--jobs`` /
+``--cold-pool`` / ``--deadline`` / ``--max-worker-restarts``; this package
 is the seam future serving work (async service, multi-backend dispatch)
 plugs into.
 """

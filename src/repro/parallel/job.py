@@ -61,10 +61,6 @@ class ExplainJobSpec:
     oracle_paired: bool = True
     oracle_shared_stats: bool = True
     oracle_batched_pairs: bool = True
-    #: the worker oracle's vectorised-engine flag; the dirty table snapshot
-    #: pickles its column dictionaries alongside, so a warm worker reuses the
-    #: parent's encoding for its resident lifetime instead of re-encoding
-    oracle_vectorized: bool = True
     explainer_incremental: bool = True
     explainer_paired: bool = True
     explainer_shared_stats: bool = True

@@ -79,8 +79,7 @@ _LOCAL_KEY = "local"
 _POOL_COUNTERS = ("worker_rebuilds", "cache_entries_shipped",
                   "shards_requeued", "workers_restarted",
                   "warm_restarts", "cache_entries_seeded",
-                  "shards_poisoned", "restart_backoff_seconds",
-                  "chunks_speculated", "chunks_discarded")
+                  "shards_poisoned", "restart_backoff_seconds")
 
 #: round-log bookkeeping keys that stay per-round (not oracle counters)
 _ROUND_ONLY_KEYS = ("cache_entries_resident", "shards_quarantined",
@@ -157,17 +156,6 @@ class ShardedExplainScheduler:
         every cell has so far and returns it with ``completed=False`` and a
         ``deadline_expired`` counter — it never hangs and never raises
         mid-merge.  ``None`` (default) runs to completion.
-    speculate:
-        ``True`` lets :meth:`run_adaptive` issue up to ``n_jobs`` chunks
-        *ahead* per unconverged cell each round instead of one, keeping
-        every worker busy even when few cells remain active.  Merging stays
-        in chunk order per cell and re-checks the stopping rule after every
-        chunk, so any chunks drawn past the point where the non-speculative
-        schedule would have stopped are deterministically discarded
-        (``chunks_speculated`` / ``chunks_discarded`` in the round log and
-        oracle counters).  Estimates are bit-identical to
-        ``speculate=False``, which remains the property-tested reference.
-        The default is ``False``.
 
     The scheduler is a context manager; :meth:`close` shuts the warm pool
     down (idle workers cost memory, not correctness — they are daemonic and
@@ -181,8 +169,7 @@ class ShardedExplainScheduler:
                  worker_timeout: float | None = None,
                  fault_injector: "Callable | None" = None,
                  retry_policy: RetryPolicy | None = None,
-                 deadline_seconds: float | None = None,
-                 speculate: bool = False):
+                 deadline_seconds: float | None = None):
         if int(n_jobs) < 1:
             raise ValueError(f"n_jobs must be a positive integer, got {n_jobs}")
         if samples_per_shard is not None and int(samples_per_shard) < 1:
@@ -204,7 +191,6 @@ class ShardedExplainScheduler:
         self.fault_injector = fault_injector
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.deadline_seconds = deadline_seconds
-        self.speculate = bool(speculate)
         self._spec_payload: bytes | None = None
         self._spec_key: str | None = None
         #: the in-process resident stack (n_jobs=1 and every degraded path),
@@ -246,7 +232,6 @@ class ShardedExplainScheduler:
                        fault_injector: "Callable | None" = None,
                        retry_policy: RetryPolicy | None = None,
                        deadline_seconds: float | None = None,
-                       speculate: bool = False,
                        ) -> "ShardedExplainScheduler":
         """Assemble the job spec from a live ``CellShapleyExplainer``."""
         oracle = explainer.oracle
@@ -265,7 +250,6 @@ class ShardedExplainScheduler:
             oracle_paired=oracle.paired,
             oracle_shared_stats=oracle.shared_stats,
             oracle_batched_pairs=oracle.batched_pairs,
-            oracle_vectorized=oracle.vectorized,
             explainer_incremental=explainer.incremental,
             explainer_paired=explainer.paired,
             explainer_shared_stats=explainer.shared_stats,
@@ -274,7 +258,7 @@ class ShardedExplainScheduler:
         return cls(spec, n_jobs=n_jobs, samples_per_shard=samples_per_shard,
                    warm_pool=warm_pool, worker_timeout=worker_timeout,
                    fault_injector=fault_injector, retry_policy=retry_policy,
-                   deadline_seconds=deadline_seconds, speculate=speculate)
+                   deadline_seconds=deadline_seconds)
 
     # -- lifecycle --------------------------------------------------------------------
 
@@ -867,18 +851,6 @@ class ShardedExplainScheduler:
         the converged-so-far state is merged and returned with
         ``completed=False`` — per-cell ``n_samples`` records how far each
         cell got.
-
-        With ``speculate=True`` each active cell is issued up to ``n_jobs``
-        consecutive chunks per round instead of one (chunk sizes are
-        precomputable because every shard returns exactly its requested
-        count).  The merge walks each cell's results in chunk order,
-        re-checking ``converged()``/``max_samples`` after every chunk — the
-        exact predicate the non-speculative loop applies once per round —
-        and discards everything past the first stop, so the merged sample
-        stream is the reference stream bit for bit.  ``chunks_speculated``
-        counts the extra chunks issued; ``chunks_discarded`` the results
-        thrown away (overshoot, plus any result whose predecessor chunk was
-        dropped by a deadline and therefore cannot be merged in order).
         """
         cells = list(cells)
         tracer = otrace.current()
@@ -912,52 +884,25 @@ class ShardedExplainScheduler:
         round_start = len(self.round_log)
         deadline = self._deadline()
         completed = True
-        width = self.n_jobs if self.speculate else 1
         while active:
             if deadline is not None and time.monotonic() >= deadline:
                 completed = False
                 break
             shards: list[ExplainShard] = []
-            speculated = 0
-            # per-position chunk index the merge expects next (round start)
-            expected = {position: next_chunk[position] for position in active}
             for position in active:
-                taken = trackers[position].accumulator.count
-                for extra in range(width):
-                    chunk = min(self.samples_per_shard, max_samples - taken)
-                    if chunk <= 0:
-                        break
-                    shards.append(ExplainShard(shard_id, cells[position],
-                                               position, next_chunk[position],
-                                               chunk))
-                    shard_id += 1
-                    next_chunk[position] += 1
-                    taken += chunk
-                    speculated += 1 if extra else 0
+                chunk = min(self.samples_per_shard,
+                            max_samples - trackers[position].accumulator.count)
+                shards.append(ExplainShard(shard_id, cells[position], position,
+                                           next_chunk[position], chunk))
+                shard_id += 1
+                next_chunk[position] += 1
             round_reports = self._execute(shards, deadline=deadline)
             n_workers = max(n_workers, len(
                 [report for report in round_reports if report.worker_index >= 0]
             ))
             reports.extend(round_reports)
-            # merge per cell in chunk order, applying the stopping rule after
-            # every chunk — with width 1 this is exactly the classic
-            # merge-all-then-filter round, because each cell has one chunk
-            discarded = 0
-            stopped: set[int] = set()
             for result in self._ordered_results(round_reports):
-                position = result.cell_position
-                if (position in stopped
-                        or result.chunk_index != expected.get(position)):
-                    discarded += 1
-                    continue
-                expected[position] += 1
-                tracker = trackers[position]
-                tracker.merge(result.accumulator)
-                if (tracker.converged()
-                        or tracker.accumulator.count >= max_samples):
-                    stopped.add(position)
-            self.round_log[-1]["chunks_speculated"] += speculated
-            self.round_log[-1]["chunks_discarded"] += discarded
+                trackers[result.cell_position].merge(result.accumulator)
             if self.round_log[-1]["shards_dropped"]:
                 completed = False
                 break

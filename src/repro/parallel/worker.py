@@ -63,7 +63,6 @@ def build_worker_state(spec: ExplainJobSpec):
         paired=spec.oracle_paired,
         shared_stats=spec.oracle_shared_stats,
         batched_pairs=spec.oracle_batched_pairs,
-        vectorized=spec.oracle_vectorized,
         cache_size=spec.cache_size,
     )
     explainer = CellShapleyExplainer(

@@ -88,7 +88,7 @@ def _walk_repair_table(algorithm, constraints: Sequence[DenialConstraint],
         current = table.mutable_snapshot(name=name)
     else:
         current = table.perturbed({}, name=name, trusted=True)
-    walk = repair_walk_for(current, constraints, vectorized=algorithm.vectorized)
+    walk = repair_walk_for(current, constraints)
     clean = algorithm._repair_loop(constraints, current, walk)
     return clean if isinstance(table, PerturbationView) else clean.copy()
 
@@ -234,15 +234,6 @@ class BinaryRepairOracle:
         detection state is primed on the first instance and forked at the
         single differing cell for the second.  ``False`` forces every pair
         onto two independent repairs.  Answers are identical either way.
-    vectorized:
-        Evaluate the engine's builds over dictionary-encoded code arrays and
-        run :meth:`query_pairs`' grouped passes through the **multi-coalition
-        walk**: every distinct coalition view of one batch has its equality
-        keys built in one stacked code-matrix pass
-        (:meth:`~repro.constraints.incremental.IncrementalViolationDetector.precompute_walk_indexes`)
-        instead of one primed build per group.  Encoding telemetry is merged
-        into :meth:`statistics`.  ``False`` forces the per-cell object path;
-        answers are bit-identical either way.
     shared_stats:
         Maintain one revertible :class:`~repro.engine.stats.SharedStatistics`
         instance for the oracle's whole lifetime and *move* it onto each
@@ -298,10 +289,6 @@ class BinaryRepairOracle:
     shards_poisoned = MetricAttribute("shards_poisoned")
     deadline_expired = MetricAttribute("deadline_expired")
     restart_backoff_seconds = MetricAttribute("restart_backoff_seconds")
-    # speculative adaptive sharding (PR 8): chunks drawn ahead of the
-    # stopping rule, and results discarded past the merged stopping point
-    chunks_speculated = MetricAttribute("chunks_speculated")
-    chunks_discarded = MetricAttribute("chunks_discarded")
     # live base updates (PR 10): base-table writes applied through the
     # session's update path, Shapley estimates whose sampled coalitions
     # overlapped the changed cells, and memoised oracle answers dropped
@@ -322,7 +309,6 @@ class BinaryRepairOracle:
         paired: bool = True,
         shared_stats: bool = True,
         batched_pairs: bool = True,
-        vectorized: bool = True,
         cache_size: int | None = None,
     ):
         self.algorithm = algorithm
@@ -333,7 +319,6 @@ class BinaryRepairOracle:
         self.paired = paired
         self.shared_stats = bool(shared_stats) and bool(incremental)
         self.batched_pairs = bool(batched_pairs)
-        self.vectorized = bool(vectorized)
         #: the explainer-lifetime statistics instance, moved between coalition
         #: overlays instead of rebuilt per instance (None off the shared path)
         self.stats_engine: SharedStatistics | None = (
@@ -624,8 +609,8 @@ class BinaryRepairOracle:
         # equality keys as one stacked code-matrix pass up front; the walks
         # primed below pop their group structures from the detector's cache
         # (keyed by view fingerprint) instead of re-deriving them one by one
-        if (self.vectorized and self.paired and self.incremental
-                and getattr(self.algorithm, "vectorized", False)):
+        if (self.paired and self.incremental
+                and getattr(self.algorithm, "second_order", False)):
             seen_fingerprints = set()
             batch_views = []
             for entry in pending:

@@ -53,21 +53,19 @@ class GreedyHolisticRepair(RepairAlgorithm):
         table is repaired on a zero-delta view): each step retracts and
         re-checks only the cell the previous step wrote, and candidate trials
         re-check a single row instead of re-deriving the whole delta.
-        ``False`` restores first-order per-step detection — on a plain table,
-        the full-rescan reference.  Results are identical either way.
-    vectorized:
-        Run the walk's builds over dictionary-encoded code arrays and score
-        each cell's whole candidate pool in one batched pass
-        (:meth:`~repro.constraints.incremental.RepairWalk.count_if_many` +
-        batched co-occurrence scoring) instead of one ``count_if`` and one
-        pair-table fetch per candidate.  Only effective with
-        ``second_order=True``; results are bit-identical either way.
+        The walk ranks cells off its class-partition counters and scores each
+        cell's whole candidate pool in one batched pass
+        (:meth:`~repro.constraints.incremental.RepairWalk.count_if_many_at` +
+        batched co-occurrence scoring).  ``False`` restores first-order
+        per-step detection with one trial detection and one co-occurrence
+        score per candidate — on a plain table, the full-rescan reference.
+        Results are identical either way.
     """
 
     name = "greedy-holistic"
 
     def __init__(self, max_changes: int = 200, max_candidates: int = 20,
-                 second_order: bool = True, vectorized: bool = True):
+                 second_order: bool = True):
         if max_changes <= 0:
             raise RepairError(f"max_changes must be positive, got {max_changes}")
         if max_candidates <= 0:
@@ -75,17 +73,12 @@ class GreedyHolisticRepair(RepairAlgorithm):
         self.max_changes = max_changes
         self.max_candidates = max_candidates
         self.second_order = bool(second_order)
-        self.vectorized = bool(vectorized)
 
     # -- candidate scoring ---------------------------------------------------------
 
-    def _candidate_values(self, table: Table, cell: CellRef) -> list[Any]:
+    def _candidate_values(self, table: Table, row_id: int,
+                          attribute: str) -> list[Any]:
         """Candidate replacement values: frequent column values first."""
-        return self._candidate_values_at(table, cell.row, cell.attribute)
-
-    def _candidate_values_at(self, table: Table, row_id: int,
-                             attribute: str) -> list[Any]:
-        """:meth:`_candidate_values` addressed by ``(row, attribute)``."""
         stats = table.stats.marginal(attribute)
         ranked = sorted(stats.items(), key=lambda item: (-item[1], repr(item[0])))
         candidates = [value for value, _ in ranked[: self.max_candidates]]
@@ -108,7 +101,7 @@ class GreedyHolisticRepair(RepairAlgorithm):
             )
         return score
 
-    def _cooccurrence_scores(self, table: Table, cell: CellRef,
+    def _cooccurrence_scores(self, table: Table, row_id: int, target: str,
                              values: Sequence[Any]) -> list[float]:
         """Batched :meth:`_cooccurrence_score` over a whole candidate pool.
 
@@ -117,11 +110,6 @@ class GreedyHolisticRepair(RepairAlgorithm):
         the scalar method, so each candidate's score is the identical
         left-to-right float sum.
         """
-        return self._cooccurrence_scores_at(table, cell.row, cell.attribute, values)
-
-    def _cooccurrence_scores_at(self, table: Table, row_id: int, target: str,
-                                values: Sequence[Any]) -> list[float]:
-        """:meth:`_cooccurrence_scores` addressed by ``(row, attribute)``."""
         scores = [0.0] * len(values)
         if not values:
             return scores
@@ -199,7 +187,7 @@ class GreedyHolisticRepair(RepairAlgorithm):
                  for without_table in without_tables],
             )
         with_work = with_table.mutable_snapshot(name=f"{with_table.name}_repaired")
-        walk_with = repair_walk_for(with_work, constraints, vectorized=self.vectorized)
+        walk_with = repair_walk_for(with_work, constraints)
         walk_with.prime()
         self.shared_pair_walks += len(without_tables)
         forks = []
@@ -224,9 +212,15 @@ class GreedyHolisticRepair(RepairAlgorithm):
 
     def _repair_passes(self, constraints: list[DenialConstraint], current: Table,
                        walk: RepairWalk | None) -> Table:
-        batched = walk is not None and self.vectorized
         for _ in range(self.max_changes):
-            if batched:
+            # Consider the cells with the highest violation degree (the
+            # classic "most conflicting cell" heuristic); among those, pick
+            # the single (cell, value) re-assignment that minimises the
+            # table's total violation count, preferring values that co-occur
+            # with the tuple.
+            # best = (total, -cooccurrence, value repr, (row, attr), row, attr, value)
+            best: tuple | None = None
+            if walk is not None:
                 # degrees straight from the walk's class-partition counters,
                 # as parallel (row, attr_code, count) arrays: no Violation or
                 # CellRef objects are materialised on the hot path — only the
@@ -235,62 +229,39 @@ class GreedyHolisticRepair(RepairAlgorithm):
                     walk.cell_degrees_arrays())
                 if not total_before:
                     break
-                max_degree = counts.max()
-                top = np.nonzero(counts == max_degree)[0]
                 # the arrays ascend by (row, attr_code), and attr codes are
-                # assigned in attribute-name order, so this *is* the object
-                # path's (row, attribute) tie-break order
-                top_cells = [(int(rows[i]), attrs[attr_codes[i]]) for i in top]
-            else:
-                if walk is not None:
-                    violations = walk.all_violations()
-                else:
-                    violations = find_all_violations_auto(current, constraints)
-                if not violations:
-                    break
-                total_before = len(violations)
-
-                # Consider the cells with the highest violation degree (the
-                # classic "most conflicting cell" heuristic); among those, pick
-                # the single (cell, value) re-assignment that minimises the
-                # table's total violation count, preferring values that
-                # co-occur with the tuple.
-                cells = violations.cells_involved()
-                cells.sort(key=lambda c: (-violations.count_for_cell(c), c.row, c.attribute))
-                max_degree = violations.count_for_cell(cells[0])
-                top_cells = [c for c in cells if violations.count_for_cell(c) == max_degree]
-
-            # best = (total, -cooccurrence, value repr, (row, attr), row, attr, value)
-            best: tuple | None = None
-            if batched:
-                for row_id, attribute in top_cells:
+                # assigned in attribute-name order, so this is the rescan
+                # branch's (row, attribute) tie-break order
+                for i in np.nonzero(counts == counts.max())[0]:
+                    row_id, attribute = int(rows[i]), attrs[attr_codes[i]]
                     current_value = current.value(row_id, attribute)
-                    candidates = self._candidate_values_at(current, row_id, attribute)
-                    pool = [value for value in candidates
+                    pool = [value for value
+                            in self._candidate_values(current, row_id, attribute)
                             if not value == current_value]
                     totals = walk.count_if_many_at(row_id, attribute, pool)
-                    coocs = self._cooccurrence_scores_at(
-                        current, row_id, attribute, pool)
+                    coocs = self._cooccurrence_scores(current, row_id, attribute, pool)
                     for candidate, total, cooc in zip(pool, totals, coocs):
-                        key = (
-                            total,
-                            -cooc,
-                            repr(candidate),
-                            (row_id, attribute),
-                        )
+                        key = (total, -cooc, repr(candidate), (row_id, attribute))
                         if best is None or key < best[:4]:
                             best = (*key, row_id, attribute, candidate)
             else:
-                for cell in top_cells:
+                violations = find_all_violations_auto(current, constraints)
+                if not violations:
+                    break
+                total_before = len(violations)
+                cells = violations.cells_involved()
+                cells.sort(key=lambda c: (-violations.count_for_cell(c), c.row, c.attribute))
+                max_degree = violations.count_for_cell(cells[0])
+                for cell in cells:
+                    if violations.count_for_cell(cell) != max_degree:
+                        break
                     current_value = current[cell]
-                    candidates = self._candidate_values(current, cell)
-                    for candidate in candidates:
+                    for candidate in self._candidate_values(current, cell.row,
+                                                            cell.attribute):
                         if candidate == current_value:
                             continue
-                        if walk is not None:
-                            total = walk.count_if(cell, candidate)
-                        else:
-                            total = self._total_violations_if(current, constraints, cell, candidate)
+                        total = self._total_violations_if(current, constraints,
+                                                          cell, candidate)
                         key = (
                             total,
                             -self._cooccurrence_score(current, cell, candidate),

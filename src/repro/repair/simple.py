@@ -117,11 +117,6 @@ class SimpleRuleRepair(RepairAlgorithm):
         ``False`` restores the first-order behaviour of re-deriving every pass
         from the base snapshot — on a plain table, the full-rescan reference.
         Results are identical either way.
-    vectorized:
-        Build the walk's equality indexes and class partitions over
-        dictionary-encoded code arrays (and consume the batch scheduler's
-        multi-coalition precomputed builds).  Only effective with
-        ``second_order=True``; results are bit-identical either way.
     """
 
     name = "simple-rules"
@@ -132,7 +127,6 @@ class SimpleRuleRepair(RepairAlgorithm):
         derive_missing: bool = True,
         max_iterations: int = 10,
         second_order: bool = True,
-        vectorized: bool = True,
     ):
         if max_iterations <= 0:
             raise RepairError(f"max_iterations must be positive, got {max_iterations}")
@@ -140,7 +134,6 @@ class SimpleRuleRepair(RepairAlgorithm):
         self.derive_missing = derive_missing
         self.max_iterations = max_iterations
         self.second_order = bool(second_order)
-        self.vectorized = bool(vectorized)
         self._derived_rules: dict[DenialConstraint, RepairRule | None] = {}
 
     def _rule_for(self, constraint: DenialConstraint) -> RepairRule | None:
@@ -205,7 +198,7 @@ class SimpleRuleRepair(RepairAlgorithm):
                  for without_table in without_tables],
             )
         with_work = with_table.mutable_snapshot(name=f"{with_table.name}_repaired")
-        walk_with = repair_walk_for(with_work, constraints, vectorized=self.vectorized)
+        walk_with = repair_walk_for(with_work, constraints)
         walk_with.prime()
         self.shared_pair_walks += len(without_tables)
         without_works: list[Table] = []

@@ -24,6 +24,7 @@ import numpy as np
 from repro.config import DEFAULT_CELL_SAMPLES, make_rng
 from repro.constraints.dc import DenialConstraint
 from repro.dataset.table import CellRef, Table
+from repro.errors import ExplanationError
 from repro.observability import trace as otrace
 from repro.observability.trace import coordinate_span_id
 from repro.repair.base import BinaryRepairOracle
@@ -58,6 +59,14 @@ def relevant_cells(table: Table, constraints: Sequence[DenialConstraint],
         if cell.attribute in constrained_attributes or cell.row == cell_of_interest.row
     ]
     return chosen
+
+
+def check_sample_count(n_samples: int) -> None:
+    """Reject a per-cell sample budget below one (it would estimate nothing)."""
+    if n_samples < 1:
+        raise ExplanationError(
+            f"the number of samples per cell must be at least 1, got {n_samples}"
+        )
 
 
 class CellShapleyExplainer:
@@ -156,13 +165,6 @@ class CellShapleyExplainer:
         on the ``n_jobs`` path.  On expiry the merged partial estimates come
         back with ``ShapleyResult.completed=False`` instead of hanging; the
         sequential path ignores it.
-    speculate:
-        Let adaptive runs on the ``n_jobs`` path issue up to ``n_jobs``
-        sample chunks ahead per unconverged cell each round, discarding any
-        overshoot past the merged stopping point deterministically (see
-        :class:`~repro.parallel.ShardedExplainScheduler`).  Estimates are
-        bit-identical to the default ``False``; only throughput and the
-        ``chunks_speculated`` / ``chunks_discarded`` counters change.
     """
 
     def __init__(
@@ -180,7 +182,6 @@ class CellShapleyExplainer:
         worker_timeout: float | None = None,
         retry_policy=None,
         deadline_seconds: float | None = None,
-        speculate: bool = False,
     ):
         self.oracle = oracle
         self.policy = ReplacementPolicy.from_name(policy)
@@ -196,7 +197,6 @@ class CellShapleyExplainer:
         self.worker_timeout = worker_timeout
         self.retry_policy = retry_policy
         self.deadline_seconds = deadline_seconds
-        self.speculate = bool(speculate)
         #: schedulers by worker count, each owning one (lazily spawned) warm
         #: pool — cached so repeated estimates reuse resident worker state
         self._schedulers: dict[int, "object"] = {}
@@ -253,7 +253,6 @@ class CellShapleyExplainer:
                 warm_pool=self.warm_pool, worker_timeout=self.worker_timeout,
                 retry_policy=self.retry_policy,
                 deadline_seconds=self.deadline_seconds,
-                speculate=self.speculate,
             )
             self._schedulers[n_jobs] = scheduler
         return scheduler
@@ -293,6 +292,7 @@ class CellShapleyExplainer:
         shards and estimated through the sharded scheduler instead (identical
         for every worker count, see the class docstring).
         """
+        check_sample_count(n_samples)
         self.oracle.dirty_table.validate_cell(cell)
         if self.n_jobs is not None:
             outcome = self._scheduler(self.n_jobs).run(
@@ -386,6 +386,7 @@ class CellShapleyExplainer:
             Skip the cell being explained itself (its "contribution to its own
             repair" is usually not what a user wants ranked).
         """
+        check_sample_count(n_samples)
         if cells is None:
             cells = list(self.oracle.dirty_table.cells())
         else:

@@ -1,7 +1,7 @@
 """The array-native coalition pipeline must be invisible in the numbers.
 
-PR 8's bulk layers each have a per-object reference twin that stays in the
-tree, and the contract is bit-identity, not approximation:
+Each bulk layer is checked against a per-object reference, and the contract
+is bit-identity, not approximation:
 
 * **bulk delta encoding** (hypothesis) — :meth:`ColumnDictionary.encode_bulk`
   must translate any random value array exactly like the per-value
@@ -11,30 +11,20 @@ tree, and the contract is bit-identity, not approximation:
   :meth:`OverlayStore.encoded_delta` dict on random override sets;
 * **zero-object degree ranking** (hypothesis) — the walk's
   :meth:`cell_degrees_arrays` parallel arrays must carry exactly the degree
-  map the ``CellRef``-dict :meth:`cell_degrees` builds, on random deltas and
-  post-prime write sequences, in the object path's (row, attribute) order;
-* **speculative adaptive sharding** (property over seeds) — adaptive runs
-  with ``speculate=True`` must be bit-identical to the ``speculate=False``
-  reference across ``n_jobs`` in {None, 1, 2} and warm/cold pools, with the
-  overshoot visible only in the ``chunks_speculated`` / ``chunks_discarded``
-  counters.
+  map of a full :func:`find_all_violations` rescan of the materialised view,
+  on random deltas and post-prime write sequences, in the rescan's
+  (row, attribute) tie-break order.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import (
-    CellRef,
-    SimpleRuleRepair,
-    SoccerLeagueGenerator,
-    la_liga_dirty_table,
-)
+from repro import CellRef, SoccerLeagueGenerator, la_liga_dirty_table
 from repro.constraints.incremental import repair_walk_for
+from repro.constraints.violations import find_all_violations
 from repro.engine.encoding import NULL_CODE, ColumnDictionary
 from repro.engine.storage import NULL, null_mask
 
@@ -142,7 +132,7 @@ def test_encode_delta_matches_per_value_encoded_delta(overrides):
 
 
 # ---------------------------------------------------------------------------
-# zero-object degree ranking ≡ CellRef-dict degrees (hypothesis)
+# zero-object degree ranking ≡ the full-rescan degree map (hypothesis)
 # ---------------------------------------------------------------------------
 
 _DATASET = SoccerLeagueGenerator(seed=83).generate(30)
@@ -169,13 +159,16 @@ def _cell_writes(draw, max_size: int):
     return writes
 
 
-def _assert_degrees_agree(walk):
-    total_ref, degrees = walk.cell_degrees()
+def _assert_degrees_agree(view, walk):
+    violations = find_all_violations(view.copy(), _CONSTRAINTS)
     total, rows, attr_codes, counts, attrs = walk.cell_degrees_arrays()
-    assert total == total_ref
+    assert total == len(violations)
     cells = [CellRef(int(row), attrs[code])
              for row, code in zip(rows.tolist(), attr_codes.tolist())]
-    assert dict(zip(cells, counts.tolist())) == degrees
+    assert dict(zip(cells, counts.tolist())) == {
+        cell: violations.count_for_cell(cell)
+        for cell in violations.cells_involved()
+    }
     # the arrays must already ascend in the greedy tie-break order
     assert cells == sorted(cells, key=lambda c: (c.row, c.attribute))
 
@@ -185,93 +178,9 @@ def _assert_degrees_agree(walk):
 def test_degree_arrays_match_cell_dict_on_random_walks(delta, writes):
     overrides = {CellRef(row, attribute): value for row, attribute, value in delta}
     view = _BASE.perturbed(overrides).mutable_snapshot()
-    walk = repair_walk_for(view, _CONSTRAINTS, vectorized=True)
-    _assert_degrees_agree(walk)
+    walk = repair_walk_for(view, _CONSTRAINTS)
+    _assert_degrees_agree(view, walk)
     for row, attribute, value in writes:
         view.set_value(row, attribute, value)
-        _assert_degrees_agree(walk)
+        _assert_degrees_agree(view, walk)
 
-
-# ---------------------------------------------------------------------------
-# speculative adaptive sharding ≡ the non-speculative reference
-# ---------------------------------------------------------------------------
-
-_PROBES = [CellRef(4, "City"), CellRef(0, "Country")]
-
-
-def _adaptive_estimates(n_jobs, speculate, warm_pool, seed, tolerance=0.05,
-                        min_samples=8):
-    import sys
-    from pathlib import Path
-
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from test_parallel_scheduler import make_explainer
-
-    explainer, oracle = make_explainer(n_jobs or 1, rng=seed,
-                                       warm_pool=warm_pool)
-    explainer.speculate = speculate
-    with explainer:
-        estimates = [
-            explainer.estimate_cell_converged(cell, tolerance=tolerance,
-                                              min_samples=min_samples,
-                                              max_samples=40)
-            for cell in _PROBES
-        ]
-    return estimates, oracle
-
-
-def _assert_estimates_equal(reference, speculative):
-    for a, b in zip(reference, speculative):
-        assert (a.value, a.standard_error, a.n_samples) == \
-            (b.value, b.standard_error, b.n_samples)
-        assert not math.isnan(a.value)
-
-
-@pytest.mark.parametrize("warm_pool", [True, False])
-@pytest.mark.parametrize("n_jobs", [None, 1])
-def test_speculation_is_bit_identical_in_process(n_jobs, warm_pool):
-    reference, _ = _adaptive_estimates(n_jobs, False, warm_pool, seed=23)
-    speculative, oracle = _adaptive_estimates(n_jobs, True, warm_pool, seed=23)
-    _assert_estimates_equal(reference, speculative)
-    # width collapses to 1 in-process: nothing speculated, nothing discarded
-    assert oracle.chunks_speculated == 0
-    assert oracle.chunks_discarded == 0
-
-
-@pytest.mark.parallel
-@pytest.mark.parametrize("warm_pool", [True, False])
-@settings(max_examples=3, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_speculation_is_bit_identical_across_workers(warm_pool, seed):
-    reference, _ = _adaptive_estimates(2, False, warm_pool, seed=seed)
-    speculative, oracle = _adaptive_estimates(2, True, warm_pool, seed=seed)
-    _assert_estimates_equal(reference, speculative)
-    assert oracle.chunks_speculated > 0
-
-
-@pytest.mark.parallel
-def test_speculation_overshoot_is_discarded_and_counted():
-    # a loose tolerance stops each cell at its first 4-sample chunk, so the
-    # second chunk of the round is pure overshoot: drawn, returned,
-    # deterministically dropped
-    reference, _ = _adaptive_estimates(2, False, True, seed=23, tolerance=10.0,
-                                       min_samples=4)
-    speculative, oracle = _adaptive_estimates(2, True, True, seed=23,
-                                              tolerance=10.0, min_samples=4)
-    _assert_estimates_equal(reference, speculative)
-    assert oracle.chunks_speculated > 0
-    assert oracle.chunks_discarded > 0
-
-
-def test_speculate_flag_reaches_the_scheduler():
-    from repro import CellShapleyExplainer
-    from repro.repair.base import BinaryRepairOracle
-    from repro import la_liga_constraints
-
-    oracle = BinaryRepairOracle(
-        SimpleRuleRepair(), la_liga_constraints(), la_liga_dirty_table(),
-        CellRef(4, "Country"),
-    )
-    with CellShapleyExplainer(oracle, rng=23, n_jobs=1,
-                              speculate=True) as explainer:
-        assert explainer._scheduler(1).speculate is True

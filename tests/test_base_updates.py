@@ -54,8 +54,16 @@ ATTRIBUTES = list(VALUE_POOLS)
 N_ROWS = 6
 
 
-def _session(table, config):
-    return RepairSession(paper_algorithm_1(), la_liga_constraints(), table,
+#: the repair-engine axis of the grids below: "vec" repairs on the code-array
+#: repair walk, "novec" with ``second_order=False`` — per-pass detection that
+#: builds no code arrays (the rescan reference on plain tables)
+ENGINE_IDS = ["vec", "novec"]
+
+
+def _session(table, config, second_order=True):
+    algorithm = paper_algorithm_1()
+    algorithm.second_order = second_order
+    return RepairSession(algorithm, la_liga_constraints(), table,
                          cell_of_interest=CELL, config=config)
 
 
@@ -71,10 +79,10 @@ def _explain_key(explanation):
     )
 
 
-def _fresh_key(table, config):
+def _fresh_key(table, config, second_order=True):
     """Explain on a fresh session over ``table``; None if the cell of
     interest is not repaired there."""
-    session = _session(table, config)
+    session = _session(table, config, second_order)
     with session:
         try:
             return _explain_key(session.explain(n_samples=N_SAMPLES))
@@ -104,11 +112,11 @@ def update_batches(draw):
     batches=update_batches(),
     policy=st.sampled_from(["sample", "null", "mode"]),
     n_jobs=st.sampled_from([None, 1]),
-    vectorized=st.booleans(),
+    second_order=st.booleans(),
     explain_between=st.booleans(),
 )
 def test_update_sequences_match_fresh_rebuild(batches, policy, n_jobs,
-                                              vectorized, explain_between):
+                                              second_order, explain_between):
     """Random update sequences: live path ≡ fresh session on the final table.
 
     Covers updates that create violations (novel values against an FD
@@ -118,9 +126,9 @@ def test_update_sequences_match_fresh_rebuild(batches, policy, n_jobs,
     must be what a fresh session computes, or both sides must agree the cell
     of interest is no longer repaired.
     """
-    config = dict(seed=SEED, cell_samples=N_SAMPLES, replacement_policy=policy,
-                  n_jobs=n_jobs, vectorized=vectorized)
-    live = _session(la_liga_dirty_table(), TRexConfig(**config))
+    config = TRexConfig(seed=SEED, cell_samples=N_SAMPLES,
+                        replacement_policy=policy, n_jobs=n_jobs)
+    live = _session(la_liga_dirty_table(), config, second_order)
     final = la_liga_dirty_table()
     with live:
         live.explain(n_samples=N_SAMPLES)
@@ -136,7 +144,7 @@ def test_update_sequences_match_fresh_rebuild(batches, policy, n_jobs,
             live_key = _explain_key(live.explain(n_samples=N_SAMPLES))
         except NotRepairedError:
             live_key = None
-    assert live_key == _fresh_key(final, TRexConfig(**config))
+    assert live_key == _fresh_key(final, config, second_order)
 
 
 @settings(max_examples=8, deadline=None)
@@ -178,11 +186,11 @@ POOL_SEQUENCE = [
 
 @pytest.mark.parallel
 @pytest.mark.parametrize("warm_pool", [True, False], ids=["warm", "cold"])
-@pytest.mark.parametrize("vectorized", [True, False], ids=["vec", "novec"])
-def test_update_sequence_on_two_workers(warm_pool, vectorized):
-    config = dict(seed=SEED, cell_samples=N_SAMPLES, n_jobs=2,
-                  warm_pool=warm_pool, vectorized=vectorized)
-    live = _session(la_liga_dirty_table(), TRexConfig(**config))
+@pytest.mark.parametrize("second_order", [True, False], ids=ENGINE_IDS)
+def test_update_sequence_on_two_workers(warm_pool, second_order):
+    config = TRexConfig(seed=SEED, cell_samples=N_SAMPLES, n_jobs=2,
+                        warm_pool=warm_pool)
+    live = _session(la_liga_dirty_table(), config, second_order)
     final = la_liga_dirty_table()
     with live:
         live.explain(n_samples=N_SAMPLES)
@@ -192,7 +200,7 @@ def test_update_sequence_on_two_workers(warm_pool, vectorized):
         live_key = _explain_key(live.explain(n_samples=N_SAMPLES))
         oracle = live._live.oracle
         assert oracle.base_updates_applied == len(POOL_SEQUENCE)
-    assert live_key == _fresh_key(final, TRexConfig(**config))
+    assert live_key == _fresh_key(final, config, second_order)
 
 
 @pytest.mark.parallel
@@ -224,21 +232,21 @@ def _sequential_estimates(explainer, cells, n_samples):
 
 @pytest.mark.parametrize("paired", [True, False], ids=["paired", "unpaired"])
 @pytest.mark.parametrize("batched", [True, False], ids=["batched", "unbatched"])
-@pytest.mark.parametrize("vectorized", [True, False], ids=["vec", "novec"])
-def test_oracle_apply_base_update_across_flag_grid(paired, batched, vectorized):
+@pytest.mark.parametrize("second_order", [True, False], ids=ENGINE_IDS)
+def test_oracle_apply_base_update_across_flag_grid(paired, batched, second_order):
     """``BinaryRepairOracle.apply_base_update`` preserves estimates across the
-    paired × batched × vectorized grid (the cache-rebase key shapes differ
+    paired × batched × repair-engine grid (the cache-rebase key shapes differ
     per combination: pair-memo, fingerprint-pair and single-instance keys)."""
     probes = [CellRef(4, "City"), CellRef(0, "Country"), CellRef(2, "City")]
     updates = {CellRef(0, "City"): "Seville", CellRef(1, "Country"): None}
     constraints = la_liga_constraints()
-    algorithm = SimpleRuleRepair(vectorized=vectorized)
+    algorithm = SimpleRuleRepair(second_order=second_order)
     updated = la_liga_dirty_table().with_values(updates)
     new_target = algorithm.repair(constraints, updated).clean[CELL]
 
     live_oracle = BinaryRepairOracle(
         algorithm, constraints, la_liga_dirty_table(), CELL,
-        paired=paired, batched_pairs=batched, vectorized=vectorized,
+        paired=paired, batched_pairs=batched,
     )
     live = CellShapleyExplainer(live_oracle, policy="mode", rng=SEED,
                                 paired=paired, batched_pairs=batched)
@@ -257,7 +265,7 @@ def test_oracle_apply_base_update_across_flag_grid(paired, batched, vectorized):
 
     fresh_oracle = BinaryRepairOracle(
         algorithm, constraints, updated, CELL,
-        paired=paired, batched_pairs=batched, vectorized=vectorized,
+        paired=paired, batched_pairs=batched,
     )
     fresh = CellShapleyExplainer(fresh_oracle, policy="mode", rng=SEED,
                                  paired=paired, batched_pairs=batched)

@@ -242,3 +242,28 @@ def test_trex_error_is_reported_as_exit_code_2(tmp_path, capsys):
     )
     assert exit_code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option,message", [
+    (["--samples", "0"], "samples per cell must be at least 1"),
+    (["--samples", "-5"], "samples per cell must be at least 1"),
+    (["--seed", "-1"], "--seed must be non-negative"),
+    (["--top-cells", "-1"], "--top-cells must be non-negative"),
+])
+def test_explain_rejects_out_of_range_options(table_csv, constraints_file, option,
+                                              message, capsys):
+    exit_code = main(["explain", "--table", table_csv, "--constraints",
+                      constraints_file, "--cell", "t5[Country]", *option])
+    assert exit_code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert message in err
+
+
+def test_explain_rejects_zero_samples_on_the_update_path(table_csv, constraints_file,
+                                                         capsys):
+    exit_code = main(["explain", "--table", table_csv, "--constraints",
+                      constraints_file, "--cell", "t5[Country]", "--samples", "0",
+                      "--update", "t1[Year]=2018"])
+    assert exit_code == 2
+    assert "samples per cell must be at least 1" in capsys.readouterr().err

@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.constraints.parser import parse_dcs
+from repro.constraints.violations import find_all_violations
+from repro.dataset.table import Table
 from repro.engine.storage import NULL, ColumnStore, is_null
 from repro.errors import SchemaError, UnknownAttributeError, UnknownRowError
+from repro.repair.greedy import GreedyHolisticRepair
+from repro.repair.simple import SimpleRuleRepair
 
 
 def make_store():
@@ -104,3 +109,25 @@ def test_is_null_semantics():
     assert not is_null(0)
     assert not is_null("")
     assert NULL is None
+
+
+@pytest.mark.parametrize("values", [
+    [(1, 2), (1, 2), (3, 4)],
+    [[1, 2], [1, 2], [3, 4]],
+])
+def test_equal_length_sequence_values_stay_cells(values):
+    store = ColumnStore({"a": values, "b": ["x", "y", "z"]})
+    assert store.column("a").shape == (3,)
+    assert [store.value(row, "a") for row in range(3)] == values
+
+
+@pytest.mark.parametrize("algorithm_class", [SimpleRuleRepair, GreedyHolisticRepair])
+def test_fd_on_a_tuple_column_repairs_like_the_rescan(algorithm_class):
+    table = Table(["A", "B"], [[(1, 2), "x"], [(1, 2), "y"], [(1, 2), "x"],
+                               [(3, 4), "z"]])
+    assert table.value(0, "A") == (1, 2)
+    constraints = parse_dcs(["not(t1.A == t2.A and t1.B != t2.B)"])
+    walk = algorithm_class().repair(constraints, table).clean
+    rescan = algorithm_class(second_order=False).repair(constraints, table).clean
+    assert walk.to_records() == rescan.to_records()
+    assert not find_all_violations(walk, constraints)

@@ -104,3 +104,8 @@ def test_explanations_are_deterministic_given_config(explainer, cell_of_interest
     first = explainer.explain_cells(cell_of_interest, n_samples=12)
     second = explainer.explain_cells(cell_of_interest, n_samples=12)
     assert first.cell_shapley.values == second.cell_shapley.values
+
+
+def test_explicit_zero_samples_is_rejected_not_defaulted(explainer, cell_of_interest):
+    with pytest.raises(ExplanationError, match="at least 1"):
+        explainer.explain_cells(cell_of_interest, n_samples=0)

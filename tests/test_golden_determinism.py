@@ -44,7 +44,7 @@ from repro import (
     la_liga_dirty_table,
 )
 
-# the full grid spawns 2-worker pools for half its 32 entries: it runs in
+# the full grid spawns 2-worker pools for half its 40 entries: it runs in
 # the dedicated CI soak job, not in every fast-set matrix job
 pytestmark = [pytest.mark.parallel, pytest.mark.slow]
 
@@ -57,22 +57,19 @@ SAMPLES_PER_SHARD = 3
 SEED = 23
 POLICY = "mode"  # deterministic replacement values: drift means drift
 
-#: (incremental, paired, second_order, shared_stats, batched_pairs,
-#: vectorized) — the same ladder the engine benchmark cross-checks, plus the
-#: dictionary-encoded engine toggled off on the fully-flagged path
+#: (incremental, paired, second_order, shared_stats, batched_pairs) — the
+#: same ladder the engine benchmark cross-checks
 ENGINE_PATHS = {
-    "full": (False, False, False, False, False, True),
-    "incremental": (True, False, False, False, False, True),
-    "paired_nobatch": (True, True, True, False, False, True),
-    "paired_batched": (True, True, True, True, True, True),
-    "paired_batched_novec": (True, True, True, True, True, False),
+    "full": (False, False, False, False, False),
+    "incremental": (True, False, False, False, False),
+    "paired_nobatch": (True, True, True, False, False),
+    "paired_batched": (True, True, True, True, True),
 }
 
 ALGORITHMS = {
-    "simple": lambda second_order, vectorized: SimpleRuleRepair(
-        second_order=second_order, vectorized=vectorized),
-    "greedy": lambda second_order, vectorized: GreedyHolisticRepair(
-        max_changes=20, second_order=second_order, vectorized=vectorized),
+    "simple": lambda second_order: SimpleRuleRepair(second_order=second_order),
+    "greedy": lambda second_order: GreedyHolisticRepair(
+        max_changes=20, second_order=second_order),
 }
 
 #: the scheduler/pool axis: (n_jobs, warm_pool)
@@ -92,15 +89,14 @@ UPDATE_VALUE = "Seville"
 
 def run_grid_entry(algorithm_name: str, path_name: str,
                    mode_name: str) -> dict[str, float]:
-    incremental, paired, second_order, shared_stats, batched_pairs, \
-        vectorized = ENGINE_PATHS[path_name]
+    incremental, paired, second_order, shared_stats, batched_pairs = \
+        ENGINE_PATHS[path_name]
     n_jobs, warm_pool = EXECUTION_MODES[mode_name]
     oracle = BinaryRepairOracle(
-        ALGORITHMS[algorithm_name](second_order, vectorized),
+        ALGORITHMS[algorithm_name](second_order),
         la_liga_constraints(), la_liga_dirty_table(), CELL_OF_INTEREST,
         incremental=incremental, paired=paired,
         shared_stats=shared_stats, batched_pairs=batched_pairs,
-        vectorized=vectorized,
     )
     with CellShapleyExplainer(
         oracle, policy=POLICY, rng=SEED,
@@ -129,7 +125,7 @@ def run_updated_session_entry(algorithm_name: str, mode_name: str,
     if fresh:
         table = table.with_values({UPDATE_CELL: UPDATE_VALUE})
     session = RepairSession(
-        ALGORITHMS[algorithm_name](False, True), la_liga_constraints(), table,
+        ALGORITHMS[algorithm_name](False), la_liga_constraints(), table,
         cell_of_interest=CELL_OF_INTEREST, config=config,
     )
     with session:
@@ -217,8 +213,7 @@ def test_engine_paths_agree_per_execution_mode(grid):
         for mode_name in EXECUTION_MODES:
             suffix = f"{algorithm_name}/%s/{mode_name}"
             reference = grid[suffix % "full"]
-            for path_name in ("incremental", "paired_nobatch", "paired_batched",
-                              "paired_batched_novec"):
+            for path_name in ("incremental", "paired_nobatch", "paired_batched"):
                 assert grid[suffix % path_name] == reference, \
                     f"{suffix % path_name} drifted from the full-rescan path"
 

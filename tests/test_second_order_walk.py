@@ -4,7 +4,9 @@ A :class:`RepairWalk` maintains per-constraint violations *across* a repair
 loop's own writes instead of re-deriving each pass from the base snapshot.
 These tests drive walks through randomised write sequences — including the
 pair fork used by the batched oracle — and cross-check every intermediate
-state against the reference full rescan.
+state against the reference full rescan.  Every walk runs on the
+dictionary-encoded code arrays; the tests also assert it never fell back to
+the per-row object build.
 """
 
 from __future__ import annotations
@@ -38,6 +40,17 @@ def assert_walk_matches_reference(walk, constraints):
     assert violation_multiset(walk.all_violations()) == violation_multiset(reference)
 
 
+def assert_on_code_arrays(walk):
+    """The walk's index and class builds read code arrays, never the fallback."""
+    encoding = walk.detector.table.store.encoding()
+    assert encoding.vectorized_checks > 0
+    assert encoding.fallback_checks == 0
+
+
+def count_if(walk, cell, value):
+    return walk.count_if_many_at(cell.row, cell.attribute, [value])[0]
+
+
 # ---------------------------------------------------------------------------
 # hand-built multi-pass walks on the paper's running example
 
@@ -48,6 +61,7 @@ def test_walk_empty_delta_matches_base():
     walk = repair_walk_for(base.perturbed({}), constraints)
     assert walk is not None
     assert_walk_matches_reference(walk, constraints)
+    assert_on_code_arrays(walk)
 
 
 def test_walk_tracks_multi_pass_writes():
@@ -69,6 +83,7 @@ def test_walk_tracks_multi_pass_writes():
     for row, attribute, value in writes:
         view.set_value(row, attribute, value)
         assert_walk_matches_reference(walk, constraints)
+    assert_on_code_arrays(walk)
 
 
 def test_walk_count_if_equals_full_recount():
@@ -86,9 +101,10 @@ def test_walk_count_if_equals_full_recount():
     ]:
         expected = len(find_all_violations(view.with_values({cell: value}).copy(),
                                            constraints))
-        assert walk.count_if(cell, value) == expected
-    # count_if must not disturb the maintained state
+        assert count_if(walk, cell, value) == expected
+    # candidate trials must not disturb the maintained state
     assert_walk_matches_reference(walk, constraints)
+    assert_on_code_arrays(walk)
 
 
 def test_fork_onto_single_differing_cell():
@@ -109,6 +125,7 @@ def test_fork_onto_single_differing_cell():
     without_view.set_value(2, "City", "Seville")
     assert_walk_matches_reference(walk_with, constraints)
     assert_walk_matches_reference(walk_without, constraints)
+    assert_on_code_arrays(walk_without)
 
 
 def test_fork_onto_no_difference_is_state_copy():
@@ -118,6 +135,7 @@ def test_fork_onto_no_difference_is_state_copy():
     walk_with = repair_walk_for(with_view, constraints).prime()
     walk_without = walk_with.fork_onto(base.perturbed({}).mutable_snapshot(), [])
     assert_walk_matches_reference(walk_without, constraints)
+    assert_on_code_arrays(walk_without)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +223,10 @@ def test_walk_equals_full_rescan_randomised(data, constraint_mask):
     for row, attribute, value in writes:
         view.set_value(row, attribute, value)
         assert_walk_matches_reference(walk, constraints)
+    # FD shapes always build their class partition; other shapes only build
+    # an index when a write touches them
+    if {"fd", "fd2"} & {constraint.name for constraint in constraints}:
+        assert_on_code_arrays(walk)
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,6 +251,7 @@ def test_fork_onto_equals_fresh_walk_randomised(data, target_row, target_attr,
         assert_walk_matches_reference(walk_without, constraints)
     # forked state never leaks back into the source walk
     assert_walk_matches_reference(walk_with, constraints)
+    assert_on_code_arrays(walk_with)
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,8 +263,12 @@ def test_count_if_equals_full_recount_randomised(data, trial_value):
     walk = repair_walk_for(view, constraints)
     for row, attribute, value in writes:
         view.set_value(row, attribute, value)
+    walk.prime()
+    # checked before the trials: trials against the pairs/order constraints
+    # count as fallback checks by design (no class counters to read)
+    assert_on_code_arrays(walk)
     for attribute in ATTRS:
         cell = CellRef(0, attribute)
         expected = len(find_all_violations(view.with_values({cell: trial_value}).copy(),
                                            constraints))
-        assert walk.count_if(cell, trial_value) == expected
+        assert count_if(walk, cell, trial_value) == expected

@@ -108,3 +108,20 @@ def test_unknown_correctness_without_expected_value(algorithm, constraints, dirt
     session = RepairSession(algorithm, constraints, dirty_table)
     session.run_repair()
     assert session.cell_of_interest_is_correct() is None
+
+
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_live_explain_rejects_sample_counts_below_one(session, n_samples):
+    session.run_repair()
+    with pytest.raises(ExplanationError, match="at least 1"):
+        session.explain(n_samples=n_samples)
+
+
+def test_live_explain_rejects_zero_samples_from_the_config(algorithm, constraints,
+                                                          dirty_table):
+    session = RepairSession(algorithm, constraints, dirty_table,
+                            cell_of_interest=CellRef(4, "Country"),
+                            config=TRexConfig(cell_samples=0))
+    session.run_repair()
+    with pytest.raises(ExplanationError, match="at least 1"):
+        session.explain()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.constraints.parser import parse_dcs
 from repro.dataset.table import CellRef, Table
+from repro.errors import ExplanationError
 from repro.repair.base import BinaryRepairOracle
 from repro.repair.simple import SimpleRuleRepair, paper_algorithm_1
 from repro.shapley.cells import CellShapleyExplainer, relevant_cells
@@ -106,3 +107,13 @@ def test_exact_cell_value_symmetry_between_equivalent_rows():
     assert explainer.exact_cell_value(CellRef(0, "Name")) == pytest.approx(
         explainer.exact_cell_value(CellRef(1, "Name"))
     )
+
+
+@pytest.mark.parametrize("n_jobs", [None, 1])
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_sample_counts_below_one_are_rejected(oracle, n_samples, n_jobs):
+    with CellShapleyExplainer(oracle, rng=5, n_jobs=n_jobs) as explainer:
+        with pytest.raises(ExplanationError, match="at least 1"):
+            explainer.estimate_cell(CellRef(4, "League"), n_samples=n_samples)
+        with pytest.raises(ExplanationError, match="at least 1"):
+            explainer.explain(cells=[CellRef(4, "League")], n_samples=n_samples)

@@ -1,16 +1,18 @@
 """The dictionary-encoded engine must be invisible in the numbers.
 
-``vectorized=True`` evaluates FD re-checks, mixed-group detection, greedy
-``count_if`` trials and batched co-occurrence scoring over ``int32`` code
-arrays; ``vectorized=False`` is the per-cell object reference path.  The
+The repair walk evaluates FD re-checks, mixed-group detection, greedy
+candidate trials and batched co-occurrence scoring over ``int32`` code
+arrays.  The reference is the full rescan: :func:`find_all_violations` on a
+materialised copy of the view, and the ``full`` flag path
+(``incremental=False`` + ``second_order=False``) at explain level.  The
 contract is bit-identity, not approximation:
 
 * walk-level (hypothesis): randomised perturbation deltas and post-prime
-  write sequences must yield identical violations, identical cell degrees
-  and identical candidate-trial counts on both engines;
+  write sequences must yield the rescan's violations, cell degrees and
+  candidate-trial counts;
 * explain-level: full cell-Shapley runs — both bundled black boxes, all
-  three replacement policies, every engine-flag path — must produce equal
-  value dictionaries with the flag on and off.
+  three replacement policies, every engine-flag path — must produce the
+  value dictionaries of the cache-free full-rescan reference.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro import (
     la_liga_dirty_table,
 )
 from repro.constraints.incremental import repair_walk_for
+from repro.constraints.violations import find_all_violations
 from repro.engine.storage import NULL
 
 # ---------------------------------------------------------------------------
@@ -67,21 +70,18 @@ def _cell_writes(draw, max_size: int):
     return writes
 
 
-def _paired_walks(delta):
-    overrides = {CellRef(row, attribute): value for row, attribute, value in delta}
-    view_vec = _BASE.perturbed(overrides).mutable_snapshot()
-    view_obj = _BASE.perturbed(overrides).mutable_snapshot()
-    walk_vec = repair_walk_for(view_vec, _CONSTRAINTS, vectorized=True)
-    walk_obj = repair_walk_for(view_obj, _CONSTRAINTS, vectorized=False)
-    return view_vec, walk_vec, view_obj, walk_obj
+def _rescan(view):
+    return find_all_violations(view.copy(), _CONSTRAINTS)
 
 
-def _assert_walks_agree(walk_vec, walk_obj):
-    violations = walk_obj.all_violations()
-    assert _violation_multiset(walk_vec.all_violations()) == \
+def _assert_walk_matches_rescan(view, walk):
+    violations = _rescan(view)
+    assert _violation_multiset(walk.all_violations()) == \
         _violation_multiset(violations)
-    total, degrees = walk_vec.cell_degrees()
+    total, rows, attr_codes, counts, attrs = walk.cell_degrees_arrays()
     assert total == len(violations)
+    degrees = {CellRef(row, attrs[code]): count for row, code, count
+               in zip(rows.tolist(), attr_codes.tolist(), counts.tolist())}
     assert degrees == {
         cell: violations.count_for_cell(cell)
         for cell in violations.cells_involved()
@@ -92,22 +92,23 @@ def _assert_walks_agree(walk_vec, walk_obj):
 @given(delta=_cell_writes(max_size=6), writes=_cell_writes(max_size=4),
        data=st.data())
 def test_walk_matches_object_path_on_random_deltas(delta, writes, data):
-    view_vec, walk_vec, view_obj, walk_obj = _paired_walks(delta)
-    _assert_walks_agree(walk_vec, walk_obj)
+    overrides = {CellRef(row, attribute): value for row, attribute, value in delta}
+    view = _BASE.perturbed(overrides).mutable_snapshot()
+    walk = repair_walk_for(view, _CONSTRAINTS)
+    _assert_walk_matches_rescan(view, walk)
     # post-prime writes: the walk's own second-order maintenance
     for row, attribute, value in writes:
-        view_vec.set_value(row, attribute, value)
-        view_obj.set_value(row, attribute, value)
-        _assert_walks_agree(walk_vec, walk_obj)
-    # candidate trials: the batched pass must equal one scalar count_if per
-    # candidate — on both engines
+        view.set_value(row, attribute, value)
+        _assert_walk_matches_rescan(view, walk)
+    # candidate trials: the batched pass must equal one rescan per candidate
     row = data.draw(st.integers(min_value=0, max_value=_BASE.n_rows - 1))
     attribute = data.draw(st.sampled_from(_ATTRS))
-    cell = CellRef(row, attribute)
     pool = _POOLS[attribute][:5]
-    totals = walk_vec.count_if_many(cell, pool)
-    assert totals == [walk_obj.count_if(cell, value) for value in pool]
-    assert totals == [walk_vec.count_if(cell, value) for value in pool]
+    totals = walk.count_if_many_at(row, attribute, pool)
+    assert totals == [
+        len(_rescan(view.perturbed({CellRef(row, attribute): value})))
+        for value in pool
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -126,22 +127,20 @@ _FLAG_PATHS = {
 }
 
 
-def _make_algorithm(name: str, second_order: bool, vectorized: bool):
+def _make_algorithm(name: str, second_order: bool):
     if name == "simple":
-        return SimpleRuleRepair(second_order=second_order, vectorized=vectorized)
-    return GreedyHolisticRepair(max_changes=20, second_order=second_order,
-                                vectorized=vectorized)
+        return SimpleRuleRepair(second_order=second_order)
+    return GreedyHolisticRepair(max_changes=20, second_order=second_order)
 
 
-def _explain(algorithm: str, policy: str, path: str, vectorized: bool):
+def _explain(algorithm: str, policy: str, path: str, use_cache: bool = True):
     incremental, paired, second_order, shared_stats, batched_pairs = \
         _FLAG_PATHS[path]
     oracle = BinaryRepairOracle(
-        _make_algorithm(algorithm, second_order, vectorized),
+        _make_algorithm(algorithm, second_order),
         la_liga_constraints(), la_liga_dirty_table(), _CELL_OF_INTEREST,
-        incremental=incremental, paired=paired,
+        use_cache=use_cache, incremental=incremental, paired=paired,
         shared_stats=shared_stats, batched_pairs=batched_pairs,
-        vectorized=vectorized,
     )
     with CellShapleyExplainer(
         oracle, policy=policy, rng=11,
@@ -152,14 +151,19 @@ def _explain(algorithm: str, policy: str, path: str, vectorized: bool):
     return result.values, oracle.statistics()
 
 
+def _reference(algorithm: str, policy: str):
+    """The full-rescan reference without the oracle memo."""
+    values, _ = _explain(algorithm, policy, "full", use_cache=False)
+    return values
+
+
 @pytest.mark.parametrize("policy", ["mode", "sample", "null"])
 @pytest.mark.parametrize("algorithm", ["simple", "greedy"])
 def test_explain_vectorized_bit_identical(algorithm, policy):
-    values_on, stats_on = _explain(algorithm, policy, "paired_batched", True)
-    values_off, stats_off = _explain(algorithm, policy, "paired_batched", False)
-    assert values_on == values_off
-    # the vectorised engine actually engaged (and never silently fell back)
-    encoding = stats_on["encoding"]
+    values, stats = _explain(algorithm, policy, "paired_batched")
+    assert values == _reference(algorithm, policy)
+    # the code-array engine actually engaged (and never silently fell back)
+    encoding = stats["encoding"]
     assert encoding["vectorized_checks"] > 0
     assert encoding["fallback_checks"] == 0
     assert set(encoding["dictionary_sizes"]) == set(
@@ -172,6 +176,5 @@ def test_explain_vectorized_bit_identical(algorithm, policy):
 @pytest.mark.parametrize("path", sorted(_FLAG_PATHS))
 @pytest.mark.parametrize("algorithm", ["simple", "greedy"])
 def test_explain_vectorized_bit_identical_full_grid(algorithm, path, policy):
-    values_on, _ = _explain(algorithm, policy, path, True)
-    values_off, _ = _explain(algorithm, policy, path, False)
-    assert values_on == values_off
+    values, _ = _explain(algorithm, policy, path)
+    assert values == _reference(algorithm, policy)
