@@ -24,11 +24,6 @@ processes, each owning a private copy of the whole stack above.  ``n_jobs=1``
 runs the identical plan in-process and is the bit-identical baseline for the
 ``parallel_speedup`` ratio recorded below; the speedup floor is only asserted
 on multi-core machines (a single-core box can time-slice, not parallelise).
-The scheduler's pool is **warm** by default — workers stay resident across
-rounds with their oracle stacks keyed by job-spec fingerprint and ship only
-new cache entries home — and the ``warm_pool_speedup`` ratio (same floor
-policy) times that against the cold rebuild-per-round lifecycle over three
-forced adaptive rounds.
 
 The timed simple-rules loop uses the ``mode`` replacement policy: it is
 deterministic (no RNG in replacement values, so timings are stable) and keeps
@@ -69,6 +64,7 @@ from repro import (
     RepairSession,
     SimpleRuleRepair,
     SoccerLeagueGenerator,
+    TRExExplainer,
     TRexConfig,
 )
 from repro.dataset.errors import inject_errors
@@ -90,7 +86,6 @@ SPEEDUP_FLOOR = float(os.environ.get("TREX_BENCH_SPEEDUP_FLOOR", "3.0"))
 PAIRED_FLOOR_GREEDY = float(os.environ.get("TREX_BENCH_PAIRED_FLOOR", "2.0"))
 PAIRED_FLOOR_SIMPLE = float(os.environ.get("TREX_BENCH_PAIRED_FLOOR_SIMPLE", "2.0"))
 PARALLEL_FLOOR = float(os.environ.get("TREX_BENCH_PARALLEL_FLOOR", "1.5"))
-WARM_POOL_FLOOR = float(os.environ.get("TREX_BENCH_WARM_FLOOR", "1.2"))
 BULK_DELTA_FLOOR = float(os.environ.get("TREX_BENCH_BULK_FLOOR", "2.0"))
 UPDATE_REFRESH_FLOOR = float(os.environ.get("TREX_BENCH_UPDATE_FLOOR", "2.0"))
 BENCH_JSON = os.environ.get("TREX_BENCH_JSON", "BENCH_shapley.json")
@@ -100,10 +95,10 @@ BENCH_JSON = os.environ.get("TREX_BENCH_JSON", "BENCH_shapley.json")
 #: subsystem exists for).  Each cycle is one write + ``UPDATE_READS_PER_WRITE``
 #: explains; the delta-maintained session refreshes only the invalidated
 #: estimates once and serves later reads from maintained state, while the
-#: ``incremental_updates=False`` reference rebuilds the stack on the write
-#: and re-samples from scratch on every read.  Both streams are asserted
-#: bit-identical (values and standard errors) on every read before timing
-#: is trusted.  The update cell is chosen mode- and repair-target-stable so
+#: rebuild reference builds one fresh ``TRExExplainer`` on the post-write
+#: table per write and re-samples from scratch on every read.  Both streams
+#: are asserted bit-identical (values and standard errors) on every read
+#: before timing is trusted.  The update cell is chosen mode- and repair-target-stable so
 #: the write invalidates estimates without forcing the full-drop paths.
 UPDATE_ROWS = 20
 UPDATE_SAMPLES = 6
@@ -116,13 +111,6 @@ UPDATE_CYCLES = 3
 PARALLEL_JOBS = 2
 N_SAMPLES_PARALLEL = 16
 N_PROBES_PARALLEL = 4
-
-#: the warm-vs-cold pool comparison: the rule-repair loop driven through 3
-#: forced adaptive rounds with small chunks — per-round work light enough
-#: that the per-round pool spawn + stack rebuild + whole-cache round-trip
-#: (exactly what the warm pool deletes) is the measured quantity
-WARM_POOL_ROUNDS = 3
-WARM_POOL_SAMPLES_PER_SHARD = 4
 
 #: the bulk-delta microbenchmark: a 10^4-cell coalition delta (2500 override
 #: cells in each of 4 columns, ~6% novel values growing the dictionaries),
@@ -294,34 +282,6 @@ def _explain_parallel(constraints, dirty, cell, n_jobs: int):
     return result, time.perf_counter() - start, oracle
 
 
-def _explain_warm_cold(constraints, dirty, cell, warm_pool: bool):
-    """The rule-repair adaptive loop on 2 workers, warm vs cold lifecycle.
-
-    ``min == max == rounds x chunk`` forces exactly ``WARM_POOL_ROUNDS``
-    rounds, so both modes execute the identical shard plan; the timing
-    includes pool spawning — the cold path's per-round spawn/rebuild/ship
-    overhead is precisely what the warm pool exists to delete.
-    """
-    oracle = BinaryRepairOracle(
-        _make_algorithm("simple", second_order=True), constraints, dirty, cell,
-    )
-    explainer = CellShapleyExplainer(
-        oracle, policy="mode", rng=3, n_jobs=PARALLEL_JOBS,
-        samples_per_shard=WARM_POOL_SAMPLES_PER_SHARD, warm_pool=warm_pool,
-    )
-    probes = relevant_cells(dirty, constraints, cell)[:N_PROBES_PARALLEL]
-    budget = WARM_POOL_ROUNDS * WARM_POOL_SAMPLES_PER_SHARD
-    scheduler = explainer._scheduler(PARALLEL_JOBS)
-    with explainer:
-        start = time.perf_counter()
-        outcome = scheduler.run_adaptive(
-            probes, tolerance=1e-12, min_samples=budget, max_samples=budget,
-            absorb_into=oracle,
-        )
-        elapsed = time.perf_counter() - start
-    return outcome, elapsed, oracle
-
-
 def _traced_explain(constraints, dirty, cell):
     """The sharded greedy loop once more, with span tracing on.
 
@@ -376,13 +336,15 @@ def _pick_stable_update_cell(constraints, dirty, cell, algorithm):
 
 
 def _update_refresh_points():
-    """The live-update cycle on both session paths (see ``UPDATE_ROWS``).
+    """The live-update cycle, live session vs rebuild (see ``UPDATE_ROWS``).
 
     Returns ``(live_times, rebuild_times, identical, live_stats)`` where each
     times list holds per-cycle wall-clock for one write plus
     ``UPDATE_READS_PER_WRITE`` explains, and ``identical`` is the result of
-    comparing every read pairwise across the two sessions (values *and*
-    standard errors).
+    comparing every read pairwise across the two streams (values *and*
+    standard errors).  The rebuild stream builds one fresh
+    ``TRExExplainer`` on the post-write table per write (its reference
+    repair included) and calls ``explain(cell)`` per read.
     """
     constraints, dirty, cell = _setup(UPDATE_ROWS)
     algorithm = lambda: SimpleRuleRepair(second_order=True)  # noqa: E731
@@ -392,17 +354,14 @@ def _update_refresh_points():
                   replacement_policy="mode", n_jobs=None)
     live = RepairSession(algorithm(), constraints, dirty.copy(),
                          cell_of_interest=cell, config=TRexConfig(**config))
-    rebuild = RepairSession(algorithm(), constraints, dirty.copy(),
-                            cell_of_interest=cell,
-                            config=TRexConfig(**config,
-                                              incremental_updates=False))
+    rebuild_algorithm = algorithm()
+    rebuild_table = dirty
     # alternate the write back and forth so every cycle is a real change
     values = [alternate if cycle % 2 == 0 else original
               for cycle in range(UPDATE_CYCLES)]
     live_times, rebuild_times, identical = [], [], True
-    with live, rebuild:
+    with live:
         live.explain()
-        rebuild.explain()
         for value in values:
             start = time.perf_counter()
             live.update(update_cell, value)
@@ -410,8 +369,11 @@ def _update_refresh_points():
                           for _ in range(UPDATE_READS_PER_WRITE)]
             live_times.append(time.perf_counter() - start)
             start = time.perf_counter()
-            rebuild.update(update_cell, value)
-            rebuild_reads = [rebuild.explain()
+            rebuild_table = rebuild_table.with_values({update_cell: value})
+            rebuild = TRExExplainer(rebuild_algorithm, constraints,
+                                    rebuild_table, TRexConfig(**config))
+            rebuild.repair()
+            rebuild_reads = [rebuild.explain(cell)
                              for _ in range(UPDATE_READS_PER_WRITE)]
             rebuild_times.append(time.perf_counter() - start)
             for live_read, rebuild_read in zip(live_reads, rebuild_reads):
@@ -441,8 +403,6 @@ def _write_bench_json(payload: dict) -> None:
         "parallel_jobs": PARALLEL_JOBS,
         "n_samples_parallel": N_SAMPLES_PARALLEL,
         "n_probes_parallel": N_PROBES_PARALLEL,
-        "warm_pool_rounds": WARM_POOL_ROUNDS,
-        "warm_pool_samples_per_shard": WARM_POOL_SAMPLES_PER_SHARD,
         "cpu_count": os.cpu_count(),
         "bulk_delta_columns": BULK_DELTA_COLUMNS,
         "bulk_delta_cells_per_column": BULK_DELTA_CELLS_PER_COLUMN,
@@ -455,7 +415,6 @@ def _write_bench_json(payload: dict) -> None:
             "paired_vs_incremental_greedy": PAIRED_FLOOR_GREEDY,
             "paired_vs_incremental_simple": PAIRED_FLOOR_SIMPLE,
             "parallel_speedup": PARALLEL_FLOOR,
-            "warm_pool_speedup": WARM_POOL_FLOOR,
             "bulk_delta_speedup": BULK_DELTA_FLOOR,
             "update_refresh_speedup": UPDATE_REFRESH_FLOOR,
         },
@@ -546,28 +505,6 @@ def test_paths_identical_and_paired_is_faster(benchmark):
         "WorkerReport span shipping is broken"
     )
 
-    # -- warm pool vs cold pool: 3 adaptive rounds, 2 workers ----------------------------
-    warm_pool_outcomes = {}
-    warm_pool_timings = {mode: [] for mode in ("warm", "cold")}
-    warm_pool_stats = {}
-    for repeat in range(2):
-        for mode, is_warm in (("warm", True), ("cold", False)):
-            outcome, elapsed, pool_oracle = _explain_warm_cold(
-                constraints, dirty, cell, warm_pool=is_warm)
-            warm_pool_timings[mode].append(elapsed)
-            if repeat == 0:
-                warm_pool_outcomes[mode] = outcome
-                warm_pool_stats[mode] = pool_oracle.statistics()
-    # the hard gate: resident state and diff shipping change no bits
-    assert warm_pool_outcomes["warm"].estimates == warm_pool_outcomes["cold"].estimates
-    # the warm pool's accounting: stacks built once vs once per round, and
-    # strictly fewer cache entries crossing a process boundary
-    assert warm_pool_stats["warm"]["worker_rebuilds"] == PARALLEL_JOBS
-    assert warm_pool_stats["cold"]["worker_rebuilds"] == \
-        PARALLEL_JOBS * WARM_POOL_ROUNDS
-    assert (warm_pool_stats["warm"]["cache_entries_shipped"]
-            <= warm_pool_stats["cold"]["cache_entries_shipped"])
-
     # -- live base updates: delta-maintained session vs rebuild-per-write ---------------
     update_live_times, update_rebuild_times, update_identical, update_stats = \
         _update_refresh_points()
@@ -584,8 +521,6 @@ def test_paths_identical_and_paired_is_faster(benchmark):
     best.update({f"greedy_{path}": min(times) for path, times in greedy_timings.items()})
     best["greedy_sharded_1job"] = min(parallel_timings[1])
     best[f"greedy_sharded_{PARALLEL_JOBS}jobs"] = min(parallel_timings[PARALLEL_JOBS])
-    best["simple_warm_pool"] = min(warm_pool_timings["warm"])
-    best["simple_cold_pool"] = min(warm_pool_timings["cold"])
     best["session_update_live"] = min(update_live_times)
     best["session_update_rebuild"] = min(update_rebuild_times)
     speedups = {
@@ -597,7 +532,6 @@ def test_paths_identical_and_paired_is_faster(benchmark):
         "batched_vs_unbatched_greedy": best["greedy_paired_nobatch"] / best["greedy_paired"],
         "parallel_speedup": (best["greedy_sharded_1job"]
                              / best[f"greedy_sharded_{PARALLEL_JOBS}jobs"]),
-        "warm_pool_speedup": best["simple_cold_pool"] / best["simple_warm_pool"],
         "bulk_delta_speedup": bulk_per_value_seconds / bulk_seconds,
         "repeat_probe_speedup": cache_probe_timings[0] / cache_probe_timings[1],
         "update_refresh_speedup": (best["session_update_rebuild"]
@@ -624,11 +558,6 @@ def test_paths_identical_and_paired_is_faster(benchmark):
             ["greedy holistic", f"sharded, {PARALLEL_JOBS} workers",
              f"{best[f'greedy_sharded_{PARALLEL_JOBS}jobs']:.3f}",
              f"{speedups['parallel_speedup']:.2f}x vs 1 job"],
-            ["simple rules", f"cold pool, {WARM_POOL_ROUNDS} rounds",
-             f"{best['simple_cold_pool']:.3f}", "(warm-pool baseline)"],
-            ["simple rules", f"warm pool, {WARM_POOL_ROUNDS} rounds",
-             f"{best['simple_warm_pool']:.3f}",
-             f"{speedups['warm_pool_speedup']:.2f}x vs cold"],
             ["(encoding)", "10^4-cell delta, per-value",
              f"{bulk_per_value_seconds:.4f}", "(bulk baseline)"],
             ["(encoding)", "10^4-cell delta, bulk",
@@ -685,15 +614,6 @@ def test_paths_identical_and_paired_is_faster(benchmark):
             "workers": trace_workers,
             "per_phase": trace_summary,
         },
-        "warm_pool": {
-            mode: {
-                key: warm_pool_stats[mode].get(key, 0)
-                for key in ("worker_rebuilds", "cache_entries_shipped",
-                            "shards_requeued", "workers_restarted",
-                            "parallel_shards", "cache_hits", "cache_misses")
-            }
-            for mode in ("warm", "cold")
-        },
         "live_updates": {
             "n_rows": UPDATE_ROWS,
             "n_samples": UPDATE_SAMPLES,
@@ -745,11 +665,6 @@ def test_paths_identical_and_paired_is_faster(benchmark):
             f"{PARALLEL_JOBS} workers are only {speedups['parallel_speedup']:.2f}x "
             f"faster than the in-process plan on the greedy loop "
             f"(floor: {PARALLEL_FLOOR}x)"
-        )
-        assert speedups["warm_pool_speedup"] >= WARM_POOL_FLOOR, (
-            f"the warm pool is only {speedups['warm_pool_speedup']:.2f}x faster "
-            f"than the cold rebuild-per-round pool over {WARM_POOL_ROUNDS} "
-            f"adaptive rounds (floor: {WARM_POOL_FLOOR}x)"
         )
 
     # time the paired loop under the benchmark harness for the record

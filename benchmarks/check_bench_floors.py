@@ -17,10 +17,9 @@ show HEAD:...`` — the delta against the last committed recording, so a CI
 failure log distinguishes "slid a little from last run" from "fell off a
 cliff" without any archaeology.
 
-Machine caveats mirror the bench: the ``parallel_speedup`` and
-``warm_pool_speedup`` floors need real cores, so they are skipped (with a
-note) when the recording machine had fewer CPUs than the worker count it
-drove.  Floors with no recorded speedup — an older JSON predating a metric —
+Machine caveats mirror the bench: the ``parallel_speedup`` floor needs real
+cores, so it is skipped (with a note) when the recording machine had fewer
+CPUs than the worker count it drove.  Floors with no recorded speedup — an older JSON predating a metric —
 are reported and skipped, never silently passed.
 """
 
@@ -32,7 +31,7 @@ import subprocess
 import sys
 
 #: floors needing >= ``config.parallel_jobs`` real cores on the recording box
-_MULTICORE_FLOORS = ("parallel_speedup", "warm_pool_speedup")
+_MULTICORE_FLOORS = ("parallel_speedup",)
 
 
 def _previous_speedups(path: str) -> dict:

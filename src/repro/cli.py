@@ -14,9 +14,10 @@ equivalent front end for scripted use:
     Repair, then explain the repair of one cell: constraint Shapley values
     (exact) and, unless ``--constraints-only`` is given, sampled cell Shapley
     values.  ``--jobs N`` runs the cell sampling on N warm worker processes
-    (the sharded scheduler; results are identical for every worker count;
-    ``--cold-pool`` forces the rebuild-per-round reference path).
-    ``--json out.json`` persists the explanation.
+    (the sharded scheduler; results are identical for every worker count).
+    ``--update 't3[City]=Lyon'`` applies a base-table write through the live
+    session update path first; the result is the same as explaining the
+    edited CSV.  ``--json out.json`` persists the explanation.
 
 ``python -m repro.cli discover --table clean.csv``
     Discover the functional dependencies holding on a table and print them as
@@ -118,11 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "(default: sequential; any value >= 1 uses the "
                                      "sharded scheduler, identical results for every "
                                      "worker count)")
-    explain_parser.add_argument("--cold-pool", action="store_true",
-                                help="with --jobs: rebuild the worker pool and each "
-                                     "worker's oracle stack every round instead of "
-                                     "keeping them resident (the warm default); "
-                                     "results are identical, only slower")
     explain_parser.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                                 help="with --jobs: wall-clock budget for the cell "
                                      "sampling; on expiry the partial estimates "
@@ -152,11 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "repeatable, applied in order through the live "
                                      "session update path — the explanation is "
                                      "identical to running on the updated CSV")
-    explain_parser.add_argument("--no-incremental-updates", action="store_true",
-                                help="with --update: rebuild the session state from "
-                                     "scratch per update instead of delta-maintaining "
-                                     "it (the reference path; results are identical, "
-                                     "only slower)")
     explain_parser.add_argument("--constraints-only", action="store_true",
                                 help="skip the (slower) cell-level explanation")
     explain_parser.add_argument("--seed", type=int, default=None, help="random seed")
@@ -254,14 +245,12 @@ def _command_explain(args) -> int:
         cell_samples=args.samples,
         replacement_policy=args.policy,
         n_jobs=args.jobs,
-        warm_pool=not args.cold_pool,
         deadline_seconds=args.deadline,
         max_worker_restarts=_cap(args.max_worker_restarts, defaults.max_worker_restarts),
         max_shard_attempts=_cap(args.max_shard_attempts, defaults.max_shard_attempts),
         restart_backoff_seconds=(defaults.restart_backoff_seconds
                                  if args.restart_backoff is None
                                  else max(0.0, args.restart_backoff)),
-        incremental_updates=not args.no_incremental_updates,
     )
     if args.update:
         # replay base-table writes through the live session update path, then

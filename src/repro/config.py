@@ -50,12 +50,9 @@ class TRexConfig:
         Worker processes for the sampled cell-Shapley estimator.  ``None``
         (default) keeps the sequential engine; an integer routes estimation
         through the sharded scheduler (:mod:`repro.parallel`), whose results
-        are bit-identical for every ``n_jobs >= 1``.
-    warm_pool:
-        Whether the ``n_jobs`` path keeps worker processes (and their
-        resident oracle stacks) alive across rounds, shipping only new cache
-        entries home (the default).  ``False`` forces the cold
-        rebuild-per-round path; results are bit-identical either way.
+        are bit-identical for every ``n_jobs >= 1``.  The worker processes
+        (and their resident oracle stacks) stay alive across sampling
+        rounds, shipping only new cache entries home.
     deadline_seconds:
         Optional wall-clock budget for one sampled cell-Shapley explanation
         run on the ``n_jobs`` path.  On expiry the scheduler stops at a
@@ -75,15 +72,6 @@ class TRexConfig:
         Base delay of the bounded exponential backoff slept before each
         worker restart (doubles per consecutive restart of the same slot,
         capped).  ``0`` disables the backoff.
-    incremental_updates:
-        Whether :meth:`RepairSession.update` delta-maintains the live
-        session state — base violations, indexes, statistics, encoding,
-        oracle cache — and selectively refreshes only the Shapley estimates
-        whose sampled coalitions overlapped the changed cells (the
-        default).  ``False`` forces the rebuild reference path: every
-        update swaps in a fresh table copy and a fresh explainer, exactly
-        like starting a new session on the post-update table.  Explanations
-        are bit-identical either way.
     """
 
     seed: int = DEFAULT_SEED
@@ -92,12 +80,10 @@ class TRexConfig:
     max_repair_iterations: int = 25
     cache_oracle: bool = True
     n_jobs: int | None = None
-    warm_pool: bool = True
     deadline_seconds: float | None = None
     max_worker_restarts: int | None = 5
     max_shard_attempts: int | None = 3
     restart_backoff_seconds: float = 0.05
-    incremental_updates: bool = True
     extra: dict = field(default_factory=dict)
 
     def rng(self) -> np.random.Generator:

@@ -181,7 +181,7 @@ class TRExExplainer:
         oracle = self._oracle_for(cell)
         explainer = CellShapleyExplainer(
             oracle, policy=self.config.replacement_policy, rng=self.config.seed,
-            n_jobs=self.config.n_jobs, warm_pool=self.config.warm_pool,
+            n_jobs=self.config.n_jobs,
             retry_policy=self.config.retry_policy(),
             deadline_seconds=self.config.deadline_seconds,
         )

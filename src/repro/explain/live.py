@@ -1,7 +1,6 @@
 """Live explanation state under base-table updates.
 
-A :class:`~repro.explain.session.RepairSession` with
-``config.incremental_updates`` (the default) keeps one
+A :class:`~repro.explain.session.RepairSession` keeps one
 :class:`LiveExplainState` per explained cell of interest: a persistent
 :class:`~repro.repair.base.BinaryRepairOracle` and
 :class:`~repro.shapley.cells.CellShapleyExplainer` whose warm worker pool is
@@ -74,7 +73,6 @@ class LiveExplainState:
         self.cell = cell
         self.n_samples = int(n_samples)
         self.n_jobs = config.n_jobs
-        self.warm_pool = bool(config.warm_pool)
         self.policy = ReplacementPolicy.from_name(config.replacement_policy)
         self.seed = config.seed
         # the same oracle/explainer construction as
@@ -83,7 +81,7 @@ class LiveExplainState:
         self.oracle = session.explainer._oracle_for(cell)
         self.explainer = CellShapleyExplainer(
             self.oracle, policy=config.replacement_policy, rng=config.seed,
-            n_jobs=config.n_jobs, warm_pool=config.warm_pool,
+            n_jobs=config.n_jobs,
             retry_policy=config.retry_policy(),
             deadline_seconds=config.deadline_seconds,
         )
@@ -109,7 +107,6 @@ class LiveExplainState:
             cell == self.cell
             and int(n_samples) == self.n_samples
             and config.n_jobs == self.n_jobs
-            and bool(config.warm_pool) == self.warm_pool
             and ReplacementPolicy.from_name(config.replacement_policy) is self.policy
             and config.seed == self.seed
         )

@@ -7,19 +7,18 @@ repair of the cell improved.  :class:`RepairSession` scripts that loop —
 every step is recorded so examples and benchmarks can replay and report it.
 
 Sessions are additionally *live* under base-table updates:
-:meth:`RepairSession.update` applies a write to the dirty table and — with
-``config.incremental_updates``, the default — delta-maintains the whole
-session state in place (violation detector, statistics engines, encodings,
-oracle caches, resident worker stacks) and invalidates only the Shapley
-estimates whose sampled coalitions overlapped the changed cells (see
-:mod:`repro.explain.live`).  ``update()`` followed by ``explain()`` is
-bit-identical to a fresh session built on the post-update table;
-``incremental_updates=False`` forces exactly that rebuild as the reference
-path.
+:meth:`RepairSession.update` applies a write to the dirty table,
+delta-maintains the whole session state in place (violation detector,
+statistics engines, encodings, oracle caches, resident worker stacks) and
+invalidates only the Shapley estimates whose sampled coalitions overlapped
+the changed cells (see :mod:`repro.explain.live`).  ``update()`` followed by
+``explain()`` is bit-identical to a fresh session built on the post-update
+table, which is the reference the update path is tested against.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -29,7 +28,7 @@ from repro.dataset.table import CellRef, Table
 from repro.errors import ExplanationError
 from repro.explain.explainer import Explanation, TRExExplainer
 from repro.repair.base import RepairAlgorithm, RepairResult
-from repro.repair.updates import BaseCellUpdate, BaseUpdateDelta, BaseUpdateLog, collect_changes
+from repro.repair.updates import BaseUpdateDelta, BaseUpdateLog, collect_changes
 
 
 @dataclass
@@ -85,7 +84,7 @@ class RepairSession:
         self._explainer: TRExExplainer | None = None
         #: applied base-update deltas, in order (see :meth:`update`)
         self.update_log = BaseUpdateLog()
-        #: persistent cell-Shapley state on the incremental-updates path
+        #: persistent cell-Shapley state
         #: (:class:`~repro.explain.live.LiveExplainState`); ``None`` until the
         #: first full explain
         self._live = None
@@ -142,30 +141,28 @@ class RepairSession:
         self.cell_of_interest = cell
 
     def explain(self, n_samples: int | None = None, constraints_only: bool = False,
-                n_jobs: int | None = None,
-                warm_pool: bool | None = None) -> Explanation:
+                n_jobs: int | None = None) -> Explanation:
         """Press the "Explain" button for the current cell of interest.
 
         ``n_jobs`` switches the session's cell-Shapley sampling onto the
         sharded multi-process scheduler (see :mod:`repro.parallel`) from this
-        step on; ``warm_pool`` picks between the resident-worker warm pool
-        (the default) and the cold rebuild-per-round pool on that path.
-        Both update the session config, so later explain steps keep the
-        settings until they are changed again.
+        step on.  It updates the session config, so later explain steps keep
+        the setting until it is changed again; a rejected value leaves the
+        config untouched.
         """
         if self.cell_of_interest is None:
             raise ExplanationError("choose a cell of interest before asking for an explanation")
         if n_jobs is not None:
+            if not isinstance(n_jobs, numbers.Integral) or n_jobs < 1:
+                raise ExplanationError(
+                    f"n_jobs must be a positive integer or None, got {n_jobs!r}"
+                )
             self.config.n_jobs = n_jobs
-        if warm_pool is not None:
-            self.config.warm_pool = bool(warm_pool)
         explainer = self.explainer
         if constraints_only:
             explanation = explainer.explain_constraints(self.cell_of_interest)
-        elif self.config.incremental_updates:
-            explanation = self._explain_live(n_samples)
         else:
-            explanation = explainer.explain(self.cell_of_interest, n_samples=n_samples)
+            explanation = self._explain_live(n_samples)
         self._record(
             "explain",
             f"explained {self.cell_of_interest}",
@@ -175,7 +172,7 @@ class RepairSession:
         return explanation
 
     def _explain_live(self, n_samples: int | None) -> Explanation:
-        """The incremental-updates explain path: serve from the live state.
+        """Serve the cell explanation from the live state.
 
         The live state's first run replicates the fresh explainer's sampling
         stream exactly (same construction, same submission order, same RNG),
@@ -216,19 +213,21 @@ class RepairSession:
 
         Unlike :meth:`edit_cell` — the demo's "act on the explanation" step,
         which deliberately rebuilds the explainer stack — ``update`` models
-        the base table changing *under* an explanation session: with
-        ``config.incremental_updates`` every derived structure is
-        delta-maintained in place and only the Shapley estimates whose
-        sampled coalitions overlapped the write are re-sampled on the next
-        :meth:`explain`.  The post-update explanation is bit-identical to a
-        fresh session built on the post-update table.
+        the base table changing *under* an explanation session: every
+        derived structure is delta-maintained in place and only the Shapley
+        estimates whose sampled coalitions overlapped the write are
+        re-sampled on the next :meth:`explain`.  The post-update explanation
+        is bit-identical to a fresh session built on the post-update table.
         """
         return self.update_many({cell: value})
 
     def update_many(self, values: Mapping[CellRef, Any]) -> SessionStep:
-        """Apply several base-table writes as one update (see :meth:`update`)."""
-        if not self.config.incremental_updates:
-            return self._update_rebuild(values)
+        """Apply several base-table writes as one update (see :meth:`update`).
+
+        Every write is validated before any is applied: an unknown cell or an
+        unhashable value raises a :class:`~repro.errors.SchemaError` and
+        leaves the table, the update log and the live state unchanged.
+        """
         from repro.explain.live import apply_session_update
 
         info = apply_session_update(self, values)
@@ -239,22 +238,6 @@ class RepairSession:
             f"updated {info['cells_written']} cells, "
             f"invalidated {info['estimates_invalidated']} estimates",
             repair,
-        )
-
-    def _update_rebuild(self, values: Mapping[CellRef, Any]) -> SessionStep:
-        """The ``incremental_updates=False`` reference path: swap in a fresh
-        table copy and a fresh explainer stack, exactly like starting a new
-        session on the post-update table."""
-        changes = collect_changes(self.state.dirty_table, values)
-        self.update_log.append(BaseUpdateDelta(updates=tuple(
-            BaseCellUpdate(cell=cell, old_value=old, new_value=new)
-            for cell, (old, new) in changes.items()
-        )))
-        self.state.dirty_table = self.state.dirty_table.with_values(dict(values))
-        explainer = self._fresh_explainer()
-        repair = explainer.repair()
-        return self._record(
-            "update", f"updated {len(changes)} cells (rebuild path)", repair
         )
 
     def close(self) -> None:
@@ -291,6 +274,7 @@ class RepairSession:
 
     def edit_cell(self, cell: CellRef, value: Any) -> SessionStep:
         """Change a value of the dirty table (acting on a cell explanation) and re-repair."""
+        collect_changes(self.state.dirty_table, {cell: value})  # validates the write
         self.state.dirty_table = self.state.dirty_table.with_values({cell: value})
         explainer = self._fresh_explainer()
         repair = explainer.repair()

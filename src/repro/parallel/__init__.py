@@ -11,13 +11,12 @@ top of it without touching any of those layers' semantics:
   including the test harness's :class:`WorkerFault` directives;
 * :mod:`~repro.parallel.worker` — one worker = one private oracle stack,
   built from the pickled job spec once and kept **resident** across rounds
-  (warm path: cache-diff shipping via per-worker high-water marks), or
-  rebuilt per task (cold path);
+  (cache-diff shipping via per-worker high-water marks);
 * :mod:`~repro.parallel.pool` — the :class:`WorkerPool`: one dedicated pipe
   per worker (exact task→worker assignment), health monitoring with
   requeue-on-death/timeout, a :class:`RetryPolicy` bounding restarts with
-  exponential backoff, per-job deadline budgets, warm or transient
-  lifecycle, and a deterministic in-process degradation;
+  exponential backoff, per-job deadline budgets, and a deterministic
+  in-process degradation;
 * :mod:`~repro.parallel.scheduler` — plan, execute, merge: Welford-merged
   estimates, absorbed oracle counter deltas, diff-merged caches, warm
   restarts from parent cache snapshots, poison-shard quarantine, and an
@@ -32,10 +31,11 @@ Every failure path preserves the core invariant — Shapley values are
 bit-identical to the sequential engine — because shard draws are seeded by
 ``(job_seed, cell_position, chunk_index)`` coordinates only; faults can only
 change *where* a shard is evaluated, never *what* it computes.  The matrix
-(rows: what went wrong; columns: which execution path recovers):
+(rows: what went wrong; right: how the warm pool recovers, degrading to
+in-process execution where no worker can take the work):
 
 ===================  ==========================================================
-failure              recovery (warm pool / cold pool / in-process)
+failure              recovery
 ===================  ==========================================================
 worker crash         restart slot with bounded backoff; requeue its shards on
                      a warm sibling that answered this round, else run them
@@ -77,9 +77,9 @@ sample chunk per unconverged cell per round and decide stopping on the
 merged cross-shard accumulator only.
 
 Entry points for users are ``CellShapleyExplainer(..., n_jobs=...,
-deadline_seconds=...)``, ``TRexConfig(n_jobs=..., warm_pool=...,
-deadline_seconds=..., max_worker_restarts=...)`` and the CLI's ``--jobs`` /
-``--cold-pool`` / ``--deadline`` / ``--max-worker-restarts``; this package
+deadline_seconds=...)``, ``TRexConfig(n_jobs=..., deadline_seconds=...,
+max_worker_restarts=...)`` and the CLI's ``--jobs`` / ``--deadline`` /
+``--max-worker-restarts``; this package
 is the seam future serving work (async service, multi-backend dispatch)
 plugs into.
 """
@@ -110,7 +110,6 @@ from repro.parallel.worker import (
     ResidentState,
     build_worker_state,
     run_resident_worker,
-    run_worker,
 )
 
 __all__ = [
@@ -134,7 +133,6 @@ __all__ = [
     "partition_samples",
     "process_context",
     "run_resident_worker",
-    "run_worker",
     "run_worker_tasks",
     "shard_rng",
     "shard_seed_sequence",

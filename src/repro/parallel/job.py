@@ -12,10 +12,8 @@ private oracle stack from it (own ``BinaryRepairOracle``, ``OracleCache``,
 Shards and reports are the wire format in the other direction: a
 :class:`ShardResult` carries one chunk's Welford accumulator back, and a
 :class:`WorkerReport` bundles a worker's shard results with its oracle
-counters and either its whole cache (the cold, rebuild-per-round path) or —
-on the warm-pool path — only the *diff* of cache entries inserted since the
-worker's last sync, which the parent merges
-(:meth:`~repro.repair.cache.OracleCache.merge_entries`,
+counters and the *diff* of cache entries inserted since the worker's last
+sync, which the parent merges (replaying the diff into its cache,
 :meth:`~repro.repair.base.BinaryRepairOracle.absorb_statistics`).
 
 :class:`WorkerFault` is the fault-injection vocabulary of the test harness:
@@ -32,7 +30,6 @@ from typing import Any, Sequence
 from repro.constraints.dc import DenialConstraint
 from repro.dataset.table import CellRef, Table
 from repro.repair.base import RepairAlgorithm
-from repro.repair.cache import OracleCache
 from repro.shapley.convergence import RunningMean
 
 
@@ -111,23 +108,21 @@ class WorkerReport:
 
     ``statistics`` always carries *this report's delta* (counters are reset
     at task entry), so a long-lived warm worker reporting several rounds
-    never double-counts.  Exactly one of ``cache`` / ``cache_diff`` carries
-    entries: the cold path ships the whole worker cache, the warm path only
-    the entries inserted since the worker's last sync (its high-water mark
-    over :meth:`~repro.repair.cache.OracleCache.entries_since`).
+    never double-counts.  ``cache_diff`` carries only the entries inserted
+    since the worker's last sync (its high-water mark over
+    :meth:`~repro.repair.cache.OracleCache.entries_since`).
     """
 
     worker_index: int
     shard_results: list[ShardResult] = field(default_factory=list)
     statistics: dict = field(default_factory=dict)
-    cache: OracleCache | None = None
-    #: warm-path cache diff: ``(key, value)`` entries inserted since the last
+    #: cache diff: ``(key, value)`` entries inserted since the last
     #: sync, in insertion order
     cache_diff: list = field(default_factory=list)
     #: 1 when this task had to build the oracle stack from the job spec
     rebuilt: int = 0
-    #: cache entries this report ships across the process boundary (the whole
-    #: cache on the cold path, ``len(cache_diff)`` on the warm path)
+    #: cache entries this report ships across the process boundary
+    #: (``len(cache_diff)``; zero for in-process execution)
     entries_shipped: int = 0
     #: size of the worker's resident cache when the report was cut — what
     #: whole-cache shipping would have cost this round

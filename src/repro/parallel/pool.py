@@ -9,9 +9,10 @@ Two lifecycles share one mechanism:
   assignment exact — worker ``i`` runs task ``i``, never "whichever process
   grabs the queue first" — which is what keeps per-worker resident caches,
   rebuild counters and diff high-water marks meaningful.
-* :func:`run_worker_tasks` — the **transient pool**: the cold path builds a
-  pool, runs one round, tears it down.  It is a thin wrapper over
-  :class:`WorkerPool`, so it inherits the same health machinery.
+* :func:`run_worker_tasks` — the **transient pool** of the sharded
+  permutation estimator: build a pool, run one round, tear it down.  It is
+  a thin wrapper over :class:`WorkerPool`, so it inherits the same health
+  machinery.
 
 Health and requeue: a worker that dies mid-task (EOF on its pipe) or exceeds
 the pool timeout is replaced, and its task is requeued onto a live worker —
@@ -511,37 +512,23 @@ def _run_stateless(fn: Callable, args: tuple) -> Any:
     return fn(*args)
 
 
-def run_worker_tasks(fn: Callable, tasks: Sequence[tuple], n_jobs: int,
-                     timeout: float | None = None,
-                     health: dict | None = None,
-                     retry: "RetryPolicy | None" = None,
-                     deadline: float | None = None,
-                     events: "EventLog | None" = None) -> list:
+def run_worker_tasks(fn: Callable, tasks: Sequence[tuple], n_jobs: int) -> list:
     """Run one ``fn(*task)`` call per task, in processes when ``n_jobs > 1``.
 
-    The transient-pool entry point (the cold scheduler path and the sharded
-    permutation estimator): a :class:`WorkerPool` is built, runs exactly one
-    round and is torn down.  Results come back in task order (never
-    completion order), so callers can merge deterministically.  With one task
-    or one job the calls run inline — the task arguments are identical either
-    way, which is what keeps the in-process and multi-process paths
-    bit-identical.  A worker death or ``timeout`` overrun mid-round requeues
-    only that worker's task (see :meth:`WorkerPool.run_tasks`) instead of
-    abandoning the pool; passing a ``health`` dict surfaces what happened —
-    ``workers_restarted``, the indexes of ``requeued_tasks``, and whether the
-    round ``fanned_out`` to real processes at all — so callers can fold the
-    events into their counter surface (plus ``expired_tasks`` and
-    ``backoff_seconds`` when a ``deadline`` / ``retry`` policy is active;
-    expired tasks come back as ``None`` results).
+    The transient-pool entry point (the sharded permutation estimator): a
+    :class:`WorkerPool` is built, runs exactly one round and is torn down.
+    Results come back in task order (never completion order), so callers can
+    merge deterministically.  With one task or one job the calls run inline
+    — the task arguments are identical either way, which is what keeps the
+    in-process and multi-process paths bit-identical.  A worker death
+    mid-round requeues only that worker's task (see
+    :meth:`WorkerPool.run_tasks`) instead of abandoning the pool.
     """
     tasks = list(tasks)
-    if health is not None:
-        health["fanned_out"] = False
     if n_jobs <= 1 or len(tasks) <= 1:
         return [fn(*task) for task in tasks]
     try:
-        pool = WorkerPool(min(n_jobs, len(tasks)), timeout=timeout, retry=retry,
-                          events=events)
+        pool = WorkerPool(min(n_jobs, len(tasks)))
     except OSError as error:  # pragma: no cover - sandbox-dependent
         global _POOL_FAILURE_WARNED
         if not _POOL_FAILURE_WARNED:
@@ -555,15 +542,6 @@ def run_worker_tasks(fn: Callable, tasks: Sequence[tuple], n_jobs: int,
         return [fn(*task) for task in tasks]
     with pool:
         outcomes = pool.run_tasks(
-            [PoolTask(_run_stateless, (fn, tuple(task))) for task in tasks],
-            deadline=deadline,
+            [PoolTask(_run_stateless, (fn, tuple(task))) for task in tasks]
         )
-    if health is not None:
-        health["fanned_out"] = True
-        health["workers_restarted"] = pool.workers_restarted
-        health["requeued_tasks"] = [index for index, outcome in enumerate(outcomes)
-                                    if outcome.requeued and not outcome.expired]
-        health["expired_tasks"] = [index for index, outcome in enumerate(outcomes)
-                                   if outcome.expired]
-        health["backoff_seconds"] = pool.backoff_seconds_total
     return [outcome.result for outcome in outcomes]

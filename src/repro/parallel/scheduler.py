@@ -17,7 +17,7 @@ merges everything back:
   entries are replayed into the parent's, so answers computed in one run warm
   the next.
 
-Execution is **warm by default**: one :class:`~repro.parallel.pool.WorkerPool`
+Execution is **warm**: one :class:`~repro.parallel.pool.WorkerPool`
 is spawned per scheduler (context-manager lifecycle; workers are reused
 across :meth:`run` calls and every :meth:`run_adaptive` round), each worker
 keeps its oracle stack resident between rounds keyed by the job-spec
@@ -28,9 +28,8 @@ plus counter deltas instead of the whole cache.  A worker that dies or times
 out mid-round is replaced and its shards are requeued onto a live worker or
 degraded in-process (``shards_requeued`` / ``workers_restarted``) — results
 stay bit-identical because every shard's draws are seeded by its coordinates
-alone.  ``warm_pool=False`` forces the cold PR 4 path — a transient pool per
-round, a full stack rebuild per task, whole-cache shipping — which is the
-reference the warm path is property-tested against.
+alone.  ``n_jobs=1`` runs the same plan on one in-process resident stack and
+is the reference every ``n_jobs=k`` run is property-tested against.
 
 :meth:`run` executes a fixed-sample plan; :meth:`run_adaptive` samples in
 rounds of one chunk per unconverged cell, deciding convergence on the
@@ -54,13 +53,9 @@ from repro.observability import trace as otrace
 from repro.observability.events import EventLog
 from repro.observability.trace import coordinate_span_id
 from repro.parallel.job import ExplainJobSpec, ExplainShard, ShardResult, WorkerReport
-from repro.parallel.pool import PoolTask, RetryPolicy, WorkerPool, run_worker_tasks
+from repro.parallel.pool import PoolTask, RetryPolicy, WorkerPool
 from repro.parallel.seeding import partition_samples
-from repro.parallel.worker import (
-    run_base_update_worker,
-    run_resident_worker,
-    run_worker,
-)
+from repro.parallel.worker import run_base_update_worker, run_resident_worker
 from repro.repair.cache import OracleCache, aggregate_oracle_statistics
 from repro.shapley.cells import BATCH_CHUNK_SIZE
 from repro.shapley.convergence import ConvergenceTracker, RunningMean
@@ -127,12 +122,6 @@ class ShardedExplainScheduler:
     samples_per_shard:
         Chunk granularity of the plan; part of the seed partition (changing
         it changes the draws), so hold it fixed when comparing runs.
-    warm_pool:
-        ``True`` (default) keeps one worker pool with resident oracle stacks
-        for the scheduler's lifetime; ``False`` forces the cold path — a
-        transient pool and a full rebuild per round.  Estimates are
-        bit-identical either way (golden-tested); only wall-clock and the
-        shipping counters differ.
     worker_timeout:
         Seconds the warm pool waits for a worker's round report before
         declaring it hung and requeueing its shards (default: wait
@@ -165,7 +154,7 @@ class ShardedExplainScheduler:
     """
 
     def __init__(self, spec: ExplainJobSpec, n_jobs: int = 1,
-                 samples_per_shard: int | None = None, warm_pool: bool = True,
+                 samples_per_shard: int | None = None,
                  worker_timeout: float | None = None,
                  fault_injector: "Callable | None" = None,
                  retry_policy: RetryPolicy | None = None,
@@ -186,7 +175,6 @@ class ShardedExplainScheduler:
             int(samples_per_shard) if samples_per_shard is not None
             else DEFAULT_SAMPLES_PER_SHARD
         )
-        self.warm_pool = bool(warm_pool)
         self.worker_timeout = worker_timeout
         self.fault_injector = fault_injector
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
@@ -206,7 +194,7 @@ class ShardedExplainScheduler:
         #: maintained *per round* (the absorb-into-oracle merge only happens
         #: at the end of a run) — the snapshot source for warm restarts
         self._seed_cache: OracleCache | None = None
-        if self.warm_pool and self.n_jobs > 1 and spec.use_cache:
+        if self.n_jobs > 1 and spec.use_cache:
             self._seed_cache = (OracleCache(spec.cache_size)
                                 if spec.cache_size is not None else OracleCache())
         #: cross-worker failure counts per shard coordinate, and the
@@ -227,7 +215,6 @@ class ShardedExplainScheduler:
     @classmethod
     def from_explainer(cls, explainer, n_jobs: int,
                        samples_per_shard: int | None = None,
-                       warm_pool: bool = True,
                        worker_timeout: float | None = None,
                        fault_injector: "Callable | None" = None,
                        retry_policy: RetryPolicy | None = None,
@@ -256,7 +243,7 @@ class ShardedExplainScheduler:
             explainer_batched_pairs=explainer.batched_pairs,
         )
         return cls(spec, n_jobs=n_jobs, samples_per_shard=samples_per_shard,
-                   warm_pool=warm_pool, worker_timeout=worker_timeout,
+                   worker_timeout=worker_timeout,
                    fault_injector=fault_injector, retry_policy=retry_policy,
                    deadline_seconds=deadline_seconds)
 
@@ -546,35 +533,9 @@ class ShardedExplainScheduler:
             if payload is None:
                 reports.extend(self._run_local(assignment, worker)
                                for worker, assignment in enumerate(assignments))
-            elif self.warm_pool:
+            else:
                 reports.extend(self._execute_warm(payload, assignments,
                                                   round_index, log, deadline))
-            else:
-                tasks = [(payload, assignment, worker)
-                         for worker, assignment in enumerate(assignments)]
-                health: dict = {}
-                raw = run_worker_tasks(run_worker, tasks, n_tasks,
-                                       timeout=self.worker_timeout,
-                                       health=health,
-                                       retry=self.retry_policy,
-                                       deadline=deadline,
-                                       events=self.events)
-                log["workers_restarted"] += health.get("workers_restarted", 0)
-                log["restart_backoff_seconds"] += health.get("backoff_seconds", 0.0)
-                for index in health.get("requeued_tasks", ()):
-                    log["shards_requeued"] += len(assignments[index])
-                    self.events.emit("shard_requeued", worker=index,
-                                     n_shards=len(assignments[index]))
-                    self._note_shard_failures(assignments[index], log)
-                for index in health.get("expired_tasks", ()):
-                    log["shards_dropped"] += len(assignments[index])
-                cold_reports = [report for report in raw if report is not None]
-                if not health.get("fanned_out", False):
-                    # the round ran inline (single task, or pool degrade):
-                    # nothing crossed a process boundary
-                    for report in cold_reports:
-                        report.entries_shipped = 0
-                reports.extend(cold_reports)
         tracer = otrace.current()
         for report in reports:
             log["worker_rebuilds"] += report.rebuilt
@@ -969,25 +930,14 @@ class ShardedExplainScheduler:
                              budget_seconds=self.deadline_seconds,
                              n_shards=n_shards)
         # cache counters are absorbed from the per-report statistics
-        # snapshots (see absorb_statistics); the cache objects contribute
-        # entries only — warm reports as per-round diffs, cold reports as a
-        # whole cache each merged exactly once per *distinct* object (the
-        # reused in-process state puts the same live cache behind every
-        # round's report, so replaying it per report would redo the history)
-        merged_cache_ids: set[int] = set()
-
-        def merge_report_entries(target: OracleCache, report: WorkerReport) -> None:
-            if report.cache is not None and id(report.cache) not in merged_cache_ids:
-                merged_cache_ids.add(id(report.cache))
-                target.merge_entries(report.cache)
-            for key, value in report.cache_diff:
-                target.put(key, value)
-
+        # snapshots (see absorb_statistics); the reports contribute entries
+        # only, as per-round diffs
         if absorb_into is not None:
             for report in reports:
                 absorb_into.absorb_statistics(report.statistics)
                 if absorb_into.cache is not None:
-                    merge_report_entries(absorb_into.cache, report)
+                    for key, value in report.cache_diff:
+                        absorb_into.cache.put(key, value)
             absorb_into.parallel_workers = max(absorb_into.parallel_workers, n_workers)
             absorb_into.parallel_shards += n_shards
             for key in _POOL_COUNTERS:
@@ -1000,7 +950,8 @@ class ShardedExplainScheduler:
             cache = (OracleCache(self.spec.cache_size)
                      if self.spec.cache_size is not None else OracleCache())
             for report in reports:
-                merge_report_entries(cache, report)
+                for key, value in report.cache_diff:
+                    cache.put(key, value)
             cache.hits += statistics.get("cache_hits", 0)
             cache.misses += statistics.get("cache_misses", 0)
             cache.evictions += statistics.get("cache_evictions", 0)

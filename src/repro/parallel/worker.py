@@ -1,19 +1,15 @@
-"""Worker-side execution: rebuild (or reuse) the oracle stack, drain shards.
+"""Worker-side execution: build (or reuse) a resident oracle stack, drain shards.
 
-Two entry points share the same evaluation core:
+:func:`run_resident_worker` looks the oracle stack up in (or installs it
+into) a worker-lifetime ``resident`` dict keyed by the job-spec fingerprint,
+so repeated rounds of the same job skip the rebuild entirely; only the
+*diff* of cache entries inserted since the worker's last sync (a per-worker
+high-water mark over
+:meth:`~repro.repair.cache.OracleCache.entries_since`) plus this round's
+counter deltas travel home.  :func:`run_base_update_worker` patches a
+resident stack in place for a base-table update.
 
-* :func:`run_worker` — the **cold** path: build a fresh ``(oracle,
-  explainer)`` pair from the job spec, drain the shard list once, ship the
-  whole cache home.  One call = one worker lifetime.
-* :func:`run_resident_worker` — the **warm** path: the oracle stack is looked
-  up in (or installed into) a worker-lifetime ``resident`` dict keyed by the
-  job-spec fingerprint, so repeated rounds of the same job skip the rebuild
-  entirely; only the *diff* of cache entries inserted since the worker's last
-  sync (a per-worker high-water mark over
-  :meth:`~repro.repair.cache.OracleCache.entries_since`) plus this round's
-  counter deltas travel home.
-
-Both accept the spec as a live object (in-process execution) or as pickled
+The spec arrives as a live object (in-process execution) or as pickled
 bytes (the multi-process path pickles the spec once and reuses the payload),
 so every execution venue runs literally the same code on the same inputs.
 Each stack is a full private copy of the evaluation engine — oracle, cache,
@@ -169,44 +165,6 @@ def _drain_shards(spec: ExplainJobSpec, explainer, shards: "list[ExplainShard]",
     return results
 
 
-def run_worker(spec: "ExplainJobSpec | bytes", shards: "list[ExplainShard]",
-               worker_index: int = 0, state=None) -> WorkerReport:
-    """Cold-path execution: one fresh stack, one shard list, the whole cache.
-
-    ``state`` lets an in-process caller reuse a built ``(oracle, explainer)``
-    pair instead of rebuilding it per call; its counters are reset on entry
-    so the report carries this call's deltas only, while its cache stays warm
-    across calls — wall-clock changes, values never do (memoisation of a
-    deterministic black box).
-    """
-    spec = _load_spec(spec)
-    tracer, ship_spans = _worker_tracer(spec)
-    try:
-        rebuilt = 0
-        if state is None:
-            state = build_worker_state(spec)
-            rebuilt = 1
-        oracle, explainer = state
-        oracle.reset_counters()
-        results = _drain_shards(spec, explainer, shards)
-        cache_size = len(oracle.cache) if oracle.cache is not None else 0
-        return WorkerReport(
-            worker_index=worker_index,
-            shard_results=results,
-            statistics=oracle.statistics(),
-            cache=oracle.cache,
-            rebuilt=rebuilt,
-            # the whole cache crosses the boundary when this report was computed
-            # in a worker process; an in-process caller (state reuse) ships nothing
-            entries_shipped=cache_size if rebuilt else 0,
-            resident_cache_size=cache_size,
-            spans=tracer.drain() if ship_spans else [],
-        )
-    finally:
-        if ship_spans:
-            otrace.disable()
-
-
 def run_base_update_worker(old_key: str, new_key: str, delta,
                            worker_index: int = 0, *, resident: dict) -> dict:
     """Patch one worker's resident oracle stack for a base-table update.
@@ -242,7 +200,7 @@ def run_resident_worker(spec: "ExplainJobSpec | bytes | None", spec_key: str,
                         seed_snapshot: "dict | None" = None,
                         *, resident: dict,
                         fault: WorkerFault | None = None) -> WorkerReport:
-    """Warm-path execution: resident stack lookup, cache-diff shipping.
+    """Resident stack lookup, shard drain, cache-diff shipping.
 
     ``resident`` is the worker-lifetime state dict (the pool hands its
     process-global one to every resident task; the scheduler's in-process
@@ -314,7 +272,6 @@ def run_resident_worker(spec: "ExplainJobSpec | bytes | None", spec_key: str,
             worker_index=worker_index,
             shard_results=results,
             statistics=oracle.statistics(),
-            cache=None,
             cache_diff=cache_diff,
             rebuilt=rebuilt,
             entries_shipped=len(cache_diff),

@@ -831,8 +831,8 @@ class BinaryRepairOracle:
         (into this oracle's cache object): the snapshot is the authoritative
         per-report delta, whereas a worker's live cache object may span
         several reports — which is why the scheduler pairs this call with
-        :meth:`OracleCache.merge_entries`, never the counter-carrying
-        :meth:`OracleCache.merge`.
+        an entries-only replay of each report's cache diff, never the
+        counter-carrying :meth:`OracleCache.merge`.
         """
         # the registry folds every declared absorbable metric by its kind
         # (sums add, high-water marks take the max); the two topology marks

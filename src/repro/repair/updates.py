@@ -32,6 +32,7 @@ from typing import Any, Iterator, Mapping
 
 from repro.dataset.table import CellRef, Table
 from repro.engine.storage import Fingerprint, values_differ
+from repro.errors import SchemaError
 
 
 @dataclass(frozen=True)
@@ -93,14 +94,24 @@ def collect_changes(table: Table,
                     values: Mapping[CellRef, Any]) -> dict[CellRef, tuple[Any, Any]]:
     """Normalise requested writes against the live table.
 
-    Validates every cell, reads the current value, and drops writes that do
-    not change content (null-aware) — a no-op write must not invalidate
-    anything, or the "update + explain ≡ fresh session" invariant would cost
-    a pointless refresh.
+    Validates every cell and value, reads the current value, and drops
+    writes that do not change content (null-aware) — a no-op write must not
+    invalidate anything, or the "update + explain ≡ fresh session" invariant
+    would cost a pointless refresh.  A value must be hashable: the
+    statistics, indexes and dictionary encoding all key on cell values, so
+    an unhashable one raises :class:`~repro.errors.SchemaError` before any
+    write is applied.
     """
     changes: dict[CellRef, tuple[Any, Any]] = {}
     for cell, new_value in values.items():
         cell = table.validate_cell(cell)
+        try:
+            hash(new_value)
+        except TypeError:
+            raise SchemaError(
+                f"cannot write {new_value!r} to {cell}: cell values must be "
+                f"hashable, got {type(new_value).__name__}"
+            ) from None
         old_value = table[cell]
         if values_differ(old_value, new_value):
             changes[cell] = (old_value, new_value)

@@ -134,22 +134,18 @@ class CellShapleyExplainer:
         **bit-identical for every** ``n_jobs >= 1`` — the coalition draws of
         a shard depend only on the job seed and the shard's position, never
         on which worker ran it — but differ from the ``n_jobs=None`` stream,
-        whose draws are serially entangled across cells.
+        whose draws are serially entangled across cells.  The ``n_jobs``
+        path keeps one :class:`~repro.parallel.pool.WorkerPool` with
+        resident worker oracle stacks alive for the explainer's lifetime —
+        spawned on the first parallel call, reused across every
+        :meth:`estimate_cell` / :meth:`explain` call and every adaptive
+        round, shipping only new cache entries home.  The explainer is a
+        context manager; :meth:`close` shuts the pool down.
     samples_per_shard:
         Samples per shard on the ``n_jobs`` path (default: the scheduler's,
         which matches :data:`BATCH_CHUNK_SIZE`).  Changing it changes the
         seed partition and therefore the draws; it must be held fixed when
         comparing runs.
-    warm_pool:
-        When ``True`` (default) the ``n_jobs`` path keeps one
-        :class:`~repro.parallel.pool.WorkerPool` with resident worker oracle
-        stacks alive for the explainer's lifetime — spawned on the first
-        parallel call, reused across every :meth:`estimate_cell` /
-        :meth:`explain` call and every adaptive round, shipping only new
-        cache entries home.  ``False`` forces the cold path: a transient
-        pool and a full worker-stack rebuild per round.  Estimates are
-        bit-identical either way.  The explainer is a context manager;
-        :meth:`close` shuts the pool down.
     worker_timeout:
         Seconds the warm pool waits for a worker's round report before
         declaring it hung and requeueing its shards onto a live worker
@@ -178,7 +174,6 @@ class CellShapleyExplainer:
         batched_pairs: bool = True,
         n_jobs: int | None = None,
         samples_per_shard: int | None = None,
-        warm_pool: bool = True,
         worker_timeout: float | None = None,
         retry_policy=None,
         deadline_seconds: float | None = None,
@@ -193,7 +188,6 @@ class CellShapleyExplainer:
             raise ValueError(f"n_jobs must be a positive integer or None, got {n_jobs}")
         self.n_jobs = int(n_jobs) if n_jobs is not None else None
         self.samples_per_shard = samples_per_shard
-        self.warm_pool = bool(warm_pool)
         self.worker_timeout = worker_timeout
         self.retry_policy = retry_policy
         self.deadline_seconds = deadline_seconds
@@ -240,9 +234,7 @@ class CellShapleyExplainer:
         """The (cached) sharded scheduler for ``n_jobs`` workers.
 
         One scheduler — and therefore one warm pool with resident worker
-        stacks — serves every parallel call of this explainer; the cold-pool
-        mode caches the scheduler too (it keeps the in-process resident
-        state that ``n_jobs=1`` always had).
+        stacks — serves every parallel call of this explainer.
         """
         scheduler = self._schedulers.get(n_jobs)
         if scheduler is None:
@@ -250,7 +242,7 @@ class CellShapleyExplainer:
 
             scheduler = ShardedExplainScheduler.from_explainer(
                 self, n_jobs=n_jobs, samples_per_shard=self.samples_per_shard,
-                warm_pool=self.warm_pool, worker_timeout=self.worker_timeout,
+                worker_timeout=self.worker_timeout,
                 retry_policy=self.retry_policy,
                 deadline_seconds=self.deadline_seconds,
             )

@@ -147,33 +147,7 @@ def test_update_sequences_match_fresh_rebuild(batches, policy, n_jobs,
     assert live_key == _fresh_key(final, config, second_order)
 
 
-@settings(max_examples=8, deadline=None)
-@given(
-    batches=update_batches(),
-    policy=st.sampled_from(["sample", "mode"]),
-)
-def test_rebuild_reference_path_matches_incremental(batches, policy):
-    """``incremental_updates=False`` and the live path agree on every sequence."""
-    keys = []
-    for incremental in (True, False):
-        config = TRexConfig(seed=SEED, cell_samples=N_SAMPLES,
-                            replacement_policy=policy,
-                            incremental_updates=incremental)
-        session = _session(la_liga_dirty_table(), config)
-        with session:
-            session.explain(n_samples=N_SAMPLES)
-            for batch in batches:
-                session.update_many(batch)
-            try:
-                keys.append(_explain_key(session.explain(n_samples=N_SAMPLES)))
-            except NotRepairedError:
-                keys.append(None)
-    assert keys[0] == keys[1]
-
-
-# -- the n_jobs=2 pool grid (one deterministic sequence, every pool mode) ------------
-
-pytestmark_pool = pytest.mark.parallel
+# -- the n_jobs=2 warm-pool grid (one deterministic sequence) -------------------------
 
 #: a sequence exercising violation creation (Portugal against the La Liga
 #: C3 group), group moves (row 1 City Madrid → Barcelona) and a null write
@@ -185,11 +159,9 @@ POOL_SEQUENCE = [
 
 
 @pytest.mark.parallel
-@pytest.mark.parametrize("warm_pool", [True, False], ids=["warm", "cold"])
 @pytest.mark.parametrize("second_order", [True, False], ids=ENGINE_IDS)
-def test_update_sequence_on_two_workers(warm_pool, second_order):
-    config = TRexConfig(seed=SEED, cell_samples=N_SAMPLES, n_jobs=2,
-                        warm_pool=warm_pool)
+def test_update_sequence_on_two_workers(second_order):
+    config = TRexConfig(seed=SEED, cell_samples=N_SAMPLES, n_jobs=2)
     live = _session(la_liga_dirty_table(), config, second_order)
     final = la_liga_dirty_table()
     with live:
@@ -206,8 +178,7 @@ def test_update_sequence_on_two_workers(warm_pool, second_order):
 @pytest.mark.parallel
 def test_warm_workers_are_patched_not_rebuilt():
     """Across explain/update rounds each warm worker builds its stack once."""
-    config = TRexConfig(seed=SEED, cell_samples=N_SAMPLES, n_jobs=2,
-                        warm_pool=True)
+    config = TRexConfig(seed=SEED, cell_samples=N_SAMPLES, n_jobs=2)
     live = _session(la_liga_dirty_table(), config)
     with live:
         live.explain(n_samples=N_SAMPLES)

@@ -274,7 +274,7 @@ def test_update_interleaved_chaos_rounds_stay_bit_identical():
     from repro import RepairSession, TRexConfig, paper_algorithm_1
 
     config = dict(seed=13, cell_samples=8, replacement_policy="sample",
-                  n_jobs=N_JOBS, warm_pool=True)
+                  n_jobs=N_JOBS)
 
     def session_key(explanation):
         cells = explanation.cell_shapley

@@ -7,6 +7,7 @@ import pytest
 from repro.cli import build_parser, load_constraints, main
 from repro.dataset.examples import LA_LIGA_CONSTRAINT_TEXTS, la_liga_dirty_table
 from repro.dataset.io import read_csv, write_csv
+from repro.dataset.table import CellRef
 from repro.errors import TRexError
 
 
@@ -267,3 +268,42 @@ def test_explain_rejects_zero_samples_on_the_update_path(table_csv, constraints_
                       "--update", "t1[Year]=2018"])
     assert exit_code == 2
     assert "samples per cell must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("update,policy", [
+    ("t1[Year]=2018", "mode"),
+    ("t1[Year]=2018", "sample"),
+    # moves t4 into the Madrid group: under `sample` this changes the values
+    ("t4[City]=Madrid", "sample"),
+])
+def test_explain_update_matches_running_on_the_edited_csv(table_csv, constraints_file,
+                                                          tmp_path, update, policy,
+                                                          capsys):
+    """``--update CELL=VALUE`` explains exactly what the edited CSV does."""
+    cell_text, _, value = update.partition("=")
+    edited_csv = tmp_path / "edited.csv"
+    write_csv(read_csv(table_csv).with_values({CellRef.parse(cell_text): value}),
+              edited_csv)
+    common = ["--constraints", constraints_file, "--cell", "t5[Country]",
+              "--samples", "8", "--seed", "3", "--policy", policy]
+    updated_json, edited_json = tmp_path / "updated.json", tmp_path / "edited.json"
+    assert main(["explain", "--table", table_csv, *common,
+                 "--update", update, "--json", str(updated_json)]) == 0
+    assert "update: updated 1 cells" in capsys.readouterr().out
+    assert main(["explain", "--table", str(edited_csv), *common,
+                 "--json", str(edited_json)]) == 0
+    updated = json.loads(updated_json.read_text(encoding="utf-8"))
+    edited = json.loads(edited_json.read_text(encoding="utf-8"))
+    assert updated["cell_shapley"]["values"]  # the cell game was sampled
+    for part in ("cell_shapley", "constraint_shapley"):
+        assert updated[part] == edited[part], part
+
+
+@pytest.mark.parametrize("flag", ["--cold-pool", "--no-incremental-updates"])
+def test_explain_rejects_the_removed_lifecycle_flags(table_csv, constraints_file,
+                                                     flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["explain", "--table", table_csv, "--constraints", constraints_file,
+              "--cell", "t5[Country]", "--update", "t1[Year]=2018", flag])
+    assert info.value.code == 2
+    assert flag in capsys.readouterr().err

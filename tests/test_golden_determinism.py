@@ -4,14 +4,14 @@ Every engine lever this library has grown — incremental views, paired walks,
 second-order walks, shared statistics, batched pairs, the sharded scheduler,
 and now the warm worker pool — is contractually *invisible in the numbers*.
 This test pins the actual numbers: the cell-Shapley values of both bundled
-black boxes across the engine flag grid × ``n_jobs`` ∈ {None, 1, 2} ×
-{warm, cold} pool, against a committed JSON fixture
+black boxes across the engine flag grid × ``n_jobs`` ∈ {None, 1, 2 on the
+warm pool}, against a committed JSON fixture
 (``tests/fixtures/golden_shapley.json``).
 
 Two invariants are asserted on top of the snapshot itself:
 
-* ``n_jobs=1`` ≡ ``n_jobs=2`` ≡ warm ≡ cold, bit-for-bit (the sharded plan
-  is worker-count- and pool-lifecycle-invariant);
+* ``n_jobs=1`` (in-process) ≡ ``n_jobs=2`` (warm pool), bit-for-bit (the
+  sharded plan is worker-count- and pool-lifecycle-invariant);
 * ``n_jobs=None`` is its own pinned stream (serial draws differ from the
   sharded partition by design — the fixture records both).
 
@@ -44,7 +44,7 @@ from repro import (
     la_liga_dirty_table,
 )
 
-# the full grid spawns 2-worker pools for half its 40 entries: it runs in
+# the full grid spawns 2-worker pools for a third of its 30 entries: it runs in
 # the dedicated CI soak job, not in every fast-set matrix job
 pytestmark = [pytest.mark.parallel, pytest.mark.slow]
 
@@ -72,12 +72,11 @@ ALGORITHMS = {
         max_changes=20, second_order=second_order),
 }
 
-#: the scheduler/pool axis: (n_jobs, warm_pool)
+#: the scheduler/pool axis: mode name -> n_jobs
 EXECUTION_MODES = {
-    "njobs=None": (None, True),
-    "njobs=1": (1, True),
-    "njobs=2/warm": (2, True),
-    "njobs=2/cold": (2, False),
+    "njobs=None": None,
+    "njobs=1": 1,
+    "njobs=2/warm": 2,
 }
 
 #: the updated-session axis: a live session explains, takes this base-table
@@ -91,7 +90,7 @@ def run_grid_entry(algorithm_name: str, path_name: str,
                    mode_name: str) -> dict[str, float]:
     incremental, paired, second_order, shared_stats, batched_pairs = \
         ENGINE_PATHS[path_name]
-    n_jobs, warm_pool = EXECUTION_MODES[mode_name]
+    n_jobs = EXECUTION_MODES[mode_name]
     oracle = BinaryRepairOracle(
         ALGORITHMS[algorithm_name](second_order),
         la_liga_constraints(), la_liga_dirty_table(), CELL_OF_INTEREST,
@@ -103,7 +102,6 @@ def run_grid_entry(algorithm_name: str, path_name: str,
         incremental=incremental, paired=paired,
         shared_stats=shared_stats, batched_pairs=batched_pairs,
         n_jobs=n_jobs, samples_per_shard=SAMPLES_PER_SHARD,
-        warm_pool=warm_pool,
     ) as explainer:
         result = explainer.explain(cells=PROBES, n_samples=N_SAMPLES)
     return {str(cell): value for cell, value in result.values.items()}
@@ -117,10 +115,9 @@ def run_updated_session_entry(algorithm_name: str, mode_name: str,
     and explains once — the rebuild reference the live update path must
     reproduce bit for bit.
     """
-    n_jobs, warm_pool = EXECUTION_MODES[mode_name]
     config = TRexConfig(seed=SEED, cell_samples=N_SAMPLES,
                         replacement_policy=POLICY,
-                        n_jobs=n_jobs, warm_pool=warm_pool)
+                        n_jobs=EXECUTION_MODES[mode_name])
     table = la_liga_dirty_table()
     if fresh:
         table = table.with_values({UPDATE_CELL: UPDATE_VALUE})
@@ -171,14 +168,12 @@ def grid():
 
 
 def test_worker_count_and_pool_lifecycle_are_invisible(grid):
-    """njobs=1 ≡ njobs=2 ≡ warm ≡ cold, bit-for-bit, on every grid row."""
+    """njobs=1 (in-process) ≡ njobs=2 (warm pool), bit-for-bit, on every row."""
     for algorithm_name in ALGORITHMS:
         for path_name in ENGINE_PATHS:
             prefix = f"{algorithm_name}/{path_name}"
-            reference = grid[f"{prefix}/njobs=1"]
-            for mode_name in ("njobs=2/warm", "njobs=2/cold"):
-                assert grid[f"{prefix}/{mode_name}"] == reference, \
-                    f"{prefix}/{mode_name} drifted from the in-process plan"
+            assert grid[f"{prefix}/njobs=2/warm"] == grid[f"{prefix}/njobs=1"], \
+                f"{prefix}/njobs=2/warm drifted from the in-process plan"
 
 
 def test_updated_session_matches_fresh_rebuild(grid):
@@ -201,10 +196,8 @@ def test_updated_session_worker_count_is_invisible(grid):
     """The updated-session axis obeys the njobs=1 ≡ njobs=2 invariant too."""
     for algorithm_name in ALGORITHMS:
         prefix = f"{algorithm_name}/updated_session"
-        reference = grid[f"{prefix}/njobs=1"]
-        for mode_name in ("njobs=2/warm", "njobs=2/cold"):
-            assert grid[f"{prefix}/{mode_name}"] == reference, \
-                f"{prefix}/{mode_name} drifted from the in-process plan"
+        assert grid[f"{prefix}/njobs=2/warm"] == grid[f"{prefix}/njobs=1"], \
+            f"{prefix}/njobs=2/warm drifted from the in-process plan"
 
 
 def test_engine_paths_agree_per_execution_mode(grid):

@@ -13,10 +13,10 @@ Three contracts are pinned here:
   cross-shard accumulator, so the stopping point matches the in-process run
   for every worker count;
 * **pool-lifecycle invariance** — the warm pool (resident worker stacks,
-  cache-diff shipping) and the cold rebuild-per-round pool produce
-  bit-identical estimates across the engine flag grid (property-based over
-  seeds), and a cached scheduler reusing its pool across calls changes
-  counters only, never values.
+  cache-diff shipping) and the in-process plan produce bit-identical
+  estimates across the engine flag grid (property-based over seeds), and a
+  cached scheduler reusing its pool across calls changes counters only,
+  never values.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ PROBES = [CellRef(4, "City"), CellRef(0, "Country")]
 
 
 def make_explainer(n_jobs, policy="sample", rng=23, algorithm=None,
-                   samples_per_shard=4, flags=(True, True, True, True),
-                   warm_pool=True):
+                   samples_per_shard=4, flags=(True, True, True, True)):
     incremental, paired, shared_stats, batched_pairs = flags
     oracle = BinaryRepairOracle(
         algorithm or SimpleRuleRepair(),
@@ -61,7 +60,6 @@ def make_explainer(n_jobs, policy="sample", rng=23, algorithm=None,
         incremental=incremental, paired=paired,
         shared_stats=shared_stats, batched_pairs=batched_pairs,
         n_jobs=n_jobs, samples_per_shard=samples_per_shard,
-        warm_pool=warm_pool,
     )
     return explainer, oracle
 
@@ -176,13 +174,12 @@ def test_standalone_scheduler_returns_merged_cache():
 ])
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_warm_and_cold_pools_bit_identical(flags, seed):
-    """Resident stacks + diff shipping vs rebuild-per-round: same bits."""
-    warm, warm_oracle = explain_with(2, flags=flags, rng=seed, warm_pool=True)
-    cold, _ = explain_with(2, flags=flags, rng=seed, warm_pool=False)
+def test_warm_pool_and_in_process_plan_bit_identical(flags, seed):
+    """Resident worker stacks + diff shipping vs the in-process plan: same bits."""
+    warm, warm_oracle = explain_with(2, flags=flags, rng=seed)
     inline, _ = explain_with(1, flags=flags, rng=seed)
-    assert warm.values == cold.values == inline.values, flags
-    assert warm.standard_errors == cold.standard_errors == inline.standard_errors
+    assert warm.values == inline.values, flags
+    assert warm.standard_errors == inline.standard_errors
     assert warm_oracle.parallel_workers == 2
 
 
@@ -237,14 +234,6 @@ def test_reusing_a_closed_scheduler_stays_parallel(recwarn):
     assert statistics["shards_requeued"] == 0
     # both pool lifetimes rebuilt their two worker stacks, nothing degraded
     assert statistics["worker_rebuilds"] == 4
-
-
-def test_cold_pool_rebuilds_every_round():
-    explainer, oracle = make_explainer(2, policy="null", warm_pool=False)
-    with explainer:
-        explainer.estimate_cell(CellRef(4, "City"), n_samples=8)
-        explainer.estimate_cell(CellRef(4, "City"), n_samples=8)
-    assert oracle.statistics()["worker_rebuilds"] == 4  # 2 workers x 2 rounds
 
 
 # ---------------------------------------------------------------------------

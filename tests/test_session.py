@@ -4,7 +4,7 @@ import pytest
 
 from repro.constraints.parser import parse_dc
 from repro.dataset.table import CellRef
-from repro.errors import ExplanationError
+from repro.errors import ExplanationError, SchemaError
 from repro.explain.session import RepairSession
 from repro.config import TRexConfig
 
@@ -125,3 +125,45 @@ def test_live_explain_rejects_zero_samples_from_the_config(algorithm, constraint
     session.run_repair()
     with pytest.raises(ExplanationError, match="at least 1"):
         session.explain()
+
+
+def _explain_key(explanation):
+    cells = explanation.cell_shapley
+    return sorted((str(cell), value, cells.standard_errors[cell])
+                  for cell, value in cells.values.items())
+
+
+@pytest.mark.parametrize("value", [["a"], {"a": 1}, {"a"}])
+def test_update_rejects_unhashable_values_before_writing(session, value):
+    """An unhashable write is refused whole: table, log and explain unchanged."""
+    first = _explain_key(session.explain(n_samples=2))
+    cell = CellRef(0, "City")
+    before = session.state.dirty_table[cell]
+    with pytest.raises(SchemaError, match="hashable"):
+        session.update(cell, value)
+    with pytest.raises(SchemaError, match="hashable"):
+        session.update_many({CellRef(1, "City"): "Seville", cell: value})
+    assert session.state.dirty_table[cell] == before
+    assert session.state.dirty_table[CellRef(1, "City")] == "Madrid"
+    assert len(session.update_log) == 0
+    assert _explain_key(session.explain(n_samples=2)) == first
+
+
+def test_edit_cell_rejects_unhashable_values(session):
+    session.run_repair()
+    cell = CellRef(0, "City")
+    before = session.state.dirty_table[cell]
+    with pytest.raises(SchemaError, match="hashable"):
+        session.edit_cell(cell, ["a"])
+    assert session.state.dirty_table[cell] == before
+    assert [step.action for step in session.history()] == ["repair"]
+
+
+@pytest.mark.parametrize("n_jobs", [0, -1, 1.5, "2"])
+def test_rejected_n_jobs_leaves_the_session_config_alone(session, n_jobs):
+    """A bad ``n_jobs`` raises a typed error and is not stored in the config."""
+    first = _explain_key(session.explain(n_samples=2))
+    with pytest.raises(ExplanationError, match="n_jobs"):
+        session.explain(n_samples=2, n_jobs=n_jobs)
+    assert session.config.n_jobs is None
+    assert _explain_key(session.explain(n_samples=2)) == first

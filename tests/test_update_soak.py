@@ -57,8 +57,7 @@ def _key(explanation):
 
 def _config():
     return TRexConfig(seed=SOAK_SEED, cell_samples=N_SAMPLES,
-                      replacement_policy="sample", n_jobs=N_JOBS,
-                      warm_pool=True)
+                      replacement_policy="sample", n_jobs=N_JOBS)
 
 
 def _fresh_key(table):

@@ -10,9 +10,8 @@ real worker processes and pins the warm pool's whole contract at once:
   strictly below what whole-cache shipping would have cost
   (``cache_entries_resident``, the size of the workers' resident caches),
   because only entries inserted since the previous sync travel;
-* **bit-identity** — the same adaptive job on the cold pool (fresh stack and
-  whole cache per round) and in-process (``n_jobs=1``) produces identical
-  estimates and identical stopping points.
+* **bit-identity** — the same adaptive job in-process (``n_jobs=1``)
+  produces identical estimates and identical stopping points.
 """
 
 from __future__ import annotations
@@ -41,14 +40,14 @@ MAX_SAMPLES = N_ROUNDS * SAMPLES_PER_SHARD
 ADAPTIVE = dict(tolerance=1e-12, min_samples=MAX_SAMPLES, max_samples=MAX_SAMPLES)
 
 
-def run_soak(n_jobs, warm_pool):
+def run_soak(n_jobs):
     oracle = BinaryRepairOracle(
         SimpleRuleRepair(), la_liga_constraints(), la_liga_dirty_table(),
         CELL_OF_INTEREST,
     )
     explainer = CellShapleyExplainer(
         oracle, policy="sample", rng=11, n_jobs=n_jobs,
-        samples_per_shard=SAMPLES_PER_SHARD, warm_pool=warm_pool,
+        samples_per_shard=SAMPLES_PER_SHARD,
     )
     scheduler = explainer._scheduler(n_jobs)
     with explainer:
@@ -64,9 +63,8 @@ def run_soak(n_jobs, warm_pool):
 @pytest.fixture(scope="module")
 def soak():
     return {
-        "warm": run_soak(N_JOBS, warm_pool=True),
-        "cold": run_soak(N_JOBS, warm_pool=False),
-        "inline": run_soak(1, warm_pool=True),
+        "warm": run_soak(N_JOBS),
+        "inline": run_soak(1),
     }
 
 
@@ -83,10 +81,6 @@ def test_zero_rebuilds_after_round_one(soak):
         assert entry["worker_rebuilds"] == 0, entry
     # …and the oracle-level counter agrees after any number of rounds
     assert oracle.statistics()["worker_rebuilds"] == N_JOBS
-    # the cold reference really is the rebuild-per-round path
-    _, _, cold_oracle, cold_rounds, cold_after = soak["cold"]
-    assert all(entry["worker_rebuilds"] == N_JOBS for entry in cold_after)
-    assert cold_oracle.statistics()["worker_rebuilds"] == N_JOBS * len(cold_after)
 
 
 def test_rounds_after_the_first_ship_only_diffs(soak):
@@ -97,18 +91,14 @@ def test_rounds_after_the_first_ship_only_diffs(soak):
         assert entry["cache_entries_shipped"] < entry["cache_entries_resident"], entry
     total_shipped = sum(e["cache_entries_shipped"] for e in rounds_after_run)
     assert oracle.statistics()["cache_entries_shipped"] == total_shipped
-    # the cold path ships every worker's whole cache every round
-    _, _, _, _, cold_after = soak["cold"]
-    for entry in cold_after:
-        assert entry["cache_entries_shipped"] == entry["cache_entries_resident"]
 
 
 def test_soak_is_bit_identical_across_pool_modes_and_inline(soak):
+    """The warm pool and the in-process plan: same estimates, same stops."""
     warm_outcome, warm_extra, _, _, _ = soak["warm"]
-    for label in ("cold", "inline"):
-        outcome, extra, _, _, _ = soak[label]
-        assert outcome.estimates == warm_outcome.estimates, label
-        assert extra.estimates == warm_extra.estimates, label
+    outcome, extra, _, _, _ = soak["inline"]
+    assert outcome.estimates == warm_outcome.estimates
+    assert extra.estimates == warm_extra.estimates
     # identical stopping points, not just values
     for cell in PROBES:
         assert warm_outcome.estimates[cell].n_samples == MAX_SAMPLES
