@@ -67,7 +67,7 @@ ALGORITHMS = {
 
 def load_constraints(path: str | Path):
     """Parse a constraints file (one ASCII DC per line, ``#`` comments)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     constraints = []
     for line in lines:
         text = line.strip()

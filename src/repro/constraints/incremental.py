@@ -31,6 +31,7 @@ full-rescan path produces — the property-based test-suite and
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -833,6 +834,102 @@ class _WalkIndex:
         self.log_pos = log_pos
 
 
+class _DegreeSlots:
+    """Per-row slot arrays over one :class:`_FDClassState` partition.
+
+    Every equality group and every ``(group, class)`` pair gets a slot with a
+    size count; each row points at its group's and its class's slot.  Slot 0
+    of both is a sentinel of size 0 that unassigned rows point at, so a row's
+    degree ``2·(group size − own class size)`` is one gather over all rows —
+    zero for unassigned rows and rows of single-class groups — and moving a
+    row is O(1).  Slots are never reused, so the slot dictionaries only grow.
+    """
+
+    __slots__ = ("group_slot", "class_slot", "row_group", "row_class",
+                 "group_size", "class_size", "_degrees")
+
+    def __init__(self, fd: "_FDClassState", n_rows: int):
+        assigned = fd.assigned
+        self.group_slot = {key: slot for slot, key in enumerate(fd.groups, 1)}
+        self.class_slot = {pair: slot for slot, pair
+                           in enumerate(dict.fromkeys(assigned.values()), 1)}
+        n = len(assigned)
+        self.row_class = np.zeros(n_rows, dtype=np.int64)
+        self.row_class[np.fromiter(assigned, dtype=np.int64, count=n)] = np.fromiter(
+            map(self.class_slot.__getitem__, assigned.values()), dtype=np.int64, count=n)
+        group_of_class = np.zeros(len(self.class_slot) + 1, dtype=np.int64)
+        group_of_class[1:] = np.fromiter(
+            (self.group_slot[key] for key, _cls in self.class_slot),
+            dtype=np.int64, count=len(self.class_slot))
+        self.row_group = group_of_class[self.row_class]
+        self.group_size = np.bincount(self.row_group, minlength=len(self.group_slot) + 1)
+        self.class_size = np.bincount(self.row_class, minlength=len(self.class_slot) + 1)
+        self.group_size[0] = self.class_size[0] = 0
+        self._degrees: np.ndarray | None = None
+
+    def add(self, row: int, key: tuple, cls) -> None:
+        group = self.group_slot.get(key)
+        if group is None:
+            group = self.group_slot[key] = len(self.group_slot) + 1
+            self.group_size = _ensure_slot(self.group_size, group)
+        pair = (key, cls)
+        slot = self.class_slot.get(pair)
+        if slot is None:
+            slot = self.class_slot[pair] = len(self.class_slot) + 1
+            self.class_size = _ensure_slot(self.class_size, slot)
+        self.row_group[row] = group
+        self.row_class[row] = slot
+        self.group_size[group] += 1
+        self.class_size[slot] += 1
+        self._degrees = None
+
+    def remove(self, row: int) -> None:
+        self.group_size[self.row_group[row]] -= 1
+        self.class_size[self.row_class[row]] -= 1
+        self.row_group[row] = self.row_class[row] = 0
+        self._degrees = None
+
+    def degrees(self) -> np.ndarray:
+        """Every row's ordered violation count (zero for non-violating rows).
+
+        Memoised until the next move; callers must not write to it.
+        """
+        if self._degrees is None:
+            self._degrees = 2 * (self.group_size[self.row_group]
+                                 - self.class_size[self.row_class])
+        return self._degrees
+
+    def fork(self) -> "_DegreeSlots":
+        clone = _DegreeSlots.__new__(_DegreeSlots)
+        clone.group_slot = dict(self.group_slot)
+        clone.class_slot = dict(self.class_slot)
+        clone.row_group = self.row_group.copy()
+        clone.row_class = self.row_class.copy()
+        clone.group_size = self.group_size.copy()
+        clone.class_size = self.class_size.copy()
+        clone._degrees = self._degrees  # never mutated in place
+        return clone
+
+
+def _ensure_slot(sizes: np.ndarray, slot: int) -> np.ndarray:
+    """``sizes`` grown (doubling, zero-filled) until ``slot`` indexes it."""
+    if slot < len(sizes):
+        return sizes
+    grown = np.zeros(max(2 * len(sizes), slot + 1), dtype=sizes.dtype)
+    grown[:len(sizes)] = sizes
+    return grown
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_coordinates(n_rows: int, n_attrs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and attribute code of every cell of a row-major ``n_rows × n_attrs``
+    grid (shared read-only arrays)."""
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), n_attrs)
+    codes = np.tile(np.arange(n_attrs, dtype=np.int64), n_rows)
+    rows.flags.writeable = codes.flags.writeable = False
+    return rows, codes
+
+
 class _FDClassState:
     """Class-partition accounting for one FD-shape constraint on one walk.
 
@@ -852,9 +949,12 @@ class _FDClassState:
     ``mixed`` is the set of violating groups, ``total`` the ordered violation
     count over all groups, and ``assigned`` records each indexed row's
     current ``(key, class)`` so retraction never needs old cell values.
+    ``slots`` holds the same partition as per-row :class:`_DegreeSlots`
+    arrays for degree ranking; it is built on a walk's first ranking (walks
+    that never rank never pay for it) and moved along from then on.
     """
 
-    __slots__ = ("groups", "mixed", "total", "assigned", "rows_cache")
+    __slots__ = ("groups", "mixed", "total", "assigned", "rows_cache", "slots")
 
     def __init__(self):
         self.groups: dict[tuple, list] = {}
@@ -863,12 +963,17 @@ class _FDClassState:
         self.assigned: dict[int, tuple] = {}
         #: sorted violating-row list, cached until the next counter change
         self.rows_cache: list[int] | None = None
+        self.slots: _DegreeSlots | None = None
 
-    def add(self, key: tuple, cls) -> None:
+    def add(self, row: int, key: tuple, cls) -> None:
+        """Assign an unassigned ``row`` to class ``cls`` of group ``key``."""
+        self.assigned[row] = (key, cls)
+        if self.slots is not None:
+            self.slots.add(row, key, cls)
+        self.rows_cache = None
         state = self.groups.get(key)
         if state is None:
-            state = self.groups[key] = [{cls: 1}, 1, 0]
-            self.rows_cache = None
+            self.groups[key] = [{cls: 1}, 1, 0]
             return
         counter, m, contribution = state
         n = counter.get(cls, 0)
@@ -879,9 +984,16 @@ class _FDClassState:
         self.total += delta
         if contribution == 0 and delta:
             self.mixed.add(key)
-        self.rows_cache = None
 
-    def remove(self, key: tuple, cls) -> None:
+    def remove(self, row: int) -> None:
+        """Unassign ``row`` (a no-op when it holds no equality key)."""
+        assignment = self.assigned.pop(row, None)
+        if assignment is None:
+            return
+        if self.slots is not None:
+            self.slots.remove(row)
+        self.rows_cache = None
+        key, cls = assignment
         state = self.groups[key]
         counter, m, contribution = state
         n = counter[cls]
@@ -899,7 +1011,6 @@ class _FDClassState:
                 self.mixed.discard(key)
             if state[1] == 0:
                 del self.groups[key]
-        self.rows_cache = None
 
     def row_violation_count(self, row: int) -> int:
         """Ordered violations the row currently participates in (O(1))."""
@@ -918,6 +1029,7 @@ class _FDClassState:
         clone.total = self.total
         clone.assigned = dict(self.assigned)
         clone.rows_cache = self.rows_cache  # never mutated in place
+        clone.slots = self.slots.fork() if self.slots is not None else None
         return clone
 
 
@@ -1370,16 +1482,11 @@ class RepairWalk:
             keys = walk_index.keys
             build_key_of = walk_index.index.build_key_of
             class_of = self._class_reader(plan)
-            assigned = fd.assigned
             for row in changed:
-                assignment = assigned.pop(row, None)
-                if assignment is not None:
-                    fd.remove(assignment[0], assignment[1])
+                fd.remove(row)
                 key = keys[row] if row in keys else build_key_of(row)
                 if key is not None:
-                    cls = class_of(row)
-                    fd.add(key, cls)
-                    assigned[row] = (key, cls)
+                    fd.add(row, key, class_of(row))
             return
         kept = [v for v in state.violations
                 if v.rows[0] not in changed and v.rows[1] not in changed]
@@ -1631,29 +1738,30 @@ class RepairWalk:
         ``attr_codes``/``counts`` are parallel ``int64`` arrays sorted by
         ``(row, attr_code)`` and ``attrs`` is the sorted attribute tuple the
         codes index into — so ordering by ``(row, attr_code)`` equals
-        ordering by ``(row, attribute)``.  FD-shape constraints contribute
-        whole ``rows × attrs`` blocks straight off their class-partition
-        counters; only non-FD constraints still walk violation objects.
+        ordering by ``(row, attribute)``.  Degrees accumulate in a dense
+        ``attrs × rows`` grid: an FD-shape constraint adds its per-row degree
+        vector (a gather over its :class:`_DegreeSlots`) once per attribute it
+        mentions, and only non-FD constraints still walk violation objects.
+        The grid's nonzero cells, read row-major, are the result.
         The single ranked winner is the only :class:`CellRef` a consumer
         ever needs to build.
         """
         total = 0
-        fd_parts: list[tuple[np.ndarray, np.ndarray, tuple[str, ...]]] = []
+        fd_parts: list[tuple[np.ndarray, tuple[str, ...]]] = []
         cell_parts: list[tuple[int, str]] = []
         names: set[str] = set()
+        n_rows = self.view.n_rows
         for constraint in self.constraints:
             state = self._synced_state(constraint)
-            plan = self.detector._state(constraint).plan
             fd = state.fd
             if fd is not None:
                 total += fd.total
                 if fd.total:
+                    if fd.slots is None:
+                        fd.slots = _DegreeSlots(fd, n_rows)
+                    plan = self.detector._state(constraint).plan
                     attrs = plan.eq_attrs + (plan.single_ne_attr,)
-                    rows = self.violating_rows_for(constraint)
-                    degrees = [fd.row_violation_count(row_id) for row_id in rows]
-                    fd_parts.append((np.asarray(rows, dtype=np.int64),
-                                     np.asarray(degrees, dtype=np.int64),
-                                     attrs))
+                    fd_parts.append((fd.slots.degrees(), attrs))
                     names.update(attrs)
                 continue
             violations = self.violations_for(constraint)
@@ -1667,25 +1775,20 @@ class RepairWalk:
             empty = np.empty(0, dtype=np.int64)
             return total, empty, empty, empty, attrs_tuple
         code_of = {name: code for code, name in enumerate(attrs_tuple)}
-        n_attrs = len(attrs_tuple)
-        packed_parts: list[np.ndarray] = []
-        count_parts: list[np.ndarray] = []
-        for rows, degrees, attrs in fd_parts:
-            codes = np.asarray([code_of[a] for a in attrs], dtype=np.int64)
-            packed_parts.append((rows[:, None] * n_attrs + codes[None, :]).ravel())
-            count_parts.append(np.repeat(degrees, len(attrs)))
+        # attribute-major while accumulating (contiguous adds), row-major
+        # once flattened for the readout
+        grid = np.zeros((len(attrs_tuple), n_rows), dtype=np.int64)
+        for degrees, attrs in fd_parts:
+            for name in attrs:
+                grid[code_of[name]] += degrees
         if cell_parts:
-            packed_parts.append(np.asarray(
-                [row * n_attrs + code_of[attr] for row, attr in cell_parts],
-                dtype=np.int64))
-            count_parts.append(np.ones(len(cell_parts), dtype=np.int64))
-        packed = np.concatenate(packed_parts)
-        keys, inverse = np.unique(packed, return_inverse=True)
-        counts = np.bincount(
-            inverse, weights=np.concatenate(count_parts),
-            minlength=len(keys),
-        ).astype(np.int64)
-        return total, keys // n_attrs, keys % n_attrs, counts, attrs_tuple
+            np.add.at(grid, ([code_of[attr] for _row, attr in cell_parts],
+                             [row for row, _attr in cell_parts]), 1)
+        counts = grid.T.ravel()
+        involved = counts != 0
+        rows, attr_codes = _grid_coordinates(n_rows, len(attrs_tuple))
+        return (total, rows[involved], attr_codes[involved], counts[involved],
+                attrs_tuple)
 
     # -- pair forking -------------------------------------------------------------------
 

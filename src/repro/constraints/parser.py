@@ -53,8 +53,8 @@ def _normalise(text: str) -> str:
     return re.sub(r"\s+", " ", result).strip()
 
 
-def _parse_constant(token: str) -> Any:
-    token = token.strip()
+def _parse_constant(token: str, source: str) -> Any:
+    """A quoted string, an integer or a float; anything else is an error."""
     if len(token) >= 2 and token[0] == token[-1] and token[0] in ("'", '"'):
         return token[1:-1]
     try:
@@ -65,7 +65,10 @@ def _parse_constant(token: str) -> Any:
         return float(token)
     except ValueError:
         pass
-    return token
+    raise ConstraintParseError(
+        source,
+        f"operand {token!r} is not a t1/t2 cell, a quoted string or a number",
+    )
 
 
 def _parse_operand(token: str, source: str) -> Operand:
@@ -76,7 +79,7 @@ def _parse_operand(token: str, source: str) -> Operand:
         return Operand.cell(tuple_name, attribute)
     if not token:
         raise ConstraintParseError(source, "empty operand")
-    return Operand.const(_parse_constant(token))
+    return Operand.const(_parse_constant(token, source))
 
 
 def _parse_predicate(text: str, source: str) -> Predicate:

@@ -45,7 +45,9 @@ def read_csv(path: str | Path, schema: Schema | None = None, name: str | None = 
     nulls.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark spreadsheet exports put in front of
+    # the first header name
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

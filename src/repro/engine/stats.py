@@ -32,7 +32,7 @@ _NO_WINNER = object()  # memoised "no co-occurrence evidence" marker
 class ColumnStatistics:
     """Marginal value distribution of a single column."""
 
-    __slots__ = ("attribute", "_counts", "_total", "_most_common")
+    __slots__ = ("attribute", "_counts", "_total", "_most_common", "_draw")
 
     def __init__(self, store: ColumnStore, attribute: str):
         self.attribute = attribute
@@ -49,6 +49,7 @@ class ColumnStatistics:
         self._counts = counts
         self._total = sum(counts.values())
         self._most_common = _UNSET
+        self._draw = None
 
     @property
     def total(self) -> int:
@@ -80,15 +81,41 @@ class ColumnStatistics:
         return self._most_common
 
     def domain(self) -> list[Any]:
-        """Distinct non-null values, deterministically ordered."""
-        return sorted(self._counts, key=repr)
+        """Distinct non-null values, deterministically ordered (by ``repr``)."""
+        return list(self._distribution()[0])
 
-    def sample(self, rng=None, size: int | None = None):
+    def _distribution(self) -> tuple[list[Any], np.ndarray]:
+        """The ``repr``-sorted domain and its CDF, memoised until the next move.
+
+        The CDF is computed exactly as ``Generator.choice(k, p=w)`` computes
+        it from ``w`` = counts ÷ their sum: ``cumsum``, then divided by its
+        last element.
+        """
+        if self._draw is None:
+            values = sorted(self._counts, key=repr)
+            cdf = np.array([self._counts[value] for value in values], dtype=float)
+            if values:
+                cdf /= cdf.sum()
+                cdf = cdf.cumsum()
+                cdf /= cdf[-1]
+            self._draw = (values, cdf)
+        return self._draw
+
+    def sample(self, rng=None, size: int | None = None, *, uniforms=None):
         """Draw value(s) from the empirical column distribution.
 
         This is exactly the replacement distribution of Example 2.5: "values
         of cells that are not part of the coalition will be replaced with a
         sample value from their column distribution".
+
+        Each draw maps one ``rng.random()`` double through the memoised CDF
+        (:meth:`_distribution`) with ``searchsorted(side="right")`` — the
+        very stream ``rng.choice(k, p=w)`` consumes and returns, one double
+        per draw.  ``uniforms`` passes pre-drawn doubles instead (one value
+        per double, returned as a list; ``rng`` and ``size`` are ignored), so
+        a caller can draw a whole coalition's replacements with one
+        ``rng.random(n)`` and map each column's slice in one call.  An
+        all-null column draws nothing and yields ``None`` per draw.
 
         Values are ordered deterministically (by ``repr``, like
         :meth:`domain` and :meth:`most_common` tie-breaks) rather than by
@@ -98,16 +125,18 @@ class ColumnStatistics:
         session's "update + explain ≡ fresh session" invariant needs exactly
         that.
         """
-        rng = make_rng(rng)
-        values = sorted(self._counts.keys(), key=repr)
+        values, cdf = self._distribution()
+        if uniforms is not None:
+            if not values:
+                return [None] * len(uniforms)
+            return [values[i] for i in cdf.searchsorted(uniforms, side="right").tolist()]
         if not values:
             return None if size is None else [None] * size
-        weights = np.array([self._counts[v] for v in values], dtype=float)
-        weights /= weights.sum()
+        rng = make_rng(rng)
         if size is None:
-            return values[int(rng.choice(len(values), p=weights))]
-        picks = rng.choice(len(values), size=size, p=weights)
-        return [values[int(i)] for i in picks]
+            return values[int(cdf.searchsorted(rng.random(), side="right"))]
+        picks = cdf.searchsorted(rng.random(size), side="right")
+        return [values[i] for i in picks.tolist()]
 
     def apply_update(self, old_value: Any, new_value: Any) -> None:
         """Delta-maintain the counts for one cell changing ``old -> new``.
@@ -127,6 +156,7 @@ class ColumnStatistics:
             self._counts[new_value] += 1
             self._total += 1
         self._most_common = _UNSET
+        self._draw = None
 
     def apply_delta(self, updates: Iterable[tuple[Any, Any]]) -> None:
         """Apply many ``(old, new)`` cell updates at once.
@@ -157,6 +187,7 @@ class ColumnStatistics:
         clone._counts = Counter(self._counts)
         clone._total = self._total
         clone._most_common = self._most_common
+        clone._draw = self._draw  # never mutated in place
         return clone
 
     def entropy(self) -> float:

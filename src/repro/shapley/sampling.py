@@ -184,6 +184,37 @@ class CellCoalitionSampler:
             return marginal.most_common()
         return marginal.sample(rng=self._rng)
 
+    def _drawn_replacements(self, target_cell: CellRef,
+                            coalition: set[CellRef]) -> dict[CellRef, object]:
+        """``SAMPLE`` replacements for every cell outside ``coalition ∪ {target}``.
+
+        One ``rng.random(n)`` covers the replaced cells in row-major order
+        (cells of all-null columns draw nothing) and each column's slice is
+        mapped in one :meth:`~repro.engine.stats.ColumnStatistics.sample`
+        call.  That is the very stream, and the very values, of one
+        :meth:`replacement_value` per cell in row-major order — which the
+        ``materialize=True`` reference still makes.
+        """
+        cells = self.cells
+        replaced = [i for i, cell in enumerate(cells)
+                    if cell != target_cell and cell not in coalition]
+        if not replaced:
+            return {}
+        stats = self.table.stats
+        marginals = [stats.marginal(attribute) for attribute in self.table.attributes]
+        columns = np.asarray(replaced) % len(marginals)
+        drawn = np.array([marginal.total > 0 for marginal in marginals])[columns]
+        uniforms = np.zeros(len(replaced))
+        uniforms[drawn] = self._rng.random(int(drawn.sum()))
+        values: list = [None] * len(replaced)
+        for column, marginal in enumerate(marginals):
+            positions = np.flatnonzero(columns == column)
+            if len(positions):
+                drawn_values = marginal.sample(uniforms=uniforms[positions])
+                for position, value in zip(positions.tolist(), drawn_values):
+                    values[position] = value
+        return {cells[i]: value for i, value in zip(replaced, values)}
+
     def _replacement_overlay(self) -> dict[CellRef, object] | None:
         """Normalised delta replacing *every* cell, for deterministic policies.
 
@@ -311,11 +342,11 @@ class CellCoalitionSampler:
                 )
                 return with_original, without_original
 
-        replacements: dict[CellRef, object] = {}
-        for cell in self.cells:
-            if cell == target_cell or cell in coalition:
-                continue
-            replacements[cell] = self.replacement_value(cell)
+        if self.policy is ReplacementPolicy.SAMPLE and not self.materialize:
+            replacements = self._drawn_replacements(target_cell, coalition)
+        else:
+            replacements = {cell: self.replacement_value(cell) for cell in self.cells
+                            if cell != target_cell and cell not in coalition}
 
         if self.materialize:
             with_original = self.table.with_values(replacements)

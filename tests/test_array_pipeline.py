@@ -174,13 +174,22 @@ def _assert_degrees_agree(view, walk):
 
 
 @settings(max_examples=25, deadline=None)
-@given(delta=_cell_writes(max_size=6), writes=_cell_writes(max_size=4))
-def test_degree_arrays_match_cell_dict_on_random_walks(delta, writes):
+@given(delta=_cell_writes(max_size=6), fork_cells=_cell_writes(max_size=3),
+       writes=_cell_writes(max_size=4),
+       sides=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_degree_arrays_match_cell_dict_on_random_walks(delta, fork_cells, writes, sides):
     overrides = {CellRef(row, attribute): value for row, attribute, value in delta}
     view = _BASE.perturbed(overrides).mutable_snapshot()
-    walk = repair_walk_for(view, _CONSTRAINTS)
+    walk = repair_walk_for(view, _CONSTRAINTS).prime()
+    # ranking first builds the per-row slot arrays, which the fork must copy
     _assert_degrees_agree(view, walk)
-    for row, attribute, value in writes:
-        view.set_value(row, attribute, value)
+    differing = {CellRef(row, attribute): value for row, attribute, value in fork_cells}
+    sibling = _BASE.perturbed({**overrides, **differing}).mutable_snapshot()
+    fork = walk.fork_onto(sibling, list(differing))
+    _assert_degrees_agree(sibling, fork)
+    # writes land on either side; each side must still match its own rescan
+    for (row, attribute, value), on_fork in zip(writes, sides):
+        (sibling if on_fork else view).set_value(row, attribute, value)
         _assert_degrees_agree(view, walk)
+        _assert_degrees_agree(sibling, fork)
 

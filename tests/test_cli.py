@@ -37,6 +37,30 @@ def test_load_constraints_empty_file_raises(tmp_path):
         load_constraints(path)
 
 
+def test_load_constraints_drops_a_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_text("\n".join(LA_LIGA_CONSTRAINT_TEXTS), encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    constraints = load_constraints(path)
+    assert [c.name for c in constraints] == ["C1", "C2", "C3", "C4"]
+
+
+def test_violations_command_reads_byte_order_marked_inputs(tmp_path, capsys):
+    table = tmp_path / "dirty.csv"
+    write_csv(la_liga_dirty_table(), table)
+    table.write_bytes(b"\xef\xbb\xbf" + table.read_bytes())
+    constraints = tmp_path / "constraints.txt"
+    constraints.write_text("\n".join(LA_LIGA_CONSTRAINT_TEXTS), encoding="utf-8-sig")
+    plain = tmp_path / "plain.csv"
+    write_csv(la_liga_dirty_table(), plain)
+    plain_constraints = tmp_path / "plain.txt"
+    plain_constraints.write_text("\n".join(LA_LIGA_CONSTRAINT_TEXTS), encoding="utf-8")
+    main(["violations", "--table", str(plain), "--constraints", str(plain_constraints)])
+    expected = capsys.readouterr().out
+    main(["violations", "--table", str(table), "--constraints", str(constraints)])
+    assert capsys.readouterr().out == expected
+
+
 def test_parser_requires_subcommand():
     parser = build_parser()
     with pytest.raises(SystemExit):

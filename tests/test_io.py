@@ -51,6 +51,19 @@ def test_read_csv_empty_file(tmp_path):
         read_csv(empty)
 
 
+def test_read_csv_drops_a_utf8_byte_order_mark(tmp_path):
+    # what a spreadsheet's "CSV UTF-8" export writes
+    path = tmp_path / "bom.csv"
+    path.write_bytes("A,B\r\nx,1\r\nx,2\r\n".encode("utf-8-sig"))
+    table = read_csv(path)
+    assert table.attributes == ("A", "B")
+    assert table.value(0, "A") == "x"
+    # a denial constraint on the first attribute resolves against the schema
+    from repro.constraints.parser import parse_dc
+    from repro.constraints.violations import find_violations
+    assert len(find_violations(table, parse_dc("not(t1.A == t2.A and t1.B != t2.B)"))) == 2
+
+
 def test_read_csv_ragged_row(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("A,B\n1,2\n3\n")

@@ -1,5 +1,7 @@
 """Unit tests for the denial-constraint parser and formatter."""
 
+import re
+
 import pytest
 
 from repro.constraints.parser import format_dc, parse_dc, parse_dcs
@@ -94,3 +96,24 @@ def test_format_unicode_matches_paper_style():
     assert rendered.startswith("∀t1, t2. ¬(")
     assert "t1[City] = t2[City]" in rendered
     assert "t1[Country] ≠ t2[Country]" in rendered
+
+
+@pytest.mark.parametrize("text, operand", [
+    # a third tuple variable is not a cell operand
+    ("not(t1.A == t2.A and t3.B != t2.B)", "'t3.B'"),
+    # the operator split leaves '= t2.A' on the right-hand side
+    ("not(t1.A === t2.A)", "'= t2.A'"),
+    # an unbalanced quote
+    ("not(t1.A == 'x)", "\"'x\""),
+    ("not(t1.A == x\")", "'x\"'"),
+    # a bare word
+    ("not(t1.A == Madrid)", "'Madrid'"),
+])
+def test_malformed_operands_are_rejected(text, operand):
+    with pytest.raises(ConstraintParseError, match=f"operand {re.escape(operand)}"):
+        parse_dc(text)
+
+
+def test_every_constant_form_still_parses():
+    dc = parse_dc("not(t1.A == 'x' and t1.B != \"y z\" and t1.C < -3 and t1.D >= 2.5e3)")
+    assert [p.right.constant for p in dc.predicates] == ["x", "y z", -3, 2500.0]
