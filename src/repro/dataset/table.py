@@ -18,6 +18,8 @@ import re
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from repro.dataset.schema import AttributeSpec, Schema
 from repro.engine.stats import TableStatistics
 from repro.engine.storage import NULL, ColumnStore, Fingerprint, is_null, values_differ
@@ -362,11 +364,25 @@ class Table:
     # -- validation / rendering ----------------------------------------------------
 
     def validate_cell(self, cell: CellRef) -> CellRef:
-        """Raise if ``cell`` does not address a cell of this table."""
+        """Raise if ``cell`` does not address a cell of this table.
+
+        Returns the cell with its row as a plain ``int``.  A row must be an
+        ``int`` or a numpy integer — not a ``bool``, a float or a string,
+        which would otherwise slip through the range check (``True`` and
+        ``1.0`` compare like ``1``) and then index a column wrongly.
+        """
         if cell.attribute not in self.schema:
             raise UnknownAttributeError(cell.attribute, self.attributes)
-        if not 0 <= cell.row < self.n_rows:
-            raise UnknownRowError(cell.row, self.n_rows)
+        row = cell.row
+        if isinstance(row, bool) or not isinstance(row, (int, np.integer)):
+            raise SchemaError(
+                f"row index of {cell!r} must be an integer, "
+                f"got {type(row).__name__}"
+            )
+        if not 0 <= row < self.n_rows:
+            raise UnknownRowError(row, self.n_rows)
+        if type(row) is not int:
+            cell = CellRef(int(row), cell.attribute)
         return cell
 
     def to_records(self) -> list[dict[str, Any]]:
@@ -467,7 +483,7 @@ class PerturbationView(Table):
             for cell, value in items:
                 if not isinstance(cell, CellRef):
                     cell = CellRef(*cell)
-                root.validate_cell(cell)
+                cell = root.validate_cell(cell)
                 if values_differ(root_value(cell.row, cell.attribute), value):
                     delta[cell] = value
                 else:

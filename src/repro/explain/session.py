@@ -132,6 +132,7 @@ class RepairSession:
 
     def choose_cell(self, cell: CellRef) -> None:
         """Mark a repaired cell as the cell of interest."""
+        cell = self.state.dirty_table.validate_cell(cell)
         repair = self.explainer.repair()
         if cell not in repair.delta:
             raise ExplanationError(
@@ -274,7 +275,8 @@ class RepairSession:
 
     def edit_cell(self, cell: CellRef, value: Any) -> SessionStep:
         """Change a value of the dirty table (acting on a cell explanation) and re-repair."""
-        collect_changes(self.state.dirty_table, {cell: value})  # validates the write
+        cell = self.state.dirty_table.validate_cell(cell)
+        collect_changes(self.state.dirty_table, {cell: value})  # validates the value
         self.state.dirty_table = self.state.dirty_table.with_values({cell: value})
         explainer = self._fresh_explainer()
         repair = explainer.repair()

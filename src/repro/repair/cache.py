@@ -10,7 +10,9 @@ changing any result — the repairer is deterministic by contract.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import OrderedDict
+from operator import itemgetter
 from typing import Hashable
 
 # the max-merged key sets come from the metric declarations, so the
@@ -20,6 +22,9 @@ from repro.observability.metrics import (
     MAX_COUNTERS as _MAX_COUNTERS,
     MAX_GROUPS as _MAX_GROUPS,
 )
+
+#: the ``(row, attribute)`` cell of an overlay fingerprint item
+_item_cell = itemgetter(0, 1)
 
 
 class OracleCache:
@@ -223,24 +228,58 @@ class OracleCache:
         ``changes`` maps ``(row, attribute)`` to the post-update value.
         Surviving entries keep their LRU rank and insertion-sequence
         numbers, so outstanding high-water marks stay valid cuts.
+
+        Cost is O(entries · |changes| · log |overlay|) plus re-keying the
+        survivors.  Each distinct fingerprint object gets one verdict per
+        call (a ``paird`` key shares its with-side with the single-instance
+        key, and one unpickled cache diff shares one base object), a base
+        is matched by identity before falling back to ``==`` once per
+        distinct base object, and each changed cell is one bisection of the
+        overlay's items (sorted by ``(row, attribute)``, as
+        :meth:`~repro.engine.view.OverlayStore.fingerprint` builds them), so
+        a key missing any changed cell is dropped without reading its other
+        items.
         """
         from repro.engine.storage import Fingerprint, values_differ
 
-        def remap(fingerprint):
+        if not changes:
+            return 0
+        changed = list(changes.items())
+        rooted: dict[int, bool] = {}
+        remapped_by_id: dict[int, object] = {}
+
+        def remap_uncached(fingerprint):
             data = getattr(fingerprint, "data", None)
             if not (isinstance(data, tuple) and len(data) == 3
-                    and data[0] == "overlay" and data[1] == old_base):
+                    and data[0] == "overlay"):
+                return None
+            base = data[1]
+            verdict = rooted.get(id(base))
+            if verdict is None:
+                verdict = rooted[id(base)] = base is old_base or base == old_base
+            if not verdict:
                 return None
             items = data[2]
-            pinned = {(row, name) for row, name, _ in items}
-            if any(cell not in pinned for cell in changes):
-                return None
-            kept = tuple(
-                item for item in items
-                if (item[0], item[1]) not in changes
-                or values_differ(item[2], changes[(item[0], item[1])])
-            )
-            return Fingerprint(("overlay", new_base, kept))
+            normalised = []
+            for cell, value in changed:
+                index = bisect_left(items, cell, key=_item_cell)
+                if index == len(items) or _item_cell(items[index]) != cell:
+                    return None
+                if not values_differ(items[index][2], value):
+                    normalised.append(index)
+            if normalised:
+                items = tuple(item for index, item in enumerate(items)
+                              if index not in normalised)
+            return Fingerprint(("overlay", new_base, items))
+
+        def remap(fingerprint):
+            # keyed by id: every fingerprint (and the base inside it) is held
+            # alive by its entry's key for the whole call, so no id is reused
+            identity = id(fingerprint)
+            if identity in remapped_by_id:
+                return remapped_by_id[identity]
+            result = remapped_by_id[identity] = remap_uncached(fingerprint)
+            return result
 
         def rebase_key(key):
             if not isinstance(key, tuple):
@@ -264,8 +303,6 @@ class OracleCache:
                 return (key[0], fingerprint)
             return None
 
-        if not changes:
-            return 0
         remapped: OrderedDict[Hashable, int] = OrderedDict()
         sequence: dict[Hashable, int] = {}
         dropped = 0

@@ -285,7 +285,7 @@ class CellShapleyExplainer:
         for every worker count, see the class docstring).
         """
         check_sample_count(n_samples)
-        self.oracle.dirty_table.validate_cell(cell)
+        cell = self.oracle.dirty_table.validate_cell(cell)
         if self.n_jobs is not None:
             outcome = self._scheduler(self.n_jobs).run(
                 [cell], n_samples, absorb_into=self.oracle
@@ -350,7 +350,7 @@ class CellShapleyExplainer:
         private count, so the stopping point (and the estimate) is identical
         for every worker count.
         """
-        self.oracle.dirty_table.validate_cell(cell)
+        cell = self.oracle.dirty_table.validate_cell(cell)
         outcome = self._scheduler(self.n_jobs or 1).run_adaptive(
             [cell], tolerance=tolerance, min_samples=min_samples,
             max_samples=max_samples, absorb_into=self.oracle,

@@ -167,3 +167,46 @@ def test_rejected_n_jobs_leaves_the_session_config_alone(session, n_jobs):
         session.explain(n_samples=2, n_jobs=n_jobs)
     assert session.config.n_jobs is None
     assert _explain_key(session.explain(n_samples=2)) == first
+
+
+@pytest.mark.parametrize("row", [True, 1.0, 1.5, "1", None])
+def test_update_rejects_non_integer_rows_before_writing(session, row):
+    """``True`` and ``1.0`` compare like row 1 but must not address it."""
+    first = _explain_key(session.explain(n_samples=2))
+    with pytest.raises(SchemaError, match="must be an integer"):
+        session.update(CellRef(row, "City"), "Seville")
+    assert session.state.dirty_table[CellRef(1, "City")] == "Madrid"
+    assert len(session.update_log) == 0
+    assert _explain_key(session.explain(n_samples=2)) == first
+
+
+@pytest.mark.parametrize("row", [True, 1.0, "1"])
+def test_edit_cell_rejects_non_integer_rows(session, row):
+    session.run_repair()
+    with pytest.raises(SchemaError, match="must be an integer"):
+        session.edit_cell(CellRef(row, "City"), "Seville")
+    assert session.state.dirty_table[CellRef(1, "City")] == "Madrid"
+    assert [step.action for step in session.history()] == ["repair"]
+
+
+@pytest.mark.parametrize("row", [True, 4.0])
+def test_choose_cell_rejects_non_integer_rows(session, row):
+    """Row 4 (and ``True`` == 1) hash like real rows, so the repaired-cell
+    membership check alone would accept them."""
+    session.run_repair()
+    with pytest.raises(SchemaError, match="must be an integer"):
+        session.choose_cell(CellRef(row, "City"))
+    assert session.cell_of_interest == CellRef(4, "Country")
+
+
+def test_numpy_integer_rows_are_normalised(session):
+    import numpy as np
+
+    session.run_repair()
+    session.choose_cell(CellRef(np.int64(4), "City"))
+    assert type(session.cell_of_interest.row) is int
+    step = session.update(CellRef(np.int64(1), "City"), "Seville")
+    assert step.action == "update"
+    assert session.state.dirty_table[CellRef(1, "City")] == "Seville"
+    (delta,) = session.update_log
+    assert type(delta.updates[0].cell.row) is int

@@ -1,5 +1,6 @@
 """Unit tests for the Table / CellRef / RepairDelta data model."""
 
+import numpy as np
 import pytest
 
 from repro.dataset.schema import Schema
@@ -125,6 +126,23 @@ def test_validate_cell():
         table.validate_cell(CellRef(0, "Stadium"))
     with pytest.raises(UnknownRowError):
         table.validate_cell(CellRef(10, "Team"))
+
+
+@pytest.mark.parametrize("row", [True, False, 1.0, 1.5, "1", None])
+def test_validate_cell_rejects_non_integer_rows(row):
+    table = make_table()
+    with pytest.raises(SchemaError, match="must be an integer"):
+        table.validate_cell(CellRef(row, "Team"))
+    with pytest.raises(SchemaError, match="must be an integer"):
+        table.perturbed({CellRef(row, "Team"): "x"})
+
+
+def test_validate_cell_normalises_numpy_rows():
+    table = make_table()
+    cell = table.validate_cell(CellRef(np.int64(1), "Team"))
+    assert cell == CellRef(1, "Team") and type(cell.row) is int
+    with pytest.raises(UnknownRowError):
+        table.validate_cell(CellRef(np.int32(-1), "Team"))
 
 
 def test_stats_cache_invalidated_on_set_value():
