@@ -223,7 +223,7 @@ class Table:
 
     @property
     def version(self) -> int:
-        """Monotonic mutation counter; bumped by every :meth:`set_value`.
+        """Monotonic mutation counter; bumped once per cell written.
 
         Snapshot-derived caches (the incremental violation detector, for one)
         record the version they were built against and rebuild when it moves.
@@ -232,11 +232,21 @@ class Table:
 
     def set_value(self, row: int, attribute: str, value: Any) -> None:
         """In-place cell update (delta-maintains cached statistics)."""
-        old_value = self._store.value(row, attribute)
-        self._store.set_value(row, attribute, value)
-        self._version += 1
-        if self._stats is not None:
-            self._stats.apply_cell_update(row, attribute, old_value, value)
+        self.set_values(attribute, (row,), (value,))
+
+    def set_values(self, attribute: str, rows: Sequence[int],
+                   values: Sequence[Any]) -> None:
+        """In-place update of many cells of one column, as one batch.
+
+        The same as ``set_value(row, attribute, value)`` for each pair in
+        order, except that caches are invalidated and the cached statistics
+        are moved once for the whole batch.  ``version`` advances by the
+        number of writes.
+        """
+        old_values = self._store.set_values(attribute, rows, values)
+        self._version += len(old_values)
+        if self._stats is not None and old_values:
+            self._stats.apply_cell_updates(attribute, rows, old_values, values)
 
     def copy(self, name: str | None = None) -> "Table":
         return Table._from_store(self.schema, self._store.copy(), name or self.name)
@@ -490,7 +500,7 @@ class PerturbationView(Table):
                     delta.pop(cell, None)
         self._delta = delta
         # the overlay shares (does not copy) the delta dict, so in-place
-        # set_value calls routed through Table.set_value stay visible here
+        # writes routed through Table.set_values stay visible here
         self._store = OverlayStore(root.store, delta)
         if inherited:
             # columns untouched by the merge keep the base view's encoded

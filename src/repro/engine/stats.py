@@ -139,41 +139,52 @@ class ColumnStatistics:
         return [values[i] for i in picks.tolist()]
 
     def apply_update(self, old_value: Any, new_value: Any) -> None:
-        """Delta-maintain the counts for one cell changing ``old -> new``.
+        """Delta-maintain the counts for one cell changing ``old -> new``."""
+        self.apply_updates((old_value,), (new_value,))
 
-        Zero-count entries are removed so :meth:`domain`, :meth:`items` and
-        :meth:`most_common` see exactly what a from-scratch rebuild would.
+    def apply_updates(self, old_values: Sequence[Any],
+                      new_values: Sequence[Any]) -> None:
+        """Delta-maintain the counts for many cells changing ``old -> new``.
+
+        Counts are order-insensitive, so the batch is one C-level
+        ``Counter`` update for the new values, then one decrement per old
+        value.  Zero-count entries are removed so :meth:`domain`,
+        :meth:`items` and :meth:`most_common` see exactly what a
+        from-scratch rebuild would.
         """
-        if not is_null(old_value):
-            count = self._counts.get(old_value, 0)
+        counts = self._counts
+        added = [value for value in new_values if not is_null(value)]
+        counts.update(added)
+        total = self._total + len(added)
+        for value in old_values:
+            if is_null(value):
+                continue
+            count = counts.get(value, 0)
             if count:
+                total -= 1
                 if count == 1:
-                    del self._counts[old_value]
+                    del counts[value]
                 else:
-                    self._counts[old_value] = count - 1
-                self._total -= 1
-        if not is_null(new_value):
-            self._counts[new_value] += 1
-            self._total += 1
+                    counts[value] = count - 1
+        self._total = total
         self._most_common = _UNSET
         self._draw = None
 
     def apply_delta(self, updates: Iterable[tuple[Any, Any]]) -> None:
         """Apply many ``(old, new)`` cell updates at once.
 
-        The batch counterpart of :meth:`apply_update` (updates are
-        order-insensitive on marginal counts), mirroring
+        The pairwise form of :meth:`apply_updates`, mirroring
         :meth:`~repro.engine.index.MultiColumnIndex.apply_delta`: the shared
         statistics engine moves one instance onto a perturbed overlay by its
         sparse delta instead of rebuilding the counts per instance.
         """
-        for old_value, new_value in updates:
-            self.apply_update(old_value, new_value)
+        updates = list(updates)
+        if updates:
+            self.apply_updates([old for old, _ in updates], [new for _, new in updates])
 
     def revert_delta(self, updates: Iterable[tuple[Any, Any]]) -> None:
         """Undo a previous :meth:`apply_delta` with the same ``updates``."""
-        for old_value, new_value in updates:
-            self.apply_update(new_value, old_value)
+        self.apply_delta((new, old) for old, new in updates)
 
     def fork(self) -> "ColumnStatistics":
         """An independent copy (counts and memo included).
@@ -214,7 +225,7 @@ class CooccurrenceStatistics:
         self._store = store
         self._pair_counts: dict[tuple[str, str], dict[Hashable, Counter]] = {}
         #: memo for most_probable, keyed (given, target, given_value);
-        #: selectively invalidated by apply_cell_update
+        #: selectively invalidated by apply_cell_updates
         self._argmax_memo: dict[tuple, Any] = {}
 
     def _counts_for(self, given: str, target: str) -> dict[Hashable, Counter]:
@@ -341,39 +352,69 @@ class CooccurrenceStatistics:
         if not counter:
             del counts[given_value]
 
-    def apply_cell_update(self, row: int, attribute: str,
-                          old_value: Any, new_value: Any) -> None:
+    def apply_cell_updates(self, attribute: str, rows: Sequence[int],
+                           old_values: Sequence[Any],
+                           new_values: Sequence[Any]) -> None:
         """Delta-maintain every cached pair distribution touching ``attribute``.
 
-        Must be called *after* the store has been updated: the changed cell's
-        old/new values are passed in, all sibling cells are read from the
-        (already-current) store.
+        Must be called *after* the store has been updated: the changed
+        cells' old/new values are passed in, all sibling cells are read from
+        the (already-current) store.
         """
         for pair, counts in self._pair_counts.items():
-            self._apply_cell_to_pair(pair, counts, row, attribute, old_value, new_value)
+            if attribute in pair:
+                self._apply_cells_to_pair(pair, counts, attribute, rows,
+                                          old_values, new_values)
 
-    def _apply_cell_to_pair(self, pair: tuple[str, str], counts: dict,
-                            row: int, attribute: str,
-                            old_value: Any, new_value: Any) -> None:
-        """One cell update routed into one cached pair distribution."""
+    def _values_at(self, attribute: str, rows: Sequence[int]) -> list[Any]:
+        """``attribute``'s current values at ``rows``.
+
+        A batch is one gather from the store's column (an overlay caches it
+        per column); a single write reads its one cell instead of
+        materialising a whole overlay column.
+        """
+        if len(rows) == 1:
+            return [self._store.value(rows[0], attribute)]
+        return self._store.column(attribute)[list(rows)].tolist()
+
+    def _apply_cells_to_pair(self, pair: tuple[str, str], counts: dict,
+                             attribute: str, rows: Sequence[int],
+                             old_values: Sequence[Any],
+                             new_values: Sequence[Any]) -> None:
+        """A batch of writes to one column routed into one cached pair distribution.
+
+        The writes only touch ``attribute``, so the sibling of every written
+        cell is fixed and the batch moves the counts by whole ``(given,
+        target)`` multisets: one C-level ``Counter`` per side, then one
+        adjustment per distinct pair (a single write skips the ``Counter``).
+        """
         given, target = pair
+        if given != attribute:  # the write moves target values under fixed givens
+            old_givens = new_givens = self._values_at(given, rows)
+            old_targets, new_targets = old_values, new_values
+        else:
+            old_givens, new_givens = old_values, new_values
+            if target == attribute:
+                old_targets, new_targets = old_values, new_values
+            else:
+                old_targets = new_targets = self._values_at(target, rows)
+        adjust = self._adjust
+        if len(rows) == 1:
+            adjust(counts, new_givens[0], new_targets[0], 1)
+            adjust(counts, old_givens[0], old_targets[0], -1)
+        else:
+            # repeated pairs are counted at C level and adjusted once
+            for (given_value, target_value), n in Counter(zip(new_givens, new_targets)).items():
+                adjust(counts, given_value, target_value, n)
+            for (given_value, target_value), n in Counter(zip(old_givens, old_targets)).items():
+                adjust(counts, given_value, target_value, -n)
         memo = self._argmax_memo
-        if given == attribute and target == attribute:
-            self._adjust(counts, old_value, old_value, -1)
-            self._adjust(counts, new_value, new_value, +1)
-            memo.pop((given, target, old_value), None)
-            memo.pop((given, target, new_value), None)
-        elif given == attribute:
-            sibling = self._store.value(row, target)
-            self._adjust(counts, old_value, sibling, -1)
-            self._adjust(counts, new_value, sibling, +1)
-            memo.pop((given, target, old_value), None)
-            memo.pop((given, target, new_value), None)
-        elif target == attribute:
-            sibling = self._store.value(row, given)
-            self._adjust(counts, sibling, old_value, -1)
-            self._adjust(counts, sibling, new_value, +1)
-            memo.pop((given, target, sibling), None)
+        if memo:
+            for given_value in old_givens:
+                memo.pop((given, target, given_value), None)
+            if new_givens is not old_givens:
+                for given_value in new_givens:
+                    memo.pop((given, target, given_value), None)
 
     def apply_delta(self, changes: Mapping[tuple[int, str], tuple[Any, Any]],
                     store) -> None:
@@ -382,7 +423,7 @@ class CooccurrenceStatistics:
         ``store`` must differ from the contents the statistics currently
         describe at exactly the cells in ``changes``
         (``{(row, attribute): (old_value, new_value)}``).  Unlike repeated
-        :meth:`apply_cell_update` calls, the move is *row-wise*: when both
+        :meth:`apply_cell_updates` calls, the move is *row-wise*: when both
         cells of a cached pair change in the same row the old and new pair
         values come straight from ``changes``, so a multi-cell-per-row delta
         (a coalition overlay nulling several cells of one tuple) is applied
@@ -462,10 +503,11 @@ class CooccurrenceStatistics:
 class TableStatistics:
     """Bundle of marginal + pairwise statistics for one table snapshot.
 
-    Statistics are delta-maintained: when the owning table mutates one cell it
-    calls :meth:`apply_cell_update` instead of throwing the whole bundle away,
-    so repair loops that interleave statistics lookups with cell writes (the
-    Algorithm-1 fixpoint, the greedy repairer) pay O(pairs cached) per write
+    Statistics are delta-maintained: when the owning table writes cells it
+    calls :meth:`apply_cell_updates` (one batch per write call) instead of
+    throwing the whole bundle away, so repair loops that interleave
+    statistics lookups with cell writes (the Algorithm-1 fixpoint, the greedy
+    repairer) pay O(pairs cached) per batch plus O(1) per written cell
     instead of an O(rows) rebuild per lookup.
     """
 
@@ -477,10 +519,17 @@ class TableStatistics:
     def apply_cell_update(self, row: int, attribute: str,
                           old_value: Any, new_value: Any) -> None:
         """Delta-maintain all built statistics for one cell changing values."""
+        self.apply_cell_updates(attribute, (row,), (old_value,), (new_value,))
+
+    def apply_cell_updates(self, attribute: str, rows: Sequence[int],
+                           old_values: Sequence[Any],
+                           new_values: Sequence[Any]) -> None:
+        """Delta-maintain all built statistics for a batch of writes to one
+        column (``rows[i]`` changed ``old_values[i] -> new_values[i]``)."""
         marginal = self._marginals.get(attribute)
         if marginal is not None:
-            marginal.apply_update(old_value, new_value)
-        self.cooccurrence.apply_cell_update(row, attribute, old_value, new_value)
+            marginal.apply_updates(old_values, new_values)
+        self.cooccurrence.apply_cell_updates(attribute, rows, old_values, new_values)
 
     def marginal(self, attribute: str) -> ColumnStatistics:
         if attribute not in self._marginals:
@@ -597,8 +646,8 @@ class _LeasedTableStatistics(TableStatistics):
     """The engine's single statistics instance.
 
     Reads route through the engine's per-structure sync; in-place cell writes
-    (:meth:`apply_cell_update`, called by
-    :meth:`~repro.dataset.table.Table.set_value` on the owner view) are routed
+    (:meth:`apply_cell_updates`, called by
+    :meth:`~repro.dataset.table.Table.set_values` on the owner view) are routed
     to the engine so only structures synced to the owner receive them —
     structures parked on older snapshots pick the writes up from the view
     deltas when they are next consulted.
@@ -623,11 +672,16 @@ class _LeasedTableStatistics(TableStatistics):
 
     def apply_cell_update(self, row: int, attribute: str,
                           old_value: Any, new_value: Any) -> None:
+        self.apply_cell_updates(attribute, (row,), (old_value,), (new_value,))
+
+    def apply_cell_updates(self, attribute: str, rows: Sequence[int],
+                           old_values: Sequence[Any],
+                           new_values: Sequence[Any]) -> None:
         engine = self._engine
         if engine is None:
-            super().apply_cell_update(row, attribute, old_value, new_value)
+            super().apply_cell_updates(attribute, rows, old_values, new_values)
         else:
-            engine._note_write(row, attribute, old_value, new_value)
+            engine._note_writes(attribute, rows, old_values, new_values)
 
     def fork(self, store) -> TableStatistics:
         engine = self._engine
@@ -705,7 +759,7 @@ class SharedStatistics:
         #: structure keys currently synced to the owner at its newest write —
         #: the O(1) fast path for the sync check on every statistics read.
         #: Invariant: a clean key's structure is exactly maintained for the
-        #: owner's current contents (writes update it through _note_write);
+        #: owner's current contents (writes update it through _note_writes);
         #: its _positions entry is refreshed lazily when ownership moves.
         self._clean: set[tuple] = set()
         self._stats = _LeasedTableStatistics(self._base_store, self)
@@ -978,30 +1032,31 @@ class SharedStatistics:
 
     # -- write routing -------------------------------------------------------------
 
-    def _note_write(self, row: int, attribute: str,
-                    old_value: Any, new_value: Any) -> None:
-        """One in-place cell write on the owner view.
+    def _note_writes(self, attribute: str, rows: Sequence[int],
+                     old_values: Sequence[Any], new_values: Sequence[Any]) -> None:
+        """A batch of in-place writes to one column of the owner view.
 
-        Structures synced to the owner receive the update immediately (and
-        their recorded log position advances past the write); parked
-        structures are left alone — the write is part of the owner's delta
-        and reaches them through their next sync diff.
+        Structures synced to the owner receive the batch immediately, in one
+        pass over the clean set (their recorded log position advances past
+        the writes); parked structures are left alone — the writes are part
+        of the owner's delta and reach them through their next sync diff.
         """
         if self._owner is None:
             return  # a write on a detached/stale holder: nothing to maintain
         stats = self._stats
+        cooccurrence = stats.cooccurrence
         for key in self._clean:
             if key[0] == "m":
                 if key[1] == attribute:
                     marginal = stats._marginals.get(attribute)
                     if marginal is not None:
-                        marginal.apply_update(old_value, new_value)
+                        marginal.apply_updates(old_values, new_values)
             elif key[1] == attribute or key[2] == attribute:
                 pair = (key[1], key[2])
-                counts = stats.cooccurrence._pair_counts.get(pair)
+                counts = cooccurrence._pair_counts.get(pair)
                 if counts is not None:
-                    stats.cooccurrence._apply_cell_to_pair(
-                        pair, counts, row, attribute, old_value, new_value
+                    cooccurrence._apply_cells_to_pair(
+                        pair, counts, attribute, rows, old_values, new_values
                     )
 
     # -- telemetry -----------------------------------------------------------------

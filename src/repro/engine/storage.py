@@ -187,9 +187,25 @@ class ColumnStore:
     # -- mutation --------------------------------------------------------------
 
     def set_value(self, row: int, name: str, value: Any) -> None:
+        self.set_values(name, (row,), (value,))
+
+    def set_values(self, name: str, rows: Sequence[int],
+                   values: Sequence[Any]) -> list[Any]:
+        """Write ``values[i]`` into ``rows[i]`` of one column, in order.
+
+        Returns each cell's value before its write (a repeated row sees the
+        earlier write).  Derived caches are invalidated once per batch.
+        """
         self._check_column(name)
-        self._check_row(row)
-        self._columns[name][row] = value
+        for row in rows:
+            self._check_row(row)
+        column = self._columns[name]
+        old_values = []
+        for row, value in zip(rows, values):
+            old_values.append(column[row])
+            column[row] = value
+        if not old_values:
+            return old_values
         self._fingerprint = None
         # every derived per-column cache must drop with the content it
         # describes: a stale fingerprint would alias two different table
@@ -198,6 +214,7 @@ class ColumnStore:
         self._null_masks.pop(name, None)
         if self._encoding is not None:
             self._encoding.invalidate(name)
+        return old_values
 
     def copy(self) -> "ColumnStore":
         """Return a deep-enough copy (fresh arrays, shared immutable values)."""

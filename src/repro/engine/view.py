@@ -22,7 +22,8 @@ was built.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from itertools import repeat
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -55,7 +56,7 @@ class OverlayStore:
     delta:
         Mapping ``(row, attribute) -> value`` of overridden cells.  The mapping
         is *shared*, not copied: the owning view normalises it on construction
-        and :meth:`set_value` keeps it normalised afterwards.
+        and :meth:`set_values` keeps it normalised afterwards.
     """
 
     __slots__ = ("_base", "_delta", "_by_row", "_by_column", "_materialized",
@@ -72,7 +73,7 @@ class OverlayStore:
         #: :meth:`adopt_encoded_delta`, invalidated per column on write
         self._encoded_cache: dict[str, Any] = {}
         self._fingerprint: Fingerprint | None = None
-        #: append-only ``(row, attribute)`` log of every :meth:`set_value`,
+        #: append-only ``(row, attribute)`` log of every write,
         #: including writes that restore the base value.  Second-order
         #: violation maintenance (:class:`~repro.constraints.incremental.RepairWalk`)
         #: reads it at independent positions to derive view→view deltas
@@ -224,38 +225,63 @@ class OverlayStore:
     # -- mutation --------------------------------------------------------------
 
     def set_value(self, row: int, name: str, value: Any) -> None:
-        """Write into the delta (the base store is never modified).
+        """Write one cell into the delta (see :meth:`set_values`)."""
+        self.set_values(name, (row,), (value,))
 
-        Writing a value equal to the base cell removes the delta entry, so the
-        delta stays normalised and fingerprints of equal contents stay equal.
+    def set_values(self, name: str, rows: Sequence[int],
+                   values: Sequence[Any]) -> list[Any]:
+        """Write ``values[i]`` into ``rows[i]`` of one column, in order.
+
+        Writes go into the delta (the base store is never modified); writing
+        a value equal to the base cell removes the delta entry, so the delta
+        stays normalised and fingerprints of equal contents stay equal.
+        Every write is appended to :attr:`change_log`, and the column's
+        materialised and encoded caches and the fingerprint are invalidated
+        once per batch.  Returns each cell's value before its write (a
+        repeated row sees the earlier write).
         """
-        if name not in self._base:
-            raise UnknownAttributeError(name, self._base.column_names)
-        if not 0 <= row < self._base.n_rows:
-            raise UnknownRowError(row, self._base.n_rows)
-        self.change_log.append((row, name))
-        key = (row, name)
-        if values_differ(self._base.value(row, name), value):
-            self._delta[key] = value
-            if self._by_row is not None:
-                self._by_row.setdefault(row, {})[name] = value
-                self._by_column.setdefault(name, {})[row] = value
-        else:
-            self._delta.pop(key, None)
-            if self._by_row is not None:
-                row_group = self._by_row.get(row)
-                if row_group is not None:
-                    row_group.pop(name, None)
-                    if not row_group:
-                        del self._by_row[row]
-                column_group = self._by_column.get(name)
-                if column_group is not None:
+        base = self._base
+        if name not in base:
+            raise UnknownAttributeError(name, base.column_names)
+        n_rows = base.n_rows
+        for row in rows:
+            if not 0 <= row < n_rows:
+                raise UnknownRowError(row, n_rows)
+        if not rows:
+            return []
+        self.change_log.extend(zip(rows, repeat(name)))
+        base_column = base.column(name)
+        delta = self._delta
+        by_row = self._by_row
+        if by_row is not None:
+            column_group = self._by_column.get(name)
+            if column_group is None:
+                column_group = self._by_column[name] = {}
+        old_values = []
+        for row, value in zip(rows, values):
+            key = (row, name)
+            base_value = base_column[row]
+            old_values.append(delta.get(key, base_value))
+            if values_differ(base_value, value):
+                delta[key] = value
+                if by_row is not None:
+                    by_row.setdefault(row, {})[name] = value
+                    column_group[row] = value
+            else:
+                delta.pop(key, None)
+                if by_row is not None:
+                    row_group = by_row.get(row)
+                    if row_group is not None:
+                        row_group.pop(name, None)
+                        if not row_group:
+                            del by_row[row]
                     column_group.pop(row, None)
-                    if not column_group:
-                        del self._by_column[name]
+        if by_row is not None and not column_group:
+            del self._by_column[name]
         self._materialized.pop(name, None)
         self._encoded_cache.pop(name, None)
         self._fingerprint = None
+        return old_values
 
     def copy(self) -> ColumnStore:
         """Materialise the overlay into an independent plain :class:`ColumnStore`."""

@@ -19,11 +19,14 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
+import numpy as np
+
 from repro.constraints.dc import DenialConstraint, constraint_set_names
 from repro.constraints.incremental import detector_for, repair_walk_for
 from repro.dataset.table import CellRef, PerturbationView, RepairDelta, Table
 from repro.engine.stats import SharedStatistics
 from repro.engine.storage import NULL
+from repro.errors import RepairError
 from repro.observability import trace as otrace
 from repro.observability.metrics import (
     ORACLE_METRICS,
@@ -49,6 +52,21 @@ class RepairResult:
 
     def was_repaired(self, cell: CellRef) -> bool:
         return cell in self.delta
+
+
+def _step_budget(name: str, value: Any) -> int:
+    """Validate a repair step budget: a positive ``int`` or numpy integer.
+
+    ``bool`` is rejected although it is an ``int`` subclass, and so is a
+    float, which would otherwise construct fine and fail at the first repair.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise RepairError(
+            f"{name} must be an integer, got {type(value).__name__} {value!r}"
+        )
+    if value <= 0:
+        raise RepairError(f"{name} must be positive, got {value}")
+    return int(value)
 
 
 def _padded_differing_lists(

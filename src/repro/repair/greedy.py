@@ -31,9 +31,13 @@ from repro.constraints.incremental import (
 )
 from repro.dataset.table import CellRef, PerturbationView, Table
 from repro.engine.storage import is_null
-from repro.errors import RepairError
 from repro.observability import trace as otrace
-from repro.repair.base import RepairAlgorithm, _padded_differing_lists, _walk_repair_table
+from repro.repair.base import (
+    RepairAlgorithm,
+    _padded_differing_lists,
+    _step_budget,
+    _walk_repair_table,
+)
 
 
 class GreedyHolisticRepair(RepairAlgorithm):
@@ -66,12 +70,8 @@ class GreedyHolisticRepair(RepairAlgorithm):
 
     def __init__(self, max_changes: int = 200, max_candidates: int = 20,
                  second_order: bool = True):
-        if max_changes <= 0:
-            raise RepairError(f"max_changes must be positive, got {max_changes}")
-        if max_candidates <= 0:
-            raise RepairError(f"max_candidates must be positive, got {max_candidates}")
-        self.max_changes = max_changes
-        self.max_candidates = max_candidates
+        self.max_changes = _step_budget("max_changes", max_changes)
+        self.max_candidates = _step_budget("max_candidates", max_candidates)
         self.second_order = bool(second_order)
 
     # -- candidate scoring ---------------------------------------------------------

@@ -17,7 +17,7 @@ arbitrary FD-style constraint so the algorithm works on any dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.constraints.dc import DenialConstraint
 from repro.constraints.incremental import RepairWalk, find_violations_auto, repair_walk_for
@@ -25,11 +25,17 @@ from repro.dataset.table import CellRef, PerturbationView, Table
 from repro.engine.storage import is_null
 from repro.errors import RepairError
 from repro.observability import trace as otrace
-from repro.repair.base import RepairAlgorithm, _padded_differing_lists, _walk_repair_table
+from repro.repair.base import (
+    RepairAlgorithm,
+    _padded_differing_lists,
+    _step_budget,
+    _walk_repair_table,
+)
 
 MOST_COMMON = "most_common"
 CONDITIONAL = "conditional"
 _STRATEGIES = (MOST_COMMON, CONDITIONAL)
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -128,11 +134,9 @@ class SimpleRuleRepair(RepairAlgorithm):
         max_iterations: int = 10,
         second_order: bool = True,
     ):
-        if max_iterations <= 0:
-            raise RepairError(f"max_iterations must be positive, got {max_iterations}")
         self.rules = dict(rules or {})
         self.derive_missing = derive_missing
-        self.max_iterations = max_iterations
+        self.max_iterations = _step_budget("max_iterations", max_iterations)
         self.second_order = bool(second_order)
         self._derived_rules: dict[DenialConstraint, RepairRule | None] = {}
 
@@ -285,62 +289,131 @@ class SimpleRuleRepair(RepairAlgorithm):
 
     def _repair_passes(self, constraints: list[DenialConstraint], current: Table,
                        walk: RepairWalk | None) -> Table:
-        # On the walk path, replacement values are memoised per (target,
-        # strategy, conditioning attribute and value).  The statistics only
-        # change through this loop's own tracked writes, and a write to
-        # attribute A moves exactly the marginal/pair counts of entries whose
-        # target or conditioning attribute is A, so only those entries are
-        # invalidated — values stay bit-identical, repeated argmax lookups
-        # are skipped.  An unexpected version jump clears everything.
+        """The fixpoint: one rule pass per constraint, repeated until nothing changes.
+
+        A pass collects the constraint's violating rows first, so a repair
+        applied to one tuple does not hide the violations of tuples found
+        later in the same pass.  Without a walk (the ``second_order=False``
+        reference) the pass is the paper's per-row loop: detect by rescan,
+        then per violating row compute the replacement and write it.
+
+        On the walk path each pass is one set operation (:meth:`_pass_writes`
+        + one :meth:`~repro.dataset.table.Table.set_values` batch), which is
+        exact.  Within one constraint's pass the rule writes only its target
+        column ``T``; it reads each row's conditioning value ``G`` (``G != T``,
+        so the writes cannot change it) and ``T``'s statistics.  Writing the
+        replacement ``w`` over ``old`` moves counts only toward ``w``:
+
+        * ``most_common``: ``count(w)`` rises by one and ``count(old)`` falls
+          by one, so ``w`` stays the strict mode;
+        * ``conditional``: the pair counts of ``g_r`` gain ``w`` and lose
+          ``old``, so ``w`` stays the argmax for ``g_r``; the counts of every
+          other conditioning value do not move.
+
+        So every replacement computed at the start of the pass equals the
+        one the per-row loop computes after the earlier rows' writes, and
+        writes to distinct rows commute.  A rule with ``given == target``
+        never writes (the argmax of ``T`` given ``T = t`` is ``t``).
+
+        Replacements are memoised across passes per (target, strategy,
+        conditioning attribute and value).  The statistics only change
+        through this loop's own writes, and a batch written to ``T`` moves
+        exactly the marginal/pair counts of entries whose target or
+        conditioning attribute is ``T``, so only those entries are dropped,
+        once the pass has ended.  An unexpected version jump clears
+        everything.
+        """
+        if walk is None:
+            return self._reference_passes(constraints, current)
         memo: dict[tuple, Any] = {}
         memo_version = current.version
-        current_value = current.value
         for _ in range(self.max_iterations):
             changed = False
             for constraint in constraints:
                 rule = self._rule_for(constraint)
                 if rule is None or rule.target not in current.schema:
                     continue
-                # Collect the violating tuples first so that a repair applied to
-                # one tuple does not hide the violations of tuples found later
-                # in the same pass.  On the walk path the ranking consumes the
-                # walk's array-built row list (one vectorised concatenate+sort
-                # over the mixed class-partition groups) — no Violation or
-                # CellRef objects are materialised.
-                if walk is not None:
-                    violating_rows = walk.violating_rows_for(constraint)
+                # the walk's array-built row list: no Violation or CellRef
+                # objects are materialised
+                rows = walk.violating_rows_for(constraint)
+                if not rows:
+                    continue
+                if current.version != memo_version:
+                    memo.clear()
+                write_rows, write_values = self._pass_writes(rule, current, rows, memo)
+                if write_rows:
+                    target = rule.target
+                    current.set_values(target, write_rows, write_values)
+                    changed = True
+                    for stale in [k for k in memo if k[0] == target or k[2] == target]:
+                        del memo[stale]
+                memo_version = current.version
+            if not changed:
+                break
+        return current
+
+    @staticmethod
+    def _pass_writes(rule: RepairRule, current: Table, rows: list[int],
+                     memo: dict[tuple, Any]) -> tuple[list[int], list[Any]]:
+        """The ``(rows, values)`` one rule pass writes, from the pre-pass state.
+
+        One gather per column reads the rows' target (and conditioning)
+        values; one replacement is computed per distinct conditioning value.
+        A row is written when its value ``!=`` its replacement.
+        """
+        target = rule.target
+        current_values = current.column(target)[rows].tolist()
+        if rule.strategy == MOST_COMMON:
+            key = (target, MOST_COMMON, None, None)
+            replacement = memo.get(key, _MISSING)
+            if replacement is _MISSING:
+                replacement = memo[key] = rule.replacement_value(current, rows[0])
+            if replacement is None:
+                return [], []
+            write_rows = [row for row, value in zip(rows, current_values)
+                          if value != replacement]
+            return write_rows, [replacement] * len(write_rows)
+        given = rule.given
+        by_value: dict[Any, Any] = {}
+        write_rows: list[int] = []
+        write_values: list[Any] = []
+        for row, value, given_value in zip(
+                rows, current_values, current.column(given)[rows].tolist()):
+            try:
+                replacement = by_value[given_value]
+            except KeyError:
+                if is_null(given_value):
+                    replacement = None
                 else:
-                    violations = find_violations_auto(current, constraint)
-                    violating_rows = sorted({row for v in violations for row in v.rows})
-                for row in violating_rows:
-                    if walk is not None:
-                        if current.version != memo_version:
-                            memo.clear()
-                            memo_version = current.version
-                        given = rule.given
-                        key = (rule.target, rule.strategy, given,
-                               current_value(row, given) if given else None)
-                        try:
-                            replacement = memo[key]
-                        except KeyError:
-                            replacement = rule.replacement_value(current, row)
-                            memo[key] = replacement
-                        except TypeError:  # unhashable conditioning value
-                            replacement = rule.replacement_value(current, row)
-                    else:
-                        replacement = rule.replacement_value(current, row)
+                    key = (target, CONDITIONAL, given, given_value)
+                    replacement = memo.get(key, _MISSING)
+                    if replacement is _MISSING:
+                        replacement = memo[key] = rule.replacement_value(current, row)
+                by_value[given_value] = replacement
+            except TypeError:  # unhashable conditioning value
+                replacement = rule.replacement_value(current, row)
+            if replacement is not None and value != replacement:
+                write_rows.append(row)
+                write_values.append(replacement)
+        return write_rows, write_values
+
+    def _reference_passes(self, constraints: list[DenialConstraint],
+                          current: Table) -> Table:
+        """The per-row loop of Algorithm 1 over full-rescan detection."""
+        for _ in range(self.max_iterations):
+            changed = False
+            for constraint in constraints:
+                rule = self._rule_for(constraint)
+                if rule is None or rule.target not in current.schema:
+                    continue
+                violations = find_violations_auto(current, constraint)
+                for row in sorted({row for v in violations for row in v.rows}):
+                    replacement = rule.replacement_value(current, row)
                     if replacement is None:
                         continue
-                    if current_value(row, rule.target) != replacement:
+                    if current.value(row, rule.target) != replacement:
                         current.set_value(row, rule.target, replacement)
                         changed = True
-                        if walk is not None:
-                            target = rule.target
-                            if memo:
-                                for stale in [k for k in memo
-                                              if k[0] == target or k[2] == target]:
-                                    del memo[stale]
-                            memo_version = current.version
             if not changed:
                 break
         return current

@@ -1,5 +1,6 @@
 """Unit tests for the greedy holistic repairer."""
 
+import numpy as np
 import pytest
 
 from repro.constraints.parser import parse_dcs
@@ -16,6 +17,22 @@ def test_parameter_validation():
         GreedyHolisticRepair(max_changes=0)
     with pytest.raises(RepairError):
         GreedyHolisticRepair(max_candidates=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_changes": 1.5}, {"max_candidates": 2.5},
+    {"max_changes": True}, {"max_candidates": True}, {"max_changes": "3"},
+])
+def test_step_budgets_must_be_integers(kwargs):
+    # a float used to construct fine and raise a bare TypeError at the first
+    # repair, and True was taken as a budget of 1
+    with pytest.raises(RepairError):
+        GreedyHolisticRepair(**kwargs)
+
+
+def test_step_budgets_accept_numpy_integers():
+    algorithm = GreedyHolisticRepair(max_changes=np.int64(5), max_candidates=np.int32(3))
+    assert (algorithm.max_changes, algorithm.max_candidates) == (5, 3)
 
 
 def test_repairs_single_fd_breach():

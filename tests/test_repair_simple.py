@@ -1,5 +1,6 @@
 """Unit tests for Algorithm 1 (SimpleRuleRepair)."""
 
+import numpy as np
 import pytest
 
 from repro.constraints.parser import parse_dc, parse_dcs
@@ -26,6 +27,18 @@ def test_repair_rule_validation():
 def test_simple_repair_rejects_bad_iterations():
     with pytest.raises(RepairError):
         SimpleRuleRepair(max_iterations=0)
+
+
+@pytest.mark.parametrize("budget", [2.5, True, False, "3", None])
+def test_simple_repair_rejects_non_integer_iterations(budget):
+    # a float used to construct fine and raise a bare TypeError at the first
+    # repair, and True was taken as a budget of 1
+    with pytest.raises(RepairError):
+        SimpleRuleRepair(max_iterations=budget)
+
+
+def test_simple_repair_accepts_numpy_integer_iterations():
+    assert SimpleRuleRepair(max_iterations=np.int64(4)).max_iterations == 4
 
 
 def test_paper_algorithm_repairs_figure2(dirty_table, clean_table, constraints):
