@@ -28,9 +28,9 @@ The constraints file contains one DC per line in the ASCII syntax of
 ignored.
 
 Any :mod:`repro.errors` exception — for example an unparsable cell or
-constraint, or an out-of-range option such as ``--samples 0``, ``--seed -1``
-or ``--top-cells -1`` — prints one ``error:`` line to stderr and exits with
-code 2.
+constraint, or an out-of-range option such as ``--samples 0``, ``--seed -1``,
+``--top-cells -1`` or ``--deadline inf`` — prints one ``error:`` line to
+stderr and exits with code 2.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from repro.observability import trace as otrace
 from repro.repair.greedy import GreedyHolisticRepair
 from repro.repair.holoclean import HoloCleanRepair
 from repro.repair.simple import SimpleRuleRepair
+from repro.shapley.cells import check_time_budgets
 
 ALGORITHMS = {
     "simple": SimpleRuleRepair,
@@ -124,21 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "sampling; on expiry the partial estimates "
                                      "computed so far are reported (marked "
                                      "INCOMPLETE) instead of hanging")
-    explain_parser.add_argument("--max-worker-restarts", type=int, default=None,
-                                metavar="N",
-                                help="with --jobs: per-worker-slot restart cap before "
-                                     "the slot is abandoned (crash-loop containment; "
-                                     "default 5, -1 lifts the cap)")
-    explain_parser.add_argument("--max-shard-attempts", type=int, default=None,
-                                metavar="N",
-                                help="with --jobs: cross-worker failures tolerated per "
-                                     "sampling shard before it is quarantined to the "
-                                     "in-process path (default 3, -1 lifts the cap)")
-    explain_parser.add_argument("--restart-backoff", type=float, default=None,
-                                metavar="SECONDS",
-                                help="with --jobs: base delay of the exponential "
-                                     "backoff slept before worker restarts "
-                                     "(default 0.05, 0 disables)")
     explain_parser.add_argument("--policy", default="sample", choices=["sample", "null", "mode"],
                                 help="replacement policy for out-of-coalition cells")
     explain_parser.add_argument("--update", action="append", default=[],
@@ -231,26 +217,13 @@ def _command_explain(args) -> int:
         raise TRexError(f"--seed must be non-negative, got {args.seed}")
     if args.top_cells < 0:
         raise TRexError(f"--top-cells must be non-negative, got {args.top_cells}")
-    if args.deadline is not None and args.deadline < 0:
-        raise TRexError(f"--deadline must be non-negative, got {args.deadline}")
-
-    def _cap(value, default):
-        # -1 on the command line lifts a cap (None internally)
-        if value is None:
-            return default
-        return None if value < 0 else value
-
+    check_time_budgets(args.deadline, None)
     config = TRexConfig(
         seed=args.seed if args.seed is not None else defaults.seed,
         cell_samples=args.samples,
         replacement_policy=args.policy,
         n_jobs=args.jobs,
         deadline_seconds=args.deadline,
-        max_worker_restarts=_cap(args.max_worker_restarts, defaults.max_worker_restarts),
-        max_shard_attempts=_cap(args.max_shard_attempts, defaults.max_shard_attempts),
-        restart_backoff_seconds=(defaults.restart_backoff_seconds
-                                 if args.restart_backoff is None
-                                 else max(0.0, args.restart_backoff)),
     )
     if args.update:
         # replay base-table writes through the live session update path, then

@@ -58,20 +58,14 @@ class TRexConfig:
         run on the ``n_jobs`` path.  On expiry the scheduler stops at a
         round boundary and returns the merged *partial* estimates with
         ``ShapleyResult.completed == False``.  ``None`` (default) means no
-        budget.  Sequential runs ignore it.
-    max_worker_restarts:
-        Per-worker-slot cap on process restarts (crash-loop containment);
-        once exceeded the slot stays dead and its work is requeued or run
-        in-process.  ``None`` lifts the cap.
-    max_shard_attempts:
-        Cross-worker failure cap per sampling shard; a shard that fails this
-        many times is quarantined to the in-process degrade path for the
-        rest of the scheduler's lifetime (values unchanged — only where the
-        shard is evaluated changes).  ``None`` lifts the cap.
-    restart_backoff_seconds:
-        Base delay of the bounded exponential backoff slept before each
-        worker restart (doubles per consecutive restart of the same slot,
-        capped).  ``0`` disables the backoff.
+        budget.  It must be a finite number ``>= 0``.  Sequential runs
+        ignore it.
+
+    The ``n_jobs`` path has no recovery knobs: a worker that crashes, hangs
+    or sends a corrupt or unpicklable reply fails the round over — its
+    shards finish in-process, the pool is closed and the rest of the
+    explanation runs in-process, bit-identically (shard draws are seeded by
+    shard coordinates).  The next explanation spawns a fresh pool.
     """
 
     seed: int = DEFAULT_SEED
@@ -81,9 +75,6 @@ class TRexConfig:
     cache_oracle: bool = True
     n_jobs: int | None = None
     deadline_seconds: float | None = None
-    max_worker_restarts: int | None = 5
-    max_shard_attempts: int | None = 3
-    restart_backoff_seconds: float = 0.05
     extra: dict = field(default_factory=dict)
 
     def rng(self) -> np.random.Generator:
@@ -93,20 +84,6 @@ class TRexConfig:
     def with_seed(self, seed: int) -> "TRexConfig":
         """Return a copy of the configuration with a different seed."""
         return dataclasses.replace(self, seed=seed, extra=dict(self.extra))
-
-    def retry_policy(self):
-        """Build the pool :class:`~repro.parallel.pool.RetryPolicy` these knobs describe.
-
-        Imported lazily: ``repro.parallel`` imports this module, so a
-        top-level import here would be circular.
-        """
-        from repro.parallel.pool import RetryPolicy
-
-        return RetryPolicy(
-            max_worker_restarts=self.max_worker_restarts,
-            max_shard_attempts=self.max_shard_attempts,
-            backoff_base=self.restart_backoff_seconds,
-        )
 
 
 def make_rng(seed_or_rng=None) -> np.random.Generator:

@@ -182,7 +182,6 @@ class TRExExplainer:
         explainer = CellShapleyExplainer(
             oracle, policy=self.config.replacement_policy, rng=self.config.seed,
             n_jobs=self.config.n_jobs,
-            retry_policy=self.config.retry_policy(),
             deadline_seconds=self.config.deadline_seconds,
         )
         if cells is None and only_relevant:

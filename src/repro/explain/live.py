@@ -82,7 +82,6 @@ class LiveExplainState:
         self.explainer = CellShapleyExplainer(
             self.oracle, policy=config.replacement_policy, rng=config.seed,
             n_jobs=config.n_jobs,
-            retry_policy=config.retry_policy(),
             deadline_seconds=config.deadline_seconds,
         )
         #: the explained cells in fresh-session submission order (the
@@ -239,8 +238,9 @@ def apply_session_update(session, values: Mapping[CellRef, Any]) -> dict:
     6. rebase the session oracle's cache onto the new table fingerprint
        (entries pinned on changed cells drop; ``base_updates_applied`` and
        ``cache_entries_invalidated`` count on this oracle);
-    7. patch every scheduler: local resident stack, seed cache, and one
-       resident-worker patch round (no stack rebuilds);
+    7. patch every scheduler: local resident stack and one resident-worker
+       patch round (no stack rebuilds; a failed patch fails the pool over,
+       counted in ``pool_failovers``);
     8. drop the sampler's policy-precomputed replacement overlay and
        selectively invalidate estimates via their touched-cell fingerprints
        (full invalidation for the ``sample`` policy, a changed column mode
@@ -320,7 +320,8 @@ def apply_session_update(session, values: Mapping[CellRef, Any]) -> dict:
             patched = scheduler.apply_base_update(
                 delta, new_values, old_fingerprint, target_changed=target_changed
             )
-            info["workers_patched"] += patched.get("workers_patched", 0)
+            info["workers_patched"] += patched["workers_patched"]
+            live.oracle.pool_failovers += patched["pool_failovers"]
         live.explainer.sampler.invalidate_overlay()
         everything = target_changed or live.policy is ReplacementPolicy.SAMPLE
         if not everything and modes_before is not None:

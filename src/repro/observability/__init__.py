@@ -19,7 +19,7 @@ telemetry enabled or disabled — the golden-determinism grid pins that):
   :func:`~repro.observability.trace.current` returning ``None``.
 * :mod:`~repro.observability.events` — an always-on structured event log
   (JSON lines) for the *rare* worker-health lifecycle events: spawn,
-  restart, requeue, poison, deadline expiry, snapshot seeding.  The chaos
+  fail-over, base update, deadline expiry.  The chaos
   harness asserts these reconcile exactly with the health counters.
 
 See ``docs/OBSERVABILITY.md`` for the counter/span/event glossary and a

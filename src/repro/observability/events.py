@@ -1,6 +1,6 @@
 """Structured event log for worker-health lifecycle incidents.
 
-Counters tell you *how many* restarts a run absorbed; the event log tells
+Counters tell you *how many* fail-overs a run absorbed; the event log tells
 you *which worker*, *when*, and *why*.  Each record is one flat dict with
 a ``kind``, a wall-clock ``ts`` (``time.perf_counter()``, the same
 monotonic timeline the tracer stamps spans with, so events line up with
@@ -15,16 +15,14 @@ construction; the chaos harness asserts it.
 
 Kinds emitted by the pool/scheduler stack:
 
-``worker_spawn``       a pool worker process started (index, generation, pid)
-``worker_restart``     a worker was killed and respawned (reason, backoff)
-``worker_abandoned``   restart cap reached; the slot is retired
-``task_deadline_expired``  one task exceeded the pool timeout
-``task_requeued``      a failed worker's task moved to a live sibling
-``shard_requeued``     a failed worker's shards were reassigned
-``shard_poisoned``     a shard hit the attempt cap and was quarantined
-``warm_restart``       a resident worker rebuilt its state mid-stream
-``snapshot_seeded``    a rebuilt resident was seeded from a cache snapshot
-``deadline_expired``   the whole explain hit its deadline budget
+``worker_spawn``           a pool worker process started (worker, pid)
+``pool_failover``          a worker's assignment failed (reason, worker,
+                           n_shards); it finished in-process and the pool
+                           was closed for the rest of the call
+``task_deadline_expired``  one task ran past the job deadline (task, worker)
+``base_update``            a base-table update reached the scheduler (cells,
+                           workers_patched, target_changed)
+``deadline_expired``       the whole explain hit its deadline budget
 """
 
 from __future__ import annotations

@@ -5,17 +5,16 @@ pool health, live-update bookkeeping — is declared here once with
 its *kind*, and the kind decides how values combine when per-worker
 snapshots are folded into one aggregate:
 
-* :data:`SUM` — additive workload counters (calls, repair runs, requeues);
+* :data:`SUM` — additive workload counters (calls, repair runs, fail-overs);
 * :data:`MAX` — high-water marks of one run (``max_batch_size``,
   ``parallel_workers``): the aggregate of several workers is the widest
   single observation, not a sum;
-* :data:`TIMER` — additive wall-clock seconds (floats, e.g. the restart
-  backoff total);
+* :data:`TIMER` — additive wall-clock seconds (floats);
 * :data:`HISTOGRAM` — power-of-two bucket counts merged bucket-wise.
 
 ``BinaryRepairOracle`` keeps one :class:`MetricsRegistry` as its single
 counter sink; its public counter *attributes* (``oracle.calls``,
-``oracle.workers_restarted``, …) are :class:`MetricAttribute` descriptors
+``oracle.pool_failovers``, …) are :class:`MetricAttribute` descriptors
 proxying straight into the registry, so every existing read/write site —
 including the scheduler's ``setattr`` counter folds — works unchanged.
 ``aggregate_oracle_statistics`` derives its max-merged key sets from the
@@ -67,13 +66,8 @@ ORACLE_METRICS: tuple[Metric, ...] = (
     Metric("parallel_shards", absorbed=False),
     Metric("worker_rebuilds"),
     Metric("cache_entries_shipped"),
-    Metric("shards_requeued"),
-    Metric("workers_restarted"),
-    Metric("warm_restarts"),
-    Metric("cache_entries_seeded"),
-    Metric("shards_poisoned"),
+    Metric("pool_failovers"),
     Metric("deadline_expired"),
-    Metric("restart_backoff_seconds", TIMER),
     Metric("base_updates_applied"),
     Metric("estimates_invalidated"),
     Metric("cache_entries_invalidated"),

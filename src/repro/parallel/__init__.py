@@ -13,16 +13,15 @@ top of it without touching any of those layers' semantics:
   built from the pickled job spec once and kept **resident** across rounds
   (cache-diff shipping via per-worker high-water marks);
 * :mod:`~repro.parallel.pool` — the :class:`WorkerPool`: one dedicated pipe
-  per worker (exact task→worker assignment), health monitoring with
-  requeue-on-death/timeout, a :class:`RetryPolicy` bounding restarts with
-  exponential backoff, per-job deadline budgets, and a deterministic
-  in-process degradation;
+  per worker (exact task→worker assignment), detection of dead, hung and
+  erroring workers, and per-job deadline budgets;
 * :mod:`~repro.parallel.scheduler` — plan, execute, merge: Welford-merged
-  estimates, absorbed oracle counter deltas, diff-merged caches, warm
-  restarts from parent cache snapshots, poison-shard quarantine, and an
-  adaptive mode whose early stopping consumes merged cross-shard counts;
+  estimates, absorbed oracle counter deltas, diff-merged caches, in-process
+  fail-over, and an adaptive mode whose early stopping consumes merged
+  cross-shard counts;
 * :mod:`~repro.parallel.chaos` — seeded, deterministic
-  :class:`FaultPlan` schedules for soak-testing all of the above at once.
+  :class:`FaultPlan` schedules (kill, hang, corrupt reply) for soak-testing
+  the fail-over.
 
 Failure semantics
 -----------------
@@ -30,41 +29,35 @@ Failure semantics
 Every failure path preserves the core invariant — Shapley values are
 bit-identical to the sequential engine — because shard draws are seeded by
 ``(job_seed, cell_position, chunk_index)`` coordinates only; faults can only
-change *where* a shard is evaluated, never *what* it computes.  The matrix
-(rows: what went wrong; right: how the warm pool recovers, degrading to
-in-process execution where no worker can take the work):
+change *where* a shard is evaluated, never *what* it computes.  The pool
+does not recover: it **fails over**.  On any failure below the scheduler
+keeps the round's good reports, runs the failed assignments in-process,
+closes the pool and runs the rest of the current ``run()`` /
+``run_adaptive()`` / ``apply_base_update()`` call in-process.  The next call
+spawns a fresh pool.  A crash loop therefore costs at most one failed round
+per call:
 
-===================  ==========================================================
-failure              recovery
-===================  ==========================================================
-worker crash         restart slot with bounded backoff; requeue its shards on
-                     a warm sibling that answered this round, else run them
-                     in-process; the replacement's first task ships the job
-                     payload **plus a snapshot of the merged cache** so it
-                     starts warm (``warm_restarts`` / ``cache_entries_seeded``)
-worker hang          timeout → treated as a crash (the hung process is
-                     terminated); ``workers_restarted`` counts both
-corrupt reply        reply that is not a :class:`WorkerReport` is discarded
-                     and the shards rerun in-process; the worker keeps
-                     running but is not marked resident for the round
-crash loop           :class:`RetryPolicy` caps restarts per slot
-                     (``max_worker_restarts``) with exponential backoff
-                     (``restart_backoff_seconds`` total); an exhausted slot
-                     stays dead and its work degrades in-process
-poison shard         a shard failing ``max_shard_attempts`` times across
-                     *different* workers is quarantined to the in-process
-                     path for the scheduler's lifetime (``shards_poisoned``
-                     counts quarantine events, ``shards_quarantined`` the
-                     per-round reroutes)
-deadline expiry      the round stops cleanly at a shard-wave boundary;
-                     merged partial estimates are returned with
-                     ``completed=False`` (``deadline_expired``,
-                     ``shards_dropped``) — never a hang, never a mid-merge
-                     exception
-===================  ==========================================================
+=====================  ==========================================================
+failure                fail-over
+=====================  ==========================================================
+worker crash           EOF on the pipe; the worker's shards finish in-process
+                       (``pool_failover`` reason ``dead``)
+worker hang            no report within ``worker_timeout``; the worker is
+                       killed and its shards finish in-process (reason
+                       ``timeout``)
+corrupt or             a report that cannot be pickled (reason ``error``) or a
+unpicklable reply      reply that is not a :class:`WorkerReport` (reason
+                       ``corrupt``) is discarded; the shards finish in-process
+deadline expiry        the round stops cleanly at a shard-wave boundary; the
+                       late worker is killed, the pool closed, and merged
+                       partial estimates are returned with ``completed=False``
+                       (``deadline_expired``, ``shards_dropped``) — never a
+                       hang, never a mid-merge exception
+=====================  ==========================================================
 
-Telemetry: every counter named above flows through the oracle's
-:class:`~repro.observability.metrics.MetricsRegistry` into
+Telemetry: ``pool_failovers`` counts failed assignments and equals the
+number of ``pool_failover`` events.  Every counter flows through the
+oracle's :class:`~repro.observability.metrics.MetricsRegistry` into
 ``oracle.statistics()`` and the CLI report; the scheduler and pool also
 emit structured health events (:class:`~repro.observability.events.EventLog`)
 that reconcile exactly with the counters, and the whole hot path carries
@@ -77,11 +70,8 @@ sample chunk per unconverged cell per round and decide stopping on the
 merged cross-shard accumulator only.
 
 Entry points for users are ``CellShapleyExplainer(..., n_jobs=...,
-deadline_seconds=...)``, ``TRexConfig(n_jobs=..., deadline_seconds=...,
-max_worker_restarts=...)`` and the CLI's ``--jobs`` / ``--deadline`` /
-``--max-worker-restarts``; this package
-is the seam future serving work (async service, multi-backend dispatch)
-plugs into.
+deadline_seconds=..., worker_timeout=...)``, ``TRexConfig(n_jobs=...,
+deadline_seconds=...)`` and the CLI's ``--jobs`` / ``--deadline``.
 """
 
 from repro.parallel.chaos import FAULT_KINDS, FaultEvent, FaultPlan
@@ -94,7 +84,6 @@ from repro.parallel.job import (
 )
 from repro.parallel.pool import (
     PoolTask,
-    RetryPolicy,
     TaskOutcome,
     WorkerPool,
     process_context,
@@ -122,7 +111,6 @@ __all__ = [
     "ParallelExplainResult",
     "PoolTask",
     "ResidentState",
-    "RetryPolicy",
     "ShardResult",
     "ShardedExplainScheduler",
     "TaskOutcome",

@@ -1,4 +1,4 @@
-"""Seeded chaos schedules for the warm pool's fault-tolerance machinery.
+"""Seeded chaos schedules for the warm pool's fail-over.
 
 PR 5's ``fault_injector`` hook is a bare callable — good for scripting one
 targeted failure, clumsy for soak testing.  :class:`FaultPlan` generalises it
@@ -10,10 +10,10 @@ signature), so it plugs straight into ``ShardedExplainScheduler``.
 
 :meth:`FaultPlan.seeded` draws a randomized-but-reproducible schedule from a
 ``numpy`` generator: the same ``(seed, n_workers, n_rounds, rate)`` always
-yields the same kill/hang/corrupt-reply/slow-reply sequence, which is what
-lets the chaos soak replay the golden-determinism grid under fire and assert
-bit-identical Shapley values — the repo's core invariant, now tested under
-every failure mode the pool distinguishes at once.
+yields the same kill/hang/corrupt-reply sequence, which is what lets the
+chaos soak replay the golden-determinism grid under fire and assert
+bit-identical Shapley values — the repo's core invariant, tested under
+every failure the pool fails over on.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.parallel.job import WorkerFault
 
 #: the fault vocabulary :meth:`FaultPlan.seeded` draws from, in draw order
 #: (the order is part of the schedule's determinism contract)
-FAULT_KINDS = ("kill", "hang", "corrupt", "slow")
+FAULT_KINDS = ("kill", "hang", "corrupt")
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,6 @@ class FaultPlan:
             "kill": lambda fault: fault.die_after_shards is not None,
             "hang": lambda fault: fault.hang_seconds is not None,
             "corrupt": lambda fault: fault.corrupt_reply,
-            "slow": lambda fault: fault.slow_seconds is not None
-            and not fault.corrupt_reply,
         }[kind]
         return sum(1 for fault in self._events.values() if predicate(fault))
 
@@ -86,25 +84,21 @@ class FaultPlan:
     def seeded(cls, seed: int, n_workers: int, n_rounds: int,
                rate: float = 0.25,
                kinds: Sequence[str] = FAULT_KINDS,
-               hang_seconds: float = 30.0,
-               slow_seconds: float = 0.02) -> "FaultPlan":
+               hang_seconds: float = 30.0) -> "FaultPlan":
         """A reproducible random schedule over a ``workers × rounds`` grid.
 
         Each coordinate independently suffers a fault with probability
         ``rate``; the kind is drawn uniformly from ``kinds``.  ``kill``
         events die after 0 shards (so they fire even on one-shard
-        assignments), ``hang`` events sleep ``hang_seconds`` (pair the plan
-        with a ``worker_timeout`` well below it), ``slow`` events delay the
-        reply by ``slow_seconds`` (keep it below the timeout to model a slow
-        but healthy worker).  The schedule depends only on the arguments —
-        never on wall clock or global RNG state.
+        assignments) and ``hang`` events sleep ``hang_seconds`` (pair the
+        plan with a ``worker_timeout`` well below it).  The schedule depends
+        only on the arguments — never on wall clock or global RNG state.
         """
         rng = np.random.default_rng(seed)
         faults = {
             "kill": lambda: WorkerFault(die_after_shards=0),
             "hang": lambda: WorkerFault(hang_seconds=hang_seconds),
             "corrupt": lambda: WorkerFault(corrupt_reply=True),
-            "slow": lambda: WorkerFault(slow_seconds=slow_seconds),
         }
         events = []
         for round_index in range(int(n_rounds)):

@@ -18,8 +18,8 @@ sync, which the parent merges (replaying the diff into its cache,
 
 :class:`WorkerFault` is the fault-injection vocabulary of the test harness:
 a picklable directive executed *inside* a pool worker to simulate the
-environmental failures (process death, hangs, unpicklable reports) the
-pool's health/requeue machinery must absorb without changing any value.
+environmental failures (process death, hangs, unpicklable or corrupt
+reports) the scheduler's fail-over must absorb without changing any value.
 """
 
 from __future__ import annotations
@@ -127,12 +127,6 @@ class WorkerReport:
     #: size of the worker's resident cache when the report was cut — what
     #: whole-cache shipping would have cost this round
     resident_cache_size: int = 0
-    #: 1 when this task rebuilt its stack *seeded from a parent snapshot* (a
-    #: warm restart) instead of starting from an empty cache
-    warm_restart: int = 0
-    #: entries the parent's snapshot seeded into this worker's fresh cache
-    #: (they never ship back — the first sync mark is taken above them)
-    entries_seeded: int = 0
     #: finished :class:`~repro.observability.trace.Span` records for this
     #: report's shards (empty unless the job spec asked for tracing); the
     #: parent adopts them into its tracer, where their coordinate-derived
@@ -144,24 +138,22 @@ class WorkerReport:
 class WorkerFault:
     """A test-only fault directive executed inside a pool worker.
 
-    Exactly the failure modes the pool's health machinery distinguishes:
+    Exactly the failure modes the pool and scheduler distinguish:
 
     * ``die_after_shards`` — hard-exit the worker process after executing
       that many shards (a mid-task crash; the parent sees EOF on the pipe);
     * ``hang_seconds`` — sleep at task entry, tripping the parent's
-      ``worker_timeout`` (the worker is terminated and replaced);
+      ``worker_timeout`` (the worker is killed);
     * ``unpicklable_report`` — poison the report so it cannot cross the pipe
-      (the worker answers with an error and the parent degrades the task
-      in-process);
+      (the worker answers with an error);
     * ``slow_seconds`` — sleep *after* computing the report, before replying
-      (a slow reply: harmless under a generous timeout, a timeout/requeue or
-      a deadline expiry under a tight one — all value-preserving);
+      (a slow reply: harmless under a generous timeout, a timeout or a
+      deadline expiry under a tight one — all value-preserving);
     * ``corrupt_reply`` — answer with garbage instead of a
-      :class:`WorkerReport` (the scheduler detects the type violation and
-      re-runs the shards in-process).
+      :class:`WorkerReport` (the scheduler detects the type violation).
 
-    Faults attach to one dispatch only: a requeued task is always sent
-    clean, modelling an environmental failure at the original placement.
+    Each failure fails the assignment over: its shards run in-process and
+    the pool is closed.  Faults attach to one dispatch only.
     """
 
     die_after_shards: int | None = None

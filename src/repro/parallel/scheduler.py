@@ -24,10 +24,13 @@ keeps its oracle stack resident between rounds keyed by the job-spec
 fingerprint (``worker_rebuilds`` counts how often a stack had to be built —
 ``n_jobs`` once, ever, on the healthy path), and reports ship only the cache
 entries inserted since the worker's last sync (``cache_entries_shipped``)
-plus counter deltas instead of the whole cache.  A worker that dies or times
-out mid-round is replaced and its shards are requeued onto a live worker or
-degraded in-process (``shards_requeued`` / ``workers_restarted``) — results
-stay bit-identical because every shard's draws are seeded by its coordinates
+plus counter deltas instead of the whole cache.  A worker that dies, times
+out, answers with an error or replies with something that is not a
+:class:`WorkerReport` **fails the round over**: the round's good reports are
+kept, the failed assignments run in-process, the pool is closed and the rest
+of the call runs in-process; the next call spawns a fresh pool
+(``pool_failovers`` counts the failed assignments).  Results stay
+bit-identical because every shard's draws are seeded by its coordinates
 alone.  ``n_jobs=1`` runs the same plan on one in-process resident stack and
 is the reference every ``n_jobs=k`` run is property-tested against.
 
@@ -53,7 +56,7 @@ from repro.observability import trace as otrace
 from repro.observability.events import EventLog
 from repro.observability.trace import coordinate_span_id
 from repro.parallel.job import ExplainJobSpec, ExplainShard, ShardResult, WorkerReport
-from repro.parallel.pool import PoolTask, RetryPolicy, WorkerPool
+from repro.parallel.pool import PoolTask, TaskOutcome, WorkerPool
 from repro.parallel.seeding import partition_samples
 from repro.parallel.worker import run_base_update_worker, run_resident_worker
 from repro.repair.cache import OracleCache, aggregate_oracle_statistics
@@ -71,14 +74,10 @@ _LOCAL_KEY = "local"
 
 #: round-log counter keys summed into run statistics *and* absorbed into the
 #: parent oracle's attributes of the same name
-_POOL_COUNTERS = ("worker_rebuilds", "cache_entries_shipped",
-                  "shards_requeued", "workers_restarted",
-                  "warm_restarts", "cache_entries_seeded",
-                  "shards_poisoned", "restart_backoff_seconds")
+_POOL_COUNTERS = ("worker_rebuilds", "cache_entries_shipped", "pool_failovers")
 
 #: round-log bookkeeping keys that stay per-round (not oracle counters)
-_ROUND_ONLY_KEYS = ("cache_entries_resident", "shards_quarantined",
-                    "shards_dropped")
+_ROUND_ONLY_KEYS = ("cache_entries_resident", "shards_dropped")
 
 
 @dataclass
@@ -124,24 +123,17 @@ class ShardedExplainScheduler:
         it changes the draws), so hold it fixed when comparing runs.
     worker_timeout:
         Seconds the warm pool waits for a worker's round report before
-        declaring it hung and requeueing its shards (default: wait
-        indefinitely; worker *death* is always detected immediately).
+        declaring it hung and failing its shards over in-process (default:
+        wait indefinitely; worker *death* is always detected immediately).
     fault_injector:
         Test-harness hook: ``fn(worker_index, round_index)`` returning a
         :class:`~repro.parallel.job.WorkerFault` (or ``None``) attached to
         that worker's dispatch (a :class:`~repro.parallel.chaos.FaultPlan`
         is one).  Production runs never set it.
-    retry_policy:
-        Crash-loop containment (see :class:`~repro.parallel.pool.RetryPolicy`):
-        backoff between worker restarts, a per-slot restart cap, and the
-        per-shard attempt cap after which a shard is *quarantined* — executed
-        in-process for the rest of the scheduler's life instead of being
-        retried on workers forever (``shards_poisoned`` counts quarantine
-        events).  Defaults to ``RetryPolicy()``.
     deadline_seconds:
         Wall-clock budget per :meth:`run` / :meth:`run_adaptive` call.  On
         expiry the scheduler stops at a round boundary (in-flight tasks past
-        the deadline are dropped, their workers replaced), merges what
+        the deadline are dropped and the pool is closed), merges what
         every cell has so far and returns it with ``completed=False`` and a
         ``deadline_expired`` counter — it never hangs and never raises
         mid-merge.  ``None`` (default) runs to completion.
@@ -149,15 +141,14 @@ class ShardedExplainScheduler:
     The scheduler is a context manager; :meth:`close` shuts the warm pool
     down (idle workers cost memory, not correctness — they are daemonic and
     die with the parent either way).  ``round_log`` records one dict per
-    executed round (shard counts, rebuilds, shipped/seeded entries,
-    requeues, quarantines, drops) for tests and benchmarks.
+    executed round (shard counts, rebuilds, shipped entries, fail-overs,
+    drops) for tests and benchmarks.
     """
 
     def __init__(self, spec: ExplainJobSpec, n_jobs: int = 1,
                  samples_per_shard: int | None = None,
                  worker_timeout: float | None = None,
                  fault_injector: "Callable | None" = None,
-                 retry_policy: RetryPolicy | None = None,
                  deadline_seconds: float | None = None):
         if int(n_jobs) < 1:
             raise ValueError(f"n_jobs must be a positive integer, got {n_jobs}")
@@ -177,7 +168,6 @@ class ShardedExplainScheduler:
         )
         self.worker_timeout = worker_timeout
         self.fault_injector = fault_injector
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.deadline_seconds = deadline_seconds
         self._spec_payload: bytes | None = None
         self._spec_key: str | None = None
@@ -185,31 +175,23 @@ class ShardedExplainScheduler:
         #: kept across rounds/runs — warm cache, no oracle rebuild per round
         self._local_resident: dict = {}
         self._pool: WorkerPool | None = None
+        #: set when the pool cannot be spawned at all (for good) or a round
+        #: failed over (until the current call ends) — either way the
+        #: scheduler runs in-process instead of spawning a pool
         self._pool_broken = False
-        #: pool-generation at which each worker slot confirmed a resident
-        #: stack (an "ok" report) — those workers are sent shard lists only,
-        #: not the job-spec payload, on later rounds
-        self._resident_generations: dict[int, int] = {}
-        #: the scheduler's own running merge of every report's cache entries,
-        #: maintained *per round* (the absorb-into-oracle merge only happens
-        #: at the end of a run) — the snapshot source for warm restarts
-        self._seed_cache: OracleCache | None = None
-        if self.n_jobs > 1 and spec.use_cache:
-            self._seed_cache = (OracleCache(spec.cache_size)
-                                if spec.cache_size is not None else OracleCache())
-        #: cross-worker failure counts per shard coordinate, and the
-        #: coordinates already quarantined to in-process execution
-        self._shard_failures: dict[tuple[int, int], int] = {}
-        self._poisoned_shards: set[tuple[int, int]] = set()
+        self._failed_over = False
+        #: the pool workers that confirmed a resident stack (an "ok" report)
+        #: — those are sent shard lists only, not the job-spec payload
+        self._resident: set[int] = set()
         self._round_index = 0
         self._job_index = 0
         #: one bookkeeping dict per executed round — what the soak test and
         #: the warm-pool benchmark read
         self.round_log: list[dict] = []
         #: the structured worker-health event log (always on — health events
-        #: are rare); the pool appends its spawn/restart/expiry records here
-        #: and the scheduler its requeue/poison/seed/deadline ones, each at
-        #: the exact site the matching counter bumps
+        #: are rare); the pool appends its spawn/expiry records here and the
+        #: scheduler its fail-over/update/deadline ones, each at the exact
+        #: site the matching counter bumps
         self.events = EventLog()
 
     @classmethod
@@ -217,7 +199,6 @@ class ShardedExplainScheduler:
                        samples_per_shard: int | None = None,
                        worker_timeout: float | None = None,
                        fault_injector: "Callable | None" = None,
-                       retry_policy: RetryPolicy | None = None,
                        deadline_seconds: float | None = None,
                        ) -> "ShardedExplainScheduler":
         """Assemble the job spec from a live ``CellShapleyExplainer``."""
@@ -244,7 +225,7 @@ class ShardedExplainScheduler:
         )
         return cls(spec, n_jobs=n_jobs, samples_per_shard=samples_per_shard,
                    worker_timeout=worker_timeout,
-                   fault_injector=fault_injector, retry_policy=retry_policy,
+                   fault_injector=fault_injector,
                    deadline_seconds=deadline_seconds)
 
     # -- lifecycle --------------------------------------------------------------------
@@ -258,15 +239,14 @@ class ShardedExplainScheduler:
     def close(self) -> None:
         """Shut the warm pool down; safe to call repeatedly.
 
-        The residency map is dropped with the pool: a later run respawns
-        fresh worker processes (their generation counters restart at zero),
-        so stale entries would otherwise masquerade as resident stacks and
-        starve the new workers of the spec payload.
+        The residency set is dropped with the pool: a later run respawns
+        fresh worker processes, so stale entries would otherwise masquerade
+        as resident stacks and starve the new workers of the spec payload.
         """
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        self._resident_generations.clear()
+        self._resident.clear()
 
     def __del__(self):  # pragma: no cover - GC-order dependent
         try:
@@ -316,7 +296,7 @@ class ShardedExplainScheduler:
             self.spec.trace = trace
             self._spec_payload = pickle.dumps(self.spec, protocol=pickle.HIGHEST_PROTOCOL)
             self._spec_key = None
-            self._resident_generations.clear()
+            self._resident.clear()
         return self._spec_payload
 
     def _spec_fingerprint(self) -> str:
@@ -358,58 +338,49 @@ class ShardedExplainScheduler:
           :func:`~repro.parallel.worker.run_base_update_worker` task carrying
           the picklable delta: the worker applies it to its private table
           copy and re-files its stack under the new key, so
-          ``worker_rebuilds`` stays flat across updates.  Workers that fail
-          to acknowledge simply rebuild from the new payload next round —
-          same state, just slower;
-        * the scheduler's merged seed cache is rebased (or dropped when the
-          target changed), so warm restarts keep seeding post-update answers.
+          ``worker_rebuilds`` stays flat across updates.  A worker that
+          fails its patch fails the pool over: the pool is closed and the
+          next call spawns a fresh one, whose workers build their stacks
+          from the post-update payload — same state, just slower.
 
         ``changes`` maps ``(row, attribute)`` to the post-update value and
         ``old_fingerprint`` is the pre-update table fingerprint.  Returns a
         bookkeeping dict (``workers_patched``, ``cache_entries_dropped``,
-        ``seed_entries_dropped``).
+        ``pool_failovers``) — the caller folds ``pool_failovers`` into its
+        oracle, since no merge follows a patch round.
         """
         old_key = self._spec_key
         # capture residency before the re-pickle clears it — only workers
         # that acknowledge the patch get re-marked
-        resident_before = dict(self._resident_generations)
+        resident_before = set(self._resident)
         self.spec.target_value = delta.target_value
         self._spec_payload = None
         self._spec_key = None
         info = {"workers_patched": 0, "cache_entries_dropped": 0,
-                "seed_entries_dropped": 0}
+                "pool_failovers": 0}
         local = self._local_resident.get(_LOCAL_KEY)
         if local is not None:
             info["cache_entries_dropped"] += local.oracle.finish_base_update(
                 changes, old_fingerprint, delta.target_value, count=False
             )
             local.explainer.sampler.invalidate_overlay()
-        if self._seed_cache is not None:
-            if target_changed:
-                info["seed_entries_dropped"] = self._seed_cache.drop_entries()
-            else:
-                info["seed_entries_dropped"] = self._seed_cache.rebase(
-                    changes, old_fingerprint,
-                    self.spec.dirty_table.fingerprint(),
-                )
         pool = self._pool
-        if (pool is not None and old_key is not None and resident_before
-                and not self._pool_broken):
+        if pool is not None and old_key is not None and resident_before:
             new_key = self._spec_fingerprint()  # re-pickles; clears residency
             tasks = [PoolTask(run_base_update_worker,
                               (old_key, new_key, delta, worker),
                               resident=True)
                      for worker in range(pool.n_workers)]
-            outcomes = pool.run_tasks(tasks)
-            for worker, outcome in enumerate(outcomes):
-                ack = outcome.result
-                # only the slot's own acknowledgement counts — a requeued ack
-                # describes a different worker's (already patched) state
-                if (outcome.worker_index == worker and not outcome.degraded
-                        and isinstance(ack, dict) and ack.get("patched")):
-                    info["workers_patched"] += 1
-                    self._resident_generations[worker] = \
-                        pool.worker_generations[worker]
+            for worker, outcome in enumerate(pool.run_tasks(tasks)):
+                if outcome.status == "ok" and isinstance(outcome.result, dict):
+                    if outcome.result.get("patched"):
+                        info["workers_patched"] += 1
+                        self._resident.add(worker)
+                else:
+                    info["pool_failovers"] += 1
+                    self._note_failover(worker, outcome, n_shards=0)
+            if info["pool_failovers"]:
+                self.close()
         self.events.emit("base_update", cells=len(changes),
                          workers_patched=info["workers_patched"],
                          target_changed=bool(target_changed))
@@ -429,12 +400,10 @@ class ShardedExplainScheduler:
         return report
 
     def _ensure_pool(self) -> WorkerPool | None:
-        if self._pool_broken:
-            return None
-        if self._pool is None:
+        """The warm pool, spawned on first use; ``None`` means in-process."""
+        if self._pool is None and not (self._pool_broken or self._failed_over):
             try:
                 self._pool = WorkerPool(self.n_jobs, timeout=self.worker_timeout,
-                                        retry=self.retry_policy,
                                         events=self.events)
             except OSError as error:  # pragma: no cover - sandbox-dependent
                 self._pool_broken = True
@@ -444,41 +413,24 @@ class ShardedExplainScheduler:
                     RuntimeWarning,
                     stacklevel=4,
                 )
-                return None
         return self._pool
 
-    def _note_shard_failures(self, shards: Sequence[ExplainShard],
-                             log: dict) -> None:
-        """Count one cross-worker failure against each shard; quarantine at cap.
-
-        A shard whose assignment keeps failing — worker death, hang, corrupt
-        or unpicklable reply — is most likely *causing* the failures (a
-        poison shard).  After ``retry_policy.max_shard_attempts`` failing
-        rounds its coordinates are quarantined: every later round routes it
-        straight to the in-process degrade path, ending the crash loop
-        without touching its values (shard draws are coordinate-seeded).
+    def _note_failover(self, worker: int, outcome: TaskOutcome,
+                       n_shards: int) -> None:
+        """Record one assignment the pool failed: the event (and a warning
+        for the one failure the pool cannot see — a reply of the wrong type).
         """
-        cap = self.retry_policy.max_shard_attempts
-        for shard in shards:
-            coords = (shard.cell_position, shard.chunk_index)
-            attempts = self._shard_failures.get(coords, 0) + 1
-            self._shard_failures[coords] = attempts
-            if (cap is not None and attempts >= cap
-                    and coords not in self._poisoned_shards):
-                self._poisoned_shards.add(coords)
-                log["shards_poisoned"] += 1
-                self.events.emit("shard_poisoned",
-                                 cell_position=shard.cell_position,
-                                 chunk_index=shard.chunk_index,
-                                 attempts=attempts)
-                warnings.warn(
-                    f"shard (cell {shard.cell_position}, chunk "
-                    f"{shard.chunk_index}) failed {attempts} times across "
-                    "workers; quarantining it to in-process execution — "
-                    "results are identical",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
+        reason = "corrupt" if outcome.status == "ok" else outcome.status
+        if reason == "corrupt":
+            warnings.warn(
+                f"pool worker {worker} replied with "
+                f"{type(outcome.result).__name__} instead of a WorkerReport; "
+                "finishing its work in-process — results are identical",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+        self.events.emit("pool_failover", reason=reason, worker=worker,
+                         n_shards=n_shards)
 
     def _execute(self, shards: Sequence[ExplainShard],
                  deadline: float | None = None) -> list[WorkerReport]:
@@ -489,37 +441,19 @@ class ShardedExplainScheduler:
         spec (e.g. a custom repair algorithm holding a closure) degrades to
         in-process execution with a warning, mirroring the permutation
         estimator — the plan and therefore the values are unchanged.
-        Quarantined shards never reach a worker: they run in-process up
-        front (reported under worker index ``-1``).  Past-``deadline`` tasks
-        are dropped (``shards_dropped`` in the round log); the caller reads
-        that as the signal to stop at this round boundary.
+        Past-``deadline`` tasks are dropped (``shards_dropped`` in the round
+        log); the caller reads that as the signal to stop at this round
+        boundary.
         """
         round_index = self._round_index
         self._round_index += 1
         log = {"round": round_index, "shards": len(shards),
                **{key: 0 for key in _ROUND_ONLY_KEYS},
                **{key: 0 for key in _POOL_COUNTERS}}
-        reports: list[WorkerReport] = []
-        healthy = list(shards)
-        if self._poisoned_shards:
-            quarantined = [
-                shard for shard in healthy
-                if (shard.cell_position, shard.chunk_index) in self._poisoned_shards
-            ]
-            if quarantined:
-                healthy = [
-                    shard for shard in healthy
-                    if (shard.cell_position, shard.chunk_index)
-                    not in self._poisoned_shards
-                ]
-                log["shards_quarantined"] = len(quarantined)
-                reports.append(self._run_local(quarantined, -1))
-        if healthy and self.n_jobs == 1:
-            reports.append(self._run_local(healthy, 0))
-        elif healthy:
-            n_tasks = max(1, min(self.n_jobs, len(healthy)))
-            assignments = [list(healthy[worker::n_tasks])
-                           for worker in range(n_tasks)]
+        n_tasks = min(self.n_jobs, len(shards))
+        assignments = [list(shards[worker::n_tasks]) for worker in range(n_tasks)]
+        pool = payload = None
+        if self.n_jobs > 1 and assignments:
             try:
                 payload = self._payload()
             except Exception as error:
@@ -529,132 +463,67 @@ class ShardedExplainScheduler:
                     RuntimeWarning,
                     stacklevel=3,
                 )
-                payload = None
-            if payload is None:
-                reports.extend(self._run_local(assignment, worker)
-                               for worker, assignment in enumerate(assignments))
             else:
-                reports.extend(self._execute_warm(payload, assignments,
-                                                  round_index, log, deadline))
+                pool = self._ensure_pool()
+        if pool is None:
+            reports = [self._run_local(assignment, worker)
+                       for worker, assignment in enumerate(assignments)]
+        else:
+            reports = self._execute_warm(pool, payload, assignments,
+                                         round_index, log, deadline)
         tracer = otrace.current()
         for report in reports:
             log["worker_rebuilds"] += report.rebuilt
             log["cache_entries_shipped"] += report.entries_shipped
             log["cache_entries_resident"] += report.resident_cache_size
-            log["warm_restarts"] += report.warm_restart
-            log["cache_entries_seeded"] += report.entries_seeded
-            # lifecycle events derive from the same report fields the
-            # counters just folded, so the two surfaces reconcile exactly
-            if report.warm_restart:
-                self.events.emit("warm_restart", worker=report.worker_index,
-                                 entries_seeded=report.entries_seeded)
-            if report.entries_seeded:
-                self.events.emit("snapshot_seeded", worker=report.worker_index,
-                                 entries=report.entries_seeded)
             if report.spans:
                 if tracer is not None:
-                    tracer.adopt(report.spans,
-                                 worker=report.worker_index
-                                 if report.worker_index >= 0 else None)
+                    tracer.adopt(report.spans, worker=report.worker_index)
                 report.spans = []
-        if self._seed_cache is not None:
-            # keep the scheduler's own merge current *per round* — the next
-            # replacement worker is seeded from exactly this state
-            for report in reports:
-                for key, value in report.cache_diff:
-                    self._seed_cache.put(key, value)
         self.round_log.append(log)
         return reports
 
-    def _execute_warm(self, payload: bytes, assignments: Sequence[list],
-                      round_index: int, log: dict,
+    def _execute_warm(self, pool: WorkerPool, payload: bytes,
+                      assignments: Sequence[list], round_index: int, log: dict,
                       deadline: float | None = None) -> list[WorkerReport]:
-        """One warm-pool round: resident tasks, health accounting.
+        """One warm-pool round: resident tasks, fail-over on any failure.
 
-        Workers that already confirmed a resident stack (an "ok" report from
-        the same process generation) receive only their shard list — the job
-        spec payload crosses each worker's pipe once per process lifetime,
-        not once per round.  Requeued tasks always land on a worker that
-        completed its own task this round, which therefore holds the stack
-        even when the requeued message carries no payload.
+        Workers that already confirmed a resident stack receive only their
+        shard list — the job spec payload crosses each worker's pipe once
+        per process lifetime, not once per round.
 
-        A worker *without* a resident stack is additionally handed a
-        snapshot of the scheduler's merged seed cache (when it holds
-        anything): a replacement after a crash — or a whole fresh pool after
-        :meth:`close` — rebuilds its stack *warm*, resuming from the fleet's
-        accumulated answers instead of recomputing them.  Replies that are
-        not a :class:`WorkerReport` at all (a corrupt pipe, an injected
-        ``corrupt_reply`` fault) are discarded and the shards re-run
-        in-process — the type check is the last line of defence before the
-        merge.
+        Any failed assignment — a dead, hung or erroring worker, or a reply
+        that is not a :class:`WorkerReport` (the type check is the last line
+        of defence before the merge) — runs in-process against the local
+        resident stack, and the pool is closed for the rest of this call;
+        the round's good reports are kept.  A deadline expiry drops its
+        shards and closes the pool too.
         """
-        pool = self._ensure_pool()
-        if pool is None:
-            return [self._run_local(assignment, worker)
-                    for worker, assignment in enumerate(assignments)]
         key = self._spec_fingerprint()
-        seed_snapshot = None  # cut at most once per round, shared by every task
-        tasks = []
-        for worker, assignment in enumerate(assignments):
-            fault = (self.fault_injector(worker, round_index)
-                     if self.fault_injector is not None else None)
-            resident_already = (
-                self._resident_generations.get(worker)
-                == pool.worker_generations[worker]
-            )
-            seed = None
-            if (not resident_already and self._seed_cache is not None
-                    and len(self._seed_cache)):
-                if seed_snapshot is None:
-                    seed_snapshot = self._seed_cache.snapshot()
-                seed = seed_snapshot
-            tasks.append(PoolTask(
-                run_resident_worker,
-                (None if resident_already else payload, key, assignment,
-                 worker, seed),
-                resident=True, fault=fault,
-            ))
-
-        def fallback(task: PoolTask) -> WorkerReport:
-            _, _, assignment, worker, _ = task.args
-            return self._run_local(assignment, worker)
-
-        restarted_before = pool.workers_restarted
-        backoff_before = pool.backoff_seconds_total
-        outcomes = pool.run_tasks(tasks, fallback=fallback, deadline=deadline)
+        tasks = [
+            PoolTask(run_resident_worker,
+                     (None if worker in self._resident else payload, key,
+                      assignment, worker),
+                     resident=True,
+                     fault=(self.fault_injector(worker, round_index)
+                            if self.fault_injector is not None else None))
+            for worker, assignment in enumerate(assignments)
+        ]
         reports: list[WorkerReport] = []
-        for worker, outcome in enumerate(outcomes):
-            if outcome.expired:
-                log["shards_dropped"] += len(assignments[worker])
-                continue
-            report = outcome.result
-            if not isinstance(report, WorkerReport):
-                warnings.warn(
-                    f"pool worker {outcome.worker_index} replied with "
-                    f"{type(report).__name__} instead of a WorkerReport; "
-                    "re-running its shards in-process — results are identical",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                log["shards_requeued"] += len(assignments[worker])
-                self.events.emit("shard_requeued", worker=worker,
-                                 n_shards=len(assignments[worker]),
-                                 reason="corrupt-reply")
-                self._note_shard_failures(assignments[worker], log)
-                reports.append(self._run_local(assignments[worker], worker))
-                continue
-            if outcome.requeued:
-                log["shards_requeued"] += len(assignments[worker])
-                self.events.emit("shard_requeued", worker=worker,
-                                 n_shards=len(assignments[worker]))
-                self._note_shard_failures(assignments[worker], log)
-            if not outcome.degraded and outcome.worker_index >= 0:
-                self._resident_generations[outcome.worker_index] = \
-                    pool.worker_generations[outcome.worker_index]
-            reports.append(report)
-        log["workers_restarted"] += pool.workers_restarted - restarted_before
-        log["restart_backoff_seconds"] += \
-            pool.backoff_seconds_total - backoff_before
+        for worker, outcome in enumerate(pool.run_tasks(tasks, deadline=deadline)):
+            assignment = assignments[worker]
+            if outcome.status == "expired":
+                log["shards_dropped"] += len(assignment)
+            elif outcome.status == "ok" and isinstance(outcome.result, WorkerReport):
+                self._resident.add(worker)
+                reports.append(outcome.result)
+            else:
+                log["pool_failovers"] += 1
+                self._note_failover(worker, outcome, n_shards=len(assignment))
+                reports.append(self._run_local(assignment, worker))
+        if log["pool_failovers"] or log["shards_dropped"]:
+            self._failed_over = True
+            self.close()
         return reports
 
     @staticmethod
@@ -750,6 +619,7 @@ class ShardedExplainScheduler:
                    absorb_into,
                    positions: "Sequence[int] | None" = None
                    ) -> ParallelExplainResult:
+        self._failed_over = False  # a fail-over lasts one call
         positions = (list(positions) if positions is not None
                      else list(range(len(cells))))
         index_of = {position: index for index, position in enumerate(positions)}
@@ -773,10 +643,7 @@ class ShardedExplainScheduler:
                     break
                 wave_reports = self._execute(wave, deadline=deadline)
                 reports.extend(wave_reports)
-                n_workers = max(n_workers, len(
-                    [report for report in wave_reports
-                     if report.worker_index >= 0]
-                ))
+                n_workers = max(n_workers, len(wave_reports))
                 if self.round_log[-1]["shards_dropped"]:
                     completed = False
                     break
@@ -833,6 +700,7 @@ class ShardedExplainScheduler:
     def _run_adaptive(self, cells: "list[CellRef]", tolerance: float,
                       min_samples: int, max_samples: int, z: float,
                       absorb_into) -> ParallelExplainResult:
+        self._failed_over = False  # a fail-over lasts one call
         trackers = [
             ConvergenceTracker(tolerance=tolerance, z=z, min_samples=min_samples)
             for _ in cells
@@ -858,9 +726,7 @@ class ShardedExplainScheduler:
                 shard_id += 1
                 next_chunk[position] += 1
             round_reports = self._execute(shards, deadline=deadline)
-            n_workers = max(n_workers, len(
-                [report for report in round_reports if report.worker_index >= 0]
-            ))
+            n_workers = max(n_workers, len(round_reports))
             reports.extend(round_reports)
             for result in self._ordered_results(round_reports):
                 trackers[result.cell_position].merge(result.accumulator)

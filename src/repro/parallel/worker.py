@@ -179,8 +179,7 @@ def run_base_update_worker(old_key: str, new_key: str, delta,
     (``count=False``): the parent accounts the update once on its own
     oracle, and worker reports only ever carry per-round deltas.
 
-    A worker holding no stack for ``old_key`` (a fresh replacement, or a
-    requeued patch landing on an already-patched worker) acknowledges with
+    A worker holding no stack for ``old_key`` acknowledges with
     ``patched=0`` — it will rebuild from the post-update payload on its next
     shard assignment, which is the same state either way.
     """
@@ -197,7 +196,6 @@ def run_base_update_worker(old_key: str, new_key: str, delta,
 
 def run_resident_worker(spec: "ExplainJobSpec | bytes | None", spec_key: str,
                         shards: "list[ExplainShard]", worker_index: int = 0,
-                        seed_snapshot: "dict | None" = None,
                         *, resident: dict,
                         fault: WorkerFault | None = None) -> WorkerReport:
     """Resident stack lookup, shard drain, cache-diff shipping.
@@ -214,42 +212,26 @@ def run_resident_worker(spec: "ExplainJobSpec | bytes | None", spec_key: str,
     already holds the stack (the scheduler ships the payload once per worker
     process, then sends bare shard lists).
 
-    ``seed_snapshot`` is the warm-restart half: an
-    :meth:`~repro.repair.cache.OracleCache.snapshot` of the parent's merged
-    cache, restored into a *freshly built* stack before the sync mark is
-    taken — the replacement worker resumes from the fleet's accumulated
-    answers (``warm_restart=1`` / ``entries_seeded`` on the report) and the
-    seeded entries never ship back home.  A stack that is already resident
-    ignores the snapshot: its own cache is at least as current.
-
     Diff shipping is **at-most-once**: the high-water mark advances when the
     diff is cut, so a report that later fails to cross the pipe does not
     re-ship its entries on the next round.  That loss is deliberate — the
     dominant failure there is an unpicklable entry, which would fail every
     retry identically; values are unaffected either way (the cache is pure
-    memoisation) and the degraded in-process run rebuilds its own warmth.
+    memoisation) and the in-process fail-over run rebuilds its own warmth.
     """
     if fault is not None and fault.hang_seconds is not None:
         time.sleep(fault.hang_seconds)
     state = resident.get(spec_key)
     rebuilt = 0
-    warm_restart = 0
-    entries_seeded = 0
     if state is None:
         if spec is None:
             raise RuntimeError(
                 f"no resident oracle stack for job {spec_key!r} and no spec "
-                "payload to build one from (replacement workers receive the "
-                "payload with their first task; requeued tasks land on "
-                "workers that answered ok this round and therefore hold it)"
+                "payload to build one from (a worker receives the payload "
+                "with its first task of each job)"
             )
         spec = _load_spec(spec)
         oracle, explainer = build_worker_state(spec)
-        if seed_snapshot is not None and oracle.cache is not None:
-            entries_seeded = oracle.cache.restore(seed_snapshot)
-            warm_restart = 1
-        # the mark is taken *after* seeding: seeded entries came from the
-        # parent, so the first diff home carries only this worker's new work
         mark = oracle.cache.high_water_mark() if oracle.cache is not None else 0
         state = ResidentState(spec, oracle, explainer, cache_mark=mark)
         resident[spec_key] = state
@@ -276,8 +258,6 @@ def run_resident_worker(spec: "ExplainJobSpec | bytes | None", spec_key: str,
             rebuilt=rebuilt,
             entries_shipped=len(cache_diff),
             resident_cache_size=cache_size,
-            warm_restart=warm_restart,
-            entries_seeded=entries_seeded,
             spans=tracer.drain() if ship_spans else [],
         )
         if fault is not None:

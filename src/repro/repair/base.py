@@ -290,23 +290,13 @@ class BinaryRepairOracle:
     parallel_shards = MetricAttribute("parallel_shards")    # shards absorbed
     # warm-pool bookkeeping (also absorbed from the scheduler): how often a
     # worker had to build its oracle stack from the job spec, how many cache
-    # entries actually crossed a process boundary coming home, and the health
-    # events of the pool — shards re-executed after a worker failure and
-    # worker processes the pool had to replace
+    # entries actually crossed a process boundary coming home, worker
+    # assignments that failed over to in-process execution, and runs that
+    # hit their wall-clock deadline
     worker_rebuilds = MetricAttribute("worker_rebuilds")
     cache_entries_shipped = MetricAttribute("cache_entries_shipped")
-    shards_requeued = MetricAttribute("shards_requeued")
-    workers_restarted = MetricAttribute("workers_restarted")
-    # fault-tolerance bookkeeping (PR 7): rebuilds seeded from a parent cache
-    # snapshot, entries those snapshots carried, shards quarantined to
-    # in-process execution after repeated cross-worker failures, runs that hit
-    # their wall-clock deadline, and seconds the pool spent backing off
-    # between worker restarts
-    warm_restarts = MetricAttribute("warm_restarts")
-    cache_entries_seeded = MetricAttribute("cache_entries_seeded")
-    shards_poisoned = MetricAttribute("shards_poisoned")
+    pool_failovers = MetricAttribute("pool_failovers")
     deadline_expired = MetricAttribute("deadline_expired")
-    restart_backoff_seconds = MetricAttribute("restart_backoff_seconds")
     # live base updates (PR 10): base-table writes applied through the
     # session's update path, Shapley estimates whose sampled coalitions
     # overlapped the changed cells, and memoised oracle answers dropped

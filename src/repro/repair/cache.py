@@ -125,59 +125,6 @@ class OracleCache:
         newer.reverse()
         return newer
 
-    def snapshot(self, max_entries: int | None = None) -> dict:
-        """A picklable image of the cache's entries and insertion clock.
-
-        The snapshot preserves each entry's insertion-sequence number and the
-        cache's ``_next_sequence`` clock, so a cache rebuilt via
-        :meth:`restore` hands out the same :meth:`high_water_mark` a
-        never-crashed twin would — the property warm restarts need: a
-        replacement worker seeded from the fleet's merged cache takes its
-        first mark *above* every seeded entry and never ships them back.
-        ``max_entries`` bounds the image to the newest entries (the ones a
-        fresh worker is most likely to need); counters never travel — they
-        describe the donor's workload, not the receiver's.
-        """
-        entries = [(key, self._entries[key], sequence)
-                   for key, sequence in self._sequence.items()]
-        if max_entries is not None and len(entries) > int(max_entries):
-            entries = entries[-int(max_entries):]
-        return {"entries": entries, "next_sequence": self._next_sequence}
-
-    def restore(self, snapshot: dict) -> int:
-        """Load a :meth:`snapshot` into this cache; returns entries restored.
-
-        Entries keep their snapshot sequence numbers (a restored-then-diffed
-        cache cuts the same diffs a never-crashed one would), this cache's
-        bound governs (a larger snapshot keeps only its newest entries, and
-        restoring into a partially full cache evicts oldest-first exactly
-        like live inserts), and the insertion clock only ever moves forward:
-        ``_next_sequence`` becomes the max of both sides, so high-water marks
-        taken here before the restore stay valid cuts.  A key present on both
-        sides is refreshed in place and keeps the larger of its two sequence
-        numbers.
-        """
-        entries = list(snapshot["entries"])
-        if len(entries) > self.max_entries:
-            entries = entries[-self.max_entries:]
-        for key, value, sequence in entries:
-            if key in self._entries:
-                self._entries[key] = value
-                self._entries.move_to_end(key)
-                self._sequence[key] = max(self._sequence[key], int(sequence))
-            else:
-                if len(self._entries) >= self.max_entries:
-                    evicted, _ = self._entries.popitem(last=False)
-                    del self._sequence[evicted]
-                    self.evictions += 1
-                self._entries[key] = value
-                self._sequence[key] = int(sequence)
-        # _sequence must iterate in ascending sequence order (entries_since
-        # walks it backwards); interleaved donor/local numbers need a re-sort
-        self._sequence = dict(sorted(self._sequence.items(), key=lambda item: item[1]))
-        self._next_sequence = max(self._next_sequence, int(snapshot["next_sequence"]))
-        return len(entries)
-
     def merge_entries(self, other: "OracleCache") -> "OracleCache":
         """Absorb another cache's *entries* (not its counters) into this one.
 

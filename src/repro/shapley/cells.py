@@ -17,6 +17,7 @@ materialised full-rescan reference path with bit-identical estimates (with a
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,6 +67,34 @@ def check_sample_count(n_samples: int) -> None:
     if n_samples < 1:
         raise ExplanationError(
             f"the number of samples per cell must be at least 1, got {n_samples}"
+        )
+
+
+def _finite_seconds(value) -> float:
+    """``value`` as a float, or NaN (which fails every comparison) when it is
+    not a finite number."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return math.nan
+    return seconds if math.isfinite(seconds) else math.nan
+
+
+def check_time_budgets(deadline_seconds: float | None,
+                       worker_timeout: float | None) -> None:
+    """Reject a deadline that is not a finite number >= 0 and a worker
+    timeout that is not a finite number > 0 (``None`` is allowed for both).
+
+    An infinite budget would overflow the pipe poll, a NaN one would expire
+    every round, and a non-positive timeout would time every worker out.
+    """
+    if deadline_seconds is not None and not _finite_seconds(deadline_seconds) >= 0:
+        raise ExplanationError(
+            f"deadline_seconds must be a finite number >= 0, got {deadline_seconds!r}"
+        )
+    if worker_timeout is not None and not _finite_seconds(worker_timeout) > 0:
+        raise ExplanationError(
+            f"worker_timeout must be a finite number > 0, got {worker_timeout!r}"
         )
 
 
@@ -147,20 +176,19 @@ class CellShapleyExplainer:
         seed partition and therefore the draws; it must be held fixed when
         comparing runs.
     worker_timeout:
-        Seconds the warm pool waits for a worker's round report before
-        declaring it hung and requeueing its shards onto a live worker
+        Seconds (finite, ``> 0``) the warm pool waits for a worker's round
+        report before declaring it hung; its shards then finish in-process
         (default: wait indefinitely; worker death is detected immediately
         either way).
-    retry_policy:
-        A :class:`~repro.parallel.pool.RetryPolicy` bounding the pool's
-        restart machinery on the ``n_jobs`` path (backoff between worker
-        restarts, per-slot restart cap, per-shard quarantine cap); ``None``
-        uses the scheduler's default policy.
     deadline_seconds:
-        Wall-clock budget per :meth:`explain` / :meth:`estimate_cell` call
-        on the ``n_jobs`` path.  On expiry the merged partial estimates come
-        back with ``ShapleyResult.completed=False`` instead of hanging; the
-        sequential path ignores it.
+        Wall-clock budget (finite, ``>= 0``) per :meth:`explain` /
+        :meth:`estimate_cell` call on the ``n_jobs`` path.  On expiry the
+        merged partial estimates come back with
+        ``ShapleyResult.completed=False`` instead of hanging; the sequential
+        path ignores it.
+
+    Both budgets are validated here (:class:`ExplanationError`), whatever
+    ``n_jobs`` is.
     """
 
     def __init__(
@@ -175,7 +203,6 @@ class CellShapleyExplainer:
         n_jobs: int | None = None,
         samples_per_shard: int | None = None,
         worker_timeout: float | None = None,
-        retry_policy=None,
         deadline_seconds: float | None = None,
     ):
         self.oracle = oracle
@@ -187,9 +214,9 @@ class CellShapleyExplainer:
         if n_jobs is not None and int(n_jobs) < 1:
             raise ValueError(f"n_jobs must be a positive integer or None, got {n_jobs}")
         self.n_jobs = int(n_jobs) if n_jobs is not None else None
+        check_time_budgets(deadline_seconds, worker_timeout)
         self.samples_per_shard = samples_per_shard
         self.worker_timeout = worker_timeout
-        self.retry_policy = retry_policy
         self.deadline_seconds = deadline_seconds
         #: schedulers by worker count, each owning one (lazily spawned) warm
         #: pool — cached so repeated estimates reuse resident worker state
@@ -243,7 +270,6 @@ class CellShapleyExplainer:
             scheduler = ShardedExplainScheduler.from_explainer(
                 self, n_jobs=n_jobs, samples_per_shard=self.samples_per_shard,
                 worker_timeout=self.worker_timeout,
-                retry_policy=self.retry_policy,
                 deadline_seconds=self.deadline_seconds,
             )
             self._schedulers[n_jobs] = scheduler

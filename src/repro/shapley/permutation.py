@@ -113,9 +113,8 @@ def _sharded_permutation_shapley(
     in chunk order.  Games that cannot be pickled (closures, bound lambdas)
     degrade to in-process execution with a warning — same plan, same bits.
     Worker health is the pool's (:mod:`repro.parallel.pool`): a worker that
-    dies mid-round has only *its* chunks requeued onto a live worker or
-    re-run in-process — the seeded chunk streams make the re-execution
-    bit-identical wherever it lands.
+    fails mid-round has only *its* chunks re-run in-process — the seeded
+    chunk streams make the re-execution bit-identical wherever it lands.
     """
     from repro.parallel.pool import run_worker_tasks
     from repro.parallel.seeding import partition_samples, resolve_job_seed

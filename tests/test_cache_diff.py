@@ -193,121 +193,3 @@ def test_entries_since_orders_by_insertion():
     assert [key for key, _ in cache.entries_since(mark)] == [3, 1, 2]
     assert [key for key, _ in cache.entries()] == [1, 2, 3]  # LRU order differs
 
-
-# -- snapshot / restore (the warm-restart wire format) ---------------------------------
-
-
-def drive(cache: OracleCache, ops) -> None:
-    for key, is_put in ops:
-        if is_put:
-            cache.put(key, value_of(key))
-        else:
-            cache.get(key)
-
-
-@settings(max_examples=200, deadline=None)
-@given(ops=operations, bound=st.integers(min_value=1, max_value=30))
-def test_snapshot_restore_round_trips_entries_and_clock(ops, bound):
-    """A restored cache is a twin: same entries, same clock, same diff cuts."""
-    donor = OracleCache()
-    drive(donor, ops)
-
-    clone = OracleCache()
-    restored = clone.restore(donor.snapshot())
-    assert restored == len(donor)
-    assert dict(clone.entries()) == dict(donor.entries())
-    # the insertion clock travels with the image, so marks agree...
-    assert clone.high_water_mark() == donor.high_water_mark()
-    # ...and any historical cut yields the same diff on either side
-    assert clone.entries_since(0) == donor.entries_since(0)
-
-    # a bounded image keeps exactly the newest entries, in insertion order
-    bounded = OracleCache()
-    bounded.restore(donor.snapshot(max_entries=bound))
-    newest = donor.entries_since(0)[-bound:]
-    assert bounded.entries_since(0) == newest
-    assert bounded.high_water_mark() == donor.high_water_mark()
-
-
-@settings(max_examples=150, deadline=None)
-@given(ops=operations, crash=st.integers(min_value=0, max_value=120))
-def test_restore_then_diff_matches_the_never_crashed_merge(ops, crash):
-    """A replacement seeded from the parent merge converges on the same parent.
-
-    Scenario: a worker ships one diff, crashes; its replacement restores a
-    snapshot of the parent's merged cache, takes its sync mark *after* the
-    restore, finishes the workload and ships its diff.  The parent must end
-    exactly where a never-crashed worker would have put it — and none of the
-    seeded entries may travel back home.
-    """
-    crash = min(crash, len(ops))
-    # the never-crashed twin: one worker, one mid-run sync
-    twin = OracleCache()
-    twin_diffs, _ = run_rounds(twin, ops, [crash])
-    parent_twin = OracleCache()
-    for diff in twin_diffs:
-        for key, value in diff:
-            parent_twin.put(key, value)
-
-    # the crashing run: segment one ships, the worker dies
-    worker = OracleCache()
-    first_diffs, _ = run_rounds(worker, ops[:crash], [])
-    parent = OracleCache()
-    for key, value in first_diffs[0]:
-        parent.put(key, value)
-    # warm restart: the replacement resumes from the parent's snapshot
-    replacement = OracleCache()
-    seeded = replacement.restore(parent.snapshot())
-    assert seeded == len(parent)
-    mark = replacement.high_water_mark()
-    drive(replacement, ops[crash:])
-    second_diff = replacement.entries_since(mark)
-
-    # seeded entries never re-ship (no evictions here: re-puts refresh in place)
-    assert not {key for key, _ in second_diff} & {key for key, _ in parent.entries()}
-    for key, value in second_diff:
-        parent.put(key, value)
-    assert dict(parent.entries()) == dict(parent_twin.entries())
-
-
-@settings(max_examples=150, deadline=None)
-@given(ops=operations, crash=st.integers(min_value=0, max_value=120),
-       cache_size=st.integers(min_value=2, max_value=8))
-def test_restore_under_eviction_pressure_keeps_marks_true(ops, crash, cache_size):
-    """A bounded replacement cycles seeded entries; marks must keep cutting.
-
-    When the parent snapshot exceeds the replacement's bound only the newest
-    entries survive the restore; later evictions may recycle seeded keys.  The
-    invariants that must hold anyway: the first post-restore mark is above
-    every seeded sequence number, every diff shipped home carries correct
-    values, and the parent ends up holding everything the replacement holds.
-    """
-    crash = min(crash, len(ops))
-    parent = OracleCache()
-    feeder = OracleCache()
-    feeder_diffs, _ = run_rounds(feeder, ops[:crash], [])
-    for key, value in feeder_diffs[0]:
-        parent.put(key, value)
-
-    replacement = OracleCache(max_entries=cache_size)
-    restored = replacement.restore(parent.snapshot())
-    assert restored == min(len(parent), cache_size)
-    mark = replacement.high_water_mark()
-    # the mark clears the whole snapshot clock: no seeded entry is >= mark
-    assert mark >= parent.high_water_mark()
-    assert replacement.entries_since(mark) == []
-    # the survivors are exactly the parent's newest entries
-    assert (replacement.entries_since(0)
-            == parent.entries_since(0)[-cache_size:])
-
-    drive(replacement, ops[crash:])
-    diff = replacement.entries_since(mark)
-    for key, value in diff:
-        assert value == value_of(key)
-        parent.put(key, value)
-    # a seeded key only re-ships after it was evicted and re-inserted — i.e.
-    # with a fresh sequence number above the mark; either way the parent now
-    # holds everything the replacement still does
-    parent_entries = dict(parent.entries())
-    for key, value in replacement.entries():
-        assert parent_entries.get(key) == value

@@ -3,24 +3,21 @@
 The fault-injection suite (``test_parallel_faults.py``) proves each failure
 mode in isolation; this soak turns them all loose at once.  A
 :class:`~repro.parallel.chaos.FaultPlan` drawn from a fixed seed schedules
-kills, hangs, corrupt replies and slow replies across a workers × rounds
-grid, and the runs underneath must not budge:
+kills, hangs and corrupt replies across a workers × rounds grid, and the
+runs underneath must not budge:
 
 * **bit-identity under fire** — every chaos round's estimates equal the
   fault-free run's, and a golden-grid subset still matches the committed
   fixture values exactly while kill + hang + corrupt events are active;
-* **coherent counters** — ``workers_restarted`` equals the number of
-  scheduled kill + hang events (each costs exactly one restart, corrupt and
-  slow replies none), warm restarts never exceed restarts, and every warm
-  restart seeded at least one cache entry;
+* **coherent counters** — each call below is one round, so every scheduled
+  fault fires and fails exactly one assignment over: ``pool_failovers``
+  equals the number of scheduled events, and a pool is spawned only by a
+  call whose predecessor failed over (never more than ``n_jobs`` workers
+  per call);
 * **reconciled event log** — the scheduler's structured
-  :class:`~repro.observability.events.EventLog` carries one record per
-  health incident, and summing/counting those records reproduces the
-  lifecycle counters exactly (the emission sites sit next to the bumps);
-* **warm-restart acceptance** — after a mid-soak crash the replacement
-  worker serves every remaining round from a snapshot-seeded stack: one
-  rebuild, diffs-only shipping (never a full resident cache), zero rebuilds
-  afterwards.
+  :class:`~repro.observability.events.EventLog` carries one
+  ``pool_failover`` record per failed assignment, with the reason of the
+  fault that caused it.
 
 Everything here is deterministic: the plans depend only on their seeds, the
 shard draws only on their coordinates.
@@ -42,12 +39,7 @@ from repro import (
     la_liga_constraints,
     la_liga_dirty_table,
 )
-from repro.parallel import (
-    FaultPlan,
-    RetryPolicy,
-    ShardedExplainScheduler,
-    WorkerFault,
-)
+from repro.parallel import FaultPlan, ShardedExplainScheduler
 
 pytestmark = [pytest.mark.parallel, pytest.mark.slow]
 
@@ -57,20 +49,17 @@ N_JOBS = 2
 N_SAMPLES = 12
 SAMPLES_PER_SHARD = 4
 N_ROUNDS = 4
-#: the hang fault sleeps well past this, so hung workers are replaced fast
+#: the hang fault sleeps well past this, so hung workers are detected fast
 WORKER_TIMEOUT = 1.5
 HANG_SECONDS = 6.0
-#: chosen so the three plans together cover kill, hang, corrupt and slow
-#: while scheduling only one hang (each hang costs one WORKER_TIMEOUT wait)
+#: chosen so the three plans together cover kill, hang and corrupt while
+#: scheduling only one hang (each hang costs one WORKER_TIMEOUT wait)
 CHAOS_SEEDS = (2, 3, 9)
-
-#: restart/attempt caps lifted and backoff off: the soak wants the counter
-#: arithmetic exact (every kill/hang = one restart, nothing quarantined)
-UNBOUNDED = RetryPolicy(max_worker_restarts=None, max_shard_attempts=None,
-                        backoff_base=0.0)
+#: the pool_failover reason each FaultPlan kind produces
+FAILOVER_REASONS = {"kill": "dead", "hang": "timeout", "corrupt": "corrupt"}
 
 
-def make_scheduler(fault_injector=None, retry=UNBOUNDED):
+def make_scheduler(fault_injector=None):
     oracle = BinaryRepairOracle(
         SimpleRuleRepair(), la_liga_constraints(), la_liga_dirty_table(),
         CELL_OF_INTEREST,
@@ -79,7 +68,6 @@ def make_scheduler(fault_injector=None, retry=UNBOUNDED):
     scheduler = ShardedExplainScheduler.from_explainer(
         explainer, n_jobs=N_JOBS, samples_per_shard=SAMPLES_PER_SHARD,
         worker_timeout=WORKER_TIMEOUT, fault_injector=fault_injector,
-        retry_policy=retry,
     )
     return scheduler, oracle
 
@@ -96,8 +84,7 @@ def clean_rounds():
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
 def test_seeded_chaos_rounds_stay_bit_identical(seed, clean_rounds):
     plan = FaultPlan.seeded(seed, n_workers=N_JOBS, n_rounds=N_ROUNDS,
-                            rate=0.4, hang_seconds=HANG_SECONDS,
-                            slow_seconds=0.02)
+                            rate=0.4, hang_seconds=HANG_SECONDS)
     assert len(plan) > 0  # the schedule is live, not a vacuous pass
     scheduler, oracle = make_scheduler(fault_injector=plan)
     with scheduler, warnings.catch_warnings():
@@ -108,30 +95,20 @@ def test_seeded_chaos_rounds_stay_bit_identical(seed, clean_rounds):
     for outcome, clean in zip(outcomes, clean_rounds):
         assert outcome.estimates == clean
     statistics = oracle.statistics()
-    # every kill and every hang costs exactly one restart; corrupt and slow
-    # replies cost none (the worker stays alive) — with caps lifted the
-    # arithmetic is exact
-    assert statistics["workers_restarted"] == (plan.count("kill")
-                                               + plan.count("hang"))
-    assert statistics["warm_restarts"] <= statistics["workers_restarted"]
-    # a warm restart that fired seeded at least one entry from the snapshot
-    assert statistics["cache_entries_seeded"] >= statistics["warm_restarts"]
-    assert statistics["shards_poisoned"] == 0
-    assert statistics["deadline_expired"] == 0
-    # the structured event log reconciles exactly with the same counters:
-    # one worker_restart record per restart, shard_requeued records whose
-    # n_shards sum to the requeue counter, seeded-entry records summing to
-    # the seed counter, and no poison/deadline records at all
     events = scheduler.events
-    assert events.count("worker_restart") == statistics["workers_restarted"]
-    assert sum(record["n_shards"] for record in events.filter("shard_requeued")) \
-        == statistics["shards_requeued"]
-    assert events.count("warm_restart") == statistics["warm_restarts"]
-    assert sum(record["entries"] for record in events.filter("snapshot_seeded")) \
-        == statistics["cache_entries_seeded"]
-    assert events.count("shard_poisoned") == 0
+    # every run is one round on a pool, so every scheduled fault fires and
+    # fails exactly one assignment over — on the counter and the log alike
+    assert statistics["pool_failovers"] == events.count("pool_failover") \
+        == len(plan)
+    for kind, reason in FAILOVER_REASONS.items():
+        assert events.count("pool_failover", reason=reason) == plan.count(kind)
+    assert statistics["deadline_expired"] == 0
     assert events.count("deadline_expired") == 0
-    assert events.count("worker_spawn") == N_JOBS
+    # a pool is spawned by the first run and by every run after a failed
+    # one — never more than N_JOBS workers per run
+    failed_rounds = {event.round_index for event in plan.events()}
+    respawns = len(failed_rounds & set(range(N_ROUNDS - 1)))
+    assert events.count("worker_spawn") == N_JOBS * (1 + respawns)
 
 
 #: golden-grid rows replayed under chaos, each with its own seeded plan;
@@ -180,7 +157,6 @@ def test_golden_grid_values_survive_seeded_chaos(algorithm_name, path_name,
         explainer, n_jobs=N_JOBS,
         samples_per_shard=golden.SAMPLES_PER_SHARD,
         worker_timeout=WORKER_TIMEOUT, fault_injector=golden_plan(seed),
-        retry_policy=UNBOUNDED,
     )
     with scheduler, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -194,62 +170,6 @@ def test_golden_grid_values_survive_seeded_chaos(algorithm_name, path_name,
             assert values == expected
 
 
-def test_warm_restart_soak_replacement_serves_from_snapshot_and_diffs():
-    """Acceptance soak: a replaced worker serves every round after its crash
-    warm — one snapshot-seeded rebuild, diffs-only shipping, no further
-    rebuilds, and bit-identical estimates."""
-    kill_round = 1
-
-    def injector(worker_index, round_index):
-        if worker_index == 0 and round_index == kill_round:
-            return WorkerFault(die_after_shards=0)
-        return None
-
-    max_samples = N_ROUNDS * SAMPLES_PER_SHARD
-    adaptive = dict(tolerance=1e-12, min_samples=max_samples,
-                    max_samples=max_samples)
-    clean_scheduler, _ = make_scheduler()
-    with clean_scheduler:
-        clean = clean_scheduler.run_adaptive(PROBES, **adaptive)
-    scheduler, oracle = make_scheduler(fault_injector=injector)
-    with scheduler, pytest.warns(RuntimeWarning, match="died mid-task"):
-        outcome = scheduler.run_adaptive(PROBES, **adaptive,
-                                         absorb_into=oracle)
-    assert outcome.estimates == clean.estimates
-
-    rounds = scheduler.round_log
-    assert len(rounds) == N_ROUNDS
-    assert rounds[0]["worker_rebuilds"] == N_JOBS
-    # crash round: the survivor served the requeue from its resident stack
-    assert rounds[kill_round]["worker_rebuilds"] == 0
-    assert rounds[kill_round]["shards_requeued"] == 1
-    # the replacement's first round: exactly one rebuild, seeded warm
-    post = rounds[kill_round + 1]
-    assert post["worker_rebuilds"] == 1
-    assert post["warm_restarts"] == 1
-    assert post["cache_entries_seeded"] > 0
-    # every round from the crash on ships diffs only — strictly less than the
-    # resident cache volume a full-cache ship would have cost
-    for entry in rounds[kill_round:]:
-        assert entry["cache_entries_shipped"] < entry["cache_entries_resident"], entry
-    # and the replaced slot keeps serving: no rebuild in any later round
-    for entry in rounds[kill_round + 2:]:
-        assert entry["worker_rebuilds"] == 0, entry
-    statistics = oracle.statistics()
-    assert statistics["workers_restarted"] == 1
-    assert statistics["warm_restarts"] == 1
-    assert statistics["cache_entries_seeded"] == post["cache_entries_seeded"]
-    # the event log tells the same story, record by record: the crash, the
-    # requeue it caused, and the snapshot seed the replacement served from
-    events = scheduler.events
-    assert events.count("worker_restart", worker=0) == 1
-    assert sum(record["n_shards"] for record in events.filter("shard_requeued")) \
-        == statistics["shards_requeued"] == 1
-    assert events.count("warm_restart", worker=0) == 1
-    assert sum(record["entries"] for record in events.filter("snapshot_seeded")) \
-        == statistics["cache_entries_seeded"]
-
-
 # -- base updates under fire -----------------------------------------------------------
 
 #: the update cycle the interleaved soak walks: create a violation, resolve
@@ -261,16 +181,17 @@ UPDATE_SOAK_CYCLE = (
     (CellRef(0, "City"), "Seville"),
     (CellRef(0, "City"), "Barcelona"),
 )
-#: seed chosen so rounds 1–4 (the post-attach rounds) schedule 2 kills,
-#: 1 corrupt reply and 1 slow reply — asserted below, not trusted
+#: seed chosen so rounds 1–4 (the post-attach rounds) schedule 2 kills and
+#: 2 corrupt replies — asserted below, not trusted
 UPDATE_CHAOS_SEED = 27
 
 
 def test_update_interleaved_chaos_rounds_stay_bit_identical():
-    """Base updates interleaved with kills/corrupt/slow replies: every
+    """Base updates interleaved with kills and corrupt replies: every
     post-update explain is bit-identical to a fresh session on the
-    then-current table, replacement workers are re-seeded with post-update
-    state, and the update/health counters reconcile with the event log."""
+    then-current table (the failed-over rounds and the respawned pools
+    alike), and the update/fail-over counters reconcile with the event
+    log."""
     from repro import RepairSession, TRexConfig, paper_algorithm_1
 
     config = dict(seed=13, cell_samples=8, replacement_policy="sample",
@@ -291,8 +212,7 @@ def test_update_interleaved_chaos_rounds_stay_bit_identical():
     # the session scheduler has no worker timeout, so no hangs in this plan
     plan = FaultPlan.seeded(UPDATE_CHAOS_SEED, n_workers=N_JOBS,
                             n_rounds=len(UPDATE_SOAK_CYCLE) + 1, rate=0.5,
-                            kinds=("kill", "corrupt", "slow"),
-                            slow_seconds=0.02)
+                            kinds=("kill", "corrupt"))
     # the injector attaches after round 0, so only rounds >= 1 can fire
     fired = [event for event in plan.events() if event.round_index >= 1]
     kills = sum(1 for event in fired
@@ -322,12 +242,13 @@ def test_update_interleaved_chaos_rounds_stay_bit_identical():
         # each time (SAMPLE replacements are drawn from mutated statistics)
         assert oracle.base_updates_applied == len(UPDATE_SOAK_CYCLE)
         assert oracle.estimates_invalidated == len(UPDATE_SOAK_CYCLE) * n_cells
-        # health counters: every kill cost exactly one restart; corrupt and
-        # slow replies none — and the event log tells the same story
-        assert statistics["workers_restarted"] == kills
-        assert statistics["warm_restarts"] <= kills
+        # every post-attach fault fired once and failed one assignment over
+        # (an explain after an update is one round) — the event log agrees
         events = scheduler.events
-        assert events.count("worker_restart") == kills
+        assert statistics["pool_failovers"] == events.count("pool_failover") \
+            == len(fired)
+        assert events.count("pool_failover", reason="dead") == kills
+        assert events.count("pool_failover", reason="corrupt") == corrupt
         assert events.count("base_update") == len(UPDATE_SOAK_CYCLE)
         assert all(record["cells"] == 1
                    for record in events.filter("base_update"))

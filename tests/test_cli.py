@@ -274,6 +274,9 @@ def test_trex_error_is_reported_as_exit_code_2(tmp_path, capsys):
     (["--samples", "-5"], "samples per cell must be at least 1"),
     (["--seed", "-1"], "--seed must be non-negative"),
     (["--top-cells", "-1"], "--top-cells must be non-negative"),
+    (["--jobs", "2", "--deadline", "inf"], "deadline_seconds must be a finite number"),
+    (["--jobs", "2", "--deadline", "nan"], "deadline_seconds must be a finite number"),
+    (["--deadline", "-1"], "deadline_seconds must be a finite number"),
 ])
 def test_explain_rejects_out_of_range_options(table_csv, constraints_file, option,
                                               message, capsys):
@@ -323,7 +326,9 @@ def test_explain_update_matches_running_on_the_edited_csv(table_csv, constraints
         assert updated[part] == edited[part], part
 
 
-@pytest.mark.parametrize("flag", ["--cold-pool", "--no-incremental-updates"])
+@pytest.mark.parametrize("flag", ["--cold-pool", "--no-incremental-updates",
+                                  "--max-worker-restarts", "--max-shard-attempts",
+                                  "--restart-backoff"])
 def test_explain_rejects_the_removed_lifecycle_flags(table_csv, constraints_file,
                                                      flag, capsys):
     with pytest.raises(SystemExit) as info:

@@ -43,17 +43,16 @@ from repro.observability.metrics import (
     histogram_bucket,
 )
 from repro.observability.trace import Span, Tracer, coordinate_span_id
-from repro.parallel import RetryPolicy, ShardedExplainScheduler, WorkerFault
+from repro.parallel import ShardedExplainScheduler, WorkerFault
 from repro.repair.cache import aggregate_oracle_statistics
 
 CELL_OF_INTEREST = CellRef(4, "Country")
 PROBES = [CellRef(4, "City"), CellRef(0, "Country")]
 N_SAMPLES = 12
 SAMPLES_PER_SHARD = 4
-FAST_RETRY = dict(backoff_base=0.0)
 
 
-def make_scheduler(fault_injector=None, n_jobs=2, retry_policy=None,
+def make_scheduler(fault_injector=None, n_jobs=2,
                    deadline_seconds=None, worker_timeout=None):
     oracle = BinaryRepairOracle(
         SimpleRuleRepair(), la_liga_constraints(), la_liga_dirty_table(),
@@ -63,8 +62,6 @@ def make_scheduler(fault_injector=None, n_jobs=2, retry_policy=None,
     scheduler = ShardedExplainScheduler.from_explainer(
         explainer, n_jobs=n_jobs, samples_per_shard=SAMPLES_PER_SHARD,
         fault_injector=fault_injector, worker_timeout=worker_timeout,
-        retry_policy=(retry_policy if retry_policy is not None
-                      else RetryPolicy(**FAST_RETRY)),
         deadline_seconds=deadline_seconds,
     )
     return scheduler, oracle
@@ -168,8 +165,8 @@ def test_oracle_descriptors_proxy_into_the_registry():
     before = oracle.calls
     oracle.calls += 3
     assert oracle.metrics.get("oracle_calls") == before + 3
-    oracle.workers_restarted = 2
-    assert oracle.metrics.get("workers_restarted") == 2
+    oracle.pool_failovers = 2
+    assert oracle.metrics.get("pool_failovers") == 2
     # statistics() keeps the historical key order: cache counters spliced in
     keys = list(oracle.statistics())
     assert keys[:6] == ["oracle_calls", "repair_runs", "pair_walks",
@@ -273,7 +270,7 @@ def test_summary_and_chrome_events(tmp_path):
     tracer = Tracer()
     with tracer.span("phase", pairs=3):
         pass
-    tracer.events.append({"kind": "worker_restart", "ts": 0.5, "worker": 0})
+    tracer.events.append({"kind": "pool_failover", "ts": 0.5, "worker": 0})
     summary = tracer.summary()
     assert summary["phase"]["count"] == 1
     path = tmp_path / "trace.json"
@@ -385,14 +382,14 @@ def test_trace_toggle_mid_scheduler_keeps_bits_and_residency():
 def test_event_log_emit_filter_count_and_jsonl(tmp_path):
     log = EventLog()
     log.emit("worker_spawn", worker=0, pid=123)
-    log.emit("worker_restart", worker=0, reason="dead")
-    log.emit("worker_restart", worker=1, reason="deadline")
+    log.emit("pool_failover", worker=0, reason="dead")
+    log.emit("pool_failover", worker=1, reason="timeout")
     assert len(log) == 3
-    assert log.count("worker_restart") == 2
-    assert log.count("worker_restart", worker=0) == 1
+    assert log.count("pool_failover") == 2
+    assert log.count("pool_failover", worker=0) == 1
     assert [record["kind"] for record in log.filter()] == [
-        "worker_spawn", "worker_restart", "worker_restart"]
-    assert log.kinds() == {"worker_spawn": 1, "worker_restart": 2}
+        "worker_spawn", "pool_failover", "pool_failover"]
+    assert log.kinds() == {"worker_spawn": 1, "pool_failover": 2}
     path = tmp_path / "events.jsonl"
     log.write(path)
     import json
@@ -420,77 +417,12 @@ def test_restart_events_reconcile_with_counters():
         scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
     statistics = oracle.statistics()
     events = scheduler.events
-    assert events.count("worker_restart") == statistics["workers_restarted"] == 1
-    assert sum(record["n_shards"] for record in events.filter("shard_requeued")) \
-        == statistics["shards_requeued"]
-    restart = events.filter("worker_restart")[0]
-    assert restart["worker"] == 0
-    assert restart["reason"] in ("dead", "pipe-closed")
-    assert restart["generation"] >= 1
-
-
-def test_warm_restart_and_seed_events_reconcile():
-    def injector(worker_index, round_index):
-        if worker_index == 0 and round_index == 0:
-            return WorkerFault(die_after_shards=0)
-        return None
-
-    scheduler, oracle = make_scheduler(fault_injector=injector)
-    with scheduler, pytest.warns(RuntimeWarning, match="died mid-task"):
-        scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
-        scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
-    statistics = oracle.statistics()
-    events = scheduler.events
-    assert events.count("warm_restart") == statistics["warm_restarts"] == 1
-    assert sum(record["entries"] for record in events.filter("snapshot_seeded")) \
-        == statistics["cache_entries_seeded"] > 0
-
-
-def test_poison_events_reconcile_with_counters():
-    def injector(worker_index, round_index):
-        if worker_index == 0 and round_index < 2:
-            return WorkerFault(die_after_shards=0)
-        return None
-
-    retry = RetryPolicy(max_shard_attempts=2, max_worker_restarts=None,
-                        **FAST_RETRY)
-    scheduler, oracle = make_scheduler(fault_injector=injector,
-                                       retry_policy=retry)
-    with scheduler:
-        with pytest.warns(RuntimeWarning, match="died mid-task"):
-            scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
-        with pytest.warns(RuntimeWarning):
-            scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
-    statistics = oracle.statistics()
-    events = scheduler.events
-    assert events.count("shard_poisoned") == statistics["shards_poisoned"] == 3
-    poisoned = events.filter("shard_poisoned")
-    assert all(record["attempts"] == 2 for record in poisoned)
-    assert len({(record["cell_position"], record["chunk_index"])
-                for record in poisoned}) == 3
-
-
-def test_abandonment_events_reconcile_with_the_restart_cap():
-    def injector(worker_index, round_index):
-        if worker_index == 0:
-            return WorkerFault(die_after_shards=0)
-        return None
-
-    retry = RetryPolicy(max_worker_restarts=1, max_shard_attempts=None,
-                        **FAST_RETRY)
-    scheduler, oracle = make_scheduler(fault_injector=injector,
-                                       retry_policy=retry)
-    with scheduler:
-        with pytest.warns(RuntimeWarning, match="died mid-task"):
-            scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
-        with pytest.warns(RuntimeWarning):
-            scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
-    events = scheduler.events
-    assert oracle.statistics()["workers_restarted"] == \
-        events.count("worker_restart") == 1
-    abandoned = events.filter("worker_abandoned")
-    assert len(abandoned) == 1
-    assert abandoned[0]["worker"] == 0
+    assert events.count("pool_failover") == statistics["pool_failovers"] == 1
+    failover = events.filter("pool_failover")[0]
+    assert (failover["worker"], failover["reason"], failover["n_shards"]) \
+        == (0, "dead", 3)
+    # no worker was ever replaced: the spawns are the original pool's
+    assert events.kinds() == {"worker_spawn": 2, "pool_failover": 1}
 
 
 def test_deadline_events_reconcile_with_counters():
@@ -513,9 +445,11 @@ def test_pool_task_expiry_events_reconcile():
     scheduler, oracle = make_scheduler(fault_injector=injector,
                                        deadline_seconds=2.0)
     with scheduler, pytest.warns(RuntimeWarning, match="ran past the job deadline"):
+        pool = scheduler._ensure_pool()
+        assert pool.events is scheduler.events
         outcome = scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
-        pool = scheduler._pool
-        assert pool is not None and pool.events is scheduler.events
-        tasks_expired = pool.tasks_expired
+        # the expiry closed the pool; it is read through the kept reference
+        assert scheduler._pool is None
     assert outcome.completed is False
-    assert scheduler.events.count("task_deadline_expired") == tasks_expired >= 1
+    assert scheduler.events.count("task_deadline_expired") == \
+        pool.tasks_expired >= 1

@@ -1,26 +1,27 @@
-"""Fault injection: the warm pool must absorb failures without changing bits.
+"""Fault injection: the warm pool must fail over without changing bits.
 
-Three environmental failures are injected into real worker processes via
+Four environmental failures are injected into real worker processes via
 :class:`~repro.parallel.job.WorkerFault`:
 
-* a worker **killed mid-shard** (hard ``os._exit`` after one shard) — the
-  parent sees EOF, restarts the worker and requeues its shards onto the
-  surviving worker;
-* a worker **hanging past the pool timeout** — the parent terminates and
-  replaces it, then requeues;
-* a worker whose report is **unpicklable** (a poisoned resident-state
-  update) — the worker answers with an error and the shards degrade to an
-  in-process run, which needs no pickling.
+* a worker **killed mid-shard** (hard ``os._exit``) — the parent sees EOF;
+* a worker **hanging past the pool timeout** — the parent kills it;
+* a worker whose report is **unpicklable** — the worker answers with an
+  error;
+* a worker that replies with something that is **not a WorkerReport**.
 
-In every case the Shapley values, standard errors and sample counts must be
-bit-identical to a fault-free run (shard draws are seeded by coordinates, so
-re-execution lands on the same numbers wherever it happens), a
-``RuntimeWarning`` must surface, and the health counters
-(``shards_requeued``, ``workers_restarted``) must appear in
-``oracle.statistics()``.
+Each one fails the round over: the round's good reports are kept, the failed
+assignment runs in-process, the pool is closed and the rest of the call runs
+in-process; the next call spawns a fresh pool.  In every case the Shapley
+values, standard errors and sample counts must be bit-identical to a
+fault-free run (shard draws are seeded by coordinates, so re-execution lands
+on the same numbers wherever it happens), a ``RuntimeWarning`` must surface,
+and ``pool_failovers`` must equal the number of ``pool_failover`` events.
 """
 
 from __future__ import annotations
+
+import math
+import warnings
 
 import pytest
 
@@ -29,12 +30,15 @@ from repro import (
     CellRef,
     CellShapleyExplainer,
     SimpleRuleRepair,
+    TRExExplainer,
+    TRexConfig,
     la_liga_constraints,
     la_liga_dirty_table,
 )
+from repro.errors import ExplanationError
 from repro.parallel import (
+    FaultPlan,
     PoolTask,
-    RetryPolicy,
     ShardedExplainScheduler,
     WorkerFault,
     WorkerPool,
@@ -44,15 +48,15 @@ pytestmark = pytest.mark.parallel
 
 CELL_OF_INTEREST = CellRef(4, "Country")
 PROBES = [CellRef(4, "City"), CellRef(0, "Country")]
+N_JOBS = 2
 N_SAMPLES = 12
 SAMPLES_PER_SHARD = 4
+#: three adaptive rounds of one chunk per cell (nothing converges at 1e-9)
+ADAPTIVE = dict(tolerance=1e-9, min_samples=8, max_samples=12)
 
-#: no backoff in tests — the delays only slow the suite down
-FAST_RETRY = dict(backoff_base=0.0)
 
-
-def make_scheduler(fault_injector=None, worker_timeout=None, n_jobs=2,
-                   retry_policy=None, deadline_seconds=None):
+def make_scheduler(fault_injector=None, worker_timeout=None, n_jobs=N_JOBS,
+                   deadline_seconds=None):
     oracle = BinaryRepairOracle(
         SimpleRuleRepair(), la_liga_constraints(), la_liga_dirty_table(),
         CELL_OF_INTEREST,
@@ -61,11 +65,16 @@ def make_scheduler(fault_injector=None, worker_timeout=None, n_jobs=2,
     scheduler = ShardedExplainScheduler.from_explainer(
         explainer, n_jobs=n_jobs, samples_per_shard=SAMPLES_PER_SHARD,
         worker_timeout=worker_timeout, fault_injector=fault_injector,
-        retry_policy=(retry_policy if retry_policy is not None
-                      else RetryPolicy(**FAST_RETRY)),
         deadline_seconds=deadline_seconds,
     )
     return scheduler, oracle
+
+
+def call(scheduler, mode, oracle):
+    """One fixed (``run``) or adaptive (``run_adaptive``) scheduler call."""
+    if mode == "run":
+        return scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
+    return scheduler.run_adaptive(PROBES, **ADAPTIVE, absorb_into=oracle)
 
 
 @pytest.fixture(scope="module")
@@ -76,13 +85,35 @@ def reference():
         return scheduler.run(PROBES, N_SAMPLES)
 
 
+@pytest.fixture(scope="module")
+def in_process():
+    """Fault-free ``n_jobs=1`` estimates of both call kinds."""
+    scheduler, _ = make_scheduler(n_jobs=1)
+    with scheduler:
+        return {"run": scheduler.run(PROBES, N_SAMPLES).estimates,
+                "run_adaptive": scheduler.run_adaptive(PROBES, **ADAPTIVE).estimates}
+
+
 def assert_bit_identical(outcome, reference) -> None:
     assert outcome.estimates == reference.estimates
     for cell in PROBES:
         assert outcome.estimates[cell].n_samples == reference.estimates[cell].n_samples
 
 
+def assert_one_failover(scheduler, oracle, reason: str) -> None:
+    """One failed assignment, on the counter and the event log alike."""
+    events = scheduler.events
+    assert oracle.statistics()["pool_failovers"] == \
+        events.count("pool_failover") == 1
+    record = events.filter("pool_failover")[0]
+    assert record["reason"] == reason
+    # the pool is gone; only the first call's workers were ever spawned
+    assert scheduler._pool is None
+    assert events.count("worker_spawn") == N_JOBS
+
+
 def test_worker_killed_mid_shard_requeues_bit_identically(reference):
+    """A crash after one shard: the whole assignment reruns in-process."""
     def injector(worker_index, round_index):
         if worker_index == 0 and round_index == 0:
             return WorkerFault(die_after_shards=1)
@@ -92,13 +123,10 @@ def test_worker_killed_mid_shard_requeues_bit_identically(reference):
     with scheduler, pytest.warns(RuntimeWarning, match="died mid-task"):
         outcome = scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
     assert_bit_identical(outcome, reference)
-    # worker 0 held half the 6-shard plan; all of it was re-executed
-    assert outcome.statistics["shards_requeued"] == 3
-    assert outcome.statistics["workers_restarted"] == 1
-    # the counter surface reaches the parent oracle's statistics()
-    statistics = oracle.statistics()
-    assert statistics["shards_requeued"] == 3
-    assert statistics["workers_restarted"] == 1
+    assert outcome.statistics["pool_failovers"] == 1
+    assert_one_failover(scheduler, oracle, "dead")
+    # worker 0 held half the 6-shard plan; all of it ran in-process
+    assert scheduler.events.filter("pool_failover")[0]["n_shards"] == 3
 
 
 def test_worker_timeout_requeues_bit_identically(reference):
@@ -112,8 +140,8 @@ def test_worker_timeout_requeues_bit_identically(reference):
     with scheduler, pytest.warns(RuntimeWarning, match="timed out"):
         outcome = scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
     assert_bit_identical(outcome, reference)
-    assert oracle.statistics()["shards_requeued"] == 3
-    assert oracle.statistics()["workers_restarted"] == 1
+    assert_one_failover(scheduler, oracle, "timeout")
+    assert scheduler.events.filter("pool_failover")[0]["worker"] == 1
 
 
 def test_unpicklable_report_degrades_in_process_bit_identically(reference):
@@ -126,11 +154,7 @@ def test_unpicklable_report_degrades_in_process_bit_identically(reference):
     with scheduler, pytest.warns(RuntimeWarning, match="not picklable"):
         outcome = scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
     assert_bit_identical(outcome, reference)
-    statistics = oracle.statistics()
-    assert statistics["shards_requeued"] == 3
-    # the worker answered (it is alive and sane) — nothing was restarted,
-    # the shards simply ran in the parent process instead
-    assert statistics["workers_restarted"] == 0
+    assert_one_failover(scheduler, oracle, "error")
 
 
 def test_fault_free_runs_report_clean_counters(reference):
@@ -139,8 +163,7 @@ def test_fault_free_runs_report_clean_counters(reference):
         outcome = scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
     assert_bit_identical(outcome, reference)
     statistics = oracle.statistics()
-    assert statistics["shards_requeued"] == 0
-    assert statistics["workers_restarted"] == 0
+    assert statistics["pool_failovers"] == 0
     assert statistics["worker_rebuilds"] == 2
 
 
@@ -151,62 +174,71 @@ def test_fault_during_adaptive_round_keeps_stop_points(reference):
             return WorkerFault(die_after_shards=0)
         return None
 
-    kwargs = dict(tolerance=1e-9, min_samples=8, max_samples=12)
     clean_scheduler, _ = make_scheduler()
     with clean_scheduler:
-        clean = clean_scheduler.run_adaptive(PROBES, **kwargs)
+        clean = clean_scheduler.run_adaptive(PROBES, **ADAPTIVE)
     faulty_scheduler, oracle = make_scheduler(fault_injector=injector)
     with faulty_scheduler, pytest.warns(RuntimeWarning, match="died mid-task"):
-        faulty = faulty_scheduler.run_adaptive(PROBES, **kwargs, absorb_into=oracle)
+        faulty = faulty_scheduler.run_adaptive(PROBES, **ADAPTIVE, absorb_into=oracle)
     assert faulty.estimates == clean.estimates
-    assert oracle.statistics()["workers_restarted"] == 1
-    assert oracle.statistics()["shards_requeued"] >= 1
+    assert_one_failover(faulty_scheduler, oracle, "dead")
+    # round 0 ran on the pool, round 1 failed over, round 2 ran in-process
+    assert [entry["pool_failovers"] for entry in faulty_scheduler.round_log] \
+        == [0, 1, 0]
 
 
-def test_pool_requeues_onto_surviving_warm_worker():
-    """The requeue target is the live worker, not a cold in-process run."""
-    def injector(worker_index, round_index):
-        if worker_index == 0 and round_index == 0:
-            return WorkerFault(die_after_shards=0)
-        return None
+# -- the fail-over contract, per fault kind ---------------------------------------------
 
-    scheduler, oracle = make_scheduler(fault_injector=injector)
-    with scheduler, pytest.warns(RuntimeWarning, match="died mid-task"):
-        scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
-        # worker 1 ran its own task and the requeued one: its stack was built
-        # once, the replacement for worker 0 never ran anything
-        assert oracle.statistics()["worker_rebuilds"] == 1
-        # the next round reuses the restarted worker 0, which rebuilds once
-        scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
-    statistics = oracle.statistics()
-    assert statistics["worker_rebuilds"] == 2
-    assert statistics["workers_restarted"] == 1
+#: fault kind → (the injected fault, the pool timeout it needs, the reason
+#: its pool_failover event carries)
+FAILOVER_FAULTS = {
+    "kill": (WorkerFault(die_after_shards=0), None, "dead"),
+    "hang": (WorkerFault(hang_seconds=60.0), 2.0, "timeout"),
+    "unpicklable": (WorkerFault(unpicklable_report=True), None, "error"),
+    "corrupt": (WorkerFault(corrupt_reply=True), None, "corrupt"),
+}
 
 
-def test_double_death_requeues_onto_the_surviving_warm_worker(reference):
-    """With two of three workers dead, both requeues land on the survivor.
-
-    Regression for the requeue candidate scan: an outcome produced *by* a
-    requeue must not vouch for the (restarted, cold) slot it was originally
-    assigned to — only a worker that itself answered is a valid target.
-    """
-    def injector(worker_index, round_index):
-        if round_index == 1 and worker_index in (0, 1):
-            return WorkerFault(die_after_shards=0)
-        return None
-
-    scheduler, oracle = make_scheduler(fault_injector=injector, n_jobs=3)
+@pytest.mark.parametrize("mode", ["run", "run_adaptive"])
+@pytest.mark.parametrize("kind", sorted(FAILOVER_FAULTS))
+def test_each_fault_kind_fails_over_bit_identically(kind, mode, in_process):
+    """One fault on the first round: the call finishes in-process with the
+    n_jobs=1 bits, and the next call respawns a whole warm pool."""
+    fault, timeout, reason = FAILOVER_FAULTS[kind]
+    scheduler, oracle = make_scheduler(fault_injector=FaultPlan([(0, 0, fault)]),
+                                       worker_timeout=timeout)
     with scheduler:
-        scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)  # round 0: clean
-        with pytest.warns(RuntimeWarning, match="died mid-task"):
-            outcome = scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
-    assert_bit_identical(outcome, reference)
-    statistics = oracle.statistics()
-    assert statistics["workers_restarted"] == 2
-    assert statistics["shards_requeued"] == 4  # both dead workers' 2-shard lists
-    # the survivor's resident stack served every requeue: stacks were built
-    # exactly once per original worker, in round 0, and never again
-    assert statistics["worker_rebuilds"] == 3
+        with pytest.warns(RuntimeWarning):
+            failed = call(scheduler, mode, oracle)
+        assert failed.estimates == in_process[mode]
+        assert failed.statistics["pool_failovers"] == 1
+        assert_one_failover(scheduler, oracle, reason)
+        again = call(scheduler, mode, oracle)
+    assert again.estimates == in_process[mode]
+    # a fresh pool: every worker built its stack once, nothing failed
+    assert again.statistics["worker_rebuilds"] == N_JOBS
+    assert again.statistics["pool_failovers"] == 0
+    assert scheduler.events.count("worker_spawn") == 2 * N_JOBS
+    assert oracle.statistics()["pool_failovers"] == \
+        scheduler.events.count("pool_failover") == 1
+
+
+@pytest.mark.parametrize("mode", ["run", "run_adaptive"])
+def test_a_crash_loop_costs_one_failed_round_per_call(mode, in_process):
+    """Every worker dies on every round: each call spawns one pool, loses
+    its first round and finishes in-process — no respawn loop."""
+    plan = FaultPlan([(worker, round_index, WorkerFault(die_after_shards=0))
+                      for worker in range(N_JOBS) for round_index in range(20)])
+    scheduler, oracle = make_scheduler(fault_injector=plan)
+    with scheduler, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for calls in range(1, 4):
+            outcome = call(scheduler, mode, oracle)
+            assert outcome.estimates == in_process[mode]
+            assert outcome.statistics["pool_failovers"] == N_JOBS
+            assert scheduler.events.count("worker_spawn") == N_JOBS * calls
+    assert oracle.statistics()["pool_failovers"] == \
+        scheduler.events.count("pool_failover") == 3 * N_JOBS
 
 
 def _boom(x):
@@ -223,168 +255,36 @@ def _die_in_child(x):
 
 
 def test_run_worker_tasks_degrades_a_crashing_task_in_process():
-    """The transient pool requeues a dead worker's task; results keep order."""
+    """The transient pool finishes a dead worker's task inline; order holds."""
     from repro.parallel import run_worker_tasks
 
     with pytest.warns(RuntimeWarning, match="died mid-task"):
         results = run_worker_tasks(_die_in_child, [(7,), (1,)], 2)
-    # both the original worker and the requeue candidate died on x == 7: the
-    # crashing task degraded to the parent process and still answered
+    # the worker died on x == 7: the task finished in the parent process
     assert results == [14, 2]
 
 
 def test_worker_pool_task_error_degrades_with_default_fallback():
-    """A deterministic task exception surfaces in the parent, like inline."""
-    from repro.parallel.pool import PoolTask
+    """A task exception comes back as an "error" outcome from the pool and
+    re-raises in the parent when the task is finished inline."""
+    from repro.parallel import run_worker_tasks
 
     with WorkerPool(2) as pool:
         with pytest.warns(RuntimeWarning, match="could not complete"):
-            with pytest.raises(ValueError, match="bad input 7"):
-                pool.run_tasks([PoolTask(_boom, (7,))])
-
-
-# -- warm restarts from parent snapshots -----------------------------------------------
-
-
-def test_replacement_worker_is_seeded_from_the_merged_cache(reference):
-    """A crash replacement rebuilds *warm*: snapshot in, no full cache ship."""
-    def injector(worker_index, round_index):
-        if worker_index == 0 and round_index == 0:
-            return WorkerFault(die_after_shards=0)
-        return None
-
-    scheduler, oracle = make_scheduler(fault_injector=injector)
-    with scheduler:
-        with pytest.warns(RuntimeWarning, match="died mid-task"):
-            scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
-        # round 0: the crash itself — no seed cache existed yet, the requeue
-        # landed on the survivor, the replacement never ran anything
-        assert scheduler.round_log[0]["warm_restarts"] == 0
-        outcome = scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
-    assert_bit_identical(outcome, reference)
-    # round 1: the replacement's first task carried the job payload plus a
-    # snapshot of the scheduler's merged cache — it rebuilt, but warm
-    round_one = scheduler.round_log[1]
-    assert round_one["worker_rebuilds"] == 1
-    assert round_one["warm_restarts"] == 1
-    assert round_one["cache_entries_seeded"] > 0
-    # seeded entries are accounted separately from diff shipping: the
-    # replacement must not ship the seed back home as if it were new work
-    assert round_one["cache_entries_shipped"] < round_one["cache_entries_seeded"]
-    statistics = oracle.statistics()
-    assert statistics["warm_restarts"] == 1
-    assert statistics["cache_entries_seeded"] == round_one["cache_entries_seeded"]
-
-
-def test_requeued_task_without_payload_lands_on_a_resident_worker(reference):
-    """Resident-round requeues carry no payload; the target must hold the stack.
-
-    Regression for the requeue-without-payload edge: from round one on, tasks
-    to resident workers ship bare shard lists.  When such a worker dies, the
-    requeue must land on a worker that answered ok this round (and therefore
-    holds the resident stack) — never raise the missing-payload RuntimeError.
-    """
-    def injector(worker_index, round_index):
-        if worker_index == 0 and round_index == 1:
-            return WorkerFault(die_after_shards=0)
-        return None
-
-    scheduler, oracle = make_scheduler(fault_injector=injector)
-    with scheduler:
-        scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)  # round 0: clean
-        with pytest.warns(RuntimeWarning, match="died mid-task"):
-            outcome = scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
-    assert_bit_identical(outcome, reference)
-    statistics = oracle.statistics()
-    assert statistics["workers_restarted"] == 1
-    assert statistics["shards_requeued"] == 3
-    # the survivor served the requeue from its resident stack: no rebuild
-    assert scheduler.round_log[1]["worker_rebuilds"] == 0
+            [outcome] = pool.run_tasks([PoolTask(_boom, (7,))])
+    assert outcome.status == "error"
+    assert "bad input 7" in outcome.result
+    with pytest.warns(RuntimeWarning, match="could not complete"):
+        with pytest.raises(ValueError, match="bad input 7"):
+            run_worker_tasks(_boom, [(7,), (1,)], 2)
 
 
 def test_resident_worker_without_payload_or_stack_raises():
-    """The worker-side guard behind the requeue contract, tested directly."""
+    """The worker-side guard: a bare shard list needs a resident stack."""
     from repro.parallel.worker import run_resident_worker
 
     with pytest.raises(RuntimeError, match="no resident oracle stack"):
         run_resident_worker(None, "some-job", [], 0, resident={})
-
-
-# -- crash-loop containment ------------------------------------------------------------
-
-
-def test_restart_cap_leaves_the_slot_dead(reference):
-    """A slot that keeps dying is abandoned, its work requeued — not respawned."""
-    def injector(worker_index, round_index):
-        if worker_index == 0:
-            return WorkerFault(die_after_shards=0)
-        return None
-
-    retry = RetryPolicy(max_worker_restarts=1, max_shard_attempts=None,
-                        **FAST_RETRY)
-    scheduler, oracle = make_scheduler(fault_injector=injector,
-                                       retry_policy=retry)
-    with scheduler:
-        with pytest.warns(RuntimeWarning, match="died mid-task"):
-            scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)  # restart 1
-        # the second death emits both the death and the cap warning
-        with pytest.warns(RuntimeWarning) as record:
-            scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)  # slot dies
-        assert any("exceeded its restart cap" in str(w.message) for w in record)
-        # the slot is now permanently dead; later rounds requeue immediately
-        # without warning about a fresh death
-        outcome = scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
-    assert_bit_identical(outcome, reference)
-    statistics = oracle.statistics()
-    assert statistics["workers_restarted"] == 1  # the cap held
-    assert statistics["shards_requeued"] == 9    # 3 shards x 3 runs
-
-
-def test_backoff_is_applied_and_accounted():
-    """Restarts sleep the policy's delay and sum it into the statistics."""
-    def injector(worker_index, round_index):
-        if worker_index == 0 and round_index == 0:
-            return WorkerFault(die_after_shards=0)
-        return None
-
-    retry = RetryPolicy(backoff_base=0.01, backoff_factor=2.0, backoff_max=0.05)
-    scheduler, oracle = make_scheduler(fault_injector=injector,
-                                       retry_policy=retry)
-    with scheduler, pytest.warns(RuntimeWarning, match="died mid-task"):
-        scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
-    statistics = oracle.statistics()
-    assert statistics["workers_restarted"] == 1
-    assert statistics["restart_backoff_seconds"] == pytest.approx(0.01)
-
-
-def test_poison_shards_are_quarantined_in_process(reference):
-    """Shards that keep failing across workers stop being retried on workers."""
-    def injector(worker_index, round_index):
-        if worker_index == 0 and round_index < 2:
-            return WorkerFault(die_after_shards=0)
-        return None
-
-    retry = RetryPolicy(max_shard_attempts=2, max_worker_restarts=None,
-                        **FAST_RETRY)
-    scheduler, oracle = make_scheduler(fault_injector=injector,
-                                       retry_policy=retry)
-    with scheduler:
-        with pytest.warns(RuntimeWarning, match="died mid-task"):
-            scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)  # attempts: 1
-        # the second death emits both the death and the quarantine warning
-        with pytest.warns(RuntimeWarning) as record:
-            scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)  # attempts: 2
-        assert any("quarantining" in str(w.message) for w in record)
-        # worker 0's three shard coordinates are now poisoned: they run
-        # in-process up front and never reach a worker again
-        outcome = scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
-    assert_bit_identical(outcome, reference)
-    final_round = scheduler.round_log[-1]
-    assert final_round["shards_quarantined"] == 3
-    statistics = oracle.statistics()
-    assert statistics["shards_poisoned"] == 3
-    # quarantine is an event counter: it fired once per coordinate, in run 2
-    assert sum(entry["shards_poisoned"] for entry in scheduler.round_log) == 3
 
 
 # -- deadline budgets ------------------------------------------------------------------
@@ -400,7 +300,7 @@ def test_zero_deadline_returns_empty_partial_result_immediately():
         assert outcome.estimates[cell].n_samples == 0
     assert outcome.statistics["deadline_expired"] == 1
     assert oracle.statistics()["deadline_expired"] == 1
-    # nothing executed, nothing requeued, no pool ever spawned
+    # nothing executed, nothing failed over, no pool ever spawned
     assert scheduler.round_log == []
     assert scheduler._pool is None
 
@@ -433,8 +333,12 @@ def test_hung_worker_past_the_deadline_yields_partial_estimates():
     assert 0 < total < len(PROBES) * N_SAMPLES
     statistics = oracle.statistics()
     assert statistics["deadline_expired"] == 1
-    assert statistics["workers_restarted"] == 1  # the hung slot was replaced
     assert scheduler.round_log[-1]["shards_dropped"] == 1
+    # an expiry is not a fail-over, but it closes the pool all the same: the
+    # hung worker was killed and nothing replaced it
+    assert statistics["pool_failovers"] == 0
+    assert scheduler._pool is None
+    assert scheduler.events.count("worker_spawn") == N_JOBS
 
 
 def test_explainer_threads_the_deadline_to_its_result():
@@ -498,7 +402,7 @@ def test_pool_construction_failure_cleans_up_spawned_workers():
 
 
 def test_scheduler_runs_again_after_close_with_a_fresh_warm_pool(reference):
-    """close() drops pool and residency; the next run rebuilds seeded stacks."""
+    """close() drops pool and residency; the next run rebuilds every stack."""
     scheduler, oracle = make_scheduler()
     with scheduler:
         scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
@@ -506,15 +410,12 @@ def test_scheduler_runs_again_after_close_with_a_fresh_warm_pool(reference):
     outcome = scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
     scheduler.close()
     assert_bit_identical(outcome, reference)
-    # the fresh pool's stacks were rebuilt — but warm, seeded from the merged
-    # cache of the first run (a restart-from-snapshot, not a cold start)
-    last = scheduler.round_log[-1]
-    assert last["worker_rebuilds"] == 2
-    assert last["warm_restarts"] == 2
-    assert last["cache_entries_seeded"] > 0
+    # the fresh pool's workers received the payload and built their stacks
+    assert scheduler.round_log[-1]["worker_rebuilds"] == 2
+    assert scheduler.events.count("worker_spawn") == 4
 
 
-# -- corrupt and slow replies ----------------------------------------------------------
+# -- corrupt and slow replies -----------------------------------------------------------
 
 
 def test_corrupt_reply_is_discarded_and_rerun_in_process(reference):
@@ -528,14 +429,12 @@ def test_corrupt_reply_is_discarded_and_rerun_in_process(reference):
     with scheduler, pytest.warns(RuntimeWarning, match="instead of a WorkerReport"):
         outcome = scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
     assert_bit_identical(outcome, reference)
-    statistics = oracle.statistics()
-    assert statistics["shards_requeued"] == 3
-    # the worker is alive (it answered, just garbage) — nothing restarted
-    assert statistics["workers_restarted"] == 0
+    assert_one_failover(scheduler, oracle, "corrupt")
+    assert scheduler.events.filter("pool_failover")[0]["n_shards"] == 3
 
 
 def test_slow_reply_below_the_timeout_is_just_slow(reference):
-    """A tardy-but-sane worker triggers no health machinery at all."""
+    """A tardy-but-sane worker triggers no fail-over at all."""
     def injector(worker_index, round_index):
         if worker_index == 1 and round_index == 0:
             return WorkerFault(slow_seconds=0.2)
@@ -546,9 +445,8 @@ def test_slow_reply_below_the_timeout_is_just_slow(reference):
     with scheduler:
         outcome = scheduler.run(PROBES, N_SAMPLES, absorb_into=oracle)
     assert_bit_identical(outcome, reference)
-    statistics = oracle.statistics()
-    assert statistics["workers_restarted"] == 0
-    assert statistics["shards_requeued"] == 0
+    assert oracle.statistics()["pool_failovers"] == 0
+    assert scheduler.events.kinds() == {"worker_spawn": N_JOBS}
 
 
 # -- base updates under fire -----------------------------------------------------------
@@ -560,26 +458,35 @@ def _session_key(explanation):
                   for cell, value in cells.values.items())
 
 
+def _fresh_session_key(updates, n_updates, config):
+    from repro import RepairSession, paper_algorithm_1
+
+    table = la_liga_dirty_table().with_values(dict(updates[:n_updates]))
+    session = RepairSession(paper_algorithm_1(), la_liga_constraints(), table,
+                            cell_of_interest=CELL_OF_INTEREST,
+                            config=TRexConfig(**config))
+    with session:
+        return _session_key(session.explain())
+
+
+UPDATES = [(CellRef(0, "City"), "Seville"), (CellRef(1, "Country"), "Portugal")]
+SESSION_CONFIG = dict(seed=23, cell_samples=N_SAMPLES, replacement_policy="sample",
+                      n_jobs=N_JOBS)
+
+
+def _live_session():
+    from repro import RepairSession, paper_algorithm_1
+
+    return RepairSession(paper_algorithm_1(), la_liga_constraints(),
+                         la_liga_dirty_table(), cell_of_interest=CELL_OF_INTEREST,
+                         config=TRexConfig(**SESSION_CONFIG))
+
+
 def test_worker_crash_after_base_update_reseeds_post_update_state():
-    """A worker killed between a base update and the next round: the requeue
-    lands post-update shards on the survivor, and the warm replacement is
-    re-seeded from the *rebased* snapshot — never from pre-update answers."""
-    from repro import RepairSession, TRexConfig, la_liga_constraints, \
-        la_liga_dirty_table, paper_algorithm_1
-
-    updates = [(CellRef(0, "City"), "Seville"),
-               (CellRef(1, "Country"), "Portugal")]
-    config = dict(seed=23, cell_samples=N_SAMPLES, replacement_policy="sample",
-                  n_jobs=2)
-
-    def fresh_key(n_updates):
-        table = la_liga_dirty_table().with_values(dict(updates[:n_updates]))
-        session = RepairSession(paper_algorithm_1(), la_liga_constraints(),
-                                table, cell_of_interest=CELL_OF_INTEREST,
-                                config=TRexConfig(**config))
-        with session:
-            return _session_key(session.explain())
-
+    """A worker killed on the round after a base update: the failed
+    assignment finishes in-process on the post-update stack, and the pool the
+    next explain respawns builds its stacks from the post-update payload —
+    both match a fresh session on the post-update table."""
     armed = {"fire": False}
 
     def injector(worker_index, round_index):
@@ -588,48 +495,97 @@ def test_worker_crash_after_base_update_reseeds_post_update_state():
             return WorkerFault(die_after_shards=0)
         return None
 
-    session = RepairSession(paper_algorithm_1(), la_liga_constraints(),
-                            la_liga_dirty_table(),
-                            cell_of_interest=CELL_OF_INTEREST,
-                            config=TRexConfig(**config))
+    session = _live_session()
     with session:
         session.explain()
         live = session._live
         n_cells = len(live.cells)
-        scheduler = live.explainer._scheduler(2)
+        scheduler = live.explainer._scheduler(N_JOBS)
         scheduler.fault_injector = injector
         oracle = live.oracle
+        events = scheduler.events
 
-        # update #1, then kill worker 0 at the start of the refresh round:
-        # its post-update shards requeue onto the survivor, bit-identically
-        session.update(*updates[0])
+        # update #1 patches both resident workers; then worker 0 dies at the
+        # start of the refresh round and its shards finish in-process
+        session.update(*UPDATES[0])
         assert oracle.base_updates_applied == 1
         assert oracle.estimates_invalidated == n_cells  # SAMPLE: everything
         armed["fire"] = True
         with pytest.warns(RuntimeWarning, match="died mid-task"):
             post = session.explain()
-        assert _session_key(post) == fresh_key(1)
-        statistics = oracle.statistics()
-        assert statistics["workers_restarted"] == 1
-        assert statistics["shards_requeued"] > 0
+        assert _session_key(post) == _fresh_session_key(UPDATES, 1, SESSION_CONFIG)
+        assert oracle.statistics()["pool_failovers"] == \
+            events.count("pool_failover") == 1
+        assert scheduler._pool is None
 
-        # update #2 reaches the replacement worker too: it holds no resident
-        # stack yet, so the next round seeds it from the rebased snapshot —
-        # post-update state, asserted by bit-identity against a fresh session
-        session.update(*updates[1])
+        # update #2 finds no pool to patch; the next explain spawns a fresh
+        # one whose workers build from the post-update payload
+        session.update(*UPDATES[1])
         assert oracle.base_updates_applied == 2
-        assert _session_key(session.explain()) == fresh_key(2)
-        statistics = oracle.statistics()
-        assert statistics["workers_restarted"] == 1  # no further casualties
-        assert statistics["warm_restarts"] == 1
-        assert statistics["cache_entries_seeded"] > 0
+        assert _session_key(session.explain()) == \
+            _fresh_session_key(UPDATES, 2, SESSION_CONFIG)
+        assert events.count("worker_spawn") == 2 * N_JOBS
+        assert oracle.statistics()["pool_failovers"] == 1  # no further casualties
 
         # the event log reconciles with the update counters, record by record
-        events = scheduler.events
         records = events.filter("base_update")
-        assert len(records) == 2
-        assert all(record["cells"] == 1 for record in records)
-        # update #1 patched both residents; update #2 found the replacement
-        # stackless (it patches nothing there — the seed cache covers it)
-        assert records[0]["workers_patched"] == 2
-        assert events.count("worker_restart") == statistics["workers_restarted"]
+        assert [record["cells"] for record in records] == [1, 1]
+        assert [record["workers_patched"] for record in records] == [N_JOBS, 0]
+
+
+def test_failed_worker_patch_fails_the_pool_over():
+    """A worker that dies before its base-update patch: the patch round fails
+    over (the pool is closed), the live oracle counts it, and the next
+    explain matches a fresh session on the post-update table."""
+    session = _live_session()
+    with session:
+        session.explain()
+        live = session._live
+        scheduler = live.explainer._scheduler(N_JOBS)
+        victim = scheduler._pool._workers[0].process
+        victim.kill()
+        victim.join(timeout=5.0)
+        with pytest.warns(RuntimeWarning, match="died mid-task"):
+            session.update(*UPDATES[0])
+        assert scheduler._pool is None
+        [record] = scheduler.events.filter("pool_failover")
+        assert (record["reason"], record["worker"], record["n_shards"]) == ("dead", 0, 0)
+        assert scheduler.events.filter("base_update")[0]["workers_patched"] == 1
+        assert live.oracle.pool_failovers == 1
+        assert _session_key(session.explain()) == \
+            _fresh_session_key(UPDATES, 1, SESSION_CONFIG)
+        assert live.oracle.statistics()["pool_failovers"] == 1
+
+
+# -- time budget validation ------------------------------------------------------------
+
+
+def _explainer(**budgets):
+    oracle = BinaryRepairOracle(
+        SimpleRuleRepair(), la_liga_constraints(), la_liga_dirty_table(),
+        CELL_OF_INTEREST,
+    )
+    return CellShapleyExplainer(oracle, policy="null", rng=23, n_jobs=N_JOBS,
+                                **budgets)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+def test_non_finite_or_negative_deadline_is_rejected(value):
+    with pytest.raises(ExplanationError, match="deadline_seconds"):
+        _explainer(deadline_seconds=value)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 0.0])
+def test_non_finite_or_non_positive_worker_timeout_is_rejected(value):
+    with pytest.raises(ExplanationError, match="worker_timeout"):
+        _explainer(worker_timeout=value)
+
+
+def test_config_deadline_is_validated_on_explain():
+    explainer = TRExExplainer(SimpleRuleRepair(), la_liga_constraints(),
+                              la_liga_dirty_table(),
+                              TRexConfig(n_jobs=N_JOBS, deadline_seconds=math.inf,
+                                         cell_samples=N_SAMPLES))
+    with pytest.raises(ExplanationError, match="deadline_seconds"):
+        explainer.explain_cells(CELL_OF_INTEREST, cells=PROBES)
+

@@ -219,7 +219,7 @@ def test_reusing_a_closed_scheduler_stays_parallel(recwarn):
     """close() must drop the residency map: fresh workers need the payload.
 
     A stale map would dispatch payload-free tasks to the respawned (empty)
-    workers, silently degrading every round to in-process execution with a
+    workers, failing every round over to in-process execution with a
     warning per worker — values would stay right, parallelism would not.
     """
     explainer, oracle = make_explainer(2, policy="null")
@@ -231,7 +231,7 @@ def test_reusing_a_closed_scheduler_stays_parallel(recwarn):
     assert again.estimates == first.estimates
     assert not [w for w in recwarn if "no resident oracle stack" in str(w.message)]
     statistics = oracle.statistics()
-    assert statistics["shards_requeued"] == 0
+    assert statistics["pool_failovers"] == 0
     # both pool lifetimes rebuilt their two worker stacks, nothing degraded
     assert statistics["worker_rebuilds"] == 4
 

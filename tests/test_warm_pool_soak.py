@@ -125,6 +125,5 @@ def test_soak_runs_on_the_vectorised_engine(soak):
 def test_no_health_events_during_a_clean_soak(soak):
     _, _, oracle, _, _ = soak["warm"]
     statistics = oracle.statistics()
-    assert statistics["shards_requeued"] == 0
-    assert statistics["workers_restarted"] == 0
+    assert statistics["pool_failovers"] == 0
     assert statistics["parallel_workers"] == N_JOBS
