@@ -30,6 +30,7 @@ from repro.config import TRexConfig, DEFAULT_SEED
 from repro.errors import (
     TRexError,
     SchemaError,
+    InputFileError,
     ConstraintError,
     ConstraintParseError,
     RepairError,
@@ -130,6 +131,7 @@ __all__ = [
     "DEFAULT_SEED",
     "TRexError",
     "SchemaError",
+    "InputFileError",
     "ConstraintError",
     "ConstraintParseError",
     "RepairError",

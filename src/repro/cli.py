@@ -28,9 +28,10 @@ The constraints file contains one DC per line in the ASCII syntax of
 ignored.
 
 Any :mod:`repro.errors` exception — for example an unparsable cell or
-constraint, or an out-of-range option such as ``--samples 0``, ``--seed -1``,
-``--top-cells -1`` or ``--deadline inf`` — prints one ``error:`` line to
-stderr and exits with code 2.
+constraint, a ``--table`` or ``--constraints`` file that is missing, a
+directory or not UTF-8 text, or an out-of-range option such as
+``--samples 0``, ``--seed -1``, ``--top-cells -1``, ``--deadline inf`` or
+``--max-lhs 0`` — prints one ``error:`` line to stderr and exits with code 2.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from repro.constraints.parser import format_dc, parse_dc
 from repro.constraints.incremental import detector_for
 from repro.dataset.io import read_csv, write_csv
 from repro.dataset.table import CellRef
-from repro.errors import TRexError
+from repro.errors import InputFileError, TRexError
 from repro.explain.explainer import TRExExplainer
 from repro.explain.report import ExplanationReport, repair_summary
 from repro.explain.serialize import save_explanation
@@ -68,7 +69,10 @@ ALGORITHMS = {
 
 def load_constraints(path: str | Path):
     """Parse a constraints file (one ASCII DC per line, ``#`` comments)."""
-    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFileError(path, exc) from exc
     constraints = []
     for line in lines:
         text = line.strip()

@@ -23,11 +23,14 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.constraints.dc import DenialConstraint
 from repro.constraints.fd import FunctionalDependency
 from repro.constraints.predicates import Operator, Predicate
 from repro.dataset.table import Table
 from repro.engine.storage import is_null
+from repro.errors import ConstraintError
 
 
 def _partition(table: Table, attributes: Sequence[str]) -> dict[tuple, list[int]]:
@@ -59,7 +62,16 @@ def discover_fds(table: Table, max_lhs_size: int = 2) -> list[FunctionalDependen
 
     A dependency ``X → A`` is reported only if no proper subset of ``X`` also
     determines ``A`` (minimality), and trivial dependencies are skipped.
+    ``max_lhs_size`` must be a positive ``int`` or numpy integer (``bool``
+    is rejected); anything else raises :class:`~repro.errors.ConstraintError`.
     """
+    if isinstance(max_lhs_size, bool) or not isinstance(max_lhs_size, (int, np.integer)):
+        raise ConstraintError(
+            f"max_lhs_size must be an integer, got "
+            f"{type(max_lhs_size).__name__} {max_lhs_size!r}"
+        )
+    if max_lhs_size <= 0:
+        raise ConstraintError(f"max_lhs_size must be positive, got {max_lhs_size}")
     attributes = list(table.attributes)
     discovered: list[FunctionalDependency] = []
     determined_by: dict[str, list[tuple[str, ...]]] = {a: [] for a in attributes}

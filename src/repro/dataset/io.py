@@ -14,7 +14,7 @@ from typing import Any, Iterable, Mapping, Sequence
 from repro.dataset.schema import AttributeSpec, Schema
 from repro.dataset.table import Table
 from repro.engine.storage import is_null
-from repro.errors import SchemaError
+from repro.errors import InputFileError, SchemaError
 
 
 def table_from_records(records: Sequence[Mapping[str, Any]], schema: Schema | None = None,
@@ -42,30 +42,37 @@ def read_csv(path: str | Path, schema: Schema | None = None, name: str | None = 
 
     Values are coerced using the schema's attribute types when a schema is
     provided; otherwise everything stays a string and empty strings become
-    nulls.
+    nulls.  A missing, directory or non-UTF-8 file raises
+    :class:`~repro.errors.InputFileError`.
     """
     path = Path(path)
-    # utf-8-sig drops the byte-order mark spreadsheet exports put in front of
-    # the first header name
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration as exc:
-            raise SchemaError(f"CSV file {path} is empty") from exc
-        if schema is None:
-            schema = Schema([AttributeSpec(column) for column in header])
-        elif list(schema.attribute_names) != list(header):
-            raise SchemaError(
-                f"CSV header {header} does not match schema {list(schema.attribute_names)}"
-            )
-        rows = []
-        for raw_row in reader:
-            if len(raw_row) != len(header):
+    try:
+        # utf-8-sig drops the byte-order mark spreadsheet exports put in front
+        # of the first header name
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration as exc:
+                raise SchemaError(f"CSV file {path} is empty") from exc
+            if schema is None:
+                schema = Schema([AttributeSpec(column) for column in header])
+            elif list(schema.attribute_names) != list(header):
                 raise SchemaError(
-                    f"CSV row {raw_row!r} has {len(raw_row)} values, expected {len(header)}"
+                    f"CSV header {header} does not match schema "
+                    f"{list(schema.attribute_names)}"
                 )
-            rows.append([schema[column].coerce(value) for column, value in zip(header, raw_row)])
+            rows = []
+            for raw_row in reader:
+                if len(raw_row) != len(header):
+                    raise SchemaError(
+                        f"CSV row {raw_row!r} has {len(raw_row)} values, "
+                        f"expected {len(header)}"
+                    )
+                rows.append([schema[column].coerce(value)
+                             for column, value in zip(header, raw_row)])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFileError(path, exc) from exc
     return Table(schema, rows, name=name or path.stem)
 
 

@@ -32,7 +32,8 @@ _NO_WINNER = object()  # memoised "no co-occurrence evidence" marker
 class ColumnStatistics:
     """Marginal value distribution of a single column."""
 
-    __slots__ = ("attribute", "_counts", "_total", "_most_common", "_draw")
+    __slots__ = ("attribute", "_counts", "_total", "_most_common", "_draw",
+                 "_ranking")
 
     def __init__(self, store: ColumnStore, attribute: str):
         self.attribute = attribute
@@ -50,6 +51,7 @@ class ColumnStatistics:
         self._total = sum(counts.values())
         self._most_common = _UNSET
         self._draw = None
+        self._ranking = None
 
     @property
     def total(self) -> int:
@@ -79,6 +81,20 @@ class ColumnStatistics:
                 key=repr,
             )
         return self._most_common
+
+    def ranking(self) -> tuple[Any, ...]:
+        """Distinct non-null values by descending count, ties by ``repr``.
+
+        Memoised until the next move like :meth:`most_common`: greedy repair
+        slices its candidate pool off this ranking for every top-degree cell
+        of every step, while the column moves far less often.
+        """
+        if self._ranking is None:
+            counts = self._counts
+            self._ranking = tuple(
+                sorted(counts, key=lambda value: (-counts[value], repr(value)))
+            )
+        return self._ranking
 
     def domain(self) -> list[Any]:
         """Distinct non-null values, deterministically ordered (by ``repr``)."""
@@ -169,6 +185,7 @@ class ColumnStatistics:
         self._total = total
         self._most_common = _UNSET
         self._draw = None
+        self._ranking = None
 
     def apply_delta(self, updates: Iterable[tuple[Any, Any]]) -> None:
         """Apply many ``(old, new)`` cell updates at once.
@@ -199,6 +216,7 @@ class ColumnStatistics:
         clone._total = self._total
         clone._most_common = self._most_common
         clone._draw = self._draw  # never mutated in place
+        clone._ranking = self._ranking  # a tuple, never mutated
         return clone
 
     def entropy(self) -> float:

@@ -38,6 +38,19 @@ class UnknownRowError(SchemaError):
         super().__init__(f"row {row} out of range for table with {n_rows} rows")
 
 
+class InputFileError(TRexError):
+    """An input file is missing, is a directory, or is not UTF-8 text."""
+
+    def __init__(self, path, error: Exception):
+        self.path = str(path)
+        if isinstance(error, UnicodeDecodeError):
+            reason = f"not UTF-8 text (invalid byte at offset {error.start})"
+        else:
+            reason = getattr(error, "strerror", None) or str(error)
+        self.reason = reason
+        super().__init__(f"cannot read {self.path}: {reason}")
+
+
 class ConstraintError(TRexError):
     """A denial constraint is malformed."""
 

@@ -57,13 +57,18 @@ class GreedyHolisticRepair(RepairAlgorithm):
         table is repaired on a zero-delta view): each step retracts and
         re-checks only the cell the previous step wrote, and candidate trials
         re-check a single row instead of re-deriving the whole delta.
-        The walk ranks cells off its class-partition counters and scores each
-        cell's whole candidate pool in one batched pass
-        (:meth:`~repro.constraints.incremental.RepairWalk.count_if_many_at` +
-        batched co-occurrence scoring).  ``False`` restores first-order
-        per-step detection with one trial detection and one co-occurrence
-        score per candidate — on a plain table, the full-rescan reference.
-        Results are identical either way.
+        The walk ranks cells off its class-partition counters, then scores
+        each step in two passes: first every top-degree cell's whole
+        candidate pool gets its violation totals in one batched call
+        (:meth:`~repro.constraints.incremental.RepairWalk.count_if_many_at`),
+        giving the step minimum; then co-occurrence is scored (batched) only
+        for the candidates whose total equals that minimum.  This is exact:
+        the step key is ``(total, -cooccurrence, repr, cell)``, so a
+        candidate above the minimum loses on the first element whatever its
+        co-occurrence.  ``False`` restores first-order per-step detection
+        with one trial detection and one co-occurrence score per candidate —
+        on a plain table, the full-rescan reference.  Results are identical
+        either way.
     """
 
     name = "greedy-holistic"
@@ -76,16 +81,11 @@ class GreedyHolisticRepair(RepairAlgorithm):
 
     # -- candidate scoring ---------------------------------------------------------
 
-    def _candidate_values(self, table: Table, row_id: int,
-                          attribute: str) -> list[Any]:
-        """Candidate replacement values: frequent column values first."""
-        stats = table.stats.marginal(attribute)
-        ranked = sorted(stats.items(), key=lambda item: (-item[1], repr(item[0])))
-        candidates = [value for value, _ in ranked[: self.max_candidates]]
-        current = table.value(row_id, attribute)
-        if not is_null(current) and current not in candidates:
-            candidates.append(current)
-        return candidates
+    def _candidate_values(self, table: Table, attribute: str) -> Sequence[Any]:
+        """Candidate replacement values: the ``max_candidates`` most frequent
+        column values, ties by ``repr`` (a slice of the memoised
+        :meth:`~repro.engine.stats.ColumnStatistics.ranking`)."""
+        return table.stats.marginal(attribute).ranking()[: self.max_candidates]
 
     def _cooccurrence_score(self, table: Table, cell: CellRef, value: Any) -> float:
         """How well ``value`` agrees with the other cells of the same tuple."""
@@ -231,17 +231,33 @@ class GreedyHolisticRepair(RepairAlgorithm):
                     break
                 # the arrays ascend by (row, attr_code), and attr codes are
                 # assigned in attribute-name order, so this is the rescan
-                # branch's (row, attribute) tie-break order
+                # branch's (row, attribute) tie-break order.  Pass 1 takes
+                # every top-degree cell's trial totals and the step minimum.
+                trials = []
                 for i in np.nonzero(counts == counts.max())[0]:
                     row_id, attribute = int(rows[i]), attrs[attr_codes[i]]
                     current_value = current.value(row_id, attribute)
-                    pool = [value for value
-                            in self._candidate_values(current, row_id, attribute)
+                    pool = [value for value in self._candidate_values(current, attribute)
                             if not value == current_value]
                     totals = walk.count_if_many_at(row_id, attribute, pool)
-                    coocs = self._cooccurrence_scores(current, row_id, attribute, pool)
-                    for candidate, total, cooc in zip(pool, totals, coocs):
-                        key = (total, -cooc, repr(candidate), (row_id, attribute))
+                    if totals:
+                        trials.append((row_id, attribute, pool, totals))
+                if not trials:
+                    break
+                step_min = min(min(totals) for _, _, _, totals in trials)
+                if step_min >= total_before:
+                    break
+                # Pass 2: a candidate above the minimum loses on the key's
+                # first element, so only the tied ones are scored for
+                # co-occurrence — the same winner as scoring them all.
+                for row_id, attribute, pool, totals in trials:
+                    tied = [candidate for candidate, total in zip(pool, totals)
+                            if total == step_min]
+                    if not tied:
+                        continue
+                    coocs = self._cooccurrence_scores(current, row_id, attribute, tied)
+                    for candidate, cooc in zip(tied, coocs):
+                        key = (step_min, -cooc, repr(candidate), (row_id, attribute))
                         if best is None or key < best[:4]:
                             best = (*key, row_id, attribute, candidate)
             else:
@@ -256,8 +272,7 @@ class GreedyHolisticRepair(RepairAlgorithm):
                     if violations.count_for_cell(cell) != max_degree:
                         break
                     current_value = current[cell]
-                    for candidate in self._candidate_values(current, cell.row,
-                                                            cell.attribute):
+                    for candidate in self._candidate_values(current, cell.attribute):
                         if candidate == current_value:
                             continue
                         total = self._total_violations_if(current, constraints,

@@ -336,3 +336,67 @@ def test_explain_rejects_the_removed_lifecycle_flags(table_csv, constraints_file
               "--cell", "t5[Country]", "--update", "t1[Year]=2018", flag])
     assert info.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+def _unreadable_input(tmp_path, kind, suffix):
+    """A path that cannot be read as a UTF-8 input file, by ``kind``."""
+    path = tmp_path / f"unreadable_{kind}{suffix}"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non-utf8":
+        # a Latin-1 "é" is an invalid UTF-8 start byte
+        path.write_bytes(b"Team,City\n\xe9quipe,Madrid\n")
+    return path
+
+
+_COMMAND_TAILS = {
+    "violations": [],
+    "repair": [],
+    "explain": ["--cell", "t5[Country]", "--constraints-only"],
+}
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+@pytest.mark.parametrize("which", ["--table", "--constraints"])
+@pytest.mark.parametrize("command", sorted(_COMMAND_TAILS))
+def test_unreadable_input_file_exits_2(table_csv, constraints_file, tmp_path, capsys,
+                                       command, which, kind):
+    bad = _unreadable_input(tmp_path, kind, ".csv" if which == "--table" else ".txt")
+    files = {"--table": table_csv, "--constraints": constraints_file, which: str(bad)}
+    exit_code = main([command, "--table", files["--table"],
+                      "--constraints", files["--constraints"], *_COMMAND_TAILS[command]])
+    assert exit_code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(bad) in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+def test_discover_unreadable_table_exits_2(tmp_path, capsys, kind):
+    bad = _unreadable_input(tmp_path, kind, ".csv")
+    assert main(["discover", "--table", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+def test_load_constraints_raises_typed_error_naming_the_path(tmp_path, kind):
+    from repro.errors import InputFileError
+
+    bad = _unreadable_input(tmp_path, kind, ".txt")
+    with pytest.raises(InputFileError, match="cannot read") as info:
+        load_constraints(bad)
+    assert info.value.path == str(bad)
+
+
+@pytest.mark.parametrize("max_lhs", ["0", "-1"])
+def test_discover_rejects_non_positive_max_lhs(tmp_path, capsys, max_lhs):
+    from repro.dataset.examples import la_liga_clean_table
+
+    clean_csv = str(write_csv(la_liga_clean_table(), tmp_path / "clean.csv"))
+    assert main(["discover", "--table", clean_csv, "--max-lhs", max_lhs]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "max_lhs_size must be positive" in captured.err
+    assert "Discovered" not in captured.out

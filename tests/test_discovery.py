@@ -1,9 +1,13 @@
 """Unit tests for FD / DC discovery."""
 
+import numpy as np
+import pytest
+
 from repro.constraints.discovery import discover_dcs, discover_fds, verify_constraints
 from repro.constraints.parser import parse_dc
 from repro.dataset.generators import HospitalGenerator
 from repro.dataset.table import Table
+from repro.errors import ConstraintError
 
 
 def make_table():
@@ -80,3 +84,20 @@ def test_verify_constraints_flags_violated_constraint():
     broken = parse_dc("not(t1.State == t2.State and t1.City != t2.City)", name="bad")
     results = verify_constraints(table, [held, broken])
     assert results == {"good": True, "bad": False}
+
+
+@pytest.mark.parametrize("value", [1.5, "2", None, True, False])
+def test_discover_fds_rejects_non_integer_max_lhs(value):
+    with pytest.raises(ConstraintError, match="must be an integer"):
+        discover_fds(make_table(), max_lhs_size=value)
+
+
+@pytest.mark.parametrize("value", [0, -1, np.int64(0)])
+def test_discover_fds_rejects_non_positive_max_lhs(value):
+    with pytest.raises(ConstraintError, match="must be positive"):
+        discover_fds(make_table(), max_lhs_size=value)
+
+
+def test_discover_fds_accepts_numpy_integer_max_lhs():
+    assert discover_fds(make_table(), max_lhs_size=np.int64(2)) == \
+        discover_fds(make_table(), max_lhs_size=2)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.stats import ColumnStatistics, CooccurrenceStatistics, TableStatistics
 from repro.engine.storage import ColumnStore
@@ -311,3 +312,104 @@ def test_shared_statistics_rebuilds_after_base_mutation():
     leased = engine.lease(fresh_view)
     assert dict(leased.marginal("City").items()) == \
         dict(TableStatistics(fresh_view.store).marginal("City").items())
+
+
+# ---------------------------------------------------------------------------
+# the memoised frequency ranking ≡ a from-scratch sort (hypothesis)
+
+_RANK_VALUES = st.sampled_from(["a", "b", "c", 1, 2, None])
+
+
+def _sorted_ranking(stats: ColumnStatistics) -> tuple:
+    ranked = sorted(stats.items(), key=lambda item: (-item[1], repr(item[0])))
+    return tuple(value for value, _ in ranked)
+
+
+def _assert_ranking_fresh(stats: ColumnStatistics, column: list) -> None:
+    assert stats.ranking() == _sorted_ranking(stats)
+    assert stats.ranking() == ColumnStatistics(ColumnStore({"A": column}), "A").ranking()
+
+
+@st.composite
+def _column_edits(draw):
+    column = draw(st.lists(_RANK_VALUES, min_size=1, max_size=10))
+    edits = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(["updates", "delta", "revert", "fork"]))
+        rows = draw(st.lists(st.integers(min_value=0, max_value=len(column) - 1),
+                             max_size=4, unique=True))
+        edits.append((kind, [(row, draw(_RANK_VALUES)) for row in rows]))
+    return column, edits
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_column_edits())
+def test_ranking_memo_equals_sort_after_every_move(data):
+    column, edits = data
+    column = list(column)
+    stats = ColumnStatistics(ColumnStore({"A": column}), "A")
+    _assert_ranking_fresh(stats, column)
+    for kind, writes in edits:
+        stats.ranking()  # the memo is live before every move
+        pairs = [(column[row], value) for row, value in writes]
+        if kind == "fork":
+            clone = stats.fork()
+            _assert_ranking_fresh(clone, column)
+            clone.apply_delta(pairs)  # the clone moves; the original must not
+            _assert_ranking_fresh(stats, column)
+            stats = clone
+        elif kind == "updates":
+            stats.apply_updates([old for old, _ in pairs], [new for _, new in pairs])
+        elif kind == "delta":
+            stats.apply_delta(pairs)
+        else:
+            stats.apply_delta(pairs)
+            stats.ranking()
+            stats.revert_delta(pairs)
+            _assert_ranking_fresh(stats, column)
+            stats.apply_delta(pairs)
+        for row, value in writes:
+            column[row] = value
+        _assert_ranking_fresh(stats, column)
+
+
+@settings(max_examples=60, deadline=None)
+@given(column=st.lists(_RANK_VALUES, min_size=2, max_size=10),
+       deltas=st.lists(st.lists(st.tuples(st.integers(min_value=0, max_value=9),
+                                          _RANK_VALUES), max_size=6),
+                       min_size=1, max_size=5),
+       writes=st.lists(st.tuples(st.integers(min_value=0, max_value=9), _RANK_VALUES),
+                       max_size=3))
+def test_ranking_memo_through_shared_statistics_syncs(column, deltas, writes):
+    """Lease moves (small diffs) and drops (large diffs, written parked views)
+    all leave the leased marginal's ranking equal to a fresh build's."""
+    from repro.dataset.table import CellRef, Table
+    from repro.engine.stats import SharedStatistics
+
+    n = len(column)
+    table = Table(["A"], [(value,) for value in column])
+    engine = SharedStatistics(table)
+    views = []
+    for delta in deltas:
+        view = table.perturbed({CellRef(row % n, "A"): value for row, value in delta})
+        view._stats_engine = engine
+        views.append(view)
+        leased = engine.lease(view)
+        assert leased.marginal("A").ranking() == \
+            TableStatistics(view.store).marginal("A").ranking()
+    # writes on the owner reach the clean marginal through its write hook
+    working = views[-1].mutable_snapshot()
+    marginal = working.stats.marginal("A")
+    marginal.ranking()
+    for row, value in writes:
+        working.set_value(row % n, "A", value)
+        assert working.stats.marginal("A").ranking() == \
+            TableStatistics(working.store).marginal("A").ranking()
+    # a parked view written after the marginal left it forces a drop
+    views[0].set_value(0, "A", "z")
+    for view in views:
+        assert engine.lease(view).marginal("A").ranking() == \
+            TableStatistics(view.store).marginal("A").ranking()
+    engine.release()
+    assert engine._stats.marginal("A").ranking() == \
+        TableStatistics(table.store).marginal("A").ranking()

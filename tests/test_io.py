@@ -92,3 +92,21 @@ def test_table_from_records_missing_key():
 def test_table_from_records_empty():
     with pytest.raises(SchemaError):
         table_from_records([])
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+def test_read_csv_unreadable_file_raises_typed_error(tmp_path, kind):
+    from repro.errors import InputFileError, TRexError
+
+    path = tmp_path / "bad.csv"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non-utf8":
+        path.write_bytes(b"A,B\n\xff,1\n")
+    with pytest.raises(InputFileError) as info:
+        read_csv(path)
+    assert isinstance(info.value, TRexError)
+    assert info.value.path == str(path)
+    assert str(path) in str(info.value)
+    if kind == "non-utf8":
+        assert "not UTF-8" in str(info.value)

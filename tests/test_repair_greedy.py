@@ -107,3 +107,35 @@ def test_null_cell_gets_filled_when_constrained():
     constraints = parse_dcs(["not(t1.Code == t2.Code and t1.Name != t2.Name)"])
     repaired = GreedyHolisticRepair().repair_table(constraints, table)
     assert repaired.value(2, "Name") == "Aspirin"
+
+
+def test_cooccurrence_is_scored_only_for_step_minimum_candidates(monkeypatch):
+    """Work guard: co-occurrence scoring sees at most a quarter of the
+    candidates whose violation totals a 300-row hospital repair computes."""
+    from repro.constraints.incremental import RepairWalk
+    from repro.engine.stats import CooccurrenceStatistics
+
+    trialled = []
+    scored = {}  # id -> the candidate list, once per batch (kept alive)
+    count_if_many_at = RepairWalk.count_if_many_at
+    conditional_probability_many = CooccurrenceStatistics.conditional_probability_many
+
+    def counting_trials(self, row_id, attribute, values):
+        trialled.append(len(values))
+        return count_if_many_at(self, row_id, attribute, values)
+
+    def counting_scores(self, target, target_values, given, given_value):
+        scored.setdefault(id(target_values), target_values)
+        return conditional_probability_many(self, target, target_values, given,
+                                            given_value)
+
+    monkeypatch.setattr(RepairWalk, "count_if_many_at", counting_trials)
+    monkeypatch.setattr(CooccurrenceStatistics, "conditional_probability_many",
+                        counting_scores)
+    dataset = HospitalGenerator(seed=3).generate(300)
+    dirty, report = inject_errors(dataset.table, rate=0.05, seed=3)
+    assert report.injected
+    GreedyHolisticRepair().repair_table(dataset.constraints(), dirty)
+    n_scored = sum(len(values) for values in scored.values())
+    assert sum(trialled) > 0 and n_scored > 0
+    assert 4 * n_scored <= sum(trialled)
