@@ -1,9 +1,10 @@
-"""CI smoke test: the paired oracle on the 20-row example vs. the reference path.
+"""CI smoke test: the fast engine on the 20-row example vs. the reference.
 
-A fast, wall-clock-insensitive gate for shared CI runners: run the paired
-second-order path and the materialise-and-rescan reference path on a small
-instance of the scaling dataset and require bit-identical Shapley estimates
-and sane oracle accounting.  The timing-sensitive floors live in
+A fast, wall-clock-insensitive gate for shared CI runners: run the
+``engine="fast"`` stack (shared pair walks, batched pair queries) and the
+``engine="reference"`` materialise-and-rescan stack on a small instance of
+the scaling dataset and require bit-identical Shapley estimates and sane
+oracle accounting.  The timing-sensitive floors live in
 ``bench_incremental_vs_full.py``; this job only guards correctness of the
 paired machinery end to end.
 """
@@ -38,42 +39,36 @@ def _setup():
     return constraints, dirty, report.cells()[0]
 
 
-# the reference row builds its algorithm with second_order=False: the default
-# repairs plain tables on a zero-delta view, which is the fast path, not a rescan
 @pytest.mark.parametrize("algorithm_factory,label", [
     (SimpleRuleRepair, "simple-rules"),
-    (lambda second_order: GreedyHolisticRepair(max_changes=25, second_order=second_order),
+    (lambda engine: GreedyHolisticRepair(max_changes=25, engine=engine),
      "greedy-holistic"),
 ])
-def test_paired_path_matches_reference_on_20_rows(algorithm_factory, label):
+def test_fast_engine_matches_reference_on_20_rows(algorithm_factory, label):
     constraints, dirty, cell = _setup()
     results = {}
     oracles = {}
-    for path, (incremental, paired) in {
-        "reference": (False, False),
-        "paired": (True, True),
-    }.items():
-        oracle = BinaryRepairOracle(algorithm_factory(second_order=incremental),
-                                    constraints, dirty, cell,
-                                    incremental=incremental, paired=paired)
-        explainer = CellShapleyExplainer(oracle, policy="null", rng=3,
-                                         incremental=incremental, paired=paired)
+    for path in ("reference", "fast"):
+        oracle = BinaryRepairOracle(algorithm_factory(engine=path),
+                                    constraints, dirty, cell)
+        explainer = CellShapleyExplainer(oracle, policy="null", rng=3)
         probes = relevant_cells(dirty, constraints, cell)[:N_PROBES]
         results[path] = explainer.explain(cells=probes, n_samples=N_SAMPLES)
         oracles[path] = oracle
 
-    assert results["paired"].values == results["reference"].values
-    assert results["paired"].standard_errors == results["reference"].standard_errors
-    assert results["paired"].n_samples == results["reference"].n_samples
-    # the paired oracle actually shared walks (not a silent fallback), and
-    # issued exactly as many oracle queries as the reference path
-    assert oracles["paired"].pair_walks > 0
-    assert oracles["paired"].calls == oracles["reference"].calls
+    assert results["fast"].values == results["reference"].values
+    assert results["fast"].standard_errors == results["reference"].standard_errors
+    assert results["fast"].n_samples == results["reference"].n_samples
+    # the fast oracle actually shared walks (not a silent fallback), the
+    # reference shared none, and both issued exactly as many oracle queries
+    assert oracles["fast"].pair_walks > 0
+    assert oracles["reference"].pair_walks == 0
+    assert oracles["fast"].calls == oracles["reference"].calls
 
     print_table(
         f"paired smoke — {label}, {N_ROWS} rows, m={N_SAMPLES}",
         ["cell", "shapley"],
         [[str(cell_), f"{value:.4f}"]
-         for cell_, value in sorted(results["paired"].values.items(),
+         for cell_, value in sorted(results["fast"].values.items(),
                                     key=lambda item: -abs(item[1]))[:5]],
     )

@@ -7,8 +7,7 @@ harness can tighten or loosen them from a single place.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +43,6 @@ class TRexConfig:
         Section 2.2, ``"mode"`` uses the most frequent column value.
     max_repair_iterations:
         Upper bound on fixpoint iterations inside repair algorithms.
-    cache_oracle:
-        Whether black-box repair calls are memoised per coalition.
     n_jobs:
         Worker processes for the sampled cell-Shapley estimator.  ``None``
         (default) keeps the sequential engine; an integer routes estimation
@@ -72,18 +69,12 @@ class TRexConfig:
     cell_samples: int = DEFAULT_CELL_SAMPLES
     replacement_policy: str = "sample"
     max_repair_iterations: int = 25
-    cache_oracle: bool = True
     n_jobs: int | None = None
     deadline_seconds: float | None = None
-    extra: dict = field(default_factory=dict)
 
     def rng(self) -> np.random.Generator:
         """Return a fresh generator seeded from this configuration."""
         return np.random.default_rng(self.seed)
-
-    def with_seed(self, seed: int) -> "TRexConfig":
-        """Return a copy of the configuration with a different seed."""
-        return dataclasses.replace(self, seed=seed, extra=dict(self.extra))
 
 
 def make_rng(seed_or_rng=None) -> np.random.Generator:

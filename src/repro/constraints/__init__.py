@@ -20,9 +20,10 @@ Violation detection comes in two flavours:
   sparse :class:`~repro.dataset.table.PerturbationView` delta, retracts the
   violations involving touched rows and re-checks only those rows against
   delta-maintained equality indexes.  :func:`find_all_violations_auto`
-  dispatches between the two; the Shapley/repair hot loop runs almost
-  entirely on the incremental path and is cross-checked against the
-  reference path by the test-suite.
+  dispatches between the two.  A repair algorithm built with
+  ``engine="fast"`` (the default) runs the Shapley/repair hot loop almost
+  entirely on the incremental path; ``engine="reference"`` runs it on the
+  full rescan, and the test-suite checks the two agree.
 """
 
 from repro.constraints.predicates import Operator, Predicate

@@ -11,8 +11,8 @@ path of the library.  The Shapley hot path therefore runs on the *incremental*
 engine instead (:mod:`repro.constraints.incremental`), which maintains
 violations under sparse cell deltas; the functions here remain the
 from-scratch reference implementation that the incremental path is
-cross-checked against (the ``incremental=False`` oracle with a
-``second_order=False`` repair algorithm runs on them end to end).
+cross-checked against (a repair algorithm built with
+``engine="reference"`` runs on them end to end).
 """
 
 from __future__ import annotations
@@ -102,10 +102,6 @@ class ViolationSet:
     def for_row(self, row: int) -> list[Violation]:
         self._ensure_indexes()
         return list(self._by_row.get(row, ()))
-
-    def for_cell(self, cell: CellRef) -> list[Violation]:
-        self._ensure_indexes()
-        return list(self._by_cell.get(cell, ()))
 
     def constraints_violated(self) -> list[str]:
         self._ensure_indexes()

@@ -12,7 +12,7 @@ the specific strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -196,15 +196,3 @@ def sample_from_pool(pool: Sequence[Any], size: int, rng=None, exponent: float =
     indexes = sampler.sample_indexes(size, rng=rng)
     return [pool[int(i)] for i in indexes]
 
-
-def empirical_distribution(values: Sequence[Any]) -> Mapping[Any, float]:
-    """Normalised value frequencies of a sequence (nulls excluded)."""
-    counts: dict[Any, int] = {}
-    for value in values:
-        if value is None:
-            continue
-        counts[value] = counts.get(value, 0) + 1
-    total = sum(counts.values())
-    if total == 0:
-        return {}
-    return {value: count / total for value, count in counts.items()}

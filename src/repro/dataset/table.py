@@ -117,12 +117,6 @@ class RepairDelta:
         change = self._changes.get(cell)
         return change.new_value if change is not None else None
 
-    def to_dict(self) -> dict[CellRef, tuple[Any, Any]]:
-        return {
-            cell: (change.old_value, change.new_value)
-            for cell, change in self._changes.items()
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"RepairDelta({len(self)} cells changed)"
 

@@ -9,9 +9,7 @@ demo (see DESIGN.md, system S1).  It provides:
   by the violation detector for equality predicates,
 * :mod:`~repro.engine.stats` — per-column and pairwise co-occurrence
   statistics (the ``P[Country = c | City = v]`` style quantities used by the
-  paper's Algorithm 1 and by the HoloClean-style repairer), and
-* :mod:`~repro.engine.query` — a tiny predicate-evaluation layer (select /
-  pair-scan) shared by repair algorithms.
+  paper's Algorithm 1 and by the HoloClean-style repairer).
 """
 
 from repro.engine.storage import ColumnStore
@@ -22,7 +20,6 @@ from repro.engine.stats import (
     SharedStatistics,
     TableStatistics,
 )
-from repro.engine.query import select_rows, pairs_matching
 
 __all__ = [
     "ColumnStore",
@@ -31,6 +28,4 @@ __all__ = [
     "CooccurrenceStatistics",
     "SharedStatistics",
     "TableStatistics",
-    "select_rows",
-    "pairs_matching",
 ]

@@ -737,8 +737,8 @@ class SharedStatistics:
 
     Moves are exact — counts after a sync equal a from-scratch rebuild over
     the new contents (property-tested) — which preserves the engine's
-    never-changes-results invariant: ``shared_stats=False`` on the
-    oracle/explainer forces the per-instance path bit-identically.
+    never-changes-results invariant: the ``engine="reference"`` stack,
+    which builds statistics per instance, gives bit-identical results.
 
     Position bookkeeping records, per structure, the view it describes and
     that view's write-log length.  If a parked view is written afterwards

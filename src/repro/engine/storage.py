@@ -258,11 +258,6 @@ class ColumnStore:
             self._encoding = TableEncoding()
         return self._encoding
 
-    def encoded_column(self, name: str):
-        """``int32`` code array for one column (``None`` if unencodable)."""
-        self._check_column(name)
-        return self.encoding().codes(self, name)
-
     # -- comparison / hashing helpers -------------------------------------------
 
     def fingerprint(self) -> Fingerprint:

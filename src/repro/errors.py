@@ -83,6 +83,3 @@ class NotRepairedError(ExplanationError):
             "choose a cell whose value changed between the dirty and clean table"
         )
 
-
-class ConvergenceError(TRexError):
-    """A Monte-Carlo estimator failed to reach the requested precision."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from repro.config import DEFAULT_CELL_SAMPLES, TRexConfig
+from repro.config import TRexConfig
 from repro.constraints.dc import DenialConstraint
 from repro.dataset.table import CellRef, RepairDelta, Table
 from repro.errors import ExplanationError, NotRepairedError
@@ -134,7 +134,6 @@ class TRExExplainer:
             dirty_table=self.dirty_table,
             cell=cell,
             target_value=repair_result.clean[cell],
-            use_cache=self.config.cache_oracle,
         )
 
     def explain_constraints(self, cell: CellRef, exact: bool = True,

@@ -26,7 +26,7 @@ refreshes only those.
 The equivalence contract — property-tested in ``tests/test_base_updates.py``
 and pinned by the golden fixture — is that ``update()`` followed by
 ``explain()`` is bit-identical to a fresh session built on the post-update
-table, across the whole engine-flag grid.  Three situations force full
+table, on both engines.  Three situations force full
 (rather than selective) invalidation because a replacement draw or the
 target itself changed, never silently skipped:
 

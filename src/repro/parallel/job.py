@@ -3,11 +3,12 @@
 An :class:`ExplainJobSpec` is the complete, self-contained description of one
 cell-Shapley job: the black box, the constraint set, the dirty table snapshot,
 the cell of interest with its reference repaired value, the replacement
-policy, the engine flags of both the oracle and the explainer (they can be
-set independently — the flag-grid tests rely on that), and the job seed.  It
-is pickled once in the parent and shipped to every worker, which rebuilds a
-private oracle stack from it (own ``BinaryRepairOracle``, ``OracleCache``,
-``SharedStatistics``, repair-walk state) — workers share nothing at runtime.
+policy and the job seed.  It is pickled once in the parent and shipped to
+every worker, which rebuilds a private oracle stack from it (own
+``BinaryRepairOracle``, ``OracleCache``, ``SharedStatistics``, repair-walk
+state) — workers share nothing at runtime.  The evaluation engine travels
+with the algorithm (:attr:`~repro.repair.base.RepairAlgorithm.engine`), so
+every worker runs the parent's engine.
 
 Shards and reports are the wire format in the other direction: a
 :class:`ShardResult` carries one chunk's Welford accumulator back, and a
@@ -38,11 +39,7 @@ class ExplainJobSpec:
     """Everything a worker process needs to rebuild the oracle stack.
 
     ``target_value`` is mandatory so workers never re-run the reference
-    repair; the parent's oracle already paid for it once.  The two flag
-    groups mirror the ``BinaryRepairOracle`` / ``CellShapleyExplainer``
-    constructor flags — a job built from a mismatched pair (e.g. a paired
-    explainer over an unpaired oracle) reproduces exactly that pairing in
-    every worker.
+    repair; the parent's oracle already paid for it once.
     """
 
     algorithm: RepairAlgorithm
@@ -54,14 +51,6 @@ class ExplainJobSpec:
     job_seed: int
     use_cache: bool = True
     cache_size: int | None = None
-    oracle_incremental: bool = True
-    oracle_paired: bool = True
-    oracle_shared_stats: bool = True
-    oracle_batched_pairs: bool = True
-    explainer_incremental: bool = True
-    explainer_paired: bool = True
-    explainer_shared_stats: bool = True
-    explainer_batched_pairs: bool = True
     #: whether workers should record spans for their shards and ship them
     #: home on the report; set by the scheduler from the parent's tracer
     #: state at payload time — tracing never changes any value, only what

@@ -214,14 +214,6 @@ class ShardedExplainScheduler:
             job_seed=explainer.job_seed(),
             use_cache=cache is not None,
             cache_size=cache.max_entries if cache is not None else None,
-            oracle_incremental=oracle.incremental,
-            oracle_paired=oracle.paired,
-            oracle_shared_stats=oracle.shared_stats,
-            oracle_batched_pairs=oracle.batched_pairs,
-            explainer_incremental=explainer.incremental,
-            explainer_paired=explainer.paired,
-            explainer_shared_stats=explainer.shared_stats,
-            explainer_batched_pairs=explainer.batched_pairs,
         )
         return cls(spec, n_jobs=n_jobs, samples_per_shard=samples_per_shard,
                    worker_timeout=worker_timeout,

@@ -55,21 +55,9 @@ def build_worker_state(spec: ExplainJobSpec):
         spec.cell,
         target_value=spec.target_value,
         use_cache=spec.use_cache,
-        incremental=spec.oracle_incremental,
-        paired=spec.oracle_paired,
-        shared_stats=spec.oracle_shared_stats,
-        batched_pairs=spec.oracle_batched_pairs,
         cache_size=spec.cache_size,
     )
-    explainer = CellShapleyExplainer(
-        oracle,
-        policy=spec.policy,
-        rng=spec.job_seed,
-        incremental=spec.explainer_incremental,
-        paired=spec.explainer_paired,
-        shared_stats=spec.explainer_shared_stats,
-        batched_pairs=spec.explainer_batched_pairs,
-    )
+    explainer = CellShapleyExplainer(oracle, policy=spec.policy, rng=spec.job_seed)
     return oracle, explainer
 
 

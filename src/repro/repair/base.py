@@ -69,6 +69,17 @@ def _step_budget(name: str, value: Any) -> int:
     return int(value)
 
 
+#: the two evaluation engines a repair algorithm can run on
+ENGINES = ("fast", "reference")
+
+
+def _engine_choice(value: Any) -> str:
+    """Validate an ``engine=`` argument: ``"fast"`` or ``"reference"``."""
+    if value not in ENGINES:
+        raise RepairError(f"engine must be one of {ENGINES}, got {value!r}")
+    return value
+
+
 def _padded_differing_lists(
     differing_cells_lists: Sequence[Sequence[CellRef]], n_pairs: int
 ) -> Sequence[Sequence[CellRef]]:
@@ -92,15 +103,15 @@ def _walk_repair_table(algorithm, constraints: Sequence[DenialConstraint],
                        table: Table) -> Table:
     """``repair_table`` of the walk-based repairers (simple and greedy).
 
-    With ``second_order`` a plain input is repaired on a zero-delta view,
+    On the ``"fast"`` engine a plain input is repaired on a zero-delta view,
     like any view, and the result materialised, so a later in-place write to
-    the input (``RepairSession.update``) cannot show through it.  The rescan
-    reference needs ``second_order=False``: a plain input is then copied and
-    every pass re-detects with ``find_violations``.
+    the input (``RepairSession.update``) cannot show through it.  On the
+    ``"reference"`` engine the input is copied and every pass re-detects
+    with ``find_violations``.
     """
     constraints = list(constraints)
     name = f"{table.name}_repaired"
-    if not algorithm.second_order:
+    if algorithm.engine == "reference":
         return algorithm._repair_loop(constraints, table.mutable_snapshot(name=name), None)
     if isinstance(table, PerturbationView):
         current = table.mutable_snapshot(name=name)
@@ -121,6 +132,14 @@ class RepairAlgorithm(abc.ABC):
 
     #: Human-readable algorithm name used in reports and benchmarks.
     name: str = "repair"
+
+    #: The evaluation engine the oracle stack runs this algorithm on.
+    #: ``"fast"`` evaluates perturbed instances as copy-on-write views with
+    #: delta-maintained detection, shared statistics and shared pair walks;
+    #: ``"reference"`` materialises every instance and rescans it, which is
+    #: the paper's definitions executed literally.  Both give the same
+    #: results; the walk-based repairers take it as a constructor argument.
+    engine: str = "fast"
 
     #: lifetime count of :meth:`repair_pair` calls that actually shared one
     #: detection walk between the two instances.  The base implementation
@@ -237,36 +256,17 @@ class BinaryRepairOracle:
         by running the full repair once.
     use_cache:
         Memoise oracle answers keyed by (constraint subset, table fingerprint).
-    incremental:
-        Route the oracle's own perturbations (constraint-subset queries, cell
-        coalitions) through :class:`~repro.dataset.table.PerturbationView`
-        overlays so the repair algorithms evaluate them with the incremental
-        violation detector.  Results are identical either way (the benchmark
-        ``bench_incremental_vs_full.py`` cross-checks this).  ``False`` hands
-        the algorithm plain tables; a walk-based algorithm still repairs those
-        on a zero-delta view, so the full-rescan reference path needs the
-        algorithm built with ``second_order=False`` as well.
-    paired:
-        Allow :meth:`query_pair` to evaluate a with/without instance pair in
-        one shared repair walk (:meth:`RepairAlgorithm.repair_pair`): the
-        detection state is primed on the first instance and forked at the
-        single differing cell for the second.  ``False`` forces every pair
-        onto two independent repairs.  Answers are identical either way.
-    shared_stats:
-        Maintain one revertible :class:`~repro.engine.stats.SharedStatistics`
-        instance for the oracle's whole lifetime and *move* it onto each
-        perturbed instance by its sparse delta, instead of letting every
-        repair rebuild (or fork) a statistics bundle per instance.  Requires
-        ``incremental``; ``False`` forces the per-instance statistics path.
-        Results are bit-identical either way.
-    batched_pairs:
-        Allow :meth:`query_pairs` to drain a queue of with/without pairs in
-        one scheduled pass: pairs are deduplicated against the
-        pair-fingerprint cache up front, grouped by shared coalition prefix
-        (equal with-instance content), and each group runs on one primed
-        repair walk (:meth:`RepairAlgorithm.repair_pair_group`).  ``False``
-        degrades :meth:`query_pairs` to a plain :meth:`query_pair` loop.
-        Answers are identical either way.
+
+    The evaluation engine is the algorithm's (:attr:`RepairAlgorithm.engine`,
+    mirrored as :attr:`engine`).  On ``"fast"`` the oracle's own
+    perturbations (constraint-subset queries, cell coalitions) are
+    copy-on-write views that carry one revertible
+    :class:`~repro.engine.stats.SharedStatistics` instance, moved onto each
+    instance by its sparse delta; :meth:`query_pair` shares one primed repair
+    walk between the two instances of a pair; and :meth:`query_pairs`
+    schedules a whole queue of pairs.  On ``"reference"`` every perturbation
+    is a materialised table and the algorithm rescans it.  Answers are
+    identical either way.
     cache_size:
         LRU bound for the oracle cache (defaults to
         :class:`~repro.repair.cache.OracleCache`'s generous built-in limit);
@@ -313,24 +313,17 @@ class BinaryRepairOracle:
         cell: CellRef,
         target_value: Any = None,
         use_cache: bool = True,
-        incremental: bool = True,
-        paired: bool = True,
-        shared_stats: bool = True,
-        batched_pairs: bool = True,
         cache_size: int | None = None,
     ):
         self.algorithm = algorithm
         self.constraints = list(constraints)
         self.dirty_table = dirty_table
         self.cell = dirty_table.validate_cell(cell)
-        self.incremental = incremental
-        self.paired = paired
-        self.shared_stats = bool(shared_stats) and bool(incremental)
-        self.batched_pairs = bool(batched_pairs)
+        self.engine = algorithm.engine
         #: the explainer-lifetime statistics instance, moved between coalition
-        #: overlays instead of rebuilt per instance (None off the shared path)
+        #: overlays instead of rebuilt per instance (None on the reference)
         self.stats_engine: SharedStatistics | None = (
-            SharedStatistics(dirty_table) if self.shared_stats else None
+            SharedStatistics(dirty_table) if self.engine == "fast" else None
         )
         if use_cache:
             self._cache = OracleCache(cache_size) if cache_size is not None else OracleCache()
@@ -385,8 +378,8 @@ class BinaryRepairOracle:
         Answers are exactly those of two :meth:`query` calls on the same
         tables (property-tested); only the work is shared — the pair of
         nearly identical repairs runs as one primed walk plus a fork at the
-        differing cell when the instances are sibling views and the ``paired``
-        and ``incremental`` flags allow it.  Pair results are additionally
+        differing cell when the instances are sibling views and the
+        algorithm's engine is ``"fast"``.  Pair results are additionally
         memoised under a fingerprint-pair key so a recurring coalition costs
         one cache lookup.
         """
@@ -485,11 +478,13 @@ class BinaryRepairOracle:
         return value_with, value_without
 
     def _pair_is_shareable(self, with_table: Table, without_table: Table) -> bool:
-        """Whether a pair can run as one primed walk plus a fork."""
+        """Whether a pair can run as one primed walk plus a fork.
+
+        Only views share walks, and only the ``"fast"`` engine builds them;
+        a reference algorithm handed views still repairs each one alone.
+        """
         return (
-            self.paired
-            and self.incremental
-            and isinstance(with_table, PerturbationView)
+            isinstance(with_table, PerturbationView)
             and isinstance(without_table, PerturbationView)
             and with_table.base is without_table.base
         )
@@ -528,7 +523,7 @@ class BinaryRepairOracle:
         """Drain a queue of with/without pairs in one scheduled pass.
 
         Answers (and their order) are exactly those of one
-        :meth:`query_table_pair` call per pair — only the work is scheduled:
+        :meth:`query_pair` call per pair — only the work is scheduled:
 
         1. **dedup** — every pair is checked against the pair-fingerprint
            memo up front, and within-batch repeats of one fingerprint pair
@@ -542,16 +537,10 @@ class BinaryRepairOracle:
            on the shared with-instance and fork it per without-instance, and
            the shared statistics instance moves along the scheduled order so
            consecutive instances pay only their delta difference.
-
-        With ``batched_pairs=False`` the queue degrades to a plain
-        :meth:`query_pair` loop (today's path, bit-identically).
         """
         pairs = list(pairs)
         if not pairs:
             return []
-        if not self.batched_pairs:
-            return [self.query_pair(self.constraints, with_table, without_table)
-                    for with_table, without_table in pairs]
         tracer = otrace.current()
         if tracer is None:
             return self._query_pairs_batched(pairs)
@@ -617,8 +606,7 @@ class BinaryRepairOracle:
         # equality keys as one stacked code-matrix pass up front; the walks
         # primed below pop their group structures from the detector's cache
         # (keyed by view fingerprint) instead of re-deriving them one by one
-        if (self.paired and self.incremental
-                and getattr(self.algorithm, "second_order", False)):
+        if group_capable and self.engine == "fast":
             seen_fingerprints = set()
             batch_views = []
             for entry in pending:
@@ -674,18 +662,10 @@ class BinaryRepairOracle:
                         constraints, names, with_table, without_table,
                         fp_with, pair_key, differing,
                     )
-                elif differing is not None:
-                    walks_before = self.algorithm.shared_pair_walks
-                    clean_with, clean_without = self.algorithm.repair_pair(
+                else:
+                    value = self._evaluate_pair(
                         constraints, with_table, without_table, differing
                     )
-                    self.repair_runs += 2
-                    self.pair_walks += self.algorithm.shared_pair_walks - walks_before
-                    value = (1 if clean_with[cell] == target else 0,
-                             1 if clean_without[cell] == target else 0)
-                else:
-                    value = (self._evaluate(constraints, with_table),
-                             self._evaluate(constraints, without_table))
                 results[index] = value
                 if cache is not None:
                     answered[pair_key] = value
@@ -710,43 +690,33 @@ class BinaryRepairOracle:
         """
         if self._dirty_view is None:
             self._dirty_view = self.dirty_table.perturbed({})
-            if self.stats_engine is not None:
-                self._dirty_view._stats_engine = self.stats_engine
+            self._dirty_view._stats_engine = self.stats_engine
         return self._dirty_view
 
     def query_constraint_subset(self, subset: Iterable[DenialConstraint]) -> int:
         """Vary the constraint set, keep the dirty table fixed (Section 2.2)."""
-        table = self._dirty_as_view() if self.incremental else self.dirty_table
+        table = self._dirty_as_view() if self.engine == "fast" else self.dirty_table
         return self.query(list(subset), table)
 
     def query_table(self, table: Table) -> int:
         """Vary the table (cell coalitions), keep the full constraint set fixed."""
         return self.query(self.constraints, table)
 
-    def query_table_pair(self, with_table: Table, without_table: Table) -> tuple[int, int]:
-        """Paired variant of :meth:`query_table` — one shared repair walk.
-
-        This is the cell-Shapley sampling loop's entry point: the two
-        instances of one Monte-Carlo sample differ in exactly the target cell.
-        """
-        return self.query_pair(self.constraints, with_table, without_table)
-
     def query_cell_coalition(self, coalition: Iterable[CellRef]) -> int:
         """Evaluate the oracle on the table restricted to ``coalition``.
 
         Cells outside the coalition are nulled, per the paper's definition of
         the cell characteristic function (``S ⊆ T^d`` means all other cells
-        are null).  On the incremental path the restriction is a sparse
+        are null).  On the fast engine the restriction is a sparse
         null-overlay view instead of a materialised copy.
         """
-        if self.incremental:
+        if self.engine == "fast":
             keep = set(coalition)
             restricted = self.dirty_table.perturbed(
                 {cell: NULL for cell in self.dirty_table.cells() if cell not in keep},
                 trusted=True,
             )
-            if self.stats_engine is not None:
-                restricted._stats_engine = self.stats_engine
+            restricted._stats_engine = self.stats_engine
         else:
             restricted = self.dirty_table.restricted_to_coalition(coalition)
         return self.query(self.constraints, restricted)

@@ -34,6 +34,7 @@ from repro.engine.storage import is_null
 from repro.observability import trace as otrace
 from repro.repair.base import (
     RepairAlgorithm,
+    _engine_choice,
     _padded_differing_lists,
     _step_budget,
     _walk_repair_table,
@@ -51,10 +52,10 @@ class GreedyHolisticRepair(RepairAlgorithm):
     max_candidates:
         At most this many candidate values (by descending frequency) are
         scored per repaired cell.
-    second_order:
-        Maintain violations across the greedy steps with a
-        :class:`~repro.constraints.incremental.RepairWalk` (a plain input
-        table is repaired on a zero-delta view): each step retracts and
+    engine:
+        ``"fast"`` (default) maintains violations across the greedy steps
+        with a :class:`~repro.constraints.incremental.RepairWalk` (a plain
+        input table is repaired on a zero-delta view): each step retracts and
         re-checks only the cell the previous step wrote, and candidate trials
         re-check a single row instead of re-deriving the whole delta.
         The walk ranks cells off its class-partition counters, then scores
@@ -65,19 +66,19 @@ class GreedyHolisticRepair(RepairAlgorithm):
         for the candidates whose total equals that minimum.  This is exact:
         the step key is ``(total, -cooccurrence, repr, cell)``, so a
         candidate above the minimum loses on the first element whatever its
-        co-occurrence.  ``False`` restores first-order per-step detection
-        with one trial detection and one co-occurrence score per candidate —
-        on a plain table, the full-rescan reference.  Results are identical
-        either way.
+        co-occurrence.  ``"reference"`` runs per-step full detection with one
+        trial detection and one co-occurrence score per candidate, and makes
+        the oracle stack above it materialise every instance.  Results are
+        identical either way.
     """
 
     name = "greedy-holistic"
 
     def __init__(self, max_changes: int = 200, max_candidates: int = 20,
-                 second_order: bool = True):
+                 engine: str = "fast"):
         self.max_changes = _step_budget("max_changes", max_changes)
         self.max_candidates = _step_budget("max_candidates", max_candidates)
-        self.second_order = bool(second_order)
+        self.engine = _engine_choice(engine)
 
     # -- candidate scoring ---------------------------------------------------------
 
@@ -180,7 +181,7 @@ class GreedyHolisticRepair(RepairAlgorithm):
         differing_cells_lists = _padded_differing_lists(
             differing_cells_lists, len(without_tables)
         )
-        if not (self.second_order and isinstance(with_table, PerturbationView)):
+        if self.engine == "reference" or not isinstance(with_table, PerturbationView):
             return (
                 self.repair_table(constraints, with_table),
                 [self.repair_table(constraints, without_table)

@@ -27,6 +27,7 @@ from repro.errors import RepairError
 from repro.observability import trace as otrace
 from repro.repair.base import (
     RepairAlgorithm,
+    _engine_choice,
     _padded_differing_lists,
     _step_budget,
     _walk_repair_table,
@@ -115,14 +116,15 @@ class SimpleRuleRepair(RepairAlgorithm):
     max_iterations:
         Fixpoint bound: the rule passes repeat until no cell changes or this
         many passes have run.
-    second_order:
-        Maintain violations *across* the fixpoint passes with a
-        :class:`~repro.constraints.incremental.RepairWalk` (view→view deltas:
-        each pass retracts and re-checks only the cells the previous pass
-        wrote); a plain input table is repaired on a zero-delta view.
-        ``False`` restores the first-order behaviour of re-deriving every pass
-        from the base snapshot — on a plain table, the full-rescan reference.
-        Results are identical either way.
+    engine:
+        ``"fast"`` (default) maintains violations *across* the fixpoint
+        passes with a :class:`~repro.constraints.incremental.RepairWalk`
+        (view→view deltas: each pass retracts and re-checks only the cells
+        the previous pass wrote, and runs as one set operation); a plain
+        input table is repaired on a zero-delta view.  ``"reference"`` runs
+        the paper's per-row loop over a full rescan per pass, and makes the
+        oracle stack above it materialise every instance.  Results are
+        identical either way.
     """
 
     name = "simple-rules"
@@ -132,12 +134,12 @@ class SimpleRuleRepair(RepairAlgorithm):
         rules: Mapping[str, RepairRule] | None = None,
         derive_missing: bool = True,
         max_iterations: int = 10,
-        second_order: bool = True,
+        engine: str = "fast",
     ):
         self.rules = dict(rules or {})
         self.derive_missing = derive_missing
         self.max_iterations = _step_budget("max_iterations", max_iterations)
-        self.second_order = bool(second_order)
+        self.engine = _engine_choice(engine)
         self._derived_rules: dict[DenialConstraint, RepairRule | None] = {}
 
     def _rule_for(self, constraint: DenialConstraint) -> RepairRule | None:
@@ -195,7 +197,7 @@ class SimpleRuleRepair(RepairAlgorithm):
         differing_cells_lists = _padded_differing_lists(
             differing_cells_lists, len(without_tables)
         )
-        if not (self.second_order and isinstance(with_table, PerturbationView)):
+        if self.engine == "reference" or not isinstance(with_table, PerturbationView):
             return (
                 self.repair_table(constraints, with_table),
                 [self.repair_table(constraints, without_table)
@@ -293,8 +295,8 @@ class SimpleRuleRepair(RepairAlgorithm):
 
         A pass collects the constraint's violating rows first, so a repair
         applied to one tuple does not hide the violations of tuples found
-        later in the same pass.  Without a walk (the ``second_order=False``
-        reference) the pass is the paper's per-row loop: detect by rescan,
+        later in the same pass.  Without a walk (the ``"reference"`` engine)
+        the pass is the paper's per-row loop: detect by rescan,
         then per violating row compute the replacement and write it.
 
         On the walk path each pass is one set operation (:meth:`_pass_writes`
@@ -419,7 +421,7 @@ class SimpleRuleRepair(RepairAlgorithm):
         return current
 
 
-def paper_algorithm_1(max_iterations: int = 10) -> SimpleRuleRepair:
+def paper_algorithm_1(max_iterations: int = 10, engine: str = "fast") -> SimpleRuleRepair:
     """Algorithm 1 exactly as printed in the paper, for the La Liga schema.
 
     * C1 violation → ``City`` := most common city,
@@ -433,6 +435,7 @@ def paper_algorithm_1(max_iterations: int = 10) -> SimpleRuleRepair:
         "C3": RepairRule(target="Country", strategy=MOST_COMMON),
         "C4": RepairRule(target="Place", strategy=CONDITIONAL, given="Team"),
     }
-    algorithm = SimpleRuleRepair(rules=rules, derive_missing=True, max_iterations=max_iterations)
+    algorithm = SimpleRuleRepair(rules=rules, derive_missing=True,
+                                 max_iterations=max_iterations, engine=engine)
     algorithm.name = "algorithm-1"
     return algorithm

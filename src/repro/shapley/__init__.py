@@ -16,18 +16,17 @@ All engines operate on the abstract :class:`~repro.shapley.game.CooperativeGame`
 interface, so they are reusable beyond the repair-explanation setting and
 are cross-checked against each other in the test-suite.
 
-**The incremental hot path.**  Each sampled coalition differs from the dirty
-table in a sparse set of cells, so by default the sampling loop never builds
-a second full table: coalitions are
-:class:`~repro.dataset.table.PerturbationView` copy-on-write deltas on the
-dirty table, the with/without pair of Example 2.5 is a one-cell sub-delta,
-and the repair algorithms evaluate them through the incremental violation
-detector (:mod:`repro.constraints.incremental`), which retracts and re-checks
-only the touched rows against delta-maintained indexes.  Pass
-``incremental=False`` to :class:`CellShapleyExplainer` /
-:class:`~repro.repair.base.BinaryRepairOracle`, with a ``second_order=False``
-repair algorithm, to force the materialise-and-rescan reference path; estimates are identical for a fixed seed (the
-``bench_incremental_vs_full`` benchmark asserts this).
+**One engine choice.**  The repair algorithm carries it
+(:attr:`~repro.repair.base.RepairAlgorithm.engine`), and the oracle and the
+explainers follow it.  On ``"fast"`` (the default) each sampled coalition
+is a :class:`~repro.dataset.table.PerturbationView` copy-on-write delta on
+the dirty table, the with/without pair of Example 2.5 is a one-cell
+sub-delta, and the repair algorithms evaluate them through the incremental
+violation detector (:mod:`repro.constraints.incremental`), which retracts
+and re-checks only the touched rows against delta-maintained indexes.
+``engine="reference"`` materialises every instance and rescans it, the
+paper's definitions executed literally.  Estimates are identical for a fixed
+seed (the ``bench_incremental_vs_full`` benchmark asserts this).
 """
 
 from repro.shapley.game import CooperativeGame, CallableGame, ShapleyResult

@@ -6,13 +6,16 @@ estimator of Example 2.5 (permutation sampling with column-distribution
 replacements, :mod:`repro.shapley.sampling`) is used.  An exact enumerator is
 also provided for tiny tables so the estimator can be validated.
 
-By default each sampled instance is evaluated on the incremental engine: the
+The evaluation engine is the repair algorithm's (``engine="fast"`` or
+``"reference"``), read through the oracle.  On ``"fast"`` each sampled
 coalition is a sparse copy-on-write delta on the dirty table and the
 with/without pair a one-cell sub-delta, so the repair oracle's violation
 detection is delta-maintained instead of rescanning (see
-:mod:`repro.constraints.incremental`).  ``incremental=False`` restores the
-materialised full-rescan reference path with bit-identical estimates (with a
-``second_order=False`` repair algorithm behind the oracle).
+:mod:`repro.constraints.incremental`), and a cell's pairs drain through one
+scheduled :meth:`~repro.repair.base.BinaryRepairOracle.query_pairs` pass per
+chunk.  ``"reference"`` materialises both instances and queries them one at
+a time, the paper's definitions executed literally; estimates are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -112,46 +115,6 @@ class CellShapleyExplainer:
     rng:
         Seed or generator; drives both the permutation and the replacement
         sampling.
-    incremental:
-        When ``True`` (default) every sampled coalition is evaluated as a
-        sparse :class:`~repro.dataset.table.PerturbationView` delta on the
-        dirty table, and the with/without pair as a one-cell sub-delta — the
-        incremental engine's hot path.  ``False`` materialises full table
-        copies instead.  Estimates are identical for a fixed seed; only the
-        wall-clock differs.  Note this flag only governs the sampled
-        instances built here; the oracle's own perturbations (cell-coalition
-        and constraint-subset queries) follow the oracle's ``incremental``
-        flag — construct the :class:`BinaryRepairOracle` with
-        ``incremental=False`` and a ``second_order=False`` repair algorithm
-        as well to force the reference path end to end.
-    paired:
-        When ``True`` (default) each Monte-Carlo sample's with/without pair
-        is submitted as one :meth:`BinaryRepairOracle.query_table_pair` call,
-        which shares a single repair walk between the two instances (the
-        detection state is forked at the target cell) and memoises the pair
-        result under a fingerprint-pair key.  Requires ``incremental``; with
-        either flag false the pair degrades to two independent
-        :meth:`~BinaryRepairOracle.query_table` calls.  The oracle's own
-        ``paired`` flag must also be set for the walk to actually be shared.
-        Estimates are bit-identical across all flag combinations for a fixed
-        seed.
-    shared_stats:
-        When ``True`` (default) and the oracle carries a
-        :class:`~repro.engine.stats.SharedStatistics` engine (its own
-        ``shared_stats`` flag), every sampled coalition view travels with
-        that engine, so the repair algorithms lease one explainer-lifetime
-        statistics instance — moved onto each instance by its sparse delta —
-        instead of rebuilding counts per Monte-Carlo sample.  ``False``
-        forces the per-instance statistics path.  Estimates are bit-identical
-        either way.
-    batched_pairs:
-        When ``True`` (default) :meth:`estimate_cell` enqueues all of a
-        cell's with/without pair requests and drains them through one
-        :meth:`BinaryRepairOracle.query_pairs` scheduled pass (pair-memo
-        dedup up front, coalition-prefix grouping, one primed walk per
-        group).  Requires ``paired`` and ``incremental``; ``False`` submits
-        one pair query per sample, exactly as before.  Estimates are
-        bit-identical either way.
     n_jobs:
         ``None`` (default) keeps the sequential path: one RNG stream drives
         every cell's draws in submission order, exactly as in earlier
@@ -189,6 +152,9 @@ class CellShapleyExplainer:
 
     Both budgets are validated here (:class:`ExplanationError`), whatever
     ``n_jobs`` is.
+
+    The evaluation engine is ``oracle.engine`` (the repair algorithm's, see
+    the module docstring); estimates are bit-identical on both.
     """
 
     def __init__(
@@ -196,10 +162,6 @@ class CellShapleyExplainer:
         oracle: BinaryRepairOracle,
         policy: ReplacementPolicy | str = ReplacementPolicy.SAMPLE,
         rng=None,
-        incremental: bool = True,
-        paired: bool = True,
-        shared_stats: bool = True,
-        batched_pairs: bool = True,
         n_jobs: int | None = None,
         samples_per_shard: int | None = None,
         worker_timeout: float | None = None,
@@ -207,10 +169,6 @@ class CellShapleyExplainer:
     ):
         self.oracle = oracle
         self.policy = ReplacementPolicy.from_name(policy)
-        self.incremental = bool(incremental)
-        self.paired = bool(paired)
-        self.shared_stats = bool(shared_stats) and self.incremental
-        self.batched_pairs = bool(batched_pairs)
         if n_jobs is not None and int(n_jobs) < 1:
             raise ValueError(f"n_jobs must be a positive integer or None, got {n_jobs}")
         self.n_jobs = int(n_jobs) if n_jobs is not None else None
@@ -233,9 +191,8 @@ class CellShapleyExplainer:
         self._rng = make_rng(rng)
         self.sampler = CellCoalitionSampler(
             oracle.dirty_table, policy=self.policy, rng=self._rng,
-            materialize=not self.incremental,
-            batched=self.paired and self.incremental,
-            stats_engine=oracle.stats_engine if self.shared_stats else None,
+            materialize=oracle.engine == "reference",
+            stats_engine=oracle.stats_engine,
         )
 
     # -- parallel plumbing ---------------------------------------------------------------
@@ -299,10 +256,9 @@ class CellShapleyExplainer:
     def estimate_cell(self, cell: CellRef, n_samples: int = DEFAULT_CELL_SAMPLES) -> SampledShapleyEstimate:
         """Monte-Carlo Shapley estimate for one cell (Example 2.5's loop).
 
-        On the batched path all of the cell's with/without pairs are enqueued
-        and drained in one :meth:`BinaryRepairOracle.query_pairs` scheduled
-        pass; on the paired path each sample's two instances go to the oracle
-        as one pair query sharing a repair walk; otherwise they are two
+        On the fast engine the cell's with/without pairs are enqueued and
+        drained through :meth:`BinaryRepairOracle.query_pairs` scheduled
+        passes; on the reference engine each sample's two instances are two
         independent queries.  Either way the sample's contribution is the
         difference of the two binary answers, accumulated in sampling order.
 
@@ -328,26 +284,19 @@ class CellShapleyExplainer:
         sharded scheduler's workers (which call it once per shard, after
         reseeding the sampler with the shard's stream).
         """
-        use_pair = self.paired and self.incremental
-        if use_pair and self.batched_pairs:
-            remaining = n_samples
-            while remaining > 0:
-                chunk = min(remaining, BATCH_CHUNK_SIZE)
-                remaining -= chunk
-                pairs = [self.sampler.sample_pair(cell) for _ in range(chunk)]
-                for value_with, value_without in self.oracle.query_pairs(pairs):
-                    tracker.update(float(value_with - value_without))
-        else:
+        if self.oracle.engine == "reference":
             for _ in range(n_samples):
                 with_cell, without_cell = self.sampler.sample_pair(cell)
-                if use_pair:
-                    value_with, value_without = self.oracle.query_table_pair(
-                        with_cell, without_cell
-                    )
-                    difference = value_with - value_without
-                else:
-                    difference = self.oracle.query_table(with_cell) - self.oracle.query_table(without_cell)
+                difference = self.oracle.query_table(with_cell) - self.oracle.query_table(without_cell)
                 tracker.update(float(difference))
+            return
+        remaining = n_samples
+        while remaining > 0:
+            chunk = min(remaining, BATCH_CHUNK_SIZE)
+            remaining -= chunk
+            pairs = [self.sampler.sample_pair(cell) for _ in range(chunk)]
+            for value_with, value_without in self.oracle.query_pairs(pairs):
+                tracker.update(float(value_with - value_without))
 
     @staticmethod
     def _estimate_from(cell: CellRef, tracker: RunningMean) -> SampledShapleyEstimate:

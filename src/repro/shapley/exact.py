@@ -57,37 +57,3 @@ def exact_shapley(game: CooperativeGame, players: Iterable[Player] | None = None
         method="exact-enumeration",
     )
 
-
-def exact_shapley_from_winning_sets(
-    players: Iterable[Player], winning_sets: Iterable[frozenset]
-) -> ShapleyResult:
-    """Exact Shapley values of a *monotone binary* game given its minimal winning sets.
-
-    A coalition has value 1 iff it contains at least one of ``winning_sets``.
-    This closed-form helper mirrors how the paper reasons about Example 2.3
-    ("Algorithm 1 will repair t5[C] only if we have the DCs {C1, C2}, or
-    {C3}") and is used by the tests as an independent cross-check of the
-    generic engine.
-    """
-    players = tuple(players)
-    winning = [frozenset(w) for w in winning_sets]
-
-    def value(coalition: frozenset) -> float:
-        return 1.0 if any(w <= coalition for w in winning) else 0.0
-
-    return exact_shapley(CallableGameLocal(players, value))
-
-
-class CallableGameLocal(CooperativeGame):
-    """Small local adapter (kept separate to avoid an import cycle with game.py)."""
-
-    def __init__(self, players, value_function):
-        self._players = tuple(players)
-        self._value_function = value_function
-
-    @property
-    def players(self):
-        return self._players
-
-    def value(self, coalition: frozenset) -> float:
-        return float(self._value_function(frozenset(coalition)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from repro.errors import TRexError
 
@@ -146,9 +146,6 @@ class ShapleyResult:
         if total == 0:
             return dict(self.values)
         return {player: value / total for player, value in self.values.items()}
-
-    def as_mapping(self) -> Mapping[Player, float]:
-        return dict(self.values)
 
 
 def shapley_weight(coalition_size: int, n_players: int) -> float:

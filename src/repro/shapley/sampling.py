@@ -112,15 +112,12 @@ class CellCoalitionSampler:
         as a one-cell sub-delta of the first.  When ``True`` instances are
         full materialised :class:`Table` copies (the full-rescan reference
         path).  Both paths consume the RNG identically and produce identical
-        cell contents, so estimates agree bit-for-bit for a fixed seed.
-    batched:
-        Build coalition views from a precomputed everything-replaced overlay
-        (one dict copy minus the coalition per sample) instead of re-deriving
-        every cell's replacement per sample.  Only applies to the
-        deterministic ``NULL``/``MODE`` policies on the view path, where it
-        changes nothing but construction cost; the paired sampling loop
-        (:class:`~repro.shapley.cells.CellShapleyExplainer` with
-        ``paired=True``) enables it.
+        cell contents, so estimates agree bit-for-bit for a fixed seed.  On
+        the view path the deterministic ``NULL``/``MODE`` policies build each
+        coalition from a precomputed everything-replaced overlay (one dict
+        copy minus the coalition per sample) instead of re-deriving every
+        cell's replacement per sample; that changes nothing but construction
+        cost.
     stats_engine:
         Optional :class:`~repro.engine.stats.SharedStatistics` engine to
         install on every built coalition view (and, by inheritance, on the
@@ -131,12 +128,10 @@ class CellCoalitionSampler:
     """
 
     def __init__(self, table: Table, policy: ReplacementPolicy | str = ReplacementPolicy.SAMPLE,
-                 rng=None, materialize: bool = False, batched: bool = False,
-                 stats_engine=None):
+                 rng=None, materialize: bool = False, stats_engine=None):
         self.table = table
         self.policy = ReplacementPolicy.from_name(policy)
         self.materialize = bool(materialize)
-        self.batched = bool(batched)
         self.stats_engine = stats_engine
         self._rng = make_rng(rng)
         #: the vectorised cell order of Example 2.5 (row-major)
@@ -301,7 +296,7 @@ class CellCoalitionSampler:
         sub-delta — no columns are ever copied.
         """
         coalition = set(coalition)
-        if self.batched and not self.materialize and not isinstance(self.table, PerturbationView):
+        if not self.materialize and not isinstance(self.table, PerturbationView):
             overlay = self._replacement_overlay()
             if overlay is not None:
                 # deterministic policies: copy the precomputed normalised

@@ -8,7 +8,7 @@ explaining must be **bit-identical** to building a fresh session on the
 post-update table.  This module property-tests that invariant over random
 single- and multi-cell update sequences (values that create, resolve and
 move violations between constraint groups, null writes, no-op writes) and
-over the engine flag grid, and pins the satellite regressions: a base
+over both engines, and pins the satellite regressions: a base
 mutation must invalidate the cached table fingerprint and the lazily-built
 column null masks.
 """
@@ -53,18 +53,18 @@ VALUE_POOLS = {
 ATTRIBUTES = list(VALUE_POOLS)
 N_ROWS = 6
 
-
-#: the repair-engine axis of the grids below: "vec" repairs on the code-array
-#: repair walk, "novec" with ``second_order=False`` — per-pass detection that
-#: builds no code arrays (the rescan reference on plain tables)
+#: the engine axis of the grids below: "fast" runs views, the code-array
+#: repair walk and shared statistics; "reference" materialises every
+#: instance and rescans it, under session.update() too
+ENGINES = ["fast", "reference"]
+#: the axis's test ids: the fast engine repairs on the code-array walk
+#: ("vec"), the reference builds no code arrays ("novec")
 ENGINE_IDS = ["vec", "novec"]
 
 
-def _session(table, config, second_order=True):
-    algorithm = paper_algorithm_1()
-    algorithm.second_order = second_order
-    return RepairSession(algorithm, la_liga_constraints(), table,
-                         cell_of_interest=CELL, config=config)
+def _session(table, config, engine="fast"):
+    return RepairSession(paper_algorithm_1(engine=engine), la_liga_constraints(),
+                         table, cell_of_interest=CELL, config=config)
 
 
 def _explain_key(explanation):
@@ -79,10 +79,10 @@ def _explain_key(explanation):
     )
 
 
-def _fresh_key(table, config, second_order=True):
+def _fresh_key(table, config, engine="fast"):
     """Explain on a fresh session over ``table``; None if the cell of
     interest is not repaired there."""
-    session = _session(table, config, second_order)
+    session = _session(table, config, engine)
     with session:
         try:
             return _explain_key(session.explain(n_samples=N_SAMPLES))
@@ -112,11 +112,11 @@ def update_batches(draw):
     batches=update_batches(),
     policy=st.sampled_from(["sample", "null", "mode"]),
     n_jobs=st.sampled_from([None, 1]),
-    second_order=st.booleans(),
+    engine=st.sampled_from(ENGINES),
     explain_between=st.booleans(),
 )
 def test_update_sequences_match_fresh_rebuild(batches, policy, n_jobs,
-                                              second_order, explain_between):
+                                              engine, explain_between):
     """Random update sequences: live path ≡ fresh session on the final table.
 
     Covers updates that create violations (novel values against an FD
@@ -128,7 +128,7 @@ def test_update_sequences_match_fresh_rebuild(batches, policy, n_jobs,
     """
     config = TRexConfig(seed=SEED, cell_samples=N_SAMPLES,
                         replacement_policy=policy, n_jobs=n_jobs)
-    live = _session(la_liga_dirty_table(), config, second_order)
+    live = _session(la_liga_dirty_table(), config, engine)
     final = la_liga_dirty_table()
     with live:
         live.explain(n_samples=N_SAMPLES)
@@ -144,7 +144,7 @@ def test_update_sequences_match_fresh_rebuild(batches, policy, n_jobs,
             live_key = _explain_key(live.explain(n_samples=N_SAMPLES))
         except NotRepairedError:
             live_key = None
-    assert live_key == _fresh_key(final, config, second_order)
+    assert live_key == _fresh_key(final, config, engine)
 
 
 # -- the n_jobs=2 warm-pool grid (one deterministic sequence) -------------------------
@@ -159,10 +159,10 @@ POOL_SEQUENCE = [
 
 
 @pytest.mark.parallel
-@pytest.mark.parametrize("second_order", [True, False], ids=ENGINE_IDS)
-def test_update_sequence_on_two_workers(second_order):
+@pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+def test_update_sequence_on_two_workers(engine):
     config = TRexConfig(seed=SEED, cell_samples=N_SAMPLES, n_jobs=2)
-    live = _session(la_liga_dirty_table(), config, second_order)
+    live = _session(la_liga_dirty_table(), config, engine)
     final = la_liga_dirty_table()
     with live:
         live.explain(n_samples=N_SAMPLES)
@@ -172,7 +172,7 @@ def test_update_sequence_on_two_workers(second_order):
         live_key = _explain_key(live.explain(n_samples=N_SAMPLES))
         oracle = live._live.oracle
         assert oracle.base_updates_applied == len(POOL_SEQUENCE)
-    assert live_key == _fresh_key(final, config, second_order)
+    assert live_key == _fresh_key(final, config, engine)
 
 
 @pytest.mark.parallel
@@ -189,39 +189,56 @@ def test_warm_workers_are_patched_not_rebuilt():
     assert statistics["worker_rebuilds"] == 2  # one build per worker, ever
 
 
-# -- the oracle-level paired/batched flag grid ---------------------------------------
+# -- the oracle-level engine grid ----------------------------------------------------
 
-def _sequential_estimates(explainer, cells, n_samples):
+def _sequential_estimates(explainer, cells, n_samples, batched, paired):
+    """Estimate ``cells`` by driving one oracle entry point on the sampler's
+    draws: ``query_pairs`` over all of a cell's pairs (batched, paired), a
+    ``query_pair`` loop (unbatched, paired), or ``query_table`` per instance
+    (unpaired; batched queries every with-instance before the without-ones).
+    Each memoises under its own key shape — pair-memo, fingerprint-pair and
+    single-instance keys — so each exercises its own part of the rebase."""
     explainer.sampler.reseed(make_rng(SEED))
+    oracle = explainer.oracle
     out = {}
     for cell in cells:
+        pairs = [explainer.sampler.sample_pair(cell) for _ in range(n_samples)]
+        if paired and batched:
+            answers = oracle.query_pairs(pairs)
+        elif paired:
+            answers = [oracle.query_pair(oracle.constraints, with_cell, without_cell)
+                       for with_cell, without_cell in pairs]
+        elif batched:
+            answers = list(zip([oracle.query_table(with_cell) for with_cell, _ in pairs],
+                               [oracle.query_table(without_cell) for _, without_cell in pairs]))
+        else:
+            answers = [(oracle.query_table(with_cell), oracle.query_table(without_cell))
+                       for with_cell, without_cell in pairs]
         tracker = RunningMean()
-        explainer._accumulate_cell(cell, n_samples, tracker)
+        for value_with, value_without in answers:
+            tracker.update(float(value_with - value_without))
         out[cell] = (tracker.mean, tracker.standard_error, tracker.count)
     return out
 
 
 @pytest.mark.parametrize("paired", [True, False], ids=["paired", "unpaired"])
 @pytest.mark.parametrize("batched", [True, False], ids=["batched", "unbatched"])
-@pytest.mark.parametrize("second_order", [True, False], ids=ENGINE_IDS)
-def test_oracle_apply_base_update_across_flag_grid(paired, batched, second_order):
+@pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+def test_oracle_apply_base_update_across_flag_grid(paired, batched, engine):
     """``BinaryRepairOracle.apply_base_update`` preserves estimates across the
-    paired × batched × repair-engine grid (the cache-rebase key shapes differ
-    per combination: pair-memo, fingerprint-pair and single-instance keys)."""
+    engine × query-path grid (the cache-rebase key shapes differ per
+    combination: pair-memo, fingerprint-pair and single-instance keys, over
+    views on the fast engine and materialised tables on the reference)."""
     probes = [CellRef(4, "City"), CellRef(0, "Country"), CellRef(2, "City")]
     updates = {CellRef(0, "City"): "Seville", CellRef(1, "Country"): None}
     constraints = la_liga_constraints()
-    algorithm = SimpleRuleRepair(second_order=second_order)
+    algorithm = SimpleRuleRepair(engine=engine)
     updated = la_liga_dirty_table().with_values(updates)
     new_target = algorithm.repair(constraints, updated).clean[CELL]
 
-    live_oracle = BinaryRepairOracle(
-        algorithm, constraints, la_liga_dirty_table(), CELL,
-        paired=paired, batched_pairs=batched,
-    )
-    live = CellShapleyExplainer(live_oracle, policy="mode", rng=SEED,
-                                paired=paired, batched_pairs=batched)
-    _sequential_estimates(live, probes, N_SAMPLES)  # warm the memo first
+    live_oracle = BinaryRepairOracle(algorithm, constraints, la_liga_dirty_table(), CELL)
+    live = CellShapleyExplainer(live_oracle, policy="mode", rng=SEED)
+    _sequential_estimates(live, probes, N_SAMPLES, batched, paired)  # warm the memo first
     table = live_oracle.dirty_table
     delta = BaseUpdateDelta(
         updates=tuple(BaseCellUpdate(cell=cell, old_value=table[cell],
@@ -232,15 +249,11 @@ def test_oracle_apply_base_update_across_flag_grid(paired, batched, second_order
     assert live_oracle.apply_base_update(delta) == len(updates)
     assert live_oracle.base_updates_applied == 1
     live.sampler.invalidate_overlay()
-    after = _sequential_estimates(live, probes, N_SAMPLES)
+    after = _sequential_estimates(live, probes, N_SAMPLES, batched, paired)
 
-    fresh_oracle = BinaryRepairOracle(
-        algorithm, constraints, updated, CELL,
-        paired=paired, batched_pairs=batched,
-    )
-    fresh = CellShapleyExplainer(fresh_oracle, policy="mode", rng=SEED,
-                                 paired=paired, batched_pairs=batched)
-    assert after == _sequential_estimates(fresh, probes, N_SAMPLES)
+    fresh_oracle = BinaryRepairOracle(algorithm, constraints, updated, CELL)
+    fresh = CellShapleyExplainer(fresh_oracle, policy="mode", rng=SEED)
+    assert after == _sequential_estimates(fresh, probes, N_SAMPLES, batched, paired)
 
 
 # -- targeted violation lifecycle cases ----------------------------------------------

@@ -4,13 +4,12 @@ The multi-pair batch scheduler dedups against the pair-fingerprint memo,
 groups pairs sharing a coalition prefix onto one primed walk and threads one
 shared revertible statistics instance across the batch; these tests pin the
 contract that none of that is visible in the answers — only in the
-accounting — for every ``shared_stats``/``batched_pairs`` combination and
-both bundled black boxes.
+accounting — against an explicit ``query_pair`` loop, the reference engine
+and both bundled black boxes.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 
 import pytest
@@ -44,9 +43,19 @@ def make_oracle(algorithm=None, **kwargs):
 
 
 def sample_pairs(oracle, n_pairs, policy="null", rng=7):
-    sampler = CellCoalitionSampler(oracle.dirty_table, policy=policy, rng=rng,
-                                   batched=True)
+    sampler = CellCoalitionSampler(oracle.dirty_table, policy=policy, rng=rng)
     return [sampler.sample_pair(CellRef(0, "City")) for _ in range(n_pairs)]
+
+
+def query_pair_loop(oracle, pairs):
+    """The answers of one ``query_pair`` call per pair, in order."""
+    return [oracle.query_pair(oracle.constraints, with_table, without_table)
+            for with_table, without_table in pairs]
+
+
+def reference_oracle(algorithm=None, **kwargs):
+    """An oracle on the reference engine (no shared statistics or walks)."""
+    return make_oracle(algorithm or SimpleRuleRepair(engine="reference"), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -58,22 +67,17 @@ def sample_pairs(oracle, n_pairs, policy="null", rng=7):
 @pytest.mark.parametrize("use_cache", [True, False])
 def test_query_pairs_equals_query_pair_loop(algorithm_factory, use_cache):
     batched = make_oracle(algorithm_factory(), use_cache=use_cache)
-    unbatched = make_oracle(algorithm_factory(), use_cache=use_cache,
-                            batched_pairs=False)
+    looped = make_oracle(algorithm_factory(), use_cache=use_cache)
     pairs = sample_pairs(batched, 8)
-    assert batched.query_pairs(pairs) == unbatched.query_pairs(pairs)
+    assert batched.query_pairs(pairs) == query_pair_loop(looped, pairs)
     assert batched.batches == 1
-    assert unbatched.batches == 0  # batched_pairs=False forces today's loop
+    assert looped.batches == 0
 
 
 def test_query_pairs_identical_under_sample_policy():
     batched = make_oracle()
-    reference = make_oracle(batched_pairs=False, shared_stats=False)
     pairs = sample_pairs(batched, 6, policy="sample", rng=11)
-    assert batched.query_pairs(pairs) == [
-        reference.query_pair(reference.constraints, with_table, without_table)
-        for with_table, without_table in pairs
-    ]
+    assert batched.query_pairs(pairs) == query_pair_loop(reference_oracle(), pairs)
 
 
 def test_query_pairs_empty_queue():
@@ -121,12 +125,7 @@ def test_query_pairs_groups_shared_coalition_prefix_on_one_walk():
     # the shared with-instance was repaired once, each without once
     assert oracle.repair_runs == runs_before + 1 + 3
     assert oracle.pair_walks == 3
-    reference = make_oracle(use_cache=False, batched_pairs=False,
-                            shared_stats=False)
-    for (with_table, without_table), answer in zip(pairs, answers):
-        assert answer == reference.query_pair(
-            reference.constraints, with_table, without_table
-        )
+    assert answers == query_pair_loop(reference_oracle(use_cache=False), pairs)
 
 
 def test_query_pairs_group_fallback_for_algorithms_without_group_support():
@@ -142,36 +141,29 @@ def test_query_pairs_group_fallback_for_algorithms_without_group_support():
     ]
     answers = oracle.query_pairs(pairs)
     reference = make_oracle(HoloCleanRepair(passes=1, train_on_clean_cells=0),
-                            use_cache=False, batched_pairs=False)
-    assert answers == [
-        reference.query_pair(reference.constraints, with_table, without_table)
-        for with_table, without_table in pairs
-    ]
+                            use_cache=False)
+    assert answers == query_pair_loop(reference, pairs)
 
 
 # ---------------------------------------------------------------------------
-# the full flag grid: estimates bit-identical for a fixed seed
+# estimates bit-identical with shared statistics and batched pairs (the fast
+# engine) and without them (the reference engine), for a fixed seed
 
 
-@pytest.mark.parametrize("algorithm_factory", [SimpleRuleRepair,
-                                               lambda: GreedyHolisticRepair(max_changes=20)])
+@pytest.mark.parametrize("algorithm_factory", [
+    SimpleRuleRepair,
+    lambda engine="fast": GreedyHolisticRepair(max_changes=20, engine=engine),
+])
 @pytest.mark.parametrize("policy", ["null", "mode"])
 def test_estimates_identical_across_shared_and_batched_flags(algorithm_factory, policy):
-    reference = None
-    for shared_stats, batched_pairs in itertools.product([False, True], repeat=2):
-        oracle = make_oracle(algorithm_factory(), shared_stats=shared_stats,
-                             batched_pairs=batched_pairs)
-        explainer = CellShapleyExplainer(
-            oracle, policy=policy, rng=23,
-            shared_stats=shared_stats, batched_pairs=batched_pairs,
-        )
-        estimate = explainer.estimate_cell(CellRef(4, "City"), n_samples=12)
-        if reference is None:
-            reference = estimate
-        else:
-            assert estimate.value == reference.value
-            assert estimate.standard_error == reference.standard_error
-            assert estimate.n_samples == reference.n_samples
+    estimates = {}
+    for engine in ("reference", "fast"):
+        oracle = make_oracle(algorithm_factory(engine=engine))
+        explainer = CellShapleyExplainer(oracle, policy=policy, rng=23)
+        estimates[engine] = explainer.estimate_cell(CellRef(4, "City"), n_samples=12)
+        assert (oracle.batches > 0) == (engine == "fast")
+        assert (oracle.stats_engine is not None) == (engine == "fast")
+    assert estimates["fast"] == estimates["reference"]
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +212,9 @@ def test_query_pairs_equals_loop_randomised(data):
 
     batched = BinaryRepairOracle(SimpleRuleRepair(), constraints, table,
                                  CellRef(0, "B"), use_cache=False)
-    reference = BinaryRepairOracle(SimpleRuleRepair(), constraints, table,
-                                   CellRef(0, "B"), use_cache=False,
-                                   batched_pairs=False, shared_stats=False,
-                                   paired=False)
+    reference = BinaryRepairOracle(SimpleRuleRepair(engine="reference"),
+                                   constraints, table, CellRef(0, "B"),
+                                   use_cache=False)
     assert batched.query_pairs(pairs) == [
         (reference.query(constraints, with_table),
          reference.query(constraints, without_table))
@@ -261,11 +252,7 @@ def test_oracle_recomputes_correctly_after_mixed_key_eviction():
     # every answer is recomputed (or re-served) identically after eviction
     second = oracle.query_pairs(pairs)
     assert second == first
-    reference = make_oracle(use_cache=False, batched_pairs=False)
-    assert first == [
-        reference.query_pair(reference.constraints, with_table, without_table)
-        for with_table, without_table in pairs
-    ]
+    assert first == query_pair_loop(make_oracle(use_cache=False), pairs)
 
 
 @pytest.mark.parametrize("cache_size", [2, 4])

@@ -140,19 +140,11 @@ def test_golden_grid_values_survive_seeded_chaos(algorithm_name, path_name,
     fixture = json.loads(golden.FIXTURE.read_text())
     expected = fixture["values"][f"{algorithm_name}/{path_name}/njobs=2/warm"]
 
-    incremental, paired, second_order, shared_stats, batched_pairs = \
-        golden.ENGINE_PATHS[path_name]
     oracle = BinaryRepairOracle(
-        golden.ALGORITHMS[algorithm_name](second_order),
+        golden.ALGORITHMS[algorithm_name](golden.ENGINE_PATHS[path_name]),
         la_liga_constraints(), la_liga_dirty_table(), golden.CELL_OF_INTEREST,
-        incremental=incremental, paired=paired, shared_stats=shared_stats,
-        batched_pairs=batched_pairs,
     )
-    explainer = CellShapleyExplainer(
-        oracle, policy=golden.POLICY, rng=golden.SEED,
-        incremental=incremental, paired=paired, shared_stats=shared_stats,
-        batched_pairs=batched_pairs,
-    )
+    explainer = CellShapleyExplainer(oracle, policy=golden.POLICY, rng=golden.SEED)
     scheduler = ShardedExplainScheduler.from_explainer(
         explainer, n_jobs=N_JOBS,
         samples_per_shard=golden.SAMPLES_PER_SHARD,

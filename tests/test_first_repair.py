@@ -1,11 +1,10 @@
 """First repairs of plain tables run on the walk; the rescan stays the reference.
 
-With ``second_order=True`` (the default) the simple and greedy repairers
+On the ``"fast"`` engine (the default) the simple and greedy repairers
 repair a plain input table on a zero-delta view, so a first repair uses the
 same :class:`~repro.constraints.incremental.RepairWalk` as every perturbed
 instance, and FD-shape base violations come from one pass over the equality
-index.  ``second_order=False`` together with a plain table (the
-``incremental=False`` oracle) is the full-rescan reference: it must keep
+index.  ``engine="reference"`` is the full-rescan reference: it must keep
 calling :func:`~repro.constraints.violations.find_violations`, and its
 outputs must equal the fast path's.
 """
@@ -42,8 +41,8 @@ GENERATORS = {
 }
 
 ALGORITHMS = {
-    "simple": lambda second_order=True: SimpleRuleRepair(second_order=second_order),
-    "greedy": lambda second_order=True: GreedyHolisticRepair(second_order=second_order),
+    "simple": lambda engine="fast": SimpleRuleRepair(engine=engine),
+    "greedy": lambda engine="fast": GreedyHolisticRepair(engine=engine),
 }
 
 
@@ -78,12 +77,11 @@ def test_default_first_repair_never_rescans(algorithm, rescan_calls):
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_reference_row_still_rescans(algorithm, rescan_calls):
-    """The golden ``full`` axis: ``incremental=False`` + ``second_order=False``."""
+    """The golden ``full`` axis: ``engine="reference"``."""
     dirty, constraints = dirty_dataset("hospital", n_rows=40)
     oracle = BinaryRepairOracle(
-        ALGORITHMS[algorithm](second_order=False), constraints, dirty,
+        ALGORITHMS[algorithm](engine="reference"), constraints, dirty,
         dirty.diff(ALGORITHMS[algorithm]().repair_table(constraints, dirty)).cells()[0],
-        incremental=False, paired=False, shared_stats=False, batched_pairs=False,
     )
     before = len(rescan_calls)
     ConstraintShapleyExplainer(oracle).explain()
@@ -96,7 +94,7 @@ def test_reference_row_still_rescans(algorithm, rescan_calls):
 def test_plain_first_repair_equals_rescan_reference(dataset, algorithm):
     dirty, constraints = dirty_dataset(dataset)
     fast = ALGORITHMS[algorithm]().repair_table(constraints, dirty)
-    reference = ALGORITHMS[algorithm](second_order=False).repair_table(constraints, dirty)
+    reference = ALGORITHMS[algorithm](engine="reference").repair_table(constraints, dirty)
     assert type(fast) is Table and not isinstance(fast, PerturbationView)
     assert fast.name == reference.name
     assert fast.fingerprint() == reference.fingerprint()

@@ -1,12 +1,13 @@
 """Golden-determinism snapshot: cell-Shapley values pinned across the grid.
 
-Every engine lever this library has grown — incremental views, paired walks,
-second-order walks, shared statistics, batched pairs, the sharded scheduler,
-and now the warm worker pool — is contractually *invisible in the numbers*.
-This test pins the actual numbers: the cell-Shapley values of both bundled
-black boxes across the engine flag grid × ``n_jobs`` ∈ {None, 1, 2 on the
-warm pool}, against a committed JSON fixture
-(``tests/fixtures/golden_shapley.json``).
+The evaluation engine (``engine="fast"`` against the ``"reference"``
+rescan), the sharded scheduler and the warm worker pool are contractually
+*invisible in the numbers*.  This test pins the actual numbers: the
+cell-Shapley values of both bundled black boxes on both engines ×
+``n_jobs`` ∈ {None, 1, 2 on the warm pool}, against a committed JSON fixture
+(``tests/fixtures/golden_shapley.json``).  The fixture keys the engines by
+their historical path names: ``full`` is the reference, ``paired_batched``
+the fast engine.
 
 Two invariants are asserted on top of the snapshot itself:
 
@@ -57,19 +58,15 @@ SAMPLES_PER_SHARD = 3
 SEED = 23
 POLICY = "mode"  # deterministic replacement values: drift means drift
 
-#: (incremental, paired, second_order, shared_stats, batched_pairs) — the
-#: same ladder the engine benchmark cross-checks
+#: fixture path name -> engine
 ENGINE_PATHS = {
-    "full": (False, False, False, False, False),
-    "incremental": (True, False, False, False, False),
-    "paired_nobatch": (True, True, True, False, False),
-    "paired_batched": (True, True, True, True, True),
+    "full": "reference",
+    "paired_batched": "fast",
 }
 
 ALGORITHMS = {
-    "simple": lambda second_order: SimpleRuleRepair(second_order=second_order),
-    "greedy": lambda second_order: GreedyHolisticRepair(
-        max_changes=20, second_order=second_order),
+    "simple": lambda engine: SimpleRuleRepair(engine=engine),
+    "greedy": lambda engine: GreedyHolisticRepair(max_changes=20, engine=engine),
 }
 
 #: the scheduler/pool axis: mode name -> n_jobs
@@ -88,20 +85,13 @@ UPDATE_VALUE = "Seville"
 
 def run_grid_entry(algorithm_name: str, path_name: str,
                    mode_name: str) -> dict[str, float]:
-    incremental, paired, second_order, shared_stats, batched_pairs = \
-        ENGINE_PATHS[path_name]
-    n_jobs = EXECUTION_MODES[mode_name]
     oracle = BinaryRepairOracle(
-        ALGORITHMS[algorithm_name](second_order),
+        ALGORITHMS[algorithm_name](ENGINE_PATHS[path_name]),
         la_liga_constraints(), la_liga_dirty_table(), CELL_OF_INTEREST,
-        incremental=incremental, paired=paired,
-        shared_stats=shared_stats, batched_pairs=batched_pairs,
     )
     with CellShapleyExplainer(
         oracle, policy=POLICY, rng=SEED,
-        incremental=incremental, paired=paired,
-        shared_stats=shared_stats, batched_pairs=batched_pairs,
-        n_jobs=n_jobs, samples_per_shard=SAMPLES_PER_SHARD,
+        n_jobs=EXECUTION_MODES[mode_name], samples_per_shard=SAMPLES_PER_SHARD,
     ) as explainer:
         result = explainer.explain(cells=PROBES, n_samples=N_SAMPLES)
     return {str(cell): value for cell, value in result.values.items()}
@@ -122,7 +112,7 @@ def run_updated_session_entry(algorithm_name: str, mode_name: str,
     if fresh:
         table = table.with_values({UPDATE_CELL: UPDATE_VALUE})
     session = RepairSession(
-        ALGORITHMS[algorithm_name](False), la_liga_constraints(), table,
+        ALGORITHMS[algorithm_name]("fast"), la_liga_constraints(), table,
         cell_of_interest=CELL_OF_INTEREST, config=config,
     )
     with session:
@@ -201,14 +191,12 @@ def test_updated_session_worker_count_is_invisible(grid):
 
 
 def test_engine_paths_agree_per_execution_mode(grid):
-    """Every engine-flag combination yields the same values (per mode)."""
+    """Both engines yield the same values (per mode)."""
     for algorithm_name in ALGORITHMS:
         for mode_name in EXECUTION_MODES:
             suffix = f"{algorithm_name}/%s/{mode_name}"
-            reference = grid[suffix % "full"]
-            for path_name in ("incremental", "paired_nobatch", "paired_batched"):
-                assert grid[suffix % path_name] == reference, \
-                    f"{suffix % path_name} drifted from the full-rescan path"
+            assert grid[suffix % "paired_batched"] == grid[suffix % "full"], \
+                f"{suffix % 'paired_batched'} drifted from the full-rescan path"
 
 
 def test_values_match_the_committed_golden_fixture(grid):

@@ -145,8 +145,8 @@ def test_violations_for_delta_convenience():
 
 # ---------------------------------------------------------------------------
 # repair algorithms must give identical repairs on views and on copies; the
-# copy is repaired by the second_order=False rescan reference (with the
-# default a plain table is repaired on a zero-delta view as well)
+# copy is repaired by the engine="reference" rescan (on the default engine a
+# plain table is repaired on a zero-delta view as well)
 
 
 def _repair_agrees(algorithm, reference, base, delta, constraints):
@@ -163,7 +163,7 @@ def _repair_agrees(algorithm, reference, base, delta, constraints):
     {CellRef(0, "Country"): "France"},
 ])
 def test_simple_repair_identical_on_views(delta):
-    _repair_agrees(SimpleRuleRepair(), SimpleRuleRepair(second_order=False),
+    _repair_agrees(SimpleRuleRepair(), SimpleRuleRepair(engine="reference"),
                    la_liga_dirty_table(), delta, la_liga_constraints())
 
 
@@ -174,7 +174,7 @@ def test_simple_repair_identical_on_views(delta):
 ])
 def test_greedy_repair_identical_on_views(delta):
     _repair_agrees(GreedyHolisticRepair(max_changes=20),
-                   GreedyHolisticRepair(max_changes=20, second_order=False),
+                   GreedyHolisticRepair(max_changes=20, engine="reference"),
                    la_liga_dirty_table(), delta, la_liga_constraints())
 
 
@@ -265,7 +265,7 @@ def test_simple_repair_identical_on_views_randomised(data):
     table, delta = data
     constraints = [CONSTRAINT_POOL[0], CONSTRAINT_POOL[2]]
     algorithm = SimpleRuleRepair(max_iterations=4)
-    reference = SimpleRuleRepair(max_iterations=4, second_order=False)
+    reference = SimpleRuleRepair(max_iterations=4, engine="reference")
     view_clean = algorithm.repair_table(constraints, table.perturbed(delta))
     copy_clean = reference.repair_table(constraints, table.with_values(delta))
     assert view_clean.to_records() == copy_clean.to_records()

@@ -3,7 +3,8 @@
 The paired oracle shares one repair walk (and one row cache, one statistics
 fork) between the with/without instances of a Monte-Carlo sample; these tests
 pin the contract that sharing is invisible in the answers, the call
-accounting (modulo the shared walk itself) and the cache contents.
+accounting (modulo the shared walk itself) and the cache contents.  The
+independent answers come from the same black box on the reference engine.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro import (
     BinaryRepairOracle,
     CellRef,
+    FunctionRepairAlgorithm,
     GreedyHolisticRepair,
     SimpleRuleRepair,
     Table,
@@ -37,8 +39,7 @@ def make_oracle(algorithm=None, **kwargs):
 
 
 def sample_pairs(oracle, n_pairs, policy="null", rng=7):
-    sampler = CellCoalitionSampler(oracle.dirty_table, policy=policy, rng=rng,
-                                   batched=True)
+    sampler = CellCoalitionSampler(oracle.dirty_table, policy=policy, rng=rng)
     return [sampler.sample_pair(CellRef(0, "City")) for _ in range(n_pairs)]
 
 
@@ -46,12 +47,14 @@ def sample_pairs(oracle, n_pairs, policy="null", rng=7):
 # answer equivalence
 
 
-@pytest.mark.parametrize("algorithm_factory", [SimpleRuleRepair,
-                                               lambda: GreedyHolisticRepair(max_changes=20)])
+@pytest.mark.parametrize("algorithm_factory", [
+    SimpleRuleRepair,
+    lambda engine="fast": GreedyHolisticRepair(max_changes=20, engine=engine),
+])
 @pytest.mark.parametrize("use_cache", [True, False])
 def test_query_pair_equals_two_queries(algorithm_factory, use_cache):
     paired = make_oracle(algorithm_factory(), use_cache=use_cache)
-    unpaired = make_oracle(algorithm_factory(), use_cache=use_cache, paired=False)
+    unpaired = make_oracle(algorithm_factory(engine="reference"), use_cache=use_cache)
     for with_table, without_table in sample_pairs(paired, 8):
         pair = paired.query_pair(paired.constraints, with_table, without_table)
         independent = (
@@ -63,7 +66,7 @@ def test_query_pair_equals_two_queries(algorithm_factory, use_cache):
 
 def test_query_pair_identical_under_sample_policy():
     paired = make_oracle()
-    unpaired = make_oracle(paired=False)
+    unpaired = make_oracle(SimpleRuleRepair(engine="reference"))
     for with_table, without_table in sample_pairs(paired, 6, policy="sample", rng=11):
         assert paired.query_pair(paired.constraints, with_table, without_table) == (
             unpaired.query_table(with_table),
@@ -102,7 +105,7 @@ def test_query_pair_accounting():
 
 
 def test_query_pair_falls_back_without_pairing():
-    oracle = make_oracle(use_cache=False, paired=False)
+    oracle = make_oracle(SimpleRuleRepair(engine="reference"), use_cache=False)
     (with_table, without_table), = sample_pairs(oracle, 1)
     oracle.query_pair(oracle.constraints, with_table, without_table)
     assert oracle.pair_walks == 0
@@ -111,10 +114,12 @@ def test_query_pair_falls_back_without_pairing():
 
 def test_pair_walks_not_counted_for_unshared_repairs():
     """An algorithm that cannot share a walk must not inflate pair_walks."""
-    oracle = make_oracle(SimpleRuleRepair(second_order=False), use_cache=False)
+    rescan = SimpleRuleRepair(engine="reference")
+    oracle = make_oracle(FunctionRepairAlgorithm(rescan.repair_table), use_cache=False)
+    assert oracle.engine == "fast"
     (with_table, without_table), = sample_pairs(oracle, 1)
     answers = oracle.query_pair(oracle.constraints, with_table, without_table)
-    reference = make_oracle(use_cache=False, paired=False)
+    reference = make_oracle(rescan, use_cache=False)
     assert answers == (reference.query_table(with_table),
                        reference.query_table(without_table))
     assert oracle.pair_walks == 0
@@ -142,7 +147,7 @@ def test_query_pair_with_multi_cell_same_row_difference():
     fall back to fresh statistics there.
     """
     paired = make_oracle(use_cache=False)
-    unpaired = make_oracle(use_cache=False, paired=False)
+    unpaired = make_oracle(SimpleRuleRepair(engine="reference"), use_cache=False)
     base_delta = {CellRef(0, "City"): None, CellRef(2, "Team"): None}
     with_view = paired.dirty_table.perturbed(base_delta, trusted=True)
     without_view = with_view.perturbed(
@@ -255,8 +260,8 @@ def test_query_pair_equals_two_queries_randomised(data):
 
     paired = BinaryRepairOracle(SimpleRuleRepair(), constraints, table,
                                 CellRef(0, "B"), use_cache=False)
-    unpaired = BinaryRepairOracle(SimpleRuleRepair(), constraints, table,
-                                  CellRef(0, "B"), use_cache=False, paired=False)
+    unpaired = BinaryRepairOracle(SimpleRuleRepair(engine="reference"), constraints,
+                                  table, CellRef(0, "B"), use_cache=False)
     assert paired.query_pair(constraints, with_view, without_view) == (
         unpaired.query(constraints, with_view),
         unpaired.query(constraints, without_view),

@@ -5,7 +5,7 @@ Three contracts are pinned here:
 * **worker-count invariance** — for a fixed job seed the per-cell coalition
   draws (and therefore the Shapley values, standard errors and sample counts)
   are bit-identical for ``n_jobs ∈ {1, 2, 4}``, across both bundled black
-  boxes, all three replacement policies and the engine flag grid
+  boxes, all three replacement policies and both engines
   (property-based over seeds);
 * **sequential-path preservation** — ``n_jobs=None`` runs the exact PR 3
   sequential engine (same values as before the subsystem existed);
@@ -14,7 +14,8 @@ Three contracts are pinned here:
   for every worker count;
 * **pool-lifecycle invariance** — the warm pool (resident worker stacks,
   cache-diff shipping) and the in-process plan produce bit-identical
-  estimates across the engine flag grid (property-based over seeds), and a
+  estimates on both engines and both black boxes (property-based over
+  seeds), and a
   cached scheduler reusing its pool across calls changes counters only,
   never values.
 """
@@ -45,20 +46,15 @@ PROBES = [CellRef(4, "City"), CellRef(0, "Country")]
 
 
 def make_explainer(n_jobs, policy="sample", rng=23, algorithm=None,
-                   samples_per_shard=4, flags=(True, True, True, True)):
-    incremental, paired, shared_stats, batched_pairs = flags
+                   samples_per_shard=4, engine="fast"):
     oracle = BinaryRepairOracle(
-        algorithm or SimpleRuleRepair(),
+        algorithm or SimpleRuleRepair(engine=engine),
         la_liga_constraints(),
         la_liga_dirty_table(),
         CELL_OF_INTEREST,
-        incremental=incremental, paired=paired,
-        shared_stats=shared_stats, batched_pairs=batched_pairs,
     )
     explainer = CellShapleyExplainer(
         oracle, policy=policy, rng=rng,
-        incremental=incremental, paired=paired,
-        shared_stats=shared_stats, batched_pairs=batched_pairs,
         n_jobs=n_jobs, samples_per_shard=samples_per_shard,
     )
     return explainer, oracle
@@ -96,23 +92,35 @@ def test_draws_identical_across_worker_counts(policy, algorithm_factory, label, 
         assert results[n_jobs].n_samples == results[1].n_samples, (label, policy, n_jobs)
 
 
-@pytest.mark.parametrize("flags", [
-    (False, False, False, False),
-    (True, False, False, False),
-    (True, True, False, False),
-    (True, True, True, False),
-    (True, True, False, True),
-    (True, True, True, True),
-])
+#: the worker-count grid: each engine under each replacement policy, as
+#: ``(engine, policy)`` pairs
+FLAG_GRID = [(engine, policy) for engine in ("reference", "fast")
+             for policy in ("null", "sample", "mode")]
+
+
+@pytest.mark.parametrize("flags", FLAG_GRID)
 def test_worker_count_invariance_across_flag_grid(flags):
-    """n_jobs=2 equals n_jobs=1 on every engine flag combination."""
-    sequentially_sharded, _ = explain_with(1, flags=flags, policy="null")
-    fanned_out, oracle = explain_with(2, flags=flags, policy="null")
+    """n_jobs=2 equals n_jobs=1 on both engines under every policy."""
+    engine, policy = flags
+    sequentially_sharded, _ = explain_with(1, engine=engine, policy=policy)
+    fanned_out, oracle = explain_with(2, engine=engine, policy=policy)
     assert fanned_out.values == sequentially_sharded.values, flags
     assert fanned_out.standard_errors == sequentially_sharded.standard_errors, flags
     assert fanned_out.n_samples == sequentially_sharded.n_samples, flags
     assert oracle.parallel_workers == 2
     assert oracle.parallel_shards > 0
+
+
+def test_workers_run_the_algorithms_engine():
+    """The engine travels with the algorithm into every worker stack."""
+    counters = {}
+    for engine in ("reference", "fast"):
+        _, oracle = explain_with(2, engine=engine, policy="null")
+        assert oracle.parallel_workers == 2
+        counters[engine] = (oracle.pair_walks, oracle.batches)
+    # reference workers query each instance alone: no shared walk, no batch
+    assert counters["reference"] == (0, 0)
+    assert counters["fast"][0] > 0 and counters["fast"][1] > 0
 
 
 def test_estimate_cell_routes_through_scheduler():
@@ -167,17 +175,20 @@ def test_standalone_scheduler_returns_merged_cache():
 # warm pool: resident worker state must be invisible in the numbers
 
 
-@pytest.mark.parametrize("flags", [
-    (False, False, False, False),
-    (True, False, False, False),
-    (True, True, True, True),
-])
+#: the warm-pool grid: each engine on both bundled black boxes, as
+#: ``(engine, algorithm class)`` pairs
+POOL_GRID = [(engine, algorithm) for engine in ("reference", "fast")
+             for algorithm in (SimpleRuleRepair, GreedyHolisticRepair)]
+
+
+@pytest.mark.parametrize("flags", POOL_GRID)
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_warm_pool_and_in_process_plan_bit_identical(flags, seed):
     """Resident worker stacks + diff shipping vs the in-process plan: same bits."""
-    warm, warm_oracle = explain_with(2, flags=flags, rng=seed)
-    inline, _ = explain_with(1, flags=flags, rng=seed)
+    engine, algorithm = flags
+    warm, warm_oracle = explain_with(2, algorithm=algorithm(engine=engine), rng=seed)
+    inline, _ = explain_with(1, algorithm=algorithm(engine=engine), rng=seed)
     assert warm.values == inline.values, flags
     assert warm.standard_errors == inline.standard_errors
     assert warm_oracle.parallel_workers == 2

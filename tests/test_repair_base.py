@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.dataset.table import CellRef, Table
+from repro.dataset.table import CellRef
+from repro.errors import RepairError
 from repro.repair.base import BinaryRepairOracle, FunctionRepairAlgorithm
 from repro.repair.cache import OracleCache, memoised_oracle_stats
-from repro.repair.simple import paper_algorithm_1
+from repro.repair.greedy import GreedyHolisticRepair
+from repro.repair.simple import SimpleRuleRepair, paper_algorithm_1
+from repro.shapley.cells import CellShapleyExplainer
 
 
 def test_function_repair_algorithm_adapter(dirty_table, constraints):
@@ -145,3 +148,33 @@ def test_deterministic_algorithm_contract(dirty_table, constraints):
     assert first.equals(second)
     # the input table is never mutated
     assert dirty_table.value(4, "Country") == "España"
+
+
+@pytest.mark.parametrize("algorithm_class", [SimpleRuleRepair, GreedyHolisticRepair])
+def test_engine_choice_is_validated(algorithm_class):
+    assert algorithm_class().engine == "fast"
+    assert algorithm_class(engine="reference").engine == "reference"
+    for bad in ("turbo", "Fast", None, True):
+        with pytest.raises(RepairError):
+            algorithm_class(engine=bad)
+
+
+@pytest.mark.parametrize("algorithm_class", [SimpleRuleRepair, GreedyHolisticRepair])
+def test_second_order_argument_is_gone(algorithm_class):
+    with pytest.raises(TypeError):
+        algorithm_class(second_order=False)
+
+
+def test_oracle_and_explainer_follow_the_algorithm_engine(dirty_table, constraints,
+                                                          cell_of_interest):
+    for engine in ("fast", "reference"):
+        oracle = BinaryRepairOracle(paper_algorithm_1(engine=engine), constraints,
+                                    dirty_table, cell_of_interest)
+        explainer = CellShapleyExplainer(oracle, policy="null", rng=0)
+        assert oracle.engine == engine
+        assert (oracle.stats_engine is None) == (engine == "reference")
+        assert explainer.sampler.materialize == (engine == "reference")
+    # an algorithm without its own engine argument runs on the fast engine
+    adapter = FunctionRepairAlgorithm(paper_algorithm_1().repair_table)
+    assert BinaryRepairOracle(adapter, constraints, dirty_table,
+                              cell_of_interest).engine == "fast"

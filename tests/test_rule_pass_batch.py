@@ -3,7 +3,7 @@
 ``SimpleRuleRepair`` runs each constraint's rule pass on the walk path as one
 set operation: replacements are computed once per distinct conditioning
 value from the pre-pass statistics and the writes land in one
-``Table.set_values`` batch.  The ``second_order=False`` path keeps the
+``Table.set_values`` batch.  The ``engine="reference"`` path keeps the
 paper's per-row loop.  These tests check that the two agree on the repaired
 table, that the batch-maintained statistics equal a from-scratch build, and
 that the batch pass computes each replacement once.
@@ -132,7 +132,7 @@ def _check_batch_against_reference(rows, perturbation, rules, kind) -> None:
         _assert_counts_from_scratch(current._stats, current.store)
 
     reference = SimpleRuleRepair(rules=rules, derive_missing=False, max_iterations=4,
-                                 second_order=False)
+                                 engine="reference")
     expected = reference.repair_table(CONSTRAINTS, instance)
     assert _same_contents(repaired, expected)
     assert _same_contents(current, expected)
@@ -235,5 +235,5 @@ def test_walk_pass_computes_each_replacement_once(monkeypatch):
     assert sum(calls.values()) > 20  # the guard has work to guard
     repeated = {key: n for key, n in calls.items() if n > 1}
     assert not repeated, f"{len(repeated)} replacements recomputed within a pass"
-    reference = SimpleRuleRepair(second_order=False).repair_table(constraints, view)
+    reference = SimpleRuleRepair(engine="reference").repair_table(constraints, view)
     assert not repaired.diff(reference)

@@ -150,8 +150,8 @@ def test_fork_onto_no_difference_is_state_copy():
 def test_greedy_multi_pass_second_order_matches_first_order(delta):
     base = la_liga_dirty_table()
     constraints = la_liga_constraints()
-    second = GreedyHolisticRepair(max_changes=20, second_order=True)
-    first = GreedyHolisticRepair(max_changes=20, second_order=False)
+    second = GreedyHolisticRepair(max_changes=20, engine="fast")
+    first = GreedyHolisticRepair(max_changes=20, engine="reference")
     clean_second = second.repair_table(constraints, base.perturbed(delta))
     clean_first = first.repair_table(constraints, base.perturbed(delta))
     assert clean_second.to_records() == clean_first.to_records()
@@ -164,9 +164,9 @@ def test_simple_multi_pass_second_order_matches_first_order():
     base = la_liga_dirty_table()
     constraints = la_liga_constraints()
     delta = {CellRef(4, "City"): NULL, CellRef(0, "Country"): NULL}
-    clean_second = SimpleRuleRepair(second_order=True).repair_table(
+    clean_second = SimpleRuleRepair(engine="fast").repair_table(
         constraints, base.perturbed(delta))
-    clean_first = SimpleRuleRepair(second_order=False).repair_table(
+    clean_first = SimpleRuleRepair(engine="reference").repair_table(
         constraints, base.perturbed(delta))
     assert clean_second.to_records() == clean_first.to_records()
 
@@ -241,8 +241,8 @@ def test_greedy_walk_equals_rescan_reference_randomised(data, constraint_mask,
     constraints = [c for i, c in enumerate(CONSTRAINT_POOL) if constraint_mask >> i & 1]
     walk, rescan = (GreedyHolisticRepair(max_changes=max_changes,
                                          max_candidates=max_candidates,
-                                         second_order=second_order)
-                    for second_order in (True, False))
+                                         engine=engine)
+                    for engine in ("fast", "reference"))
     assert walk.repair_table(constraints, table).to_records() == \
         rescan.repair_table(constraints, table).to_records()
 

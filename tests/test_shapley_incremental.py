@@ -1,12 +1,11 @@
-"""The Shapley explainers must be bit-identical on both evaluation paths.
+"""The Shapley explainers must be bit-identical on both evaluation engines.
 
-The incremental engine (copy-on-write views + delta-maintained violation
-detection) changes how perturbed instances are represented and evaluated, but
-never what the black-box oracle answers: for a fixed seed the cell and
-constraint explainers produce exactly the same values, standard errors and
-rankings as the materialise-and-rescan reference path.  The reference rows
-(``incremental=False``) run a ``second_order=False`` algorithm: with the
-default, a walk-based algorithm repairs plain tables on a zero-delta view too.
+The fast engine (copy-on-write views, delta-maintained violation detection,
+shared statistics, shared pair walks, batched pair queries) changes how
+perturbed instances are represented and evaluated, but never what the
+black-box oracle answers: for a fixed seed the cell and constraint explainers
+produce exactly the same values, standard errors and rankings as the
+``engine="reference"`` materialise-and-rescan path.
 """
 
 from __future__ import annotations
@@ -26,128 +25,97 @@ from repro import (
 )
 
 CELL_OF_INTEREST = CellRef(4, "Country")
+ENGINES = ("reference", "fast")
 
 
-def rescan_unless(incremental: bool, algorithm):
-    """``algorithm`` as is, or switched to the rescan reference (``second_order=False``)."""
-    algorithm.second_order = algorithm.second_order and incremental
-    return algorithm
-
-
-def make_oracle(incremental: bool, algorithm=None, paired: bool = False,
-                shared_stats: bool = False, batched_pairs: bool = False):
+def make_oracle(engine: str, algorithm=None):
     return BinaryRepairOracle(
-        rescan_unless(incremental, algorithm or paper_algorithm_1()),
+        algorithm or paper_algorithm_1(engine=engine),
         la_liga_constraints(),
         la_liga_dirty_table(),
         CELL_OF_INTEREST,
-        incremental=incremental,
-        paired=paired,
-        shared_stats=shared_stats,
-        batched_pairs=batched_pairs,
     )
-
-
-#: (incremental, paired, shared_stats, batched_pairs) — the full engine grid,
-#: from the materialise-and-rescan reference up to this PR's batched path
-FLAG_GRID = [
-    (False, False, False, False),
-    (True, False, False, False),
-    (True, True, False, False),
-    (True, True, True, False),
-    (True, True, False, True),
-    (True, True, True, True),
-]
 
 
 @pytest.mark.parametrize("policy", ["null", "sample", "mode"])
 def test_cell_explainer_identical_across_paths(policy):
     probes = [CellRef(4, "City"), CellRef(0, "Country"), CellRef(2, "Team")]
     results = {}
-    for flags in FLAG_GRID:
-        incremental, paired, shared_stats, batched_pairs = flags
-        explainer = CellShapleyExplainer(
-            make_oracle(incremental, paired=paired, shared_stats=shared_stats,
-                        batched_pairs=batched_pairs),
-            policy=policy, rng=23, incremental=incremental, paired=paired,
-            shared_stats=shared_stats, batched_pairs=batched_pairs,
-        )
-        results[flags] = explainer.explain(cells=probes, n_samples=25)
-    reference = results[FLAG_GRID[0]]
-    for flags in FLAG_GRID[1:]:
-        assert results[flags].values == reference.values, flags
-        assert results[flags].standard_errors == reference.standard_errors, flags
-        assert results[flags].n_samples == reference.n_samples, flags
+    for engine in ENGINES:
+        explainer = CellShapleyExplainer(make_oracle(engine), policy=policy, rng=23)
+        results[engine] = explainer.explain(cells=probes, n_samples=25)
+    reference, fast = results["reference"], results["fast"]
+    assert fast.values == reference.values
+    assert fast.standard_errors == reference.standard_errors
+    assert fast.n_samples == reference.n_samples
 
 
 def test_cell_estimates_identical_with_greedy_black_box():
     results = {}
-    for incremental, paired in [(False, False), (True, False), (True, True)]:
-        oracle = make_oracle(incremental, algorithm=GreedyHolisticRepair(max_changes=20),
-                             paired=paired)
-        explainer = CellShapleyExplainer(oracle, policy="null", rng=7,
-                                         incremental=incremental, paired=paired)
-        results[(incremental, paired)] = explainer.estimate_cell(
-            CellRef(4, "City"), n_samples=15)
-    reference = results[(False, False)]
-    for key in [(True, False), (True, True)]:
-        assert results[key].value == reference.value
-        assert results[key].standard_error == reference.standard_error
-
-
-def test_paired_flag_off_forces_independent_queries():
-    oracle = make_oracle(True, paired=False)
-    explainer = CellShapleyExplainer(oracle, policy="null", rng=5,
-                                     incremental=True, paired=True)
-    explainer.estimate_cell(CellRef(4, "City"), n_samples=5)
-    # the explainer submitted pairs, but the oracle's paired=False forced
-    # two independent repairs per pair — no shared walks
-    assert oracle.pair_walks == 0
-
-    shared = make_oracle(True, paired=True)
-    explainer = CellShapleyExplainer(shared, policy="null", rng=5,
-                                     incremental=True, paired=True)
-    explainer.estimate_cell(CellRef(4, "City"), n_samples=5)
-    assert shared.pair_walks > 0
+    for engine in ENGINES:
+        oracle = make_oracle(
+            engine, algorithm=GreedyHolisticRepair(max_changes=20, engine=engine))
+        explainer = CellShapleyExplainer(oracle, policy="null", rng=7)
+        results[engine] = explainer.estimate_cell(CellRef(4, "City"), n_samples=15)
+    assert results["fast"].value == results["reference"].value
+    assert results["fast"].standard_error == results["reference"].standard_error
 
 
 def test_constraint_explainer_identical_across_paths():
     results = {}
-    for incremental in (False, True):
-        explainer = ConstraintShapleyExplainer(make_oracle(incremental))
-        results[incremental] = explainer.explain()
-    assert results[True].values == results[False].values
-    assert results[True].ranking() == results[False].ranking()
+    for engine in ENGINES:
+        results[engine] = ConstraintShapleyExplainer(make_oracle(engine)).explain()
+    assert results["fast"].values == results["reference"].values
+    assert results["fast"].ranking() == results["reference"].ranking()
 
 
 def test_constraint_explainer_sampled_identical_across_paths():
     results = {}
-    for incremental in (False, True):
-        explainer = ConstraintShapleyExplainer(make_oracle(incremental))
-        results[incremental] = explainer.explain_sampled(n_permutations=40, rng=11)
-    assert results[True].values == results[False].values
+    for engine in ENGINES:
+        explainer = ConstraintShapleyExplainer(make_oracle(engine))
+        results[engine] = explainer.explain_sampled(n_permutations=40, rng=11)
+    assert results["fast"].values == results["reference"].values
 
 
 def test_exact_cell_value_identical_across_paths():
     results = {}
-    for incremental in (False, True):
+    for engine in ENGINES:
         oracle = BinaryRepairOracle(
-            SimpleRuleRepair(second_order=incremental),
+            SimpleRuleRepair(engine=engine),
             la_liga_constraints()[:2],
             la_liga_dirty_table(),
             CELL_OF_INTEREST,
-            incremental=incremental,
         )
-        explainer = CellShapleyExplainer(oracle, policy="null", rng=3,
-                                         incremental=incremental)
+        explainer = CellShapleyExplainer(oracle, policy="null", rng=3)
         # tiny probe table is too wide for full enumeration, so restrict to a
         # 2x2 slice through the coalition API instead: compare raw coalition
         # queries on both paths
         coalition = [CellRef(4, "City"), CellRef(4, "Country"), CellRef(2, "City")]
-        results[incremental] = (
+        results[engine] = (
             oracle.query_cell_coalition(coalition),
             oracle.query_cell_coalition([]),
             oracle.query_constraint_subset(oracle.constraints),
             explainer.oracle.target_value,
         )
-    assert results[True] == results[False]
+    assert results["fast"] == results["reference"]
+
+
+@pytest.mark.parallel
+@pytest.mark.parametrize("policy", ["null", "sample", "mode"])
+@pytest.mark.parametrize("algorithm", ["simple", "greedy"])
+def test_engines_agree_on_every_worker_count(algorithm, policy):
+    """fast ≡ reference for n_jobs ∈ {None, 1, 2}: values, errors, counts."""
+    probes = [CellRef(4, "City"), CellRef(0, "Country")]
+    for n_jobs in (None, 1, 2):
+        results = {}
+        for engine in ENGINES:
+            black_box = (SimpleRuleRepair(engine=engine) if algorithm == "simple"
+                         else GreedyHolisticRepair(max_changes=20, engine=engine))
+            with CellShapleyExplainer(make_oracle(engine, black_box), policy=policy,
+                                      rng=13, n_jobs=n_jobs,
+                                      samples_per_shard=3) as explainer:
+                results[engine] = explainer.explain(cells=probes, n_samples=6)
+        fast, reference = results["fast"], results["reference"]
+        assert fast.values == reference.values, n_jobs
+        assert fast.standard_errors == reference.standard_errors, n_jobs
+        assert fast.n_samples == reference.n_samples, n_jobs

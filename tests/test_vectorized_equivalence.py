@@ -3,16 +3,15 @@
 The repair walk evaluates FD re-checks, mixed-group detection, greedy
 candidate trials and batched co-occurrence scoring over ``int32`` code
 arrays.  The reference is the full rescan: :func:`find_all_violations` on a
-materialised copy of the view, and the ``full`` flag path
-(``incremental=False`` + ``second_order=False``) at explain level.  The
-contract is bit-identity, not approximation:
+materialised copy of the view, and the ``engine="reference"`` path at
+explain level.  The contract is bit-identity, not approximation:
 
 * walk-level (hypothesis): randomised perturbation deltas and post-prime
   write sequences must yield the rescan's violations, cell degrees and
   candidate-trial counts;
 * explain-level: full cell-Shapley runs — both bundled black boxes, all
-  three replacement policies, every engine-flag path — must produce the
-  value dictionaries of the cache-free full-rescan reference.
+  three replacement policies, both engines — must produce the value
+  dictionaries of the cache-free full-rescan reference.
 """
 
 from __future__ import annotations
@@ -118,35 +117,23 @@ def test_walk_matches_object_path_on_random_deltas(delta, writes, data):
 _CELL_OF_INTEREST = CellRef(4, "Country")
 _PROBES = [CellRef(4, "City"), CellRef(0, "Country")]
 
-#: (incremental, paired, second_order, shared_stats, batched_pairs)
-_FLAG_PATHS = {
-    "full": (False, False, False, False, False),
-    "incremental": (True, False, False, False, False),
-    "paired_nobatch": (True, True, True, False, False),
-    "paired_batched": (True, True, True, True, True),
-}
+#: path label -> engine; the labels are the golden fixture's axis names
+_ENGINE_PATHS = {"full": "reference", "paired_batched": "fast"}
 
 
-def _make_algorithm(name: str, second_order: bool):
+def _make_algorithm(name: str, engine: str):
     if name == "simple":
-        return SimpleRuleRepair(second_order=second_order)
-    return GreedyHolisticRepair(max_changes=20, second_order=second_order)
+        return SimpleRuleRepair(engine=engine)
+    return GreedyHolisticRepair(max_changes=20, engine=engine)
 
 
 def _explain(algorithm: str, policy: str, path: str, use_cache: bool = True):
-    incremental, paired, second_order, shared_stats, batched_pairs = \
-        _FLAG_PATHS[path]
     oracle = BinaryRepairOracle(
-        _make_algorithm(algorithm, second_order),
+        _make_algorithm(algorithm, _ENGINE_PATHS[path]),
         la_liga_constraints(), la_liga_dirty_table(), _CELL_OF_INTEREST,
-        use_cache=use_cache, incremental=incremental, paired=paired,
-        shared_stats=shared_stats, batched_pairs=batched_pairs,
+        use_cache=use_cache,
     )
-    with CellShapleyExplainer(
-        oracle, policy=policy, rng=11,
-        incremental=incremental, paired=paired,
-        shared_stats=shared_stats, batched_pairs=batched_pairs,
-    ) as explainer:
+    with CellShapleyExplainer(oracle, policy=policy, rng=11) as explainer:
         result = explainer.explain(cells=_PROBES, n_samples=8)
     return result.values, oracle.statistics()
 
@@ -173,7 +160,7 @@ def test_explain_vectorized_bit_identical(algorithm, policy):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("policy", ["mode", "sample", "null"])
-@pytest.mark.parametrize("path", sorted(_FLAG_PATHS))
+@pytest.mark.parametrize("path", sorted(_ENGINE_PATHS))
 @pytest.mark.parametrize("algorithm", ["simple", "greedy"])
 def test_explain_vectorized_bit_identical_full_grid(algorithm, path, policy):
     values, _ = _explain(algorithm, policy, path)
