@@ -20,6 +20,18 @@ derived from the *base* table's violations by
 Two-tuple constraints without an equality predicate fall back to the full
 :func:`~repro.constraints.violations.find_violations` rescan on the view.
 
+Steps 1 and 3 are one function, :func:`_retract_recheck`, with three
+callers that differ only in the index it reads:
+
+* base→view detection (:meth:`IncrementalViolationDetector.violations_for_view`)
+  applies the view's key moves to the shared base index and reverts them
+  after the re-check;
+* base-table updates (:meth:`IncrementalViolationDetector.apply_base_update`)
+  move the base index permanently;
+* repair walks (:class:`RepairWalk`) keep a forked index synchronised with
+  their view's writes.  FD shapes on a walk keep class-partition counters
+  instead of violation lists.
+
 :class:`IncrementalViolationDetector` holds the per-base-snapshot state (base
 violations per constraint, persistent indexes, compiled residual checks);
 :func:`detector_for` caches one detector per base table, invalidated by the
@@ -27,6 +39,9 @@ table's mutation :attr:`~repro.dataset.table.Table.version`.  The detector is
 guaranteed to produce exactly the multiset of violations the reference
 full-rescan path produces — the property-based test-suite and
 ``benchmarks/bench_incremental_vs_full.py`` cross-check this.
+The greedy repairer's ``engine="reference"`` scores its candidate trials
+through :meth:`~IncrementalViolationDetector.violations_for_view` as well
+(see :meth:`~repro.repair.greedy.GreedyHolisticRepair._total_violations_if`).
 """
 
 from __future__ import annotations
@@ -211,6 +226,118 @@ class _ConstraintState:
         return self.built
 
 
+# -- the retract-and-recheck step ---------------------------------------------------
+#
+# One step serves base→view detection, base-table updates and the repair walk;
+# the callers differ only in where keys, groups, classes and rows are read.
+
+
+def _rows_under(attributes: Iterable[str],
+                rows_by_attribute: Mapping[str, Iterable[int]]) -> set[int]:
+    """Rows whose cells on any of ``attributes`` changed."""
+    rows: set[int] = set()
+    for attribute in attributes:
+        changed = rows_by_attribute.get(attribute)
+        if changed:
+            rows.update(changed)
+    return rows
+
+
+def _key_reader(sources: Sequence[tuple[Any, Mapping[int, Any] | None]]):
+    """``key_of(row)`` over ``(column, overrides)`` sources, one per key column.
+
+    A row's value is its override when it has one, its column value
+    otherwise; the key is ``None`` on a null component (which can never
+    satisfy the eq-join).
+    """
+    sources = [(column, {} if overrides is None else overrides)
+               for column, overrides in sources]
+
+    def key_of(row_id: int) -> tuple | None:
+        key = []
+        for column, overrides in sources:
+            value = overrides[row_id] if row_id in overrides else column[row_id]
+            if is_null(value):
+                return None
+            key.append(value)
+        return tuple(key)
+
+    return key_of
+
+
+def _class_reader(column, overrides: Mapping[int, Any] | None):
+    """``class_of(row)``: the row's null-aware ``!=`` class (see :func:`_key_reader`)."""
+    if overrides is None:
+        overrides = {}
+
+    def class_of(row_id: int):
+        value = overrides[row_id] if row_id in overrides else column[row_id]
+        return _NULL_CLASS if is_null(value) else value
+
+    return class_of
+
+
+def _retract_recheck(plan: _ConstraintPlan, violations: list[Violation],
+                     touched: set[int], table: Table, row_of,
+                     key_of=None, groups=None, class_of=None) -> list[Violation]:
+    """One constraint's violations after the ``touched`` rows changed.
+
+    ``violations`` (left as is) holds the violations before the change and
+    ``row_of`` reads rows of ``table`` after it.  Violations with no touched
+    row are kept in order; what the touched rows take part in now is
+    appended:
+
+    * ``single`` — each touched row is re-tested, ascending;
+    * ``pairs`` — no partition to retract from: the constraint is rescanned
+      on ``table``;
+    * ``eq`` — each touched row (ascending) is paired with its equality
+      group ``groups[key_of(row)]``, read from an index that already holds
+      the change; FD shapes compare ``class_of`` classes, other residuals run
+      the compiled check in both orders.  A pair of two touched rows is
+      emitted once, by its lower id.
+    """
+    constraint = plan.constraint
+    if plan.kind == "pairs":
+        return find_violations(table, constraint, row_of=row_of)
+    check = plan.residual_check
+    if plan.kind == "single":
+        out = [v for v in violations if v.rows[0] not in touched]
+        for row_id in sorted(touched):
+            row = row_of(row_id)
+            if check(row, row):
+                out.append(Violation(constraint, (row_id,)))
+        return out
+    out = [v for v in violations
+           if v.rows[0] not in touched and v.rows[1] not in touched]
+    fd_shape = plan.single_ne_attr is not None
+    for row_i in sorted(touched):
+        key = key_of(row_i)
+        if key is None:
+            continue  # a null component can never satisfy the eq-join
+        partners = groups.get(key)
+        if partners is None or len(partners) <= 1:
+            continue
+        if fd_shape:
+            class_i = class_of(row_i)
+            for row_j in partners:
+                if row_j == row_i or (row_j in touched and row_j < row_i):
+                    continue  # touched pairs are handled by the lower id
+                if class_i != class_of(row_j):
+                    out.append(Violation(constraint, (row_i, row_j)))
+                    out.append(Violation(constraint, (row_j, row_i)))
+        else:
+            row_data_i = row_of(row_i)
+            for row_j in partners:
+                if row_j == row_i or (row_j in touched and row_j < row_i):
+                    continue
+                row_data_j = row_of(row_j)
+                if check(row_data_i, row_data_j):
+                    out.append(Violation(constraint, (row_i, row_j)))
+                if check(row_data_j, row_data_i):
+                    out.append(Violation(constraint, (row_j, row_i)))
+    return out
+
+
 class IncrementalViolationDetector:
     """Delta-maintains denial-constraint violations over one base snapshot.
 
@@ -375,30 +502,9 @@ class IncrementalViolationDetector:
         return packed, valid, multipliers, decode_tables, overridden
 
     @staticmethod
-    def _scatter_packed(packed, valid, overridden, override_codes,
-                        code_columns, multipliers) -> None:
-        """Re-pack the overridden rows from their effective per-column codes.
-
-        The per-row reference twin of :meth:`_scatter_packed_arrays`
-        (property-tested equivalent); kept for the object-path comparison.
-        """
-        for row_id in overridden:
-            value = 0
-            parts_valid = True
-            for j, codes in enumerate(code_columns):
-                code = override_codes[j].get(row_id)
-                if code is None:
-                    code = int(codes[row_id])
-                if code == 0:
-                    parts_valid = False
-                value = code if j == 0 else value * multipliers[j] + code
-            packed[row_id] = value
-            valid[row_id] = parts_valid
-
-    @staticmethod
     def _scatter_packed_arrays(packed, valid, override_arrays,
                                code_columns, multipliers) -> list[int]:
-        """Vectorised :meth:`_scatter_packed` fed by encoded-delta arrays.
+        """Re-pack the overridden rows from their effective per-column codes.
 
         ``override_arrays`` holds one ``(rows, codes)`` pair per equality
         column (ascending rows).  All overridden rows are re-packed in one
@@ -422,15 +528,14 @@ class IncrementalViolationDetector:
 
     def precompute_walk_indexes(self, views_with_fingerprints,
                                 constraints: Sequence[DenialConstraint]) -> int:
-        """The multi-coalition walk: stacked key builds for a batch of views.
+        """The multi-coalition walk: key builds for a batch of views up front.
 
         The batch scheduler calls this with every distinct coalition view of
         one ``query_pairs`` pass.  For each equality shape the constraints
-        partition on, all views' keys are evaluated as one stacked
-        ``(n_views, n_rows)`` code matrix — the base's packed row broadcast
-        once, each view contributing only its sparse code-space scatter —
-        and the per-view group structures are parked under the view's
-        fingerprint for its :class:`RepairWalk` to consume exclusively
+        partition on, every view's keys are packed and grouped as a
+        standalone walk would (:meth:`_packed_view_keys`), and the group
+        structures are parked under the view's fingerprint for its
+        :class:`RepairWalk` to consume exclusively
         (:meth:`RepairWalk._build_windex_codes` pops them).  Unclaimed
         entries are dropped at the next precompute.  Returns the number of
         parked builds.
@@ -444,64 +549,22 @@ class IncrementalViolationDetector:
         parked = 0
         encoding = self.table.store.encoding()
         for eq_attrs in shapes:
-            base = self._encoded_eq_base(eq_attrs)
-            if base is None:
+            if self._encoded_eq_base(eq_attrs) is None:
                 encoding.fallback_checks += len(views_with_fingerprints)
                 continue
-            code_columns, decode_tables = base
-            # encode every view's delta first: the dictionaries may grow and
-            # the packing multipliers must bound the grown code space
-            usable = []
             for view, fingerprint in views_with_fingerprints:
                 if getattr(view, "base", None) is not self.table:
                     continue  # foreign root: its codes live in another encoding
-                override_arrays: list[tuple] | None = []
-                any_overridden = False
-                for attribute in eq_attrs:
-                    encoded = view.store.encoded_delta_arrays(attribute)
-                    if encoded is None:
-                        override_arrays = None
-                        break
-                    override_arrays.append(encoded)
-                    if len(encoded[0]):
-                        any_overridden = True
-                if override_arrays is None:
+                packed = self._packed_view_keys(view.store, eq_attrs)
+                if packed is None:
                     encoding.fallback_checks += 1
                     continue
-                usable.append((fingerprint, override_arrays, any_overridden))
-            if not usable:
-                continue
-            packed_base, valid_base, multipliers = self._packed_eq_base(
-                eq_attrs, code_columns, decode_tables)
-            matrix = np.tile(packed_base, (len(usable), 1))
-            valid = np.tile(valid_base, (len(usable), 1))
-            scattered: list[list[int]] = []
-            for i, (_fingerprint, override_arrays, any_overridden) in enumerate(usable):
-                if any_overridden:
-                    scattered.append(self._scatter_packed_arrays(
-                        matrix[i], valid[i], override_arrays, code_columns,
-                        multipliers))
-                else:
-                    scattered.append([])
-            for i, (fingerprint, _override_arrays, _any) in enumerate(usable):
-                built = _groups_from_packed(matrix[i], valid[i], multipliers,
-                                            decode_tables, scattered[i])
-                self._prime_cache[(fingerprint, eq_attrs)] = built
+                self._prime_cache[(fingerprint, eq_attrs)] = _groups_from_packed(*packed)
                 encoding.vectorized_checks += 1
                 parked += 1
         return parked
 
     # -- base-table update maintenance --------------------------------------------
-
-    def _live_key(self, eq_attrs: tuple[str, ...], row_id: int) -> tuple | None:
-        """The row's equality key from the live (post-update) base columns."""
-        key = []
-        for attribute in eq_attrs:
-            value = self._column(attribute)[row_id]
-            if is_null(value):
-                return None
-            key.append(value)
-        return tuple(key)
 
     def apply_base_update(self, changes: "Mapping[CellRef, tuple[Any, Any]]") -> None:
         """Delta-maintain the base state after an in-place base-table write.
@@ -509,14 +572,14 @@ class IncrementalViolationDetector:
         ``changes`` maps each written cell to its ``(old, new)`` value pair;
         the table itself has already been mutated (the column views cached in
         ``_columns`` are views of the same buffers, so they read post-update
-        values).  The maintenance mirrors :meth:`_recheck_equality`, but the
-        moves are *permanent*: equality indexes move the touched rows and the
-        build-time key snapshots are patched in place, base violations are
-        retracted and re-checked for touched rows only, and the packed-key /
-        primed-walk caches derived from old base contents are dropped.
-        Finishing by advancing :attr:`base_version` keeps this detector (and
-        everything sharing it through :func:`detector_for`) live instead of
-        triggering the rebuild path.
+        values).  The moves are *permanent*: equality indexes move the
+        touched rows and the build-time key snapshots are patched in place,
+        base violations take one :func:`_retract_recheck` step over the
+        touched rows, and the packed-key / primed-walk caches derived from
+        old base contents are dropped.  Finishing by advancing
+        :attr:`base_version` keeps this detector (and everything sharing it
+        through :func:`detector_for`) live instead of triggering the rebuild
+        path.
         """
         if not changes:
             self.base_version = self.table.version
@@ -529,15 +592,15 @@ class IncrementalViolationDetector:
         # key snapshot list is shared with forks, so patch it in place (no
         # repair walk is live across a base update — walks are transient)
         for eq_attrs, index in self._indexes.items():
-            rows: set[int] = set()
-            for attribute in eq_attrs:
-                rows.update(touched_by_attr.get(attribute, ()))
+            rows = _rows_under(eq_attrs, touched_by_attr)
             if not rows:
                 continue
+            live_key = _key_reader([(self._column(attribute), None)
+                                    for attribute in eq_attrs])
             index_changes: dict[int, tuple[tuple | None, tuple | None]] = {}
             for row_id in rows:
                 old_key = index.build_key_of(row_id)
-                new_key = self._live_key(eq_attrs, row_id)
+                new_key = live_key(row_id)
                 if old_key != new_key:
                     index_changes[row_id] = (old_key, new_key)
             if index_changes:
@@ -545,38 +608,22 @@ class IncrementalViolationDetector:
                 for row_id, (_, new_key) in index_changes.items():
                     index._build_keys[row_id] = new_key
 
-        # 2. retract + re-check base violations per constraint (a list not
-        # built yet is built from the moved index on first read)
+        # 2. retract + re-check base violations per constraint against the
+        # moved index (a list not built yet is built from it on first read)
+        row_of = lazy_row_reader(self.table)
         for state in self._states.values():
-            if state.built is None:
-                continue
             plan = state.plan
-            touched: set[int] = set()
-            for attribute in plan.mentioned:
-                touched.update(touched_by_attr.get(attribute, ()))
-            if not touched:
+            touched = _rows_under(plan.mentioned, touched_by_attr)
+            if state.built is None or not touched:
                 continue
-            if plan.kind == "single":
-                check = plan.residual_check
-                out = [v for v in state.base_violations if v.rows[0] not in touched]
-                row_of = lazy_row_reader(self.table)
-                for row_id in sorted(touched):
-                    row = row_of(row_id)
-                    if check(row, row):
-                        out.append(Violation(plan.constraint, (row_id,)))
-                state.built = out
-                continue
-            if plan.kind == "pairs":
-                # no equality partition to maintain: full rescan, same as build
-                state.built = list(find_violations(self.table, plan.constraint))
-                continue
-            out = [
-                violation
-                for violation in state.base_violations
-                if violation.rows[0] not in touched and violation.rows[1] not in touched
-            ]
-            self._recheck_base_equality(state, touched, out)
-            state.built = out
+            key_of = groups = class_of = None
+            if plan.kind == "eq":
+                key_of = state.index.build_key_of  # patched: the post-update key
+                groups = state.index._groups
+            if plan.single_ne_attr is not None:
+                class_of = _class_reader(self._column(plan.single_ne_attr), None)
+            state.built = _retract_recheck(plan, state.built, touched, self.table,
+                                           row_of, key_of, groups, class_of)
 
         # 3. caches derived from the old base contents: the packed-key cache
         # validates only by dictionary *sizes* (a new value already present in
@@ -585,49 +632,6 @@ class IncrementalViolationDetector:
         self._packed_contexts.clear()
         self._prime_cache.clear()
         self.base_version = self.table.version
-
-    def _recheck_base_equality(self, state: _ConstraintState, touched: set[int],
-                               out: list[Violation]) -> None:
-        """Re-check touched rows against the (already moved) base index."""
-        plan = state.plan
-        index = state.index
-        constraint = plan.constraint
-        groups = index._groups  # read-only peek, as in _recheck_equality
-        ne_attr = plan.single_ne_attr
-        if ne_attr is not None:
-            ne_column = self._column(ne_attr)
-
-            def class_of(row_id: int):
-                value = ne_column[row_id]
-                return _NULL_CLASS if is_null(value) else value
-
-        row_of = lazy_row_reader(self.table)
-        for row_i in sorted(touched):
-            key = index.build_key_of(row_i)  # patched: the post-update key
-            if key is None:
-                continue
-            partners = groups.get(key)
-            if partners is None or len(partners) <= 1:
-                continue
-            if ne_attr is not None:
-                class_i = class_of(row_i)
-                for row_j in partners:
-                    if row_j == row_i or (row_j in touched and row_j < row_i):
-                        continue
-                    if class_i != class_of(row_j):
-                        out.append(Violation(constraint, (row_i, row_j)))
-                        out.append(Violation(constraint, (row_j, row_i)))
-            else:
-                check = plan.residual_check
-                row_data_i = row_of(row_i)
-                for row_j in partners:
-                    if row_j == row_i or (row_j in touched and row_j < row_i):
-                        continue
-                    row_data_j = row_of(row_j)
-                    if check(row_data_i, row_data_j):
-                        out.append(Violation(constraint, (row_i, row_j)))
-                    if check(row_data_j, row_data_i):
-                        out.append(Violation(constraint, (row_j, row_i)))
 
     # -- public queries ----------------------------------------------------------
 
@@ -650,171 +654,53 @@ class IncrementalViolationDetector:
 
         Produces exactly the multiset :func:`find_all_violations` would on a
         materialised copy of the view.  Falls back to the full rescan when the
-        view is not rooted on this detector's base snapshot.
+        view is not rooted on this detector's base snapshot.  An equality
+        shape's key moves are applied to the shared index for the re-check
+        and reverted after it.
         """
         if view.base is not self.table or self.base_version != self.table.version:
             return find_all_violations(view, constraints)
         # the delta grouped per column — the overlay's own cached structure,
         # no per-cell objects are built
         delta_columns = view.delta_by_column()
+        row_of = lazy_row_reader(view)
+
+        def source(attribute: str):
+            return self._column(attribute), delta_columns.get(attribute)
+
         result = ViolationSet()
         for constraint in constraints:
-            for violation in self.violations_for_view_constraint(
-                view, constraint, delta_columns
-            ):
+            state = self._state(constraint)
+            plan = state.plan
+            violations = state.base_violations
+            touched = _rows_under(plan.mentioned, delta_columns)
+            if touched and plan.kind != "eq":
+                violations = _retract_recheck(plan, violations, touched, view, row_of)
+            elif touched:
+                index = state.index
+                key_of = _key_reader([source(attribute) for attribute in plan.eq_attrs])
+                class_of = None
+                if plan.single_ne_attr is not None:
+                    class_of = _class_reader(*source(plan.single_ne_attr))
+                # rows whose key may have moved: only those with an
+                # overridden eq cell; base keys are the index's build keys
+                index_changes: dict[int, tuple[tuple | None, tuple | None]] = {}
+                for row_id in _rows_under(plan.eq_attrs, delta_columns):
+                    old_key = index.build_key_of(row_id)
+                    new_key = key_of(row_id)
+                    if old_key != new_key:
+                        index_changes[row_id] = (old_key, new_key)
+                if index_changes:
+                    index.apply_delta(index_changes)
+                try:
+                    violations = _retract_recheck(plan, violations, touched, view, row_of,
+                                                  key_of, index._groups, class_of)
+                finally:
+                    if index_changes:
+                        index.revert_delta(index_changes)
+            for violation in violations:
                 result.add(violation)
         return result
-
-    def violations_for_view_constraint(
-        self,
-        view: PerturbationView,
-        constraint: DenialConstraint,
-        delta_columns: Mapping[str, Mapping[int, Any]] | None = None,
-        row_of=None,
-    ) -> list[Violation]:
-        """Single-constraint base→view detection (the per-constraint core).
-
-        ``row_of`` optionally supplies a shared row reader (see
-        :func:`~repro.constraints.violations.find_violations`); a repair walk
-        passes its persistent cache so the two instances of an oracle pair
-        share one.  The view must be rooted on this detector's base snapshot.
-        """
-        if delta_columns is None:
-            delta_columns = view.delta_by_column()
-        state = self._state(constraint)
-        plan = state.plan
-        touched: set[int] = set()
-        for attribute in plan.mentioned:
-            overrides = delta_columns.get(attribute)
-            if overrides:
-                touched.update(overrides)
-        if not touched:
-            return list(state.base_violations)
-        if plan.kind == "single":
-            check = plan.residual_check
-            out = [v for v in state.base_violations if v.rows[0] not in touched]
-            if row_of is None:
-                row_of = view.row
-            for row_id in sorted(touched):
-                row = row_of(row_id)
-                if check(row, row):
-                    out.append(Violation(constraint, (row_id,)))
-            return out
-        if plan.kind == "pairs":
-            # no equality predicate to partition on: full rescan of this
-            # constraint on the view
-            return find_violations(view, constraint, row_of=row_of)
-        out = [
-            violation
-            for violation in state.base_violations
-            if violation.rows[0] not in touched and violation.rows[1] not in touched
-        ]
-        self._recheck_equality(view, state, touched, delta_columns, out, row_of=row_of)
-        return out
-
-    # -- the equality-partition re-check ------------------------------------------
-
-    def _recheck_equality(self, view: PerturbationView, state: _ConstraintState,
-                          touched: set[int],
-                          delta_columns: Mapping[str, Mapping[int, Any]],
-                          out: list[Violation], row_of=None) -> None:
-        plan = state.plan
-        index = state.index
-        eq_attrs = plan.eq_attrs
-        constraint = plan.constraint
-
-        # equality-key columns: base arrays plus the view's per-column overrides
-        eq_columns = [self._column(attribute) for attribute in eq_attrs]
-        eq_overrides = [delta_columns.get(attribute) for attribute in eq_attrs]
-
-        if len(eq_attrs) == 1:
-            only_column, only_overrides = eq_columns[0], eq_overrides[0]
-
-            def view_key_of(row_id: int) -> tuple | None:
-                if only_overrides is not None and row_id in only_overrides:
-                    value = only_overrides[row_id]
-                else:
-                    value = only_column[row_id]
-                return None if is_null(value) else (value,)
-        else:
-            def view_key_of(row_id: int) -> tuple | None:
-                """The row's equality key under the view (None on a null component)."""
-                key = []
-                for column, overrides in zip(eq_columns, eq_overrides):
-                    if overrides is not None and row_id in overrides:
-                        value = overrides[row_id]
-                    else:
-                        value = column[row_id]
-                    if is_null(value):
-                        return None
-                    key.append(value)
-                return tuple(key)
-
-        # rows whose key may have moved: only those with an overridden eq cell.
-        # Base keys are O(1) — the index retained them from build time.
-        key_changed: set[int] = set()
-        for overrides in eq_overrides:
-            if overrides:
-                key_changed.update(overrides)
-        view_keys: dict[int, tuple | None] = {}
-        index_changes: dict[int, tuple[tuple | None, tuple | None]] = {}
-        for row_id in key_changed:
-            old_key = index.build_key_of(row_id)
-            new_key = view_keys[row_id] = view_key_of(row_id)
-            if old_key != new_key:
-                index_changes[row_id] = (old_key, new_key)
-
-        ne_attr = plan.single_ne_attr
-        if ne_attr is not None:
-            ne_column = self._column(ne_attr)
-            ne_overrides = delta_columns.get(ne_attr)
-
-            def class_of(row_id: int):
-                if ne_overrides is not None and row_id in ne_overrides:
-                    value = ne_overrides[row_id]
-                else:
-                    value = ne_column[row_id]
-                return _NULL_CLASS if is_null(value) else value
-
-        if index_changes:
-            index.apply_delta(index_changes)
-        try:
-            if row_of is None:
-                row_of = lazy_row_reader(view)
-            groups = index._groups  # read-only peek: skip the defensive copies
-
-            for row_i in sorted(touched):
-                if row_i in view_keys:
-                    key = view_keys[row_i]
-                else:
-                    key = index.build_key_of(row_i)  # no eq cell touched
-                if key is None:
-                    continue  # a null component can never satisfy the eq-join
-                partners = groups.get(key)
-                if partners is None or len(partners) <= 1:
-                    continue
-                if ne_attr is not None:
-                    class_i = class_of(row_i)
-                    for row_j in partners:
-                        if row_j == row_i or (row_j in touched and row_j < row_i):
-                            continue  # touched pairs are handled by the lower id
-                        if class_i != class_of(row_j):
-                            out.append(Violation(constraint, (row_i, row_j)))
-                            out.append(Violation(constraint, (row_j, row_i)))
-                else:
-                    check = plan.residual_check
-                    row_data_i = row_of(row_i)
-                    for row_j in partners:
-                        if row_j == row_i or (row_j in touched and row_j < row_i):
-                            continue
-                        row_data_j = row_of(row_j)
-                        if check(row_data_i, row_data_j):
-                            out.append(Violation(constraint, (row_i, row_j)))
-                        if check(row_data_j, row_data_i):
-                            out.append(Violation(constraint, (row_j, row_i)))
-        finally:
-            if index_changes:
-                index.revert_delta(index_changes)
 
 
 # -- second-order incrementality: view→view deltas along one repair walk ----------
@@ -832,6 +718,11 @@ class _WalkIndex:
         #: base build-time key (absent rows fall back to ``build_key_of``)
         self.keys = keys
         self.log_pos = log_pos
+
+    def key_of(self, row_id: int) -> tuple | None:
+        """The row's current view key."""
+        keys = self.keys
+        return keys[row_id] if row_id in keys else self.index.build_key_of(row_id)
 
 
 class _DegreeSlots:
@@ -1137,6 +1028,11 @@ class RepairWalk:
 
     # -- index maintenance ---------------------------------------------------------
 
+    def _source(self, attribute: str):
+        """``(base column, view overrides)`` of one attribute."""
+        return (self.detector._column(attribute),
+                self.view.delta_by_column().get(attribute))
+
     def _value_of(self, row_id: int, attribute: str):
         """Current view value via override dict + base column (no call chain)."""
         overrides = self.view.delta_by_column().get(attribute)
@@ -1144,22 +1040,9 @@ class RepairWalk:
             return overrides[row_id]
         return self.detector._column(attribute)[row_id]
 
-    def _view_key(self, eq_attrs: tuple[str, ...], row_id: int,
-                  eq_overrides=None) -> tuple | None:
-        if eq_overrides is None:
-            delta_columns = self.view.delta_by_column()
-            eq_overrides = [delta_columns.get(attribute) for attribute in eq_attrs]
-        column_of = self.detector._column
-        key = []
-        for attribute, overrides in zip(eq_attrs, eq_overrides):
-            if overrides is not None and row_id in overrides:
-                value = overrides[row_id]
-            else:
-                value = column_of(attribute)[row_id]
-            if is_null(value):
-                return None
-            key.append(value)
-        return tuple(key)
+    def _view_key_reader(self, eq_attrs: tuple[str, ...]):
+        """A ``key_of(row)`` over the view's current equality keys."""
+        return _key_reader([self._source(attribute) for attribute in eq_attrs])
 
     def _windex(self, eq_attrs: tuple[str, ...]) -> _WalkIndex:
         walk_index = self._windexes.get(eq_attrs)
@@ -1175,17 +1058,13 @@ class RepairWalk:
                 # coalition views most rows just drop out of the index, so
                 # per-row bisect moves would dominate.
                 build_key_of = base_index.build_key_of
-                delta_columns = self.view.delta_by_column()
-                eq_overrides = [delta_columns.get(attribute) for attribute in eq_attrs]
-                overridden: set[int] = set()
-                for overrides in eq_overrides:
-                    if overrides:
-                        overridden.update(overrides)
+                overridden = _rows_under(eq_attrs, self.view.delta_by_column())
+                view_key = self._view_key_reader(eq_attrs)
                 keys = {}
                 groups = {}
                 for row_id in range(self.view.n_rows):
                     if row_id in overridden:
-                        key = keys[row_id] = self._view_key(eq_attrs, row_id, eq_overrides)
+                        key = keys[row_id] = view_key(row_id)
                     else:
                         key = build_key_of(row_id)
                     if key is None:
@@ -1223,10 +1102,8 @@ class RepairWalk:
         if packed is None:
             encoding.fallback_checks += 1
             return None
-        packed_arr, valid, multipliers, decode_tables, overridden = packed
         encoding.vectorized_checks += 1
-        return _groups_from_packed(packed_arr, valid, multipliers,
-                                   decode_tables, overridden)
+        return _groups_from_packed(*packed)
 
     def _sync_windex(self, walk_index: _WalkIndex, eq_attrs: tuple[str, ...]) -> None:
         log = self._log
@@ -1240,18 +1117,15 @@ class RepairWalk:
 
     def _move_index_rows(self, walk_index: _WalkIndex, eq_attrs: tuple[str, ...],
                          rows: Iterable[int]) -> None:
-        keys = walk_index.keys
-        index = walk_index.index
-        delta_columns = self.view.delta_by_column()
-        eq_overrides = [delta_columns.get(attribute) for attribute in eq_attrs]
+        view_key = self._view_key_reader(eq_attrs)
         changes: dict[int, tuple[tuple | None, tuple | None]] = {}
         for row_id in rows:
-            old_key = keys[row_id] if row_id in keys else index.build_key_of(row_id)
-            new_key = keys[row_id] = self._view_key(eq_attrs, row_id, eq_overrides)
+            old_key = walk_index.key_of(row_id)
+            new_key = walk_index.keys[row_id] = view_key(row_id)
             if old_key != new_key:
                 changes[row_id] = (old_key, new_key)
         if changes:
-            index.apply_delta(changes)
+            walk_index.index.apply_delta(changes)
 
     # -- violation maintenance -------------------------------------------------------
 
@@ -1348,24 +1222,15 @@ class RepairWalk:
         """First detection: base→view retract + re-check, walk-local.
 
         FD shapes build their class-partition state from the view directly.
-        For other shapes the derivation is exactly one :meth:`_retract_recheck`
+        For other shapes the derivation is exactly one :func:`_retract_recheck`
         step seeded with the base snapshot's violations and the full delta's
         touched rows — the same step later passes run against the previous
-        pass's state.
-        The walk's index is only built when some touched row actually keeps a
-        non-null equality key; whatever *is* built is kept for later passes
-        and the pair fork instead of being applied and reverted per
-        detection (contrast
-        :meth:`IncrementalViolationDetector.violations_for_view_constraint`).
+        pass's state.  The walk's index is kept for later passes and the
+        pair fork instead of being applied and reverted per detection
+        (contrast :meth:`IncrementalViolationDetector.violations_for_view`).
         """
         detector_state = self.detector._state(constraint)
         plan = detector_state.plan
-        delta_columns = self.view.delta_by_column()
-        touched: set[int] = set()
-        for attribute in plan.mentioned:
-            overrides = delta_columns.get(attribute)
-            if overrides:
-                touched.update(overrides)
         if plan.single_ne_attr is not None:
             # FD shape: build the class-partition state in one pass over the
             # walk index; the base violation list is never materialised
@@ -1373,25 +1238,15 @@ class RepairWalk:
                                     self._build_fd_state(plan))
         else:
             state = _WalkConstraint(list(detector_state.base_violations), len(self._log))
+            touched = _rows_under(plan.mentioned, self.view.delta_by_column())
             if touched:
-                self._retract_recheck(constraint, plan, touched, state)
+                self._resync(plan, touched, state)
         self._cstates[constraint] = state
         return state
 
-    def _class_reader(self, plan: _ConstraintPlan):
-        """A ``class_of(row)`` closure for the plan's ``!=`` attribute."""
-        ne_attr = plan.single_ne_attr
-        ne_column = self.detector._column(ne_attr)
-        ne_overrides = self.view.delta_by_column().get(ne_attr)
-
-        def class_of(row_id: int):
-            if ne_overrides is not None and row_id in ne_overrides:
-                value = ne_overrides[row_id]
-            else:
-                value = ne_column[row_id]
-            return _NULL_CLASS if is_null(value) else value
-
-        return class_of
+    def _view_class_reader(self, plan: _ConstraintPlan):
+        """A ``class_of(row)`` over the view for the plan's ``!=`` attribute."""
+        return _class_reader(*self._source(plan.single_ne_attr))
 
     def _class_values(self, plan: _ConstraintPlan) -> "list | None":
         """Per-row view classes of the ``!=`` attribute, decoded in one pass.
@@ -1400,7 +1255,7 @@ class RepairWalk:
         (``_NULL_CLASS`` at code 0) as one list comprehension, then the view's
         sparse overrides are patched in.  ``None`` when the column is
         unencodable (the caller then reads classes per row through
-        :meth:`_class_reader`).
+        :meth:`_view_class_reader`).
         """
         ne_attr = plan.single_ne_attr
         store = self.detector.table.store
@@ -1424,7 +1279,7 @@ class RepairWalk:
         walk_index = self._windex(plan.eq_attrs)
         classes = self._class_values(plan)
         class_of = classes.__getitem__ if classes is not None \
-            else self._class_reader(plan)
+            else self._view_class_reader(plan)
         fd = _FDClassState()
         groups = fd.groups
         assigned = fd.assigned
@@ -1458,92 +1313,28 @@ class RepairWalk:
                    if attribute in mentioned}
         state.log_pos = len(log)
         if changed:
-            self._retract_recheck(constraint, plan, changed, state)
+            self._resync(plan, changed, state)
 
-    def _retract_recheck(self, constraint: DenialConstraint, plan: _ConstraintPlan,
-                         changed: set[int], state: _WalkConstraint) -> None:
+    def _resync(self, plan: _ConstraintPlan, changed: set[int],
+                state: _WalkConstraint) -> None:
         """Re-derive ``state``'s violations after ``changed`` rows moved (view→view)."""
-        if plan.kind == "pairs":
-            state.violations = find_violations(self.view, constraint, row_of=self._row_of)
-            return
-        if plan.kind == "single":
-            check = plan.residual_check
-            kept = [v for v in state.violations if v.rows[0] not in changed]
-            for row_id in sorted(changed):
-                row = self._row_of(row_id)
-                if check(row, row):
-                    kept.append(Violation(constraint, (row_id,)))
-            state.violations = kept
-            return
-        if plan.single_ne_attr is not None:
+        if state.fd is not None:
             fd = state.fd
             state.violations = None  # invalidate the materialisation cache
             walk_index = self._windex(plan.eq_attrs)  # sync key moves first
-            keys = walk_index.keys
-            build_key_of = walk_index.index.build_key_of
-            class_of = self._class_reader(plan)
+            class_of = self._view_class_reader(plan)
             for row in changed:
                 fd.remove(row)
-                key = keys[row] if row in keys else build_key_of(row)
+                key = walk_index.key_of(row)
                 if key is not None:
                     fd.add(row, key, class_of(row))
             return
-        kept = [v for v in state.violations
-                if v.rows[0] not in changed and v.rows[1] not in changed]
-        self._recheck_rows(constraint, plan, changed, kept)
-        state.violations = kept
-
-    def _recheck_rows(self, constraint: DenialConstraint, plan: _ConstraintPlan,
-                      touched: set[int], out: list[Violation]) -> None:
-        """Append the violations the ``touched`` rows participate in (eq-kind).
-
-        Mirrors :meth:`IncrementalViolationDetector._recheck_equality`, but
-        against the walk's forked (already-applied) index and persistent row
-        cache instead of apply/revert on the shared base index.
-        """
-        walk_index = self._windex(plan.eq_attrs)
-        groups = walk_index.index._groups
-        keys = walk_index.keys
-        build_key_of = walk_index.index.build_key_of
-        ne_attr = plan.single_ne_attr
-        check = plan.residual_check
-        row_of = self._row_of
-        if ne_attr is not None:
-            ne_column = self.detector._column(ne_attr)
-            ne_overrides = self.view.delta_by_column().get(ne_attr)
-
-            def class_of(row_id: int):
-                if ne_overrides is not None and row_id in ne_overrides:
-                    value = ne_overrides[row_id]
-                else:
-                    value = ne_column[row_id]
-                return _NULL_CLASS if is_null(value) else value
-
-        for row_i in sorted(touched):
-            key = keys[row_i] if row_i in keys else build_key_of(row_i)
-            if key is None:
-                continue  # a null component can never satisfy the eq-join
-            partners = groups.get(key)
-            if partners is None or len(partners) <= 1:
-                continue
-            if ne_attr is not None:
-                class_i = class_of(row_i)
-                for row_j in partners:
-                    if row_j == row_i or (row_j in touched and row_j < row_i):
-                        continue  # touched pairs are handled by the lower id
-                    if class_i != class_of(row_j):
-                        out.append(Violation(constraint, (row_i, row_j)))
-                        out.append(Violation(constraint, (row_j, row_i)))
-            else:
-                row_data_i = row_of(row_i)
-                for row_j in partners:
-                    if row_j == row_i or (row_j in touched and row_j < row_i):
-                        continue
-                    row_data_j = row_of(row_j)
-                    if check(row_data_i, row_data_j):
-                        out.append(Violation(constraint, (row_i, row_j)))
-                    if check(row_data_j, row_data_i):
-                        out.append(Violation(constraint, (row_j, row_i)))
+        key_of = groups = None
+        if plan.kind == "eq":
+            walk_index = self._windex(plan.eq_attrs)
+            key_of, groups = walk_index.key_of, walk_index.index._groups
+        state.violations = _retract_recheck(plan, state.violations, changed,
+                                            self.view, self._row_of, key_of, groups)
 
     # -- one-cell trials (greedy candidate scoring) -----------------------------------
 
@@ -1564,8 +1355,7 @@ class RepairWalk:
                 parts.append(part)
             key = tuple(parts) if parts is not None else None
         else:
-            keys = walk_index.keys
-            key = keys[row_id] if row_id in keys else walk_index.index.build_key_of(row_id)
+            key = walk_index.key_of(row_id)
         if key is None:
             return 0
         partners = walk_index.index._groups.get(key)
@@ -1662,8 +1452,7 @@ class RepairWalk:
         encoding.vectorized_checks += n_values
         if attribute not in eq_attrs:
             # one fixed key (and group) for every candidate
-            keys = walk_index.keys
-            key = keys[row_id] if row_id in keys else walk_index.index.build_key_of(row_id)
+            key = walk_index.key_of(row_id)
             group = fd.groups.get(key) if key is not None else None
             if group is None:
                 for i in range(n_values):
@@ -1847,7 +1636,7 @@ class RepairWalk:
             plan = clone.detector._state(constraint).plan
             rows = {cell.row for cell in changed if cell.attribute in plan.mentioned}
             if rows:
-                clone._retract_recheck(constraint, plan, rows, state)
+                clone._resync(plan, rows, state)
         return clone
 
 

@@ -5,7 +5,7 @@ never feed values back, so bit-identity of estimates is preserved with
 telemetry enabled or disabled — the golden-determinism grid pins that):
 
 * :mod:`~repro.observability.metrics` — the :class:`MetricsRegistry` of
-  typed counters/timers/histograms.  The oracle's ad-hoc statistics
+  typed counters (summed or high-water).  The oracle's ad-hoc statistics
   attributes are registry-backed (every counter keeps its public name and
   attribute semantics), and the merge rules that used to be hard-coded in
   ``aggregate_oracle_statistics`` are views over the registry's declared
@@ -28,10 +28,8 @@ worked trace-reading example.
 
 from repro.observability.events import EventLog
 from repro.observability.metrics import (
-    HISTOGRAM,
     MAX,
     SUM,
-    TIMER,
     Metric,
     MetricsRegistry,
     NullMetricsRegistry,
@@ -41,7 +39,6 @@ from repro.observability.trace import Span, Tracer, coordinate_span_id
 
 __all__ = [
     "EventLog",
-    "HISTOGRAM",
     "MAX",
     "Metric",
     "MetricsRegistry",
@@ -49,7 +46,6 @@ __all__ = [
     "ORACLE_METRICS",
     "SUM",
     "Span",
-    "TIMER",
     "Tracer",
     "coordinate_span_id",
 ]

@@ -8,9 +8,7 @@ snapshots are folded into one aggregate:
 * :data:`SUM` — additive workload counters (calls, repair runs, fail-overs);
 * :data:`MAX` — high-water marks of one run (``max_batch_size``,
   ``parallel_workers``): the aggregate of several workers is the widest
-  single observation, not a sum;
-* :data:`TIMER` — additive wall-clock seconds (floats);
-* :data:`HISTOGRAM` — power-of-two bucket counts merged bucket-wise.
+  single observation, not a sum.
 
 ``BinaryRepairOracle`` keeps one :class:`MetricsRegistry` as its single
 counter sink; its public counter *attributes* (``oracle.calls``,
@@ -31,10 +29,8 @@ from dataclasses import dataclass
 #: metric kinds — see the module docstring for merge semantics
 SUM = "sum"
 MAX = "max"
-TIMER = "timer"
-HISTOGRAM = "histogram"
 
-_KINDS = frozenset({SUM, MAX, TIMER, HISTOGRAM})
+_KINDS = frozenset({SUM, MAX})
 
 
 @dataclass(frozen=True)
@@ -84,29 +80,6 @@ MAX_COUNTERS = frozenset(m.name for m in ORACLE_METRICS if m.kind == MAX)
 MAX_GROUPS = frozenset({"dictionary_sizes"})
 
 
-def _zero(kind: str):
-    if kind == TIMER:
-        return 0.0
-    if kind == HISTOGRAM:
-        return {}
-    return 0
-
-
-def histogram_bucket(value: float) -> int:
-    """The power-of-two bucket upper bound holding ``value``.
-
-    ``0`` maps to bucket 0; positive values to the smallest power of two
-    at or above them (1, 2, 4, …) so observations of any scale land in a
-    bounded number of buckets.
-    """
-    if value <= 0:
-        return 0
-    bucket = 1
-    while bucket < value:
-        bucket <<= 1
-    return bucket
-
-
 class MetricsRegistry:
     """The single sink for one component's typed metrics.
 
@@ -132,7 +105,7 @@ class MetricsRegistry:
         if name in self._kinds:
             raise ValueError(f"metric {name!r} is already declared")
         self._kinds[name] = kind
-        self._values[name] = _zero(kind)
+        self._values[name] = 0
         if absorbed:
             self._absorbed.add(name)
 
@@ -159,40 +132,22 @@ class MetricsRegistry:
     def add(self, name: str, delta=1) -> None:
         self._values[name] += delta
 
-    def observe(self, name: str, value) -> None:
-        """Record one observation according to the metric's kind.
-
-        SUM/TIMER accumulate, MAX keeps the high-water mark, HISTOGRAM
-        bumps the power-of-two bucket holding ``value``.
-        """
-        kind = self._kinds[name]
-        if kind == MAX:
-            if value > self._values[name]:
-                self._values[name] = value
-        elif kind == HISTOGRAM:
-            bucket = histogram_bucket(value)
-            histogram = self._values[name]
-            histogram[bucket] = histogram.get(bucket, 0) + 1
-        else:
-            self._values[name] += value
-
     def merge_value(self, name: str, value) -> None:
         """Fold another registry's value for ``name`` into this one.
 
-        SUM/TIMER add, MAX takes the maximum, HISTOGRAM sums per bucket —
-        exactly the cross-worker aggregation rules of
+        SUM adds, MAX takes the maximum — exactly the cross-worker
+        aggregation rules of
         :func:`repro.repair.cache.aggregate_oracle_statistics`.
         """
-        kind = self._kinds[name]
-        if kind == MAX:
+        if self._kinds[name] == MAX:
             if value > self._values[name]:
                 self._values[name] = value
-        elif kind == HISTOGRAM:
-            histogram = self._values[name]
-            for bucket, count in value.items():
-                histogram[bucket] = histogram.get(bucket, 0) + count
         else:
             self._values[name] += value
+
+    #: one observation folds in like another registry's value: SUM
+    #: accumulates, MAX keeps the high-water mark
+    observe = merge_value
 
     def absorb(self, stats: dict) -> None:
         """Fold a counter snapshot (another oracle's ``statistics()`` delta).
@@ -208,15 +163,11 @@ class MetricsRegistry:
     # -- views ------------------------------------------------------------------------
 
     def as_dict(self) -> dict:
-        """All metrics in declaration order (histograms are copied)."""
-        return {
-            name: (dict(value) if isinstance(value, dict) else value)
-            for name, value in self._values.items()
-        }
+        """All metrics in declaration order."""
+        return dict(self._values)
 
     def reset(self) -> None:
-        for name, kind in self._kinds.items():
-            self._values[name] = _zero(kind)
+        self._values = dict.fromkeys(self._kinds, 0)
 
 
 class NullMetricsRegistry:

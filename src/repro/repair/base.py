@@ -603,9 +603,8 @@ class BinaryRepairOracle:
             is not RepairAlgorithm.repair_pair_group
         )
         # the multi-coalition walk: build every distinct coalition view's
-        # equality keys as one stacked code-matrix pass up front; the walks
-        # primed below pop their group structures from the detector's cache
-        # (keyed by view fingerprint) instead of re-deriving them one by one
+        # equality-key groups up front; the walks primed below pop them from
+        # the detector's cache (keyed by view fingerprint)
         if group_capable and self.engine == "fast":
             seen_fingerprints = set()
             batch_views = []

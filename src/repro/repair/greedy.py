@@ -134,7 +134,14 @@ class GreedyHolisticRepair(RepairAlgorithm):
 
         The trial is a one-cell copy-on-write view, so the incremental
         detector only retracts and re-checks violations involving the one
-        touched row instead of copying the table and rescanning it.
+        touched row instead of copying the table and rescanning it.  Only
+        ``engine="reference"`` calls this, and its trials deliberately stay
+        on the detector's base→view path rather than a literal rescan: the
+        reference's per-pass detection is already a rescan, and the trials
+        would dominate otherwise.  On the 50-row greedy reference rung of
+        ``benchmarks/bench_incremental_vs_full.py`` (2-vCPU box, one run
+        each) this path took 2.3 s, a fresh ``RepairWalk`` per trial 11.3 s
+        and a ``find_all_violations`` rescan per trial 38.8 s.
         """
         trial = table.perturbed({cell: value})
         return len(find_all_violations_auto(trial, constraints))

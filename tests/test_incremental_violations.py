@@ -19,6 +19,7 @@ from repro import (
     GreedyHolisticRepair,
     IncrementalViolationDetector,
     PerturbationView,
+    RepairWalk,
     SimpleRuleRepair,
     Table,
     find_all_violations,
@@ -339,3 +340,85 @@ def test_fd_base_violations_order_survives_index_moves():
     assert detector._state(fd).base_violations == find_violations(table, fd)
     assert [v.rows for v in detector._state(fd).base_violations] == [
         (0, 1), (1, 0), (2, 3), (3, 2)]
+
+
+# ---------------------------------------------------------------------------
+# base-table updates: the detector moves its base state in place, and views
+# and walks on the updated base still agree with a rescan
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=table_and_delta(),
+       writes=st.lists(st.tuples(st.integers(min_value=0, max_value=6),
+                                 st.sampled_from(ATTRS), VALUES),
+                       min_size=1, max_size=5))
+def test_apply_base_update_matches_rescan_randomised(data, writes):
+    table, delta = data
+    detector = IncrementalViolationDetector(table, CONSTRAINT_POOL)
+    detector.base_violations(CONSTRAINT_POOL)  # build every constraint's state
+    for row, attribute, value in writes:
+        cell = CellRef(row % table.n_rows, attribute)
+        old = table.value(cell.row, attribute)
+        table.set_value(cell.row, attribute, value)
+        detector.apply_base_update({cell: (old, value)})
+        assert detector.base_version == table.version  # live, not rebuilt
+        assert violation_multiset(detector.base_violations(CONSTRAINT_POOL)) == \
+            violation_multiset(find_all_violations(table, CONSTRAINT_POOL))
+    view = table.perturbed(delta)
+    reference = violation_multiset(find_all_violations(view.copy(), CONSTRAINT_POOL))
+    assert violation_multiset(
+        detector.violations_for_view(view, CONSTRAINT_POOL)) == reference
+    walk = RepairWalk(view, CONSTRAINT_POOL, detector)
+    assert violation_multiset(walk.all_violations()) == reference
+
+
+# ---------------------------------------------------------------------------
+# multi-coalition precompute: every parked build is the walk's own build
+
+
+def _eq_shapes(detector, constraints):
+    shapes = []
+    for constraint in constraints:
+        plan = detector._state(constraint).plan
+        if plan.kind == "eq" and plan.eq_attrs not in shapes:
+            shapes.append(plan.eq_attrs)
+    return shapes
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=table_and_delta(),
+       more_deltas=st.lists(st.lists(st.tuples(st.integers(min_value=0, max_value=6),
+                                               st.sampled_from(ATTRS), VALUES),
+                                     max_size=4), max_size=3),
+       novel_at=st.integers(min_value=0, max_value=3),
+       novel_attr=st.sampled_from(("A", "C")))
+def test_precompute_walk_indexes_matches_standalone_build(data, more_deltas, novel_at,
+                                                          novel_attr):
+    table, delta = data
+    deltas = [delta] + [{CellRef(row % table.n_rows, attribute): value
+                         for row, attribute, value in cells} for cells in more_deltas]
+    # a value no dictionary holds yet: the multi-column keys of the views
+    # after it pack under larger multipliers than the views before it
+    deltas.insert(min(novel_at, len(deltas)), {CellRef(0, novel_attr): "novel"})
+    views = [table.perturbed(d) for d in deltas]
+    batch = [(view, view.fingerprint()) for view in views]
+    detector = IncrementalViolationDetector(table)
+    shapes = _eq_shapes(detector, CONSTRAINT_POOL)
+    assert ("A", "C") in shapes
+    parked = detector.precompute_walk_indexes(batch, CONSTRAINT_POOL)
+    assert parked == len(views) * len(shapes)
+    prebuilt = dict(detector._prime_cache)
+    detector._prime_cache.clear()
+    for view, fingerprint in batch:
+        walk = RepairWalk(view, CONSTRAINT_POOL, detector)
+        for shape in shapes:
+            groups, keys = prebuilt[(fingerprint, shape)]
+            standalone_groups, standalone_keys = walk._build_windex_codes(shape)
+            assert list(groups.items()) == list(standalone_groups.items())
+            assert keys == standalone_keys
+
+    detector.precompute_walk_indexes(batch, CONSTRAINT_POOL)
+    for view in views:
+        walk = RepairWalk(view, CONSTRAINT_POOL, detector).prime()
+        assert violation_multiset(walk.all_violations()) == \
+            violation_multiset(find_all_violations(view.copy(), CONSTRAINT_POOL))

@@ -32,15 +32,12 @@ from repro import (
 from repro.observability import trace as otrace
 from repro.observability.events import EventLog
 from repro.observability.metrics import (
-    HISTOGRAM,
     MAX,
     SUM,
-    TIMER,
     Metric,
     MetricsRegistry,
     NullMetricsRegistry,
     ORACLE_METRICS,
-    histogram_bucket,
 )
 from repro.observability.trace import Span, Tracer, coordinate_span_id
 from repro.parallel import ShardedExplainScheduler, WorkerFault
@@ -101,18 +98,15 @@ def test_registry_rejects_undeclared_metrics():
 
 def test_registry_kind_merge_semantics():
     registry = MetricsRegistry((
-        Metric("adds"), Metric("peak", MAX), Metric("clock", TIMER),
+        Metric("adds"), Metric("peak", MAX),
     ))
     registry.add("adds", 2)
     registry.add("adds", 3)
     registry.merge_value("peak", 5)
     registry.merge_value("peak", 3)   # lower observation: no change
-    registry.add("clock", 0.25)
-    registry.add("clock", 0.5)
     snapshot = registry.as_dict()
     assert snapshot["adds"] == 5
     assert snapshot["peak"] == 5
-    assert snapshot["clock"] == pytest.approx(0.75)
 
 
 def test_registry_absorb_respects_kinds_and_absorbed_flag():
@@ -130,19 +124,6 @@ def test_registry_absorb_respects_kinds_and_absorbed_flag():
     assert snapshot["oracle_calls"] == 15
     assert snapshot["max_batch_size"] == 8
     assert snapshot["parallel_workers"] == 2
-
-
-def test_registry_histogram_buckets_merge_bucketwise():
-    registry = MetricsRegistry((Metric("sizes", HISTOGRAM),))
-    for value in (1, 2, 3, 9):
-        registry.observe("sizes", value)
-    other = MetricsRegistry((Metric("sizes", HISTOGRAM),))
-    other.observe("sizes", 9)
-    registry.absorb(other.as_dict())
-    buckets = registry.as_dict()["sizes"]
-    assert buckets[histogram_bucket(1)] == 1
-    assert buckets[histogram_bucket(2)] + buckets[histogram_bucket(3)] == 2
-    assert buckets[histogram_bucket(9)] == 2
 
 
 def test_null_registry_is_a_silent_sink():
