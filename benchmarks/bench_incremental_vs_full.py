@@ -11,7 +11,7 @@ Two end-to-end evaluation engines exist, chosen on the repair algorithm
   into ``query_pairs`` scheduled passes (pair-memo dedup, coalition-prefix
   grouping, one primed walk per group, forked at the differing cell); the
   walk maintains violations across its own passes, with FD-shape
-  violations kept as per-group class-partition counters; and one revertible
+  violations kept as one array partition per constraint; and one revertible
   ``SharedStatistics`` instance travels across the instances instead of
   per-sample rebuilds.
 
@@ -403,24 +403,27 @@ def test_engines_identical_and_fast_is_faster(benchmark):
     constraints, dirty, cell = _setup()
 
     # -- 1. bit-for-bit identical estimates, both engines x both policies ---------------
+    # The ``mode`` cross-check is the timed loop's configuration, so its
+    # reference run is also the reference rung's one timed sample: at ~25x
+    # the fast rung's cost, more reference reps would only add CI time.
+    simple_timings = {engine: [] for engine in ENGINES}
     for policy in ("null", "mode"):
         results = {}
         for engine in ENGINES:
-            results[engine], _, _ = _explain(constraints, dirty, cell, engine,
-                                             policy=policy)
+            results[engine], elapsed, _ = _explain(constraints, dirty, cell, engine,
+                                                   policy=policy)
+            if policy == "mode" and engine == "reference":
+                simple_timings[engine].append(elapsed)
         assert results["fast"].values == results["reference"].values, policy
         assert results["fast"].standard_errors == results["reference"].standard_errors, \
             policy
 
-    # -- Algorithm 1 (rule repair): both engines, mode policy ----------------------------
-    simple_timings = {engine: [] for engine in ENGINES}
+    # -- Algorithm 1 (rule repair): the fast engine, mode policy -------------------------
     batch_stats = {}
     for _ in range(3):
-        for engine in ENGINES:
-            _, elapsed, oracle = _explain(constraints, dirty, cell, engine)
-            simple_timings[engine].append(elapsed)
-            if engine == "fast":
-                batch_stats = oracle.statistics()
+        _, elapsed, oracle = _explain(constraints, dirty, cell, "fast")
+        simple_timings["fast"].append(elapsed)
+        batch_stats = oracle.statistics()
 
     # -- greedy holistic repair: both engines (null policy) ------------------------------
     greedy_args = dict(algorithm="greedy", policy="null",

@@ -29,8 +29,12 @@ callers that differ only in the index it reads:
 * base-table updates (:meth:`IncrementalViolationDetector.apply_base_update`)
   move the base index permanently;
 * repair walks (:class:`RepairWalk`) keep a forked index synchronised with
-  their view's writes.  FD shapes on a walk keep class-partition counters
-  instead of violation lists.
+  their view's writes.
+
+A walk keeps no violation list for an FD shape (eq-joins plus one
+same-attribute ``!=``) whose columns the dictionary encoding codes: it keeps
+one :class:`_FDPartition` of the rows in code space instead, moved once per
+write batch by array operations.
 
 :class:`IncrementalViolationDetector` holds the per-base-snapshot state (base
 violations per constraint, persistent indexes, compiled residual checks);
@@ -46,7 +50,10 @@ through :meth:`~IncrementalViolationDetector.violations_for_view` as well
 
 from __future__ import annotations
 
-import functools
+from bisect import bisect_right
+from contextlib import nullcontext
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -78,16 +85,20 @@ __all__ = [
 #: form one class (``null != null`` is unsatisfied, ``null != value`` holds).
 _NULL_CLASS = object()
 
+#: "no entry yet" marker for caches whose entries may be ``None``
+_MISSING = object()
 
-# -- vectorised (dictionary-encoded) key building ----------------------------------
+#: shared empty row array (read-only)
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_ROWS.flags.writeable = False
+
+
+# -- dictionary-encoded key building (list-mode walk indexes) ------------------------
 #
-# The vectorised engine paths evaluate equality keys over int32 code arrays
-# from the base table's append-only dictionaries: per view, each equality
-# column is the base's encoded column plus a sparse code-space delta, the
-# per-column codes are packed into one int64 per row, and the group structure
-# falls out of one ``np.unique`` pass instead of a per-row Python loop.  The
-# decoded group keys are plain value tuples, so vectorised-built state is
-# fully interoperable with the object-path maintenance that runs on top.
+# A view's equality keys are the base's code columns plus the view's sparse
+# code-space delta, packed into one int64 per row and grouped by one
+# ``np.unique`` pass; the groups are keyed by decoded value tuples, as the
+# object-path maintenance on top expects.
 
 
 def _unpack_key(packed_value: int, multipliers: Sequence[int],
@@ -528,26 +539,31 @@ class IncrementalViolationDetector:
 
     def precompute_walk_indexes(self, views_with_fingerprints,
                                 constraints: Sequence[DenialConstraint]) -> int:
-        """The multi-coalition walk: key builds for a batch of views up front.
+        """The multi-coalition walk: list-mode key builds for a batch of views.
 
         The batch scheduler calls this with every distinct coalition view of
-        one ``query_pairs`` pass.  For each equality shape the constraints
-        partition on, every view's keys are packed and grouped as a
-        standalone walk would (:meth:`_packed_view_keys`), and the group
-        structures are parked under the view's fingerprint for its
-        :class:`RepairWalk` to consume exclusively
-        (:meth:`RepairWalk._build_windex_codes` pops them).  Unclaimed
-        entries are dropped at the next precompute.  Returns the number of
-        parked builds.
+        one ``query_pairs`` pass.  For each equality shape a list-mode
+        constraint reads, every view's keys are grouped as a standalone walk
+        would (:meth:`_packed_view_keys`) and parked under the view's
+        fingerprint for its :class:`RepairWalk` to pop
+        (:meth:`RepairWalk._build_windex_codes`).  FD partitions read column
+        codes, so their shapes are not built.  Unclaimed entries are dropped
+        at the next precompute.  Returns the number of parked builds.
         """
         self._prime_cache.clear()
+        store = self.table.store
+        encoding = store.encoding()
         shapes: list[tuple[str, ...]] = []
         for constraint in constraints:
             plan = self._state(constraint).plan
-            if plan.kind == "eq" and plan.eq_attrs not in shapes:
-                shapes.append(plan.eq_attrs)
+            if plan.kind != "eq" or plan.eq_attrs in shapes:
+                continue
+            if plan.single_ne_attr is not None and all(
+                    encoding.codes(store, attribute) is not None
+                    for attribute in plan.mentioned):
+                continue  # a partition: built from column codes by the walk
+            shapes.append(plan.eq_attrs)
         parked = 0
-        encoding = self.table.store.encoding()
         for eq_attrs in shapes:
             if self._encoded_eq_base(eq_attrs) is None:
                 encoding.fallback_checks += len(views_with_fingerprints)
@@ -725,81 +741,11 @@ class _WalkIndex:
         return keys[row_id] if row_id in keys else self.index.build_key_of(row_id)
 
 
-class _DegreeSlots:
-    """Per-row slot arrays over one :class:`_FDClassState` partition.
-
-    Every equality group and every ``(group, class)`` pair gets a slot with a
-    size count; each row points at its group's and its class's slot.  Slot 0
-    of both is a sentinel of size 0 that unassigned rows point at, so a row's
-    degree ``2·(group size − own class size)`` is one gather over all rows —
-    zero for unassigned rows and rows of single-class groups — and moving a
-    row is O(1).  Slots are never reused, so the slot dictionaries only grow.
-    """
-
-    __slots__ = ("group_slot", "class_slot", "row_group", "row_class",
-                 "group_size", "class_size", "_degrees")
-
-    def __init__(self, fd: "_FDClassState", n_rows: int):
-        assigned = fd.assigned
-        self.group_slot = {key: slot for slot, key in enumerate(fd.groups, 1)}
-        self.class_slot = {pair: slot for slot, pair
-                           in enumerate(dict.fromkeys(assigned.values()), 1)}
-        n = len(assigned)
-        self.row_class = np.zeros(n_rows, dtype=np.int64)
-        self.row_class[np.fromiter(assigned, dtype=np.int64, count=n)] = np.fromiter(
-            map(self.class_slot.__getitem__, assigned.values()), dtype=np.int64, count=n)
-        group_of_class = np.zeros(len(self.class_slot) + 1, dtype=np.int64)
-        group_of_class[1:] = np.fromiter(
-            (self.group_slot[key] for key, _cls in self.class_slot),
-            dtype=np.int64, count=len(self.class_slot))
-        self.row_group = group_of_class[self.row_class]
-        self.group_size = np.bincount(self.row_group, minlength=len(self.group_slot) + 1)
-        self.class_size = np.bincount(self.row_class, minlength=len(self.class_slot) + 1)
-        self.group_size[0] = self.class_size[0] = 0
-        self._degrees: np.ndarray | None = None
-
-    def add(self, row: int, key: tuple, cls) -> None:
-        group = self.group_slot.get(key)
-        if group is None:
-            group = self.group_slot[key] = len(self.group_slot) + 1
-            self.group_size = _ensure_slot(self.group_size, group)
-        pair = (key, cls)
-        slot = self.class_slot.get(pair)
-        if slot is None:
-            slot = self.class_slot[pair] = len(self.class_slot) + 1
-            self.class_size = _ensure_slot(self.class_size, slot)
-        self.row_group[row] = group
-        self.row_class[row] = slot
-        self.group_size[group] += 1
-        self.class_size[slot] += 1
-        self._degrees = None
-
-    def remove(self, row: int) -> None:
-        self.group_size[self.row_group[row]] -= 1
-        self.class_size[self.row_class[row]] -= 1
-        self.row_group[row] = self.row_class[row] = 0
-        self._degrees = None
-
-    def degrees(self) -> np.ndarray:
-        """Every row's ordered violation count (zero for non-violating rows).
-
-        Memoised until the next move; callers must not write to it.
-        """
-        if self._degrees is None:
-            self._degrees = 2 * (self.group_size[self.row_group]
-                                 - self.class_size[self.row_class])
-        return self._degrees
-
-    def fork(self) -> "_DegreeSlots":
-        clone = _DegreeSlots.__new__(_DegreeSlots)
-        clone.group_slot = dict(self.group_slot)
-        clone.class_slot = dict(self.class_slot)
-        clone.row_group = self.row_group.copy()
-        clone.row_class = self.row_class.copy()
-        clone.group_size = self.group_size.copy()
-        clone.class_size = self.class_size.copy()
-        clone._degrees = self._degrees  # never mutated in place
-        return clone
+def _distinct(pieces: list[np.ndarray]) -> np.ndarray:
+    """The distinct row ids of the ``pieces`` (each of distinct rows)."""
+    if len(pieces) < 2:
+        return pieces[0] if pieces else _NO_ROWS
+    return np.bincount(np.concatenate(pieces)).nonzero()[0]
 
 
 def _ensure_slot(sizes: np.ndarray, slot: int) -> np.ndarray:
@@ -811,116 +757,174 @@ def _ensure_slot(sizes: np.ndarray, slot: int) -> np.ndarray:
     return grown
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_coordinates(n_rows: int, n_attrs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and attribute code of every cell of a row-major ``n_rows × n_attrs``
-    grid (shared read-only arrays)."""
-    rows = np.repeat(np.arange(n_rows, dtype=np.int64), n_attrs)
-    codes = np.tile(np.arange(n_attrs, dtype=np.int64), n_rows)
-    rows.flags.writeable = codes.flags.writeable = False
-    return rows, codes
+#: a pair key is ``first << _PAIR_SHIFT | second``, or 0 when ``first`` is 0
+#: (slots and codes fit in 31 bits)
+_PAIR_SHIFT = 32
 
 
-class _FDClassState:
-    """Class-partition accounting for one FD-shape constraint on one walk.
+def _pair_keys(firsts: np.ndarray, seconds: np.ndarray) -> np.ndarray:
+    return ((firsts << _PAIR_SHIFT) | seconds) * (firsts != 0)
 
-    For ``eq-join + one same-attribute !=`` constraints a pair of rows
-    violates exactly when they share a (non-null) equality key and carry
-    *different* null-aware classes of the ``!=`` attribute.  That makes
-    per-pair bookkeeping unnecessary: per equality group it suffices to
-    count rows per class —
 
-    * a group violates iff it holds ≥ 2 distinct classes, and then **every**
-      row of the group participates in a violation;
-    * the group's ordered violation count is ``m² − Σ n_c²``;
-    * one row changing key/class is an O(1) counter update (the walk's
-      view→view delta unit), instead of a partner scan.
+class _PairSlots:
+    """Dense slots ``1, 2, ...`` for ``(first, second)`` pairs of codes or slots.
 
-    ``groups`` maps each equality key to ``[class → count, m, contribution]``;
-    ``mixed`` is the set of violating groups, ``total`` the ordered violation
-    count over all groups, and ``assigned`` records each indexed row's
-    current ``(key, class)`` so retraction never needs old cell values.
-    ``slots`` holds the same partition as per-row :class:`_DegreeSlots`
-    arrays for degree ranking; it is built on a walk's first ranking (walks
-    that never rank never pay for it) and moved along from then on.
+    Built from pair arrays in one ``np.unique`` pass (slots in key order);
+    later pairs are looked up, and new ones numbered on, through one dict
+    of ``int64`` pair keys (:func:`_pair_keys`).
     """
 
-    __slots__ = ("groups", "mixed", "total", "assigned", "rows_cache", "slots")
+    __slots__ = ("slot_of",)
 
-    def __init__(self):
-        self.groups: dict[tuple, list] = {}
-        self.mixed: set[tuple] = set()
-        self.total = 0
-        self.assigned: dict[int, tuple] = {}
-        #: sorted violating-row list, cached until the next counter change
-        self.rows_cache: list[int] | None = None
-        self.slots: _DegreeSlots | None = None
+    @classmethod
+    def build(cls, firsts: np.ndarray, seconds: np.ndarray) -> "tuple[_PairSlots, np.ndarray]":
+        """A table over the pairs and the slot of every pair."""
+        table = cls.__new__(cls)
+        distinct, inverse = np.unique(_pair_keys(firsts, seconds), return_inverse=True)
+        table.slot_of = dict(zip(distinct.tolist(), range(1, len(distinct) + 1)))
+        return table, inverse + 1
 
-    def add(self, row: int, key: tuple, cls) -> None:
-        """Assign an unassigned ``row`` to class ``cls`` of group ``key``."""
-        self.assigned[row] = (key, cls)
-        if self.slots is not None:
-            self.slots.add(row, key, cls)
-        self.rows_cache = None
-        state = self.groups.get(key)
-        if state is None:
-            self.groups[key] = [{cls: 1}, 1, 0]
-            return
-        counter, m, contribution = state
-        n = counter.get(cls, 0)
-        delta = 2 * (m - n)
-        counter[cls] = n + 1
-        state[1] = m + 1
-        state[2] = contribution + delta
-        self.total += delta
-        if contribution == 0 and delta:
-            self.mixed.add(key)
+    def insert(self, firsts: list[int], seconds: list[int]) -> np.ndarray:
+        """The slot of each pair, numbering the pairs not seen yet."""
+        slot_of = self.slot_of
+        keys = [first << _PAIR_SHIFT | second if first else 0
+                for first, second in zip(firsts, seconds)]
+        slots = [slot_of.get(key, 0) for key in keys]
+        if 0 in slots:
+            for i, slot in enumerate(slots):
+                if not slot:
+                    slots[i] = slot_of.setdefault(keys[i], len(slot_of) + 1)
+        return np.array(slots, dtype=np.int64)
 
-    def remove(self, row: int) -> None:
-        """Unassign ``row`` (a no-op when it holds no equality key)."""
-        assignment = self.assigned.pop(row, None)
-        if assignment is None:
-            return
-        if self.slots is not None:
-            self.slots.remove(row)
-        self.rows_cache = None
-        key, cls = assignment
-        state = self.groups[key]
-        counter, m, contribution = state
-        n = counter[cls]
-        delta = -2 * (m - n)
-        if n == 1:
-            del counter[cls]
-        else:
-            counter[cls] = n - 1
-        state[1] = m - 1
-        new_contribution = contribution + delta
-        state[2] = new_contribution
-        self.total += delta
-        if new_contribution == 0:
-            if contribution:
-                self.mixed.discard(key)
-            if state[1] == 0:
-                del self.groups[key]
+    def fork(self) -> "_PairSlots":
+        clone = _PairSlots.__new__(_PairSlots)
+        clone.slot_of = dict(self.slot_of)
+        return clone
 
-    def row_violation_count(self, row: int) -> int:
-        """Ordered violations the row currently participates in (O(1))."""
-        assignment = self.assigned.get(row)
-        if assignment is None:
+
+class _FDPartition:
+    """One FD-shape constraint's rows, partitioned in code space on one walk.
+
+    A pair of rows violates ``eq-join + one same-attribute !=`` exactly when
+    the rows share a non-null equality key and carry different null-aware
+    classes of the ``!=`` attribute.  So rows are partitioned twice: into
+    *groups* by key and, inside a group, into *classes* by ``!=`` code
+    (code 0, NULL, is the null class).  A one-column key's group is its
+    code; each further key column pairs the group so far with its code
+    through a :class:`_PairSlots` level.  A class is the slot of the pair
+    ``(group, != code)``.  Group 0 holds the rows with a null key component
+    as one class, so it never violates.
+
+    ``row_group`` / ``row_class`` hold every row's slots and
+    ``group_size`` / ``class_size`` every slot's size.  Then a row takes
+    part in ``2·(group size − class size)`` ordered violations
+    (``degrees``; ``total`` is half their sum), it violates iff that is
+    positive (:meth:`violating_rows`), and a batch of written rows moves by
+    a few array operations (:meth:`move`).  ``degrees`` is replaced, never
+    written in place.
+    """
+
+    __slots__ = ("row_group", "row_class", "group_size", "class_size",
+                 "levels", "classes", "degrees", "total", "_rows")
+
+    def __init__(self, key_codes: Sequence[np.ndarray], codes: np.ndarray):
+        """Partition every row by its key columns' and ``!=`` column's codes."""
+        self.levels = []
+        groups = key_codes[0].copy()
+        for key in key_codes[1:]:
+            level, groups = _PairSlots.build(groups, key)
+            self.levels.append(level)
+        if self.levels:
+            groups *= np.logical_and.reduce([key > 0 for key in key_codes])
+        self.row_group = groups
+        self.classes, self.row_class = _PairSlots.build(groups, codes)
+        self.group_size = np.bincount(self.row_group)
+        self.class_size = np.bincount(self.row_class)
+        self._count()
+
+    def groups(self, key_codes: Sequence[np.ndarray]) -> np.ndarray:
+        """The group of each row given its per-column key codes (0 on a null
+        component); keys new to a level get new slots."""
+        groups = key_codes[0].copy()
+        if self.levels:
+            for level, codes in zip(self.levels, key_codes[1:]):
+                groups = level.insert(groups.tolist(), codes.tolist())
+            groups *= np.logical_and.reduce([codes > 0 for codes in key_codes])
+        return groups
+
+    def group_of(self, key: Sequence[int]) -> int:
+        """The group of one key given by codes, 0 when a component is null
+        or no row holds the key."""
+        if min(key) <= 0:
             return 0
-        key, cls = assignment
-        counter, m, _contribution = self.groups[key]
-        return 2 * (m - counter[cls])
+        group = key[0]
+        for level, code in zip(self.levels, key[1:]):
+            group = level.slot_of.get(group << _PAIR_SHIFT | code, 0)
+        return group if group < len(self.group_size) else 0
 
-    def fork(self) -> "_FDClassState":
-        clone = _FDClassState.__new__(_FDClassState)
-        clone.groups = {key: [dict(counter), m, contribution]
-                        for key, (counter, m, contribution) in self.groups.items()}
-        clone.mixed = set(self.mixed)
-        clone.total = self.total
-        clone.assigned = dict(self.assigned)
-        clone.rows_cache = self.rows_cache  # never mutated in place
-        clone.slots = self.slots.fork() if self.slots is not None else None
+    def move(self, rows: np.ndarray, codes: np.ndarray,
+             key_codes: Sequence[np.ndarray] | None) -> None:
+        """Re-place ``rows`` (distinct) after writes.
+
+        ``codes`` are their current ``!=`` codes and ``key_codes`` their
+        current key codes, one array per key column (``None`` when no key
+        column was written: the rows keep their groups).  Slot sizes move by
+        one ``np.subtract.at`` / ``np.add.at`` over the old and new slots.
+        """
+        if key_codes is None:
+            groups = self.row_group[rows]
+            group_list = groups.tolist()
+        else:
+            groups = self.groups(key_codes)
+            group_list = groups.tolist()
+            self.group_size = _ensure_slot(self.group_size, max(group_list))
+            np.subtract.at(self.group_size, self.row_group[rows], 1)
+            np.add.at(self.group_size, groups, 1)
+            self.row_group[rows] = groups
+        klass = self.classes.insert(group_list, codes.tolist())
+        self.class_size = _ensure_slot(self.class_size, len(self.classes.slot_of))
+        np.subtract.at(self.class_size, self.row_class[rows], 1)
+        np.add.at(self.class_size, klass, 1)
+        self.row_class[rows] = klass
+        self._count()
+
+    def _count(self) -> None:
+        """Every row's ordered violation count, and their total."""
+        self.degrees = 2 * (self.group_size[self.row_group]
+                            - self.class_size[self.row_class])
+        self.total = int(self.degrees.sum()) // 2
+        self._rows: list[int] | None = None
+
+    def violating_rows(self) -> list[int]:
+        """Ascending rows that take part in a violation (memoised)."""
+        if self._rows is None:
+            self._rows = self.degrees.nonzero()[0].tolist()
+        return self._rows
+
+    def violations(self, constraint: DenialConstraint) -> list[Violation]:
+        """The violating ordered pairs, group by group (by smallest row)."""
+        rows = self.violating_rows()
+        members: dict[int, list[int]] = {}
+        for row, group in zip(rows, self.row_group[rows].tolist()):
+            members.setdefault(group, []).append(row)
+        out = []
+        for rows in members.values():
+            classes = self.row_class[rows].tolist()
+            for row_i, class_i in zip(rows, classes):
+                for row_j, class_j in zip(rows, classes):
+                    if class_i != class_j:
+                        out.append(Violation(constraint, (row_i, row_j)))
+        return out
+
+    def fork(self) -> "_FDPartition":
+        clone = _FDPartition.__new__(_FDPartition)
+        clone.row_group = self.row_group.copy()
+        clone.row_class = self.row_class.copy()
+        clone.group_size = self.group_size.copy()
+        clone.class_size = self.class_size.copy()
+        clone.levels = [level.fork() for level in self.levels]
+        clone.classes = self.classes.fork()
+        clone.degrees, clone.total, clone._rows = self.degrees, self.total, self._rows
         return clone
 
 
@@ -929,20 +933,23 @@ class _WalkConstraint:
 
     Two storage modes:
 
-    * **list** (``fd is None``) — ``violations`` holds the explicit ordered
-      :class:`Violation` list (single-tuple constraints, no-equality
-      fallbacks and equality constraints with a general residual);
-    * **class-partition** (``fd`` set) — FD-shape constraints keep a
-      :class:`_FDClassState`; ``violations`` doubles as the lazily
-      materialised list cache (``None`` when stale).
+    * **partition** (``part`` set) — an FD-shape constraint whose columns
+      the dictionary encoding codes keeps an :class:`_FDPartition`;
+      ``violations`` doubles as the materialised list cache (``None`` when
+      stale);
+    * **list** (``part is None``) — ``violations`` holds the explicit
+      :class:`Violation` list, moved by :func:`_retract_recheck`: single-tuple
+      constraints, no-equality fallbacks, equality constraints with a
+      general residual and FD shapes over a column holding a value the
+      encoding cannot code.
     """
 
-    __slots__ = ("violations", "fd", "log_pos")
+    __slots__ = ("violations", "part", "log_pos")
 
     def __init__(self, violations: list[Violation] | None, log_pos: int,
-                 fd: _FDClassState | None = None):
+                 part: _FDPartition | None = None):
         self.violations = violations
-        self.fd = fd
+        self.part = part
         self.log_pos = log_pos
 
 
@@ -957,20 +964,19 @@ class RepairWalk:
     work repeats.
 
     ``RepairWalk`` instead maintains violations across the walk's own passes
-    (view→view deltas):
+    (view→view deltas read off the view's
+    :attr:`~repro.engine.view.OverlayStore.change_log`):
 
-    * equality indexes are *forked* once per walk
-      (:meth:`~repro.engine.index.MultiColumnIndex.fork`) with the view's full
-      delta applied and then kept applied — later passes only move the rows
-      the repair wrote;
-    * per-constraint violation lists carry over from the previous pass:
-      a pass retracts and re-checks only the rows written since that
-      constraint's last sync (read off the view's
-      :attr:`~repro.engine.view.OverlayStore.change_log`);
-    * row dicts are cached across passes, and the *pristine* (unwritten) rows
-      are shared with any walk forked off this one — the two instances of a
-      with/without oracle pair differ in a single cell, so one row cache
-      serves both (rows a walk writes go to a walk-local cache instead).
+    * FD-shape constraints keep an :class:`_FDPartition` over the view's
+      current column codes (one code array per column the partitions read,
+      moved with the writes); a write batch moves each partition once;
+    * other constraints keep violation lists that a pass retracts and
+      re-checks over the rows written since that constraint's last sync,
+      against equality indexes *forked* once per walk and kept applied;
+    * list-mode row dicts are cached across passes, and the *pristine*
+      (unwritten) rows are shared with any walk forked off this one — the
+      two instances of a with/without oracle pair differ in a single cell,
+      so one row cache serves both.
 
     :meth:`fork_onto` is the paired-oracle entry point: it clones the primed
     state onto a sibling view that differs in a known set of cells and
@@ -984,7 +990,8 @@ class RepairWalk:
 
     __slots__ = ("view", "detector", "constraints", "_log",
                  "_cstates", "_windexes", "_dirty_rows", "_local_rows",
-                 "_pristine_rows", "_row_log_pos")
+                 "_pristine_rows", "_row_log_pos", "_columns",
+                 "_runs", "_run_ends", "_parsed")
 
     def __init__(self, view: PerturbationView, constraints: Iterable[DenialConstraint],
                  detector: IncrementalViolationDetector):
@@ -1001,10 +1008,22 @@ class RepairWalk:
         #: rows untouched by any walk of the pair — shared across forks
         self._pristine_rows: dict[int, Mapping[str, Any]] = {}
         self._row_log_pos = len(self._log)
+        #: the view's current codes per column (``None``: a value the
+        #: encoding cannot code), in step with the log up to ``_parsed``
+        self._columns: dict[str, np.ndarray | None] = {}
+        #: the log read once into runs of writes to one attribute:
+        #: ``(attribute, distinct rows)`` ending at the log
+        #: positions ``_run_ends``, up to ``_parsed``; every position a
+        #: consumer keeps is a run boundary
+        self._runs: list[tuple[str, np.ndarray]] = []
+        self._run_ends: list[int] = []
+        self._parsed = len(self._log)
 
-    # -- row cache ----------------------------------------------------------------
+    # -- row cache (list mode) ------------------------------------------------------
 
     def _row_of(self, row_id: int) -> Mapping[str, Any]:
+        if self._row_log_pos != len(self._log):
+            self._consume_writes()
         if row_id in self._dirty_rows:
             row = self._local_rows.get(row_id)
             if row is None:
@@ -1017,68 +1036,127 @@ class RepairWalk:
 
     def _consume_writes(self) -> None:
         """Mark rows written since the last call dirty and drop their cached dicts."""
-        log = self._log
-        position = self._row_log_pos
-        if position == len(log):
-            return
-        for row, _attribute in log[position:]:
+        runs = self._runs_since(self._row_log_pos)
+        self._row_log_pos = self._parsed
+        for row in _distinct([rows for _attribute, rows in runs]).tolist():
             self._dirty_rows.add(row)
             self._local_rows.pop(row, None)
-        self._row_log_pos = len(log)
 
-    # -- index maintenance ---------------------------------------------------------
+    # -- column codes (partition mode) ----------------------------------------------
+
+    def _codes(self, attribute: str) -> np.ndarray | None:
+        """The view's current codes of one column (``None``: uncodable value).
+
+        Built on first use from the base codes and the view's encoded delta;
+        later writes are re-encoded row by row as they are read off the log.
+        """
+        self._parse()
+        codes = self._columns.get(attribute, _MISSING)
+        if codes is _MISSING:
+            store = self.detector.table.store
+            base = store.encoding().codes(store, attribute)
+            encoded = None if base is None else \
+                self.view.store.encoded_delta_arrays(attribute)
+            codes = None
+            if encoded is not None:
+                codes = base.astype(np.int64)
+                codes[encoded[0]] = encoded[1]
+            self._columns[attribute] = codes
+        return codes
+
+    def _parse(self) -> int:
+        """Read the log's new entries into runs (re-coding the tracked columns
+        they write) and return the log position read up to."""
+        log = self._log
+        at = self._parsed
+        if at != len(log):
+            for attribute, run in groupby(log[at:], key=itemgetter(1)):
+                rows = [row for row, _attribute in run]
+                at += len(rows)
+                if len(set(rows)) != len(rows):  # a batch that wrote a row twice
+                    rows = sorted(set(rows))
+                rows = np.array(rows, dtype=np.int64)
+                self._runs.append((attribute, rows))
+                self._run_ends.append(at)
+                if attribute in self._columns:
+                    self._recode(attribute, rows)
+            self._parsed = at
+        return at
+
+    def _runs_since(self, position: int) -> list[tuple[str, np.ndarray]]:
+        """``(attribute, rows)`` per run of writes since log ``position``.
+
+        Each log entry is read once (:meth:`_parse`); every consumer (column
+        codes, constraint states, list-mode indexes and row cache) then takes
+        the runs from its own position on.
+        """
+        self._parse()
+        return self._runs[bisect_right(self._run_ends, position):]
+
+    def _recode(self, attribute: str, rows: np.ndarray) -> None:
+        """Re-read the codes of ``rows`` in one tracked column from the view."""
+        codes = self._columns[attribute]
+        if codes is None:
+            return
+        store = self.detector.table.store
+        encoding = store.encoding()
+        overrides = self.view.delta_by_column().get(attribute) or {}
+        rows = rows.tolist()
+        written = [row for row in rows if row in overrides]
+        if len(written) != len(rows):  # rows written back to their base value
+            restored = [row for row in rows if row not in overrides]
+            codes[restored] = encoding.codes(store, attribute)[restored]
+        if written:
+            fresh = encoding.dictionary(attribute).encode_list(
+                [overrides[row] for row in written])
+            if fresh is None:
+                self._columns[attribute] = None
+            else:
+                codes[written] = fresh
+
+    def _partition(self, plan: _ConstraintPlan) -> _FDPartition | None:
+        """The FD-shape plan's partition of the current view, or ``None``
+        when a column holds a value the encoding cannot code."""
+        encoding = self.detector.table.store.encoding()
+        columns = [self._codes(attribute)
+                   for attribute in plan.eq_attrs + (plan.single_ne_attr,)]
+        if any(codes is None for codes in columns):
+            encoding.fallback_checks += 1
+            return None
+        encoding.vectorized_checks += 1
+        return _FDPartition(columns[:-1], columns[-1])
+
+    # -- index maintenance (list mode) ----------------------------------------------
 
     def _source(self, attribute: str):
         """``(base column, view overrides)`` of one attribute."""
         return (self.detector._column(attribute),
                 self.view.delta_by_column().get(attribute))
 
-    def _value_of(self, row_id: int, attribute: str):
-        """Current view value via override dict + base column (no call chain)."""
-        overrides = self.view.delta_by_column().get(attribute)
-        if overrides is not None and row_id in overrides:
-            return overrides[row_id]
-        return self.detector._column(attribute)[row_id]
-
     def _view_key_reader(self, eq_attrs: tuple[str, ...]):
         """A ``key_of(row)`` over the view's current equality keys."""
         return _key_reader([self._source(attribute) for attribute in eq_attrs])
 
+    def _view_class_reader(self, plan: _ConstraintPlan):
+        """A ``class_of(row)`` over the view for the plan's ``!=`` attribute."""
+        return _class_reader(*self._source(plan.single_ne_attr))
+
     def _windex(self, eq_attrs: tuple[str, ...]) -> _WalkIndex:
         walk_index = self._windexes.get(eq_attrs)
         if walk_index is None:
-            base_index = self.detector._index_for(eq_attrs)
             built = self._build_windex_codes(eq_attrs)
-            if built is not None:
-                groups, keys = built
-            else:
-                # Unencodable key columns: built in one ascending row pass
-                # (groups come out sorted) instead of forking the base index
-                # and replaying the full delta: on the heavily nulled
-                # coalition views most rows just drop out of the index, so
-                # per-row bisect moves would dominate.
-                build_key_of = base_index.build_key_of
-                overridden = _rows_under(eq_attrs, self.view.delta_by_column())
-                view_key = self._view_key_reader(eq_attrs)
+            if built is None:
+                # a key column the encoding cannot code: index the view itself
+                # (such keys are unhashable, so this raises as the rescan does)
+                index = MultiColumnIndex(self.view.store, eq_attrs)
                 keys = {}
-                groups = {}
-                for row_id in range(self.view.n_rows):
-                    if row_id in overridden:
-                        key = keys[row_id] = view_key(row_id)
-                    else:
-                        key = build_key_of(row_id)
-                    if key is None:
-                        continue
-                    rows = groups.get(key)
-                    if rows is None:
-                        groups[key] = [row_id]
-                    else:
-                        rows.append(row_id)
-            index = MultiColumnIndex.__new__(MultiColumnIndex)
-            index.attributes = base_index.attributes
-            index._groups = groups
-            index._build_keys = base_index._build_keys
-            walk_index = self._windexes[eq_attrs] = _WalkIndex(index, keys, len(self._log))
+            else:
+                base_index = self.detector._index_for(eq_attrs)
+                index = MultiColumnIndex.__new__(MultiColumnIndex)
+                index.attributes = base_index.attributes
+                index._groups, keys = built
+                index._build_keys = base_index._build_keys
+            walk_index = self._windexes[eq_attrs] = _WalkIndex(index, keys, self._parse())
         else:
             self._sync_windex(walk_index, eq_attrs)
         return walk_index
@@ -1094,8 +1172,7 @@ class RepairWalk:
         detector = self.detector
         encoding = detector.table.store.encoding()
         if detector._prime_cache and not self._log:
-            built = detector._prime_cache.pop(
-                (self.view.fingerprint(), eq_attrs), None)
+            built = detector._prime_cache.pop((self.view.fingerprint(), eq_attrs), None)
             if built is not None:
                 return built
         packed = detector._packed_view_keys(self.view.store, eq_attrs)
@@ -1109,11 +1186,11 @@ class RepairWalk:
         log = self._log
         if walk_index.log_pos == len(log):
             return
-        rows = {row for row, attribute in log[walk_index.log_pos:]
-                if attribute in eq_attrs}
-        walk_index.log_pos = len(log)
-        if rows:
-            self._move_index_rows(walk_index, eq_attrs, rows)
+        rows = _distinct([rows for attribute, rows in self._runs_since(walk_index.log_pos)
+                          if attribute in eq_attrs])
+        walk_index.log_pos = self._parsed
+        if rows.size:
+            self._move_index_rows(walk_index, eq_attrs, rows.tolist())
 
     def _move_index_rows(self, walk_index: _WalkIndex, eq_attrs: tuple[str, ...],
                          rows: Iterable[int]) -> None:
@@ -1131,72 +1208,36 @@ class RepairWalk:
 
     def _synced_state(self, constraint: DenialConstraint) -> _WalkConstraint:
         state = self._cstates.get(constraint)
-        if state is not None:
-            if state.log_pos == len(self._log):
-                # already synced to the newest write — the common case inside
-                # a repair pass; row-cache consumption can wait until a sync
-                # actually has to re-check something
-                return state
-            self._consume_writes()
+        if state is None:
+            return self._prime_constraint(constraint)
+        if state.log_pos != len(self._log):
             self._sync_constraint(constraint, state)
-        else:
-            self._consume_writes()
-            state = self._prime_constraint(constraint)
+            state = self._cstates[constraint]  # a sync may switch it to list mode
         return state
 
     def violations_for(self, constraint: DenialConstraint) -> list[Violation]:
         """Current violations of one constraint (synced to the view's writes)."""
         state = self._synced_state(constraint)
-        fd = state.fd
-        if fd is not None and state.violations is None:
-            plan = self.detector._state(constraint).plan
-            groups = self._windex(plan.eq_attrs).index._groups
-            assigned = fd.assigned
-            out = []
-            for key in fd.mixed:
-                rows = groups[key]
-                for row_i in rows:
-                    class_i = assigned[row_i][1]
-                    for row_j in rows:
-                        if row_j != row_i and assigned[row_j][1] != class_i:
-                            out.append(Violation(constraint, (row_i, row_j)))
-            state.violations = out
+        if state.violations is None:
+            state.violations = state.part.violations(constraint)
         return state.violations
 
     def violating_rows_for(self, constraint: DenialConstraint) -> list[int]:
         """Sorted rows participating in ≥1 violation of ``constraint``.
 
-        What the rule-repair loop actually consumes; on the class-partition
-        representation every row of a mixed group violates, so this is a
-        concatenation of the mixed groups' (already sorted) row lists — no
+        What the rule-repair loop actually consumes; a partition reads them
+        off its slot arrays (every row of a group with ≥ 2 classes), so no
         :class:`Violation` objects are materialised.
         """
         state = self._synced_state(constraint)
-        fd = state.fd
-        if fd is not None:
-            rows = fd.rows_cache
-            if rows is None:
-                if not fd.mixed:
-                    rows = []
-                else:
-                    plan = self.detector._state(constraint).plan
-                    groups = self._windex(plan.eq_attrs).index._groups
-                    # one concatenate+sort over the mixed groups' row lists
-                    # (each already ascends) instead of a Python merge-sort;
-                    # the repairers consume the resulting plain-int list
-                    rows = np.sort(np.concatenate(
-                        [np.asarray(groups[key], dtype=np.int64)
-                         for key in fd.mixed])).tolist()
-                fd.rows_cache = rows
-            return rows
+        if state.part is not None:
+            return state.part.violating_rows()
         return sorted({row for violation in state.violations for row in violation.rows})
 
     def has_violations(self, constraint: DenialConstraint) -> bool:
         """Whether the constraint currently has any violation (no materialising)."""
         state = self._synced_state(constraint)
-        if state.fd is not None:
-            return bool(state.fd.mixed)
-        return bool(state.violations)
+        return bool(state.part.total if state.part is not None else state.violations)
 
     def all_violations(self) -> ViolationSet:
         """Current violations of every constraint of the walk."""
@@ -1209,11 +1250,8 @@ class RepairWalk:
     def prime(self) -> "RepairWalk":
         """Force state construction for every constraint (pre-fork hook)."""
         tracer = otrace.current()
-        if tracer is None:
-            for constraint in self.constraints:
-                self._synced_state(constraint)
-            return self
-        with tracer.span("walk_prime", constraints=len(self.constraints)):
+        with (nullcontext() if tracer is None else
+              tracer.span("walk_prime", constraints=len(self.constraints))):
             for constraint in self.constraints:
                 self._synced_state(constraint)
         return self
@@ -1221,130 +1259,82 @@ class RepairWalk:
     def _prime_constraint(self, constraint: DenialConstraint) -> _WalkConstraint:
         """First detection: base→view retract + re-check, walk-local.
 
-        FD shapes build their class-partition state from the view directly.
-        For other shapes the derivation is exactly one :func:`_retract_recheck`
-        step seeded with the base snapshot's violations and the full delta's
+        FD shapes build their partition from the view's codes directly.  For
+        list mode the derivation is exactly one :func:`_retract_recheck` step
+        seeded with the base snapshot's violations and the full delta's
         touched rows — the same step later passes run against the previous
         pass's state.  The walk's index is kept for later passes and the
         pair fork instead of being applied and reverted per detection
         (contrast :meth:`IncrementalViolationDetector.violations_for_view`).
         """
-        detector_state = self.detector._state(constraint)
-        plan = detector_state.plan
-        if plan.single_ne_attr is not None:
-            # FD shape: build the class-partition state in one pass over the
-            # walk index; the base violation list is never materialised
-            state = _WalkConstraint(None, len(self._log),
-                                    self._build_fd_state(plan))
+        plan = self.detector._state(constraint).plan
+        part = self._partition(plan) if plan.single_ne_attr is not None else None
+        if part is not None:
+            state = _WalkConstraint(None, self._parse(), part)
         else:
-            state = _WalkConstraint(list(detector_state.base_violations), len(self._log))
-            touched = _rows_under(plan.mentioned, self.view.delta_by_column())
-            if touched:
-                self._resync(plan, touched, state)
+            state = self._list_state(plan)
         self._cstates[constraint] = state
         return state
 
-    def _view_class_reader(self, plan: _ConstraintPlan):
-        """A ``class_of(row)`` over the view for the plan's ``!=`` attribute."""
-        return _class_reader(*self._source(plan.single_ne_attr))
-
-    def _class_values(self, plan: _ConstraintPlan) -> "list | None":
-        """Per-row view classes of the ``!=`` attribute, decoded in one pass.
-
-        The base column's code array is translated through the decode table
-        (``_NULL_CLASS`` at code 0) as one list comprehension, then the view's
-        sparse overrides are patched in.  ``None`` when the column is
-        unencodable (the caller then reads classes per row through
-        :meth:`_view_class_reader`).
-        """
-        ne_attr = plan.single_ne_attr
-        store = self.detector.table.store
-        encoding = store.encoding()
-        codes = encoding.codes(store, ne_attr)
-        if codes is None:
-            encoding.fallback_checks += 1
-            return None
-        translate = list(encoding.dictionary(ne_attr)._values)
-        translate[0] = _NULL_CLASS
-        classes = [translate[code] for code in codes.tolist()]
-        overrides = self.view.delta_by_column().get(ne_attr)
-        if overrides:
-            for row_id, value in overrides.items():
-                classes[row_id] = _NULL_CLASS if is_null(value) else value
-        encoding.vectorized_checks += 1
-        return classes
-
-    def _build_fd_state(self, plan: _ConstraintPlan) -> _FDClassState:
-        """Class-partition state of the current view, one pass over the index."""
-        walk_index = self._windex(plan.eq_attrs)
-        classes = self._class_values(plan)
-        class_of = classes.__getitem__ if classes is not None \
-            else self._view_class_reader(plan)
-        fd = _FDClassState()
-        groups = fd.groups
-        assigned = fd.assigned
-        total = 0
-        for key, rows in walk_index.index._groups.items():
-            counter: dict = {}
-            for row in rows:
-                cls = class_of(row)
-                counter[cls] = counter.get(cls, 0) + 1
-                assigned[row] = (key, cls)
-            m = len(rows)
-            if len(counter) > 1:
-                contribution = m * m
-                for count in counter.values():
-                    contribution -= count * count
-                fd.mixed.add(key)
-                total += contribution
-            else:
-                contribution = 0
-            groups[key] = [counter, m, contribution]
-        fd.total = total
-        return fd
+    def _list_state(self, plan: _ConstraintPlan) -> _WalkConstraint:
+        """List-mode state of the current view, from the base violations."""
+        state = _WalkConstraint(
+            list(self.detector._state(plan.constraint).base_violations), self._parse())
+        touched = _rows_under(plan.mentioned, self.view.delta_by_column())
+        if touched:
+            self._resync(plan, np.array(sorted(touched), dtype=np.int64), state)
+        return state
 
     def _sync_constraint(self, constraint: DenialConstraint, state: _WalkConstraint) -> None:
-        log = self._log
-        if state.log_pos == len(log):
-            return
         plan = self.detector._state(constraint).plan
-        mentioned = plan.mentioned
-        changed = {row for row, attribute in log[state.log_pos:]
-                   if attribute in mentioned}
-        state.log_pos = len(log)
+        runs = self._runs_since(state.log_pos)
+        state.log_pos = self._parsed
+        changed = [rows for attribute, rows in runs if attribute in plan.mentioned]
         if changed:
-            self._resync(plan, changed, state)
+            self._resync(plan, _distinct(changed), state,
+                         any(attribute in plan.eq_attrs for attribute, _rows in runs))
 
-    def _resync(self, plan: _ConstraintPlan, changed: set[int],
-                state: _WalkConstraint) -> None:
-        """Re-derive ``state``'s violations after ``changed`` rows moved (view→view)."""
-        if state.fd is not None:
-            fd = state.fd
-            state.violations = None  # invalidate the materialisation cache
-            walk_index = self._windex(plan.eq_attrs)  # sync key moves first
-            class_of = self._view_class_reader(plan)
-            for row in changed:
-                fd.remove(row)
-                key = walk_index.key_of(row)
-                if key is not None:
-                    fd.add(row, key, class_of(row))
+    def _resync(self, plan: _ConstraintPlan, changed: np.ndarray,
+                state: _WalkConstraint, keyed: bool = True) -> None:
+        """Re-derive ``state``'s violations after the ``changed`` rows
+        (distinct) moved (view→view).
+
+        ``keyed`` is false when no equality column was written: a partition's
+        rows then keep their groups.  A partition meeting a value the
+        encoding cannot code hands the constraint over to list mode.
+        """
+        part = state.part
+        if part is not None:
+            classes = self._codes(plan.single_ne_attr)
+            columns = [self._codes(attribute) for attribute in plan.eq_attrs] \
+                if keyed else []
+            if classes is None or any(codes is None for codes in columns):
+                self.detector.table.store.encoding().fallback_checks += 1
+                self._cstates[plan.constraint] = self._list_state(plan)
+                return
+            part.move(changed, classes[changed],
+                      [codes[changed] for codes in columns] if keyed else None)
+            state.violations = None  # the materialisation cache
             return
-        key_of = groups = None
+        key_of = groups = class_of = None
         if plan.kind == "eq":
             walk_index = self._windex(plan.eq_attrs)
             key_of, groups = walk_index.key_of, walk_index.index._groups
-        state.violations = _retract_recheck(plan, state.violations, changed,
-                                            self.view, self._row_of, key_of, groups)
+            if plan.single_ne_attr is not None:
+                class_of = self._view_class_reader(plan)
+        state.violations = _retract_recheck(plan, state.violations, set(changed.tolist()),
+                                            self.view, self._row_of, key_of, groups,
+                                            class_of)
 
     # -- one-cell trials (greedy candidate scoring) -----------------------------------
 
     def _count_row_if(self, plan: _ConstraintPlan, row_id: int, attribute: str,
                       value: Any) -> int:
-        """Violations of one general eq-kind constraint that ``row_id`` joins
+        """Violations of one list-mode eq-kind constraint that ``row_id`` joins
         if ``(row_id, attribute)`` were set to ``value`` (partner scan)."""
         walk_index = self._windex(plan.eq_attrs)
         eq_attrs = plan.eq_attrs
-        value_of = self._value_of
+        value_of = self.view.value
         if attribute in eq_attrs:
             parts: list | None = []
             for eq_attr in eq_attrs:
@@ -1384,44 +1374,43 @@ class RepairWalk:
         walk's state is untouched.  Greedy candidate scoring calls this once
         per top-degree cell, fed straight from :meth:`cell_degrees_arrays`
         coordinates: constraints are synced once, every candidate-independent
-        term is computed once, and FD-shape constraints score each candidate
-        with O(1) class-counter lookups.  No :class:`CellRef` is built unless
-        a ``pairs``-kind constraint forces a per-candidate trial rescan.
+        term is computed once, and partitions score each candidate with a
+        few slot lookups.  No :class:`CellRef` is built unless a
+        ``pairs``-kind constraint forces a per-candidate trial rescan.
         """
-        self._consume_writes()
         n_values = len(values)
         totals = [0] * n_values
         encoding = self.detector.table.store.encoding()
+        codes = None  # the candidates' codes: 0 for a null, None for an unseen value
         for constraint in self.constraints:
             plan = self.detector._state(constraint).plan
+            if attribute not in plan.mentioned:
+                state = self._synced_state(constraint)
+                base = state.part.total if state.part is not None \
+                    else len(state.violations)
+                for i in range(n_values):
+                    totals[i] += base
+                continue
             if plan.kind == "pairs":
-                if attribute not in plan.mentioned:
-                    base = len(self.violations_for(constraint))
-                    for i in range(n_values):
-                        totals[i] += base
-                else:
-                    encoding.fallback_checks += n_values
-                    cell = CellRef(row_id, attribute)
-                    for i, value in enumerate(values):
-                        trial = self.view.perturbed({cell: value}, trusted=True)
-                        totals[i] += len(find_violations(trial, constraint))
+                encoding.fallback_checks += n_values
+                cell = CellRef(row_id, attribute)
+                for i, value in enumerate(values):
+                    trial = self.view.perturbed({cell: value}, trusted=True)
+                    totals[i] += len(find_violations(trial, constraint))
                 continue
             state = self._synced_state(constraint)
-            fd = state.fd
-            if fd is not None:
-                if attribute not in plan.mentioned:
-                    base = fd.total
-                    for i in range(n_values):
-                        totals[i] += base
-                    continue
-                base = fd.total - fd.row_violation_count(row_id)
-            else:
-                if attribute not in plan.mentioned:
-                    base = len(state.violations)
-                    for i in range(n_values):
-                        totals[i] += base
-                    continue
-                base = sum(1 for v in state.violations if row_id not in v.rows)
+            if state.part is not None:
+                encoding.vectorized_checks += n_values
+                if codes is None:
+                    code_of = encoding.dictionary(attribute)._code_of.get
+                    codes = [code_of(value) for value in values]
+                    if None in codes:
+                        codes = [0 if code is None and is_null(value) else code
+                                 for code, value in zip(codes, values)]
+                self._count_part_if_many(plan, state.part, row_id, attribute,
+                                         codes, totals)
+                continue
+            base = sum(1 for v in state.violations if row_id not in v.rows)
             if plan.kind == "single":
                 row = dict(self._row_of(row_id))
                 check = plan.residual_check
@@ -1429,94 +1418,60 @@ class RepairWalk:
                     row[attribute] = value
                     totals[i] += base + (1 if check(row, row) else 0)
                 continue
-            self._count_row_if_many(constraint, plan, row_id, attribute,
-                                    values, base, totals, encoding)
-        return totals
-
-    def _count_row_if_many(self, constraint: DenialConstraint, plan: _ConstraintPlan,
-                           row_id: int, attribute: str, values: Sequence[Any],
-                           base: int, totals: list[int], encoding) -> None:
-        """Fold one eq-kind constraint's per-candidate term into ``totals``."""
-        ne_attr = plan.single_ne_attr
-        n_values = len(values)
-        if ne_attr is None:
-            # general residual: partner scans per candidate, no hoisting
+            # general residual: partner scans per candidate
             encoding.fallback_checks += n_values
             for i, value in enumerate(values):
                 totals[i] += base + self._count_row_if(plan, row_id, attribute, value)
-            return
-        walk_index = self._windex(plan.eq_attrs)
-        eq_attrs = plan.eq_attrs
-        fd = self._cstates[constraint].fd
-        assignment = fd.assigned.get(row_id)
-        encoding.vectorized_checks += n_values
-        if attribute not in eq_attrs:
-            # one fixed key (and group) for every candidate
-            key = walk_index.key_of(row_id)
-            group = fd.groups.get(key) if key is not None else None
-            if group is None:
-                for i in range(n_values):
+        return totals
+
+    def _count_part_if_many(self, plan: _ConstraintPlan, part: _FDPartition,
+                            row_id: int, attribute: str, codes: list[int | None],
+                            totals: list[int]) -> None:
+        """Fold one partition's per-candidate totals into ``totals``.
+
+        The row leaves its group and class and joins the ones the candidate
+        (by its code; ``None`` for a value no row holds) gives it:
+        ``2·(group size − class size)`` there, both without the row itself.
+        """
+        group_size, class_size = part.group_size, part.class_size
+        slot_of = part.classes.slot_of
+        own_group = part.row_group.item(row_id)
+        own_class = part.row_class.item(row_id)
+        base = part.total - 2 * (group_size.item(own_group) - class_size.item(own_class))
+        if attribute not in plan.eq_attrs:
+            # the row keeps its group; the candidate is its new != class
+            if not own_group:
+                for i in range(len(codes)):
                     totals[i] += base
                 return
-            counter_get = group[0].get
-            m = group[1]
-            own_group = assignment is not None and assignment[0] == key
-            if own_group:
-                m -= 1  # exclude the row's own current occupancy
-            own_class = assignment[1] if own_group else None
-            if attribute == ne_attr:
-                for i, value in enumerate(values):
-                    class_i = _NULL_CLASS if is_null(value) else value
-                    n = counter_get(class_i, 0)
-                    if own_group and own_class == class_i:
-                        n -= 1
-                    totals[i] += base + 2 * (m - n)
-            else:
-                value_i = self._value_of(row_id, ne_attr)
-                class_i = _NULL_CLASS if is_null(value_i) else value_i
-                n = counter_get(class_i, 0)
-                if own_group and own_class == class_i:
-                    n -= 1
-                count = 2 * (m - n)
-                for i in range(n_values):
-                    totals[i] += base + count
+            shifted = own_group << _PAIR_SHIFT
+            joined = base + 2 * (group_size.item(own_group) - 1)
+            size_of = class_size.item
+            for i, code in enumerate(codes):
+                klass = 0 if code is None else slot_of.get(shifted | code, 0)
+                totals[i] += joined - 2 * (size_of(klass) - (klass == own_class))
             return
-        # the candidate feeds the equality key: rebuild it per candidate
-        slot = eq_attrs.index(attribute)
-        parts: list | None = []
-        for eq_attr in eq_attrs:
-            if eq_attr == attribute:
-                parts.append(None)  # slot for the candidate
-                continue
-            part = self._value_of(row_id, eq_attr)
-            if is_null(part):
-                parts = None
-                break
-            parts.append(part)
-        if parts is None:
-            for i in range(n_values):
-                totals[i] += base  # a null component never satisfies the eq-join
-            return
-        value_i = self._value_of(row_id, ne_attr)
-        class_i = _NULL_CLASS if is_null(value_i) else value_i
-        groups_get = fd.groups.get
-        for i, value in enumerate(values):
-            if is_null(value):
+        # the candidate changes the row's key
+        key = [self._codes(eq_attr).item(row_id) for eq_attr in plan.eq_attrs]
+        position = plan.eq_attrs.index(attribute)
+        own_code = self._codes(plan.single_ne_attr).item(row_id)
+        n_groups = len(group_size)
+        for i, code in enumerate(codes):
+            if not code:  # a null or a value no row holds: no group
                 totals[i] += base
                 continue
-            parts[slot] = value
-            key = tuple(parts)
-            group = groups_get(key)
-            if group is None:
-                totals[i] += base
-                continue
-            counter, m, _contribution = group
-            n = counter.get(class_i, 0)
-            if assignment is not None and assignment[0] == key:
-                m -= 1
-                if assignment[1] == class_i:
-                    n -= 1
-            totals[i] += base + 2 * (m - n)
+            if part.levels:
+                key[position] = code
+                group = part.group_of(key)
+            else:  # a one-column key's group is its code
+                group = code if code < n_groups else 0
+            count = base
+            if group:
+                class_code = code if attribute == plan.single_ne_attr else own_code
+                klass = slot_of.get(group << _PAIR_SHIFT | class_code, 0)
+                count += 2 * (group_size.item(group) - (group == own_group)
+                              - class_size.item(klass) + (klass == own_class))
+            totals[i] += count
 
     def cell_degrees_arrays(self):
         """Violation total and per-cell degrees as parallel arrays, no objects.
@@ -1528,9 +1483,9 @@ class RepairWalk:
         ``(row, attr_code)`` and ``attrs`` is the sorted attribute tuple the
         codes index into — so ordering by ``(row, attr_code)`` equals
         ordering by ``(row, attribute)``.  Degrees accumulate in a dense
-        ``attrs × rows`` grid: an FD-shape constraint adds its per-row degree
-        vector (a gather over its :class:`_DegreeSlots`) once per attribute it
-        mentions, and only non-FD constraints still walk violation objects.
+        ``attrs × rows`` grid: a partition adds its per-row degree vector
+        (:meth:`_FDPartition.degrees`) once per attribute it mentions, and
+        only list-mode constraints still walk violation objects.
         The grid's nonzero cells, read row-major, are the result.
         The single ranked winner is the only :class:`CellRef` a consumer
         ever needs to build.
@@ -1542,18 +1497,17 @@ class RepairWalk:
         n_rows = self.view.n_rows
         for constraint in self.constraints:
             state = self._synced_state(constraint)
-            fd = state.fd
-            if fd is not None:
-                total += fd.total
-                if fd.total:
-                    if fd.slots is None:
-                        fd.slots = _DegreeSlots(fd, n_rows)
+            part = state.part
+            if part is not None:
+                part_total = part.total
+                total += part_total
+                if part_total:
                     plan = self.detector._state(constraint).plan
                     attrs = plan.eq_attrs + (plan.single_ne_attr,)
-                    fd_parts.append((fd.slots.degrees(), attrs))
+                    fd_parts.append((part.degrees, attrs))
                     names.update(attrs)
                 continue
-            violations = self.violations_for(constraint)
+            violations = state.violations
             total += len(violations)
             for violation in violations:
                 for cell in violation.cells():
@@ -1574,10 +1528,9 @@ class RepairWalk:
             np.add.at(grid, ([code_of[attr] for _row, attr in cell_parts],
                              [row for row, _attr in cell_parts]), 1)
         counts = grid.T.ravel()
-        involved = counts != 0
-        rows, attr_codes = _grid_coordinates(n_rows, len(attrs_tuple))
-        return (total, rows[involved], attr_codes[involved], counts[involved],
-                attrs_tuple)
+        cells = counts.nonzero()[0]
+        rows, attr_codes = np.divmod(cells, len(attrs_tuple))
+        return total, rows, attr_codes, counts[cells], attrs_tuple
 
     # -- pair forking -------------------------------------------------------------------
 
@@ -1587,31 +1540,33 @@ class RepairWalk:
 
         ``view`` must share this walk's base table and differ from this walk's
         *current* view content only at (a subset of) ``differing_cells`` —
-        which is exactly the with/without pair contract: call right after
-        :meth:`prime`, before the owning repair loop writes anything.  Only
-        the differing cells' rows are retracted and re-checked; everything
-        else (violation lists, forked indexes, the pristine row cache) carries
-        over.
+        the with/without pair contract, where the fork is taken right after
+        :meth:`prime`.  This walk is synced to its writes first.  Only the
+        differing cells' rows are retracted and re-checked; everything else
+        (partitions, column codes, violation lists, forked indexes, the
+        pristine row cache) carries over.
         """
-        clone = RepairWalk.__new__(RepairWalk)
-        clone.view = view
-        clone.detector = self.detector
-        clone.constraints = list(self.constraints)
-        clone._log = view.change_log
-        clone._row_log_pos = len(clone._log)
+        for constraint in self.constraints:  # also syncs the list-mode indexes
+            self._synced_state(constraint)
+        self._parse()
+        if self._row_log_pos != len(self._log):
+            self._consume_writes()
+        clone = RepairWalk(view, self.constraints, self.detector)
         clone._pristine_rows = self._pristine_rows  # shared row cache (see class doc)
-        clone._local_rows = {}
-        clone._dirty_rows = set()
+        # rows this walk wrote may have stale pre-write dicts in the shared cache
+        clone._dirty_rows = set(self._dirty_rows)
+        clone._columns = {attribute: None if codes is None else codes.copy()
+                          for attribute, codes in self._columns.items()}
         log_pos = len(clone._log)
         clone._cstates = {
             constraint: _WalkConstraint(
                 # the materialisation cache is never mutated in place, so the
                 # clone can share it; list-mode lists are copied (retraction
                 # rebuilds them, but the parent keeps reading its own)
-                state.violations if state.fd is not None
+                state.violations if state.part is not None
                 else list(state.violations),
                 log_pos,
-                state.fd.fork() if state.fd is not None else None,
+                state.part.fork() if state.part is not None else None,
             )
             for constraint, state in self._cstates.items()
         }
@@ -1628,15 +1583,25 @@ class RepairWalk:
         if not changed:
             return clone
         clone._dirty_rows.update(cell.row for cell in changed)
+
+        def rows_under(attributes) -> np.ndarray:
+            return np.array(sorted({cell.row for cell in changed
+                                    if cell.attribute in attributes}), dtype=np.int64)
+
+        for attribute in clone._columns:
+            rows = rows_under((attribute,))
+            if rows.size:
+                clone._recode(attribute, rows)
         for eq_attrs, walk_index in clone._windexes.items():
-            rows = {cell.row for cell in changed if cell.attribute in eq_attrs}
-            if rows:
-                clone._move_index_rows(walk_index, eq_attrs, rows)
-        for constraint, state in clone._cstates.items():
+            rows = rows_under(eq_attrs)
+            if rows.size:
+                clone._move_index_rows(walk_index, eq_attrs, rows.tolist())
+        for constraint, state in list(clone._cstates.items()):
             plan = clone.detector._state(constraint).plan
-            rows = {cell.row for cell in changed if cell.attribute in plan.mentioned}
-            if rows:
-                clone._resync(plan, rows, state)
+            rows = rows_under(plan.mentioned)
+            if rows.size:
+                clone._resync(plan, rows, state,
+                              any(cell.attribute in plan.eq_attrs for cell in changed))
         return clone
 
 

@@ -26,9 +26,9 @@ from repro.engine.storage import NULL, ColumnStore, Fingerprint, is_null, values
 from repro.engine.view import OverlayStore
 from repro.errors import SchemaError, UnknownAttributeError, UnknownRowError
 
-#: The paper's cell notation: ``t<row>[<attribute>]`` with a non-empty
-#: attribute and nothing before or after.
-_CELL_REF_PATTERN = re.compile(r"t(\d+)\[([^\[\]]+)\]\Z")
+#: The paper's cell notation: ``t<row>[<attribute>]`` with ASCII row digits,
+#: a non-empty attribute and nothing before or after.
+_CELL_REF_PATTERN = re.compile(r"t([0-9]+)\[([^\[\]]+)\]\Z")
 
 #: sentinel for "no delta entry — the cell carries the base value"
 _BASE = object()
@@ -46,14 +46,19 @@ class CellRef(NamedTuple):
     @classmethod
     def parse(cls, text: str) -> "CellRef":
         """Parse the paper's ``t5[Country]`` notation (1-based row index)."""
+        if not isinstance(text, str):
+            raise SchemaError(
+                f"cell reference must be a string like 't5[Country]', "
+                f"not {type(text).__name__}"
+            )
         text = text.strip()
         match = _CELL_REF_PATTERN.fullmatch(text)
         if match is None:
-            if re.fullmatch(r"t\d+\[\]", text):
+            if re.fullmatch(r"t[0-9]+\[\]", text):
                 raise SchemaError(
                     f"cell reference {text!r} has an empty attribute name"
                 )
-            if re.match(r"t\d+\[[^\[\]]+\]", text):
+            if re.match(r"t[0-9]+\[[^\[\]]+\]", text):
                 raise SchemaError(
                     f"cell reference {text!r} has trailing characters after ']'"
                 )

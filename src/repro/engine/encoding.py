@@ -71,19 +71,36 @@ class ColumnDictionary:
 
     def encode_values(self, values: Iterable[Any], mask: np.ndarray,
                       out: np.ndarray) -> None:
-        """Fill ``out`` with codes for ``values`` (``mask`` marks nulls)."""
+        """Fill ``out`` with codes for ``values`` (``mask`` marks nulls).
+
+        Raises ``TypeError``, the dictionary untouched, on an unhashable value.
+        """
+        codes = self.encode_list([None if null else value
+                                  for value, null in zip(values, mask)])
+        if codes is None:
+            raise TypeError("an unhashable value cannot be coded")
+        out[:] = codes
+
+    def encode_list(self, values: list) -> "list[int] | None":
+        """Codes of ``values`` by one dictionary probe each.
+
+        Nulls and values new to the dictionary are coded in order afterwards,
+        so novel codes are assigned in first-appearance order, exactly as the
+        per-value loop would.  ``None`` (dictionary untouched) when a value
+        is unhashable.
+        """
         code_of = self._code_of
-        decode = self._values
-        for i, value in enumerate(values):
-            if mask[i]:
-                out[i] = NULL_CODE
-                continue
-            code = code_of.get(value)
-            if code is None:
-                code = len(decode)
-                code_of[value] = code
-                decode.append(value)
-            out[i] = code
+        try:
+            codes = [code_of.get(value) for value in values]
+        except TypeError:
+            return None
+        if None in codes:
+            from repro.engine.storage import is_null
+
+            for i, code in enumerate(codes):
+                if code is None:
+                    codes[i] = self.code_for(values[i], is_null=is_null)
+        return codes
 
     def encode_bulk(self, values: np.ndarray, mask: np.ndarray,
                     out: np.ndarray) -> None:
@@ -231,7 +248,9 @@ class TableEncoding:
         order of ``overrides``).  ``None`` when the column is unencodable or
         a value is unhashable — mirroring :meth:`code_for`, the column's
         ``encodable`` flag is *not* flipped: only base-column contents decide
-        that.
+        that.  Values are coded by dictionary probes
+        (:meth:`ColumnDictionary.encode_list`): hashing a delta's values is
+        cheaper than sorting them as objects.
         """
         dictionary = self.dictionary(name)
         if not dictionary.encodable:
@@ -239,18 +258,15 @@ class TableEncoding:
         n = len(overrides)
         if n == 0:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32))
-        from repro.engine.storage import null_mask
-
-        rows = np.fromiter(overrides.keys(), dtype=np.int64, count=n)
-        values = np.fromiter(overrides.values(), dtype=object, count=n)
-        codes = np.empty(n, dtype=np.int32)
         start = time.perf_counter()
         try:
-            dictionary.encode_bulk(values, null_mask(values), codes)
-        except TypeError:
-            return None
+            codes = dictionary.encode_list(list(overrides.values()))
         finally:
             self.encode_seconds += time.perf_counter() - start
+        if codes is None:
+            return None
+        rows = np.fromiter(overrides.keys(), dtype=np.int64, count=n)
+        codes = np.array(codes, dtype=np.int32)
         order = np.argsort(rows, kind="stable")
         rows, codes = rows[order], codes[order]
         # shared across sibling views (cache carry-over) — freeze them

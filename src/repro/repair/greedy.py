@@ -58,7 +58,7 @@ class GreedyHolisticRepair(RepairAlgorithm):
         input table is repaired on a zero-delta view): each step retracts and
         re-checks only the cell the previous step wrote, and candidate trials
         re-check a single row instead of re-deriving the whole delta.
-        The walk ranks cells off its class-partition counters, then scores
+        The walk ranks cells off its FD partitions' degree arrays, then scores
         each step in two passes: first every top-degree cell's whole
         candidate pool gets its violation totals in one batched call
         (:meth:`~repro.constraints.incremental.RepairWalk.count_if_many_at`),
@@ -229,7 +229,7 @@ class GreedyHolisticRepair(RepairAlgorithm):
             # best = (total, -cooccurrence, value repr, (row, attr), row, attr, value)
             best: tuple | None = None
             if walk is not None:
-                # degrees straight from the walk's class-partition counters,
+                # degrees straight from the walk's FD partitions,
                 # as parallel (row, attr_code, count) arrays: no Violation or
                 # CellRef objects are materialised on the hot path — only the
                 # single chosen winner is ever built, at set_value time

@@ -376,11 +376,14 @@ def test_apply_base_update_matches_rescan_randomised(data, writes):
 # multi-coalition precompute: every parked build is the walk's own build
 
 
-def _eq_shapes(detector, constraints):
+def _list_mode_shapes(detector, constraints):
+    """Equality shapes some constraint keeps a violation list on (FD shapes
+    keep a code-space partition instead)."""
     shapes = []
     for constraint in constraints:
         plan = detector._state(constraint).plan
-        if plan.kind == "eq" and plan.eq_attrs not in shapes:
+        if (plan.kind == "eq" and plan.single_ne_attr is None
+                and plan.eq_attrs not in shapes):
             shapes.append(plan.eq_attrs)
     return shapes
 
@@ -403,22 +406,33 @@ def test_precompute_walk_indexes_matches_standalone_build(data, more_deltas, nov
     views = [table.perturbed(d) for d in deltas]
     batch = [(view, view.fingerprint()) for view in views]
     detector = IncrementalViolationDetector(table)
-    shapes = _eq_shapes(detector, CONSTRAINT_POOL)
-    assert ("A", "C") in shapes
-    parked = detector.precompute_walk_indexes(batch, CONSTRAINT_POOL)
+    # ("A", "C") is read only by the FD shape "fd2": nothing is parked for it
+    assert _list_mode_shapes(detector, CONSTRAINT_POOL) == [("B",), ("C",), ("A",)]
+    assert detector.precompute_walk_indexes(batch, CONSTRAINT_POOL) == len(views) * 3
+    assert {shape for _fingerprint, shape in detector._prime_cache} == \
+        {("B",), ("C",), ("A",)}
+    detector._prime_cache.clear()
+    # a two-column equality with an order residual keeps a list on ("A", "C")
+    constraints = CONSTRAINT_POOL + [
+        DenialConstraint("ord2", [Predicate.between_tuples("A", Operator.EQ),
+                                  Predicate.between_tuples("C", Operator.EQ),
+                                  Predicate.between_tuples("B", Operator.LT)])]
+    shapes = _list_mode_shapes(detector, constraints)
+    assert shapes == [("B",), ("C",), ("A",), ("A", "C")]
+    parked = detector.precompute_walk_indexes(batch, constraints)
     assert parked == len(views) * len(shapes)
     prebuilt = dict(detector._prime_cache)
     detector._prime_cache.clear()
     for view, fingerprint in batch:
-        walk = RepairWalk(view, CONSTRAINT_POOL, detector)
+        walk = RepairWalk(view, constraints, detector)
         for shape in shapes:
             groups, keys = prebuilt[(fingerprint, shape)]
             standalone_groups, standalone_keys = walk._build_windex_codes(shape)
             assert list(groups.items()) == list(standalone_groups.items())
             assert keys == standalone_keys
 
-    detector.precompute_walk_indexes(batch, CONSTRAINT_POOL)
+    detector.precompute_walk_indexes(batch, constraints)
     for view in views:
-        walk = RepairWalk(view, CONSTRAINT_POOL, detector).prime()
+        walk = RepairWalk(view, constraints, detector).prime()
         assert violation_multiset(walk.all_violations()) == \
-            violation_multiset(find_all_violations(view.copy(), CONSTRAINT_POOL))
+            violation_multiset(find_all_violations(view.copy(), constraints))

@@ -265,7 +265,7 @@ def test_walk_equals_full_rescan_randomised(data, constraint_mask):
     for row, attribute, value in writes:
         view.set_value(row, attribute, value)
         assert_walk_matches_reference(walk, constraints)
-    # FD shapes always build their class partition; other shapes only build
+    # FD shapes always build their partition; other shapes only build
     # an index when a write touches them
     if {"fd", "fd2"} & {constraint.name for constraint in constraints}:
         assert_on_code_arrays(walk)
@@ -314,3 +314,141 @@ def test_count_if_equals_full_recount_randomised(data, trial_value):
         expected = len(find_all_violations(view.with_values({cell: trial_value}).copy(),
                                            constraints))
         assert count_if(walk, cell, trial_value) == expected
+
+
+# ---------------------------------------------------------------------------
+# multi-row write batches: the walk moves once per Table.set_values batch
+
+#: base values plus writes the base dictionaries never saw
+BATCH_VALUES = st.sampled_from(["x", "y", "z", 1, 2, None, float("nan"),
+                                "new1", "new2"])
+
+
+def _reference_degrees(violations):
+    return {(cell.row, cell.attribute): violations.count_for_cell(cell)
+            for cell in violations.cells_involved()}
+
+
+def _walk_degrees(walk):
+    total, rows, attr_codes, counts, attrs = walk.cell_degrees_arrays()
+    return total, {(int(row), attrs[code]): int(count)
+                   for row, code, count in zip(rows, attr_codes, counts)}
+
+
+def assert_walk_state_matches_rescan(walk, constraints):
+    """Every reader of the walk against a rescan of a materialised copy."""
+    reference = find_all_violations(walk.view.copy(), constraints)
+    assert violation_multiset(walk.all_violations()) == violation_multiset(reference)
+    for constraint in constraints:
+        expected = sorted({row for violation in reference
+                           if violation.constraint is constraint
+                           for row in violation.rows})
+        assert walk.violating_rows_for(constraint) == expected
+    assert _walk_degrees(walk) == (len(reference), _reference_degrees(reference))
+
+
+@st.composite
+def batch_scenario(draw):
+    n_rows = draw(st.integers(min_value=2, max_value=7))
+    rows = [tuple(draw(VALUES) for _ in ATTRS) for _ in range(n_rows)]
+    table = Table(ATTRS, rows)
+    delta = {CellRef(draw(st.integers(0, n_rows - 1)), draw(st.sampled_from(ATTRS))):
+             draw(VALUES) for _ in range(draw(st.integers(0, 4)))}
+    batches = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        attribute = draw(st.sampled_from(ATTRS))
+        batch_rows = draw(st.lists(st.integers(0, n_rows - 1), min_size=1,
+                                   max_size=n_rows))
+        if draw(st.booleans()):
+            # one value for the whole batch: on a key column this moves the
+            # rows into one group, creating it or emptying the groups they left
+            value = draw(BATCH_VALUES)
+            values = [value] * len(batch_rows)
+        else:
+            values = [draw(BATCH_VALUES) for _ in batch_rows]
+        batches.append((attribute, batch_rows, values))
+    trial = (draw(st.integers(0, n_rows - 1)), draw(st.sampled_from(ATTRS)),
+             draw(st.lists(BATCH_VALUES, min_size=1, max_size=4)))
+    return table, delta, batches, trial
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=batch_scenario(),
+       constraint_mask=st.integers(min_value=1, max_value=2 ** len(CONSTRAINT_POOL) - 1))
+def test_walk_follows_multi_row_batches_randomised(data, constraint_mask):
+    table, delta, batches, (trial_row, trial_attr, trial_values) = data
+    # the FD shapes with one and with two key columns always take part
+    constraints = [c for i, c in enumerate(CONSTRAINT_POOL)
+                   if constraint_mask >> i & 1 or c.name in ("fd", "fd2")]
+    view = table.perturbed(delta).mutable_snapshot()
+    walk = repair_walk_for(view, constraints).prime()
+    assert_walk_state_matches_rescan(walk, constraints)
+    for attribute, rows, values in batches:
+        view.set_values(attribute, rows, values)
+        assert_walk_state_matches_rescan(walk, constraints)
+        # candidate trials, scored against the maintained partitions
+        cell = CellRef(trial_row, trial_attr)
+        assert walk.count_if_many_at(trial_row, trial_attr, trial_values) == [
+            len(find_all_violations(view.with_values({cell: value}).copy(), constraints))
+            for value in trial_values]
+        # a clone forked off the synced walk, one cell apart, then written on
+        sibling = table.perturbed({**view.delta, cell: trial_values[0]}).mutable_snapshot()
+        clone = walk.fork_onto(sibling, [cell])
+        assert_walk_state_matches_rescan(clone, constraints)
+        sibling.set_values(attribute, rows, values[::-1])
+        assert_walk_state_matches_rescan(clone, constraints)
+    assert_walk_state_matches_rescan(walk, constraints)
+
+
+# ---------------------------------------------------------------------------
+# an FD over a column the encoding cannot code keeps a violation list
+
+
+def _unencodable_scenario():
+    """``fd_b`` (A → B) reads list-valued B cells; ``fd_a`` (C → A) has the
+    violations, and repairing them moves rows between ``fd_b``'s groups.
+
+    Every row the repairs score has a null B, so the statistics never hash a
+    list.
+    """
+    fd_b = DenialConstraint("fd_b", [Predicate.between_tuples("A", Operator.EQ),
+                                     Predicate.between_tuples("B", Operator.NE)])
+    fd_a = DenialConstraint("fd_a", [Predicate.between_tuples("C", Operator.EQ),
+                                     Predicate.between_tuples("A", Operator.NE)])
+    table = Table(["A", "B", "C"], [
+        ("a0", [1], "c0"),
+        ("a1", [2], "c1"),
+        ("a2", None, "k"),
+        ("a3", None, "k"),
+        ("a2", None, "k"),
+        ("a4", None, "k"),
+        ("a2", None, "k"),
+    ])
+    return table, [fd_b, fd_a]
+
+
+@pytest.mark.parametrize("algorithm", [SimpleRuleRepair, GreedyHolisticRepair])
+def test_unencodable_fd_column_takes_list_mode(algorithm):
+    table, constraints = _unencodable_scenario()
+    assert table.store.encoding().codes(table.store, "B") is None
+    fast, reference = (algorithm(engine=engine) for engine in ("fast", "reference"))
+    encoding = table.store.encoding()
+    before = encoding.fallback_checks
+    clean = fast.repair_table(constraints, table)
+    assert encoding.fallback_checks > before  # the FD on B fell back to a list
+    assert clean.to_records() == reference.repair_table(constraints, table).to_records()
+    assert clean.to_records() != table.to_records()
+
+    differing = CellRef(5, "A")
+    with_view = table.perturbed({CellRef(3, "C"): None})
+    without_view = table.perturbed({CellRef(3, "C"): None, differing: "a2"})
+    pair = fast.repair_pair(constraints, with_view, without_view, [differing])
+    assert [t.to_records() for t in pair] == [
+        t.to_records()
+        for t in reference.repair_pair(constraints, with_view, without_view, [differing])]
+
+    walk = repair_walk_for(table.perturbed({}).mutable_snapshot(), constraints).prime()
+    assert walk._cstates[constraints[0]].part is None  # list mode
+    assert walk._cstates[constraints[1]].part is not None  # partition
+    walk.view.set_values("A", [3, 5], ["a2", "a0"])  # moves rows into B's groups
+    assert_walk_state_matches_rescan(walk, constraints)

@@ -168,6 +168,17 @@ def test_cellref_parse_rejects_garbage():
         CellRef.parse("t0[Country]")
     with pytest.raises(SchemaError):
         CellRef.parse("tX[Country]")
+    # non-ASCII digits are not row numbers (``\d`` would read "t\uff11" as t1)
+    for text in ("t\uff11[Country]", "t\u0661[Country]", "t1\u0662[Country]"):
+        with pytest.raises(SchemaError):
+            CellRef.parse(text)
+
+
+@pytest.mark.parametrize("text", [None, 5, 4.0, b"t5[Country]", ["t5[Country]"],
+                                  CellRef(4, "Country")])
+def test_cellref_parse_rejects_non_string_input(text):
+    with pytest.raises(SchemaError, match="must be a string"):
+        CellRef.parse(text)
 
 
 def test_cellref_parse_rejects_empty_attribute():
