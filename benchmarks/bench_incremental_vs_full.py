@@ -11,9 +11,11 @@ Two end-to-end evaluation engines exist, chosen on the repair algorithm
   into ``query_pairs`` scheduled passes (pair-memo dedup, coalition-prefix
   grouping, one primed walk per group, forked at the differing cell); the
   walk maintains violations across its own passes, with FD-shape
-  violations kept as one array partition per constraint; and one revertible
-  ``SharedStatistics`` instance travels across the instances instead of
-  per-sample rebuilds.
+  violations kept as one array partition per constraint; and every
+  instance's statistics derive from the base snapshot's code-space counts
+  by its encoded delta instead of per-sample rebuilds (``stats_leases`` /
+  ``stats_cells_moved`` below count the views and the delta and written
+  cells those derivations moved).
 
 On top of the fast engine sits the **sharded scheduler** (``n_jobs``): the
 job is cut into per-seeded ``(cell, chunk)`` shards executed on worker

@@ -1234,11 +1234,6 @@ class RepairWalk:
             return state.part.violating_rows()
         return sorted({row for violation in state.violations for row in violation.rows})
 
-    def has_violations(self, constraint: DenialConstraint) -> bool:
-        """Whether the constraint currently has any violation (no materialising)."""
-        state = self._synced_state(constraint)
-        return bool(state.part.total if state.part is not None else state.violations)
-
     def all_violations(self) -> ViolationSet:
         """Current violations of every constraint of the walk."""
         result = ViolationSet()

@@ -306,17 +306,6 @@ class Table:
             self._stats = TableStatistics(self._store)
         return self._stats
 
-    def adopt_statistics(self, stats: TableStatistics) -> None:
-        """Install externally derived statistics for this snapshot.
-
-        ``stats`` must describe exactly this table's current contents — e.g. a
-        :meth:`~repro.engine.stats.TableStatistics.fork` of a sibling
-        instance's statistics with the differing cells applied, which is how
-        the paired oracle avoids re-scanning columns for the second instance
-        of a pair.  Subsequent :meth:`set_value` calls keep them maintained.
-        """
-        self._stats = stats
-
     @property
     def store(self) -> ColumnStore:
         return self._store
@@ -582,13 +571,13 @@ class PerturbationView(Table):
     def stats(self) -> TableStatistics:
         """Statistics of the view's contents.
 
+        Counts are the base table's, moved by the view's encoded delta
+        structure by structure on first read (see :mod:`repro.engine.stats`).
         When a :class:`~repro.engine.stats.SharedStatistics` engine travels
         with the view (installed by the oracle/sampler on the hot path and
         inherited through :meth:`mutable_snapshot`/:meth:`with_values`), the
-        engine's single revertible instance is *leased*: moved onto this
-        view's contents by its sparse delta instead of rebuilt from scratch.
-        Without an engine a per-view bundle is built lazily, exactly as for a
-        plain table.  Values are identical either way.
+        bundle is obtained through its :meth:`~repro.engine.stats.SharedStatistics.lease`,
+        which counts the work.  Values are identical either way.
         """
         if self._stats is None:
             engine = self._stats_engine

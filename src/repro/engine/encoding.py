@@ -43,13 +43,14 @@ class ColumnDictionary:
     identical objects the object path would see.
     """
 
-    __slots__ = ("_code_of", "_values", "encodable")
+    __slots__ = ("_code_of", "_values", "encodable", "_ranks")
 
     def __init__(self) -> None:
         self._code_of: dict[Any, int] = {}
         #: decode table; index 0 is the NULL sentinel
         self._values: list[Any] = [None]
         self.encodable = True
+        self._ranks: np.ndarray | None = None
 
     def __len__(self) -> int:
         """Number of distinct non-null values seen so far."""
@@ -104,52 +105,57 @@ class ColumnDictionary:
 
     def encode_bulk(self, values: np.ndarray, mask: np.ndarray,
                     out: np.ndarray) -> None:
-        """Vectorised :meth:`encode_values`: one factorisation per call.
+        """:meth:`encode_values` for a whole base column, by dictionary probes.
 
-        ``np.unique`` collapses the column to its distinct values, one
-        dictionary probe per *distinct* value builds an ``int32`` lookup
-        array, and a single gather translates the whole column.  Novel values
-        are appended to the decode table in first-appearance order — exactly
-        the order the per-value loop would assign, so both paths grow the
-        dictionary identically (property-tested).  Falls back to the
-        per-value loop when the values do not sort (mixed-type columns);
-        unhashable values raise ``TypeError`` either way, with the dictionary
-        left consistent.
+        Delegates to :meth:`encode_list` (one probe per cell; novel values
+        coded in first-appearance order, exactly as the per-value loop does).
+        Probing hashes each value once, which is cheaper than sorting an
+        object column; it also needs no ordering between the column's types.
+        Raises ``TypeError``, the dictionary untouched, on an unhashable
+        value.
         """
-        nonnull = np.nonzero(~mask)[0]
+        codes = self.encode_list(values.tolist())
+        if codes is None:
+            raise TypeError("an unhashable value cannot be coded")
+        out[:] = codes
         out[mask] = NULL_CODE
-        if nonnull.size == 0:
-            return
-        present = values[nonnull]
-        try:
-            uniq, first, inverse = np.unique(
-                present, return_index=True, return_inverse=True
-            )
-        except TypeError:
-            # unsortable mixed types — the hash-based loop handles them fine
-            self.encode_values(values, mask, out)
-            return
-        code_of = self._code_of
-        decode = self._values
-        lookup = np.empty(len(uniq), dtype=np.int32)
-        pending: list[Any] = []
-        try:
-            # visit distinct values in first-appearance order so novel codes
-            # are assigned exactly as the per-value loop would
-            for position in np.argsort(first, kind="stable"):
-                value = uniq[position]
-                code = code_of.get(value)
-                if code is None:
-                    code = len(decode) + len(pending)
-                    code_of[value] = code
-                    pending.append(value)
-                lookup[position] = code
-        finally:
-            # one batched append; also runs on TypeError (unhashable value
-            # mid-loop) so codes already handed out stay decodable
-            if pending:
-                decode.extend(pending)
-        out[nonnull] = lookup[inverse]
+
+    def lookup(self, value: Any) -> int:
+        """The code of ``value`` without growing the dictionary.
+
+        :data:`NULL_CODE` for a null or unseen value, which is exactly the
+        code no count is ever kept for.
+        """
+        return self._code_of.get(value, NULL_CODE)
+
+    def decode_list(self, codes: Iterable[int]) -> list[Any]:
+        values = self._values
+        return [values[code] for code in codes]
+
+    def repr_ranks(self) -> np.ndarray:
+        """Each code's position in ``repr`` order of the decoded values.
+
+        The statistics' deterministic tie-break (``min(..., key=repr)`` and
+        ``sorted(..., key=repr)`` of the value-space definition) as one
+        gather.  Equal ``repr`` strings rank by code, i.e. first appearance.
+        Rebuilt only when the dictionary has grown since the last call.
+        """
+        ranks = self._ranks
+        values = self._values
+        if ranks is None or len(ranks) != len(values):
+            order = sorted(range(1, len(values)), key=lambda code: repr(values[code]))
+            ranks = np.zeros(len(values), dtype=np.int64)
+            ranks[order] = np.arange(1, len(values), dtype=np.int64)
+            self._ranks = ranks
+        return ranks
+
+    def __getstate__(self):
+        # the rank memo is derived; only the mapping crosses a pickle boundary
+        return (self._code_of, self._values, self.encodable)
+
+    def __setstate__(self, state):
+        self._code_of, self._values, self.encodable = state
+        self._ranks = None
 
 
 class TableEncoding:
@@ -161,12 +167,16 @@ class TableEncoding:
     overlays built while an encoding exists never invalidate existing codes.
     """
 
-    __slots__ = ("_dicts", "_codes", "encode_seconds", "vectorized_checks",
-                 "fallback_checks", "_absorbed_sizes")
+    __slots__ = ("_dicts", "_codes", "counts", "encode_seconds",
+                 "vectorized_checks", "fallback_checks", "_absorbed_sizes")
 
     def __init__(self) -> None:
         self._dicts: dict[str, ColumnDictionary] = {}
         self._codes: dict[str, np.ndarray] = {}
+        #: the base snapshot's statistics, keyed by attribute (marginal
+        #: counts) or ``(given, target)`` (pair counts); built from the code
+        #: arrays by :mod:`repro.engine.stats`, dropped with them, never pickled
+        self.counts: dict[Any, Any] = {}
         #: wall-clock spent encoding base columns into code arrays
         self.encode_seconds = 0.0
         #: constraint checks evaluated over code arrays
@@ -189,9 +199,14 @@ class TableEncoding:
         """Drop the cached code array after a base-store cell write.
 
         The dictionary itself survives — it is append-only, so existing codes
-        stay correct; only the materialised base array is stale.
+        stay correct; only the materialised base array, and the statistics
+        counted from it, are stale.
         """
         self._codes.pop(name, None)
+        counts = self.counts
+        for key in [key for key in counts
+                    if key == name or (isinstance(key, tuple) and name in key)]:
+            del counts[key]
 
     def codes(self, store, name: str) -> np.ndarray | None:
         """The base store's column as an ``int32`` code array (cached).
@@ -328,3 +343,4 @@ class TableEncoding:
         (self._dicts, self._codes, self.encode_seconds,
          self.vectorized_checks, self.fallback_checks,
          self._absorbed_sizes) = state
+        self.counts = {}

@@ -14,8 +14,8 @@ sampler's ``touched_sink`` hook, shipped per shard on the parallel path).
 base-table write *in place* and delta-maintains every derived structure —
 the incremental violation detector and its persistent indexes
 (:func:`~repro.repair.updates.apply_table_update`), every live
-:class:`~repro.engine.stats.SharedStatistics` engine (the session oracle's
-and the scheduler's in-process resident stack's), the oracle caches (rebased
+:class:`~repro.engine.stats.SharedStatistics` entry point (the session
+oracle's and the scheduler's in-process resident stack's), the oracle caches (rebased
 onto the new table fingerprint, entries pinned on changed cells dropped),
 and the resident worker stacks (patched through one
 :meth:`~repro.parallel.ShardedExplainScheduler.apply_base_update` round —
@@ -225,14 +225,17 @@ def apply_session_update(session, values: Mapping[CellRef, Any]) -> dict:
     The update orchestration, in dependency order:
 
     1. normalise ``values`` into actual changes (no-op writes dropped);
-    2. put every live :class:`~repro.engine.stats.SharedStatistics` engine —
-       the session oracle's and each scheduler's in-process resident
-       stack's — into its update window (``begin_base_update``);
+    2. call ``begin_base_update`` on every live
+       :class:`~repro.engine.stats.SharedStatistics` engine — the session
+       oracle's and each scheduler's in-process resident stack's (statistics
+       need no work there: the write drops the base counts of the written
+       columns with their code arrays, and views rebuild from the new base);
     3. mutate the shared table (:func:`~repro.repair.updates.apply_table_update`
        delta-maintains the cached incremental violation detector and bumps
        the table version, invalidating fingerprints, null masks and lazily
        derived state);
-    4. move each statistics engine by the same delta (``complete_base_update``);
+    4. close each engine's update window (``complete_base_update``); the
+       dirty table's own statistics were moved by the writes themselves;
     5. re-run the reference repair on the post-update table — the repaired
        value of the cell of interest is the game's target and may change;
     6. rebase the session oracle's cache onto the new table fingerprint

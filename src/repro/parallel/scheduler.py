@@ -304,9 +304,9 @@ class ShardedExplainScheduler:
         """The in-process resident stack's oracle (``None`` until built).
 
         The live session reads it before mutating the shared table so the
-        stack's own :class:`~repro.engine.stats.SharedStatistics` engine can
-        be synced and moved by the same delta (the local stack shares the
-        session's table object but owns its statistics and cache).
+        stack's own :class:`~repro.engine.stats.SharedStatistics` entry point
+        sees the update window too (the local stack shares the session's
+        table object but owns its cache).
         """
         state = self._local_resident.get(_LOCAL_KEY)
         return None if state is None else state.oracle

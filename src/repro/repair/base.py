@@ -260,9 +260,10 @@ class BinaryRepairOracle:
     The evaluation engine is the algorithm's (:attr:`RepairAlgorithm.engine`,
     mirrored as :attr:`engine`).  On ``"fast"`` the oracle's own
     perturbations (constraint-subset queries, cell coalitions) are
-    copy-on-write views that carry one revertible
-    :class:`~repro.engine.stats.SharedStatistics` instance, moved onto each
-    instance by its sparse delta; :meth:`query_pair` shares one primed repair
+    copy-on-write views that carry the
+    :class:`~repro.engine.stats.SharedStatistics` entry point (each view's
+    statistics derive from the base snapshot's counts by its encoded delta);
+    :meth:`query_pair` shares one primed repair
     walk between the two instances of a pair; and :meth:`query_pairs`
     schedules a whole queue of pairs.  On ``"reference"`` every perturbation
     is a materialised table and the algorithm rescans it.  Answers are

@@ -44,9 +44,8 @@ class DomainGenerator:
     """Generate pruned candidate domains for noisy cells.
 
     All counts are read through ``table.stats`` — on the Shapley hot path
-    that is the explainer's shared revertible statistics instance
-    (:class:`~repro.engine.stats.SharedStatistics`), moved onto the perturbed
-    instance by its sparse delta instead of rebuilt per repair.
+    the base snapshot's code-space counts moved by the perturbed instance's
+    encoded delta (:mod:`repro.engine.stats`) instead of rebuilt per repair.
 
     Parameters
     ----------

@@ -39,10 +39,10 @@ class Featurizer:
     feature compares a trial row against every other row, and rebuilding the
     row dictionaries for each (cell, candidate) pair dominated the runtime of
     the HoloClean-style repairer on wider tables.  The co-occurrence and
-    frequency features read ``table.stats`` — the shared revertible
-    statistics instance when one travels with the perturbed view
-    (:class:`~repro.engine.stats.SharedStatistics`), so per-instance count
-    rebuilds disappear on the Shapley hot path.
+    frequency features read ``table.stats`` — on a perturbed view, counts
+    derived from the base snapshot's by the view's encoded delta
+    (:mod:`repro.engine.stats`), so per-instance count rebuilds disappear
+    on the Shapley hot path.
     """
 
     def __init__(self, constraints: Sequence[DenialConstraint]):

@@ -123,8 +123,8 @@ class HoloCleanRepair(RepairAlgorithm):
         """Fall back to two independent repairs (and say so, once).
 
         The detect stage already runs on the incremental path and the
-        domain/featurize stages read their counts from ``table.stats`` (the
-        shared statistics instance when one travels with the views), but the
+        domain/featurize stages read their counts from ``table.stats``
+        (derived from the base snapshot's by each view's delta), but the
         pipeline's domain generation and weight fitting are not yet threaded
         through a shared :class:`~repro.constraints.incremental.RepairWalk`,
         so a with/without oracle pair costs two full pipeline runs.  A

@@ -189,9 +189,7 @@ class SimpleRuleRepair(RepairAlgorithm):
         detection state is primed exactly once and forked per
         without-instance (all forks happen before any repair loop writes, as
         :meth:`~repro.constraints.incremental.RepairWalk.fork_onto` requires).
-        When a shared statistics engine travels with the instances the
-        per-pair statistics fork is skipped — the engine moves its one
-        instance along the repairs transparently.
+        Each instance's statistics derive from the base by its own delta.
         """
         constraints = list(constraints)
         differing_cells_lists = _padded_differing_lists(
@@ -213,23 +211,10 @@ class SimpleRuleRepair(RepairAlgorithm):
             without_work = without_table.mutable_snapshot(
                 name=f"{without_table.name}_repaired"
             )
+            # the fork must happen now, before the with-instance's repair
+            # loop writes: the two instances differ in one cell here,
+            # afterwards they differ by every repair write
             walk_without = walk_with.fork_onto(without_work, differing_cells)
-            # The fork must happen now, before the with-instance's repair loop
-            # writes: the two instances differ in one cell here, afterwards
-            # they differ by every repair write.  (With a shared statistics
-            # engine the fork source is the engine's leased instance — the
-            # fork syncs it and produces a plain per-instance copy, so the
-            # engine keeps tracking only the with-side chain across samples.)
-            active_rules = self._active_pair_rules(constraints, walk_with, walk_without)
-            # Statistics deltas are applied cell-by-cell against the second
-            # instance's final store, which is only equivalent to sequential
-            # application when no two differing cells share a row (the
-            # sampling loop's pairs always differ in exactly one cell).
-            differing_rows = [cell.row for cell in differing_cells]
-            if active_rules and len(set(differing_rows)) == len(differing_rows):
-                self._share_pair_statistics(
-                    active_rules, with_work, without_work, differing_cells
-                )
             without_works.append(without_work)
             walks.append(walk_without)
         return (
@@ -237,49 +222,6 @@ class SimpleRuleRepair(RepairAlgorithm):
             [self._repair_loop(constraints, without_work, walk_without)
              for without_work, walk_without in zip(without_works, walks)],
         )
-
-    def _active_pair_rules(self, constraints: list[DenialConstraint],
-                           walk_with, walk_without) -> list[RepairRule]:
-        """Rules whose constraints have violations in either primed walk.
-
-        Rules only read statistics for violating tuples, so a pair whose
-        primed walks show no violations on a rule-bearing constraint never
-        builds that rule's statistics — sharing them would only add cost.
-        """
-        rules = []
-        for constraint in constraints:
-            rule = self._rule_for(constraint)
-            if rule is None or rule.target not in walk_with.view.schema:
-                continue
-            if walk_with.has_violations(constraint) or walk_without.has_violations(constraint):
-                rules.append(rule)
-        return rules
-
-    def _share_pair_statistics(self, active_rules: Sequence[RepairRule],
-                               with_work: Table, without_work: Table,
-                               differing_cells: Sequence[CellRef]) -> None:
-        """Fork the first instance's statistics onto the second.
-
-        The rules only ever consult the marginals of their target attributes
-        and the ``(given, target)`` pair distributions, so those are warmed on
-        the first instance, forked, and moved to the second instance's content
-        by applying the differing cells — O(|rules| + |differing|) instead of
-        re-scanning columns for the second repair.
-        """
-        stats = with_work.stats
-        for rule in active_rules:
-            if rule.strategy == CONDITIONAL:
-                stats.cooccurrence.warm(rule.given, rule.target)
-            else:
-                stats.marginal(rule.target)
-        forked = stats.fork(without_work.store)
-        for cell in differing_cells:
-            forked.apply_cell_update(
-                cell.row, cell.attribute,
-                with_work.value(cell.row, cell.attribute),
-                without_work.value(cell.row, cell.attribute),
-            )
-        without_work.adopt_statistics(forked)
 
     def _repair_loop(self, constraints: list[DenialConstraint], current: Table,
                      walk: RepairWalk | None) -> Table:
@@ -379,6 +321,9 @@ class SimpleRuleRepair(RepairAlgorithm):
         by_value: dict[Any, Any] = {}
         write_rows: list[int] = []
         write_values: list[Any] = []
+        # the pass reads this distribution; building it first turns an
+        # unhashable conditioning value into the statistics' SchemaError
+        current.stats.cooccurrence.warm(given, target)
         for row, value, given_value in zip(
                 rows, current_values, current.column(given)[rows].tolist()):
             try:
@@ -392,8 +337,6 @@ class SimpleRuleRepair(RepairAlgorithm):
                     if replacement is _MISSING:
                         replacement = memo[key] = rule.replacement_value(current, row)
                 by_value[given_value] = replacement
-            except TypeError:  # unhashable conditioning value
-                replacement = rule.replacement_value(current, row)
             if replacement is not None and value != replacement:
                 write_rows.append(row)
                 write_values.append(replacement)

@@ -122,9 +122,10 @@ class CellCoalitionSampler:
         Optional :class:`~repro.engine.stats.SharedStatistics` engine to
         install on every built coalition view (and, by inheritance, on the
         working snapshots the repair algorithms fork off them): repairs then
-        lease the engine's one revertible statistics instance instead of
-        rebuilding counts per instance.  Replacement values are always drawn
-        from the dirty table's own statistics, so estimates are unaffected.
+        lease their statistics through it, which counts the work of deriving
+        them from the base snapshot's counts.  Replacement values are always
+        drawn from the dirty table's own statistics, so estimates are
+        unaffected.
     """
 
     def __init__(self, table: Table, policy: ReplacementPolicy | str = ReplacementPolicy.SAMPLE,
@@ -179,14 +180,16 @@ class CellCoalitionSampler:
             return marginal.most_common()
         return marginal.sample(rng=self._rng)
 
-    def _drawn_replacements(self, target_cell: CellRef,
-                            coalition: set[CellRef]) -> dict[CellRef, object]:
-        """``SAMPLE`` replacements for every cell outside ``coalition ∪ {target}``.
+    def _drawn_codes(self, target_cell: CellRef, coalition: set[CellRef]
+                     ) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """``SAMPLE`` draws for every cell outside ``coalition ∪ {target}``.
 
-        One ``rng.random(n)`` covers the replaced cells in row-major order
-        (cells of all-null columns draw nothing) and each column's slice is
-        mapped in one :meth:`~repro.engine.stats.ColumnStatistics.sample`
-        call.  That is the very stream, and the very values, of one
+        Returns the replaced cells' indexes (row-major), their column indexes
+        and the drawn codes.  One ``rng.random(n)`` covers the replaced cells
+        in row-major order (cells of all-null columns draw nothing) and each
+        column's slice is mapped in one
+        :meth:`~repro.engine.stats.ColumnStatistics.sample_codes` call.  That
+        is the very stream, and the very values, of one
         :meth:`replacement_value` per cell in row-major order — which the
         ``materialize=True`` reference still makes.
         """
@@ -194,21 +197,62 @@ class CellCoalitionSampler:
         replaced = [i for i, cell in enumerate(cells)
                     if cell != target_cell and cell not in coalition]
         if not replaced:
-            return {}
+            return replaced, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         stats = self.table.stats
         marginals = [stats.marginal(attribute) for attribute in self.table.attributes]
-        columns = np.asarray(replaced) % len(marginals)
+        columns = np.asarray(replaced, dtype=np.int64) % len(marginals)
         drawn = np.array([marginal.total > 0 for marginal in marginals])[columns]
         uniforms = np.zeros(len(replaced))
         uniforms[drawn] = self._rng.random(int(drawn.sum()))
-        values: list = [None] * len(replaced)
+        codes = np.zeros(len(replaced), dtype=np.int64)
         for column, marginal in enumerate(marginals):
             positions = np.flatnonzero(columns == column)
             if len(positions):
-                drawn_values = marginal.sample(uniforms=uniforms[positions])
-                for position, value in zip(positions.tolist(), drawn_values):
-                    values[position] = value
-        return {cells[i]: value for i, value in zip(replaced, values)}
+                codes[positions] = marginal.sample_codes(uniforms[positions])
+        return replaced, columns, codes
+
+    def _drawn_view(self, target_cell: CellRef, coalition: set[CellRef]) -> PerturbationView:
+        """The ``SAMPLE`` with-instance, born in code space.
+
+        A drawn cell enters the delta exactly when its code differs from the
+        base cell's (the view's null-aware normalisation, by codes), and the
+        view adopts each column's ``(rows, codes)`` so neither it nor the
+        views forked off it re-encode their delta.  A view table goes through
+        :meth:`Table.perturbed`'s value loop instead.
+        """
+        replaced, columns, codes = self._drawn_codes(target_cell, coalition)
+        table, cells = self.table, self.cells
+        values: list = [None] * len(replaced)
+        kept = np.zeros(len(replaced), dtype=bool)
+        encoded = {}
+        plain = not isinstance(table, PerturbationView)
+        # the draws are codes of the root table's dictionaries
+        encoding = (table if plain else table.base).store.encoding()
+        rows = np.asarray(replaced, dtype=np.int64) // len(table.attributes)
+        for column, attribute in enumerate(table.attributes):
+            positions = np.flatnonzero(columns == column)
+            if not len(positions):
+                continue
+            column_rows, column_codes = rows[positions], codes[positions]
+            if plain:
+                keep = column_codes != encoding.codes(table.store, attribute)[column_rows]
+                positions, column_rows, column_codes = (
+                    positions[keep], column_rows[keep], column_codes[keep])
+                column_codes = column_codes.astype(np.int32)
+                column_rows.flags.writeable = column_codes.flags.writeable = False
+                encoded[attribute] = (column_rows, column_codes)
+            kept[positions] = True
+            decoded = encoding.dictionary(attribute).decode_list(column_codes.tolist())
+            for position, value in zip(positions.tolist(), decoded):
+                values[position] = value
+        delta = {cells[replaced[position]]: values[position]
+                 for position in np.flatnonzero(kept).tolist()}
+        if not plain:
+            return table.perturbed(delta, trusted=True)
+        view = table.perturbed(delta, trusted=True, prenormalized=True)
+        for attribute, (column_rows, column_codes) in encoded.items():
+            view._store.adopt_encoded_delta(attribute, column_rows, column_codes)
+        return view
 
     def _replacement_overlay(self) -> dict[CellRef, object] | None:
         """Normalised delta replacing *every* cell, for deterministic policies.
@@ -337,20 +381,21 @@ class CellCoalitionSampler:
                 )
                 return with_original, without_original
 
-        if self.policy is ReplacementPolicy.SAMPLE and not self.materialize:
-            replacements = self._drawn_replacements(target_cell, coalition)
-        else:
+        if self.materialize:
             replacements = {cell: self.replacement_value(cell) for cell in self.cells
                             if cell != target_cell and cell not in coalition}
-
-        if self.materialize:
             with_original = self.table.with_values(replacements)
             replacements_without = dict(replacements)
             replacements_without[target_cell] = self.replacement_value(target_cell)
             without_original = self.table.with_values(replacements_without)
             return with_original, without_original
 
-        with_original = self.table.perturbed(replacements, trusted=True)
+        if self.policy is ReplacementPolicy.SAMPLE:
+            with_original = self._drawn_view(target_cell, coalition)
+        else:
+            with_original = self.table.perturbed(
+                {cell: self.replacement_value(cell) for cell in self.cells
+                 if cell != target_cell and cell not in coalition}, trusted=True)
         if self.stats_engine is not None:
             with_original._stats_engine = self.stats_engine
         without_original = with_original.perturbed(

@@ -141,21 +141,19 @@ def _stats_equal(left: TableStatistics, right: TableStatistics,
         assert dict(left.marginal(attribute).items()) == \
             dict(right.marginal(attribute).items())
     for given, target in pairs:
-        left_counts = left.cooccurrence._counts_for(given, target)
-        right_counts = right.cooccurrence._counts_for(given, target)
-        assert {k: dict(v) for k, v in left_counts.items()} == \
-            {k: dict(v) for k, v in right_counts.items()}
+        assert left.cooccurrence.counts(given, target) == \
+            right.cooccurrence.counts(given, target)
 
 
 def test_column_statistics_apply_and_revert_delta_roundtrip():
     stats = ColumnStatistics(make_store(), "City")
-    before = dict(stats._counts)
+    before = dict(stats.items())
     updates = [("Madrid", "Barcelona"), ("Barcelona", None), (None, "Paris")]
     stats.apply_delta(updates)
     assert stats.count("Madrid") == 2
     assert stats.count("Paris") == 1
     stats.revert_delta(updates)
-    assert dict(stats._counts) == before
+    assert dict(stats.items()) == before
     assert stats.most_common() == "Madrid"
 
 
@@ -242,63 +240,6 @@ def test_shared_statistics_lease_matches_fresh_build():
     assert engine.leases >= 2
 
 
-def test_shared_statistics_threads_through_view_stats_and_writes():
-    from repro.dataset.table import CellRef
-    from repro.engine.stats import SharedStatistics
-
-    table = _make_table()
-    engine = SharedStatistics(table)
-    view = table.perturbed({CellRef(0, "Country"): None})
-    view._stats_engine = engine
-    working = view.mutable_snapshot()  # inherits the engine
-    assert working._stats_engine is engine
-
-    stats = working.stats
-    assert stats is engine.lease(working)  # transparently leased
-    # in-place writes keep the leased instance maintained
-    working.set_value(3, "Country", "Spain")
-    assert dict(stats.marginal("Country").items()) == \
-        dict(TableStatistics(working.store).marginal("Country").items())
-
-    # leasing elsewhere invalidates the stale holder, which re-leases on use
-    other = view.mutable_snapshot()
-    other_stats = other.stats
-    assert other_stats is stats  # the one shared instance moved over
-    assert working._stats is None
-    _stats_equal(working.stats, TableStatistics(working.store),
-                 ["Country"], [])
-
-
-def test_shared_statistics_release_returns_to_base():
-    from repro.dataset.table import CellRef
-    from repro.engine.stats import SharedStatistics
-
-    table = _make_table()
-    engine = SharedStatistics(table)
-    view = table.perturbed({CellRef(0, "City"): None})
-    leased = engine.lease(view)
-    leased.marginal("City")
-    engine.release()
-    _stats_equal(engine._stats, TableStatistics(table.store), ["City"], [])
-
-
-def test_shared_statistics_drops_structure_when_parked_view_is_written():
-    from repro.dataset.table import CellRef
-    from repro.engine.stats import SharedStatistics
-
-    table = _make_table()
-    engine = SharedStatistics(table)
-    view_a = table.perturbed({CellRef(0, "City"): None})
-    view_b = table.perturbed({})
-    stats = engine.lease(view_a)
-    stats.marginal("City")
-    engine.lease(view_b)           # parks the City marginal on view_a
-    view_a.set_value(1, "City", "Sevilla")  # the parked snapshot moves on
-    # the exact diff is lost: the structure must be rebuilt, not moved
-    assert dict(engine._stats.marginal("City").items()) == \
-        dict(TableStatistics(view_b.store).marginal("City").items())
-
-
 def test_shared_statistics_rebuilds_after_base_mutation():
     from repro.dataset.table import CellRef
     from repro.engine.stats import SharedStatistics
@@ -381,8 +322,9 @@ def test_ranking_memo_equals_sort_after_every_move(data):
        writes=st.lists(st.tuples(st.integers(min_value=0, max_value=9), _RANK_VALUES),
                        max_size=3))
 def test_ranking_memo_through_shared_statistics_syncs(column, deltas, writes):
-    """Lease moves (small diffs) and drops (large diffs, written parked views)
-    all leave the leased marginal's ranking equal to a fresh build's."""
+    """Leased views, in-place writes on a leased view and writes on a view
+    after later leases all leave the marginal's ranking equal to a fresh
+    build's."""
     from repro.dataset.table import CellRef, Table
     from repro.engine.stats import SharedStatistics
 
@@ -397,7 +339,7 @@ def test_ranking_memo_through_shared_statistics_syncs(column, deltas, writes):
         leased = engine.lease(view)
         assert leased.marginal("A").ranking() == \
             TableStatistics(view.store).marginal("A").ranking()
-    # writes on the owner reach the clean marginal through its write hook
+    # in-place writes move the leased marginal
     working = views[-1].mutable_snapshot()
     marginal = working.stats.marginal("A")
     marginal.ranking()
@@ -405,11 +347,11 @@ def test_ranking_memo_through_shared_statistics_syncs(column, deltas, writes):
         working.set_value(row % n, "A", value)
         assert working.stats.marginal("A").ranking() == \
             TableStatistics(working.store).marginal("A").ranking()
-    # a parked view written after the marginal left it forces a drop
+    # a view written after later views were leased
     views[0].set_value(0, "A", "z")
     for view in views:
         assert engine.lease(view).marginal("A").ranking() == \
             TableStatistics(view.store).marginal("A").ranking()
     engine.release()
-    assert engine._stats.marginal("A").ranking() == \
+    assert engine.lease(table.perturbed({})).marginal("A").ranking() == \
         TableStatistics(table.store).marginal("A").ranking()

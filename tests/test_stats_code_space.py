@@ -1,0 +1,203 @@
+"""Code-space statistics against their value-space definition.
+
+The definition is a :class:`collections.Counter` over the materialised
+column (marginals) or over the materialised ``(given, target)`` cell pairs
+(pair distributions), nulls excluded, with ties broken by ``repr``.  The
+statistics under test count dictionary codes and derive a view's counts from
+the base's by the view's encoded delta, then move them with every write
+batch; every query must answer exactly what the definition answers.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.constraints.dc import DenialConstraint
+from repro.constraints.predicates import Operator, Predicate
+from repro.dataset.table import CellRef, Table
+from repro.engine.stats import SharedStatistics, TableStatistics
+from repro.engine.storage import is_null
+from repro.errors import SchemaError
+from repro.repair.simple import SimpleRuleRepair
+
+NAN = float("nan")
+ATTRIBUTES = ("A", "B")
+_BASE_VALUES = st.sampled_from(["a", "b", "c", 1, 2, None, NAN])
+#: includes values no base column holds, so writes grow the dictionaries
+_WRITE_VALUES = st.sampled_from(["a", "b", "c", 1, 2, None, NAN, "new", 3])
+
+
+# -- the definition ------------------------------------------------------------------
+
+
+def _marginal(column) -> Counter:
+    return Counter(value for value in column if not is_null(value))
+
+
+def _pairs(given_column, target_column) -> Counter:
+    return Counter((g, t) for g, t in zip(given_column, target_column)
+                   if not is_null(g) and not is_null(t))
+
+
+def _cdf(counts: Counter) -> tuple[list, np.ndarray]:
+    values = sorted(counts, key=repr)
+    weights = np.array([counts[value] for value in values], dtype=float)
+    if values:
+        weights /= weights.sum()
+        weights = weights.cumsum()
+        weights /= weights[-1]
+    return values, weights
+
+
+def _assert_matches_definition(table: Table, stats: TableStatistics) -> None:
+    columns = {attribute: list(table.column(attribute)) for attribute in ATTRIBUTES}
+    uniforms = np.linspace(0.0, 0.999, 7)
+    for attribute in ATTRIBUTES:
+        expected = _marginal(columns[attribute])
+        marginal = stats.marginal(attribute)
+        assert dict(marginal.items()) == dict(expected)
+        assert marginal.total == sum(expected.values())
+        if expected:
+            best = max(expected.values())
+            assert marginal.most_common() == min(
+                (value for value, count in expected.items() if count == best), key=repr)
+        else:
+            assert marginal.most_common("default") == "default"
+        assert marginal.ranking() == tuple(
+            sorted(expected, key=lambda value: (-expected[value], repr(value))))
+        values, cdf = _cdf(expected)
+        assert marginal.domain() == values
+        drawn = [values[i] for i in cdf.searchsorted(uniforms, side="right").tolist()] \
+            if values else [None] * len(uniforms)
+        assert marginal.sample(uniforms=uniforms) == drawn
+    probes = ["a", "b", "c", 1, 2, "new", 3, "never"]
+    for given_attr, target in (("A", "B"), ("B", "A"), ("A", "A")):
+        expected = _pairs(columns[given_attr], columns[target])
+        cooccurrence = stats.cooccurrence
+        for given_value in probes:
+            row = {t: c for (g, t), c in expected.items() if g == given_value}
+            total = sum(row.values())
+            assert cooccurrence.conditional_probability_many(
+                target, probes, given_attr, given_value) == \
+                [row.get(value, 0) / total if total else 0.0 for value in probes]
+            assert cooccurrence.conditional_probability(
+                target, "a", given_attr, given_value) == \
+                (row.get("a", 0) / total if total else 0.0)
+            if row:
+                best = max(row.values())
+                winner = min((t for t, c in row.items() if c == best), key=repr)
+            else:
+                winner = "default"
+            assert stats.most_probable_given(target, given_attr, given_value,
+                                             "default") == winner
+            for target_value in probes:
+                assert cooccurrence.cooccurrence_count(
+                    given_attr, given_value, target, target_value) == \
+                    row.get(target_value, 0)
+
+
+@st.composite
+def _scenarios(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    rows = [[draw(_BASE_VALUES) for _ in ATTRIBUTES] for _ in range(n)]
+    cells = st.tuples(st.integers(min_value=0, max_value=n - 1),
+                      st.sampled_from(ATTRIBUTES), _WRITE_VALUES)
+    delta = draw(st.lists(cells, max_size=10))
+    batches = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        attribute = draw(st.sampled_from(ATTRIBUTES))
+        writes = draw(st.lists(st.tuples(st.integers(min_value=0, max_value=n - 1),
+                                         _WRITE_VALUES), min_size=1, max_size=5))
+        batches.append((attribute, writes))
+    update = draw(cells)
+    return rows, delta, batches, update
+
+
+def _view_stats(view, engine):
+    if engine is None:
+        return view.stats
+    view._stats_engine = engine
+    return view.stats
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@settings(max_examples=80, deadline=None)
+@given(scenario=_scenarios())
+def test_statistics_match_counter_definition(shared, scenario):
+    """Views derived by encoded deltas, moved by multi-row and one-cell
+    batches, and rebuilt after a live base update match the definition."""
+    rows, delta, batches, (update_row, update_attribute, update_value) = scenario
+    table = Table(list(ATTRIBUTES), rows)
+    _assert_matches_definition(table, table.stats)
+    engine = SharedStatistics(table) if shared else None
+
+    # a sibling view derived first, so the second reuses its derivation
+    for _ in range(2):
+        view = table.perturbed({CellRef(row, attribute): value
+                                for row, attribute, value in delta}).mutable_snapshot()
+        stats = _view_stats(view, engine)
+        _assert_matches_definition(view, stats)
+
+    for attribute, writes in batches:
+        view.set_values(attribute, [row for row, _ in writes],
+                        [value for _, value in writes])
+        _assert_matches_definition(view, stats)
+        row, value = writes[0]
+        view.set_value(row, attribute, value)  # a one-cell write
+        _assert_matches_definition(view, stats)
+
+    # a live base update: the base table's own statistics move with the
+    # write, and views built afterwards derive from the updated base
+    table.set_value(update_row, update_attribute, update_value)
+    _assert_matches_definition(table, table.stats)
+    after = table.perturbed({CellRef(row, attribute): value
+                             for row, attribute, value in delta})
+    _assert_matches_definition(after, _view_stats(after, engine))
+
+
+# -- unhashable cell values ------------------------------------------------------------
+
+
+def _unhashable_table() -> Table:
+    return Table(["A", "B"], [("x", [1]), ("x", [2]), ("y", None)])
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_unhashable_column_raises_schema_error(engine):
+    table = _unhashable_table()
+    # the fast engine's repairs read a view's statistics, the reference
+    # engine's a materialised instance's
+    instance = table.perturbed({}) if engine == "fast" else table.copy()
+    with pytest.raises(SchemaError, match="'B'"):
+        instance.stats.marginal("B").most_common()
+    with pytest.raises(SchemaError, match="'B'"):
+        instance.stats.most_probable_given("B", "A", "x")
+    # a conditional rule reading P[B | A] on the violating rows
+    fd = DenialConstraint("fd", [Predicate.between_tuples("A", Operator.EQ),
+                                 Predicate.between_tuples("B", Operator.NE)])
+    with pytest.raises(SchemaError, match="'B'"):
+        SimpleRuleRepair(engine=engine).repair_table([fd], table)
+
+
+# -- sample-policy coalitions born in code space -------------------------------------
+
+
+@pytest.mark.parametrize("perturb", [False, True])
+def test_sampled_instances_match_the_materialised_reference(perturb):
+    """The code-space ``SAMPLE`` build (drawn codes normalised against the
+    base codes) yields the instances of the value-by-value reference."""
+    from repro import la_liga_dirty_table
+    from repro.shapley.sampling import CellCoalitionSampler
+
+    table = la_liga_dirty_table()
+    if perturb:
+        table = table.perturbed({CellRef(0, table.attributes[0]): None})
+    fast = CellCoalitionSampler(table, "sample", rng=3)
+    reference = CellCoalitionSampler(table, "sample", rng=3, materialize=True)
+    target = CellRef(4, table.attributes[1])
+    for _ in range(6):
+        pair = fast.sample_pair(target)
+        expected = reference.sample_pair(target)
+        assert [t.to_records() for t in pair] == [t.to_records() for t in expected]
