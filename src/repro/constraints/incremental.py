@@ -85,9 +85,6 @@ __all__ = [
 #: form one class (``null != null`` is unsatisfied, ``null != value`` holds).
 _NULL_CLASS = object()
 
-#: "no entry yet" marker for caches whose entries may be ``None``
-_MISSING = object()
-
 #: shared empty row array (read-only)
 _NO_ROWS = np.empty(0, dtype=np.int64)
 _NO_ROWS.flags.writeable = False
@@ -830,7 +827,7 @@ class _FDPartition:
     def __init__(self, key_codes: Sequence[np.ndarray], codes: np.ndarray):
         """Partition every row by its key columns' and ``!=`` column's codes."""
         self.levels = []
-        groups = key_codes[0].copy()
+        groups = key_codes[0].astype(np.int64)  # pair keys shift slots by 32 bits
         for key in key_codes[1:]:
             level, groups = _PairSlots.build(groups, key)
             self.levels.append(level)
@@ -845,7 +842,7 @@ class _FDPartition:
     def groups(self, key_codes: Sequence[np.ndarray]) -> np.ndarray:
         """The group of each row given its per-column key codes (0 on a null
         component); keys new to a level get new slots."""
-        groups = key_codes[0].copy()
+        groups = key_codes[0].astype(np.int64)
         if self.levels:
             for level, codes in zip(self.levels, key_codes[1:]):
                 groups = level.insert(groups.tolist(), codes.tolist())
@@ -968,8 +965,8 @@ class RepairWalk:
     :attr:`~repro.engine.view.OverlayStore.change_log`):
 
     * FD-shape constraints keep an :class:`_FDPartition` over the view's
-      current column codes (one code array per column the partitions read,
-      moved with the writes); a write batch moves each partition once;
+      current column codes (the view store's code arrays, which every write
+      batch keeps current); a write batch moves each partition once;
     * other constraints keep violation lists that a pass retracts and
       re-checks over the rows written since that constraint's last sync,
       against equality indexes *forked* once per walk and kept applied;
@@ -990,7 +987,7 @@ class RepairWalk:
 
     __slots__ = ("view", "detector", "constraints", "_log",
                  "_cstates", "_windexes", "_dirty_rows", "_local_rows",
-                 "_pristine_rows", "_row_log_pos", "_columns",
+                 "_pristine_rows", "_row_log_pos",
                  "_runs", "_run_ends", "_parsed")
 
     def __init__(self, view: PerturbationView, constraints: Iterable[DenialConstraint],
@@ -1008,9 +1005,6 @@ class RepairWalk:
         #: rows untouched by any walk of the pair — shared across forks
         self._pristine_rows: dict[int, Mapping[str, Any]] = {}
         self._row_log_pos = len(self._log)
-        #: the view's current codes per column (``None``: a value the
-        #: encoding cannot code), in step with the log up to ``_parsed``
-        self._columns: dict[str, np.ndarray | None] = {}
         #: the log read once into runs of writes to one attribute:
         #: ``(attribute, distinct rows)`` ending at the log
         #: positions ``_run_ends``, up to ``_parsed``; every position a
@@ -1045,28 +1039,19 @@ class RepairWalk:
     # -- column codes (partition mode) ----------------------------------------------
 
     def _codes(self, attribute: str) -> np.ndarray | None:
-        """The view's current codes of one column (``None``: uncodable value).
+        """The view's current codes of one column (``None``: a value the
+        encoding cannot code).
 
-        Built on first use from the base codes and the view's encoded delta;
-        later writes are re-encoded row by row as they are read off the log.
+        This is the view store's own code array
+        (:meth:`~repro.engine.view.OverlayStore.codes`): each write batch
+        scatters its codes into it, so it is current whatever the log
+        position, and a forked walk's view shares it copy-on-write.
         """
-        self._parse()
-        codes = self._columns.get(attribute, _MISSING)
-        if codes is _MISSING:
-            store = self.detector.table.store
-            base = store.encoding().codes(store, attribute)
-            encoded = None if base is None else \
-                self.view.store.encoded_delta_arrays(attribute)
-            codes = None
-            if encoded is not None:
-                codes = base.astype(np.int64)
-                codes[encoded[0]] = encoded[1]
-            self._columns[attribute] = codes
-        return codes
+        return self.view.store.codes(attribute)
 
     def _parse(self) -> int:
-        """Read the log's new entries into runs (re-coding the tracked columns
-        they write) and return the log position read up to."""
+        """Cut the log's new entries into runs and return the log position
+        read up to."""
         log = self._log
         at = self._parsed
         if at != len(log):
@@ -1075,11 +1060,8 @@ class RepairWalk:
                 at += len(rows)
                 if len(set(rows)) != len(rows):  # a batch that wrote a row twice
                     rows = sorted(set(rows))
-                rows = np.array(rows, dtype=np.int64)
-                self._runs.append((attribute, rows))
+                self._runs.append((attribute, np.array(rows, dtype=np.int64)))
                 self._run_ends.append(at)
-                if attribute in self._columns:
-                    self._recode(attribute, rows)
             self._parsed = at
         return at
 
@@ -1092,27 +1074,6 @@ class RepairWalk:
         """
         self._parse()
         return self._runs[bisect_right(self._run_ends, position):]
-
-    def _recode(self, attribute: str, rows: np.ndarray) -> None:
-        """Re-read the codes of ``rows`` in one tracked column from the view."""
-        codes = self._columns[attribute]
-        if codes is None:
-            return
-        store = self.detector.table.store
-        encoding = store.encoding()
-        overrides = self.view.delta_by_column().get(attribute) or {}
-        rows = rows.tolist()
-        written = [row for row in rows if row in overrides]
-        if len(written) != len(rows):  # rows written back to their base value
-            restored = [row for row in rows if row not in overrides]
-            codes[restored] = encoding.codes(store, attribute)[restored]
-        if written:
-            fresh = encoding.dictionary(attribute).encode_list(
-                [overrides[row] for row in written])
-            if fresh is None:
-                self._columns[attribute] = None
-            else:
-                codes[written] = fresh
 
     def _partition(self, plan: _ConstraintPlan) -> _FDPartition | None:
         """The FD-shape plan's partition of the current view, or ``None``
@@ -1538,8 +1499,9 @@ class RepairWalk:
         the with/without pair contract, where the fork is taken right after
         :meth:`prime`.  This walk is synced to its writes first.  Only the
         differing cells' rows are retracted and re-checked; everything else
-        (partitions, column codes, violation lists, forked indexes, the
-        pristine row cache) carries over.
+        (partitions, violation lists, forked indexes, the pristine row
+        cache, and the code arrays of the columns the views hold alike)
+        carries over.
         """
         for constraint in self.constraints:  # also syncs the list-mode indexes
             self._synced_state(constraint)
@@ -1550,8 +1512,6 @@ class RepairWalk:
         clone._pristine_rows = self._pristine_rows  # shared row cache (see class doc)
         # rows this walk wrote may have stale pre-write dicts in the shared cache
         clone._dirty_rows = set(self._dirty_rows)
-        clone._columns = {attribute: None if codes is None else codes.copy()
-                          for attribute, codes in self._columns.items()}
         log_pos = len(clone._log)
         clone._cstates = {
             constraint: _WalkConstraint(
@@ -1575,6 +1535,8 @@ class RepairWalk:
         changed = [cell for cell in differing_cells
                    if values_differ(my_value(cell.row, cell.attribute),
                                     other_value(cell.row, cell.attribute))]
+        # the columns the two views hold alike share their code arrays
+        view.store.share_codes(self.view.store, {cell.attribute for cell in changed})
         if not changed:
             return clone
         clone._dirty_rows.update(cell.row for cell in changed)
@@ -1583,10 +1545,6 @@ class RepairWalk:
             return np.array(sorted({cell.row for cell in changed
                                     if cell.attribute in attributes}), dtype=np.int64)
 
-        for attribute in clone._columns:
-            rows = rows_under((attribute,))
-            if rows.size:
-                clone._recode(attribute, rows)
         for eq_attrs, walk_index in clone._windexes.items():
             rows = rows_under(eq_attrs)
             if rows.size:

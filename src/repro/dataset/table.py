@@ -239,13 +239,15 @@ class Table:
 
         The same as ``set_value(row, attribute, value)`` for each pair in
         order, except that caches are invalidated and the cached statistics
-        are moved once for the whole batch.  ``version`` advances by the
-        number of writes.
+        are moved once for the whole batch, from the codes the store wrote.
+        ``version`` advances by the number of writes.  Rows must be integers
+        inside the table and ``values`` must hold one value per row; otherwise
+        the store raises before anything is written.
         """
-        old_values = self._store.set_values(attribute, rows, values)
-        self._version += len(old_values)
-        if self._stats is not None and old_values:
-            self._stats.apply_cell_updates(attribute, rows, old_values, values)
+        old_codes, new_codes = self._store.set_values(attribute, rows, values)
+        self._version += len(rows)
+        if self._stats is not None and len(rows):
+            self._stats.apply_cell_updates(attribute, rows, old_codes, new_codes)
 
     def copy(self, name: str | None = None) -> "Table":
         return Table._from_store(self.schema, self._store.copy(), name or self.name)
@@ -461,8 +463,8 @@ class PerturbationView(Table):
         self.schema = root.schema
         self.name = name or root.name
         items = assignments.items() if isinstance(assignments, Mapping) else assignments
-        inherited = base._store._encoded_cache if isinstance(base, PerturbationView) else None
-        if inherited:
+        parent = base._store if isinstance(base, PerturbationView) else None
+        if parent is not None:
             items = list(items)  # the merge loop and the cache carry-over both read it
         root_value = root.value
         if prenormalized:
@@ -490,15 +492,17 @@ class PerturbationView(Table):
         # the overlay shares (does not copy) the delta dict, so in-place
         # writes routed through Table.set_values stay visible here
         self._store = OverlayStore(root.store, delta)
-        if inherited:
+        if parent is not None:
             # columns untouched by the merge keep the base view's encoded
-            # delta arrays: their per-column override dicts are identical and
-            # the dictionaries are append-only, so the codes stay valid
+            # delta arrays and code arrays (the latter copy-on-write): their
+            # contents are identical and the dictionaries are append-only,
+            # so the codes stay valid
             touched = {cell[1] for cell, _ in items}
             cache = self._store._encoded_cache
-            for column, entry in inherited.items():
+            for column, entry in parent._encoded_cache.items():
                 if column not in touched:
                     cache[column] = entry
+            self._store.share_codes(parent, touched)
         self._stats = None
         #: shared-statistics engine inherited along the view lineage (the
         #: oracle/sampler install it on the root views they build); see

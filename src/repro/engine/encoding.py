@@ -11,8 +11,9 @@ here:
   assigned against the base table stay valid for every overlay delta built on
   top of it — a perturbed cell just appends a new code if its value is unseen.
 * :class:`TableEncoding` — the per-table bundle: one dictionary per column,
-  lazily-encoded base code arrays, and the encode/check telemetry surfaced
-  through ``oracle.statistics()``.
+  lazily-encoded base code arrays (read-only, replaced by an updated copy
+  on a base write), and the encode/check telemetry surfaced through
+  ``oracle.statistics()``.
 
 Both classes are plain-data and pickle cleanly, so the encoding travels
 inside ``ExplainJobSpec`` (the spec pickles the whole dirty table) and a warm
@@ -27,12 +28,37 @@ non-encodable and every check touching it falls back to the object path (the
 from __future__ import annotations
 
 import time
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 #: the reserved code for NULL cells (``None`` / ``NaN``)
 NULL_CODE = 0
+
+
+def scatter_codes(codes: np.ndarray, rows: list[int], new: list[int]):
+    """Write ``new[i]`` into ``codes[rows[i]]`` in order, in place.
+
+    Returns the batch's ``(old codes, new codes)``: each cell's code before
+    its write (a repeated row sees the earlier write) and after it.  One
+    cell's are tuples of ints; a batch's are ``int32`` arrays, moved with
+    one gather and one scatter.
+    """
+    if len(rows) == 1:
+        row = rows[0]
+        old = codes.item(row)
+        codes[row] = new[0]
+        return (old,), (new[0],)
+    new = np.array(new, dtype=np.int32)
+    if len(set(rows)) == len(rows):
+        old = codes[rows]
+        codes[rows] = new
+        return old, new
+    old = np.empty(len(rows), dtype=np.int32)
+    for i, row in enumerate(rows):  # a batch that writes a row twice
+        old[i] = codes[row]
+        codes[row] = new[i]
+    return old, new
 
 
 class ColumnDictionary:
@@ -82,7 +108,7 @@ class ColumnDictionary:
             raise TypeError("an unhashable value cannot be coded")
         out[:] = codes
 
-    def encode_list(self, values: list) -> "list[int] | None":
+    def encode_list(self, values: Sequence[Any]) -> "list[int] | None":
         """Codes of ``values`` by one dictionary probe each.
 
         Nulls and values new to the dictionary are coded in order afterwards,
@@ -195,18 +221,31 @@ class TableEncoding:
             dictionary = self._dicts[name] = ColumnDictionary()
         return dictionary
 
-    def invalidate(self, name: str) -> None:
-        """Drop the cached code array after a base-store cell write.
+    def write(self, name: str, rows: list[int], values: Sequence[Any]):
+        """Keep ``name``'s cached code array in step with a base-store write.
 
-        The dictionary itself survives — it is append-only, so existing codes
-        stay correct; only the materialised base array, and the statistics
-        counted from it, are stale.
+        The array is replaced by an updated copy (holders of the old one keep
+        their snapshot), and the statistics counted from the old contents are
+        dropped.  Returns the batch's ``(old codes, new codes)``
+        (:func:`scatter_codes`), or ``(None, None)`` when no array is cached
+        or a written value cannot be coded (the array is then dropped and
+        rebuilt from the column on its next read).
         """
-        self._codes.pop(name, None)
         counts = self.counts
         for key in [key for key in counts
                     if key == name or (isinstance(key, tuple) and name in key)]:
             del counts[key]
+        codes = self._codes.pop(name, None)
+        if codes is None:
+            return None, None
+        new = self.dictionary(name).encode_list(values)
+        if new is None:
+            return None, None
+        codes = codes.copy()
+        moved = scatter_codes(codes, rows, new)
+        codes.flags.writeable = False
+        self._codes[name] = codes
+        return moved
 
     def codes(self, store, name: str) -> np.ndarray | None:
         """The base store's column as an ``int32`` code array (cached).
@@ -234,6 +273,9 @@ class TableEncoding:
             return None
         finally:
             self.encode_seconds += time.perf_counter() - start
+        # shared by every view of the store (copy-on-write); a base write
+        # replaces it (see write)
+        out.flags.writeable = False
         self._codes[name] = out
         return out
 

@@ -32,15 +32,23 @@ Where counts come from and how they move:
 
 * a base store's structures are built lazily, one at a time, and cached on
   its :class:`~repro.engine.encoding.TableEncoding` next to the code arrays
-  they are counted from (a base write drops both);
+  they are counted from (a base write drops them and replaces the arrays
+  by updated copies);
 * a view's structures are the base's moved by the view's encoded delta
   (:meth:`~repro.engine.view.OverlayStore.encoded_delta_arrays`): a
   marginal by ``np.subtract.at``/``np.add.at`` on a copy-on-write array, a
   pair distribution by its change table, with the base's per-given rows and
   argmaxes shared by every view that did not move that given;
 * each :meth:`~repro.dataset.table.Table.set_values` batch moves every built
-  structure over the written column once; a one-cell write (every greedy
-  step) is a few scalar updates.
+  structure over the written column once, by the batch's old and new codes
+  as the store wrote them (:meth:`TableStatistics.apply_cell_updates`);
+  sibling cells' codes are one gather from the store's current code array
+  (:meth:`~repro.engine.view.OverlayStore.codes` on a view, the base
+  encoding's array on a plain store, which a base write keeps current), so
+  nothing on the move path encodes a value.  A one-cell write (every greedy
+  step) is a few scalar updates.  The value-space entry points
+  (``apply_cell_update``, ``apply_delta``, ``apply_updates``) encode their
+  values in the structures' own dictionaries.
 """
 
 from __future__ import annotations
@@ -88,30 +96,20 @@ def _delta(store, attribute: str):
     return arrays if len(arrays[0]) else None
 
 
-def _encode(dictionary, attribute: str, values: Iterable[Any]) -> list[int]:
-    codes = dictionary.encode_list(list(values))
+def _codes(store, attribute: str) -> np.ndarray:
+    """The store's current codes of ``attribute`` (the one accessor a plain
+    store and a view share)."""
+    codes = store.codes(attribute)
     if codes is None:
         raise _unhashable(attribute)
     return codes
 
 
-def _written(cache: dict, dictionary, attribute: str, old_values: Sequence[Any],
-             new_values: Sequence[Any]) -> tuple[list[int], list[int]]:
-    """A write batch's ``(old codes, new codes)`` in ``dictionary``, encoded
-    once per dictionary of the batch (``cache``)."""
-    codes = cache.get(dictionary)
+def _encode(dictionary, attribute: str, values: Iterable[Any]) -> list[int]:
+    codes = dictionary.encode_list(list(values))
     if codes is None:
-        codes = cache[dictionary] = (_encode(dictionary, attribute, old_values),
-                                     _encode(dictionary, attribute, new_values))
+        raise _unhashable(attribute)
     return codes
-
-
-def _values_at(store, attribute: str, rows: Sequence[int]) -> list[Any]:
-    """``attribute``'s current values at ``rows``: one gather for a batch,
-    one cell read for a single row."""
-    if len(rows) == 1:
-        return [store.value(rows[0], attribute)]
-    return store.column(attribute)[list(rows)].tolist()
 
 
 class ColumnStatistics:
@@ -179,9 +177,9 @@ class ColumnStatistics:
         self._total += int(np.count_nonzero(new_codes)) - int(np.count_nonzero(old_codes))
         self._reset()
 
-    def _move_codes(self, olds: list[int], news: list[int]) -> None:
+    def _move_codes(self, olds: Sequence[int], news: Sequence[int]) -> None:
         if len(olds) != 1:
-            self._move(np.array(olds, dtype=np.int64), np.array(news, dtype=np.int64))
+            self._move(np.asarray(olds), np.asarray(news))
             return
         old, new = olds[0], news[0]  # a one-cell write: two scalar updates
         if old == new:
@@ -245,23 +243,26 @@ class ColumnStatistics:
         """Codes with a positive count, ascending."""
         return np.flatnonzero(self._counts)
 
-    def most_common(self, default: Any = None) -> Any:
-        """The modal value, ties broken deterministically by ``repr`` order.
-
-        Memoised until the next move — repair rules ask for the mode once
-        per violating tuple.
-        """
-        if self._total == 0:
-            return default
+    def mode_code(self) -> int:
+        """The code of :meth:`most_common` (:data:`NULL_CODE` on an all-null
+        column), memoised until the next move."""
         if self._mode is _UNSET:
             counts = self._counts
-            best = np.flatnonzero(counts == counts.max())
-            if len(best) > 1:
-                best = best[np.argmin(self._dictionary.repr_ranks()[best])]
+            if self._total == 0:
+                self._mode = NULL_CODE
             else:
-                best = best[0]
-            self._mode = self._dictionary.decode(int(best))
+                best = np.flatnonzero(counts == counts.max())
+                if len(best) > 1:
+                    best = best[np.argmin(self._dictionary.repr_ranks()[best])]
+                else:
+                    best = best[0]
+                self._mode = int(best)
         return self._mode
+
+    def most_common(self, default: Any = None) -> Any:
+        """The modal value, ties broken deterministically by ``repr`` order."""
+        code = self.mode_code()
+        return self._dictionary.decode(code) if code else default
 
     def ranking(self) -> tuple[Any, ...]:
         """Distinct non-null values by descending count, ties by ``repr``.
@@ -578,14 +579,17 @@ class CooccurrenceStatistics:
         self._store = store
         self._pairs: dict[tuple[str, str], _PairCounts] = {}
 
-    def _pair(self, given: str, target: str) -> _PairCounts:
+    def pair(self, given: str, target: str) -> _PairCounts:
+        """The ``(given, target)`` distribution in code space (built on first
+        use; raises :class:`~repro.errors.SchemaError` over a column the
+        encoding cannot code)."""
         pair = self._pairs.get((given, target))
         if pair is None:
             pair = self._pairs[(given, target)] = _pair_counts(self._store, given, target)
         return pair
 
     def _row(self, given: str, target: str, given_value: Any):
-        pair = self._pair(given, target)
+        pair = self.pair(given, target)
         code = pair.given.lookup(given_value)
         return pair, (pair.row(code) if code else {})
 
@@ -623,7 +627,7 @@ class CooccurrenceStatistics:
         with a non-null target (e.g. the city is itself an unseen typo).
         Ties are broken deterministically by string order.
         """
-        pair = self._pair(given, target)
+        pair = self.pair(given, target)
         code = pair.given.lookup(given_value)
         winner = pair.winner(code) if code else NULL_CODE
         return pair.target.decode(winner) if winner else default
@@ -637,13 +641,13 @@ class CooccurrenceStatistics:
 
     def counts(self, given: str, target: str) -> dict[tuple[Any, Any], int]:
         """``{(given value, target value): count}`` of every co-occurring pair."""
-        pair = self._pair(given, target)
+        pair = self.pair(given, target)
         return {(pair.given.decode(given_code), pair.target.decode(target_code)): count
                 for (given_code, target_code), count in pair.items().items()}
 
     def warm(self, given: str, target: str) -> None:
         """Build the ``(given, target)`` pair distribution now."""
-        self._pair(given, target)
+        self.pair(given, target)
 
     def fork(self, store) -> "CooccurrenceStatistics":
         """An independent copy reading sibling cells from ``store``.
@@ -657,33 +661,31 @@ class CooccurrenceStatistics:
 
     # -- delta maintenance -----------------------------------------------------
 
-    def apply_cell_updates(self, attribute: str, rows: Sequence[int],
-                           old_values: Sequence[Any],
-                           new_values: Sequence[Any]) -> None:
-        """Delta-maintain every built pair distribution touching ``attribute``.
-
-        Must be called *after* the store has been updated: the changed
-        cells' old/new values are passed in, sibling cells are read from the
-        (already-current) store.
-        """
-        self._move_cells(attribute, rows, old_values, new_values, {})
-
     def _move_cells(self, attribute: str, rows: Sequence[int],
-                    old_values: Sequence[Any], new_values: Sequence[Any],
-                    written: dict) -> None:
+                    old_codes: Sequence[int], new_codes: Sequence[int]) -> None:
+        """Move every built pair distribution touching ``attribute`` by a
+        write batch's codes; sibling cells' codes are gathered from the
+        (already written) store."""
+        one = len(rows) == 1
+        index = None
         for (given, target), pair in self._pairs.items():
             if attribute != given and attribute != target:
                 continue
             sides = []
-            for side, dictionary in ((given, pair.given), (target, pair.target)):
+            for side in (given, target):
                 if side == attribute:
-                    sides.append(_written(written, dictionary, attribute,
-                                          old_values, new_values))
+                    sides.append((old_codes, new_codes))
+                    continue
+                codes = _codes(self._store, side)
+                if one:
+                    sibling = (codes.item(rows[0]),)
                 else:
-                    codes = _encode(dictionary, side, _values_at(self._store, side, rows))
-                    sides.append((codes, codes))
+                    if index is None:
+                        index = np.asarray(rows)
+                    sibling = codes[index]
+                sides.append((sibling, sibling))
             (old_given, new_given), (old_target, new_target) = sides
-            if len(rows) == 1:
+            if one:
                 pair.move1(old_given[0], old_target[0], new_given[0], new_target[0])
             else:
                 pair.move(_keys(old_given, old_target), _keys(new_given, new_target))
@@ -746,20 +748,35 @@ class TableStatistics:
 
     def apply_cell_update(self, row: int, attribute: str,
                           old_value: Any, new_value: Any) -> None:
-        """Delta-maintain all built statistics for one cell changing values."""
-        self.apply_cell_updates(attribute, (row,), (old_value,), (new_value,))
+        """Delta-maintain all built statistics for one cell changing values
+        (value space: :meth:`apply_delta` of the one cell)."""
+        self.apply_delta({(row, attribute): (old_value, new_value)}, self._store)
 
     def apply_cell_updates(self, attribute: str, rows: Sequence[int],
-                           old_values: Sequence[Any],
-                           new_values: Sequence[Any]) -> None:
-        """Delta-maintain all built statistics for a batch of writes to one
-        column (``rows[i]`` changed ``old_values[i] -> new_values[i]``)."""
-        written: dict = {}  # the batch's codes, encoded once per dictionary
+                           old_codes: Sequence[int] | None,
+                           new_codes: Sequence[int] | None) -> None:
+        """Move every built structure over ``attribute`` by one write batch.
+
+        ``rows[i]`` changed from code ``old_codes[i]`` to ``new_codes[i]`` (the
+        codes :meth:`~repro.engine.view.OverlayStore.set_values` returns;
+        ``None``: the batch could not be coded, which raises
+        :class:`~repro.errors.SchemaError` when a built structure reads the
+        column).  Must be called after the store is written: sibling cells'
+        codes are read from it.
+        """
         marginal = self._marginals.get(attribute)
-        if marginal is not None and len(rows):
-            marginal._move_codes(*_written(written, marginal._dictionary, attribute,
-                                           old_values, new_values))
-        self.cooccurrence._move_cells(attribute, rows, old_values, new_values, written)
+        if old_codes is None and (marginal is not None or any(
+                attribute in key for key in self.cooccurrence._pairs)):
+            raise _unhashable(attribute)
+        if marginal is not None:
+            marginal._move_codes(old_codes, new_codes)
+        self.cooccurrence._move_cells(attribute, rows, old_codes, new_codes)
+
+    def codes(self, attribute: str) -> np.ndarray:
+        """The described contents' current codes of ``attribute`` (read-only;
+        raises :class:`~repro.errors.SchemaError` when the column cannot be
+        coded)."""
+        return _codes(self._store, attribute)
 
     def marginal(self, attribute: str) -> ColumnStatistics:
         marginal = self._marginals.get(attribute)
@@ -830,13 +847,14 @@ class _LeasedTableStatistics(TableStatistics):
 
     def apply_cell_update(self, row: int, attribute: str,
                           old_value: Any, new_value: Any) -> None:
-        self.apply_cell_updates(attribute, (row,), (old_value,), (new_value,))
+        self._engine.cells_moved += 1
+        super().apply_cell_update(row, attribute, old_value, new_value)
 
     def apply_cell_updates(self, attribute: str, rows: Sequence[int],
-                           old_values: Sequence[Any],
-                           new_values: Sequence[Any]) -> None:
+                           old_codes: Sequence[int] | None,
+                           new_codes: Sequence[int] | None) -> None:
         self._engine.cells_moved += len(rows)
-        super().apply_cell_updates(attribute, rows, old_values, new_values)
+        super().apply_cell_updates(attribute, rows, old_codes, new_codes)
 
 
 class SharedStatistics:

@@ -49,6 +49,38 @@ def null_mask(column: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _is_row(row: Any, n_rows: int) -> bool:
+    """Whether ``row`` addresses a row of an ``n_rows``-row table: an ``int``
+    or a numpy integer in range, never a ``bool`` (numpy reads one as a mask)
+    nor a float."""
+    if type(row) is not int and (isinstance(row, bool)
+                                 or not isinstance(row, (int, np.integer))):
+        return False
+    return 0 <= row < n_rows
+
+
+def checked_rows(rows: Sequence[int], values: Sequence[Any], n_rows: int) -> list[int]:
+    """A write batch's ``rows`` as plain ints, checked before any write.
+
+    Raises :class:`~repro.errors.UnknownRowError` on a row that is not one
+    (:func:`_is_row`) and :class:`~repro.errors.SchemaError` unless
+    ``values`` holds one value per row.
+    """
+    if len(rows) != len(values):
+        raise SchemaError(
+            f"a write batch needs one value per row: got {len(rows)} rows "
+            f"and {len(values)} values"
+        )
+    checked = []
+    for row in rows:
+        if type(row) is not int or not 0 <= row < n_rows:
+            if not _is_row(row, n_rows):
+                raise UnknownRowError(row, n_rows)
+            row = int(row)
+        checked.append(row)
+    return checked
+
+
 class Fingerprint:
     """A hashable content snapshot with its hash computed exactly once.
 
@@ -161,7 +193,8 @@ class ColumnStore:
             raise UnknownAttributeError(name, self._names)
 
     def _check_row(self, row: int) -> None:
-        if not 0 <= row < self._n_rows:
+        if (type(row) is not int or not 0 <= row < self._n_rows) \
+                and not _is_row(row, self._n_rows):
             raise UnknownRowError(row, self._n_rows)
 
     def column(self, name: str) -> np.ndarray:
@@ -190,31 +223,37 @@ class ColumnStore:
         self.set_values(name, (row,), (value,))
 
     def set_values(self, name: str, rows: Sequence[int],
-                   values: Sequence[Any]) -> list[Any]:
+                   values: Sequence[Any]):
         """Write ``values[i]`` into ``rows[i]`` of one column, in order.
 
-        Returns each cell's value before its write (a repeated row sees the
-        earlier write).  Derived caches are invalidated once per batch.
+        Derived caches are invalidated once per batch; a cached code array
+        is kept in step (:meth:`~repro.engine.encoding.TableEncoding.write`).
+        Returns the batch's ``(old codes, new codes)`` (a repeated row's old
+        code is the earlier write's), or ``(None, None)`` when the column has
+        no cached codes or a value cannot be coded.
         """
         self._check_column(name)
-        for row in rows:
-            self._check_row(row)
+        rows = checked_rows(rows, values, self._n_rows)
+        if not rows:
+            return None, None
         column = self._columns[name]
-        old_values = []
         for row, value in zip(rows, values):
-            old_values.append(column[row])
             column[row] = value
-        if not old_values:
-            return old_values
         self._fingerprint = None
         # every derived per-column cache must drop with the content it
         # describes: a stale fingerprint would alias two different table
         # states under one oracle-cache key, and a stale null mask would
         # mis-classify the touched cell in statistics and detector scans
         self._null_masks.pop(name, None)
-        if self._encoding is not None:
-            self._encoding.invalidate(name)
-        return old_values
+        if self._encoding is None:
+            return None, None
+        return self._encoding.write(name, rows, values)
+
+    def codes(self, name: str) -> "np.ndarray | None":
+        """The column as ``int32`` dictionary codes (read-only; ``None`` when
+        it cannot be coded) — the code accessor views share
+        (:meth:`~repro.engine.view.OverlayStore.codes`)."""
+        return self.encoding().codes(self, name)
 
     def copy(self) -> "ColumnStore":
         """Return a deep-enough copy (fresh arrays, shared immutable values)."""

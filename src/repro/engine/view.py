@@ -17,7 +17,15 @@ The delta dictionary is *shared* with the owning
 :class:`~repro.dataset.table.PerturbationView` and is kept normalised: it
 never contains an entry whose value equals the base cell (null-aware), which
 makes equal contents produce equal fingerprints regardless of how the delta
-was built.
+was built.  It is the source of truth for values and fingerprints.
+
+Next to it the overlay keeps the view's current *codes* of every column read
+so far (:meth:`OverlayStore.codes`: the base's code array with the encoded
+delta scattered in), shared copy-on-write with sibling overlays until a
+column is written.  A write batch is encoded once, into those arrays: its
+old codes are one gather, the delta is normalised by comparing codes with
+the base's, and the batch's ``(old codes, new codes)`` go on to the
+statistics, while the repair walk and the rule pass read the arrays.
 """
 
 from __future__ import annotations
@@ -27,13 +35,15 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
+from repro.engine.encoding import scatter_codes
 from repro.engine.storage import (
     ColumnStore,
     Fingerprint,
+    checked_rows,
     stores_equal,
     values_differ,
 )
-from repro.errors import UnknownAttributeError, UnknownRowError
+from repro.errors import UnknownAttributeError
 
 _MISSING = object()
 
@@ -59,19 +69,25 @@ class OverlayStore:
         and :meth:`set_values` keeps it normalised afterwards.
     """
 
-    __slots__ = ("_base", "_delta", "_by_row", "_by_column", "_materialized",
-                 "_encoded_cache", "_fingerprint", "change_log")
+    __slots__ = ("_base", "_delta", "_by_column", "_materialized",
+                 "_encoded_cache", "_codes", "_shared", "_fingerprint",
+                 "change_log")
 
     def __init__(self, base: ColumnStore, delta: dict):
         self._base = base
         self._delta = delta
-        self._by_row: dict[int, dict[str, Any]] | None = None
         self._by_column: dict[str, dict[int, Any]] | None = None
         self._materialized: dict[str, np.ndarray] = {}
         #: per-column encoded delta, ``name -> (rows, codes) | None``; filled
         #: lazily by :meth:`encoded_delta_arrays`, primed from outside by
         #: :meth:`adopt_encoded_delta`, invalidated per column on write
         self._encoded_cache: dict[str, Any] = {}
+        #: the view's current codes per column read so far, ``name ->
+        #: int32 array | None`` (see :meth:`codes`)
+        self._codes: dict[str, np.ndarray | None] = {}
+        #: columns whose code array another store (the base or a sibling)
+        #: also holds: copied before this store writes it
+        self._shared: set[str] = set()
         self._fingerprint: Fingerprint | None = None
         #: append-only ``(row, attribute)`` log of every write,
         #: including writes that restore the base value.  Second-order
@@ -106,38 +122,30 @@ class OverlayStore:
 
     # -- delta bookkeeping ------------------------------------------------------
 
-    def _grouped(self) -> tuple[dict[int, dict[str, Any]], dict[str, dict[int, Any]]]:
-        """The delta split by row and by column (built lazily, rebuilt on write)."""
-        if self._by_row is None:
-            by_row: dict[int, dict[str, Any]] = {}
-            by_column: dict[str, dict[int, Any]] = {}
-            for (row, name), value in self._delta.items():
-                by_row.setdefault(row, {})[name] = value
-                by_column.setdefault(name, {})[row] = value
-            self._by_row = by_row
-            self._by_column = by_column
-        return self._by_row, self._by_column
-
     def delta_by_column(self) -> dict[str, dict[int, Any]]:
         """The delta grouped per column: ``{attribute: {row: value}}``.
 
-        The returned mapping is the overlay's internal cache — callers must
+        Built lazily from the delta and dropped by the next write.  The
+        returned mapping is the overlay's internal cache — callers must
         treat it as read-only.  This is the incremental detector's zero-copy
         window onto the delta (no per-cell objects are built).
         """
-        return self._grouped()[1]
+        if self._by_column is None:
+            by_column: dict[str, dict[int, Any]] = {}
+            for (row, name), value in self._delta.items():
+                by_column.setdefault(name, {})[row] = value
+            self._by_column = by_column
+        return self._by_column
 
     def encoded_delta(self, name: str) -> "dict[int, int] | None":
         """One column's delta in code space: ``{row: int32 code}``.
 
         Codes come from the *base* store's append-only dictionaries, so they
-        are directly comparable with the base's encoded column — the
-        vectorised engine paths overlay them onto the base code array instead
-        of re-encoding whole columns per coalition.  Returns ``None`` when
-        the column (or a delta value) is unencodable; callers fall back to
-        the object path.
+        are directly comparable with the base's encoded column.  Returns
+        ``None`` when the column (or a delta value) is unencodable.  The
+        per-cell reference for :meth:`encoded_delta_arrays`.
         """
-        overrides = self._grouped()[1].get(name)
+        overrides = self.delta_by_column().get(name)
         if not overrides:
             return {}
         encoding = self._base.encoding()
@@ -153,20 +161,28 @@ class OverlayStore:
         """One column's delta in code space as parallel ``(rows, codes)`` arrays.
 
         The bulk sibling of :meth:`encoded_delta`: rows are ascending
-        ``int64``, codes ``int32`` from the base dictionaries, the whole
-        override set encoded in one vectorised
-        :meth:`~repro.engine.encoding.TableEncoding.encode_delta` pass and
-        cached per column.  ``None`` marks an unencodable column (object-path
-        fallback), exactly when :meth:`encoded_delta` would return ``None``.
+        ``int64``, codes ``int32`` from the base dictionaries, cached per
+        column.  Read off the column's code array when the overlay holds one
+        (the rows whose code differs from the base's), else encoded from the
+        overrides in one :meth:`~repro.engine.encoding.TableEncoding.encode_delta`
+        pass.  ``None`` marks an unencodable column (object-path fallback),
+        exactly when :meth:`encoded_delta` would return ``None``.
         """
         cached = self._encoded_cache.get(name, _MISSING)
         if cached is not _MISSING:
             return cached
-        overrides = self._grouped()[1].get(name)
-        if not overrides:
-            result = (_EMPTY_ROWS, _EMPTY_CODES)
+        codes = self._codes.get(name)
+        if codes is not None:
+            base = self._base
+            rows = np.flatnonzero(codes != base.encoding().codes(base, name))
+            result = (rows, codes[rows])
+            rows.flags.writeable = result[1].flags.writeable = False
         else:
-            result = self._base.encoding().encode_delta(name, overrides)
+            overrides = self.delta_by_column().get(name)
+            if not overrides:
+                result = (_EMPTY_ROWS, _EMPTY_CODES)
+            else:
+                result = self._base.encoding().encode_delta(name, overrides)
         self._encoded_cache[name] = result
         return result
 
@@ -182,6 +198,47 @@ class OverlayStore:
         """
         self._encoded_cache[name] = (rows, codes)
 
+    def codes(self, name: str) -> "np.ndarray | None":
+        """The view's current column as ``int32`` codes of the base dictionaries.
+
+        Built on first read: the base's code array (shared while the view
+        does not override the column) with :meth:`encoded_delta_arrays`
+        scattered into a copy.  Every :meth:`set_values` batch keeps it
+        current.  Read-only for callers.  ``None`` when the column, or one
+        of its overrides, cannot be coded.
+        """
+        codes = self._codes.get(name, _MISSING)
+        if codes is _MISSING:
+            base = self._base
+            codes = base.encoding().codes(base, name)
+            if codes is not None:
+                encoded = self.encoded_delta_arrays(name)
+                if encoded is None:
+                    codes = None
+                elif len(encoded[0]):
+                    codes = codes.copy()
+                    codes[encoded[0]] = encoded[1]
+                else:
+                    self._shared.add(name)  # the base's own array
+            self._codes[name] = codes
+        return codes
+
+    def share_codes(self, source: "OverlayStore", skip=()) -> None:
+        """Adopt ``source``'s code arrays, except for the columns in ``skip``.
+
+        The two overlays must hold equal contents in every adopted column.
+        An adopted array is shared copy-on-write: whichever overlay writes
+        the column first copies it.
+        """
+        mine = self._codes
+        for name, codes in source._codes.items():
+            if name in skip or name in mine:
+                continue
+            mine[name] = codes
+            if codes is not None:
+                self._shared.add(name)
+                source._shared.add(name)
+
     # -- access ---------------------------------------------------------------
 
     def column(self, name: str) -> np.ndarray:
@@ -189,8 +246,7 @@ class OverlayStore:
         cached = self._materialized.get(name)
         if cached is not None:
             return cached
-        _, by_column = self._grouped()
-        overrides = by_column.get(name)
+        overrides = self.delta_by_column().get(name)
         if not overrides:
             column = self._base.column(name)
         else:
@@ -209,14 +265,11 @@ class OverlayStore:
 
     def row(self, row: int) -> tuple[Any, ...]:
         base_row = self._base.row(row)
-        by_row, _ = self._grouped()
-        overrides = by_row.get(row)
-        if not overrides:
+        if not self._delta:
             return base_row
-        return tuple(
-            overrides.get(name, value)
-            for name, value in zip(self._base.column_names, base_row)
-        )
+        override = self._delta.get
+        return tuple(override((row, name), value)
+                     for name, value in zip(self._base.column_names, base_row))
 
     def iter_rows(self) -> Iterator[tuple[Any, ...]]:
         for i in range(self.n_rows):
@@ -228,60 +281,71 @@ class OverlayStore:
         """Write one cell into the delta (see :meth:`set_values`)."""
         self.set_values(name, (row,), (value,))
 
-    def set_values(self, name: str, rows: Sequence[int],
-                   values: Sequence[Any]) -> list[Any]:
+    def set_values(self, name: str, rows: Sequence[int], values: Sequence[Any]):
         """Write ``values[i]`` into ``rows[i]`` of one column, in order.
 
         Writes go into the delta (the base store is never modified); writing
         a value equal to the base cell removes the delta entry, so the delta
         stays normalised and fingerprints of equal contents stay equal.
         Every write is appended to :attr:`change_log`, and the column's
-        materialised and encoded caches and the fingerprint are invalidated
-        once per batch.  Returns each cell's value before its write (a
-        repeated row sees the earlier write).
+        derived caches and the fingerprint are invalidated once per batch.
+
+        The batch is encoded once (one dictionary probe per value) into the
+        column's code array: the old codes are one gather, a cell differs
+        from the base exactly when its code does, and the new codes are one
+        scatter.  Returns the batch's ``(old codes, new codes)`` (a repeated
+        row's old code is the earlier write's), or ``(None, None)`` when the
+        column or a written value cannot be coded — such a batch takes the
+        per-cell object path.
         """
         base = self._base
         if name not in base:
             raise UnknownAttributeError(name, base.column_names)
-        n_rows = base.n_rows
-        for row in rows:
-            if not 0 <= row < n_rows:
-                raise UnknownRowError(row, n_rows)
+        rows = checked_rows(rows, values, base.n_rows)
         if not rows:
-            return []
-        self.change_log.extend(zip(rows, repeat(name)))
-        base_column = base.column(name)
-        delta = self._delta
-        by_row = self._by_row
-        if by_row is not None:
-            column_group = self._by_column.get(name)
-            if column_group is None:
-                column_group = self._by_column[name] = {}
-        old_values = []
-        for row, value in zip(rows, values):
-            key = (row, name)
-            base_value = base_column[row]
-            old_values.append(delta.get(key, base_value))
-            if values_differ(base_value, value):
-                delta[key] = value
-                if by_row is not None:
-                    by_row.setdefault(row, {})[name] = value
-                    column_group[row] = value
-            else:
-                delta.pop(key, None)
-                if by_row is not None:
-                    row_group = by_row.get(row)
-                    if row_group is not None:
-                        row_group.pop(name, None)
-                        if not row_group:
-                            del by_row[row]
-                    column_group.pop(row, None)
-        if by_row is not None and not column_group:
-            del self._by_column[name]
+            return None, None
+        codes = self.codes(name)  # the pre-batch codes, before the caches drop
+        keys = list(zip(rows, repeat(name)))
+        self.change_log.extend(keys)
         self._materialized.pop(name, None)
         self._encoded_cache.pop(name, None)
+        self._by_column = None
         self._fingerprint = None
-        return old_values
+        new = None
+        if codes is not None:
+            new = base.encoding().dictionary(name).encode_list(values)
+        if new is None:
+            self._codes.pop(name, None)  # re-derived from the delta on read
+            self._shared.discard(name)
+            base_column = base.column(name)
+            for key, value in zip(keys, values):
+                if values_differ(base_column[key[0]], value):
+                    self._delta[key] = value
+                else:
+                    self._delta.pop(key, None)
+            return None, None
+        if name in self._shared:
+            codes = self._codes[name] = codes.copy()
+            self._shared.discard(name)
+        old, new = scatter_codes(codes, rows, new)
+        base_codes = base.encoding().codes(base, name)
+        delta = self._delta
+        if len(rows) == 1:
+            if new[0] != base_codes.item(rows[0]):
+                delta[keys[0]] = values[0]
+            else:
+                delta.pop(keys[0], None)
+            return old, new
+        differs = new != base_codes[rows]
+        if differs.all():
+            delta.update(zip(keys, values))
+        else:  # in order: a row written twice keeps its last write
+            for key, value, differ in zip(keys, values, differs.tolist()):
+                if differ:
+                    delta[key] = value
+                else:
+                    delta.pop(key, None)
+        return old, new
 
     def copy(self) -> ColumnStore:
         """Materialise the overlay into an independent plain :class:`ColumnStore`."""
@@ -293,6 +357,7 @@ class OverlayStore:
         }
         clone._fingerprint = None
         clone._encoding = None
+        clone._null_masks = {}
         return clone
 
     # -- comparison / hashing helpers -------------------------------------------

@@ -19,9 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from repro.constraints.dc import DenialConstraint
 from repro.constraints.incremental import RepairWalk, find_violations_auto, repair_walk_for
 from repro.dataset.table import CellRef, PerturbationView, Table
+from repro.engine.encoding import NULL_CODE
 from repro.engine.storage import is_null
 from repro.errors import RepairError
 from repro.observability import trace as otrace
@@ -36,7 +39,6 @@ from repro.repair.base import (
 MOST_COMMON = "most_common"
 CONDITIONAL = "conditional"
 _STRATEGIES = (MOST_COMMON, CONDITIONAL)
-_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,16 @@ class RepairRule:
         if is_null(given_value):
             return None
         return table.stats.most_probable_given(self.target, self.given, given_value)
+
+    def replacement_code(self, table: Table, given_code: int = NULL_CODE) -> int:
+        """:meth:`replacement_value` in code space: the replacement's code
+        for a row whose conditioning code is ``given_code`` (unused by
+        ``most_common``), or :data:`~repro.engine.encoding.NULL_CODE` to skip."""
+        if self.strategy == MOST_COMMON:
+            return table.stats.marginal(self.target).mode_code()
+        if not given_code:
+            return NULL_CODE
+        return table.stats.cooccurrence.pair(self.given, self.target).winner(given_code)
 
 
 def default_rules_for(constraint: DenialConstraint) -> RepairRule | None:
@@ -259,18 +271,14 @@ class SimpleRuleRepair(RepairAlgorithm):
         writes to distinct rows commute.  A rule with ``given == target``
         never writes (the argmax of ``T`` given ``T = t`` is ``t``).
 
-        Replacements are memoised across passes per (target, strategy,
-        conditioning attribute and value).  The statistics only change
-        through this loop's own writes, and a batch written to ``T`` moves
-        exactly the marginal/pair counts of entries whose target or
-        conditioning attribute is ``T``, so only those entries are dropped,
-        once the pass has ended.  An unexpected version jump clears
-        everything.
+        The pass runs in code space: it reads the view's code arrays
+        (:meth:`~repro.engine.view.OverlayStore.codes`), takes the winners
+        from the statistics' memoised argmaxes (dropped only where a batch
+        moved the counts), and writes one batch whose codes the store
+        encodes once and hands on to the statistics.
         """
         if walk is None:
             return self._reference_passes(constraints, current)
-        memo: dict[tuple, Any] = {}
-        memo_version = current.version
         for _ in range(self.max_iterations):
             changed = False
             for constraint in constraints:
@@ -282,65 +290,44 @@ class SimpleRuleRepair(RepairAlgorithm):
                 rows = walk.violating_rows_for(constraint)
                 if not rows:
                     continue
-                if current.version != memo_version:
-                    memo.clear()
-                write_rows, write_values = self._pass_writes(rule, current, rows, memo)
+                write_rows, write_values = self._pass_writes(rule, current, rows)
                 if write_rows:
-                    target = rule.target
-                    current.set_values(target, write_rows, write_values)
+                    current.set_values(rule.target, write_rows, write_values)
                     changed = True
-                    for stale in [k for k in memo if k[0] == target or k[2] == target]:
-                        del memo[stale]
-                memo_version = current.version
             if not changed:
                 break
         return current
 
     @staticmethod
-    def _pass_writes(rule: RepairRule, current: Table, rows: list[int],
-                     memo: dict[tuple, Any]) -> tuple[list[int], list[Any]]:
+    def _pass_writes(rule: RepairRule, current: Table,
+                     rows: list[int]) -> tuple[list[int], list[Any]]:
         """The ``(rows, values)`` one rule pass writes, from the pre-pass state.
 
         One gather per column reads the rows' target (and conditioning)
-        values; one replacement is computed per distinct conditioning value.
-        A row is written when its value ``!=`` its replacement.
+        codes; :meth:`RepairRule.replacement_code` is asked once per
+        distinct conditioning code (once for ``most_common``).  A row is
+        written when its code differs from a non-null replacement's, i.e.
+        when its value ``!=`` the replacement.
         """
+        stats = current.stats
         target = rule.target
-        current_values = current.column(target)[rows].tolist()
+        index = np.asarray(rows)
         if rule.strategy == MOST_COMMON:
-            key = (target, MOST_COMMON, None, None)
-            replacement = memo.get(key, _MISSING)
-            if replacement is _MISSING:
-                replacement = memo[key] = rule.replacement_value(current, rows[0])
-            if replacement is None:
+            winner = rule.replacement_code(current)
+            if not winner:
                 return [], []
-            write_rows = [row for row, value in zip(rows, current_values)
-                          if value != replacement]
-            return write_rows, [replacement] * len(write_rows)
-        given = rule.given
-        by_value: dict[Any, Any] = {}
-        write_rows: list[int] = []
-        write_values: list[Any] = []
-        # the pass reads this distribution; building it first turns an
-        # unhashable conditioning value into the statistics' SchemaError
-        current.stats.cooccurrence.warm(given, target)
-        for row, value, given_value in zip(
-                rows, current_values, current.column(given)[rows].tolist()):
-            try:
-                replacement = by_value[given_value]
-            except KeyError:
-                if is_null(given_value):
-                    replacement = None
-                else:
-                    key = (target, CONDITIONAL, given, given_value)
-                    replacement = memo.get(key, _MISSING)
-                    if replacement is _MISSING:
-                        replacement = memo[key] = rule.replacement_value(current, row)
-                by_value[given_value] = replacement
-            if replacement is not None and value != replacement:
-                write_rows.append(row)
-                write_values.append(replacement)
-        return write_rows, write_values
+            write_rows = index[stats.codes(target)[index] != winner].tolist()
+            return write_rows, [stats.most_common(target)] * len(write_rows)
+        # building the distribution first turns a column the encoding cannot
+        # code into the statistics' SchemaError
+        pair = stats.cooccurrence.pair(rule.given, target)
+        givens = stats.codes(rule.given)[index]
+        winner_of = np.zeros(int(givens.max()) + 1, dtype=np.int64)
+        for given in dict.fromkeys(givens.tolist()):
+            winner_of[given] = rule.replacement_code(current, given)
+        winners = winner_of[givens]
+        write = (winners != NULL_CODE) & (winners != stats.codes(target)[index])
+        return index[write].tolist(), pair.target.decode_list(winners[write].tolist())
 
     def _reference_passes(self, constraints: list[DenialConstraint],
                           current: Table) -> Table:

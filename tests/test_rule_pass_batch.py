@@ -211,19 +211,19 @@ def test_walk_pass_computes_each_replacement_once(monkeypatch):
     passes = [0]
     calls: Counter = Counter()
     original_rows_for = RepairWalk.violating_rows_for
-    original_replacement = RepairRule.replacement_value
+    original_replacement = RepairRule.replacement_code
 
     def counting_rows_for(self, constraint):
         passes[0] += 1
         return original_rows_for(self, constraint)
 
-    def counting_replacement(self, table, row):
-        conditioning = table.value(row, self.given) if self.strategy == CONDITIONAL else None
-        calls[(passes[0], self, conditioning)] += 1
-        return original_replacement(self, table, row)
+    def counting_replacement(self, table, given_code=0):
+        # the walk's pass asks in code space, by the conditioning code
+        calls[(passes[0], self, given_code)] += 1
+        return original_replacement(self, table, given_code)
 
     monkeypatch.setattr(RepairWalk, "violating_rows_for", counting_rows_for)
-    monkeypatch.setattr(RepairRule, "replacement_value", counting_replacement)
+    monkeypatch.setattr(RepairRule, "replacement_code", counting_replacement)
     repaired = SimpleRuleRepair().repair_table(constraints, view)
 
     assert sum(calls.values()) > 20  # the guard has work to guard
