@@ -8,14 +8,12 @@ Two end-to-end evaluation engines exist, chosen on the repair algorithm
   independent repairs per with/without pair (the paper's definitions);
 * **fast** — every coalition is a copy-on-write ``PerturbationView`` with
   delta-maintained violations; the explainer enqueues all of a cell's pairs
-  into ``query_pairs`` scheduled passes (pair-memo dedup, coalition-prefix
-  grouping, one primed walk per group, forked at the differing cell); the
-  walk maintains violations across its own passes, with FD-shape
-  violations kept as one array partition per constraint; and every
-  instance's statistics derive from the base snapshot's code-space counts
-  by its encoded delta instead of per-sample rebuilds (``stats_leases`` /
-  ``stats_cells_moved`` below count the views and the delta and written
-  cells those derivations moved).
+  into ``query_pairs`` calls (pair-memo dedup, then one primed walk per
+  pair, forked at the differing cell); the walk maintains violations
+  across its own passes, with FD-shape violations kept as one array
+  partition per constraint; and every instance's statistics derive from
+  the base snapshot's code-space counts by its encoded delta instead of
+  per-sample rebuilds.
 
 On top of the fast engine sits the **sharded scheduler** (``n_jobs``): the
 job is cut into per-seeded ``(cell, chunk)`` shards executed on worker
@@ -568,15 +566,14 @@ def test_engines_identical_and_fast_is_faster(benchmark):
             key: batch_stats.get(key, 0)
             for key in ("batches", "pairs_batched", "pairs_deduped",
                         "max_batch_size", "pair_walks", "repair_runs",
-                        "cache_hits", "cache_misses", "cache_evictions",
-                        "stats_leases", "stats_cells_moved")
+                        "cache_hits", "cache_misses", "cache_evictions")
         },
         "parallel_scheduler": {
             key: parallel_stats.get(key, 0)
             for key in ("parallel_workers", "parallel_shards", "oracle_calls",
                         "repair_runs", "batches", "pairs_batched",
                         "pairs_deduped", "cache_hits", "cache_misses",
-                        "cache_evictions", "stats_leases", "stats_cells_moved")
+                        "cache_evictions")
         },
         "trace": {
             "explain_seconds": round(traced_seconds, 4),

@@ -370,10 +370,6 @@ class IncrementalViolationDetector:
         #: packed base-key arrays per equality shape (vectorised path),
         #: keyed by the dictionary sizes they were packed under
         self._packed_contexts: dict[tuple[str, ...], tuple] = {}
-        #: multi-coalition prime results parked per (view fingerprint, shape);
-        #: populated by :meth:`precompute_walk_indexes`, popped (exclusively)
-        #: by each view's :class:`RepairWalk`
-        self._prime_cache: dict[tuple, tuple] = {}
         for constraint in constraints:
             self._state(constraint)
 
@@ -534,48 +530,10 @@ class IncrementalViolationDetector:
         valid[all_rows] = parts_valid
         return all_rows.tolist()
 
-    def precompute_walk_indexes(self, views_with_fingerprints,
-                                constraints: Sequence[DenialConstraint]) -> int:
-        """The multi-coalition walk: list-mode key builds for a batch of views.
-
-        The batch scheduler calls this with every distinct coalition view of
-        one ``query_pairs`` pass.  For each equality shape a list-mode
-        constraint reads, every view's keys are grouped as a standalone walk
-        would (:meth:`_packed_view_keys`) and parked under the view's
-        fingerprint for its :class:`RepairWalk` to pop
-        (:meth:`RepairWalk._build_windex_codes`).  FD partitions read column
-        codes, so their shapes are not built.  Unclaimed entries are dropped
-        at the next precompute.  Returns the number of parked builds.
-        """
-        self._prime_cache.clear()
-        store = self.table.store
-        encoding = store.encoding()
-        shapes: list[tuple[str, ...]] = []
-        for constraint in constraints:
-            plan = self._state(constraint).plan
-            if plan.kind != "eq" or plan.eq_attrs in shapes:
-                continue
-            if plan.single_ne_attr is not None and all(
-                    encoding.codes(store, attribute) is not None
-                    for attribute in plan.mentioned):
-                continue  # a partition: built from column codes by the walk
-            shapes.append(plan.eq_attrs)
-        parked = 0
-        for eq_attrs in shapes:
-            if self._encoded_eq_base(eq_attrs) is None:
-                encoding.fallback_checks += len(views_with_fingerprints)
-                continue
-            for view, fingerprint in views_with_fingerprints:
-                if getattr(view, "base", None) is not self.table:
-                    continue  # foreign root: its codes live in another encoding
-                packed = self._packed_view_keys(view.store, eq_attrs)
-                if packed is None:
-                    encoding.fallback_checks += 1
-                    continue
-                self._prime_cache[(fingerprint, eq_attrs)] = _groups_from_packed(*packed)
-                encoding.vectorized_checks += 1
-                parked += 1
-        return parked
+    def precompute_walk_indexes(self, *args, **kwargs):
+        """Retired stub (ROADMAP item 1): every walk builds its own index
+        state (:meth:`RepairWalk._build_windex_codes`)."""
+        raise NotImplementedError("precompute_walk_indexes is retired")
 
     # -- base-table update maintenance --------------------------------------------
 
@@ -588,8 +546,8 @@ class IncrementalViolationDetector:
         values).  The moves are *permanent*: equality indexes move the
         touched rows and the build-time key snapshots are patched in place,
         base violations take one :func:`_retract_recheck` step over the
-        touched rows, and the packed-key / primed-walk caches derived from
-        old base contents are dropped.  Finishing by advancing
+        touched rows, and the packed-key cache derived from old base contents
+        is dropped.  Finishing by advancing
         :attr:`base_version` keeps this detector (and everything sharing it
         through :func:`detector_for`) live instead of triggering the rebuild
         path.
@@ -638,12 +596,9 @@ class IncrementalViolationDetector:
             state.built = _retract_recheck(plan, state.built, touched, self.table,
                                            row_of, key_of, groups, class_of)
 
-        # 3. caches derived from the old base contents: the packed-key cache
-        # validates only by dictionary *sizes* (a new value already present in
-        # a dictionary would serve stale codes), and parked prime results are
-        # keyed by fingerprints that no longer occur
+        # 3. the packed-key cache validates only by dictionary *sizes* (a new
+        # value already present in a dictionary would serve stale codes)
         self._packed_contexts.clear()
-        self._prime_cache.clear()
         self.base_version = self.table.version
 
     # -- public queries ----------------------------------------------------------
@@ -1123,19 +1078,10 @@ class RepairWalk:
         return walk_index
 
     def _build_windex_codes(self, eq_attrs: tuple[str, ...]):
-        """``(groups, keys)`` via the code path, or ``None`` to fall back.
-
-        Consumes a multi-coalition precomputed build when the batch
-        scheduler parked one under this view's fingerprint
-        (:meth:`IncrementalViolationDetector.precompute_walk_indexes`);
-        otherwise the view's keys are packed and grouped standalone.
-        """
+        """``(groups, keys)`` via the code path (the view's keys packed and
+        grouped), or ``None`` to fall back."""
         detector = self.detector
         encoding = detector.table.store.encoding()
-        if detector._prime_cache and not self._log:
-            built = detector._prime_cache.pop((self.view.fingerprint(), eq_attrs), None)
-            if built is not None:
-                return built
         packed = detector._packed_view_keys(self.view.store, eq_attrs)
         if packed is None:
             encoding.fallback_checks += 1

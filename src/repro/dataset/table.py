@@ -303,7 +303,12 @@ class Table:
 
     @property
     def stats(self) -> TableStatistics:
-        """Column/co-occurrence statistics of the current snapshot (cached)."""
+        """Column/co-occurrence statistics of the current contents (cached).
+
+        On a view the counts are the base table's, moved by the view's
+        encoded delta structure by structure on first read (see
+        :mod:`repro.engine.stats`).
+        """
         if self._stats is None:
             self._stats = TableStatistics(self._store)
         return self._stats
@@ -319,17 +324,14 @@ class Table:
 
         The incremental detector cached on a snapshot
         (``_incremental_detector``) holds compiled predicate closures that
-        cannot cross a pickle boundary, and the statistics bundle /
-        shared-statistics engine are content-derived and rebuilt lazily —
-        shipping them would only bloat the sharded scheduler's job payloads.
-        A worker that unpickles a table gets a clean snapshot and re-derives
-        its own caches.
+        cannot cross a pickle boundary, and the statistics bundle is
+        content-derived and rebuilt lazily — shipping it would only bloat the
+        sharded scheduler's job payloads.  A worker that unpickles a table
+        gets a clean snapshot and re-derives its own caches.
         """
         state = dict(self.__dict__)
         state.pop("_incremental_detector", None)
         state["_stats"] = None
-        if "_stats_engine" in state:
-            state["_stats_engine"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -504,10 +506,6 @@ class PerturbationView(Table):
                     cache[column] = entry
             self._store.share_codes(parent, touched)
         self._stats = None
-        #: shared-statistics engine inherited along the view lineage (the
-        #: oracle/sampler install it on the root views they build); see
-        #: :attr:`stats`
-        self._stats_engine = base._stats_engine if isinstance(base, PerturbationView) else None
         self._version = 0
 
     # -- view-specific introspection --------------------------------------------
@@ -568,28 +566,6 @@ class PerturbationView(Table):
         cells = [cell if isinstance(cell, CellRef) else CellRef(*cell) for cell in changed]
         cells.sort(key=lambda cell: (cell.row, cell.attribute))
         return cells
-
-    # -- statistics ---------------------------------------------------------------
-
-    @property
-    def stats(self) -> TableStatistics:
-        """Statistics of the view's contents.
-
-        Counts are the base table's, moved by the view's encoded delta
-        structure by structure on first read (see :mod:`repro.engine.stats`).
-        When a :class:`~repro.engine.stats.SharedStatistics` engine travels
-        with the view (installed by the oracle/sampler on the hot path and
-        inherited through :meth:`mutable_snapshot`/:meth:`with_values`), the
-        bundle is obtained through its :meth:`~repro.engine.stats.SharedStatistics.lease`,
-        which counts the work.  Values are identical either way.
-        """
-        if self._stats is None:
-            engine = self._stats_engine
-            if engine is not None:
-                self._stats = engine.lease(self)
-            else:
-                self._stats = TableStatistics(self._store)
-        return self._stats
 
     # -- overridden transformations ---------------------------------------------
 

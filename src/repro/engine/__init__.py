@@ -17,7 +17,6 @@ from repro.engine.index import HashIndex
 from repro.engine.stats import (
     ColumnStatistics,
     CooccurrenceStatistics,
-    SharedStatistics,
     TableStatistics,
 )
 
@@ -26,6 +25,5 @@ __all__ = [
     "HashIndex",
     "ColumnStatistics",
     "CooccurrenceStatistics",
-    "SharedStatistics",
     "TableStatistics",
 ]

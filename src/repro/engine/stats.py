@@ -213,15 +213,6 @@ class ColumnStatistics:
         """Undo a previous :meth:`apply_delta` with the same ``updates``."""
         self.apply_delta((new, old) for old, new in updates)
 
-    def fork(self) -> "ColumnStatistics":
-        """An independent copy (counts and memos); the array is copied by
-        whichever side moves first."""
-        clone = ColumnStatistics.__new__(ColumnStatistics)
-        for name in ColumnStatistics.__slots__:
-            setattr(clone, name, getattr(self, name))
-        clone._owned = self._owned = False
-        return clone
-
     # -- queries -----------------------------------------------------------------
 
     @property
@@ -649,16 +640,6 @@ class CooccurrenceStatistics:
         """Build the ``(given, target)`` pair distribution now."""
         self.pair(given, target)
 
-    def fork(self, store) -> "CooccurrenceStatistics":
-        """An independent copy reading sibling cells from ``store``.
-
-        Only the pair distributions built so far are copied (copy-on-write);
-        unbuilt pairs are built lazily from ``store`` as usual.
-        """
-        clone = CooccurrenceStatistics(store)
-        clone._pairs = {key: pair.copy() for key, pair in self._pairs.items()}
-        return clone
-
     # -- delta maintenance -----------------------------------------------------
 
     def _move_cells(self, attribute: str, rows: Sequence[int],
@@ -784,20 +765,6 @@ class TableStatistics:
             marginal = self._marginals[attribute] = ColumnStatistics(self._store, attribute)
         return marginal
 
-    def fork(self, store) -> "TableStatistics":
-        """An independent copy of everything built so far, bound to ``store``.
-
-        ``store`` must hold the same contents the forked statistics describe;
-        divergence is then applied through :meth:`apply_cell_update`.
-        """
-        clone = TableStatistics.__new__(TableStatistics)
-        clone._store = store
-        clone._marginals = {
-            attribute: marginal.fork() for attribute, marginal in self._marginals.items()
-        }
-        clone.cooccurrence = self.cooccurrence.fork(store)
-        return clone
-
     def apply_delta(self, changes: Mapping[tuple[int, str], tuple[Any, Any]],
                     store) -> None:
         """Move every built statistic onto the contents of ``store``.
@@ -834,71 +801,29 @@ class TableStatistics:
         return self.cooccurrence.most_probable(target, given, given_value, default)
 
 
-# -- the fast engine's statistics entry point ---------------------------------------
+class _LeasedTableStatistics:
+    """Retired (ROADMAP item 1): a view's statistics are a plain TableStatistics."""
 
-
-class _LeasedTableStatistics(TableStatistics):
-    """A view's statistics handed out by :class:`SharedStatistics`; its
-    writes count toward the engine's ``cells_moved``."""
-
-    def __init__(self, store, engine: "SharedStatistics"):
-        super().__init__(store)
-        self._engine = engine
-
-    def apply_cell_update(self, row: int, attribute: str,
-                          old_value: Any, new_value: Any) -> None:
-        self._engine.cells_moved += 1
-        super().apply_cell_update(row, attribute, old_value, new_value)
-
-    def apply_cell_updates(self, attribute: str, rows: Sequence[int],
-                           old_codes: Sequence[int] | None,
-                           new_codes: Sequence[int] | None) -> None:
-        self._engine.cells_moved += len(rows)
-        super().apply_cell_updates(attribute, rows, old_codes, new_codes)
+    def apply_cell_update(self, *args, **kwargs):
+        """Retired stub (ROADMAP item 1)."""
+        raise NotImplementedError("_LeasedTableStatistics is retired")
 
 
 class SharedStatistics:
-    """The statistics entry point of the fast engine, one per base table.
+    """Retired (ROADMAP item 1): a view's statistics are a plain TableStatistics."""
 
-    Every perturbation view's statistics derive from the base snapshot's
-    counts, which are built once per structure and cached next to the base
-    encoding (see the module docstring): :meth:`lease` hands a view a bundle
-    that moves those counts by the view's encoded delta on first read of each
-    structure.  Repair algorithms see it transparently through
-    :attr:`~repro.dataset.table.PerturbationView.stats`.  Results equal the
-    ``engine="reference"`` stack's, which counts every materialised instance
-    from scratch in the same code-space form.
+    def lease(self, *args, **kwargs):
+        """Retired stub (ROADMAP item 1)."""
+        raise NotImplementedError("SharedStatistics is retired")
 
-    Work counters: ``leases`` is the number of views handed a bundle,
-    ``cells_moved`` the view-delta cells plus written cells those bundles
-    were moved by.
-    """
+    def release(self, *args, **kwargs):
+        """Retired stub (ROADMAP item 1)."""
+        raise NotImplementedError("SharedStatistics is retired")
 
-    __slots__ = ("_base", "leases", "cells_moved")
+    def begin_base_update(self, *args, **kwargs):
+        """Retired stub (ROADMAP item 1)."""
+        raise NotImplementedError("SharedStatistics is retired")
 
-    def __init__(self, base_table):
-        self._base = base_table
-        self.leases = 0
-        self.cells_moved = 0
-
-    def lease(self, view) -> TableStatistics:
-        """A statistics bundle for ``view``, a view rooted on the base table."""
-        self.leases += 1
-        self.cells_moved += len(view._delta)
-        return _LeasedTableStatistics(view.store, self)
-
-    def release(self) -> None:
-        """Nothing to re-point: every bundle derives from the base on its own."""
-
-    def begin_base_update(self) -> None:
-        """Pre-mutation hook of an in-place base-table write (nothing to do:
-        the write drops the base counts of the written columns with their
-        code arrays, and the next read rebuilds them)."""
-
-    def complete_base_update(self, changes) -> None:
-        """Post-mutation hook of an in-place base-table write (see
-        :meth:`begin_base_update`)."""
-
-    def statistics(self) -> dict[str, int]:
-        """Work counters for the oracle's perf telemetry."""
-        return {"stats_leases": self.leases, "stats_cells_moved": self.cells_moved}
+    def complete_base_update(self, *args, **kwargs):
+        """Retired stub (ROADMAP item 1)."""
+        raise NotImplementedError("SharedStatistics is retired")

@@ -12,10 +12,9 @@ sampler's ``touched_sink`` hook, shipped per shard on the parallel path).
 
 :func:`apply_session_update` is the update orchestrator.  It applies a
 base-table write *in place* and delta-maintains every derived structure —
-the incremental violation detector and its persistent indexes
-(:func:`~repro.repair.updates.apply_table_update`), every live
-:class:`~repro.engine.stats.SharedStatistics` entry point (the session
-oracle's and the scheduler's in-process resident stack's), the oracle caches (rebased
+the incremental violation detector and its persistent indexes, and the
+table's own statistics (:func:`~repro.repair.updates.apply_table_update`;
+views derive theirs from the new base), the oracle caches (rebased
 onto the new table fingerprint, entries pinned on changed cells dropped),
 and the resident worker stacks (patched through one
 :meth:`~repro.parallel.ShardedExplainScheduler.apply_base_update` round —
@@ -225,26 +224,21 @@ def apply_session_update(session, values: Mapping[CellRef, Any]) -> dict:
     The update orchestration, in dependency order:
 
     1. normalise ``values`` into actual changes (no-op writes dropped);
-    2. call ``begin_base_update`` on every live
-       :class:`~repro.engine.stats.SharedStatistics` engine — the session
-       oracle's and each scheduler's in-process resident stack's (statistics
-       need no work there: the write drops the base counts of the written
-       columns with their code arrays, and views rebuild from the new base);
-    3. mutate the shared table (:func:`~repro.repair.updates.apply_table_update`
+    2. mutate the shared table (:func:`~repro.repair.updates.apply_table_update`
        delta-maintains the cached incremental violation detector and bumps
        the table version, invalidating fingerprints, null masks and lazily
-       derived state);
-    4. close each engine's update window (``complete_base_update``); the
-       dirty table's own statistics were moved by the writes themselves;
-    5. re-run the reference repair on the post-update table — the repaired
+       derived state; the writes move the dirty table's own statistics and
+       drop the base counts of the written columns with their code arrays,
+       so every view derives its statistics from the new base);
+    3. re-run the reference repair on the post-update table — the repaired
        value of the cell of interest is the game's target and may change;
-    6. rebase the session oracle's cache onto the new table fingerprint
+    4. rebase the session oracle's cache onto the new table fingerprint
        (entries pinned on changed cells drop; ``base_updates_applied`` and
        ``cache_entries_invalidated`` count on this oracle);
-    7. patch every scheduler: local resident stack and one resident-worker
+    5. patch every scheduler: local resident stack and one resident-worker
        patch round (no stack rebuilds; a failed patch fails the pool over,
        counted in ``pool_failovers``);
-    8. drop the sampler's policy-precomputed replacement overlay and
+    6. drop the sampler's policy-precomputed replacement overlay and
        selectively invalidate estimates via their touched-cell fingerprints
        (full invalidation for the ``sample`` policy, a changed column mode
        under ``mode``, or a changed target).
@@ -269,16 +263,6 @@ def apply_session_update(session, values: Mapping[CellRef, Any]) -> dict:
     tracer = otrace.current()
     span = tracer.start("base_update", cells=len(changes)) if tracer is not None else None
     try:
-        engines = []
-        schedulers = []
-        if live is not None:
-            if live.oracle.stats_engine is not None:
-                engines.append(live.oracle.stats_engine)
-            for scheduler in live.explainer._schedulers.values():
-                schedulers.append(scheduler)
-                local = scheduler.local_resident_oracle
-                if local is not None and local.stats_engine is not None:
-                    engines.append(local.stats_engine)
         updated_attributes = {cell.attribute for cell in changes}
         modes_before = None
         if live is not None and live.policy is ReplacementPolicy.MODE:
@@ -286,11 +270,7 @@ def apply_session_update(session, values: Mapping[CellRef, Any]) -> dict:
                 attribute: table.stats.marginal(attribute).most_common()
                 for attribute in updated_attributes
             }
-        for engine in engines:
-            engine.begin_base_update()
         old_fingerprint = apply_table_update(table, changes)
-        for engine in engines:
-            engine.complete_base_update(changes)
         # the reference repair — and with it the target value of the game —
         # must come from the post-update table
         repair = session.explainer.repair(force=True)
@@ -319,7 +299,7 @@ def apply_session_update(session, values: Mapping[CellRef, Any]) -> dict:
         info["cache_entries_invalidated"] = live.oracle.finish_base_update(
             new_values, old_fingerprint, new_target, count=True
         )
-        for scheduler in schedulers:
+        for scheduler in live.explainer._schedulers.values():
             patched = scheduler.apply_base_update(
                 delta, new_values, old_fingerprint, target_changed=target_changed
             )

@@ -90,8 +90,8 @@ class ExplanationReport:
     def _format_counters(counters: dict) -> str:
         """One compact ``key=value`` line from an oracle counter dict.
 
-        Zero-valued batch/engine counters are dropped so runs without the
-        batch scheduler (or without shared statistics) stay short.  Nested
+        Zero-valued batch/engine counters are dropped so runs that never
+        queue pairs (the reference engine) stay short.  Nested
         telemetry groups (the ``encoding`` dict) are skipped here — they get
         a dedicated line from :meth:`_format_group`.
         """
@@ -118,7 +118,7 @@ class ExplanationReport:
         return " ".join(parts)
 
     def _statistics_lines(self) -> list[str]:
-        """Render the oracle's counters (cache, pair walks, batch scheduler).
+        """Render the oracle's counters (cache, pair walks, pair queue).
 
         Surfacing ``BinaryRepairOracle.statistics()`` here makes perf
         regressions (cache thrash, vanished batching, silent pair fallbacks,

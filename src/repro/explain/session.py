@@ -9,7 +9,7 @@ every step is recorded so examples and benchmarks can replay and report it.
 Sessions are additionally *live* under base-table updates:
 :meth:`RepairSession.update` applies a write to the dirty table,
 delta-maintains the whole session state in place (violation detector,
-statistics engines, encodings, oracle caches, resident worker stacks) and
+statistics, encodings, oracle caches, resident worker stacks) and
 invalidates only the Shapley estimates whose sampled coalitions overlapped
 the changed cells (see :mod:`repro.explain.live`).  ``update()`` followed by
 ``explain()`` is bit-identical to a fresh session built on the post-update

@@ -5,8 +5,8 @@ cell-Shapley job: the black box, the constraint set, the dirty table snapshot,
 the cell of interest with its reference repaired value, the replacement
 policy and the job seed.  It is pickled once in the parent and shipped to
 every worker, which rebuilds a private oracle stack from it (own
-``BinaryRepairOracle``, ``OracleCache``, ``SharedStatistics``, repair-walk
-state) — workers share nothing at runtime.  The evaluation engine travels
+``BinaryRepairOracle``, ``OracleCache``, statistics and repair-walk state) —
+workers share nothing at runtime.  The evaluation engine travels
 with the algorithm (:attr:`~repro.repair.base.RepairAlgorithm.engine`), so
 every worker runs the parent's engine.
 

@@ -65,7 +65,7 @@ from repro.shapley.convergence import ConvergenceTracker, RunningMean
 from repro.shapley.sampling import SampledShapleyEstimate
 
 #: default shard granularity — the batched oracle's chunk size, so one shard
-#: drains as exactly one ``query_pairs`` scheduled pass
+#: drains as exactly one ``query_pairs`` call
 DEFAULT_SAMPLES_PER_SHARD = BATCH_CHUNK_SIZE
 
 #: the resident-state key of in-process execution (one scheduler, one spec,
@@ -299,18 +299,6 @@ class ShardedExplainScheduler:
 
     # -- live base updates ------------------------------------------------------------
 
-    @property
-    def local_resident_oracle(self):
-        """The in-process resident stack's oracle (``None`` until built).
-
-        The live session reads it before mutating the shared table so the
-        stack's own :class:`~repro.engine.stats.SharedStatistics` entry point
-        sees the update window too (the local stack shares the session's
-        table object but owns its cache).
-        """
-        state = self._local_resident.get(_LOCAL_KEY)
-        return None if state is None else state.oracle
-
     def apply_base_update(self, delta, changes, old_fingerprint,
                           target_changed: bool = False) -> dict:
         """Patch every resident oracle stack for an already-applied update.
@@ -324,8 +312,8 @@ class ShardedExplainScheduler:
           content);
         * the in-process resident stack, which shares the session's table
           object, has its cache rebased, lazy view dropped and sampler
-          overlay invalidated (its statistics engine was moved by the caller
-          around the mutation);
+          overlay invalidated (its views derive their statistics from the
+          mutated table);
         * every live resident *worker* receives one
           :func:`~repro.parallel.worker.run_base_update_worker` task carrying
           the picklable delta: the worker applies it to its private table

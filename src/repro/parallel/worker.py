@@ -13,7 +13,7 @@ The spec arrives as a live object (in-process execution) or as pickled
 bytes (the multi-process path pickles the spec once and reuses the payload),
 so every execution venue runs literally the same code on the same inputs.
 Each stack is a full private copy of the evaluation engine — oracle, cache,
-shared-statistics instance, repair-walk state.  Within a worker the cache
+statistics, repair-walk state.  Within a worker the cache
 accumulates across shards and rounds exactly like the sequential oracle's
 does; because the cache is a pure memoisation of a deterministic black box,
 this sharing affects wall-clock only, never values.

@@ -22,9 +22,8 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from repro.constraints.dc import DenialConstraint, constraint_set_names
-from repro.constraints.incremental import detector_for, repair_walk_for
+from repro.constraints.incremental import repair_walk_for
 from repro.dataset.table import CellRef, PerturbationView, RepairDelta, Table
-from repro.engine.stats import SharedStatistics
 from repro.engine.storage import NULL
 from repro.errors import RepairError
 from repro.observability import trace as otrace
@@ -80,25 +79,6 @@ def _engine_choice(value: Any) -> str:
     return value
 
 
-def _padded_differing_lists(
-    differing_cells_lists: Sequence[Sequence[CellRef]], n_pairs: int
-) -> Sequence[Sequence[CellRef]]:
-    """Validate a group's per-pair differing-cells argument.
-
-    An empty argument means "unknown" for every pair; anything else must
-    match the without-instances one-to-one — silently ``zip``-truncating a
-    group would drop repairs.
-    """
-    if not differing_cells_lists:
-        return [()] * n_pairs
-    if len(differing_cells_lists) != n_pairs:
-        raise ValueError(
-            f"repair_pair_group got {n_pairs} without-instances but "
-            f"{len(differing_cells_lists)} differing-cells lists"
-        )
-    return differing_cells_lists
-
-
 def _walk_repair_table(algorithm, constraints: Sequence[DenialConstraint],
                        table: Table) -> Table:
     """``repair_table`` of the walk-based repairers (simple and greedy).
@@ -122,6 +102,32 @@ def _walk_repair_table(algorithm, constraints: Sequence[DenialConstraint],
     return clean if isinstance(table, PerturbationView) else clean.copy()
 
 
+def _walk_repair_pair(algorithm, constraints: Sequence[DenialConstraint],
+                      with_table: Table, without_table: Table,
+                      differing_cells: Sequence[CellRef]) -> tuple[Table, Table]:
+    """``repair_pair`` of the walk-based repairers (simple and greedy).
+
+    On the ``"fast"`` engine, for a with-instance that is a view, the
+    with-instance's detection state is primed once and forked at the
+    differing cells onto the without-instance, before either repair loop
+    writes (as :meth:`~repro.constraints.incremental.RepairWalk.fork_onto`
+    requires).  Each instance's statistics derive from the base by its own
+    delta.  Otherwise the two instances are repaired independently.
+    """
+    constraints = list(constraints)
+    if algorithm.engine == "reference" or not isinstance(with_table, PerturbationView):
+        return (algorithm.repair_table(constraints, with_table),
+                algorithm.repair_table(constraints, without_table))
+    with_work = with_table.mutable_snapshot(name=f"{with_table.name}_repaired")
+    walk_with = repair_walk_for(with_work, constraints)
+    walk_with.prime()
+    algorithm.shared_pair_walks += 1
+    without_work = without_table.mutable_snapshot(name=f"{without_table.name}_repaired")
+    walk_without = walk_with.fork_onto(without_work, differing_cells)
+    return (algorithm._repair_loop(constraints, with_work, walk_with),
+            algorithm._repair_loop(constraints, without_work, walk_without))
+
+
 class RepairAlgorithm(abc.ABC):
     """Abstract base class for repair algorithms (the black box).
 
@@ -135,7 +141,7 @@ class RepairAlgorithm(abc.ABC):
 
     #: The evaluation engine the oracle stack runs this algorithm on.
     #: ``"fast"`` evaluates perturbed instances as copy-on-write views with
-    #: delta-maintained detection, shared statistics and shared pair walks;
+    #: delta-maintained detection, derived statistics and shared pair walks;
     #: ``"reference"`` materialises every instance and rescans it, which is
     #: the paper's definitions executed literally.  Both give the same
     #: results; the walk-based repairers take it as a constructor argument.
@@ -174,39 +180,6 @@ class RepairAlgorithm(abc.ABC):
             self.repair_table(list(constraints), with_table),
             self.repair_table(list(constraints), without_table),
         )
-
-    def repair_pair_group(
-        self,
-        constraints: Sequence[DenialConstraint],
-        with_table: Table,
-        without_tables: Sequence[Table],
-        differing_cells_lists: Sequence[Sequence[CellRef]] = (),
-    ) -> tuple[Table, list[Table]]:
-        """Repair one with-instance against several without-instances.
-
-        The batch scheduler's entry point: all pairs of one group share the
-        same with-instance *content* (a shared coalition prefix), so the
-        detection state can be primed once and forked per without-instance.
-        The base implementation degrades to :meth:`repair_pair` per pair (the
-        with-instance is re-repaired each time — determinism makes the copies
-        identical); walk-sharing algorithms override it to prime once.
-        Overrides must return exactly what independent :meth:`repair_table`
-        calls would.
-        """
-        constraints = list(constraints)
-        differing_cells_lists = _padded_differing_lists(
-            differing_cells_lists, len(without_tables)
-        )
-        clean_with: Table | None = None
-        clean_withouts: list[Table] = []
-        for without_table, differing in zip(without_tables, differing_cells_lists):
-            clean_with, clean_without = self.repair_pair(
-                constraints, with_table, without_table, differing
-            )
-            clean_withouts.append(clean_without)
-        if clean_with is None:
-            clean_with = self.repair_table(constraints, with_table)
-        return clean_with, clean_withouts
 
     # -- convenience API ----------------------------------------------------------
 
@@ -260,14 +233,12 @@ class BinaryRepairOracle:
     The evaluation engine is the algorithm's (:attr:`RepairAlgorithm.engine`,
     mirrored as :attr:`engine`).  On ``"fast"`` the oracle's own
     perturbations (constraint-subset queries, cell coalitions) are
-    copy-on-write views that carry the
-    :class:`~repro.engine.stats.SharedStatistics` entry point (each view's
-    statistics derive from the base snapshot's counts by its encoded delta);
-    :meth:`query_pair` shares one primed repair
-    walk between the two instances of a pair; and :meth:`query_pairs`
-    schedules a whole queue of pairs.  On ``"reference"`` every perturbation
-    is a materialised table and the algorithm rescans it.  Answers are
-    identical either way.
+    copy-on-write views, whose statistics derive from the base snapshot's
+    counts by their encoded delta; :meth:`query_pair` shares one primed
+    repair walk between the two instances of a pair; and
+    :meth:`query_pairs` answers a whole queue of pairs.  On ``"reference"``
+    every perturbation is a materialised table and the algorithm rescans
+    it.  Answers are identical either way.
     cache_size:
         LRU bound for the oracle cache (defaults to
         :class:`~repro.repair.cache.OracleCache`'s generous built-in limit);
@@ -281,8 +252,8 @@ class BinaryRepairOracle:
     calls = MetricAttribute("oracle_calls")          # oracle queries (cached or not)
     repair_runs = MetricAttribute("repair_runs")     # actual black-box repair invocations
     pair_walks = MetricAttribute("pair_walks")       # pairs evaluated in one shared walk
-    batches = MetricAttribute("batches")             # query_pairs scheduled passes
-    pairs_batched = MetricAttribute("pairs_batched")  # pairs submitted through those passes
+    batches = MetricAttribute("batches")             # query_pairs calls
+    pairs_batched = MetricAttribute("pairs_batched")  # pairs submitted through those calls
     pairs_deduped = MetricAttribute("pairs_deduped")  # batched pairs answered without a repair
     max_batch_size = MetricAttribute("max_batch_size")
     # sharded-scheduler bookkeeping (absorbed from worker oracles by
@@ -321,11 +292,6 @@ class BinaryRepairOracle:
         self.dirty_table = dirty_table
         self.cell = dirty_table.validate_cell(cell)
         self.engine = algorithm.engine
-        #: the explainer-lifetime statistics instance, moved between coalition
-        #: overlays instead of rebuilt per instance (None on the reference)
-        self.stats_engine: SharedStatistics | None = (
-            SharedStatistics(dirty_table) if self.engine == "fast" else None
-        )
         if use_cache:
             self._cache = OracleCache(cache_size) if cache_size is not None else OracleCache()
         else:
@@ -516,28 +482,19 @@ class BinaryRepairOracle:
             self._evaluate(constraints, without_table),
         )
 
-    # -- the multi-pair batch scheduler ----------------------------------------------
+    # -- a queue of pairs ------------------------------------------------------------
 
     def query_pairs(
         self, pairs: Sequence[tuple[Table, Table]]
     ) -> list[tuple[int, int]]:
-        """Drain a queue of with/without pairs in one scheduled pass.
+        """Answer a queue of with/without pairs.
 
         Answers (and their order) are exactly those of one
-        :meth:`query_pair` call per pair — only the work is scheduled:
-
-        1. **dedup** — every pair is checked against the pair-fingerprint
-           memo up front, and within-batch repeats of one fingerprint pair
-           are evaluated once;
-        2. **group** — remaining pairs are ordered by their coalition delta
-           and pairs sharing a coalition prefix (equal with-instance content)
-           form one group;
-        3. **evaluate** — each group runs through
-           :meth:`RepairAlgorithm.repair_pair_group`: the walk-sharing
-           algorithms prime one :class:`~repro.constraints.incremental.RepairWalk`
-           on the shared with-instance and fork it per without-instance, and
-           the shared statistics instance moves along the scheduled order so
-           consecutive instances pay only their delta difference.
+        :meth:`query_pair` call per pair.  Every pair is first checked
+        against the pair memo, and within-batch repeats of one pair are
+        evaluated once; each remaining pair is then evaluated in the order
+        it was submitted, as :meth:`query_pair` would (on ``"fast"`` one
+        primed repair walk forked at the differing cell).
         """
         pairs = list(pairs)
         if not pairs:
@@ -551,7 +508,7 @@ class BinaryRepairOracle:
     def _query_pairs_batched(
         self, pairs: "list[tuple[Table, Table]]"
     ) -> list[tuple[int, int]]:
-        """One scheduled dedup → group → evaluate pass (query_pairs' body)."""
+        """One dedup → evaluate pass (query_pairs' body)."""
         constraints = self.constraints
         self.calls += 2 * len(pairs)
         self.batches += 1
@@ -559,6 +516,7 @@ class BinaryRepairOracle:
         if len(pairs) > self.max_batch_size:
             self.max_batch_size = len(pairs)
         names = constraint_set_names(constraints)
+        cache = self._cache
         results: list[tuple[int, int] | None] = [None] * len(pairs)
 
         # 1. dedup against the pair memo and within the batch.  Shareable
@@ -573,8 +531,8 @@ class BinaryRepairOracle:
             pair_key, differing = self._pair_memo_key(
                 names, with_table, without_table, fingerprint_with
             )
-            if self._cache is not None:
-                cached = self._cache.get(pair_key)
+            if cache is not None:
+                cached = cache.get(pair_key)
                 if cached is not None:
                     results[index] = cached
                     self.pairs_deduped += 1
@@ -588,94 +546,20 @@ class BinaryRepairOracle:
             pending.append((index, with_table, without_table,
                             fingerprint_with, pair_key, differing))
 
-        # 2. order by coalition delta so shared prefixes become adjacent (and
-        # the shared statistics instance moves the shortest distances)
-        def schedule_key(entry):
-            with_table = entry[1]
-            if isinstance(with_table, PerturbationView):
-                return (0, tuple(sorted(with_table._delta.keys())), entry[0])
-            return (1, (), entry[0])
-
-        pending.sort(key=schedule_key)
-
-        # 3. evaluate, one group per run of equal with-instance fingerprints
-        group_capable = (
-            type(self.algorithm).repair_pair_group
-            is not RepairAlgorithm.repair_pair_group
-        )
-        # the multi-coalition walk: build every distinct coalition view's
-        # equality-key groups up front; the walks primed below pop them from
-        # the detector's cache (keyed by view fingerprint)
-        if group_capable and self.engine == "fast":
-            seen_fingerprints = set()
-            batch_views = []
-            for entry in pending:
-                if entry[5] is None or entry[3] in seen_fingerprints:
-                    continue
-                seen_fingerprints.add(entry[3])
-                batch_views.append((entry[1], entry[3]))
-            if batch_views:
-                detector_for(self.dirty_table).precompute_walk_indexes(
-                    batch_views, constraints
+        # 2. evaluate the rest in submission order, recording the same
+        # memo entries query_pair would
+        for index, with_table, without_table, fp_with, pair_key, differing in pending:
+            if cache is None:
+                results[index] = self._evaluate_pair(
+                    constraints, with_table, without_table, differing
                 )
-        answered: dict = {}
-        cache = self._cache
-        cell, target = self.cell, self.target_value
-        position = 0
-        while position < len(pending):
-            group = [pending[position]]
-            position += 1
-            while (position < len(pending)
-                   and pending[position][3] == group[0][3]):
-                group.append(pending[position])
-                position += 1
-            shareable = all(entry[5] is not None
-                            and entry[1].base is group[0][1].base
-                            for entry in group)
-            if len(group) > 1 and group_capable and shareable:
-                # one primed walk for the whole group
-                walks_before = self.algorithm.shared_pair_walks
-                clean_with, clean_withouts = self.algorithm.repair_pair_group(
-                    constraints, group[0][1],
-                    [entry[2] for entry in group],
-                    [entry[5] for entry in group],
-                )
-                self.repair_runs += 1 + len(group)
-                self.pair_walks += self.algorithm.shared_pair_walks - walks_before
-                value_with = 1 if clean_with[cell] == target else 0
-                answers = [(value_with, 1 if clean_without[cell] == target else 0)
-                           for clean_without in clean_withouts]
-                if cache is not None:
-                    cache.put((names, group[0][3]), value_with)
-            else:
-                answers = None
-            for offset, entry in enumerate(group):
-                index, with_table, without_table, fp_with, pair_key, differing = entry
-                if answers is not None:
-                    value = answers[offset]
-                    if cache is not None:
-                        cache.put(pair_key, value)
-                elif cache is not None:
-                    # the single-pair path: consults the individual-answer
-                    # cache and records the same entries query_pair would
-                    value = self._query_pair_uncached(
-                        constraints, names, with_table, without_table,
-                        fp_with, pair_key, differing,
-                    )
-                else:
-                    value = self._evaluate_pair(
-                        constraints, with_table, without_table, differing
-                    )
-                results[index] = value
-                if cache is not None:
-                    answered[pair_key] = value
-
-        # resolve within-batch repeats from their evaluated first occurrence
-        for pair_key, followers in first_for_key.items():
-            if followers:
-                answer = answered[pair_key]
-                for index in followers:
-                    results[index] = answer
+                continue
+            answer = results[index] = self._query_pair_uncached(
+                constraints, names, with_table, without_table,
+                fp_with, pair_key, differing,
+            )
+            for follower in first_for_key[pair_key]:
+                results[follower] = answer
         return results  # type: ignore[return-value]
 
     # -- convenience entry points ----------------------------------------------------
@@ -690,7 +574,6 @@ class BinaryRepairOracle:
         """
         if self._dirty_view is None:
             self._dirty_view = self.dirty_table.perturbed({})
-            self._dirty_view._stats_engine = self.stats_engine
         return self._dirty_view
 
     def query_constraint_subset(self, subset: Iterable[DenialConstraint]) -> int:
@@ -716,7 +599,6 @@ class BinaryRepairOracle:
                 {cell: NULL for cell in self.dirty_table.cells() if cell not in keep},
                 trusted=True,
             )
-            restricted._stats_engine = self.stats_engine
         else:
             restricted = self.dirty_table.restricted_to_coalition(coalition)
         return self.query(self.constraints, restricted)
@@ -728,12 +610,11 @@ class BinaryRepairOracle:
         oracle's own table and patch every derived structure in place.
 
         The single-stack convenience used by resident workers (and any
-        oracle that owns its table): statistics are synced onto the
-        pre-update base, the table is mutated (delta-maintaining a live
-        detector), statistics are moved by the same delta, and
-        :meth:`finish_base_update` rebases the cache and adopts the new
-        target.  Returns the number of cells actually written.  ``count``
-        gates the update counters — worker stacks patch silently so the
+        oracle that owns its table): the table is mutated (delta-maintaining
+        a live detector and the table's own statistics; views derive theirs
+        from the new base), and :meth:`finish_base_update` rebases the cache
+        and adopts the new target.  Returns the number of cells actually
+        written.  ``count`` gates the update counters — worker stacks patch silently so the
         parent's absorb of their per-round deltas never double-counts.
         """
         from repro.repair.updates import apply_table_update, collect_changes
@@ -746,11 +627,7 @@ class BinaryRepairOracle:
             self.finish_base_update({}, self.dirty_table.fingerprint(),
                                     delta.target_value, count=count)
             return 0
-        if self.stats_engine is not None:
-            self.stats_engine.begin_base_update()
         old_fingerprint = apply_table_update(self.dirty_table, changes)
-        if self.stats_engine is not None:
-            self.stats_engine.complete_base_update(changes)
         self.finish_base_update(
             {(cell.row, cell.attribute): new for cell, (_old, new) in changes.items()},
             old_fingerprint, delta.target_value, count=count,
@@ -821,9 +698,6 @@ class BinaryRepairOracle:
             self._cache.hits += stats.get("cache_hits", 0)
             self._cache.misses += stats.get("cache_misses", 0)
             self._cache.evictions += stats.get("cache_evictions", 0)
-        if self.stats_engine is not None:
-            self.stats_engine.leases += stats.get("stats_leases", 0)
-            self.stats_engine.cells_moved += stats.get("stats_cells_moved", 0)
         encoding_stats = stats.get("encoding")
         if encoding_stats:
             # a worker oracle's encode time and check counts fold into the
@@ -847,9 +721,6 @@ class BinaryRepairOracle:
         self.metrics.reset()
         if self._cache is not None:
             self._cache.reset_counters()
-        if self.stats_engine is not None:
-            self.stats_engine.leases = 0
-            self.stats_engine.cells_moved = 0
         encoding = self.dirty_table.store._encoding
         if encoding is not None:
             encoding.reset_counters()
@@ -869,8 +740,6 @@ class BinaryRepairOracle:
         stats["cache_misses"] = self.cache_misses
         stats["cache_evictions"] = self.cache_evictions
         stats.update(metric_values)
-        if self.stats_engine is not None:
-            stats.update(self.stats_engine.statistics())
         encoding = self.dirty_table.store._encoding
         if encoding is not None:
             stats["encoding"] = encoding.telemetry()

@@ -346,7 +346,7 @@ def memoised_oracle_stats(oracle) -> dict[str, float]:
     pairs_batched = stats.get("pairs_batched", 0)
     if pairs_batched:
         # fraction of batched pairs answered without a repair (pair-memo hits
-        # up front plus within-batch repeats) — the batch scheduler's dedup
+        # up front plus within-batch repeats) — query_pairs' dedup
         stats["pairs_dedup_rate"] = stats.get("pairs_deduped", 0) / pairs_batched
         stats["mean_batch_size"] = pairs_batched / stats["batches"]
     else:

@@ -22,8 +22,8 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.constraints.dc import DenialConstraint
-from repro.constraints.incremental import RepairWalk, find_violations_auto, repair_walk_for
-from repro.dataset.table import CellRef, PerturbationView, Table
+from repro.constraints.incremental import RepairWalk, find_violations_auto
+from repro.dataset.table import CellRef, Table
 from repro.engine.encoding import NULL_CODE
 from repro.engine.storage import is_null
 from repro.errors import RepairError
@@ -31,8 +31,8 @@ from repro.observability import trace as otrace
 from repro.repair.base import (
     RepairAlgorithm,
     _engine_choice,
-    _padded_differing_lists,
     _step_budget,
+    _walk_repair_pair,
     _walk_repair_table,
 )
 
@@ -175,65 +175,16 @@ class SimpleRuleRepair(RepairAlgorithm):
         without_table: Table,
         differing_cells: Sequence[CellRef] = (),
     ) -> tuple[Table, Table]:
-        """Repair the with/without pair of an oracle query in one shared walk.
+        """Repair the with/without pair of an oracle query in one shared walk
+        (primed once, forked at the differing cells); outputs are identical
+        to two independent :meth:`repair_table` calls."""
+        return _walk_repair_pair(self, constraints, with_table, without_table,
+                                 differing_cells)
 
-        The first instance's detection state is primed once (base→view) and
-        forked at the differing cells for the second instance, so the second
-        repair starts from an already-derived view state instead of from the
-        base snapshot.  Outputs are identical to two independent
-        :meth:`repair_table` calls.
-        """
-        clean_with, clean_withouts = self.repair_pair_group(
-            constraints, with_table, [without_table], [differing_cells]
-        )
-        return clean_with, clean_withouts[0]
-
-    def repair_pair_group(
-        self,
-        constraints: Sequence[DenialConstraint],
-        with_table: Table,
-        without_tables: Sequence[Table],
-        differing_cells_lists: Sequence[Sequence[CellRef]] = (),
-    ) -> tuple[Table, list[Table]]:
-        """Repair one with-instance against several without-instances.
-
-        The batch scheduler's grouped entry point: the shared with-instance's
-        detection state is primed exactly once and forked per
-        without-instance (all forks happen before any repair loop writes, as
-        :meth:`~repro.constraints.incremental.RepairWalk.fork_onto` requires).
-        Each instance's statistics derive from the base by its own delta.
-        """
-        constraints = list(constraints)
-        differing_cells_lists = _padded_differing_lists(
-            differing_cells_lists, len(without_tables)
-        )
-        if self.engine == "reference" or not isinstance(with_table, PerturbationView):
-            return (
-                self.repair_table(constraints, with_table),
-                [self.repair_table(constraints, without_table)
-                 for without_table in without_tables],
-            )
-        with_work = with_table.mutable_snapshot(name=f"{with_table.name}_repaired")
-        walk_with = repair_walk_for(with_work, constraints)
-        walk_with.prime()
-        self.shared_pair_walks += len(without_tables)
-        without_works: list[Table] = []
-        walks: list[RepairWalk] = []
-        for without_table, differing_cells in zip(without_tables, differing_cells_lists):
-            without_work = without_table.mutable_snapshot(
-                name=f"{without_table.name}_repaired"
-            )
-            # the fork must happen now, before the with-instance's repair
-            # loop writes: the two instances differ in one cell here,
-            # afterwards they differ by every repair write
-            walk_without = walk_with.fork_onto(without_work, differing_cells)
-            without_works.append(without_work)
-            walks.append(walk_without)
-        return (
-            self._repair_loop(constraints, with_work, walk_with),
-            [self._repair_loop(constraints, without_work, walk_without)
-             for without_work, walk_without in zip(without_works, walks)],
-        )
+    def repair_pair_group(self, *args, **kwargs):
+        """Retired stub (ROADMAP item 1): pairs are evaluated one at a time
+        through :meth:`repair_pair`."""
+        raise NotImplementedError("repair_pair_group is retired")
 
     def _repair_loop(self, constraints: list[DenialConstraint], current: Table,
                      walk: RepairWalk | None) -> Table:

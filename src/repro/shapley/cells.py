@@ -12,7 +12,7 @@ coalition is a sparse copy-on-write delta on the dirty table and the
 with/without pair a one-cell sub-delta, so the repair oracle's violation
 detection is delta-maintained instead of rescanning (see
 :mod:`repro.constraints.incremental`), and a cell's pairs drain through one
-scheduled :meth:`~repro.repair.base.BinaryRepairOracle.query_pairs` pass per
+:meth:`~repro.repair.base.BinaryRepairOracle.query_pairs` call per
 chunk.  ``"reference"`` materialises both instances and queries them one at
 a time, the paper's definitions executed literally; estimates are
 bit-identical.
@@ -36,11 +36,10 @@ from repro.shapley.convergence import RunningMean
 from repro.shapley.game import ShapleyResult, shapley_weight
 from repro.shapley.sampling import CellCoalitionSampler, ReplacementPolicy, SampledShapleyEstimate
 
-#: pairs drained per :meth:`BinaryRepairOracle.query_pairs` scheduled pass —
-#: bounds peak memory at O(chunk x n_cells) live coalition views while still
-#: giving the scheduler a whole window to dedup and group over; also the
-#: default shard granularity of the parallel scheduler, so one shard drains
-#: as one scheduled pass
+#: pairs drained per :meth:`BinaryRepairOracle.query_pairs` call — bounds
+#: peak memory at O(chunk x n_cells) live coalition views while still giving
+#: the oracle a whole window to dedup over; also the default shard
+#: granularity of the parallel scheduler, so one shard drains as one call
 BATCH_CHUNK_SIZE = 128
 
 
@@ -192,7 +191,6 @@ class CellShapleyExplainer:
         self.sampler = CellCoalitionSampler(
             oracle.dirty_table, policy=self.policy, rng=self._rng,
             materialize=oracle.engine == "reference",
-            stats_engine=oracle.stats_engine,
         )
 
     # -- parallel plumbing ---------------------------------------------------------------
@@ -257,9 +255,9 @@ class CellShapleyExplainer:
         """Monte-Carlo Shapley estimate for one cell (Example 2.5's loop).
 
         On the fast engine the cell's with/without pairs are enqueued and
-        drained through :meth:`BinaryRepairOracle.query_pairs` scheduled
-        passes; on the reference engine each sample's two instances are two
-        independent queries.  Either way the sample's contribution is the
+        drained through :meth:`BinaryRepairOracle.query_pairs` calls; on the
+        reference engine each sample's two instances are two independent
+        queries.  Either way the sample's contribution is the
         difference of the two binary answers, accumulated in sampling order.
 
         With ``n_jobs`` set the cell's samples are partitioned into seeded
@@ -425,9 +423,7 @@ class CellShapleyExplainer:
         uses it to validate the sampling estimator.
         """
         table = self.oracle.dirty_table
-        all_cells = list(table.cells())
-        others = [c for c in all_cells if c != cell]
-        n = len(all_cells)
+        n = table.n_cells
         sampler = CellCoalitionSampler(table, policy=ReplacementPolicy.NULL, rng=self._rng)
         coalitions = sampler.enumerate_coalitions(cell)
         total = 0.0
@@ -436,6 +432,4 @@ class CellShapleyExplainer:
             with_cell = self.oracle.query_cell_coalition(set(coalition) | {cell})
             without_cell = self.oracle.query_cell_coalition(coalition)
             total += weight * (with_cell - without_cell)
-        # `others` retained for clarity: the enumeration is over subsets of it.
-        assert len(others) == n - 1
         return total

@@ -118,22 +118,13 @@ class CellCoalitionSampler:
         copy minus the coalition per sample) instead of re-deriving every
         cell's replacement per sample; that changes nothing but construction
         cost.
-    stats_engine:
-        Optional :class:`~repro.engine.stats.SharedStatistics` engine to
-        install on every built coalition view (and, by inheritance, on the
-        working snapshots the repair algorithms fork off them): repairs then
-        lease their statistics through it, which counts the work of deriving
-        them from the base snapshot's counts.  Replacement values are always
-        drawn from the dirty table's own statistics, so estimates are
-        unaffected.
     """
 
     def __init__(self, table: Table, policy: ReplacementPolicy | str = ReplacementPolicy.SAMPLE,
-                 rng=None, materialize: bool = False, stats_engine=None):
+                 rng=None, materialize: bool = False):
         self.table = table
         self.policy = ReplacementPolicy.from_name(policy)
         self.materialize = bool(materialize)
-        self.stats_engine = stats_engine
         self._rng = make_rng(rng)
         #: the vectorised cell order of Example 2.5 (row-major)
         self.cells: tuple[CellRef, ...] = tuple(table.cells())
@@ -361,8 +352,6 @@ class CellCoalitionSampler:
                         drops.setdefault(cell.attribute, []).append(position)
                 with_original = self.table.perturbed(delta, trusted=True,
                                                      prenormalized=True)
-                if self.stats_engine is not None:
-                    with_original._stats_engine = self.stats_engine
                 # the delta is born in code space: one masked slice of the
                 # precomputed per-column arrays per overridden column — the
                 # view (and, via cache inheritance, its sub-delta sibling and
@@ -396,8 +385,6 @@ class CellCoalitionSampler:
             with_original = self.table.perturbed(
                 {cell: self.replacement_value(cell) for cell in self.cells
                  if cell != target_cell and cell not in coalition}, trusted=True)
-        if self.stats_engine is not None:
-            with_original._stats_engine = self.stats_engine
         without_original = with_original.perturbed(
             {target_cell: self.replacement_value(target_cell)}, trusted=True
         )

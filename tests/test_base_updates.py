@@ -2,7 +2,7 @@
 
 The contract of :meth:`repro.explain.session.RepairSession.update` is exact:
 applying base-table writes to a live session — delta-maintained violation
-detector, statistics engines, encodings, rebased oracle caches, patched
+detector, statistics, encodings, rebased oracle caches, patched
 resident workers, selectively refreshed Shapley estimates — and then
 explaining must be **bit-identical** to building a fresh session on the
 post-update table.  This module property-tests that invariant over random
@@ -54,7 +54,7 @@ ATTRIBUTES = list(VALUE_POOLS)
 N_ROWS = 6
 
 #: the engine axis of the grids below: "fast" runs views, the code-array
-#: repair walk and shared statistics; "reference" materialises every
+#: repair walk and derived view statistics; "reference" materialises every
 #: instance and rescans it, under session.update() too
 ENGINES = ["fast", "reference"]
 #: the axis's test ids: the fast engine repairs on the code-array walk

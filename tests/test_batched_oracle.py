@@ -1,11 +1,11 @@
 """``query_pairs`` must answer exactly like a ``query_pair`` loop.
 
-The multi-pair batch scheduler dedups against the pair-fingerprint memo,
-groups pairs sharing a coalition prefix onto one primed walk and threads one
-shared revertible statistics instance across the batch; these tests pin the
-contract that none of that is visible in the answers — only in the
-accounting — against an explicit ``query_pair`` loop, the reference engine
-and both bundled black boxes.
+``query_pairs`` dedups a queue of with/without pairs against the
+pair-fingerprint memo and within the batch, then evaluates each remaining
+pair in submission order on one primed walk forked at the differing cell;
+these tests pin the contract that none of that is visible in the answers —
+only in the accounting — against an explicit ``query_pair`` loop, the
+reference engine and both bundled black boxes.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def query_pair_loop(oracle, pairs):
 
 
 def reference_oracle(algorithm=None, **kwargs):
-    """An oracle on the reference engine (no shared statistics or walks)."""
+    """An oracle on the reference engine (materialised instances, no shared walks)."""
     return make_oracle(algorithm or SimpleRuleRepair(engine="reference"), **kwargs)
 
 
@@ -111,7 +111,7 @@ def test_query_pairs_dedups_within_batch_and_against_cache():
 
 
 def test_query_pairs_groups_shared_coalition_prefix_on_one_walk():
-    """Pairs over one coalition run as one primed walk + a fork per without."""
+    """Pairs over one coalition each run as one primed walk plus a fork."""
     oracle = make_oracle(use_cache=False)
     base = oracle.dirty_table
     with_view = base.perturbed({CellRef(0, "City"): None}, trusted=True)
@@ -122,14 +122,14 @@ def test_query_pairs_groups_shared_coalition_prefix_on_one_walk():
     ]
     runs_before = oracle.repair_runs
     answers = oracle.query_pairs(pairs)
-    # the shared with-instance was repaired once, each without once
-    assert oracle.repair_runs == runs_before + 1 + 3
+    # every pair is evaluated on its own: two repairs sharing one walk
+    assert oracle.repair_runs == runs_before + 2 * 3
     assert oracle.pair_walks == 3
     assert answers == query_pair_loop(reference_oracle(use_cache=False), pairs)
 
 
 def test_query_pairs_group_fallback_for_algorithms_without_group_support():
-    """A repairer without repair_pair_group keeps per-pair evaluation."""
+    """A repairer without a walk answers each pair by two independent repairs."""
     oracle = make_oracle(HoloCleanRepair(passes=1, train_on_clean_cells=0),
                          use_cache=False)
     base = oracle.dirty_table
@@ -146,8 +146,8 @@ def test_query_pairs_group_fallback_for_algorithms_without_group_support():
 
 
 # ---------------------------------------------------------------------------
-# estimates bit-identical with shared statistics and batched pairs (the fast
-# engine) and without them (the reference engine), for a fixed seed
+# estimates bit-identical with views, shared pair walks and batched pairs (the
+# fast engine) and without them (the reference engine), for a fixed seed
 
 
 @pytest.mark.parametrize("algorithm_factory", [
@@ -162,7 +162,7 @@ def test_estimates_identical_across_shared_and_batched_flags(algorithm_factory, 
         explainer = CellShapleyExplainer(oracle, policy=policy, rng=23)
         estimates[engine] = explainer.estimate_cell(CellRef(4, "City"), n_samples=12)
         assert (oracle.batches > 0) == (engine == "fast")
-        assert (oracle.stats_engine is not None) == (engine == "fast")
+        assert (oracle.pair_walks > 0) == (engine == "fast")
     assert estimates["fast"] == estimates["reference"]
 
 
@@ -176,20 +176,29 @@ VALUES = st.sampled_from(["x", "y", "z", 1, 2, None])
 
 @st.composite
 def batch_scenario(draw):
+    """A table plus a batch of pair specs ``(with index, target, value)``
+    over drawn with-deltas: a spec may reuse an earlier spec's with-delta
+    (several pairs on one with-view) or repeat an earlier spec outright."""
     n_rows = draw(st.integers(min_value=2, max_value=5))
     rows = [tuple(draw(VALUES) for _ in ATTRS) for _ in range(n_rows)]
     table = Table(ATTRS, rows)
-    pair_specs = []
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        delta = {}
-        for _ in range(draw(st.integers(min_value=0, max_value=4))):
-            row = draw(st.integers(min_value=0, max_value=n_rows - 1))
-            attr = draw(st.sampled_from(ATTRS))
-            delta[CellRef(row, attr)] = draw(VALUES)
-        target = CellRef(draw(st.integers(min_value=0, max_value=n_rows - 1)),
-                         draw(st.sampled_from(ATTRS)))
-        pair_specs.append((delta, target, draw(VALUES)))
-    return table, pair_specs
+    cells = st.tuples(st.integers(min_value=0, max_value=n_rows - 1),
+                      st.sampled_from(ATTRS))
+    with_deltas = []
+    specs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(["new", "shared", "repeat"])) if specs else "new"
+        if kind == "repeat":
+            specs.append(specs[draw(st.integers(0, len(specs) - 1))])
+            continue
+        if kind == "new":
+            with_deltas.append({CellRef(*cell): draw(VALUES)
+                                for cell in draw(st.lists(cells, max_size=4))})
+            with_index = len(with_deltas) - 1
+        else:
+            with_index = draw(st.integers(0, len(with_deltas) - 1))
+        specs.append((with_index, CellRef(*draw(cells)), draw(VALUES)))
+    return table, with_deltas, specs
 
 
 @settings(max_examples=40, deadline=None)
@@ -198,28 +207,27 @@ def test_query_pairs_equals_loop_randomised(data):
     from repro.constraints.predicates import Operator, Predicate
     from repro.constraints.dc import DenialConstraint
 
-    table, pair_specs = data
+    table, with_deltas, specs = data
     constraints = [
         DenialConstraint("fd", [Predicate.between_tuples("A", Operator.EQ),
                                 Predicate.between_tuples("B", Operator.NE)]),
         DenialConstraint("ord", [Predicate.between_tuples("B", Operator.EQ),
                                  Predicate.between_tuples("C", Operator.LT)]),
     ]
-    pairs = []
-    for delta, target, target_value in pair_specs:
-        with_view = table.perturbed(delta)
-        pairs.append((with_view, with_view.with_values({target: target_value})))
-
-    batched = BinaryRepairOracle(SimpleRuleRepair(), constraints, table,
-                                 CellRef(0, "B"), use_cache=False)
-    reference = BinaryRepairOracle(SimpleRuleRepair(engine="reference"),
-                                   constraints, table, CellRef(0, "B"),
-                                   use_cache=False)
-    assert batched.query_pairs(pairs) == [
-        (reference.query(constraints, with_table),
-         reference.query(constraints, without_table))
-        for with_table, without_table in pairs
-    ]
+    with_views = [table.perturbed(delta) for delta in with_deltas]
+    pairs = [(with_views[index], with_views[index].with_values({target: value}))
+             for index, target, value in specs]
+    for black_box in (SimpleRuleRepair,
+                      lambda **kwargs: GreedyHolisticRepair(max_changes=20, **kwargs)):
+        reference = BinaryRepairOracle(black_box(engine="reference"), constraints,
+                                       table, CellRef(0, "B"), use_cache=False)
+        expected = [(reference.query(constraints, with_table),
+                     reference.query(constraints, without_table))
+                    for with_table, without_table in pairs]
+        for use_cache in (True, False):
+            batched = BinaryRepairOracle(black_box(), constraints, table,
+                                         CellRef(0, "B"), use_cache=use_cache)
+            assert batched.query_pairs(pairs) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -96,41 +96,6 @@ def test_table_statistics_bundle():
     assert stats.marginal("City") is stats.marginal("City")
 
 
-def test_table_statistics_fork_equals_rebuild():
-    """A fork moved to new contents by cell updates equals a fresh build."""
-    store = make_store()
-    stats = TableStatistics(store)
-    stats.marginal("City")
-    stats.cooccurrence.warm("City", "Country")
-
-    # the "sibling" store differs in one cell; fork + apply the diff
-    sibling = store.copy()
-    old_value = sibling.value(3, "City")
-    sibling.set_value(3, "City", "Barcelona")
-    forked = stats.fork(sibling)
-    forked.apply_cell_update(3, "City", old_value, "Barcelona")
-
-    rebuilt = TableStatistics(sibling)
-    for attribute in ("City", "Country"):
-        assert dict(forked.marginal(attribute).items()) == \
-            dict(rebuilt.marginal(attribute).items())
-        assert forked.most_common(attribute) == rebuilt.most_common(attribute)
-    for city in ("Madrid", "Barcelona"):
-        assert forked.most_probable_given("Country", "City", city) == \
-            rebuilt.most_probable_given("Country", "City", city)
-
-
-def test_table_statistics_fork_is_independent():
-    store = make_store()
-    stats = TableStatistics(store)
-    stats.marginal("City")
-    forked = stats.fork(store.copy())
-    forked.apply_cell_update(0, "City", "Madrid", "Paris")
-    assert stats.most_common("City") == "Madrid"
-    assert stats.marginal("City").count("Paris") == 0
-    assert forked.marginal("City").count("Paris") == 1
-
-
 # ---------------------------------------------------------------------------
 # the revertible delta protocol (apply_delta / revert_delta)
 
@@ -202,7 +167,7 @@ def test_table_statistics_revert_covers_structures_built_under_delta():
 
 
 # ---------------------------------------------------------------------------
-# the shared statistics engine
+# view statistics derived from the base counts
 
 
 def _make_table():
@@ -221,37 +186,27 @@ def _make_table():
 
 
 def test_shared_statistics_lease_matches_fresh_build():
+    """Sibling views' statistics, derived from the shared base counts by
+    each view's delta, equal fresh builds."""
     from repro.dataset.table import CellRef
-    from repro.engine.stats import SharedStatistics
 
     table = _make_table()
-    engine = SharedStatistics(table)
     view_a = table.perturbed({CellRef(0, "City"): None, CellRef(2, "Country"): "France"})
     view_b = table.perturbed({CellRef(1, "Country"): None})
-
-    leased = engine.lease(view_a)
-    fresh = TableStatistics(view_a.store)
-    _stats_equal(leased, fresh, ["City", "Country"], [("City", "Country")])
-
-    # moving the same instance onto a sibling view re-derives it exactly
-    leased = engine.lease(view_b)
-    fresh = TableStatistics(view_b.store)
-    _stats_equal(leased, fresh, ["City", "Country"], [("City", "Country")])
-    assert engine.leases >= 2
+    for view in (view_a, view_b):
+        fresh = TableStatistics(view.store)
+        _stats_equal(view.stats, fresh, ["City", "Country"], [("City", "Country")])
 
 
 def test_shared_statistics_rebuilds_after_base_mutation():
+    """A view built after a base write derives from the written base."""
     from repro.dataset.table import CellRef
-    from repro.engine.stats import SharedStatistics
 
     table = _make_table()
-    engine = SharedStatistics(table)
-    view = table.perturbed({CellRef(0, "City"): None})
-    engine.lease(view).marginal("City")
+    table.perturbed({CellRef(0, "City"): None}).stats.marginal("City")
     table.set_value(0, "City", "Valencia")  # base mutated: version moved
     fresh_view = table.perturbed({})
-    leased = engine.lease(fresh_view)
-    assert dict(leased.marginal("City").items()) == \
+    assert dict(fresh_view.stats.marginal("City").items()) == \
         dict(TableStatistics(fresh_view.store).marginal("City").items())
 
 
@@ -276,7 +231,7 @@ def _column_edits(draw):
     column = draw(st.lists(_RANK_VALUES, min_size=1, max_size=10))
     edits = []
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        kind = draw(st.sampled_from(["updates", "delta", "revert", "fork"]))
+        kind = draw(st.sampled_from(["updates", "delta", "revert"]))
         rows = draw(st.lists(st.integers(min_value=0, max_value=len(column) - 1),
                              max_size=4, unique=True))
         edits.append((kind, [(row, draw(_RANK_VALUES)) for row in rows]))
@@ -293,13 +248,7 @@ def test_ranking_memo_equals_sort_after_every_move(data):
     for kind, writes in edits:
         stats.ranking()  # the memo is live before every move
         pairs = [(column[row], value) for row, value in writes]
-        if kind == "fork":
-            clone = stats.fork()
-            _assert_ranking_fresh(clone, column)
-            clone.apply_delta(pairs)  # the clone moves; the original must not
-            _assert_ranking_fresh(stats, column)
-            stats = clone
-        elif kind == "updates":
+        if kind == "updates":
             stats.apply_updates([old for old, _ in pairs], [new for _, new in pairs])
         elif kind == "delta":
             stats.apply_delta(pairs)
@@ -322,24 +271,20 @@ def test_ranking_memo_equals_sort_after_every_move(data):
        writes=st.lists(st.tuples(st.integers(min_value=0, max_value=9), _RANK_VALUES),
                        max_size=3))
 def test_ranking_memo_through_shared_statistics_syncs(column, deltas, writes):
-    """Leased views, in-place writes on a leased view and writes on a view
-    after later leases all leave the marginal's ranking equal to a fresh
-    build's."""
+    """Views' derived statistics, in-place writes on a view's snapshot and
+    writes on a view after later views derived theirs all leave the
+    marginal's ranking equal to a fresh build's."""
     from repro.dataset.table import CellRef, Table
-    from repro.engine.stats import SharedStatistics
 
     n = len(column)
     table = Table(["A"], [(value,) for value in column])
-    engine = SharedStatistics(table)
     views = []
     for delta in deltas:
         view = table.perturbed({CellRef(row % n, "A"): value for row, value in delta})
-        view._stats_engine = engine
         views.append(view)
-        leased = engine.lease(view)
-        assert leased.marginal("A").ranking() == \
+        assert view.stats.marginal("A").ranking() == \
             TableStatistics(view.store).marginal("A").ranking()
-    # in-place writes move the leased marginal
+    # in-place writes move the snapshot's derived marginal
     working = views[-1].mutable_snapshot()
     marginal = working.stats.marginal("A")
     marginal.ranking()
@@ -347,11 +292,10 @@ def test_ranking_memo_through_shared_statistics_syncs(column, deltas, writes):
         working.set_value(row % n, "A", value)
         assert working.stats.marginal("A").ranking() == \
             TableStatistics(working.store).marginal("A").ranking()
-    # a view written after later views were leased
+    # a view written after later views derived their statistics
     views[0].set_value(0, "A", "z")
     for view in views:
-        assert engine.lease(view).marginal("A").ranking() == \
+        assert view.stats.marginal("A").ranking() == \
             TableStatistics(view.store).marginal("A").ranking()
-    engine.release()
-    assert engine.lease(table.perturbed({})).marginal("A").ranking() == \
+    assert table.perturbed({}).stats.marginal("A").ranking() == \
         TableStatistics(table.store).marginal("A").ranking()

@@ -370,69 +370,3 @@ def test_apply_base_update_matches_rescan_randomised(data, writes):
         detector.violations_for_view(view, CONSTRAINT_POOL)) == reference
     walk = RepairWalk(view, CONSTRAINT_POOL, detector)
     assert violation_multiset(walk.all_violations()) == reference
-
-
-# ---------------------------------------------------------------------------
-# multi-coalition precompute: every parked build is the walk's own build
-
-
-def _list_mode_shapes(detector, constraints):
-    """Equality shapes some constraint keeps a violation list on (FD shapes
-    keep a code-space partition instead)."""
-    shapes = []
-    for constraint in constraints:
-        plan = detector._state(constraint).plan
-        if (plan.kind == "eq" and plan.single_ne_attr is None
-                and plan.eq_attrs not in shapes):
-            shapes.append(plan.eq_attrs)
-    return shapes
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=table_and_delta(),
-       more_deltas=st.lists(st.lists(st.tuples(st.integers(min_value=0, max_value=6),
-                                               st.sampled_from(ATTRS), VALUES),
-                                     max_size=4), max_size=3),
-       novel_at=st.integers(min_value=0, max_value=3),
-       novel_attr=st.sampled_from(("A", "C")))
-def test_precompute_walk_indexes_matches_standalone_build(data, more_deltas, novel_at,
-                                                          novel_attr):
-    table, delta = data
-    deltas = [delta] + [{CellRef(row % table.n_rows, attribute): value
-                         for row, attribute, value in cells} for cells in more_deltas]
-    # a value no dictionary holds yet: the multi-column keys of the views
-    # after it pack under larger multipliers than the views before it
-    deltas.insert(min(novel_at, len(deltas)), {CellRef(0, novel_attr): "novel"})
-    views = [table.perturbed(d) for d in deltas]
-    batch = [(view, view.fingerprint()) for view in views]
-    detector = IncrementalViolationDetector(table)
-    # ("A", "C") is read only by the FD shape "fd2": nothing is parked for it
-    assert _list_mode_shapes(detector, CONSTRAINT_POOL) == [("B",), ("C",), ("A",)]
-    assert detector.precompute_walk_indexes(batch, CONSTRAINT_POOL) == len(views) * 3
-    assert {shape for _fingerprint, shape in detector._prime_cache} == \
-        {("B",), ("C",), ("A",)}
-    detector._prime_cache.clear()
-    # a two-column equality with an order residual keeps a list on ("A", "C")
-    constraints = CONSTRAINT_POOL + [
-        DenialConstraint("ord2", [Predicate.between_tuples("A", Operator.EQ),
-                                  Predicate.between_tuples("C", Operator.EQ),
-                                  Predicate.between_tuples("B", Operator.LT)])]
-    shapes = _list_mode_shapes(detector, constraints)
-    assert shapes == [("B",), ("C",), ("A",), ("A", "C")]
-    parked = detector.precompute_walk_indexes(batch, constraints)
-    assert parked == len(views) * len(shapes)
-    prebuilt = dict(detector._prime_cache)
-    detector._prime_cache.clear()
-    for view, fingerprint in batch:
-        walk = RepairWalk(view, constraints, detector)
-        for shape in shapes:
-            groups, keys = prebuilt[(fingerprint, shape)]
-            standalone_groups, standalone_keys = walk._build_windex_codes(shape)
-            assert list(groups.items()) == list(standalone_groups.items())
-            assert keys == standalone_keys
-
-    detector.precompute_walk_indexes(batch, constraints)
-    for view in views:
-        walk = RepairWalk(view, constraints, detector).prime()
-        assert violation_multiset(walk.all_violations()) == \
-            violation_multiset(find_all_violations(view.copy(), constraints))

@@ -22,7 +22,7 @@ from repro.constraints.parser import parse_dcs
 from repro.dataset.errors import inject_errors
 from repro.dataset.generators import HospitalGenerator
 from repro.dataset.table import CellRef, Table
-from repro.engine.stats import SharedStatistics, TableStatistics
+from repro.engine.stats import TableStatistics
 from repro.engine.storage import values_differ
 from repro.repair.simple import CONDITIONAL, MOST_COMMON, RepairRule, SimpleRuleRepair
 
@@ -108,7 +108,7 @@ def _assert_counts_from_scratch(stats: TableStatistics, store) -> None:
 
 def _check_batch_against_reference(rows, perturbation, rules, kind) -> None:
     table = Table(list(ATTRIBUTES), rows, name="T")
-    engine = None
+    sibling = None
     if kind == "plain":
         instance = table
     else:
@@ -116,14 +116,23 @@ def _check_batch_against_reference(rows, perturbation, rules, kind) -> None:
             {CellRef(row, attribute): value
              for (row, attribute), value in perturbation.items()})
         if kind == "shared":
-            engine = SharedStatistics(table)
-            instance._stats_engine = engine
+            # the input view derives every structure first, so the repair's
+            # working snapshot of it reuses those derived counts
+            # copy-on-write, and its batches must leave the input's alone
+            sibling = instance
+            for given_attr in ATTRIBUTES:
+                sibling.stats.marginal(given_attr)
+                for target in ATTRIBUTES:
+                    if target != given_attr:
+                        sibling.stats.cooccurrence.warm(given_attr, target)
     batched = _Recording(rules=rules, derive_missing=False, max_iterations=4)
     repaired = batched.repair_table(CONSTRAINTS, instance)
     (current,) = batched.worked_on
     # the statistics the batches maintained, before anything else moves them
     if current._stats is not None:
         _assert_counts_from_scratch(current._stats, current.store)
+    if sibling is not None:
+        _assert_counts_from_scratch(sibling.stats, sibling.store)
 
     reference = SimpleRuleRepair(rules=rules, derive_missing=False, max_iterations=4,
                                  engine="reference")

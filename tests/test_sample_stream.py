@@ -11,7 +11,8 @@ value sampled from their column distribution):
   La Liga with an extra all-null column (whose cells draw nothing);
 * :meth:`ColumnStatistics.sample` against per-draw
   ``Generator.choice(k, p=w)`` over random count vectors, including after
-  :meth:`~ColumnStatistics.apply_update` and :meth:`~ColumnStatistics.fork`.
+  :meth:`~ColumnStatistics.apply_update` and on a view's marginal derived
+  copy-on-write from the base's counts.
 
 To print the pinned table after an *intentional* sampling change::
 
@@ -187,14 +188,16 @@ def test_draws_after_update_and_fork_equal_a_fresh_build(counts, seed, moves):
         column.remove(old_value)
         column.append(f"v{new}")
         stats.apply_update(old_value, f"v{new}")
-    fork = stats.fork()
-    fresh = ColumnStatistics(Table(["A"], [[value] for value in column]).store, "A")
+    table = Table(["A"], [[value] for value in column])
+    fresh = ColumnStatistics(table.store, "A")
     expected = _sample_draws(fresh, seed, 20)
     assert _sample_draws(stats, seed, 20) == expected
-    assert _sample_draws(fork, seed, 20) == expected
-    # a fork moves independently of its parent
-    fork.apply_update(column[0], "fresh-value")
-    assert _sample_draws(stats, seed, 20) == expected
+    # a view's marginal shares the base counts until it moves, and then
+    # moves independently of them
+    view = table.perturbed({})
+    assert _sample_draws(view.stats.marginal("A"), seed, 20) == expected
+    view.set_value(0, "A", "fresh-value")
+    assert _sample_draws(ColumnStatistics(table.store, "A"), seed, 20) == expected
 
 
 def test_sample_on_an_all_null_column_draws_nothing():

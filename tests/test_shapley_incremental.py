@@ -1,7 +1,7 @@
 """The Shapley explainers must be bit-identical on both evaluation engines.
 
 The fast engine (copy-on-write views, delta-maintained violation detection,
-shared statistics, shared pair walks, batched pair queries) changes how
+derived view statistics, shared pair walks, batched pair queries) changes how
 perturbed instances are represented and evaluated, but never what the
 black-box oracle answers: for a fixed seed the cell and constraint explainers
 produce exactly the same values, standard errors and rankings as the

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.constraints.dc import DenialConstraint
 from repro.constraints.predicates import Operator, Predicate
 from repro.dataset.table import CellRef, Table
-from repro.engine.stats import SharedStatistics, TableStatistics
+from repro.engine.stats import TableStatistics
 from repro.engine.storage import is_null
 from repro.errors import SchemaError
 from repro.repair.simple import SimpleRuleRepair
@@ -115,29 +115,20 @@ def _scenarios(draw):
     return rows, delta, batches, update
 
 
-def _view_stats(view, engine):
-    if engine is None:
-        return view.stats
-    view._stats_engine = engine
-    return view.stats
-
-
-@pytest.mark.parametrize("shared", [False, True])
 @settings(max_examples=80, deadline=None)
 @given(scenario=_scenarios())
-def test_statistics_match_counter_definition(shared, scenario):
+def test_statistics_match_counter_definition(scenario):
     """Views derived by encoded deltas, moved by multi-row and one-cell
     batches, and rebuilt after a live base update match the definition."""
     rows, delta, batches, (update_row, update_attribute, update_value) = scenario
     table = Table(list(ATTRIBUTES), rows)
     _assert_matches_definition(table, table.stats)
-    engine = SharedStatistics(table) if shared else None
 
     # a sibling view derived first, so the second reuses its derivation
     for _ in range(2):
         view = table.perturbed({CellRef(row, attribute): value
                                 for row, attribute, value in delta}).mutable_snapshot()
-        stats = _view_stats(view, engine)
+        stats = view.stats
         _assert_matches_definition(view, stats)
 
     for attribute, writes in batches:
@@ -154,7 +145,7 @@ def test_statistics_match_counter_definition(shared, scenario):
     _assert_matches_definition(table, table.stats)
     after = table.perturbed({CellRef(row, attribute): value
                              for row, attribute, value in delta})
-    _assert_matches_definition(after, _view_stats(after, engine))
+    _assert_matches_definition(after, after.stats)
 
 
 # -- unhashable cell values ------------------------------------------------------------
