@@ -770,10 +770,12 @@ class _FDPartition:
     ``row_group`` / ``row_class`` hold every row's slots and
     ``group_size`` / ``class_size`` every slot's size.  Then a row takes
     part in ``2·(group size − class size)`` ordered violations
-    (``degrees``; ``total`` is half their sum), it violates iff that is
-    positive (:meth:`violating_rows`), and a batch of written rows moves by
-    a few array operations (:meth:`move`).  ``degrees`` is replaced, never
-    written in place.
+    (``degrees``), it violates iff that is positive
+    (:meth:`violating_rows`), and ``total`` (half the degrees' sum, i.e.
+    ``Σ group size² − Σ class size²``) moves in O(1) with the slot sizes.
+    A batch of written rows moves by a few array operations, one row by
+    scalar slot reads and writes (:meth:`move`).  ``degrees`` is replaced,
+    never written in place.
     """
 
     __slots__ = ("row_group", "row_class", "group_size", "class_size",
@@ -793,6 +795,7 @@ class _FDPartition:
         self.group_size = np.bincount(self.row_group)
         self.class_size = np.bincount(self.row_class)
         self._count()
+        self.total = int(self.degrees.sum()) // 2
 
     def groups(self, key_codes: Sequence[np.ndarray]) -> np.ndarray:
         """The group of each row given its per-column key codes (0 on a null
@@ -815,36 +818,81 @@ class _FDPartition:
         return group if group < len(self.group_size) else 0
 
     def move(self, rows: np.ndarray, codes: np.ndarray,
-             key_codes: Sequence[np.ndarray] | None) -> None:
+             key_columns: Sequence[np.ndarray] | None) -> None:
         """Re-place ``rows`` (distinct) after writes.
 
-        ``codes`` are their current ``!=`` codes and ``key_codes`` their
-        current key codes, one array per key column (``None`` when no key
-        column was written: the rows keep their groups).  Slot sizes move by
-        one ``np.subtract.at`` / ``np.add.at`` over the old and new slots.
+        ``codes`` is the ``!=`` column's current code array and
+        ``key_columns`` the key columns' (``None`` when no key column was
+        written: the rows keep their groups).  Slot sizes move by one
+        ``np.subtract.at`` / ``np.add.at`` over the old and new slots; one
+        row takes :meth:`_move_row` instead.
         """
-        if key_codes is None:
-            groups = self.row_group[rows]
+        if len(rows) == 1:
+            row = rows.item(0)
+            self._move_row(row, codes.item(row), None if key_columns is None
+                           else [column.item(row) for column in key_columns])
+            return
+        row_group, row_class = self.row_group, self.row_class
+        if key_columns is None:
+            groups = row_group[rows]
             group_list = groups.tolist()
         else:
-            groups = self.groups(key_codes)
+            groups = self.groups([column[rows] for column in key_columns])
             group_list = groups.tolist()
             self.group_size = _ensure_slot(self.group_size, max(group_list))
-            np.subtract.at(self.group_size, self.row_group[rows], 1)
+            np.subtract.at(self.group_size, row_group[rows], 1)
             np.add.at(self.group_size, groups, 1)
-            self.row_group[rows] = groups
-        klass = self.classes.insert(group_list, codes.tolist())
+            row_group[rows] = groups
+        klass = self.classes.insert(group_list, codes[rows].tolist())
         self.class_size = _ensure_slot(self.class_size, len(self.classes.slot_of))
-        np.subtract.at(self.class_size, self.row_class[rows], 1)
+        np.subtract.at(self.class_size, row_class[rows], 1)
         np.add.at(self.class_size, klass, 1)
-        self.row_class[rows] = klass
+        row_class[rows] = klass
+        self._count()
+        self.total = int(self.degrees.sum()) // 2
+
+    def _move_row(self, row: int, code: int, key: list[int] | None) -> None:
+        """Re-place one row: scalar slot reads and writes, one dict operation
+        for its class slot, ``total`` moved by the sizes it left and joined."""
+        row_group, row_class = self.row_group, self.row_class
+        group_size, class_size = self.group_size, self.class_size
+        old_group = row_group.item(row)
+        old_class = row_class.item(row)
+        self.total -= 2 * (group_size.item(old_group) - class_size.item(old_class))
+        if key is None:
+            group = old_group
+        else:
+            group = key[0]
+            for level, part in zip(self.levels, key[1:]):
+                slot_of = level.slot_of
+                group = slot_of.setdefault(group << _PAIR_SHIFT | part if group else 0,
+                                           len(slot_of) + 1)
+            if self.levels and not all(key):
+                group = 0
+            if group != old_group:
+                if group >= len(group_size):
+                    group_size = self.group_size = _ensure_slot(group_size, group)
+                group_size[old_group] -= 1
+                group_size[group] += 1
+                row_group[row] = group
+        slot_of = self.classes.slot_of
+        klass = slot_of.setdefault(group << _PAIR_SHIFT | code if group else 0,
+                                   len(slot_of) + 1)
+        if klass != old_class:
+            if klass >= len(class_size):
+                class_size = self.class_size = _ensure_slot(class_size, klass)
+            class_size[old_class] -= 1
+            class_size[klass] += 1
+            row_class[row] = klass
+        self.total += 2 * (group_size.item(group) - class_size.item(klass))
         self._count()
 
     def _count(self) -> None:
-        """Every row's ordered violation count, and their total."""
-        self.degrees = 2 * (self.group_size[self.row_group]
-                            - self.class_size[self.row_class])
-        self.total = int(self.degrees.sum()) // 2
+        """Every row's ordered violation count."""
+        degrees = self.group_size[self.row_group]
+        degrees -= self.class_size[self.row_class]
+        degrees *= 2
+        self.degrees = degrees
         self._rows: list[int] | None = None
 
     def violating_rows(self) -> list[int]:
@@ -878,6 +926,35 @@ class _FDPartition:
         clone.classes = self.classes.fork()
         clone.degrees, clone.total, clone._rows = self.degrees, self.total, self._rows
         return clone
+
+
+class _WalkLayout:
+    """What the greedy readers of a walk (and of its forks) look up and
+    never write: the plans, the constraints mentioning each attribute, and
+    the degree grid's columns."""
+
+    __slots__ = ("plans", "mentioning", "attrs", "grid_columns")
+
+    def __init__(self, detector: IncrementalViolationDetector,
+                 constraints: list[DenialConstraint]):
+        plans = self.plans = {constraint: detector._state(constraint).plan
+                              for constraint in constraints}
+        #: attribute -> the constraints mentioning it (in constraint order)
+        self.mentioning: dict[str, list[DenialConstraint]] = {}
+        for constraint in constraints:
+            for attribute in plans[constraint].mentioned:
+                self.mentioning.setdefault(attribute, []).append(constraint)
+        #: the degree grid's columns: every mentioned attribute, sorted
+        self.attrs = tuple(sorted(self.mentioning))
+        #: constraint -> the grid columns a partition's degrees go to (a
+        #: constraint listed twice counts twice, as in the rescan)
+        self.grid_columns: dict[DenialConstraint, list[int]] = {}
+        for constraint in constraints:
+            plan = plans[constraint]
+            columns = self.grid_columns.setdefault(constraint, [])
+            if plan.single_ne_attr is not None:
+                columns.extend(self.attrs.index(attribute)
+                               for attribute in plan.eq_attrs + (plan.single_ne_attr,))
 
 
 class _WalkConstraint:
@@ -921,7 +998,17 @@ class RepairWalk:
 
     * FD-shape constraints keep an :class:`_FDPartition` over the view's
       current column codes (the view store's code arrays, which every write
-      batch keeps current); a write batch moves each partition once;
+      batch keeps current); a write batch moves each partition over the
+      written column once, and a one-cell write (every greedy step) by
+      scalar slot updates;
+    * once :meth:`cell_degrees_arrays` is first read, the walk keeps a
+      ``rows × attributes`` grid of the partitions' summed cell degrees: a
+      partition that moves adds the difference of its degree vector into
+      the grid columns of its attributes, so a step's readout is the
+      grid's maximum, not a rebuild;
+    * :meth:`count_if_many_at` starts every candidate from the step's
+      violation total (computed once per log position) and adds only the
+      candidate-dependent term of each constraint mentioning the attribute;
     * other constraints keep violation lists that a pass retracts and
       re-checks over the rows written since that constraint's last sync,
       against equality indexes *forked* once per walk and kept applied;
@@ -943,7 +1030,8 @@ class RepairWalk:
     __slots__ = ("view", "detector", "constraints", "_log",
                  "_cstates", "_windexes", "_dirty_rows", "_local_rows",
                  "_pristine_rows", "_row_log_pos",
-                 "_runs", "_run_ends", "_parsed")
+                 "_runs", "_run_ends", "_parsed",
+                 "_layout", "_grid", "_total", "_total_pos")
 
     def __init__(self, view: PerturbationView, constraints: Iterable[DenialConstraint],
                  detector: IncrementalViolationDetector):
@@ -967,6 +1055,13 @@ class RepairWalk:
         self._runs: list[tuple[str, np.ndarray]] = []
         self._run_ends: list[int] = []
         self._parsed = len(self._log)
+        #: built by the first greedy reader (:meth:`_grid_layout`)
+        self._layout: _WalkLayout | None = None
+        #: ``rows × attrs`` summed partition degrees (None until first read)
+        self._grid: np.ndarray | None = None
+        #: the violation total at log position ``_total_pos``
+        self._total = 0
+        self._total_pos = -1
 
     # -- row cache (list mode) ------------------------------------------------------
 
@@ -1203,7 +1298,8 @@ class RepairWalk:
 
         ``keyed`` is false when no equality column was written: a partition's
         rows then keep their groups.  A partition meeting a value the
-        encoding cannot code hands the constraint over to list mode.
+        encoding cannot code hands the constraint over to list mode.  A
+        partition's move adds the difference of its degrees into the grid.
         """
         part = state.part
         if part is not None:
@@ -1212,10 +1308,13 @@ class RepairWalk:
                 if keyed else []
             if classes is None or any(codes is None for codes in columns):
                 self.detector.table.store.encoding().fallback_checks += 1
+                self._grid_add(plan.constraint, -part.degrees)
                 self._cstates[plan.constraint] = self._list_state(plan)
                 return
-            part.move(changed, classes[changed],
-                      [codes[changed] for codes in columns] if keyed else None)
+            before = part.degrees
+            part.move(changed, classes, columns if keyed else None)
+            if self._grid is not None:
+                self._grid_add(plan.constraint, part.degrees - before)
             state.violations = None  # the materialisation cache
             return
         key_of = groups = class_of = None
@@ -1267,6 +1366,34 @@ class RepairWalk:
                 count += 1
         return count
 
+    def _grid_layout(self) -> _WalkLayout:
+        layout = self._layout
+        if layout is None:
+            layout = self._layout = _WalkLayout(self.detector, self.constraints)
+        return layout
+
+    def _sync_all(self) -> int:
+        """Sync every constraint and return the current violation total
+        (computed once per log position)."""
+        log_len = len(self._log)
+        if self._total_pos != log_len:
+            if self._total_pos >= 0:
+                # every state was synced at _total_pos: one the writes since
+                # do not mention only advances its position
+                written = {attribute for attribute, _rows
+                           in self._runs_since(self._total_pos)}
+                plans = self._grid_layout().plans
+                for constraint, state in self._cstates.items():
+                    if written.isdisjoint(plans[constraint].mentioned):
+                        state.log_pos = log_len
+            total = 0
+            for constraint in self.constraints:
+                state = self._synced_state(constraint)
+                total += state.part.total if state.part is not None \
+                    else len(state.violations)
+            self._total, self._total_pos = total, log_len
+        return self._total
+
     def count_if_many_at(self, row_id: int, attribute: str,
                          values: Sequence[Any]) -> list[int]:
         """Total violation count if ``(row_id, attribute)`` were set to each value.
@@ -1275,164 +1402,162 @@ class RepairWalk:
         materialised trial table with the cell set to ``values[i]``; the
         walk's state is untouched.  Greedy candidate scoring calls this once
         per top-degree cell, fed straight from :meth:`cell_degrees_arrays`
-        coordinates: constraints are synced once, every candidate-independent
-        term is computed once, and partitions score each candidate with a
-        few slot lookups.  No :class:`CellRef` is built unless a
-        ``pairs``-kind constraint forces a per-candidate trial rescan.
+        coordinates.  One scoring pass: every candidate starts from the
+        step's violation total (synced and summed once per log position),
+        and only the constraints mentioning ``attribute`` add their
+        candidate-dependent term — a partition's by a few slot lookups per
+        candidate (:meth:`_count_part_if_many`).  No :class:`CellRef` is
+        built unless a ``pairs``-kind constraint forces a per-candidate
+        trial rescan.
         """
-        n_values = len(values)
-        totals = [0] * n_values
+        totals = [self._sync_all()] * len(values)
+        layout = self._grid_layout()
         encoding = self.detector.table.store.encoding()
-        codes = None  # the candidates' codes: 0 for a null, None for an unseen value
-        for constraint in self.constraints:
-            plan = self.detector._state(constraint).plan
-            if attribute not in plan.mentioned:
-                state = self._synced_state(constraint)
-                base = state.part.total if state.part is not None \
-                    else len(state.violations)
-                for i in range(n_values):
-                    totals[i] += base
-                continue
+        codes = None  # the candidates' codes: 0 for a null, -1 for an unseen value
+        for constraint in layout.mentioning.get(attribute, ()):
+            plan = layout.plans[constraint]
+            state = self._cstates[constraint]
             if plan.kind == "pairs":
-                encoding.fallback_checks += n_values
+                encoding.fallback_checks += len(values)
                 cell = CellRef(row_id, attribute)
+                current = len(state.violations)
                 for i, value in enumerate(values):
                     trial = self.view.perturbed({cell: value}, trusted=True)
-                    totals[i] += len(find_violations(trial, constraint))
+                    totals[i] += len(find_violations(trial, constraint)) - current
                 continue
-            state = self._synced_state(constraint)
             if state.part is not None:
-                encoding.vectorized_checks += n_values
+                encoding.vectorized_checks += len(values)
                 if codes is None:
                     code_of = encoding.dictionary(attribute)._code_of.get
-                    codes = [code_of(value) for value in values]
-                    if None in codes:
-                        codes = [0 if code is None and is_null(value) else code
+                    codes = [code_of(value, -1) for value in values]
+                    if -1 in codes:
+                        codes = [0 if code < 0 and is_null(value) else code
                                  for code, value in zip(codes, values)]
                 self._count_part_if_many(plan, state.part, row_id, attribute,
                                          codes, totals)
                 continue
-            base = sum(1 for v in state.violations if row_id not in v.rows)
+            # the row drops its current violations and joins the candidate's
+            leave = -sum(1 for v in state.violations if row_id in v.rows)
             if plan.kind == "single":
                 row = dict(self._row_of(row_id))
                 check = plan.residual_check
                 for i, value in enumerate(values):
                     row[attribute] = value
-                    totals[i] += base + (1 if check(row, row) else 0)
+                    totals[i] += leave + (1 if check(row, row) else 0)
                 continue
             # general residual: partner scans per candidate
-            encoding.fallback_checks += n_values
+            encoding.fallback_checks += len(values)
             for i, value in enumerate(values):
-                totals[i] += base + self._count_row_if(plan, row_id, attribute, value)
+                totals[i] += leave + self._count_row_if(plan, row_id, attribute, value)
         return totals
 
     def _count_part_if_many(self, plan: _ConstraintPlan, part: _FDPartition,
-                            row_id: int, attribute: str, codes: list[int | None],
+                            row_id: int, attribute: str, codes: list[int],
                             totals: list[int]) -> None:
-        """Fold one partition's per-candidate totals into ``totals``.
+        """Fold one partition's candidate-dependent terms into ``totals``.
 
-        The row leaves its group and class and joins the ones the candidate
-        (by its code; ``None`` for a value no row holds) gives it:
-        ``2·(group size − class size)`` there, both without the row itself.
+        The row leaves its group and class, dropping its
+        ``2·(group size − class size)`` violations, and joins the ones the
+        candidate (by its code; -1 for a value no row holds) gives it,
+        adding ``2·(group size − class size)`` there, both without the row
+        itself.  A candidate no class of the group holds joins an empty one.
         """
         group_size, class_size = part.group_size, part.class_size
-        slot_of = part.classes.slot_of
+        slot = part.classes.slot_of.get
+        size_of = class_size.item
         own_group = part.row_group.item(row_id)
         own_class = part.row_class.item(row_id)
-        base = part.total - 2 * (group_size.item(own_group) - class_size.item(own_class))
+        own_size = group_size.item(own_group)
+        leave = -2 * (own_size - size_of(own_class))
         if attribute not in plan.eq_attrs:
             # the row keeps its group; the candidate is its new != class
             if not own_group:
-                for i in range(len(codes)):
-                    totals[i] += base
-                return
+                return  # group 0 is one class: its rows never violate
             shifted = own_group << _PAIR_SHIFT
-            joined = base + 2 * (group_size.item(own_group) - 1)
-            size_of = class_size.item
+            joined = leave + 2 * (own_size - 1)
             for i, code in enumerate(codes):
-                klass = 0 if code is None else slot_of.get(shifted | code, 0)
-                totals[i] += joined - 2 * (size_of(klass) - (klass == own_class))
+                klass = slot(shifted | code, 0) if code >= 0 else 0
+                if klass:
+                    totals[i] += joined - 2 * (size_of(klass) - (klass == own_class))
+                else:
+                    totals[i] += joined
             return
         # the candidate changes the row's key
         key = [self._codes(eq_attr).item(row_id) for eq_attr in plan.eq_attrs]
         position = plan.eq_attrs.index(attribute)
-        own_code = self._codes(plan.single_ne_attr).item(row_id)
+        class_code = None if attribute == plan.single_ne_attr \
+            else self._codes(plan.single_ne_attr).item(row_id)
         n_groups = len(group_size)
         for i, code in enumerate(codes):
-            if not code:  # a null or a value no row holds: no group
-                totals[i] += base
+            if code <= 0:  # a null or a value no row holds: no group
+                totals[i] += leave
                 continue
             if part.levels:
                 key[position] = code
                 group = part.group_of(key)
             else:  # a one-column key's group is its code
                 group = code if code < n_groups else 0
-            count = base
-            if group:
-                class_code = code if attribute == plan.single_ne_attr else own_code
-                klass = slot_of.get(group << _PAIR_SHIFT | class_code, 0)
-                count += 2 * (group_size.item(group) - (group == own_group)
-                              - class_size.item(klass) + (klass == own_class))
-            totals[i] += count
+            if not group:
+                totals[i] += leave
+                continue
+            klass = slot(group << _PAIR_SHIFT | (code if class_code is None else class_code), 0)
+            totals[i] += leave + 2 * (group_size.item(group) - (group == own_group)
+                                      - size_of(klass) + (klass == own_class))
+
+    def _grid_add(self, constraint: DenialConstraint, degrees: np.ndarray) -> None:
+        """Add a partition's per-row ``degrees`` (or their change) into the
+        grid columns of its attributes, once the grid exists."""
+        grid = self._grid
+        if grid is not None:
+            for column in self._layout.grid_columns[constraint]:
+                grid[:, column] += degrees
 
     def cell_degrees_arrays(self):
-        """Violation total and per-cell degrees as parallel arrays, no objects.
+        """The violation total and the cells at the maximum degree, as
+        parallel arrays, no objects.
 
-        Equivalent to materialising :meth:`all_violations` and reading
-        ``count_for_cell`` for every involved cell (property-tested):
-        returns ``(total, rows, attr_codes, counts, attrs)`` where ``rows``/
-        ``attr_codes``/``counts`` are parallel ``int64`` arrays sorted by
-        ``(row, attr_code)`` and ``attrs`` is the sorted attribute tuple the
-        codes index into — so ordering by ``(row, attr_code)`` equals
-        ordering by ``(row, attribute)``.  Degrees accumulate in a dense
-        ``attrs × rows`` grid: a partition adds its per-row degree vector
-        (:meth:`_FDPartition.degrees`) once per attribute it mentions, and
-        only list-mode constraints still walk violation objects.
-        The grid's nonzero cells, read row-major, are the result.
-        The single ranked winner is the only :class:`CellRef` a consumer
-        ever needs to build.
+        Returns ``(total, rows, attr_codes, counts, attrs)``: ``rows`` /
+        ``attr_codes`` / ``counts`` are parallel ``int64`` arrays of every
+        cell whose degree (``count_for_cell`` on :meth:`all_violations`) is
+        the maximum, sorted by ``(row, attr_code)``; ``attrs`` is the sorted
+        attribute tuple the codes index into, so ordering by
+        ``(row, attr_code)`` equals ordering by ``(row, attribute)``.  All
+        arrays are empty when nothing violates (property-tested against the
+        rescan).
+
+        The degrees live in a ``rows × attrs`` grid built on the first read
+        (each partition's degree vector added once per attribute it
+        mentions) and kept afterwards: every partition move adds the
+        difference of its degree vector (:meth:`_resync`), so only the
+        written column's partitions touch it.  List-mode constraints add
+        their violations' cells to a copy at readout.  The readout is the
+        grid's maximum and the cells equal to it; the single ranked winner
+        is the only :class:`CellRef` a consumer ever needs to build.
         """
-        total = 0
-        fd_parts: list[tuple[np.ndarray, tuple[str, ...]]] = []
-        cell_parts: list[tuple[int, str]] = []
-        names: set[str] = set()
-        n_rows = self.view.n_rows
-        for constraint in self.constraints:
-            state = self._synced_state(constraint)
-            part = state.part
-            if part is not None:
-                part_total = part.total
-                total += part_total
-                if part_total:
-                    plan = self.detector._state(constraint).plan
-                    attrs = plan.eq_attrs + (plan.single_ne_attr,)
-                    fd_parts.append((part.degrees, attrs))
-                    names.update(attrs)
-                continue
-            violations = state.violations
-            total += len(violations)
-            for violation in violations:
-                for cell in violation.cells():
-                    cell_parts.append((cell.row, cell.attribute))
-                    names.add(cell.attribute)
-        attrs_tuple = tuple(sorted(names))
-        if not attrs_tuple:
+        total = self._sync_all()
+        attrs = self._grid_layout().attrs
+        grid = self._grid
+        if grid is None:
+            grid = self._grid = np.zeros((self.view.n_rows, len(attrs)), dtype=np.int64)
+            for constraint, state in self._cstates.items():
+                if state.part is not None:
+                    self._grid_add(constraint, state.part.degrees)
+        cells = [(cell.row, cell.attribute)
+                 for constraint in self.constraints
+                 if self._cstates[constraint].part is None
+                 for violation in self._cstates[constraint].violations
+                 for cell in violation.cells()]
+        if cells:
+            code_of = {attribute: code for code, attribute in enumerate(attrs)}
+            grid = grid.copy()
+            np.add.at(grid, ([row for row, _attr in cells],
+                             [code_of[attr] for _row, attr in cells]), 1)
+        top = grid.max() if grid.size else 0
+        if not top:
             empty = np.empty(0, dtype=np.int64)
-            return total, empty, empty, empty, attrs_tuple
-        code_of = {name: code for code, name in enumerate(attrs_tuple)}
-        # attribute-major while accumulating (contiguous adds), row-major
-        # once flattened for the readout
-        grid = np.zeros((len(attrs_tuple), n_rows), dtype=np.int64)
-        for degrees, attrs in fd_parts:
-            for name in attrs:
-                grid[code_of[name]] += degrees
-        if cell_parts:
-            np.add.at(grid, ([code_of[attr] for _row, attr in cell_parts],
-                             [row for row, _attr in cell_parts]), 1)
-        counts = grid.T.ravel()
-        cells = counts.nonzero()[0]
-        rows, attr_codes = np.divmod(cells, len(attrs_tuple))
-        return total, rows, attr_codes, counts[cells], attrs_tuple
+            return total, empty, empty, empty, attrs
+        rows, attr_codes = np.nonzero(grid == top)  # row-major: (row, attr) order
+        return total, rows, attr_codes, np.full(len(rows), top, dtype=np.int64), attrs
 
     # -- pair forking -------------------------------------------------------------------
 
@@ -1475,14 +1600,19 @@ class RepairWalk:
             eq_attrs: _WalkIndex(walk_index.index.fork(), dict(walk_index.keys), log_pos)
             for eq_attrs, walk_index in self._windexes.items()
         }
+        clone._layout = self._layout
+        if self._grid is not None:  # moved by the clone's resyncs below
+            clone._grid = self._grid.copy()
 
         my_value = self.view.value
         other_value = view.value
         changed = [cell for cell in differing_cells
                    if values_differ(my_value(cell.row, cell.attribute),
                                     other_value(cell.row, cell.attribute))]
-        # the columns the two views hold alike share their code arrays
-        view.store.share_codes(self.view.store, {cell.attribute for cell in changed})
+        # the columns the two views hold alike share their code arrays, the
+        # others copy this walk's, patched at the differing cells
+        view.store.share_codes(self.view.store,
+                               [(cell.row, cell.attribute) for cell in changed])
         if not changed:
             return clone
         clone._dirty_rows.update(cell.row for cell in changed)

@@ -498,13 +498,15 @@ class PerturbationView(Table):
             # columns untouched by the merge keep the base view's encoded
             # delta arrays and code arrays (the latter copy-on-write): their
             # contents are identical and the dictionaries are append-only,
-            # so the codes stay valid
-            touched = {cell[1] for cell, _ in items}
+            # so the codes stay valid; a touched column's code array is the
+            # base view's patched at the merged cells
+            cells = [(cell[0], cell[1]) for cell, _ in items]
+            touched = {attribute for _row, attribute in cells}
             cache = self._store._encoded_cache
             for column, entry in parent._encoded_cache.items():
                 if column not in touched:
                     cache[column] = entry
-            self._store.share_codes(parent, touched)
+            self._store.share_codes(parent, cells)
         self._stats = None
         self._version = 0
 

@@ -361,12 +361,14 @@ class _PairCounts:
     distribution *derived* from it: the base arrays (shared, never written)
     plus a per-given ``{target: change}`` table of everything its view's
     delta and writes moved.  A given the view never moved is answered by the
-    base, whose rows and argmaxes are computed once per base and shared by
-    all its views; a moved given's row is the base row plus its changes.
+    base, whose rows, row totals and argmaxes are computed once per base and
+    shared by all its views; a moved given's row is the base row plus its
+    changes.  A one-cell move updates the given's cached row and total in
+    place and drops its argmax; a batch move drops all three.
     """
 
     __slots__ = ("given", "target", "keys", "counts", "_base", "_changes",
-                 "_rows", "_winners", "_filled")
+                 "_rows", "_totals", "_winners", "_filled")
 
     def __init__(self, given, target, keys: np.ndarray, counts: np.ndarray,
                  base: "_PairCounts | None" = None):
@@ -378,6 +380,7 @@ class _PairCounts:
         #: moved counts: given -> target -> change against ``base``
         self._changes: dict[int, dict[int, int]] = {}
         self._rows: dict[int, dict[int, int]] = {}
+        self._totals: dict[int, int] = {}
         self._winners: dict[int, int] = {}
         self._filled = False
 
@@ -388,6 +391,7 @@ class _PairCounts:
     def copy(self) -> "_PairCounts":
         clone = _PairCounts(self.given, self.target, self.keys, self.counts, self._base)
         clone._changes = {given: dict(row) for given, row in self._changes.items()}
+        clone._totals = dict(self._totals)
         clone._winners = dict(self._winners)
         return clone
 
@@ -411,10 +415,13 @@ class _PairCounts:
                     changes = moved[given] = {}
                 changes[target] = changes.get(target, 0) + sign * count
                 givens.add(given)
-        rows, winners = self._rows, self._winners
+        rows, totals, winners = self._rows, self._totals, self._winners
         for given in givens:
             rows.pop(given, None)
             winners.pop(given, None)
+        if totals:
+            for given in givens:
+                totals.pop(given, None)
 
     def move1(self, old_given: int, old_target: int,
               new_given: int, new_target: int) -> None:
@@ -437,6 +444,9 @@ class _PairCounts:
                 row[target] = count
             else:
                 del row[target]
+        total = self._totals.get(given)
+        if total is not None:
+            self._totals[given] = total + change
         self._winners.pop(given, None)
 
     # -- queries -----------------------------------------------------------------
@@ -450,7 +460,9 @@ class _PairCounts:
                 row = base.row(given)
                 changes = self._changes.get(given)
                 if changes is None:
-                    return row  # the base's, shared
+                    # the base's, shared (a move of ``given`` drops it first)
+                    self._rows[given] = row
+                    return row
                 row = dict(row)
                 for target, change in changes.items():
                     count = row.get(target, 0) + change
@@ -466,6 +478,19 @@ class _PairCounts:
                                self.counts[low:high].tolist()))
             self._rows[given] = row
         return row
+
+    def total(self, given: int) -> int:
+        """The sum of :meth:`row` ``(given)``'s counts (cached; a base's is
+        shared with the views that never moved ``given``)."""
+        total = self._totals.get(given)
+        if total is None:
+            base = self._base
+            if base is not None and given not in self._changes:
+                total = base.total(given)
+            else:
+                total = sum(self.row(given).values())
+            self._totals[given] = total
+        return total
 
     def winner(self, given: int) -> int:
         """The most frequent target code under ``given`` (ties by ``repr``),
@@ -569,6 +594,8 @@ class CooccurrenceStatistics:
     def __init__(self, store):
         self._store = store
         self._pairs: dict[tuple[str, str], _PairCounts] = {}
+        #: attribute -> the built ``(given, target, pair)`` mentioning it
+        self._touching: dict[str, list[tuple[str, str, _PairCounts]]] = {}
 
     def pair(self, given: str, target: str) -> _PairCounts:
         """The ``(given, target)`` distribution in code space (built on first
@@ -577,6 +604,8 @@ class CooccurrenceStatistics:
         pair = self._pairs.get((given, target))
         if pair is None:
             pair = self._pairs[(given, target)] = _pair_counts(self._store, given, target)
+            for attribute in {given, target}:
+                self._touching.setdefault(attribute, []).append((given, target, pair))
         return pair
 
     def _row(self, given: str, target: str, given_value: Any):
@@ -600,12 +629,14 @@ class CooccurrenceStatistics:
         Greedy candidate scoring conditions every candidate of one cell on the
         same sibling value; each element is the ``count / total`` division of
         two Python ints, so scores are bit-identical to the value-space
-        definition.
+        definition.  The total is the row's cached :meth:`_PairCounts.total`.
         """
-        pair, row = self._row(given, target, given_value)
-        total = sum(row.values())
+        pair = self.pair(given, target)
+        code = pair.given.lookup(given_value)
+        total = pair.total(code) if code else 0
         if not total:
             return [0.0] * len(target_values)
+        row = pair.row(code)
         lookup = pair.target.lookup
         return [row.get(lookup(value), 0) / total for value in target_values]
 
@@ -647,29 +678,30 @@ class CooccurrenceStatistics:
         """Move every built pair distribution touching ``attribute`` by a
         write batch's codes; sibling cells' codes are gathered from the
         (already written) store."""
-        one = len(rows) == 1
-        index = None
-        for (given, target), pair in self._pairs.items():
-            if attribute != given and attribute != target:
-                continue
+        touching = self._touching.get(attribute, ())
+        if len(rows) == 1:  # a one-cell write: one scalar move per pair
+            row, old, new = rows[0], old_codes[0], new_codes[0]
+            for given, target, pair in touching:
+                if given != attribute:
+                    sibling = _codes(self._store, given).item(row)
+                    pair.move1(sibling, old, sibling, new)
+                elif target != attribute:
+                    sibling = _codes(self._store, target).item(row)
+                    pair.move1(old, sibling, new, sibling)
+                else:
+                    pair.move1(old, old, new, new)
+            return
+        index = np.asarray(rows)
+        for given, target, pair in touching:
             sides = []
             for side in (given, target):
                 if side == attribute:
                     sides.append((old_codes, new_codes))
                     continue
-                codes = _codes(self._store, side)
-                if one:
-                    sibling = (codes.item(rows[0]),)
-                else:
-                    if index is None:
-                        index = np.asarray(rows)
-                    sibling = codes[index]
+                sibling = _codes(self._store, side)[index]
                 sides.append((sibling, sibling))
             (old_given, new_given), (old_target, new_target) = sides
-            if one:
-                pair.move1(old_given[0], old_target[0], new_given[0], new_target[0])
-            else:
-                pair.move(_keys(old_given, old_target), _keys(new_given, new_target))
+            pair.move(_keys(old_given, old_target), _keys(new_given, new_target))
 
     def apply_delta(self, changes: Mapping[tuple[int, str], tuple[Any, Any]],
                     store) -> None:
@@ -746,8 +778,8 @@ class TableStatistics:
         codes are read from it.
         """
         marginal = self._marginals.get(attribute)
-        if old_codes is None and (marginal is not None or any(
-                attribute in key for key in self.cooccurrence._pairs)):
+        if old_codes is None and (marginal is not None
+                                  or attribute in self.cooccurrence._touching):
             raise _unhashable(attribute)
         if marginal is not None:
             marginal._move_codes(old_codes, new_codes)

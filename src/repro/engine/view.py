@@ -223,21 +223,36 @@ class OverlayStore:
             self._codes[name] = codes
         return codes
 
-    def share_codes(self, source: "OverlayStore", skip=()) -> None:
-        """Adopt ``source``'s code arrays, except for the columns in ``skip``.
+    def share_codes(self, source: "OverlayStore", cells=()) -> None:
+        """Adopt ``source``'s code arrays.
 
-        The two overlays must hold equal contents in every adopted column.
-        An adopted array is shared copy-on-write: whichever overlay writes
-        the column first copies it.
+        The two overlays must hold equal contents except at ``cells``
+        (``(row, attribute)`` pairs).  A column without such a cell adopts
+        ``source``'s array, shared copy-on-write: whichever overlay writes
+        the column first copies it.  A column holding one gets a copy of
+        ``source``'s array with those cells re-encoded from this overlay's
+        values, so its encoded delta is never re-derived from the whole
+        delta (the column is left to :meth:`codes` when a value cannot be
+        coded).
         """
         mine = self._codes
+        patches: dict[str, list[int]] = {}
+        for row, name in cells:
+            patches.setdefault(name, []).append(row)
         for name, codes in source._codes.items():
-            if name in skip or name in mine:
+            if name in mine or codes is None:
                 continue
-            mine[name] = codes
-            if codes is not None:
+            rows = patches.get(name)
+            if rows is None:
+                mine[name] = codes
                 self._shared.add(name)
                 source._shared.add(name)
+                continue
+            code_for = self._base.encoding().code_for
+            patch = [code_for(name, self.value(row, name)) for row in rows]
+            if None not in patch:
+                codes = mine[name] = codes.copy()
+                codes[rows] = patch
 
     # -- access ---------------------------------------------------------------
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-import numpy as np
-
 from repro.constraints.dc import DenialConstraint
 from repro.constraints.incremental import RepairWalk, find_all_violations_auto
 from repro.dataset.table import CellRef, Table
@@ -54,15 +52,21 @@ class GreedyHolisticRepair(RepairAlgorithm):
         input table is repaired on a zero-delta view): each step retracts and
         re-checks only the cell the previous step wrote, and candidate trials
         re-check a single row instead of re-deriving the whole delta.
-        The walk ranks cells off its FD partitions' degree arrays, then scores
-        each step in two passes: first every top-degree cell's whole
-        candidate pool gets its violation totals in one batched call
-        (:meth:`~repro.constraints.incremental.RepairWalk.count_if_many_at`),
-        giving the step minimum; then co-occurrence is scored (batched) only
-        for the candidates whose total equals that minimum.  This is exact:
-        the step key is ``(total, -cooccurrence, repr, cell)``, so a
-        candidate above the minimum loses on the first element whatever its
-        co-occurrence.  ``"reference"`` runs per-step full detection with one
+        A step costs what the previous step's one-cell write touched: the
+        write moves only the written column's FD partitions, by scalar slot
+        updates, and adds their degree changes into the walk's maintained
+        cell-degree grid, whose maximum is the step's top-degree cells
+        (:meth:`~repro.constraints.incremental.RepairWalk.cell_degrees_arrays`).
+        The step is then scored in two passes: first every top-degree cell's
+        whole candidate pool gets its violation totals in one batched call
+        (:meth:`~repro.constraints.incremental.RepairWalk.count_if_many_at`:
+        the step's total once, plus each mentioning constraint's
+        candidate-dependent term), giving the step minimum; then
+        co-occurrence is scored (batched) only for the candidates whose total
+        equals that minimum, and for none when a single candidate holds it.
+        This is exact: the step key is ``(total, -cooccurrence, repr, cell)``,
+        so a candidate above the minimum loses on the first element whatever
+        its co-occurrence.  ``"reference"`` runs per-step full detection with one
         trial detection and one co-occurrence score per candidate, and makes
         the oracle stack above it materialise every instance.  Results are
         identical either way.
@@ -102,20 +106,25 @@ class GreedyHolisticRepair(RepairAlgorithm):
                              values: Sequence[Any]) -> list[float]:
         """Batched :meth:`_cooccurrence_score` over a whole candidate pool.
 
-        One pair-table fetch (and one total) per sibling attribute serves
-        every candidate; accumulation runs per attribute in the same order as
-        the scalar method, so each candidate's score is the identical
+        One pair-table row (and its cached total) per sibling attribute
+        serves every candidate; a sibling's null test reads the view's code
+        array (code 0).  Accumulation runs per attribute in the same order
+        as the scalar method, so each candidate's score is the identical
         left-to-right float sum.
         """
         scores = [0.0] * len(values)
         if not values:
             return scores
         cooccurrence = table.stats.cooccurrence
+        store = table.store
         for attribute in table.attributes:
             if attribute == target:
                 continue
+            codes = store.codes(attribute)
+            if codes is not None and not codes.item(row_id):
+                continue  # a null sibling
             other_value = table.value(row_id, attribute)
-            if is_null(other_value):
+            if codes is None and is_null(other_value):
                 continue
             probabilities = cooccurrence.conditional_probability_many(
                 target, values, attribute, other_value
@@ -184,11 +193,11 @@ class GreedyHolisticRepair(RepairAlgorithm):
             # best = (total, -cooccurrence, value repr, (row, attr), row, attr, value)
             best: tuple | None = None
             if walk is not None:
-                # degrees straight from the walk's FD partitions,
-                # as parallel (row, attr_code, count) arrays: no Violation or
+                # the top-degree cells straight from the walk's degree grid,
+                # as parallel (row, attr_code) arrays: no Violation or
                 # CellRef objects are materialised on the hot path — only the
                 # single chosen winner is ever built, at set_value time
-                total_before, rows, attr_codes, counts, attrs = (
+                total_before, rows, attr_codes, _counts, attrs = (
                     walk.cell_degrees_arrays())
                 if not total_before:
                     break
@@ -197,8 +206,8 @@ class GreedyHolisticRepair(RepairAlgorithm):
                 # branch's (row, attribute) tie-break order.  Pass 1 takes
                 # every top-degree cell's trial totals and the step minimum.
                 trials = []
-                for i in np.nonzero(counts == counts.max())[0]:
-                    row_id, attribute = int(rows[i]), attrs[attr_codes[i]]
+                for row_id, code in zip(rows.tolist(), attr_codes.tolist()):
+                    attribute = attrs[code]
                     current_value = current.value(row_id, attribute)
                     pool = [value for value in self._candidate_values(current, attribute)
                             if not value == current_value]
@@ -213,16 +222,22 @@ class GreedyHolisticRepair(RepairAlgorithm):
                 # Pass 2: a candidate above the minimum loses on the key's
                 # first element, so only the tied ones are scored for
                 # co-occurrence — the same winner as scoring them all.
-                for row_id, attribute, pool, totals in trials:
-                    tied = [candidate for candidate, total in zip(pool, totals)
-                            if total == step_min]
-                    if not tied:
-                        continue
-                    coocs = self._cooccurrence_scores(current, row_id, attribute, tied)
-                    for candidate, cooc in zip(tied, coocs):
-                        key = (step_min, -cooc, repr(candidate), (row_id, attribute))
-                        if best is None or key < best[:4]:
-                            best = (*key, row_id, attribute, candidate)
+                tied = [(row_id, attribute, [candidate for candidate, total
+                                             in zip(pool, totals) if total == step_min])
+                        for row_id, attribute, pool, totals in trials]
+                tied = [entry for entry in tied if entry[2]]
+                if len(tied) == 1 and len(tied[0][2]) == 1:
+                    # a single tied candidate wins whatever its co-occurrence
+                    (row_id, attribute, (candidate,)), = tied
+                    best = (step_min, None, None, None, row_id, attribute, candidate)
+                else:
+                    for row_id, attribute, candidates in tied:
+                        coocs = self._cooccurrence_scores(current, row_id, attribute,
+                                                          candidates)
+                        for candidate, cooc in zip(candidates, coocs):
+                            key = (step_min, -cooc, repr(candidate), (row_id, attribute))
+                            if best is None or key < best[:4]:
+                                best = (*key, row_id, attribute, candidate)
             else:
                 violations = find_all_violations_auto(current, constraints)
                 if not violations:

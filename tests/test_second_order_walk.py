@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +27,7 @@ from repro import (
     la_liga_constraints,
     la_liga_dirty_table,
 )
-from repro.constraints.incremental import RepairWalk, repair_walk_for
+from repro.constraints.incremental import RepairWalk, _FDPartition, repair_walk_for
 from repro.constraints.predicates import Operator, Predicate
 from repro.engine.storage import NULL
 
@@ -322,17 +323,52 @@ def test_count_if_equals_full_recount_randomised(data, trial_value):
 #: base values plus writes the base dictionaries never saw
 BATCH_VALUES = st.sampled_from(["x", "y", "z", 1, 2, None, float("nan"),
                                 "new1", "new2"])
+#: a one-cell write of the base table's own value (it restores the cell)
+RESTORE = object()
 
 
 def _reference_degrees(violations):
-    return {(cell.row, cell.attribute): violations.count_for_cell(cell)
-            for cell in violations.cells_involved()}
+    """The rescan's maximum-degree cells and their degree."""
+    degrees = {(cell.row, cell.attribute): violations.count_for_cell(cell)
+               for cell in violations.cells_involved()}
+    top = max(degrees.values(), default=0)
+    return {cell: count for cell, count in degrees.items() if count == top}
 
 
 def _walk_degrees(walk):
     total, rows, attr_codes, counts, attrs = walk.cell_degrees_arrays()
     return total, {(int(row), attrs[code]): int(count)
                    for row, code, count in zip(rows, attr_codes, counts)}
+
+
+def assert_partitions_match_fresh(walk):
+    """Each partition's slot sizes and total, and the walk's maintained
+    degree grid, against fresh partitions built over the view's current codes.
+
+    Slot numbers differ between a moved and a fresh partition, so sizes are
+    compared per row, and every slot size must be non-negative and sum to
+    the row count (a slot that keeps a row it lost fails there).
+    """
+    grid = None if walk._grid is None else np.zeros_like(walk._grid)
+    for constraint, state in walk._cstates.items():
+        part = state.part
+        if part is None:
+            continue
+        plan = walk.detector._state(constraint).plan
+        fresh = _FDPartition([walk._codes(attribute) for attribute in plan.eq_attrs],
+                             walk._codes(plan.single_ne_attr))
+        assert part.total == fresh.total
+        assert part.degrees.tolist() == fresh.degrees.tolist()
+        for sizes, slots, fresh_sizes, fresh_slots in (
+                (part.group_size, part.row_group, fresh.group_size, fresh.row_group),
+                (part.class_size, part.row_class, fresh.class_size, fresh.row_class)):
+            assert sizes[slots].tolist() == fresh_sizes[fresh_slots].tolist()
+            assert sizes.min() >= 0 and int(sizes.sum()) == walk.view.n_rows
+        if grid is not None:
+            for column in walk._layout.grid_columns[constraint]:
+                grid[:, column] += fresh.degrees
+    if grid is not None:
+        assert walk._grid.tolist() == grid.tolist()
 
 
 def assert_walk_state_matches_rescan(walk, constraints):
@@ -345,6 +381,14 @@ def assert_walk_state_matches_rescan(walk, constraints):
                            for row in violation.rows})
         assert walk.violating_rows_for(constraint) == expected
     assert _walk_degrees(walk) == (len(reference), _reference_degrees(reference))
+    assert_partitions_match_fresh(walk)
+
+
+def assert_trials_match_rescan(walk, constraints, cell, values):
+    """Candidate trials at ``cell``, scored against the maintained state."""
+    assert walk.count_if_many_at(cell.row, cell.attribute, values) == [
+        len(find_all_violations(walk.view.with_values({cell: value}).copy(), constraints))
+        for value in values]
 
 
 @st.composite
@@ -366,7 +410,11 @@ def batch_scenario(draw):
             values = [value] * len(batch_rows)
         else:
             values = [draw(BATCH_VALUES) for _ in batch_rows]
-        batches.append((attribute, batch_rows, values))
+        # then a run of one-cell writes, as greedy steps make them
+        writes = draw(st.lists(st.tuples(st.integers(0, n_rows - 1), st.sampled_from(ATTRS),
+                                         st.one_of(BATCH_VALUES, st.just(RESTORE))),
+                               max_size=4))
+        batches.append((attribute, batch_rows, values, writes))
     trial = (draw(st.integers(0, n_rows - 1)), draw(st.sampled_from(ATTRS)),
              draw(st.lists(BATCH_VALUES, min_size=1, max_size=4)))
     return table, delta, batches, trial
@@ -383,20 +431,29 @@ def test_walk_follows_multi_row_batches_randomised(data, constraint_mask):
     view = table.perturbed(delta).mutable_snapshot()
     walk = repair_walk_for(view, constraints).prime()
     assert_walk_state_matches_rescan(walk, constraints)
-    for attribute, rows, values in batches:
+    cell = CellRef(trial_row, trial_attr)
+    for attribute, rows, values, writes in batches:
         view.set_values(attribute, rows, values)
         assert_walk_state_matches_rescan(walk, constraints)
         # candidate trials, scored against the maintained partitions
-        cell = CellRef(trial_row, trial_attr)
-        assert walk.count_if_many_at(trial_row, trial_attr, trial_values) == [
-            len(find_all_violations(view.with_values({cell: value}).copy(), constraints))
-            for value in trial_values]
+        assert_trials_match_rescan(walk, constraints, cell, trial_values)
         # a clone forked off the synced walk, one cell apart, then written on
         sibling = table.perturbed({**view.delta, cell: trial_values[0]}).mutable_snapshot()
         clone = walk.fork_onto(sibling, [cell])
         assert_walk_state_matches_rescan(clone, constraints)
         sibling.set_values(attribute, rows, values[::-1])
         assert_walk_state_matches_rescan(clone, constraints)
+        # greedy's traffic: one-cell writes to key and != columns (NULL, new
+        # values, base-value restores), each followed by the degree readout
+        # and candidate trials, on the walk and on its written clone
+        for row, write_attr, value in writes:
+            written = CellRef(row, write_attr)
+            for walked in (walk, clone):
+                walked.view.set_value(row, write_attr,
+                                      table[written] if value is RESTORE else value)
+                assert_walk_state_matches_rescan(walked, constraints)
+                assert_trials_match_rescan(walked, constraints, written, trial_values)
+                assert_trials_match_rescan(walked, constraints, cell, trial_values)
     assert_walk_state_matches_rescan(walk, constraints)
 
 

@@ -51,6 +51,24 @@ def _cdf(counts: Counter) -> tuple[list, np.ndarray]:
     return values, weights
 
 
+PROBES = ["a", "b", "c", 1, 2, "new", 3, "never"]
+PAIRS = (("A", "B"), ("B", "A"), ("A", "A"))
+
+
+def _assert_conditionals_match(table: Table, stats: TableStatistics) -> None:
+    """``conditional_probability_many`` (whose row totals are cached per
+    given) against the pair counter, for every pair and probe."""
+    columns = {attribute: list(table.column(attribute)) for attribute in ATTRIBUTES}
+    for given_attr, target in PAIRS:
+        expected = _pairs(columns[given_attr], columns[target])
+        for given_value in PROBES:
+            row = {t: c for (g, t), c in expected.items() if g == given_value}
+            total = sum(row.values())
+            assert stats.cooccurrence.conditional_probability_many(
+                target, PROBES, given_attr, given_value) == \
+                [row.get(value, 0) / total if total else 0.0 for value in PROBES]
+
+
 def _assert_matches_definition(table: Table, stats: TableStatistics) -> None:
     columns = {attribute: list(table.column(attribute)) for attribute in ATTRIBUTES}
     uniforms = np.linspace(0.0, 0.999, 7)
@@ -72,16 +90,13 @@ def _assert_matches_definition(table: Table, stats: TableStatistics) -> None:
         drawn = [values[i] for i in cdf.searchsorted(uniforms, side="right").tolist()] \
             if values else [None] * len(uniforms)
         assert marginal.sample(uniforms=uniforms) == drawn
-    probes = ["a", "b", "c", 1, 2, "new", 3, "never"]
-    for given_attr, target in (("A", "B"), ("B", "A"), ("A", "A")):
+    _assert_conditionals_match(table, stats)
+    for given_attr, target in PAIRS:
         expected = _pairs(columns[given_attr], columns[target])
         cooccurrence = stats.cooccurrence
-        for given_value in probes:
+        for given_value in PROBES:
             row = {t: c for (g, t), c in expected.items() if g == given_value}
             total = sum(row.values())
-            assert cooccurrence.conditional_probability_many(
-                target, probes, given_attr, given_value) == \
-                [row.get(value, 0) / total if total else 0.0 for value in probes]
             assert cooccurrence.conditional_probability(
                 target, "a", given_attr, given_value) == \
                 (row.get("a", 0) / total if total else 0.0)
@@ -92,7 +107,7 @@ def _assert_matches_definition(table: Table, stats: TableStatistics) -> None:
                 winner = "default"
             assert stats.most_probable_given(target, given_attr, given_value,
                                              "default") == winner
-            for target_value in probes:
+            for target_value in PROBES:
                 assert cooccurrence.cooccurrence_count(
                     given_attr, given_value, target, target_value) == \
                     row.get(target_value, 0)
@@ -144,8 +159,11 @@ def test_statistics_match_counter_definition(views_first, scenario):
         view.set_values(attribute, [row for row, _ in writes],
                         [value for _, value in writes])
         _assert_matches_definition(view, stats)
-        row, value = writes[0]
-        view.set_value(row, attribute, value)  # a one-cell write
+        # the batch again as a run of one-cell writes, last write first: each
+        # moves row totals that the query before it cached
+        for row, value in reversed(writes):
+            view.set_value(row, attribute, value)
+            _assert_conditionals_match(view, stats)
         _assert_matches_definition(view, stats)
 
     # a live base update: the base table's own statistics move with the

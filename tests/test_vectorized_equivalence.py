@@ -7,8 +7,8 @@ materialised copy of the view, and the ``engine="reference"`` path at
 explain level.  The contract is bit-identity, not approximation:
 
 * walk-level (hypothesis): randomised perturbation deltas and post-prime
-  write sequences must yield the rescan's violations, cell degrees and
-  candidate-trial counts;
+  write sequences must yield the rescan's violations, maximum-degree cells
+  and candidate-trial counts;
 * explain-level: full cell-Shapley runs — both bundled black boxes, all
   three replacement policies, both engines — must produce the value
   dictionaries of the cache-free full-rescan reference.
@@ -79,12 +79,13 @@ def _assert_walk_matches_rescan(view, walk):
         _violation_multiset(violations)
     total, rows, attr_codes, counts, attrs = walk.cell_degrees_arrays()
     assert total == len(violations)
-    degrees = {CellRef(row, attrs[code]): count for row, code, count
-               in zip(rows.tolist(), attr_codes.tolist(), counts.tolist())}
-    assert degrees == {
-        cell: violations.count_for_cell(cell)
-        for cell in violations.cells_involved()
-    }
+    top = {CellRef(row, attrs[code]): count for row, code, count
+           in zip(rows.tolist(), attr_codes.tolist(), counts.tolist())}
+    degrees = {cell: violations.count_for_cell(cell)
+               for cell in violations.cells_involved()}
+    top_degree = max(degrees.values(), default=0)
+    assert top == {cell: count for cell, count in degrees.items()
+                   if count == top_degree}
 
 
 @settings(max_examples=25, deadline=None)
@@ -158,7 +159,6 @@ def test_explain_vectorized_bit_identical(algorithm, policy):
     )
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("policy", ["mode", "sample", "null"])
 @pytest.mark.parametrize("path", sorted(_ENGINE_PATHS))
 @pytest.mark.parametrize("algorithm", ["simple", "greedy"])
