@@ -305,8 +305,9 @@ class Table:
     def stats(self) -> TableStatistics:
         """Column/co-occurrence statistics of the current contents (cached).
 
-        On a view the counts are the base table's, moved by the view's
-        encoded delta structure by structure on first read (see
+        On a view each structure is built on first read: a marginal is the
+        base table's moved by the view's encoded delta, a pair distribution
+        is counted from the view's code arrays (see
         :mod:`repro.engine.stats`).
         """
         if self._stats is None:

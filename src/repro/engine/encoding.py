@@ -150,9 +150,13 @@ class ColumnDictionary:
         """The code of ``value`` without growing the dictionary.
 
         :data:`NULL_CODE` for a null or unseen value, which is exactly the
-        code no count is ever kept for.
+        code no count is ever kept for.  An unhashable value is unseen: no
+        coded column holds one.
         """
-        return self._code_of.get(value, NULL_CODE)
+        try:
+            return self._code_of.get(value, NULL_CODE)
+        except TypeError:
+            return NULL_CODE
 
     def decode_list(self, codes: Iterable[int]) -> list[Any]:
         values = self._values

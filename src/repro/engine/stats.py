@@ -19,10 +19,9 @@ Counts live in code space, over the base table's append-only
 never counted):
 
 * a marginal is an ``int64`` count array indexed by code;
-* a pair distribution ``(given, target)`` is a base snapshot's sorted array
-  of packed ``given_code << 32 | target_code`` keys with a parallel count
-  array, plus a per-view ``{given: {target: change}}`` table, so its memory
-  follows the pairs that occur, never ``n_given × n_target``;
+* a pair distribution ``(given, target)`` is a sorted array of packed
+  ``given_code << 32 | target_code`` keys with a parallel count array, so its
+  memory follows the pairs that occur, never ``n_given × n_target``;
 * queries are an argmax, a sort or a cumsum over counts, with ties broken by
   the column's ``repr`` rank (:meth:`ColumnDictionary.repr_ranks`) — the same
   winners, orders, ``count / total`` floats and CDFs as the value-space
@@ -34,26 +33,27 @@ Where counts come from and how they move:
   its :class:`~repro.engine.encoding.TableEncoding` next to the code arrays
   they are counted from (a base write drops them and replaces the arrays
   by updated copies);
-* a view's structures are the base's moved by the view's encoded delta
-  (:meth:`~repro.engine.view.OverlayStore.encoded_delta_arrays`): a
-  marginal by ``np.subtract.at``/``np.add.at`` on a copy-on-write array, a
-  pair distribution by its change table, with the base's per-given rows and
-  argmaxes shared by every view that did not move that given;
-* each :meth:`~repro.dataset.table.Table.set_values` batch moves every built
-  structure over the written column once, by the batch's old and new codes
-  as the store wrote them (:meth:`TableStatistics.apply_cell_updates`);
-  sibling cells' codes are one gather from the store's current code array
-  (:meth:`~repro.engine.view.OverlayStore.codes` on a view, the base
-  encoding's array on a plain store, which a base write keeps current), so
-  nothing on the move path encodes a value.  A one-cell write (every greedy
-  step) is a few scalar updates.  The value-space entry points
+* a view's marginal is the base's moved by the view's encoded delta
+  (:meth:`~repro.engine.view.OverlayStore.encoded_delta_arrays`) with
+  ``np.subtract.at``/``np.add.at`` on a copy-on-write array;
+* a view's pair distribution is counted from its current code arrays
+  (:meth:`~repro.engine.view.OverlayStore.codes`) by one ``np.unique``; a
+  view that overrides neither column shares the base's cached one, which
+  nothing writes;
+* a :meth:`~repro.dataset.table.Table.set_values` batch moves every built
+  marginal over the written column once, by the batch's old and new codes
+  as the store wrote them (:meth:`TableStatistics.apply_cell_updates`), and
+  drops every pair distribution over it, to be recounted on its next read.
+  A one-cell write (every greedy step) is a few scalar updates instead: the
+  pair's move goes into a child distribution of the built one, reading the
+  sibling cell's code from the store's current code array, so nothing on
+  the write path encodes a value.  The value-space entry points
   (``apply_cell_update``, ``apply_delta``, ``apply_updates``) encode their
-  values in the structures' own dictionaries.
+  values in the marginals' own dictionaries.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -137,8 +137,8 @@ class ColumnStatistics:
         delta = _delta(store, attribute)
         if delta is None:
             return
-        # the last derivation is reused by a view sharing the delta arrays
-        # (see _pair_counts)
+        # the last derivation is reused by a sibling view sharing the delta
+        # arrays (a coalition's with- and without-instance differ in one cell)
         last = encoding.counts.get(("view", attribute))
         if last is not None and last[0] is delta:
             self._counts, self._total = last[1], last[2]
@@ -356,15 +356,17 @@ class ColumnStatistics:
 class _PairCounts:
     """One ``(given, target)`` distribution over packed code keys.
 
-    A base snapshot's distribution is two arrays built once: ascending
-    packed keys and their counts.  Every statistics bundle works on a
-    distribution *derived* from it: the base arrays (shared, never written)
-    plus a per-given ``{target: change}`` table of everything its view's
-    delta and writes moved.  A given the view never moved is answered by the
-    base, whose rows, row totals and argmaxes are computed once per base and
-    shared by all its views; a moved given's row is the base row plus its
-    changes.  A one-cell move updates the given's cached row and total in
-    place and drops its argmax; a batch move drops all three.
+    A *built* distribution is counted once from a store's current code
+    arrays (:func:`_pair_counts`): ascending packed keys and their counts.
+    Its arrays and its per-given rows, row totals and argmaxes (filled on
+    first read) are never written afterwards, so one built distribution is
+    shared by the base store's statistics and every view that overrides
+    neither of its columns.  A one-cell write moves a child made by
+    :meth:`derive` instead: the built distribution plus a per-given
+    ``{target: change}`` table.  A given the child never moved is answered
+    by its base; a moved given's row is the base row plus its changes,
+    updated in place by every further one-cell move, its argmax recomputed
+    on read.
     """
 
     __slots__ = ("given", "target", "keys", "counts", "_base", "_changes",
@@ -385,47 +387,14 @@ class _PairCounts:
         self._filled = False
 
     def derive(self) -> "_PairCounts":
-        """A distribution starting from this (base) one."""
+        """A movable distribution starting from this built one."""
         return _PairCounts(self.given, self.target, self.keys, self.counts, self)
-
-    def copy(self) -> "_PairCounts":
-        clone = _PairCounts(self.given, self.target, self.keys, self.counts, self._base)
-        clone._changes = {given: dict(row) for given, row in self._changes.items()}
-        clone._totals = dict(self._totals)
-        clone._winners = dict(self._winners)
-        return clone
 
     # -- moves -------------------------------------------------------------------
 
-    def move(self, gone: Iterable[int], come: Iterable[int]) -> None:
-        """Uncount the ``gone`` keys and count the ``come`` keys (packed
-        pairs, repeats counted; a pair with a null side is skipped)."""
-        moved = self._changes
-        givens = set()
-        # repeated pairs (a rule writes one value per given) are counted at
-        # C level and moved once
-        for counted, sign in ((Counter(gone), -1), (Counter(come), 1)):
-            for key, count in counted.items():
-                given = key >> _SHIFT
-                target = key & _LOW
-                if not given or not target:
-                    continue  # a null cell: never counted
-                changes = moved.get(given)
-                if changes is None:
-                    changes = moved[given] = {}
-                changes[target] = changes.get(target, 0) + sign * count
-                givens.add(given)
-        rows, totals, winners = self._rows, self._totals, self._winners
-        for given in givens:
-            rows.pop(given, None)
-            winners.pop(given, None)
-        if totals:
-            for given in givens:
-                totals.pop(given, None)
-
     def move1(self, old_given: int, old_target: int,
               new_given: int, new_target: int) -> None:
-        """One cell's move."""
+        """One cell's move (a derived distribution only)."""
         if old_given and old_target:
             self._move_pair(old_given, old_target, -1)
         if new_given and new_target:
@@ -480,8 +449,9 @@ class _PairCounts:
         return row
 
     def total(self, given: int) -> int:
-        """The sum of :meth:`row` ``(given)``'s counts (cached; a base's is
-        shared with the views that never moved ``given``)."""
+        """The sum of :meth:`row` ``(given)``'s counts (cached; a built
+        distribution's is shared with the children that never moved
+        ``given``)."""
         total = self._totals.get(given)
         if total is None:
             base = self._base
@@ -535,52 +505,34 @@ class _PairCounts:
         return {(key >> _SHIFT, key & _LOW): count for key, count in counts.items() if count}
 
 
-def _keys(given_codes, target_codes) -> list[int]:
-    """Packed ``given << 32 | target`` keys of parallel code sequences."""
-    if isinstance(given_codes, np.ndarray):
-        return ((given_codes.astype(np.int64) << _SHIFT) | target_codes).tolist()
-    return [given << _SHIFT | target for given, target in zip(given_codes, target_codes)]
-
-
 def _pair_counts(store, given: str, target: str) -> _PairCounts:
-    """The ``(given, target)`` distribution of ``store``'s contents: the base
-    snapshot's (built once, cached on its encoding) moved by the delta."""
+    """The ``(given, target)`` distribution of ``store``'s current contents,
+    counted from its code arrays by one ``np.unique`` over the packed keys
+    of the rows where both codes are non-null.
+
+    A base store's is cached on its encoding (a base write drops it), and a
+    view that overrides neither column (its code arrays are the base's)
+    shares that cached one.
+    """
     base = _base_of(store)
     encoding = base.encoding()
-    given_codes = _base_codes(base, given)
-    target_codes = _base_codes(base, target)
-    cached = encoding.counts.get((given, target))
-    if cached is None:
-        valid = (given_codes != NULL_CODE) & (target_codes != NULL_CODE)
-        keys, counts = np.unique(
-            (given_codes[valid].astype(np.int64) << _SHIFT) | target_codes[valid],
-            return_counts=True)
-        keys.flags.writeable = counts.flags.writeable = False
-        cached = encoding.counts[(given, target)] = _PairCounts(
-            encoding.dictionary(given), encoding.dictionary(target), keys, counts)
-    given_delta = _delta(store, given)
-    target_delta = _delta(store, target)
-    if given_delta is None and target_delta is None:
-        return cached.derive()
-    # sibling views share their untouched columns' encoded-delta arrays (a
-    # coalition's with- and without-instance differ in one cell), so the
-    # last derivation is kept and reused while both arrays are the same
-    last = encoding.counts.get(("view", given, target))
-    if last is not None and last[0] is given_delta and last[1] is target_delta:
-        return last[2].copy()
-    pair = cached.derive()
-    if given_delta is None or target_delta is None:
-        rows = (given_delta or target_delta)[0]
-    else:
-        rows = np.union1d(given_delta[0], target_delta[0])
-    old_given, old_target = given_codes[rows], target_codes[rows]
-    new_given, new_target = old_given.copy(), old_target.copy()
-    if given_delta is not None:
-        new_given[rows.searchsorted(given_delta[0])] = given_delta[1]
-    if target_delta is not None:
-        new_target[rows.searchsorted(target_delta[0])] = target_delta[1]
-    pair.move(_keys(old_given, old_target), _keys(new_given, new_target))
-    encoding.counts[("view", given, target)] = (given_delta, target_delta, pair.copy())
+    given_codes = _codes(store, given)
+    target_codes = _codes(store, target)
+    shared = given_codes is _base_codes(base, given) \
+        and target_codes is _base_codes(base, target)
+    if shared:
+        cached = encoding.counts.get((given, target))
+        if cached is not None:
+            return cached
+    valid = (given_codes != NULL_CODE) & (target_codes != NULL_CODE)
+    keys, counts = np.unique(
+        (given_codes[valid].astype(np.int64) << _SHIFT) | target_codes[valid],
+        return_counts=True)
+    keys.flags.writeable = counts.flags.writeable = False
+    pair = _PairCounts(encoding.dictionary(given), encoding.dictionary(target),
+                       keys, counts)
+    if shared:
+        encoding.counts[(given, target)] = pair
     return pair
 
 
@@ -594,19 +546,32 @@ class CooccurrenceStatistics:
     def __init__(self, store):
         self._store = store
         self._pairs: dict[tuple[str, str], _PairCounts] = {}
-        #: attribute -> the built ``(given, target, pair)`` mentioning it
-        self._touching: dict[str, list[tuple[str, str, _PairCounts]]] = {}
+        #: attribute -> the ``(given, target)`` keys of the held pairs over it
+        self._touching: dict[str, list[tuple[str, str]]] = {}
 
     def pair(self, given: str, target: str) -> _PairCounts:
-        """The ``(given, target)`` distribution in code space (built on first
-        use; raises :class:`~repro.errors.SchemaError` over a column the
-        encoding cannot code)."""
-        pair = self._pairs.get((given, target))
+        """The ``(given, target)`` distribution in code space (counted on
+        first use; raises :class:`~repro.errors.SchemaError` over a column
+        the encoding cannot code)."""
+        key = (given, target)
+        pair = self._pairs.get(key)
         if pair is None:
-            pair = self._pairs[(given, target)] = _pair_counts(self._store, given, target)
+            pair = self._pairs[key] = _pair_counts(self._store, given, target)
             for attribute in {given, target}:
-                self._touching.setdefault(attribute, []).append((given, target, pair))
+                self._touching.setdefault(attribute, []).append(key)
         return pair
+
+    def _drop(self, attribute: str) -> None:
+        """Forget every pair over ``attribute``; its next read recounts it."""
+        touching = self._touching
+        for key in touching.pop(attribute, ()):
+            del self._pairs[key]
+            for side in key:
+                if side != attribute:
+                    keys = touching[side]
+                    keys.remove(key)
+                    if not keys:
+                        del touching[side]
 
     def _row(self, given: str, target: str, given_value: Any):
         pair = self.pair(given, target)
@@ -675,73 +640,53 @@ class CooccurrenceStatistics:
 
     def _move_cells(self, attribute: str, rows: Sequence[int],
                     old_codes: Sequence[int], new_codes: Sequence[int]) -> None:
-        """Move every built pair distribution touching ``attribute`` by a
-        write batch's codes; sibling cells' codes are gathered from the
-        (already written) store."""
-        touching = self._touching.get(attribute, ())
-        if len(rows) == 1:  # a one-cell write: one scalar move per pair
-            row, old, new = rows[0], old_codes[0], new_codes[0]
-            for given, target, pair in touching:
-                if given != attribute:
-                    sibling = _codes(self._store, given).item(row)
-                    pair.move1(sibling, old, sibling, new)
-                elif target != attribute:
-                    sibling = _codes(self._store, target).item(row)
-                    pair.move1(old, sibling, new, sibling)
-                else:
-                    pair.move1(old, old, new, new)
+        """Follow a write batch of ``attribute`` (already in the store).
+
+        A batch of several rows drops every pair over ``attribute``.  A
+        one-cell write moves each of them by one scalar update, reading the
+        sibling cell's code from the store; a built pair (which may be
+        shared) is first replaced by its child (:meth:`_PairCounts.derive`).
+        """
+        touching = self._touching.get(attribute)
+        if not touching:
             return
-        index = np.asarray(rows)
-        for given, target, pair in touching:
-            sides = []
-            for side in (given, target):
-                if side == attribute:
-                    sides.append((old_codes, new_codes))
-                    continue
-                sibling = _codes(self._store, side)[index]
-                sides.append((sibling, sibling))
-            (old_given, new_given), (old_target, new_target) = sides
-            pair.move(_keys(old_given, old_target), _keys(new_given, new_target))
+        if len(rows) != 1:
+            self._drop(attribute)
+            return
+        row, old, new = rows[0], old_codes[0], new_codes[0]
+        pairs = self._pairs
+        for key in touching:
+            pair = pairs[key]
+            if pair._base is None:
+                pair = pairs[key] = pair.derive()
+            given, target = key
+            if given != attribute:
+                sibling = _codes(self._store, given).item(row)
+                pair.move1(sibling, old, sibling, new)
+            elif target != attribute:
+                sibling = _codes(self._store, target).item(row)
+                pair.move1(old, sibling, new, sibling)
+            else:
+                pair.move1(old, old, new, new)
 
     def apply_delta(self, changes: Mapping[tuple[int, str], tuple[Any, Any]],
                     store) -> None:
-        """Move the built pair distributions onto the contents of ``store``.
+        """Rebind the statistics to ``store``.
 
         ``store`` must differ from the contents the statistics currently
         describe at exactly the cells in ``changes``
-        (``{(row, attribute): (old_value, new_value)}``).  The move is
-        row-wise: when both cells of a pair change in the same row the old
-        and new pair come straight from ``changes``, so a multi-cell-per-row
-        delta is applied exactly.  Afterwards the statistics read sibling
-        cells (and build new pairs) from ``store``.
+        (``{(row, attribute): (old_value, new_value)}``).  Every pair over a
+        changed column is dropped and recounted from ``store`` on its next
+        read, so a multi-cell-per-row delta is exact.
         """
-        by_attr: dict[str, dict[int, tuple[Any, Any]]] = {}
-        for (row, attribute), update in changes.items():
-            by_attr.setdefault(attribute, {})[row] = update
-        for (given, target), pair in self._pairs.items():
-            rows = sorted(by_attr.get(given, {}).keys() | by_attr.get(target, {}).keys())
-            if not rows:
-                continue
-            codes = []
-            for side, dictionary in ((given, pair.given), (target, pair.target)):
-                changed = by_attr.get(side, {})
-                olds = [changed[row][0] if row in changed else store.value(row, side)
-                        for row in rows]
-                news = [changed[row][1] if row in changed else store.value(row, side)
-                        for row in rows]
-                codes.append((_encode(dictionary, side, olds),
-                              _encode(dictionary, side, news)))
-            (old_given, new_given), (old_target, new_target) = codes
-            pair.move(_keys(old_given, old_target), _keys(new_given, new_target))
+        for attribute in {attribute for _row, attribute in changes}:
+            self._drop(attribute)
         self._store = store
 
     def revert_delta(self, changes: Mapping[tuple[int, str], tuple[Any, Any]],
                      store) -> None:
         """Undo a previous :meth:`apply_delta`, rebinding back to ``store``."""
-        self.apply_delta(
-            {cell: (new_value, old_value) for cell, (old_value, new_value) in changes.items()},
-            store,
-        )
+        self.apply_delta(changes, store)
 
 
 class TableStatistics:
@@ -751,7 +696,8 @@ class TableStatistics:
     calls :meth:`apply_cell_updates` (one batch per write call) instead of
     throwing the bundle away, so repair loops that interleave statistics
     lookups with cell writes (the Algorithm-1 fixpoint, the greedy repairer)
-    pay one move per built structure over the written column per batch.
+    pay one move per built marginal over the written column per batch, and
+    recount only the pair distributions over it that they read again.
     """
 
     def __init__(self, store):
@@ -768,7 +714,9 @@ class TableStatistics:
     def apply_cell_updates(self, attribute: str, rows: Sequence[int],
                            old_codes: Sequence[int] | None,
                            new_codes: Sequence[int] | None) -> None:
-        """Move every built structure over ``attribute`` by one write batch.
+        """Follow one write batch of ``attribute``: move its built marginal
+        and move or drop the pairs over it
+        (:meth:`CooccurrenceStatistics._move_cells`).
 
         ``rows[i]`` changed from code ``old_codes[i]`` to ``new_codes[i]`` (the
         codes :meth:`~repro.engine.view.OverlayStore.set_values` returns;
@@ -804,8 +752,9 @@ class TableStatistics:
         ``changes`` is the sparse cell delta ``{(row, attribute): (old, new)}``
         separating the contents currently described from ``store``'s contents
         — the same shape :meth:`~repro.engine.index.MultiColumnIndex.apply_delta`
-        consumes.  The result is exactly what a from-scratch build over
-        ``store`` would produce (property-tested).
+        consumes.  Marginals are moved by the values, pairs over a changed
+        column recounted from ``store``: the result is exactly what a
+        from-scratch build over ``store`` would produce (property-tested).
         """
         by_attr: dict[str, list[tuple[Any, Any]]] = {}
         for (_row, attribute), update in changes.items():

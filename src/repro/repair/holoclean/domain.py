@@ -44,8 +44,9 @@ class DomainGenerator:
     """Generate pruned candidate domains for noisy cells.
 
     All counts are read through ``table.stats`` — on the Shapley hot path
-    the base snapshot's code-space counts moved by the perturbed instance's
-    encoded delta (:mod:`repro.engine.stats`) instead of rebuilt per repair.
+    code-space counts built per structure from the perturbed instance's code
+    arrays and the base snapshot's (:mod:`repro.engine.stats`), not rebuilt
+    from values per repair.
 
     Parameters
     ----------

@@ -39,10 +39,10 @@ class Featurizer:
     feature compares a trial row against every other row, and rebuilding the
     row dictionaries for each (cell, candidate) pair dominated the runtime of
     the HoloClean-style repairer on wider tables.  The co-occurrence and
-    frequency features read ``table.stats`` — on a perturbed view, counts
-    derived from the base snapshot's by the view's encoded delta
-    (:mod:`repro.engine.stats`), so per-instance count rebuilds disappear
-    on the Shapley hot path.
+    frequency features read ``table.stats`` — on a perturbed view, code-space
+    counts built lazily per structure from the view's code arrays and the
+    base snapshot's (:mod:`repro.engine.stats`), so no value is counted
+    per instance on the Shapley hot path.
     """
 
     def __init__(self, constraints: Sequence[DenialConstraint]):

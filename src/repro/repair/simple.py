@@ -224,9 +224,12 @@ class SimpleRuleRepair(RepairAlgorithm):
 
         The pass runs in code space: it reads the view's code arrays
         (:meth:`~repro.engine.view.OverlayStore.codes`), takes the winners
-        from the statistics' memoised argmaxes (dropped only where a batch
-        moved the counts), and writes one batch whose codes the store
-        encodes once and hands on to the statistics.
+        from the argmaxes of the target's statistics, and writes one batch
+        whose codes the store encodes once and hands on to the statistics.
+        A batch of several rows drops the pair distributions over the
+        column it wrote, so the next pass that reads one recounts it from
+        the code arrays with all its argmaxes at once; a one-row batch
+        moves them in place.
         """
         if walk is None:
             return self._reference_passes(constraints, current)

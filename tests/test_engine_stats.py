@@ -146,6 +146,23 @@ def test_table_statistics_apply_delta_matches_fresh_build():
     stats.revert_delta(changes, base)
     _stats_equal(stats, TableStatistics(base), ["City", "Country"],
                  [("City", "Country")])
+    # a statistics bundle built after the revert reads the base's cached
+    # distribution: every conditional answer of both bundles must be the
+    # base's, so the round trip cannot have written into that cache
+    second = TableStatistics(base)
+    givens = ["Madrid", "Barcelona", "Paris", "Nowhere"]
+    targets = ["Spain", "France", "Italy"]
+    expected = {"Madrid": {"Spain": 2, "France": 1}, "Barcelona": {"Spain": 1}}
+    winners = {"Madrid": "Spain", "Barcelona": "Spain"}
+    for bundle in (stats, second):
+        for given_value in givens:
+            row = expected.get(given_value, {})
+            assert bundle.most_probable_given("Country", "City", given_value,
+                                              "?") == winners.get(given_value, "?")
+            for target_value in targets:
+                assert bundle.cooccurrence.conditional_probability(
+                    "Country", target_value, "City", given_value) == \
+                    (row.get(target_value, 0) / sum(row.values()) if row else 0.0)
 
 
 def test_table_statistics_revert_covers_structures_built_under_delta():

@@ -116,9 +116,11 @@ def _check_batch_against_reference(rows, perturbation, rules, kind) -> None:
             {CellRef(row, attribute): value
              for (row, attribute), value in perturbation.items()})
         if kind == "shared":
-            # the input view derives every structure first, so the repair's
-            # working snapshot of it reuses those derived counts
-            # copy-on-write, and its batches must leave the input's alone
+            # the input view builds every structure first, so the repair's
+            # working snapshot of it reuses the derived marginals
+            # copy-on-write and, over columns no view overrides, the pair
+            # distributions the base caches; its batches and one-cell
+            # writes must leave the input's alone
             sibling = instance
             for given_attr in ATTRIBUTES:
                 sibling.stats.marginal(given_attr)

@@ -3,9 +3,11 @@
 The definition is a :class:`collections.Counter` over the materialised
 column (marginals) or over the materialised ``(given, target)`` cell pairs
 (pair distributions), nulls excluded, with ties broken by ``repr``.  The
-statistics under test count dictionary codes and derive a view's counts from
-the base's by the view's encoded delta, then move them with every write
-batch; every query must answer exactly what the definition answers.
+statistics under test count dictionary codes: a view's marginals are the
+base's moved by the view's encoded delta, its pair distributions are counted
+from its code arrays (or shared with the base over columns it does not
+override), and write batches move or drop them; every query must answer
+exactly what the definition answers.
 """
 
 from collections import Counter
@@ -69,6 +71,34 @@ def _assert_conditionals_match(table: Table, stats: TableStatistics) -> None:
                 [row.get(value, 0) / total if total else 0.0 for value in PROBES]
 
 
+def _assert_pairs_match(table: Table, stats: TableStatistics) -> None:
+    """Every pair query against the pair counter: conditionals, argmaxes,
+    co-occurrence counts and the whole ``counts()`` table."""
+    columns = {attribute: list(table.column(attribute)) for attribute in ATTRIBUTES}
+    _assert_conditionals_match(table, stats)
+    for given_attr, target in PAIRS:
+        expected = _pairs(columns[given_attr], columns[target])
+        cooccurrence = stats.cooccurrence
+        assert cooccurrence.counts(given_attr, target) == dict(expected)
+        for given_value in PROBES:
+            row = {t: c for (g, t), c in expected.items() if g == given_value}
+            total = sum(row.values())
+            assert cooccurrence.conditional_probability(
+                target, "a", given_attr, given_value) == \
+                (row.get("a", 0) / total if total else 0.0)
+            if row:
+                best = max(row.values())
+                winner = min((t for t, c in row.items() if c == best), key=repr)
+            else:
+                winner = "default"
+            assert stats.most_probable_given(target, given_attr, given_value,
+                                             "default") == winner
+            for target_value in PROBES:
+                assert cooccurrence.cooccurrence_count(
+                    given_attr, given_value, target, target_value) == \
+                    row.get(target_value, 0)
+
+
 def _assert_matches_definition(table: Table, stats: TableStatistics) -> None:
     columns = {attribute: list(table.column(attribute)) for attribute in ATTRIBUTES}
     uniforms = np.linspace(0.0, 0.999, 7)
@@ -90,27 +120,7 @@ def _assert_matches_definition(table: Table, stats: TableStatistics) -> None:
         drawn = [values[i] for i in cdf.searchsorted(uniforms, side="right").tolist()] \
             if values else [None] * len(uniforms)
         assert marginal.sample(uniforms=uniforms) == drawn
-    _assert_conditionals_match(table, stats)
-    for given_attr, target in PAIRS:
-        expected = _pairs(columns[given_attr], columns[target])
-        cooccurrence = stats.cooccurrence
-        for given_value in PROBES:
-            row = {t: c for (g, t), c in expected.items() if g == given_value}
-            total = sum(row.values())
-            assert cooccurrence.conditional_probability(
-                target, "a", given_attr, given_value) == \
-                (row.get("a", 0) / total if total else 0.0)
-            if row:
-                best = max(row.values())
-                winner = min((t for t, c in row.items() if c == best), key=repr)
-            else:
-                winner = "default"
-            assert stats.most_probable_given(target, given_attr, given_value,
-                                             "default") == winner
-            for target_value in PROBES:
-                assert cooccurrence.cooccurrence_count(
-                    given_attr, given_value, target, target_value) == \
-                    row.get(target_value, 0)
+    _assert_pairs_match(table, stats)
 
 
 @st.composite
@@ -134,7 +144,7 @@ def _scenarios(draw):
 @settings(max_examples=80, deadline=None)
 @given(scenario=_scenarios())
 def test_statistics_match_counter_definition(views_first, scenario):
-    """Views derived by encoded deltas, moved by multi-row and one-cell
+    """Views built over encoded deltas, written by multi-row and one-cell
     batches, and rebuilt after a live base update match the definition.
 
     With ``views_first`` no base statistics exist when the first view
@@ -146,7 +156,7 @@ def test_statistics_match_counter_definition(views_first, scenario):
     if not views_first:
         _assert_matches_definition(table, table.stats)
 
-    # a sibling view derived first, so the second reuses its derivation
+    # a sibling view built first, so the second reuses its derived marginals
     for _ in range(2):
         view = table.perturbed({CellRef(row, attribute): value
                                 for row, attribute, value in delta}).mutable_snapshot()
@@ -175,6 +185,60 @@ def test_statistics_match_counter_definition(views_first, scenario):
     _assert_matches_definition(after, after.stats)
 
 
+# -- writes on shared pair distributions ----------------------------------------------
+
+
+#: a write of the base table's own value back into the cell
+BACK = object()
+
+
+@st.composite
+def _interleaved(draw):
+    n = draw(st.integers(min_value=2, max_value=7))
+    rows = [[draw(_BASE_VALUES) for _ in ATTRIBUTES] + [draw(_BASE_VALUES)]
+            for _ in range(n)]
+    values = st.one_of(_WRITE_VALUES, st.just(BACK))
+    writes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        size = draw(st.sampled_from([1, 1, 2, 3, 4]))
+        batch = draw(st.lists(st.tuples(st.integers(min_value=0, max_value=n - 1),
+                                        values), min_size=size, max_size=size))
+        writes.append((draw(st.integers(min_value=0, max_value=1)),
+                       draw(st.sampled_from(ATTRIBUTES)), batch))
+    return rows, writes
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=_interleaved())
+def test_interleaved_writes_leave_shared_distributions_alone(scenario):
+    """Two sibling views and their base share every built pair distribution
+    over the columns the views do not override; multi-row batches and
+    one-cell writes into either view, interleaved, keep every table's
+    answers equal to the definition over its own contents."""
+    rows, writes = scenario
+    table = Table([*ATTRIBUTES, "C"], rows)
+    n = len(rows)
+    views = [table.perturbed({CellRef(0, "C"): "only-0"}).mutable_snapshot(),
+             table.perturbed({CellRef(n - 1, "C"): "only-1"}).mutable_snapshot()]
+    tables = [table, *views]
+    for instance in tables:
+        _assert_pairs_match(instance, instance.stats)
+    for given_attr, target in PAIRS:
+        shared = table.stats.cooccurrence.pair(given_attr, target)
+        assert all(view.stats.cooccurrence.pair(given_attr, target) is shared
+                   for view in views)
+    for which, attribute, batch in writes:
+        view = views[which]
+        written = [table.value(row, attribute) if value is BACK else value
+                   for row, value in batch]
+        if len(batch) == 1:
+            view.set_value(batch[0][0], attribute, written[0])
+        else:
+            view.set_values(attribute, [row for row, _ in batch], written)
+        for instance in tables:
+            _assert_pairs_match(instance, instance.stats)
+
+
 # -- unhashable cell values ------------------------------------------------------------
 
 
@@ -197,6 +261,26 @@ def test_unhashable_column_raises_schema_error(engine):
                                  Predicate.between_tuples("B", Operator.NE)])
     with pytest.raises(SchemaError, match="'B'"):
         SimpleRuleRepair(engine=engine).repair_table([fd], table)
+
+
+@pytest.mark.parametrize("view", [False, True])
+def test_unhashable_probe_values_are_unseen(view):
+    """No counted column holds an unhashable value, so probing with one
+    answers like an unseen value: count 0, frequency 0.0, the default."""
+    table = Table(["A", "B"], [("x", "1"), ("x", "2"), ("y", "1")])
+    instance = table.perturbed({CellRef(2, "A"): "x"}) if view else table
+    share = 2 / 3 if view else 1 / 2  # P[B = "1" | A = "x"]
+    stats = instance.stats
+    assert stats.marginal("A").count(["x"]) == 0
+    assert stats.marginal("A").frequency(["x"]) == 0.0
+    assert stats.most_probable_given("B", "A", ["x"], "default") == "default"
+    cooccurrence = stats.cooccurrence
+    assert cooccurrence.conditional_probability("B", "1", "A", {"x": 1}) == 0.0
+    assert cooccurrence.conditional_probability_many(
+        "B", ["1", ["1"]], "A", "x") == [share, 0.0]
+    assert cooccurrence.cooccurrence_count("A", "x", "B", ["1"]) == 0
+    assert cooccurrence.cooccurrence_count("A", ["x"], "B", "1") == 0
+    assert stats.most_probable_given("B", "A", "x") == "1"
 
 
 # -- sample-policy coalitions born in code space -------------------------------------
