@@ -3,8 +3,10 @@
 The recipe: the hospital generator (seed 3) at ``--rows`` rows, 2% injected
 errors (typo/swap/domain, seed 5) and its five FDs; ``TRexConfig(seed=7,
 replacement_policy=--policy)`` around the ``--algorithm`` black box; the
-first repaired cell, explained over the first three relevant cells of its
-row with 10 samples each through ``TRExExplainer.explain_cells``.  It prints
+first repaired cell, explained with 10 samples each through
+``TRExExplainer.explain_cells`` over up to three cells of its row whose
+attribute is an equality attribute of a constraint mentioning the repaired
+attribute (the cells its repair reads, so the values are not all 0).  It prints
 the wall time per with/without pair and the Shapley values, so two checkouts
 can be compared on both speed and output::
 
@@ -54,8 +56,11 @@ def run(rows: int, algorithm: str, policy: str) -> dict:
     explainer = TRExExplainer(ALGORITHMS[algorithm](), constraints, dirty,
                               config=TRexConfig(seed=7, replacement_policy=policy))
     cell = explainer.repaired_cells()[0]
+    keys = {attribute for constraint in constraints
+            if cell.attribute in constraint.attributes()
+            for attribute in constraint.equality_attributes()}
     cells = [c for c in relevant_cells(dirty, constraints, cell)
-             if c.row == cell.row][:CELLS]
+             if c.row == cell.row and c.attribute in keys][:CELLS]
     start = time.perf_counter()
     explanation = explainer.explain_cells(cell, n_samples=SAMPLES, cells=cells)
     seconds = time.perf_counter() - start

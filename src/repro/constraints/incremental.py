@@ -28,8 +28,12 @@ callers that differ only in the index it reads:
   after the re-check;
 * base-table updates (:meth:`IncrementalViolationDetector.apply_base_update`)
   move the base index permanently;
-* repair walks (:class:`RepairWalk`) keep a forked index synchronised with
-  their view's writes.
+* repair walks (:class:`RepairWalk`) fork the base index once, move the
+  rows their view overrides and keep the fork synchronised with the view's
+  writes.
+
+All three move an index by one helper, :func:`_move_keys`: the rows whose
+old and new keys differ change groups.
 
 A walk keeps no violation list for an FD shape (eq-joins plus one
 same-attribute ``!=``) whose columns the dictionary encoding codes: it keeps
@@ -88,56 +92,6 @@ _NULL_CLASS = object()
 #: shared empty row array (read-only)
 _NO_ROWS = np.empty(0, dtype=np.int64)
 _NO_ROWS.flags.writeable = False
-
-
-# -- dictionary-encoded key building (list-mode walk indexes) ------------------------
-#
-# A view's equality keys are the base's code columns plus the view's sparse
-# code-space delta, packed into one int64 per row and grouped by one
-# ``np.unique`` pass; the groups are keyed by decoded value tuples, as the
-# object-path maintenance on top expects.
-
-
-def _unpack_key(packed_value: int, multipliers: Sequence[int],
-                decode_tables: Sequence[list]) -> tuple:
-    """Decode one packed key back into its value tuple."""
-    parts: list = [None] * len(decode_tables)
-    for j in range(len(decode_tables) - 1, 0, -1):
-        packed_value, code = divmod(packed_value, multipliers[j])
-        parts[j] = decode_tables[j][code]
-    parts[0] = decode_tables[0][packed_value]
-    return tuple(parts)
-
-
-def _groups_from_packed(packed, valid, multipliers: Sequence[int],
-                        decode_tables: Sequence[list],
-                        overridden: Iterable[int]):
-    """Group rows by packed key — the vectorised twin of the walk-index build.
-
-    Returns ``(groups, keys)`` exactly as the object path would produce them:
-    group keys are decoded value tuples inserted in first-appearance order,
-    row lists ascend, and ``keys`` records the (possibly ``None``) key of
-    every row whose equality cells the view overrides.
-    """
-    groups: dict[tuple, list[int]] = {}
-    valid_rows = np.nonzero(valid)[0]
-    if valid_rows.size:
-        unique_vals, first_idx, inverse = np.unique(
-            packed[valid_rows], return_index=True, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        counts = np.bincount(inverse, minlength=len(unique_vals))
-        starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-        sorted_rows = valid_rows[order]
-        for u in np.argsort(first_idx, kind="stable"):
-            key = _unpack_key(int(unique_vals[u]), multipliers, decode_tables)
-            groups[key] = sorted_rows[starts[u]:starts[u] + counts[u]].tolist()
-    keys: dict[int, tuple | None] = {}
-    for row_id in overridden:
-        keys[row_id] = (
-            _unpack_key(int(packed[row_id]), multipliers, decode_tables)
-            if valid[row_id] else None
-        )
-    return groups, keys
 
 
 def _is_ne_join(predicate: Predicate) -> bool:
@@ -285,6 +239,24 @@ def _class_reader(column, overrides: Mapping[int, Any] | None):
     return class_of
 
 
+def _move_keys(index: MultiColumnIndex, rows: Iterable[int], old_key_of,
+               new_key_of) -> dict[int, tuple[tuple | None, tuple | None]]:
+    """Move the ``rows`` whose key changed between ``index``'s groups.
+
+    Returns the moves ``{row: (old key, new key)}`` (what
+    :meth:`~repro.engine.index.MultiColumnIndex.revert_delta` takes back).
+    """
+    moves: dict[int, tuple[tuple | None, tuple | None]] = {}
+    for row_id in rows:
+        old_key = old_key_of(row_id)
+        new_key = new_key_of(row_id)
+        if old_key != new_key:
+            moves[row_id] = (old_key, new_key)
+    if moves:
+        index.apply_delta(moves)
+    return moves
+
+
 def _retract_recheck(plan: _ConstraintPlan, violations: list[Violation],
                      touched: set[int], table: Table, row_of,
                      key_of=None, groups=None, class_of=None) -> list[Violation]:
@@ -367,9 +339,6 @@ class IncrementalViolationDetector:
         self._states: dict[DenialConstraint, _ConstraintState] = {}
         self._indexes: dict[tuple[str, ...], MultiColumnIndex] = {}
         self._columns: dict[str, Any] = {}  # base column arrays, fetched once
-        #: packed base-key arrays per equality shape (vectorised path),
-        #: keyed by the dictionary sizes they were packed under
-        self._packed_contexts: dict[tuple[str, ...], tuple] = {}
         for constraint in constraints:
             self._state(constraint)
 
@@ -432,107 +401,9 @@ class IncrementalViolationDetector:
                         out.append(Violation(constraint, (rows[j], row_i)))
         return out
 
-    # -- vectorised key building (dictionary-encoded path) -----------------------
-
-    def _encoded_eq_base(self, eq_attrs: tuple[str, ...]):
-        """Base code arrays + decode tables for one equality shape, or ``None``."""
-        store = self.table.store
-        encoding = store.encoding()
-        code_columns = []
-        decode_tables = []
-        for attribute in eq_attrs:
-            codes = encoding.codes(store, attribute)
-            if codes is None:
-                return None
-            code_columns.append(codes)
-            decode_tables.append(encoding.dictionary(attribute)._values)
-        return code_columns, decode_tables
-
-    def _packed_eq_base(self, eq_attrs: tuple[str, ...], code_columns,
-                        decode_tables):
-        """Packed base keys + validity for one shape (cached, read-only).
-
-        Multi-column keys pack each component code with the current
-        dictionary sizes as multipliers; the cache is invalidated when a
-        dictionary outgrows the sizes it was packed under (callers encode
-        view deltas *before* asking, so grown codes always fit).
-        """
-        if len(code_columns) == 1:
-            sizes: tuple[int, ...] = ()  # single column: no packing, never stale
-        else:
-            sizes = tuple(len(table) for table in decode_tables)
-        cached = self._packed_contexts.get(eq_attrs)
-        if cached is not None and cached[0] == sizes:
-            return cached[1], cached[2], cached[3]
-        multipliers = list(sizes) if sizes else [1]
-        packed = code_columns[0].astype(np.int64)
-        valid = code_columns[0] != 0
-        for j in range(1, len(code_columns)):
-            packed *= multipliers[j]
-            packed += code_columns[j]
-            valid &= code_columns[j] != 0
-        self._packed_contexts[eq_attrs] = (sizes, packed, valid, multipliers)
-        return packed, valid, multipliers
-
-    def _packed_view_keys(self, view_store, eq_attrs: tuple[str, ...]):
-        """One view's equality keys as a packed code array, or ``None``.
-
-        The base's packed keys are shared; the view contributes only a
-        sparse code-space scatter.  Returns ``(packed, valid, multipliers,
-        decode_tables, overridden)`` — ``packed``/``valid`` are read-only
-        when the view has no equality overrides (they alias the base cache).
-        """
-        base = self._encoded_eq_base(eq_attrs)
-        if base is None:
-            return None
-        code_columns, decode_tables = base
-        override_arrays: list[tuple] = []
-        any_overridden = False
-        for attribute in eq_attrs:
-            encoded = view_store.encoded_delta_arrays(attribute)
-            if encoded is None:
-                return None
-            override_arrays.append(encoded)
-            if len(encoded[0]):
-                any_overridden = True
-        packed, valid, multipliers = self._packed_eq_base(
-            eq_attrs, code_columns, decode_tables)
-        overridden: list[int] = []
-        if any_overridden:
-            packed = packed.copy()
-            valid = valid.copy()
-            overridden = self._scatter_packed_arrays(
-                packed, valid, override_arrays, code_columns, multipliers)
-        return packed, valid, multipliers, decode_tables, overridden
-
-    @staticmethod
-    def _scatter_packed_arrays(packed, valid, override_arrays,
-                               code_columns, multipliers) -> list[int]:
-        """Re-pack the overridden rows from their effective per-column codes.
-
-        ``override_arrays`` holds one ``(rows, codes)`` pair per equality
-        column (ascending rows).  All overridden rows are re-packed in one
-        masked pass per column; returns the sorted overridden row ids as
-        Python ints (walk-index ``keys`` dictionaries key on plain ints).
-        """
-        all_rows = np.unique(np.concatenate(
-            [rows for rows, _ in override_arrays]))
-        parts_valid = np.ones(all_rows.size, dtype=bool)
-        value = None
-        for j, codes in enumerate(code_columns):
-            column = codes[all_rows].astype(np.int64)
-            rows_j, codes_j = override_arrays[j]
-            if len(rows_j):
-                column[np.searchsorted(all_rows, rows_j)] = codes_j
-            parts_valid &= column != 0
-            value = column if j == 0 else value * multipliers[j] + column
-        packed[all_rows] = value
-        valid[all_rows] = parts_valid
-        return all_rows.tolist()
-
     def precompute_walk_indexes(self, *args, **kwargs):
-        """Retired stub (ROADMAP item 1): every walk builds its own index
-        state (:meth:`RepairWalk._build_windex_codes`)."""
+        """Retired stub (ROADMAP item 1): every walk forks its own index
+        (:meth:`RepairWalk._windex`)."""
         raise NotImplementedError("precompute_walk_indexes is retired")
 
     # -- base-table update maintenance --------------------------------------------
@@ -545,9 +416,8 @@ class IncrementalViolationDetector:
         ``_columns`` are views of the same buffers, so they read post-update
         values).  The moves are *permanent*: equality indexes move the
         touched rows and the build-time key snapshots are patched in place,
-        base violations take one :func:`_retract_recheck` step over the
-        touched rows, and the packed-key cache derived from old base contents
-        is dropped.  Finishing by advancing
+        and base violations take one :func:`_retract_recheck` step over the
+        touched rows.  Finishing by advancing
         :attr:`base_version` keeps this detector (and everything sharing it
         through :func:`detector_for`) live instead of triggering the rebuild
         path.
@@ -568,16 +438,9 @@ class IncrementalViolationDetector:
                 continue
             live_key = _key_reader([(self._column(attribute), None)
                                     for attribute in eq_attrs])
-            index_changes: dict[int, tuple[tuple | None, tuple | None]] = {}
-            for row_id in rows:
-                old_key = index.build_key_of(row_id)
-                new_key = live_key(row_id)
-                if old_key != new_key:
-                    index_changes[row_id] = (old_key, new_key)
-            if index_changes:
-                index.apply_delta(index_changes)
-                for row_id, (_, new_key) in index_changes.items():
-                    index._build_keys[row_id] = new_key
+            moves = _move_keys(index, rows, index.build_key_of, live_key)
+            for row_id, (_, new_key) in moves.items():
+                index._build_keys[row_id] = new_key
 
         # 2. retract + re-check base violations per constraint against the
         # moved index (a list not built yet is built from it on first read)
@@ -595,10 +458,6 @@ class IncrementalViolationDetector:
                 class_of = _class_reader(self._column(plan.single_ne_attr), None)
             state.built = _retract_recheck(plan, state.built, touched, self.table,
                                            row_of, key_of, groups, class_of)
-
-        # 3. the packed-key cache validates only by dictionary *sizes* (a new
-        # value already present in a dictionary would serve stale codes)
-        self._packed_contexts.clear()
         self.base_version = self.table.version
 
     # -- public queries ----------------------------------------------------------
@@ -652,20 +511,14 @@ class IncrementalViolationDetector:
                     class_of = _class_reader(*source(plan.single_ne_attr))
                 # rows whose key may have moved: only those with an
                 # overridden eq cell; base keys are the index's build keys
-                index_changes: dict[int, tuple[tuple | None, tuple | None]] = {}
-                for row_id in _rows_under(plan.eq_attrs, delta_columns):
-                    old_key = index.build_key_of(row_id)
-                    new_key = key_of(row_id)
-                    if old_key != new_key:
-                        index_changes[row_id] = (old_key, new_key)
-                if index_changes:
-                    index.apply_delta(index_changes)
+                moves = _move_keys(index, _rows_under(plan.eq_attrs, delta_columns),
+                                   index.build_key_of, key_of)
                 try:
                     violations = _retract_recheck(plan, violations, touched, view, row_of,
                                                   key_of, index._groups, class_of)
                 finally:
-                    if index_changes:
-                        index.revert_delta(index_changes)
+                    if moves:
+                        index.revert_delta(moves)
             for violation in violations:
                 result.add(violation)
         return result
@@ -1153,36 +1006,24 @@ class RepairWalk:
         return _class_reader(*self._source(plan.single_ne_attr))
 
     def _windex(self, eq_attrs: tuple[str, ...]) -> _WalkIndex:
+        """The walk's index over ``eq_attrs``, synced to the view's writes.
+
+        Built on first use as a fork of the detector's base index, with the
+        rows whose equality cells the view overrides moved to their view
+        keys (a base key that cannot be hashed has already raised in the
+        base index's build, as the rescan does).
+        """
         walk_index = self._windexes.get(eq_attrs)
         if walk_index is None:
-            built = self._build_windex_codes(eq_attrs)
-            if built is None:
-                # a key column the encoding cannot code: index the view itself
-                # (such keys are unhashable, so this raises as the rescan does)
-                index = MultiColumnIndex(self.view.store, eq_attrs)
-                keys = {}
-            else:
-                base_index = self.detector._index_for(eq_attrs)
-                index = MultiColumnIndex.__new__(MultiColumnIndex)
-                index.attributes = base_index.attributes
-                index._groups, keys = built
-                index._build_keys = base_index._build_keys
-            walk_index = self._windexes[eq_attrs] = _WalkIndex(index, keys, self._parse())
+            walk_index = _WalkIndex(self.detector._index_for(eq_attrs).fork(), {},
+                                    self._parse())
+            rows = _rows_under(eq_attrs, self.view.delta_by_column())
+            if rows:
+                self._move_index_rows(walk_index, eq_attrs, sorted(rows))
+            self._windexes[eq_attrs] = walk_index
         else:
             self._sync_windex(walk_index, eq_attrs)
         return walk_index
-
-    def _build_windex_codes(self, eq_attrs: tuple[str, ...]):
-        """``(groups, keys)`` via the code path (the view's keys packed and
-        grouped), or ``None`` to fall back."""
-        detector = self.detector
-        encoding = detector.table.store.encoding()
-        packed = detector._packed_view_keys(self.view.store, eq_attrs)
-        if packed is None:
-            encoding.fallback_checks += 1
-            return None
-        encoding.vectorized_checks += 1
-        return _groups_from_packed(*packed)
 
     def _sync_windex(self, walk_index: _WalkIndex, eq_attrs: tuple[str, ...]) -> None:
         log = self._log
@@ -1196,15 +1037,10 @@ class RepairWalk:
 
     def _move_index_rows(self, walk_index: _WalkIndex, eq_attrs: tuple[str, ...],
                          rows: Iterable[int]) -> None:
-        view_key = self._view_key_reader(eq_attrs)
-        changes: dict[int, tuple[tuple | None, tuple | None]] = {}
-        for row_id in rows:
-            old_key = walk_index.key_of(row_id)
-            new_key = walk_index.keys[row_id] = view_key(row_id)
-            if old_key != new_key:
-                changes[row_id] = (old_key, new_key)
-        if changes:
-            walk_index.index.apply_delta(changes)
+        moves = _move_keys(walk_index.index, rows, walk_index.key_of,
+                           self._view_key_reader(eq_attrs))
+        for row_id, (_, new_key) in moves.items():
+            walk_index.keys[row_id] = new_key
 
     # -- violation maintenance -------------------------------------------------------
 

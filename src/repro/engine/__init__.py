@@ -5,15 +5,17 @@ demo (see DESIGN.md, system S1).  It provides:
 
 * :class:`~repro.engine.storage.ColumnStore` — a columnar store over object
   arrays with copy-on-write semantics,
-* :class:`~repro.engine.index.HashIndex` — value → row-id hash indexes used
-  by the violation detector for equality predicates,
+* :mod:`~repro.engine.encoding` — per-column value ↔ ``int32`` code
+  dictionaries that the statistics and the repair walk count over,
+* :class:`~repro.engine.index.MultiColumnIndex` — key → row-id hash indexes
+  used by the violation detector for equality predicates (one column is a
+  one-element key),
 * :mod:`~repro.engine.stats` — per-column and pairwise co-occurrence
   statistics (the ``P[Country = c | City = v]`` style quantities used by the
   paper's Algorithm 1 and by the HoloClean-style repairer).
 """
 
 from repro.engine.storage import ColumnStore
-from repro.engine.index import HashIndex
 from repro.engine.stats import (
     ColumnStatistics,
     CooccurrenceStatistics,
@@ -22,7 +24,6 @@ from repro.engine.stats import (
 
 __all__ = [
     "ColumnStore",
-    "HashIndex",
     "ColumnStatistics",
     "CooccurrenceStatistics",
     "TableStatistics",

@@ -96,18 +96,6 @@ class ColumnDictionary:
     def decode(self, code: int) -> Any:
         return self._values[code]
 
-    def encode_values(self, values: Iterable[Any], mask: np.ndarray,
-                      out: np.ndarray) -> None:
-        """Fill ``out`` with codes for ``values`` (``mask`` marks nulls).
-
-        Raises ``TypeError``, the dictionary untouched, on an unhashable value.
-        """
-        codes = self.encode_list([None if null else value
-                                  for value, null in zip(values, mask)])
-        if codes is None:
-            raise TypeError("an unhashable value cannot be coded")
-        out[:] = codes
-
     def encode_list(self, values: Sequence[Any]) -> "list[int] | None":
         """Codes of ``values`` by one dictionary probe each.
 
@@ -131,10 +119,12 @@ class ColumnDictionary:
 
     def encode_bulk(self, values: np.ndarray, mask: np.ndarray,
                     out: np.ndarray) -> None:
-        """:meth:`encode_values` for a whole base column, by dictionary probes.
+        """Fill ``out`` with the codes of a whole base column (``mask``
+        marks its nulls), by dictionary probes.
 
         Delegates to :meth:`encode_list` (one probe per cell; novel values
-        coded in first-appearance order, exactly as the per-value loop does).
+        coded in first-appearance order, exactly as a per-value
+        :meth:`code_for` loop does).
         Probing hashes each value once, which is cheaper than sorting an
         object column; it also needs no ordering between the column's types.
         Raises ``TypeError``, the dictionary untouched, on an unhashable
@@ -209,10 +199,11 @@ class TableEncoding:
         self.counts: dict[Any, Any] = {}
         #: wall-clock spent encoding base columns into code arrays
         self.encode_seconds = 0.0
-        #: constraint checks evaluated over code arrays
+        #: walk checks made over code arrays: FD partition builds and
+        #: candidate trials scored from a partition
         self.vectorized_checks = 0
-        #: checks that fell back to the object path (non-equality DC
-        #: predicates, unencodable columns)
+        #: partition builds and candidate trials that took the object path
+        #: (a shape with no partition, a column the encoding cannot code)
         self.fallback_checks = 0
         #: per-column dictionary-size high-water marks absorbed from worker
         #: telemetry — a worker may have encoded columns this encoding never

@@ -1,4 +1,4 @@
-"""Hash indexes over columns, maintainable under sparse cell deltas.
+"""Hash indexes over column tuples, maintainable under sparse cell deltas.
 
 Violation detection for denial constraints with equality predicates
 (``t1[A] = t2[A]``) is driven by hash partitioning: rows are grouped by the
@@ -7,12 +7,13 @@ violate the constraint.  This turns the quadratic pair scan into work
 proportional to the sum of squared group sizes, which is what makes the
 Shapley sampling loop (thousands of repair invocations) tractable.
 
-Both index classes additionally support *delta maintenance*
-(:meth:`~HashIndex.apply_delta` / :meth:`~HashIndex.revert_delta`): given the
-sparse cell delta of a perturbed table instance, only the touched row ids are
-moved between groups, so the incremental violation detector
-(:mod:`repro.constraints.incremental`) can reuse one index across thousands
-of perturbations instead of rebuilding it from scratch per instance.
+:class:`MultiColumnIndex` additionally supports *delta maintenance*
+(:meth:`~MultiColumnIndex.apply_delta` /
+:meth:`~MultiColumnIndex.revert_delta`): given the sparse cell delta of a
+perturbed table instance, only the touched row ids are moved between groups,
+so the incremental violation detector (:mod:`repro.constraints.incremental`)
+can reuse one index across thousands of perturbations instead of rebuilding
+it from scratch per instance.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import defaultdict
 from typing import Any, Iterable, Iterator, Mapping
-
-import numpy as np
 
 from repro.engine.storage import is_null, null_mask
 
@@ -47,89 +46,17 @@ def _group_insert(groups: dict, key: Any, row: int) -> None:
         insort(rows, row)
 
 
-class HashIndex:
-    """Maps each value of one column to the sorted list of row ids holding it.
+class MultiColumnIndex:
+    """Index on a tuple of columns, used by multi-equality constraints.
 
     Group row ids are kept sorted ascending — guaranteed at build time and
     preserved by :meth:`apply_delta` / :meth:`revert_delta` (insertions use
     binary search).
 
-    Null cells are excluded from the index: a null never matches an equality
-    predicate (this mirrors SQL semantics and is what the paper's cell-coalition
-    definition needs — a nulled-out cell cannot create a violation).
-    """
-
-    __slots__ = ("attribute", "_groups")
-
-    def __init__(self, store, attribute: str):
-        self.attribute = attribute
-        groups: dict[Any, list[int]] = defaultdict(list)
-        column = store.column(attribute)
-        try:
-            # one C-level null scan; valid rows come back ascending, so group
-            # insertion order matches the per-cell loop exactly
-            valid_rows = np.nonzero(~null_mask(column))[0].tolist()
-        except TypeError:  # exotic values where elementwise == misbehaves
-            valid_rows = [row_id for row_id, value in enumerate(column)
-                          if not is_null(value)]
-        for row_id in valid_rows:
-            groups[column[row_id]].append(row_id)
-        # enumeration order is ascending, so the append-built groups are
-        # already sorted; sort defensively to make the invariant explicit
-        self._groups: dict[Any, list[int]] = {
-            value: sorted(rows) for value, rows in groups.items()
-        }
-
-    def rows_with_value(self, value: Any) -> list[int]:
-        """Row ids whose cell equals ``value`` (empty list if none)."""
-        if is_null(value):
-            return []
-        return list(self._groups.get(value, ()))
-
-    def groups(self) -> Iterator[tuple[Any, list[int]]]:
-        """Iterate over ``(value, row_ids)`` groups."""
-        for value, rows in self._groups.items():
-            yield value, list(rows)
-
-    def values(self) -> list[Any]:
-        return list(self._groups)
-
-    def __len__(self) -> int:
-        return len(self._groups)
-
-    # -- delta maintenance -----------------------------------------------------
-
-    def apply_delta(self, changes: Mapping[int, tuple[Any, Any]]) -> None:
-        """Move touched rows between groups for ``{row: (old_value, new_value)}``.
-
-        Null values mean "absent from the index" on that side, so a cell
-        nulled out by a perturbation simply leaves its group.  Only the rows
-        in ``changes`` are touched — cost is O(|changes| · log group) instead
-        of a full rebuild.
-        """
-        groups = self._groups
-        for row, (old_value, new_value) in changes.items():
-            if not is_null(old_value):
-                _group_remove(groups, old_value, row)
-            if not is_null(new_value):
-                _group_insert(groups, new_value, row)
-
-    def revert_delta(self, changes: Mapping[int, tuple[Any, Any]]) -> None:
-        """Undo a previous :meth:`apply_delta` with the same ``changes``."""
-        groups = self._groups
-        for row, (old_value, new_value) in changes.items():
-            if not is_null(new_value):
-                _group_remove(groups, new_value, row)
-            if not is_null(old_value):
-                _group_insert(groups, old_value, row)
-
-
-class MultiColumnIndex:
-    """Index on a tuple of columns, used by multi-equality constraints.
-
-    Group row ids are kept sorted ascending, exactly like :class:`HashIndex`.
-    Rows containing a null in any of the indexed columns are skipped for the
-    same reason as in :class:`HashIndex`.
+    Rows with a null in any indexed column are left out: a null never
+    matches an equality predicate (this mirrors SQL semantics and is what
+    the paper's cell-coalition definition needs — a nulled-out cell cannot
+    create a violation).  One column is indexed as a one-element key.
     """
 
     __slots__ = ("attributes", "_groups", "_build_keys")
@@ -175,8 +102,9 @@ class MultiColumnIndex:
         A fork can have deltas applied and *kept* applied for the lifetime of
         a repair walk, while the original keeps serving the apply/revert
         pattern of per-instance detection.  Cost is O(groups + rows in
-        groups); the ``_build_keys`` list is shared because it is never
-        mutated after construction.
+        groups); the ``_build_keys`` list is shared: only a base-table
+        update patches it, and that moves the base snapshot every fork was
+        taken from.
         """
         clone = MultiColumnIndex.__new__(MultiColumnIndex)
         clone.attributes = self.attributes
@@ -220,3 +148,16 @@ class MultiColumnIndex:
                 _group_remove(groups, new_key, row)
             if old_key is not None:
                 _group_insert(groups, old_key, row)
+
+
+class HashIndex:
+    """Retired (ROADMAP item 1): a :class:`MultiColumnIndex` over one column
+    does the same job."""
+
+    def apply_delta(self, *args, **kwargs):
+        """Retired stub (ROADMAP item 1)."""
+        raise NotImplementedError("HashIndex is retired")
+
+    def revert_delta(self, *args, **kwargs):
+        """Retired stub (ROADMAP item 1)."""
+        raise NotImplementedError("HashIndex is retired")

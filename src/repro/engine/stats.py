@@ -47,14 +47,12 @@ Where counts come from and how they move:
   A one-cell write (every greedy step) is a few scalar updates instead: the
   pair's move goes into a child distribution of the built one, reading the
   sibling cell's code from the store's current code array, so nothing on
-  the write path encodes a value.  The value-space entry points
-  (``apply_cell_update``, ``apply_delta``, ``apply_updates``) encode their
-  values in the marginals' own dictionaries.
+  the write path encodes a value, and there is no other write path.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -100,13 +98,6 @@ def _codes(store, attribute: str) -> np.ndarray:
     """The store's current codes of ``attribute`` (the one accessor a plain
     store and a view share)."""
     codes = store.codes(attribute)
-    if codes is None:
-        raise _unhashable(attribute)
-    return codes
-
-
-def _encode(dictionary, attribute: str, values: Iterable[Any]) -> list[int]:
-    codes = dictionary.encode_list(list(values))
     if codes is None:
         raise _unhashable(attribute)
     return codes
@@ -192,26 +183,6 @@ class ColumnStatistics:
             counts[new] += 1
             self._total += 1
         self._reset()
-
-    def apply_update(self, old_value: Any, new_value: Any) -> None:
-        """Delta-maintain the counts for one cell changing ``old -> new``."""
-        self.apply_updates((old_value,), (new_value,))
-
-    def apply_updates(self, old_values: Sequence[Any],
-                      new_values: Sequence[Any]) -> None:
-        """Delta-maintain the counts for many cells changing ``old -> new``."""
-        if len(old_values):
-            self._move_codes(_encode(self._dictionary, self.attribute, old_values),
-                             _encode(self._dictionary, self.attribute, new_values))
-
-    def apply_delta(self, updates: Iterable[tuple[Any, Any]]) -> None:
-        """Apply many ``(old, new)`` cell updates at once."""
-        updates = list(updates)
-        self.apply_updates([old for old, _ in updates], [new for _, new in updates])
-
-    def revert_delta(self, updates: Iterable[tuple[Any, Any]]) -> None:
-        """Undo a previous :meth:`apply_delta` with the same ``updates``."""
-        self.apply_delta((new, old) for old, new in updates)
 
     # -- queries -----------------------------------------------------------------
 
@@ -669,25 +640,6 @@ class CooccurrenceStatistics:
             else:
                 pair.move1(old, old, new, new)
 
-    def apply_delta(self, changes: Mapping[tuple[int, str], tuple[Any, Any]],
-                    store) -> None:
-        """Rebind the statistics to ``store``.
-
-        ``store`` must differ from the contents the statistics currently
-        describe at exactly the cells in ``changes``
-        (``{(row, attribute): (old_value, new_value)}``).  Every pair over a
-        changed column is dropped and recounted from ``store`` on its next
-        read, so a multi-cell-per-row delta is exact.
-        """
-        for attribute in {attribute for _row, attribute in changes}:
-            self._drop(attribute)
-        self._store = store
-
-    def revert_delta(self, changes: Mapping[tuple[int, str], tuple[Any, Any]],
-                     store) -> None:
-        """Undo a previous :meth:`apply_delta`, rebinding back to ``store``."""
-        self.apply_delta(changes, store)
-
 
 class TableStatistics:
     """Bundle of marginal + pairwise statistics for one table snapshot.
@@ -704,12 +656,6 @@ class TableStatistics:
         self._store = store
         self._marginals: dict[str, ColumnStatistics] = {}
         self.cooccurrence = CooccurrenceStatistics(store)
-
-    def apply_cell_update(self, row: int, attribute: str,
-                          old_value: Any, new_value: Any) -> None:
-        """Delta-maintain all built statistics for one cell changing values
-        (value space: :meth:`apply_delta` of the one cell)."""
-        self.apply_delta({(row, attribute): (old_value, new_value)}, self._store)
 
     def apply_cell_updates(self, attribute: str, rows: Sequence[int],
                            old_codes: Sequence[int] | None,
@@ -745,34 +691,6 @@ class TableStatistics:
             marginal = self._marginals[attribute] = ColumnStatistics(self._store, attribute)
         return marginal
 
-    def apply_delta(self, changes: Mapping[tuple[int, str], tuple[Any, Any]],
-                    store) -> None:
-        """Move every built statistic onto the contents of ``store``.
-
-        ``changes`` is the sparse cell delta ``{(row, attribute): (old, new)}``
-        separating the contents currently described from ``store``'s contents
-        — the same shape :meth:`~repro.engine.index.MultiColumnIndex.apply_delta`
-        consumes.  Marginals are moved by the values, pairs over a changed
-        column recounted from ``store``: the result is exactly what a
-        from-scratch build over ``store`` would produce (property-tested).
-        """
-        by_attr: dict[str, list[tuple[Any, Any]]] = {}
-        for (_row, attribute), update in changes.items():
-            if attribute in self._marginals:
-                by_attr.setdefault(attribute, []).append(update)
-        for attribute, updates in by_attr.items():
-            self._marginals[attribute].apply_delta(updates)
-        self.cooccurrence.apply_delta(changes, store)
-        self._store = store
-
-    def revert_delta(self, changes: Mapping[tuple[int, str], tuple[Any, Any]],
-                     store) -> None:
-        """Undo a previous :meth:`apply_delta`, rebinding back to ``store``."""
-        self.apply_delta(
-            {cell: (new_value, old_value) for cell, (old_value, new_value) in changes.items()},
-            store,
-        )
-
     def most_common(self, attribute: str, default: Any = None) -> Any:
         return self.marginal(attribute).most_common(default)
 
@@ -780,6 +698,20 @@ class TableStatistics:
         self, target: str, given: str, given_value: Any, default: Any = None
     ) -> Any:
         return self.cooccurrence.most_probable(target, given, given_value, default)
+
+    def apply_delta(self, *args, **kwargs):
+        """Retired stub (ROADMAP item 1): statistics move by
+        :meth:`apply_cell_updates` only."""
+        raise NotImplementedError("TableStatistics.apply_delta is retired")
+
+    def revert_delta(self, *args, **kwargs):
+        """Retired stub (ROADMAP item 1)."""
+        raise NotImplementedError("TableStatistics.revert_delta is retired")
+
+    def apply_cell_update(self, *args, **kwargs):
+        """Retired stub (ROADMAP item 1): :meth:`apply_cell_updates` takes
+        one-cell batches."""
+        raise NotImplementedError("TableStatistics.apply_cell_update is retired")
 
 
 class _LeasedTableStatistics:

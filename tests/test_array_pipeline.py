@@ -4,8 +4,8 @@ Each bulk layer is checked against a per-object reference, and the contract
 is bit-identity, not approximation:
 
 * **bulk delta encoding** (hypothesis) — :meth:`ColumnDictionary.encode_bulk`
-  must translate any random value array exactly like the per-value
-  :meth:`encode_values` loop *and* grow the dictionary identically (novel
+  must translate any random value array exactly like a per-value
+  :meth:`ColumnDictionary.code_for` loop *and* grow the dictionary identically (novel
   values appended mid-overlay in first-appearance order, NULL/NaN to code 0);
   :meth:`TableEncoding.encode_delta` must agree with the per-value
   :meth:`OverlayStore.encoded_delta` dict on random override sets;
@@ -51,6 +51,12 @@ def _seeded_dictionaries(preseed):
     return reference, bulk
 
 
+def _per_value_codes(dictionary, column, mask) -> list[int]:
+    """The reference: one :meth:`ColumnDictionary.code_for` call per cell."""
+    return [NULL_CODE if null else dictionary.code_for(value, is_null=lambda v: False)
+            for value, null in zip(column, mask)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(preseed=st.lists(_VALUES, max_size=5), values=st.lists(_VALUES, max_size=12))
 def test_encode_bulk_matches_per_value_loop(preseed, values):
@@ -58,11 +64,9 @@ def test_encode_bulk_matches_per_value_loop(preseed, values):
     column = np.empty(len(values), dtype=object)
     column[:] = values
     mask = null_mask(column)
-    out_reference = np.empty(len(values), dtype=np.int32)
     out_bulk = np.empty(len(values), dtype=np.int32)
-    reference.encode_values(column, mask, out_reference)
     bulk.encode_bulk(column, mask, out_bulk)
-    assert out_bulk.tolist() == out_reference.tolist()
+    assert out_bulk.tolist() == _per_value_codes(reference, column, mask)
     # identical dictionary growth: same decode table (novel values appended
     # in first-appearance order) and same value→code map
     assert bulk._values == reference._values
@@ -77,11 +81,9 @@ def test_encode_bulk_unsortable_mixed_types_fall_back():
     column = np.empty(4, dtype=object)
     column[:] = [1, "x", 1, NULL]
     reference, bulk = _seeded_dictionaries([])
-    out_reference = np.empty(4, dtype=np.int32)
     out_bulk = np.empty(4, dtype=np.int32)
-    reference.encode_values(column, null_mask(column), out_reference)
     bulk.encode_bulk(column, null_mask(column), out_bulk)
-    assert out_bulk.tolist() == out_reference.tolist()
+    assert out_bulk.tolist() == _per_value_codes(reference, column, null_mask(column))
     assert bulk._values == reference._values
 
 

@@ -1,6 +1,10 @@
-"""Unit tests for hash indexes."""
+"""Unit tests for hash indexes.
 
-from repro.engine.index import HashIndex, MultiColumnIndex
+A one-column index is a :class:`MultiColumnIndex` over a one-element key;
+the ``test_hash_index_*`` tests cover that case.
+"""
+
+from repro.engine.index import MultiColumnIndex
 from repro.engine.storage import ColumnStore
 
 
@@ -13,24 +17,29 @@ def make_store():
     )
 
 
+def city_index():
+    return MultiColumnIndex(make_store(), ["City"])
+
+
 def test_hash_index_groups_rows_by_value():
-    index = HashIndex(make_store(), "City")
-    assert index.rows_with_value("Madrid") == [0, 1, 4]
-    assert index.rows_with_value("Barcelona") == [2]
-    assert index.rows_with_value("Paris") == []
+    index = city_index()
+    assert index.rows_with_key(("Madrid",)) == [0, 1, 4]
+    assert index.rows_with_key(("Barcelona",)) == [2]
+    assert index.rows_with_key(("Paris",)) == []
 
 
 def test_hash_index_skips_nulls():
-    index = HashIndex(make_store(), "City")
-    assert index.rows_with_value(None) == []
+    index = city_index()
+    assert index.rows_with_key((None,)) == []
     all_rows = {row for _, rows in index.groups() for row in rows}
     assert 3 not in all_rows
     assert len(index) == 2  # Madrid, Barcelona
+    assert index.build_key_of(3) is None
 
 
 def test_hash_index_values_listing():
-    index = HashIndex(make_store(), "City")
-    assert sorted(index.values()) == ["Barcelona", "Madrid"]
+    index = city_index()
+    assert sorted(key for key, _ in index.groups()) == [("Barcelona",), ("Madrid",)]
 
 
 def test_multi_column_index_groups_by_key():
@@ -65,39 +74,39 @@ def test_hash_index_groups_are_sorted_regression():
     # the docstring promises sorted row ids; build from a store whose
     # enumeration could tempt insertion order to diverge, then stress the
     # invariant through delta maintenance
-    index = HashIndex(make_store(), "City")
+    index = city_index()
     assert_groups_sorted(index)
-    index.apply_delta({3: (None, "Madrid")})   # null cell gains a value
-    assert index.rows_with_value("Madrid") == [0, 1, 3, 4]
+    index.apply_delta({3: (None, ("Madrid",))})   # null cell gains a value
+    assert index.rows_with_key(("Madrid",)) == [0, 1, 3, 4]
     assert_groups_sorted(index)
-    index.revert_delta({3: (None, "Madrid")})
-    assert index.rows_with_value("Madrid") == [0, 1, 4]
+    index.revert_delta({3: (None, ("Madrid",))})
+    assert index.rows_with_key(("Madrid",)) == [0, 1, 4]
 
 
 def test_hash_index_apply_and_revert_delta_roundtrip():
-    index = HashIndex(make_store(), "City")
-    before = {value: rows for value, rows in index.groups()}
+    index = city_index()
+    before = {key: rows for key, rows in index.groups()}
     changes = {
-        0: ("Madrid", "Barcelona"),   # move between groups
-        2: ("Barcelona", None),       # nulled out: leaves the index
-        3: (None, "Paris"),           # new value: fresh group
+        0: (("Madrid",), ("Barcelona",)),   # move between groups
+        2: (("Barcelona",), None),          # nulled out: leaves the index
+        3: (None, ("Paris",)),              # new value: fresh group
     }
     index.apply_delta(changes)
-    assert index.rows_with_value("Madrid") == [1, 4]
-    assert index.rows_with_value("Barcelona") == [0]
-    assert index.rows_with_value("Paris") == [3]
+    assert index.rows_with_key(("Madrid",)) == [1, 4]
+    assert index.rows_with_key(("Barcelona",)) == [0]
+    assert index.rows_with_key(("Paris",)) == [3]
     assert_groups_sorted(index)
     index.revert_delta(changes)
-    assert {value: rows for value, rows in index.groups()} == before
+    assert {key: rows for key, rows in index.groups()} == before
 
 
 def test_hash_index_delta_drops_empty_groups():
-    index = HashIndex(make_store(), "City")
-    index.apply_delta({2: ("Barcelona", "Madrid")})
-    assert index.rows_with_value("Barcelona") == []
-    assert "Barcelona" not in index.values()
-    index.revert_delta({2: ("Barcelona", "Madrid")})
-    assert index.rows_with_value("Barcelona") == [2]
+    index = city_index()
+    index.apply_delta({2: (("Barcelona",), ("Madrid",))})
+    assert index.rows_with_key(("Barcelona",)) == []
+    assert ("Barcelona",) not in {key for key, _ in index.groups()}
+    index.revert_delta({2: (("Barcelona",), ("Madrid",))})
+    assert index.rows_with_key(("Barcelona",)) == [2]
 
 
 def test_multi_column_index_apply_and_revert_delta():

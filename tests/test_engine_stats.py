@@ -97,7 +97,7 @@ def test_table_statistics_bundle():
 
 
 # ---------------------------------------------------------------------------
-# the revertible delta protocol (apply_delta / revert_delta)
+# view statistics derived from the base counts
 
 
 def _stats_equal(left: TableStatistics, right: TableStatistics,
@@ -108,83 +108,6 @@ def _stats_equal(left: TableStatistics, right: TableStatistics,
     for given, target in pairs:
         assert left.cooccurrence.counts(given, target) == \
             right.cooccurrence.counts(given, target)
-
-
-def test_column_statistics_apply_and_revert_delta_roundtrip():
-    stats = ColumnStatistics(make_store(), "City")
-    before = dict(stats.items())
-    updates = [("Madrid", "Barcelona"), ("Barcelona", None), (None, "Paris")]
-    stats.apply_delta(updates)
-    assert stats.count("Madrid") == 2
-    assert stats.count("Paris") == 1
-    stats.revert_delta(updates)
-    assert dict(stats.items()) == before
-    assert stats.most_common() == "Madrid"
-
-
-def test_table_statistics_apply_delta_matches_fresh_build():
-    from repro.engine.view import OverlayStore
-
-    base = make_store()
-    stats = TableStatistics(base)
-    stats.marginal("City")
-    stats.marginal("Country")
-    stats.cooccurrence.warm("City", "Country")
-    # a multi-cell delta touching both cells of one row (the case per-cell
-    # sequential application cannot express)
-    delta = {(0, "City"): "Paris", (0, "Country"): "France",
-             (3, "Country"): None}
-    changes = {cell: (base.value(cell[0], cell[1]), value)
-               for cell, value in delta.items()}
-    overlay = OverlayStore(base, dict(delta))
-    stats.apply_delta(changes, overlay)
-    fresh = TableStatistics(overlay)
-    _stats_equal(stats, fresh, ["City", "Country"], [("City", "Country")])
-    # argmax and mode memos answer from the moved counts
-    assert stats.most_probable_given("Country", "City", "Madrid") == \
-        fresh.most_probable_given("Country", "City", "Madrid")
-    stats.revert_delta(changes, base)
-    _stats_equal(stats, TableStatistics(base), ["City", "Country"],
-                 [("City", "Country")])
-    # a statistics bundle built after the revert reads the base's cached
-    # distribution: every conditional answer of both bundles must be the
-    # base's, so the round trip cannot have written into that cache
-    second = TableStatistics(base)
-    givens = ["Madrid", "Barcelona", "Paris", "Nowhere"]
-    targets = ["Spain", "France", "Italy"]
-    expected = {"Madrid": {"Spain": 2, "France": 1}, "Barcelona": {"Spain": 1}}
-    winners = {"Madrid": "Spain", "Barcelona": "Spain"}
-    for bundle in (stats, second):
-        for given_value in givens:
-            row = expected.get(given_value, {})
-            assert bundle.most_probable_given("Country", "City", given_value,
-                                              "?") == winners.get(given_value, "?")
-            for target_value in targets:
-                assert bundle.cooccurrence.conditional_probability(
-                    "Country", target_value, "City", given_value) == \
-                    (row.get(target_value, 0) / sum(row.values()) if row else 0.0)
-
-
-def test_table_statistics_revert_covers_structures_built_under_delta():
-    from repro.engine.view import OverlayStore
-
-    base = make_store()
-    stats = TableStatistics(base)
-    delta = {(1, "Country"): "Italy"}
-    changes = {cell: (base.value(cell[0], cell[1]), value)
-               for cell, value in delta.items()}
-    overlay = OverlayStore(base, dict(delta))
-    stats.apply_delta(changes, overlay)
-    # built while the delta is applied: describes the overlay contents
-    assert stats.marginal("Country").count("Italy") == 1
-    stats.cooccurrence.warm("City", "Country")
-    stats.revert_delta(changes, base)
-    _stats_equal(stats, TableStatistics(base), ["City", "Country"],
-                 [("City", "Country")])
-
-
-# ---------------------------------------------------------------------------
-# view statistics derived from the base counts
 
 
 def _make_table():
@@ -248,7 +171,7 @@ def _column_edits(draw):
     column = draw(st.lists(_RANK_VALUES, min_size=1, max_size=10))
     edits = []
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        kind = draw(st.sampled_from(["updates", "delta", "revert"]))
+        kind = draw(st.sampled_from(["batch", "cells", "revert"]))
         rows = draw(st.lists(st.integers(min_value=0, max_value=len(column) - 1),
                              max_size=4, unique=True))
         edits.append((kind, [(row, draw(_RANK_VALUES)) for row in rows]))
@@ -258,25 +181,33 @@ def _column_edits(draw):
 @settings(max_examples=150, deadline=None)
 @given(data=_column_edits())
 def test_ranking_memo_equals_sort_after_every_move(data):
+    """A table's marginal moved by its writes (``Table.set_values`` batches
+    and ``Table.set_value`` cells) ranks like a fresh sort after each."""
+    from repro.dataset.table import Table
+
     column, edits = data
     column = list(column)
-    stats = ColumnStatistics(ColumnStore({"A": column}), "A")
+    table = Table(["A"], [(value,) for value in column])
+    stats = table.stats.marginal("A")
     _assert_ranking_fresh(stats, column)
     for kind, writes in edits:
         stats.ranking()  # the memo is live before every move
-        pairs = [(column[row], value) for row, value in writes]
-        if kind == "updates":
-            stats.apply_updates([old for old, _ in pairs], [new for _, new in pairs])
-        elif kind == "delta":
-            stats.apply_delta(pairs)
+        rows = [row for row, _ in writes]
+        values = [value for _, value in writes]
+        if kind == "batch":
+            table.set_values("A", rows, values)
+        elif kind == "cells":
+            for row, value in writes:
+                table.set_value(row, "A", value)
         else:
-            stats.apply_delta(pairs)
+            table.set_values("A", rows, values)
             stats.ranking()
-            stats.revert_delta(pairs)
+            table.set_values("A", rows, [column[row] for row in rows])
             _assert_ranking_fresh(stats, column)
-            stats.apply_delta(pairs)
+            table.set_values("A", rows, values)
         for row, value in writes:
             column[row] = value
+        assert table.stats.marginal("A") is stats
         _assert_ranking_fresh(stats, column)
 
 

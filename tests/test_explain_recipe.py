@@ -17,8 +17,11 @@ def test_recipe_prints_ms_per_pair_and_three_values(algorithm, policy, capsys):
                         "--policy", policy]) == 0
     header, *values = capsys.readouterr().out.splitlines()
     assert header.startswith(f"60 rows, {algorithm}/{policy}, cell t")
-    assert header.endswith(" ms/pair") and "30 pairs" in header
-    # the first three relevant cells of the explained cell's row
+    assert header.endswith(" ms/pair")
+    # up to three key cells of the explained cell's row, 10 pairs each
     row = header.split("cell ")[1].split("[")[0]
-    assert len(values) == 3 and all(line.strip().startswith(row + "[")
-                                    for line in values)
+    assert 1 <= len(values) <= 3 and all(line.strip().startswith(row + "[")
+                                         for line in values)
+    assert f" {10 * len(values)} pairs " in header
+    # the key cells carry signal: at least one value is nonzero
+    assert any(float(line.rsplit(": ", 1)[1]) != 0.0 for line in values)

@@ -11,8 +11,8 @@ value sampled from their column distribution):
   La Liga with an extra all-null column (whose cells draw nothing);
 * :meth:`ColumnStatistics.sample` against per-draw
   ``Generator.choice(k, p=w)`` over random count vectors, including after
-  :meth:`~ColumnStatistics.apply_update` and on a view's marginal derived
-  copy-on-write from the base's counts.
+  :meth:`~repro.dataset.table.Table.set_value` writes and on a view's
+  marginal derived copy-on-write from the base's counts.
 
 To print the pinned table after an *intentional* sampling change::
 
@@ -178,18 +178,18 @@ def test_sample_draws_equal_per_draw_choice(counts, seed, n):
 @given(counts=_counts, seed=st.integers(0, 2**32 - 1),
        moves=st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=8))
 def test_draws_after_update_and_fork_equal_a_fresh_build(counts, seed, moves):
-    stats = _statistics(counts)
-    stats.sample(rng=0, size=3)  # whatever is cached must not outlive a move
     column = [f"v{i}" for i, count in enumerate(counts) for _ in range(count)]
+    table = Table(["A"], [[value] for value in column])
+    stats = table.stats.marginal("A")
+    stats.sample(rng=0, size=3)  # whatever is cached must not outlive a move
     for old, new in moves:
         old_value = f"v{old}"
         if old_value not in column:
             continue
-        column.remove(old_value)
-        column.append(f"v{new}")
-        stats.apply_update(old_value, f"v{new}")
-    table = Table(["A"], [[value] for value in column])
-    fresh = ColumnStatistics(table.store, "A")
+        row = column.index(old_value)
+        column[row] = f"v{new}"
+        table.set_value(row, "A", f"v{new}")
+    fresh = ColumnStatistics(Table(["A"], [[value] for value in column]).store, "A")
     expected = _sample_draws(fresh, seed, 20)
     assert _sample_draws(stats, seed, 20) == expected
     # a view's marginal shares the base counts until it moves, and then

@@ -29,6 +29,7 @@ from repro import (
 )
 from repro.constraints.incremental import RepairWalk, _FDPartition, repair_walk_for
 from repro.constraints.predicates import Operator, Predicate
+from repro.engine.index import MultiColumnIndex
 from repro.engine.storage import NULL
 
 
@@ -455,6 +456,73 @@ def test_walk_follows_multi_row_batches_randomised(data, constraint_mask):
                 assert_trials_match_rescan(walked, constraints, written, trial_values)
                 assert_trials_match_rescan(walked, constraints, cell, trial_values)
     assert_walk_state_matches_rescan(walk, constraints)
+
+
+# ---------------------------------------------------------------------------
+# list mode: the walk's forked equality index ≡ an index of the materialised view
+
+#: the shapes a walk keeps violation lists for: an order, a constant and a
+#: two-``!=`` residual, an empty residual, and a residual over a two-column key
+LIST_MODE_POOL = [
+    DenialConstraint("ord", [Predicate.between_tuples("B", Operator.EQ),
+                             Predicate.between_tuples("C", Operator.LT)]),
+    DenialConstraint("const", [Predicate.between_tuples("C", Operator.EQ),
+                               Predicate.with_constant("t1", "A", Operator.EQ, "x")]),
+    DenialConstraint("nene", [Predicate.between_tuples("A", Operator.EQ),
+                              Predicate.between_tuples("B", Operator.NE),
+                              Predicate.between_tuples("C", Operator.NE)]),
+    DenialConstraint("pure", [Predicate.between_tuples("B", Operator.EQ)]),
+    DenialConstraint("key2", [Predicate.between_tuples("A", Operator.EQ),
+                              Predicate.between_tuples("C", Operator.EQ),
+                              Predicate.between_tuples("B", Operator.LT)]),
+]
+
+
+def assert_walk_indexes_match_view(walk):
+    """Every list-mode constraint's walk index against a fresh build over a
+    materialised copy of the view: the same keys, the same ascending rows,
+    and the same key per row."""
+    copy = walk.view.copy()
+    for constraint in walk.constraints:
+        assert walk._cstates[constraint].part is None  # list mode
+        eq_attrs = walk.detector._state(constraint).plan.eq_attrs
+        walk_index = walk._windex(eq_attrs)
+        fresh = MultiColumnIndex(copy.store, eq_attrs)
+        assert dict(walk_index.index.groups()) == dict(fresh.groups())
+        assert [walk_index.key_of(row) for row in range(copy.n_rows)] == \
+            [fresh.build_key_of(row) for row in range(copy.n_rows)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=batch_scenario(),
+       constraint_mask=st.integers(min_value=1, max_value=2 ** len(LIST_MODE_POOL) - 1))
+def test_list_mode_walk_index_equals_fresh_index_randomised(data, constraint_mask):
+    table, delta, batches, (trial_row, trial_attr, trial_values) = data
+    constraints = [c for i, c in enumerate(LIST_MODE_POOL) if constraint_mask >> i & 1]
+    view = table.perturbed(delta).mutable_snapshot()
+    walk = repair_walk_for(view, constraints).prime()
+    assert_walk_indexes_match_view(walk)
+    # a fork taken right after the prime, one cell apart
+    cell = CellRef(trial_row, trial_attr)
+    sibling = table.perturbed({**view.delta, cell: trial_values[0]}).mutable_snapshot()
+    clone = walk.fork_onto(sibling, [cell])
+    assert_walk_indexes_match_view(clone)
+    for attribute, rows, values, writes in batches:
+        for walked, batch_values in ((walk, values), (clone, values[::-1])):
+            walked.view.set_values(attribute, rows, batch_values)
+            assert_walk_indexes_match_view(walked)
+            for row, write_attr, value in writes:
+                walked.view.set_value(row, write_attr, table[CellRef(row, write_attr)]
+                                      if value is RESTORE else value)
+                assert_walk_indexes_match_view(walked)
+        assert_walk_matches_reference(walk, constraints)
+        assert_walk_matches_reference(clone, constraints)
+    # the walks moved forks only: the detector's shared indexes are the base's
+    for eq_attrs, index in walk.detector._indexes.items():
+        fresh = MultiColumnIndex(table.store, eq_attrs)
+        assert dict(index.groups()) == dict(fresh.groups())
+        assert [index.build_key_of(row) for row in range(table.n_rows)] == \
+            [fresh.build_key_of(row) for row in range(table.n_rows)]
 
 
 # ---------------------------------------------------------------------------
