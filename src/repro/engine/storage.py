@@ -28,6 +28,26 @@ def is_null(value: Any) -> bool:
     return False
 
 
+#: the one NaN object content fingerprints hold.  NaN never equals itself
+#: and hashes by identity, so a key holding some NaN object would match only
+#: keys holding that very object — never its own pickled copy, as a worker's
+#: cache diff ships it.  Fingerprints carry every NaN as this object, and
+#: content equality (:func:`stores_equal`) counts any two NaNs as equal.
+NAN = float("nan")
+
+
+def is_nan(value: Any) -> bool:
+    """Whether ``value`` is a float NaN (any NaN object, not only :data:`NAN`)."""
+    return isinstance(value, float) and value != value
+
+
+def _nan_free(values: tuple) -> tuple:
+    """``values`` with every NaN replaced by :data:`NAN` (itself if none)."""
+    if not any(map(is_nan, values)):
+        return values
+    return tuple(NAN if is_nan(value) else value for value in values)
+
+
 def values_differ(old: Any, new: Any) -> bool:
     """Null-aware cell inequality: two nulls never differ (``None`` vs ``nan``)."""
     if old is new:
@@ -64,13 +84,23 @@ def checked_rows(rows: Sequence[int], values: Sequence[Any], n_rows: int) -> lis
 
     Raises :class:`~repro.errors.UnknownRowError` on a row that is not one
     (:func:`_is_row`) and :class:`~repro.errors.SchemaError` unless
-    ``values`` holds one value per row.
+    ``values`` holds one value per row.  A one-dimensional integer
+    ``ndarray`` is checked with one dtype test and one ``min``/``max``
+    bounds test over its listed rows (the rule pass hands its write rows
+    over this way); any other sequence, and an array of another dtype, row
+    by row.
     """
     if len(rows) != len(values):
         raise SchemaError(
             f"a write batch needs one value per row: got {len(rows)} rows "
             f"and {len(values)} values"
         )
+    if isinstance(rows, np.ndarray) and rows.ndim == 1 and rows.dtype.kind in "iu":
+        listed = rows.tolist()
+        if listed and (min(listed) < 0 or max(listed) >= n_rows):
+            raise UnknownRowError(next(row for row in listed
+                                       if not 0 <= row < n_rows), n_rows)
+        return listed
     checked = []
     for row in rows:
         if type(row) is not int or not 0 <= row < n_rows:
@@ -113,6 +143,12 @@ class Fingerprint:
         return self.data
 
     def __setstate__(self, data: tuple) -> None:
+        # a pickled NaN comes back as a new object: put the canonical one
+        # back, or the key would never meet its unpickled twin again
+        if data[:1] == ("overlay",):
+            data = data[:2] + (_nan_free(data[2]),)
+        else:
+            data = tuple((name, _nan_free(values)) for name, values in data)
         self.data = data
         self._hash = hash(data)
 
@@ -304,12 +340,19 @@ class ColumnStore:
 
         The fingerprint is computed lazily and cached until the next mutation,
         so repeated oracle queries against the same snapshot pay for the full
-        column walk only once.
+        column walk only once.  Every NaN cell is held as :data:`NAN`.
         """
         if self._fingerprint is None:
-            self._fingerprint = Fingerprint(
-                tuple((name, tuple(self._columns[name].tolist())) for name in self._names)
-            )
+            columns = []
+            for name in self._names:
+                column = self._columns[name]
+                values = column.tolist()
+                # NaN is the one value unequal to itself
+                for row in np.flatnonzero(column != column).tolist():
+                    if is_nan(values[row]):
+                        values[row] = NAN
+                columns.append((name, tuple(values)))
+            self._fingerprint = Fingerprint(tuple(columns))
         return self._fingerprint
 
     def equals(self, other) -> bool:
@@ -323,8 +366,15 @@ class ColumnStore:
 
 def stores_equal(left, right) -> bool:
     """Column-by-column content equality between any two stores exposing the
-    read interface (``column_names``/``n_rows``/``column``)."""
+    read interface (``column_names``/``n_rows``/``column``); any two NaNs are
+    equal, as in fingerprints (:data:`NAN`)."""
     names = tuple(left.column_names)
     if names != tuple(right.column_names) or left.n_rows != right.n_rows:
         return False
-    return all(list(left.column(name)) == list(right.column(name)) for name in names)
+    for name in names:
+        mine, theirs = left.column(name).tolist(), right.column(name).tolist()
+        if mine != theirs and not all(
+            a == b or (is_nan(a) and is_nan(b)) for a, b in zip(mine, theirs)
+        ):
+            return False
+    return True

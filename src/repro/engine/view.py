@@ -10,7 +10,7 @@ interface while holding only a sparse ``{(row, attribute): value}`` delta on
 top of a shared, immutable base store.  Reads consult the delta first and fall
 through to the base; writes go into the delta (the base is never touched);
 fingerprints — the repair oracle's memoisation keys — are derived from the
-base's cached fingerprint plus the sorted delta, so hashing a perturbed
+base's current fingerprint plus the sorted delta, so hashing a perturbed
 instance is O(|delta|) instead of O(cells).
 
 The delta dictionary is *shared* with the owning
@@ -37,9 +37,11 @@ import numpy as np
 
 from repro.engine.encoding import scatter_codes
 from repro.engine.storage import (
+    NAN,
     ColumnStore,
     Fingerprint,
     checked_rows,
+    is_nan,
     stores_equal,
     values_differ,
 )
@@ -380,20 +382,33 @@ class OverlayStore:
     def fingerprint(self) -> Fingerprint:
         """Delta-derived memoisation key: O(|delta|) given a fingerprinted base.
 
+        ``("overlay", base fingerprint, items)``, where ``items`` is the
+        normalised delta flattened in ``(row, attribute)`` order into one
+        tuple ``(row, attribute, value, row, …)`` (one tuple per key rather
+        than one per cell: oracle caches keep their keys across base
+        states), a NaN value held as :data:`~repro.engine.storage.NAN`.
         Two overlays over equal bases with equal effective contents produce
-        equal fingerprints (the delta is normalised); an overlay never equals a
-        plain store's fingerprint, which only costs the oracle a cache miss,
-        never a wrong answer.
+        equal fingerprints; an overlay never equals a plain store's
+        fingerprint, which only costs the oracle a cache miss, never a wrong
+        answer.  The cached key is rebuilt when the base's fingerprint
+        object is no longer the one it embeds, i.e. after a write to the
+        base: a key must always name the content it is read for.
         """
-        if self._fingerprint is None:
-            delta_items = tuple(
-                (row, name, self._delta[(row, name)])
-                for row, name in sorted(self._delta.keys())
+        base = self._base.fingerprint()
+        fingerprint = self._fingerprint
+        if fingerprint is None or fingerprint.data[1] is not base:
+            delta = self._delta
+            items: list = []
+            extend = items.extend
+            for key in sorted(delta):
+                value = delta[key]
+                if value != value and is_nan(value):
+                    value = NAN
+                extend((key[0], key[1], value))
+            fingerprint = self._fingerprint = Fingerprint(
+                ("overlay", base, tuple(items))
             )
-            self._fingerprint = Fingerprint(
-                ("overlay", self._base.fingerprint(), delta_items)
-            )
-        return self._fingerprint
+        return fingerprint
 
     def equals(self, other) -> bool:
         """Content equality with any store exposing the read interface."""

@@ -14,9 +14,10 @@ sampler's ``touched_sink`` hook, shipped per shard on the parallel path).
 base-table write *in place* and delta-maintains every derived structure —
 the incremental violation detector and its persistent indexes, and the
 table's own statistics (:func:`~repro.repair.updates.apply_table_update`;
-views derive theirs from the new base), the oracle caches (rebased
-onto the new table fingerprint, entries pinned on changed cells dropped),
-and the resident worker stacks (patched through one
+views derive theirs from the new base), the oracle caches (every entry
+kept: a key names the content it was computed on, so answers for earlier
+table states stay correct and an undo finds them again), and the resident
+worker stacks (patched through one
 :meth:`~repro.parallel.ShardedExplainScheduler.apply_base_update` round —
 ``worker_rebuilds`` stays flat).  It then invalidates exactly the estimates
 whose fingerprints overlap the changed cells; the next ``explain()``
@@ -232,9 +233,9 @@ def apply_session_update(session, values: Mapping[CellRef, Any]) -> dict:
        so every view derives its statistics from the new base);
     3. re-run the reference repair on the post-update table — the repaired
        value of the cell of interest is the game's target and may change;
-    4. rebase the session oracle's cache onto the new table fingerprint
-       (entries pinned on changed cells drop; ``base_updates_applied`` and
-       ``cache_entries_invalidated`` count on this oracle);
+    4. finish the session oracle's update: its cache keeps every entry and
+       drops them all only when the target changed (``base_updates_applied``
+       and ``cache_entries_invalidated`` count on this oracle);
     5. patch every scheduler: local resident stack and one resident-worker
        patch round (no stack rebuilds; a failed patch fails the pool over,
        counted in ``pool_failovers``);
@@ -270,7 +271,7 @@ def apply_session_update(session, values: Mapping[CellRef, Any]) -> dict:
                 attribute: table.stats.marginal(attribute).most_common()
                 for attribute in updated_attributes
             }
-        old_fingerprint = apply_table_update(table, changes)
+        apply_table_update(table, changes)
         # the reference repair — and with it the target value of the game —
         # must come from the post-update table
         repair = session.explainer.repair(force=True)
@@ -293,16 +294,11 @@ def apply_session_update(session, values: Mapping[CellRef, Any]) -> dict:
         info["target_changed"] = target_changed
         delta = BaseUpdateDelta(updates=updates, target_value=new_target)
         info["delta"] = delta
-        new_values = {
-            (cell.row, cell.attribute): new for cell, (_old, new) in changes.items()
-        }
         info["cache_entries_invalidated"] = live.oracle.finish_base_update(
-            new_values, old_fingerprint, new_target, count=True
+            new_target, count=True
         )
         for scheduler in live.explainer._schedulers.values():
-            patched = scheduler.apply_base_update(
-                delta, new_values, old_fingerprint, target_changed=target_changed
-            )
+            patched = scheduler.apply_base_update(delta, target_changed=target_changed)
             info["workers_patched"] += patched["workers_patched"]
             live.oracle.pool_failovers += patched["pool_failovers"]
         live.explainer.sampler.invalidate_overlay()

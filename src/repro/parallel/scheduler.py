@@ -299,8 +299,7 @@ class ShardedExplainScheduler:
 
     # -- live base updates ------------------------------------------------------------
 
-    def apply_base_update(self, delta, changes, old_fingerprint,
-                          target_changed: bool = False) -> dict:
+    def apply_base_update(self, delta, target_changed: bool = False) -> dict:
         """Patch every resident oracle stack for an already-applied update.
 
         The caller (the live session) has mutated the shared dirty table and
@@ -311,8 +310,9 @@ class ShardedExplainScheduler:
           (its fingerprint — the resident-state key — changes with the table
           content);
         * the in-process resident stack, which shares the session's table
-          object, has its cache rebased, lazy view dropped and sampler
-          overlay invalidated (its views derive their statistics from the
+          object, adopts the new target (its cache keeps every entry unless
+          the target changed), drops its lazy view and invalidates its
+          sampler overlay (its views derive their statistics from the
           mutated table);
         * every live resident *worker* receives one
           :func:`~repro.parallel.worker.run_base_update_worker` task carrying
@@ -323,11 +323,10 @@ class ShardedExplainScheduler:
           next call spawns a fresh one, whose workers build their stacks
           from the post-update payload — same state, just slower.
 
-        ``changes`` maps ``(row, attribute)`` to the post-update value and
-        ``old_fingerprint`` is the pre-update table fingerprint.  Returns a
-        bookkeeping dict (``workers_patched``, ``cache_entries_dropped``,
-        ``pool_failovers``) — the caller folds ``pool_failovers`` into its
-        oracle, since no merge follows a patch round.
+        Returns a bookkeeping dict (``workers_patched``,
+        ``cache_entries_dropped``, ``pool_failovers``) — the caller folds
+        ``pool_failovers`` into its oracle, since no merge follows a patch
+        round.
         """
         old_key = self._spec_key
         # capture residency before the re-pickle clears it — only workers
@@ -341,7 +340,7 @@ class ShardedExplainScheduler:
         local = self._local_resident.get(_LOCAL_KEY)
         if local is not None:
             info["cache_entries_dropped"] += local.oracle.finish_base_update(
-                changes, old_fingerprint, delta.target_value, count=False
+                delta.target_value, count=False
             )
             local.explainer.sampler.invalidate_overlay()
         pool = self._pool
@@ -361,7 +360,7 @@ class ShardedExplainScheduler:
                     self._note_failover(worker, outcome, n_shards=0)
             if info["pool_failovers"]:
                 self.close()
-        self.events.emit("base_update", cells=len(changes),
+        self.events.emit("base_update", cells=len(delta),
                          workers_patched=info["workers_patched"],
                          target_changed=bool(target_changed))
         return info

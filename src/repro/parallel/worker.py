@@ -161,9 +161,10 @@ def run_base_update_worker(old_key: str, new_key: str, delta,
     resident stack filed under ``old_key`` has the
     :class:`~repro.repair.updates.BaseUpdateDelta` applied to its own table
     copy — statistics synced and moved by delta, detector delta-maintained,
-    cache rebased, target value adopted — and is re-filed under ``new_key``
-    (the fingerprint of the post-update job spec), so the next explain round
-    finds it without a payload or a rebuild.  Counters stay silent
+    target value adopted, cache entries kept unless the target changed (a
+    key names the content it was computed on) — and is re-filed under
+    ``new_key`` (the fingerprint of the post-update job spec), so the next
+    explain round finds it without a payload or a rebuild.  Counters stay silent
     (``count=False``): the parent accounts the update once on its own
     oracle, and worker reports only ever carry per-round deltas.
 

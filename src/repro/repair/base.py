@@ -24,7 +24,7 @@ import numpy as np
 from repro.constraints.dc import DenialConstraint, constraint_set_names
 from repro.constraints.incremental import repair_walk_for
 from repro.dataset.table import CellRef, PerturbationView, RepairDelta, Table
-from repro.engine.storage import NULL
+from repro.engine.storage import NULL, values_differ
 from repro.errors import RepairError
 from repro.observability import trace as otrace
 from repro.observability.metrics import (
@@ -612,9 +612,9 @@ class BinaryRepairOracle:
         The single-stack convenience used by resident workers (and any
         oracle that owns its table): the table is mutated (delta-maintaining
         a live detector and the table's own statistics; views derive theirs
-        from the new base), and :meth:`finish_base_update` rebases the cache
-        and adopts the new target.  Returns the number of cells actually
-        written.  ``count`` gates the update counters — worker stacks patch silently so the
+        from the new base), and :meth:`finish_base_update` adopts the new
+        target.  Returns the number of cells actually written.  ``count``
+        gates the update counters — worker stacks patch silently so the
         parent's absorb of their per-round deltas never double-counts.
         """
         from repro.repair.updates import apply_table_update, collect_changes
@@ -623,43 +623,28 @@ class BinaryRepairOracle:
             self.dirty_table,
             {update.cell: update.new_value for update in delta.updates},
         )
-        if not changes:
-            self.finish_base_update({}, self.dirty_table.fingerprint(),
-                                    delta.target_value, count=count)
-            return 0
-        old_fingerprint = apply_table_update(self.dirty_table, changes)
-        self.finish_base_update(
-            {(cell.row, cell.attribute): new for cell, (_old, new) in changes.items()},
-            old_fingerprint, delta.target_value, count=count,
-        )
+        if changes:
+            apply_table_update(self.dirty_table, changes)
+        self.finish_base_update(delta.target_value, count=count)
         return len(changes)
 
-    def finish_base_update(self, changes, old_fingerprint, target_value,
-                           *, count: bool = True) -> int:
+    def finish_base_update(self, target_value, *, count: bool = True) -> int:
         """Adopt a base update whose table mutation has already happened.
 
-        ``changes`` maps ``(row, attribute)`` to the post-update value;
-        ``old_fingerprint`` is the pre-update table fingerprint (the rebase
-        anchor).  The lazily built empty-delta view is dropped (its
-        fingerprint embeds the old base), the memo cache is **rebased** —
-        overlay-keyed entries that pin every changed cell survive under
-        remapped keys, everything else is dropped — and the reference target
-        value is replaced.  A target change invalidates the whole cache
-        (every memoised 0/1 answer compared against the old target) without
+        The lazily built empty-delta view is dropped (its fingerprint embeds
+        the old base) and the reference target value is replaced.  The memo
+        cache keeps every entry: each key names the content it was computed
+        on (:class:`~repro.repair.cache.OracleCache`), so it stays a correct
+        memo whatever the base holds now, and lookups on the new base simply
+        form new keys.  Only a target change drops the whole cache (every
+        memoised 0/1 answer compared against the old target), without
         resetting its hit/miss counters.  Returns the number of cache
         entries dropped.
         """
         self._dirty_view = None
         dropped = 0
-        if self._cache is not None and changes:
-            from repro.engine.storage import values_differ
-
-            if values_differ(self.target_value, target_value):
-                dropped = self._cache.drop_entries()
-            else:
-                dropped = self._cache.rebase(
-                    changes, old_fingerprint, self.dirty_table.fingerprint()
-                )
+        if self._cache is not None and values_differ(self.target_value, target_value):
+            dropped = self._cache.drop_entries()
         self.target_value = target_value
         if count:
             self.base_updates_applied += 1

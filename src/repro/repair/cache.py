@@ -10,9 +10,7 @@ changing any result — the repairer is deterministic by contract.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import OrderedDict
-from operator import itemgetter
 from typing import Hashable
 
 # the max-merged key sets come from the metric declarations, so the
@@ -23,16 +21,23 @@ from repro.observability.metrics import (
     MAX_GROUPS as _MAX_GROUPS,
 )
 
-#: the ``(row, attribute)`` cell of an overlay fingerprint item
-_item_cell = itemgetter(0, 1)
-
 
 class OracleCache:
     """A bounded LRU cache for binary oracle answers.
 
+    Every key is content-derived: a plain table's fingerprint is its whole
+    column content, and an overlay's is that plus its normalised delta.  So
+    an entry stays a correct memo of the content it names after the live
+    base table moves on, and a base update keeps every entry (only a change
+    of the repair target drops them, :meth:`drop_entries`); a later update
+    that returns to an earlier table state finds its answers again.
+
     The default bound (1 million entries) is far above anything the bundled
     experiments need; it exists so pathological workloads degrade gracefully
-    instead of exhausting memory.
+    instead of exhausting memory.  Because entries are kept across base
+    states, the same bound also governs how much of earlier base states is
+    kept: the least recently used entries, whatever state they name, go
+    first.
     """
 
     def __init__(self, max_entries: int = 1_000_000):
@@ -159,125 +164,22 @@ class OracleCache:
         return self
 
     def rebase(self, changes, old_base, new_base) -> int:
-        """Re-key entries onto a mutated base table; returns entries dropped.
+        """Retired: a base update keeps every entry (see the class docstring).
 
-        A base-table update changes the base fingerprint every cached key is
-        (directly or through an overlay) rooted at.  Entries whose overlay
-        *pinned* every changed cell describe table contents that are
-        unchanged by the update, so they stay valid — their keys are
-        rewritten onto ``new_base``, dropping overlay items that no longer
-        differ from the new base value (the overlay-normalisation rule the
-        live fingerprints follow).  Every other entry — plain base-snapshot
-        keys, overlays rooted elsewhere, overlays not covering a changed
-        cell — is dropped; dropping is always sound here because the cache
-        is pure memoisation of a deterministic oracle.
-
-        ``changes`` maps ``(row, attribute)`` to the post-update value.
-        Surviving entries keep their LRU rank and insertion-sequence
-        numbers, so outstanding high-water marks stay valid cuts.
-
-        Cost is O(entries · |changes| · log |overlay|) plus re-keying the
-        survivors.  Each distinct fingerprint object gets one verdict per
-        call (a ``paird`` key shares its with-side with the single-instance
-        key, and one unpickled cache diff shares one base object), a base
-        is matched by identity before falling back to ``==`` once per
-        distinct base object, and each changed cell is one bisection of the
-        overlay's items (sorted by ``(row, attribute)``, as
-        :meth:`~repro.engine.view.OverlayStore.fingerprint` builds them), so
-        a key missing any changed cell is dropped without reading its other
-        items.
+        Kept only as a named stub because the benchmark tracer still wraps
+        it; nothing calls it.
         """
-        from repro.engine.storage import Fingerprint, values_differ
-
-        if not changes:
-            return 0
-        changed = list(changes.items())
-        rooted: dict[int, bool] = {}
-        remapped_by_id: dict[int, object] = {}
-
-        def remap_uncached(fingerprint):
-            data = getattr(fingerprint, "data", None)
-            if not (isinstance(data, tuple) and len(data) == 3
-                    and data[0] == "overlay"):
-                return None
-            base = data[1]
-            verdict = rooted.get(id(base))
-            if verdict is None:
-                verdict = rooted[id(base)] = base is old_base or base == old_base
-            if not verdict:
-                return None
-            items = data[2]
-            normalised = []
-            for cell, value in changed:
-                index = bisect_left(items, cell, key=_item_cell)
-                if index == len(items) or _item_cell(items[index]) != cell:
-                    return None
-                if not values_differ(items[index][2], value):
-                    normalised.append(index)
-            if normalised:
-                items = tuple(item for index, item in enumerate(items)
-                              if index not in normalised)
-            return Fingerprint(("overlay", new_base, items))
-
-        def remap(fingerprint):
-            # keyed by id: every fingerprint (and the base inside it) is held
-            # alive by its entry's key for the whole call, so no id is reused
-            identity = id(fingerprint)
-            if identity in remapped_by_id:
-                return remapped_by_id[identity]
-            result = remapped_by_id[identity] = remap_uncached(fingerprint)
-            return result
-
-        def rebase_key(key):
-            if not isinstance(key, tuple):
-                return None
-            if len(key) == 4 and key[0] == "paird":
-                # the without-side is content-addressed (cell, replacement)
-                # triples — base-independent, so only the with-side remaps
-                fp_with = remap(key[2])
-                if fp_with is None:
-                    return None
-                return ("paird", key[1], fp_with, key[3])
-            if len(key) == 4 and key[0] == "pair":
-                fp_with, fp_without = remap(key[2]), remap(key[3])
-                if fp_with is None or fp_without is None:
-                    return None
-                return ("pair", key[1], fp_with, fp_without)
-            if len(key) == 2:
-                fingerprint = remap(key[1])
-                if fingerprint is None:
-                    return None
-                return (key[0], fingerprint)
-            return None
-
-        remapped: OrderedDict[Hashable, int] = OrderedDict()
-        sequence: dict[Hashable, int] = {}
-        dropped = 0
-        for key, value in self._entries.items():
-            new_key = rebase_key(key)
-            if new_key is None:
-                dropped += 1
-                continue
-            if new_key in remapped:
-                # two old keys normalising to the same content — the oracle
-                # is deterministic, keep one entry with the newer sequence
-                sequence[new_key] = max(sequence[new_key], self._sequence[key])
-                dropped += 1
-                continue
-            remapped[new_key] = value
-            sequence[new_key] = self._sequence[key]
-        self._entries = remapped
-        # _sequence must iterate in ascending sequence order (entries_since
-        # walks it backwards) — collision handling can disturb it
-        self._sequence = dict(sorted(sequence.items(), key=lambda item: item[1]))
-        return dropped
+        raise NotImplementedError(
+            "OracleCache.rebase is retired: cache keys are content-derived, "
+            "so entries stay valid across base updates"
+        )
 
     def drop_entries(self) -> int:
         """Drop every entry, keep every counter; returns entries dropped.
 
-        The base-update invalidation path when the reference target value
-        changed: every memoised 0/1 answer compared against the old target,
-        so no entry can survive — but the hit/miss/eviction counters
+        The one base-update invalidation, for a change of the reference
+        target value: every memoised 0/1 answer compared against the old
+        target, so no entry can survive — but the hit/miss/eviction counters
         describe work already done and must keep reconciling across the
         update (:meth:`clear` resets them, which would corrupt the ledger).
         """

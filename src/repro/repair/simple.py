@@ -245,7 +245,7 @@ class SimpleRuleRepair(RepairAlgorithm):
                 if not rows:
                     continue
                 write_rows, write_values = self._pass_writes(rule, current, rows)
-                if write_rows:
+                if len(write_rows):
                     current.set_values(rule.target, write_rows, write_values)
                     changed = True
             if not changed:
@@ -254,8 +254,11 @@ class SimpleRuleRepair(RepairAlgorithm):
 
     @staticmethod
     def _pass_writes(rule: RepairRule, current: Table,
-                     rows: list[int]) -> tuple[list[int], list[Any]]:
+                     rows: list[int]) -> tuple[np.ndarray, list[Any]]:
         """The ``(rows, values)`` one rule pass writes, from the pre-pass state.
+
+        The rows are an integer array, which the store validates with one
+        vectorised test (:func:`~repro.engine.storage.checked_rows`).
 
         One gather per column reads the rows' target (and conditioning)
         codes; :meth:`RepairRule.replacement_code` is asked once per
@@ -269,8 +272,8 @@ class SimpleRuleRepair(RepairAlgorithm):
         if rule.strategy == MOST_COMMON:
             winner = rule.replacement_code(current)
             if not winner:
-                return [], []
-            write_rows = index[stats.codes(target)[index] != winner].tolist()
+                return index[:0], []
+            write_rows = index[stats.codes(target)[index] != winner]
             return write_rows, [stats.most_common(target)] * len(write_rows)
         # building the distribution first turns a column the encoding cannot
         # code into the statistics' SchemaError
@@ -281,7 +284,7 @@ class SimpleRuleRepair(RepairAlgorithm):
             winner_of[given] = rule.replacement_code(current, given)
         winners = winner_of[givens]
         write = (winners != NULL_CODE) & (winners != stats.codes(target)[index])
-        return index[write].tolist(), pair.target.decode_list(winners[write].tolist())
+        return index[write], pair.target.decode_list(winners[write].tolist())
 
     def _reference_passes(self, constraints: list[DenialConstraint],
                           current: Table) -> Table:

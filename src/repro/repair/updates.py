@@ -10,8 +10,8 @@ building a fresh session on the post-update table.
 The pieces:
 
 * :class:`BaseCellUpdate` — one cell write with both sides recorded, so
-  every downstream maintainer (statistics, detector indexes, cache rebase)
-  can patch by delta instead of rescanning;
+  every downstream maintainer (statistics, detector indexes) can patch by
+  delta instead of rescanning;
 * :class:`BaseUpdateDelta` — one atomic batch of writes plus the
   post-update reference target value, picklable so resident workers can be
   patched in place over the pool pipe (``worker_rebuilds`` stays flat);
@@ -19,10 +19,9 @@ The pieces:
   deltas (the CLI's ``--update`` replay and the chaos harness's
   reconciliation read it);
 * :func:`apply_table_update` — the one routine that mutates a live table:
-  it captures the pre-update fingerprint (the cache-rebase anchor), writes
-  the cells (``Table.set_value`` keeps built statistics in step), and
-  delta-maintains a live incremental detector instead of letting it fall
-  back to a full rebuild.
+  it writes the cells (``Table.set_value`` keeps built statistics in step
+  and drops the cached fingerprint) and delta-maintains a live incremental
+  detector instead of letting it fall back to a full rebuild.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
 from repro.dataset.table import CellRef, Table
-from repro.engine.storage import Fingerprint, values_differ
+from repro.engine.storage import values_differ
 from repro.errors import SchemaError
 
 
@@ -60,11 +59,6 @@ class BaseUpdateDelta:
     def changes(self) -> dict[CellRef, tuple[Any, Any]]:
         """The batch as a ``{cell: (old, new)}`` mapping (maintainer input)."""
         return {u.cell: (u.old_value, u.new_value) for u in self.updates}
-
-    def new_values(self) -> dict[tuple[int, str], Any]:
-        """The batch as a ``{(row, attribute): new_value}`` mapping (the
-        cache-rebase input shape)."""
-        return {(u.cell.row, u.cell.attribute): u.new_value for u in self.updates}
 
     def __len__(self) -> int:
         return len(self.updates)
@@ -119,21 +113,19 @@ def collect_changes(table: Table,
 
 
 def apply_table_update(table: Table,
-                       changes: Mapping[CellRef, tuple[Any, Any]]) -> Fingerprint:
+                       changes: Mapping[CellRef, tuple[Any, Any]]) -> None:
     """Mutate a live table in place and keep its derived state in step.
 
-    Returns the table's **pre-update** fingerprint — the anchor every cache
-    rebase and resident-worker patch needs to recognise entries rooted at
-    the old content.  ``Table.set_value`` bumps the version and patches any
-    built statistics per cell; a live incremental detector (one whose base
-    state matches the pre-update version) is delta-maintained here instead
-    of being left to fall back to a full rebuild on its next query.
+    ``Table.set_value`` bumps the version, drops the cached fingerprint (the
+    next lookup computes the new base's) and patches any built statistics
+    per cell; a live incremental detector (one whose base state matches the
+    pre-update version) is delta-maintained here instead of being left to
+    fall back to a full rebuild on its next query.  Oracle caches need no
+    anchor: their keys name content, not a base state.
     """
-    old_fingerprint = table.fingerprint()
     pre_version = table.version
     detector = getattr(table, "_incremental_detector", None)
     for cell, (_old, new_value) in changes.items():
         table.set_value(cell.row, cell.attribute, new_value)
     if detector is not None and detector.base_version == pre_version:
         detector.apply_base_update(changes)
-    return old_fingerprint

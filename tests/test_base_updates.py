@@ -2,18 +2,22 @@
 
 The contract of :meth:`repro.explain.session.RepairSession.update` is exact:
 applying base-table writes to a live session — delta-maintained violation
-detector, statistics, encodings, rebased oracle caches, patched
-resident workers, selectively refreshed Shapley estimates — and then
+detector, statistics, encodings, oracle caches kept across updates,
+patched resident workers, selectively refreshed Shapley estimates — and then
 explaining must be **bit-identical** to building a fresh session on the
 post-update table.  This module property-tests that invariant over random
 single- and multi-cell update sequences (values that create, resolve and
 move violations between constraint groups, null writes, no-op writes) and
-over both engines, and pins the satellite regressions: a base
-mutation must invalidate the cached table fingerprint and the lazily-built
-column null masks.
+over both engines, and pins the regressions the kept caches rest on: a
+base mutation must invalidate the cached table fingerprint (of the table and
+of every view over it) and the lazily-built column null masks, and a
+fingerprint must name content, before and after a pickle round trip.
 """
 
 from __future__ import annotations
+
+import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +31,7 @@ from repro import (
     NotRepairedError,
     RepairSession,
     SimpleRuleRepair,
+    Table,
     TRexConfig,
     la_liga_constraints,
     la_liga_dirty_table,
@@ -197,7 +202,8 @@ def _sequential_estimates(explainer, cells, n_samples, batched, paired):
     ``query_pair`` loop (unbatched, paired), or ``query_table`` per instance
     (unpaired; batched queries every with-instance before the without-ones).
     Each memoises under its own key shape — pair-memo, fingerprint-pair and
-    single-instance keys — so each exercises its own part of the rebase."""
+    single-instance keys — and each must keep answering correctly with its
+    pre-update entries still cached."""
     explainer.sampler.reseed(make_rng(SEED))
     oracle = explainer.oracle
     out = {}
@@ -226,9 +232,10 @@ def _sequential_estimates(explainer, cells, n_samples, batched, paired):
 @pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
 def test_oracle_apply_base_update_across_flag_grid(paired, batched, engine):
     """``BinaryRepairOracle.apply_base_update`` preserves estimates across the
-    engine × query-path grid (the cache-rebase key shapes differ per
-    combination: pair-memo, fingerprint-pair and single-instance keys, over
-    views on the fast engine and materialised tables on the reference)."""
+    engine × query-path grid (the cache key shapes differ per combination:
+    pair-memo, fingerprint-pair and single-instance keys, over views on the
+    fast engine and materialised tables on the reference; the pre-update
+    entries stay cached)."""
     probes = [CellRef(4, "City"), CellRef(0, "Country"), CellRef(2, "City")]
     updates = {CellRef(0, "City"): "Seville", CellRef(1, "Country"): None}
     constraints = la_liga_constraints()
@@ -339,3 +346,102 @@ def test_set_value_invalidates_cached_null_masks():
     country = store.null_mask("Country")
     table.set_value(2, "City", "Seville")
     assert store.null_mask("Country") is country
+
+
+# -- kept caches: an undo finds its answers, a key always names its content ---------
+
+@pytest.mark.parametrize("policy", ["sample", "mode"])
+@pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+def test_undo_refresh_runs_no_repairs(engine, policy):
+    """explain, write, explain, undo, explain: the last refresh re-derives the
+    set-up explain's samples on the set-up table, whose answers the oracle
+    cache kept through both updates — so it runs no repair and reproduces
+    the set-up values and standard errors."""
+    cell, value = CellRef(0, "City"), "Seville"
+    config = TRexConfig(seed=SEED, cell_samples=N_SAMPLES, replacement_policy=policy)
+    live = _session(la_liga_dirty_table(), config, engine)
+    with live:
+        first = live.explain(n_samples=N_SAMPLES)
+        original = live.state.dirty_table[cell]
+        live.update(cell, value)
+        live.explain(n_samples=N_SAMPLES)
+        live.update(cell, original)
+        oracle = live._live.oracle
+        assert oracle.statistics()["cache_entries_invalidated"] == 0
+        assert live._live.pending, "the undo left nothing to refresh"
+        runs = oracle.statistics()["repair_runs"]
+        last = live.explain(n_samples=N_SAMPLES)
+        assert oracle.statistics()["repair_runs"] == runs
+    assert last.cell_shapley.values == first.cell_shapley.values
+    assert last.cell_shapley.standard_errors == first.cell_shapley.standard_errors
+
+
+NAN = float("nan")
+#: base and view write pools of the two-column table below: its own values,
+#: values new to the dictionary, NULL and NaN
+KEY_VALUES = {"A": ["u", "v", "w", "novel", None, NAN],
+              "B": [1, 2, 3, 99, None, NAN]}
+KEY_ROWS = 4
+
+
+@st.composite
+def _write(draw):
+    """One ``(row, attribute, value)`` cell write over the key table."""
+    attribute = draw(st.sampled_from(sorted(KEY_VALUES)))
+    return (draw(st.integers(min_value=0, max_value=KEY_ROWS - 1)), attribute,
+            draw(st.sampled_from(KEY_VALUES[attribute])))
+
+
+_writes = st.lists(_write(), max_size=3)
+
+
+def _content(table):
+    return [table.value(row, attribute)
+            for attribute in table.attributes for row in range(table.n_rows)]
+
+
+def _assert_keys_name_content(views):
+    """Two views' keys are equal iff their contents are, also when one of the
+    keys crossed a pickle boundary, as a worker's cache diff ships it."""
+    travelled = pickle.loads(pickle.dumps([view.fingerprint() for view in views]))
+    for (i, left), right in itertools.product(enumerate(views), views):
+        same = left.equals(right)
+        assert (left.fingerprint() == right.fingerprint()) == same
+        assert (travelled[i] == right.fingerprint()) == same
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_view_fingerprints_are_content_keys_across_base_writes(data):
+    """Sibling views over the current base have equal fingerprints iff they
+    have equal contents, also after a pickle round trip; a view read before
+    and after a base write gets a new key unless the write left its content
+    unchanged (base writes include undoing an earlier one, NULL, NaN and
+    values new to the dictionary)."""
+    table = Table(["A", "B"], [("u", 1), ("v", 2), ("w", 3), ("u", 2)])
+    table.stats.marginal("A")  # built statistics and code arrays follow the writes
+    original = {(row, attribute): table.value(row, attribute)
+                for row in range(KEY_ROWS) for attribute in KEY_VALUES}
+    live = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4), label="rounds")):
+        def assignments():
+            return {CellRef(row, attribute): value
+                    for row, attribute, value in data.draw(_writes)}
+
+        views = [table.perturbed(assignments()) for _ in range(3)]
+        views.append(views[0].with_values(assignments()))
+        written = views[1].mutable_snapshot()
+        for row, attribute, value in data.draw(_writes):
+            written.set_values(attribute, [row], [value])
+        views.append(written)
+        views.append(table.perturbed({}))
+        _assert_keys_name_content(views)
+        live += views
+        before = [(view.fingerprint(), _content(view)) for view in live]
+        row, attribute, value = data.draw(_write(), label="base write")
+        if data.draw(st.booleans(), label="undo"):
+            value = original[(row, attribute)]
+        table.set_value(row, attribute, value)
+        for view, (key, content) in zip(live, before):
+            if _content(view) != content:
+                assert view.fingerprint() != key, "a stale key outlived a base write"

@@ -170,7 +170,7 @@ def test_updated_session_matches_fresh_rebuild(grid):
     """update() + explain() ≡ a fresh session on the post-update table.
 
     The live update path — delta-maintained detector/statistics/encoding,
-    rebased caches, patched resident workers, selectively refreshed
+    kept oracle caches, patched resident workers, selectively refreshed
     estimates — must be numerically invisible on every execution mode.
     """
     for algorithm_name in ALGORITHMS:

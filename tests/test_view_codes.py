@@ -173,6 +173,37 @@ def test_numpy_integer_rows_are_rows(kind):
         assert all(type(row) is int for row, _attribute in table.change_log)
 
 
+@pytest.mark.parametrize("rows", [
+    np.array([True, False]), np.array([0.0, 1.0]), np.array([0, -1]),
+    np.array([0, 3]), np.array([[0], [1]]),
+], ids=["bool", "float", "negative", "out-of-range", "two-dimensional"])
+@pytest.mark.parametrize("kind", ["plain", "view"])
+def test_bad_row_arrays_leave_the_table_untouched(rows, kind):
+    plain, view = _plain_and_view()
+    table = plain if kind == "plain" else view
+    version = table.version
+    fingerprint = table.fingerprint()
+    with pytest.raises(UnknownRowError):
+        table.set_values("A", rows, ["p", "q"])
+    assert [table.value(i, "A") for i in range(3)] == ["u", "v", "w"]
+    assert table.version == version
+    assert table.fingerprint() == fingerprint
+    assert dict(table.stats.marginal("A").items()) == {"u": 1, "v": 1, "w": 1}
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+@pytest.mark.parametrize("kind", ["plain", "view"])
+def test_integer_row_arrays_are_rows(kind, dtype):
+    plain, view = _plain_and_view()
+    table = plain if kind == "plain" else view
+    table.set_values("A", np.array([2, 1], dtype=dtype), ["p", "q"])
+    assert [table.value(i, "A") for i in range(3)] == ["u", "q", "p"]
+    assert dict(table.stats.marginal("A").items()) == {"u": 1, "p": 1, "q": 1}
+    if kind == "view":
+        assert all(type(row) is int for row, _attribute in table._delta)
+        assert all(type(row) is int for row, _attribute in table.change_log)
+
+
 @pytest.mark.parametrize("kind", ["plain", "view"])
 @pytest.mark.parametrize("rows, values", [([0, 1], ["p"]), ([0], ["p", "q"]), ([], ["p"])])
 def test_rows_and_values_of_different_lengths_raise_before_any_write(kind, rows, values):
