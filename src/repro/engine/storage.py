@@ -164,8 +164,8 @@ class ColumnStore:
     addressing, column scans and cheap whole-table copies.
     """
 
-    __slots__ = ("_columns", "_names", "_n_rows", "_fingerprint", "_encoding",
-                 "_null_masks")
+    __slots__ = ("_columns", "_names", "_n_rows", "_fingerprint", "_recent",
+                 "_encoding", "_null_masks")
 
     def __init__(self, columns: Mapping[str, Sequence[Any]]):
         if not columns:
@@ -183,6 +183,9 @@ class ColumnStore:
             for name, values in columns.items()
         }
         self._fingerprint: Fingerprint | None = None
+        #: the last two distinct fingerprints computed, newest first (see
+        #: :meth:`fingerprint`)
+        self._recent: tuple[Fingerprint, ...] = ()
         self._encoding = None
         self._null_masks: dict[str, np.ndarray] = {}
 
@@ -298,6 +301,7 @@ class ColumnStore:
         clone._n_rows = self._n_rows
         clone._columns = {name: col.copy() for name, col in self._columns.items()}
         clone._fingerprint = self._fingerprint  # same content, same fingerprint
+        clone._recent = ()
         clone._encoding = None  # copies diverge; each lazily builds its own
         clone._null_masks = dict(self._null_masks)  # masks are frozen arrays
         return clone
@@ -340,7 +344,11 @@ class ColumnStore:
 
         The fingerprint is computed lazily and cached until the next mutation,
         so repeated oracle queries against the same snapshot pay for the full
-        column walk only once.  Every NaN cell is held as :data:`NAN`.
+        column walk only once.  Every NaN cell is held as :data:`NAN`.  A
+        recomputed fingerprint equal to one of the last two computed is
+        returned as that object: after a write is undone the store names
+        its content with the object it had before the write, so the oracle
+        cache keys kept for that state share one base fingerprint.
         """
         if self._fingerprint is None:
             columns = []
@@ -352,7 +360,15 @@ class ColumnStore:
                     if is_nan(values[row]):
                         values[row] = NAN
                 columns.append((name, tuple(values)))
-            self._fingerprint = Fingerprint(tuple(columns))
+            fingerprint = Fingerprint(tuple(columns))
+            recent = self._recent
+            for earlier in recent:
+                if earlier == fingerprint:
+                    fingerprint = earlier
+                    break
+            self._recent = (fingerprint, *(earlier for earlier in recent
+                                           if earlier is not fingerprint))[:2]
+            self._fingerprint = fingerprint
         return self._fingerprint
 
     def equals(self, other) -> bool:

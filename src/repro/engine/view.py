@@ -373,6 +373,7 @@ class OverlayStore:
             name: self.column(name).copy() for name in self._base.column_names
         }
         clone._fingerprint = None
+        clone._recent = ()
         clone._encoding = None
         clone._null_masks = {}
         return clone

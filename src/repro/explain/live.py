@@ -4,11 +4,12 @@ A :class:`~repro.explain.session.RepairSession` keeps one
 :class:`LiveExplainState` per explained cell of interest: a persistent
 :class:`~repro.repair.base.BinaryRepairOracle` and
 :class:`~repro.shapley.cells.CellShapleyExplainer` whose warm worker pool is
-*not* torn down between explains, the per-cell Shapley estimates, and — the
-piece that makes selective refresh possible — each estimate's **touched-cell
-fingerprint**: the union over its Monte-Carlo samples of the base cells whose
-original values the sampled coalitions exposed (recorded RNG-free by the
-sampler's ``touched_sink`` hook, shipped per shard on the parallel path).
+*not* torn down between explains, a second persistent oracle for the
+constraint game, the per-cell Shapley estimates, and — the piece that makes
+selective refresh possible — each estimate's **touched-cell fingerprint**:
+the bitmask, over the sampler's cell vector, of the base cells whose original
+values its Monte-Carlo samples' coalitions exposed (recorded RNG-free by the
+sampler's ``touched`` record, shipped per shard on the parallel path).
 
 :func:`apply_session_update` is the update orchestrator.  It applies a
 base-table write *in place* and delta-maintains every derived structure —
@@ -16,7 +17,8 @@ the incremental violation detector and its persistent indexes, and the
 table's own statistics (:func:`~repro.repair.updates.apply_table_update`;
 views derive theirs from the new base), the oracle caches (every entry
 kept: a key names the content it was computed on, so answers for earlier
-table states stay correct and an undo finds them again), and the resident
+table states stay correct and an undo finds them again; this holds for the
+constraint game's oracle too), and the resident
 worker stacks (patched through one
 :meth:`~repro.parallel.ShardedExplainScheduler.apply_base_update` round —
 ``worker_rebuilds`` stays flat).  It then invalidates exactly the estimates
@@ -53,6 +55,7 @@ from repro.repair.updates import (
     collect_changes,
 )
 from repro.shapley.cells import CellShapleyExplainer, check_sample_count, relevant_cells
+from repro.shapley.constraints import ConstraintShapleyExplainer
 from repro.shapley.convergence import RunningMean
 from repro.shapley.game import ShapleyResult
 from repro.shapley.sampling import ReplacementPolicy, SampledShapleyEstimate
@@ -79,6 +82,12 @@ class LiveExplainState:
         # TRExExplainer.explain_cells, except the explainer outlives the call
         # so its warm pool and resident worker stacks survive updates
         self.oracle = session.explainer._oracle_for(cell)
+        #: the constraint game's oracle (same algorithm, constraints, shared
+        #: table and target), kept so that a refresh revisiting a table state
+        #: answers its 2^k subset repairs from the cache.  It is a second
+        #: oracle: the cell result's ``n_evaluations`` reads ``oracle.calls``,
+        #: which must count the cell game alone, as a fresh run's does
+        self.constraint_oracle = session.explainer._oracle_for(cell)
         self.explainer = CellShapleyExplainer(
             self.oracle, policy=config.replacement_policy, rng=config.seed,
             n_jobs=config.n_jobs,
@@ -93,8 +102,8 @@ class LiveExplainState:
         )
         self._position = {c: index for index, c in enumerate(self.cells)}
         self.estimates: dict[CellRef, SampledShapleyEstimate] = {}
-        #: per-estimate touched-cell fingerprints (see module docstring)
-        self.provenance: dict[CellRef, frozenset] = {}
+        #: per-estimate touched-cell bitmasks (see module docstring)
+        self.provenance: dict[CellRef, int] = {}
         self.pending: set[CellRef] = set(self.cells)
         self.completed = True
 
@@ -120,19 +129,17 @@ class LiveExplainState:
         """Mark estimates stale after a base update; return how many existing
         estimates were dropped.
 
-        Selective mode keeps every estimate whose touched-cell fingerprint is
-        disjoint from ``changed`` — its samples never looked at the updated
+        Selective mode keeps every estimate whose touched-cell bitmask has
+        no bit of ``changed`` — its samples never looked at the updated
         cells, so replaying them on the new table would reproduce it bit for
         bit.  ``everything`` is the full-invalidation escape hatch for the
         policy/target situations listed in the module docstring.
         """
+        changed_mask = self.explainer.sampler.cell_mask(changed)
         invalid: set[CellRef] = set()
         for cell in self.cells:
-            if everything:
-                invalid.add(cell)
-                continue
-            fingerprint = self.provenance.get(cell)
-            if fingerprint is None or fingerprint & changed:
+            mask = self.provenance.get(cell)
+            if everything or mask is None or mask & changed_mask:
                 invalid.add(cell)
         dropped = sum(1 for cell in invalid if cell in self.estimates)
         for cell in invalid:
@@ -142,6 +149,10 @@ class LiveExplainState:
         return dropped
 
     # -- estimation -------------------------------------------------------------------
+
+    def constraint_result(self) -> ShapleyResult:
+        """Exact constraint Shapley on the kept constraint oracle."""
+        return ConstraintShapleyExplainer(self.constraint_oracle).explain()
 
     def result(self) -> ShapleyResult:
         """Refresh every pending estimate and assemble the merged result."""
@@ -188,14 +199,13 @@ class LiveExplainState:
                     sampler.sample_permutation()
                 continue
             tracker = RunningMean()
-            touched: set[CellRef] = set()
-            sampler.touched_sink = touched
+            sampler.touched = 0
             try:
                 explainer._accumulate_cell(cell, self.n_samples, tracker)
+                self.provenance[cell] = sampler.touched
             finally:
-                sampler.touched_sink = None
+                sampler.touched = None
             self.estimates[cell] = explainer._estimate_from(cell, tracker)
-            self.provenance[cell] = frozenset(touched)
         self.completed = True
 
     def _refresh_parallel(self) -> None:
@@ -215,7 +225,7 @@ class LiveExplainState:
         )
         for cell in cells:
             self.estimates[cell] = outcome.estimates[cell]
-            self.provenance[cell] = frozenset(outcome.touched.get(cell, ()))
+            self.provenance[cell] = outcome.touched.get(cell, 0)
         self.completed = outcome.completed
 
 
@@ -233,9 +243,11 @@ def apply_session_update(session, values: Mapping[CellRef, Any]) -> dict:
        so every view derives its statistics from the new base);
     3. re-run the reference repair on the post-update table — the repaired
        value of the cell of interest is the game's target and may change;
-    4. finish the session oracle's update: its cache keeps every entry and
-       drops them all only when the target changed (``base_updates_applied``
-       and ``cache_entries_invalidated`` count on this oracle);
+    4. finish the update of the session's two oracles (cell game and
+       constraint game): each cache keeps every entry and drops them all only
+       when the target changed (``base_updates_applied`` and
+       ``cache_entries_invalidated`` count on each oracle; the returned
+       ``cache_entries_invalidated`` is the cell oracle's);
     5. patch every scheduler: local resident stack and one resident-worker
        patch round (no stack rebuilds; a failed patch fails the pool over,
        counted in ``pool_failovers``);
@@ -297,6 +309,7 @@ def apply_session_update(session, values: Mapping[CellRef, Any]) -> dict:
         info["cache_entries_invalidated"] = live.oracle.finish_base_update(
             new_target, count=True
         )
+        live.constraint_oracle.finish_base_update(new_target, count=True)
         for scheduler in live.explainer._schedulers.values():
             patched = scheduler.apply_base_update(delta, target_changed=target_changed)
             info["workers_patched"] += patched["workers_patched"]

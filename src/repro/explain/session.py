@@ -160,7 +160,13 @@ class RepairSession:
                 )
             self.config.n_jobs = n_jobs
         explainer = self.explainer
-        if constraints_only:
+        live = self._live
+        if constraints_only and live is not None and live.cell == self.cell_of_interest:
+            explanation = self._explanation(
+                constraint_shapley=live.constraint_result(),
+                oracle_statistics=live.constraint_oracle.statistics(),
+            )
+        elif constraints_only:
             explanation = explainer.explain_constraints(self.cell_of_interest)
         else:
             explanation = self._explain_live(n_samples)
@@ -192,20 +198,24 @@ class RepairSession:
             self._live = LiveExplainState(self, cell, resolved)
         live = self._live
         # same composition as TRExExplainer.explain: exact constraint Shapley
-        # (RNG-free, own throwaway oracle) plus the sampled cell Shapley
-        constraint_part = self.explainer.explain_constraints(cell)
+        # (RNG-free, on the live state's kept constraint oracle) plus the
+        # sampled cell Shapley
+        constraint_result = live.constraint_result()
         cell_result = live.result()
-        return Explanation(
-            cell=cell,
-            old_value=self.state.dirty_table[cell],
-            new_value=self.explainer.clean_table[cell],
-            constraint_shapley=constraint_part.constraint_shapley,
+        return self._explanation(
+            constraint_shapley=constraint_result,
             cell_shapley=cell_result,
             oracle_statistics={
-                "constraints": constraint_part.oracle_statistics,
+                "constraints": live.constraint_oracle.statistics(),
                 "cells": live.oracle.statistics(),
             },
         )
+
+    def _explanation(self, **parts) -> Explanation:
+        """An explanation of the cell of interest on the current tables."""
+        cell = self.cell_of_interest
+        return Explanation(cell=cell, old_value=self.state.dirty_table[cell],
+                           new_value=self.explainer.clean_table[cell], **parts)
 
     # -- live base updates -----------------------------------------------------------
 

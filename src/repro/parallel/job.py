@@ -77,18 +77,18 @@ class ExplainShard:
 class ShardResult:
     """One executed shard: its coordinates plus the chunk's accumulator.
 
-    ``touched`` is the shard's provenance fingerprint: the base cells whose
-    original values its sampled coalitions exposed (recorded by the
-    sampler's ``touched_sink`` hook, RNG-free).  The live session unions
-    them per cell to decide which estimates a later base-table update
-    invalidates.
+    ``touched`` is the shard's provenance fingerprint: the bitmask over the
+    sampler's cell vector of the base cells whose original values its
+    sampled coalitions exposed (recorded by the sampler's ``touched``
+    record, RNG-free).  The live session ORs them per cell to decide which
+    estimates a later base-table update invalidates.
     """
 
     shard_id: int
     cell_position: int
     chunk_index: int
     accumulator: RunningMean
-    touched: frozenset = frozenset()
+    touched: int = 0
 
 
 @dataclass

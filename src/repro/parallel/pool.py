@@ -263,15 +263,17 @@ class WorkerPool:
 
     # -- one round --------------------------------------------------------------------
 
-    def run_tasks(self, tasks: Sequence[PoolTask],
-                  deadline: float | None = None) -> list[TaskOutcome]:
+    def run_tasks(self, tasks: "Sequence[PoolTask | None]",
+                  deadline: float | None = None) -> "list[TaskOutcome | None]":
         """Run ``tasks[i]`` on worker ``i`` and return outcomes in task order.
 
         The assignment is positional and static — determinism of "which
         worker ran what" is what per-worker resident state and cache
-        high-water marks are accounted against.  Every task gets an outcome,
-        failed ones included: the caller decides how to finish a failed task
-        (in-process), the pool only detects and warns.  A dead, hung or
+        high-water marks are accounted against.  A ``None`` task sends
+        worker ``i`` nothing and its outcome is ``None``.  Every other task
+        gets an outcome, failed ones included: the caller decides how to
+        finish a failed task (in-process), the pool only detects and warns.
+        A dead, hung or
         expired worker is killed on detection and stays dead — every later
         task sent to it fails as ``"dead"``.
 
@@ -290,9 +292,13 @@ class WorkerPool:
                 f"got {len(tasks)} tasks for {len(self._workers)} workers; "
                 "assign at most one task per worker"
             )
-        dispatched = [self._dispatch(index, task) for index, task in enumerate(tasks)]
-        outcomes = []
-        for index, sent in enumerate(dispatched):
+        dispatched = [task is not None and self._dispatch(index, task)
+                      for index, task in enumerate(tasks)]
+        outcomes: list[TaskOutcome | None] = []
+        for index, (task, sent) in enumerate(zip(tasks, dispatched)):
+            if task is None:
+                outcomes.append(None)
+                continue
             outcome = self._collect(index, deadline) if sent else TaskOutcome("dead")
             if outcome.status != "ok":
                 self._note_failure(index, outcome)

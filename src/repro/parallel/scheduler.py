@@ -52,6 +52,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.config import DEFAULT_CELL_SAMPLES
 from repro.dataset.table import CellRef
+from repro.engine.storage import Fingerprint
 from repro.observability import trace as otrace
 from repro.observability.events import EventLog
 from repro.observability.trace import coordinate_span_id
@@ -100,11 +101,46 @@ class ParallelExplainResult:
     #: ``n_samples`` says how far it got) — never a hang, never a mid-merge
     #: exception
     completed: bool = True
-    #: per-cell provenance: the base cells whose original values each cell's
-    #: sampled coalitions exposed (union of its shards' recorded sets) — the
-    #: live session intersects these with base-table updates to invalidate
-    #: selectively
+    #: per-cell provenance: the bitmask of the base cells whose original
+    #: values each cell's sampled coalitions exposed (the OR of its shards'
+    #: recorded masks) — the live session tests these against base-table
+    #: updates to invalidate selectively
     touched: dict = field(default_factory=dict)
+
+
+def _same_content(fingerprint: Fingerprint, base: Fingerprint, same: dict) -> bool:
+    """Whether ``fingerprint`` equals ``base``, decided once per object
+    (the memo holds the object, so its id is not reused meanwhile)."""
+    seen = same.get(id(fingerprint))
+    if seen is None:
+        seen = same[id(fingerprint)] = (fingerprint, fingerprint == base)
+    return seen[1]
+
+
+def _shared_base(key: tuple, base: Fingerprint, same: dict) -> tuple:
+    """A replayed cache key whose table fingerprints name ``base`` by object.
+
+    A worker's cache diff arrives unpickled, with its own copy of the base
+    fingerprint inside every key.  A plain fingerprint equal to ``base`` is
+    replaced by ``base``, and an overlay fingerprint over such a copy is
+    re-pointed at ``base`` in place (the copy is private to this diff), so
+    the parent cache holds one object per table state and its hits compare
+    base fingerprints by identity.  ``same`` memoises the comparison per
+    copy.
+    """
+    parts = None
+    for position, part in enumerate(key):
+        if type(part) is not Fingerprint or part is base:
+            continue
+        data = part.data
+        if data[:1] == ("overlay",):
+            if data[1] is not base and _same_content(data[1], base, same):
+                part.data = (data[0], base, data[2])
+        elif _same_content(part, base, same):
+            if parts is None:
+                parts = list(key)
+            parts[position] = base
+    return key if parts is None else tuple(parts)
 
 
 class ShardedExplainScheduler:
@@ -413,10 +449,13 @@ class ShardedExplainScheduler:
 
     def _execute(self, shards: Sequence[ExplainShard],
                  deadline: float | None = None) -> list[WorkerReport]:
-        """Round-robin the shards over the workers and collect their reports.
+        """Deal the shards to the workers and collect their reports.
 
-        The assignment (shard ``i`` → worker ``i mod n_tasks``) is static and
-        deterministic; reports come back in worker order.  An unpicklable job
+        A shard goes to worker ``(cell_position + chunk_index) mod n_jobs``:
+        the assignment depends on the shard's seed coordinates alone, so a
+        partial refresh sends every shard to the worker that ran it before,
+        whose resident cache holds its answers.  A worker dealt no shard
+        gets no task; reports come back in worker order.  An unpicklable job
         spec (e.g. a custom repair algorithm holding a closure) degrades to
         in-process execution with a warning, mirroring the permutation
         estimator — the plan and therefore the values are unchanged.
@@ -429,10 +468,11 @@ class ShardedExplainScheduler:
         log = {"round": round_index, "shards": len(shards),
                **{key: 0 for key in _ROUND_ONLY_KEYS},
                **{key: 0 for key in _POOL_COUNTERS}}
-        n_tasks = min(self.n_jobs, len(shards))
-        assignments = [list(shards[worker::n_tasks]) for worker in range(n_tasks)]
+        assignments: list[list[ExplainShard]] = [[] for _ in range(self.n_jobs)]
+        for shard in shards:
+            assignments[(shard.cell_position + shard.chunk_index) % self.n_jobs].append(shard)
         pool = payload = None
-        if self.n_jobs > 1 and assignments:
+        if self.n_jobs > 1 and shards:
             try:
                 payload = self._payload()
             except Exception as error:
@@ -446,7 +486,7 @@ class ShardedExplainScheduler:
                 pool = self._ensure_pool()
         if pool is None:
             reports = [self._run_local(assignment, worker)
-                       for worker, assignment in enumerate(assignments)]
+                       for worker, assignment in enumerate(assignments) if assignment]
         else:
             reports = self._execute_warm(pool, payload, assignments,
                                          round_index, log, deadline)
@@ -486,11 +526,14 @@ class ShardedExplainScheduler:
                      resident=True,
                      fault=(self.fault_injector(worker, round_index)
                             if self.fault_injector is not None else None))
+            if assignment else None
             for worker, assignment in enumerate(assignments)
         ]
         reports: list[WorkerReport] = []
         for worker, outcome in enumerate(pool.run_tasks(tasks, deadline=deadline)):
             assignment = assignments[worker]
+            if outcome is None:
+                continue
             if outcome.status == "expired":
                 log["shards_dropped"] += len(assignment)
             elif outcome.status == "ok" and isinstance(outcome.result, WorkerReport):
@@ -731,18 +774,17 @@ class ShardedExplainScheduler:
                rounds: Sequence[dict] = (),
                completed: bool = True,
                positions: "Sequence[int] | None" = None) -> ParallelExplainResult:
-        # per-cell provenance: union each cell's shard-recorded touched sets
+        # per-cell provenance: OR each cell's shard-recorded touched bitmasks
         # (shard results address cells by plan position)
         cell_at = dict(zip(positions if positions is not None
                            else range(len(cells)), cells))
-        touched: dict[CellRef, set] = {}
+        touched: dict[CellRef, int] = {}
         for report in reports:
             for result in report.shard_results:
-                recorded = getattr(result, "touched", None)
-                if recorded:
+                if result.touched:
                     cell = cell_at.get(result.cell_position)
                     if cell is not None:
-                        touched.setdefault(cell, set()).update(recorded)
+                        touched[cell] = touched.get(cell, 0) | result.touched
         # SampledShapleyEstimate normalises the degenerate n < 2 case itself
         estimates = {
             cell: SampledShapleyEstimate(
@@ -778,11 +820,14 @@ class ShardedExplainScheduler:
         # snapshots (see absorb_statistics); the reports contribute entries
         # only, as per-round diffs
         if absorb_into is not None:
+            base = same = None
             for report in reports:
                 absorb_into.absorb_statistics(report.statistics)
-                if absorb_into.cache is not None:
+                if absorb_into.cache is not None and report.cache_diff:
+                    if base is None:
+                        base, same = absorb_into.dirty_table.fingerprint(), {}
                     for key, value in report.cache_diff:
-                        absorb_into.cache.put(key, value)
+                        absorb_into.cache.put(_shared_base(key, base, same), value)
             absorb_into.parallel_workers = max(absorb_into.parallel_workers, n_workers)
             absorb_into.parallel_shards += n_shards
             for key in _POOL_COUNTERS:

@@ -124,10 +124,9 @@ def _drain_shards(spec: ExplainJobSpec, explainer, shards: "list[ExplainShard]",
         )
         tracker = RunningMean()
         # provenance is recorded per shard and shipped on the result — the
-        # parent unions shards per cell into the touched-cell fingerprint
-        # the live session's selective invalidation intersects with updates
-        touched: set = set()
-        sampler.touched_sink = touched
+        # parent ORs shards per cell into the touched-cell bitmask the live
+        # session's selective invalidation tests against updates
+        sampler.touched = 0
         try:
             if tracer is None:
                 explainer._accumulate_cell(shard.cell, shard.n_samples, tracker)
@@ -144,11 +143,12 @@ def _drain_shards(spec: ExplainJobSpec, explainer, shards: "list[ExplainShard]",
                     n_samples=shard.n_samples,
                 ):
                     explainer._accumulate_cell(shard.cell, shard.n_samples, tracker)
+            touched = sampler.touched
         finally:
-            sampler.touched_sink = None
+            sampler.touched = None
         results.append(
             ShardResult(shard.shard_id, shard.cell_position, shard.chunk_index,
-                        tracker, frozenset(touched))
+                        tracker, touched)
         )
     return results
 

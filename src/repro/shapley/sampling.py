@@ -113,11 +113,11 @@ class CellCoalitionSampler:
         full materialised :class:`Table` copies (the full-rescan reference
         path).  Both paths consume the RNG identically and produce identical
         cell contents, so estimates agree bit-for-bit for a fixed seed.  On
-        the view path the deterministic ``NULL``/``MODE`` policies build each
-        coalition from a precomputed everything-replaced overlay (one dict
-        copy minus the coalition per sample) instead of re-deriving every
-        cell's replacement per sample; that changes nothing but construction
-        cost.
+        the view path a coalition is a boolean mask over the cell vector and
+        the with-instance's delta is selected from arrays: the ``SAMPLE``
+        draws of the replaced cells, or, for the deterministic
+        ``NULL``/``MODE`` policies, a precomputed everything-replaced overlay
+        masked per sample; that changes nothing but construction cost.
     """
 
     def __init__(self, table: Table, policy: ReplacementPolicy | str = ReplacementPolicy.SAMPLE,
@@ -129,21 +129,19 @@ class CellCoalitionSampler:
         #: the vectorised cell order of Example 2.5 (row-major)
         self.cells: tuple[CellRef, ...] = tuple(table.cells())
         self._cell_index = {cell: i for i, cell in enumerate(self.cells)}
-        #: precomputed normalised everything-replaced overlay for the
-        #: deterministic policies (see :meth:`_replacement_overlay`)
-        self._overlay: dict[CellRef, object] | None = None
-        #: the overlay's per-column encoded arrays ``{attr: (rows, codes)}``
-        #: and each overlay cell's position within its column's arrays —
-        #: coalition deltas are born in code space as one masked slice per
-        #: column (see :meth:`_overlay_encoding`)
-        self._overlay_arrays: "dict[str, tuple[np.ndarray, np.ndarray]] | None" = None
-        self._overlay_pos: dict[CellRef, int] = {}
-        #: optional provenance sink: while set, every drawn sample records
-        #: the base cells whose *original* values the built instances expose
-        #: (the coalition plus the kept target) into this set — the
-        #: touched-cell fingerprint the live session's selective invalidation
-        #: intersects with base updates.  Recording never consumes the RNG.
-        self.touched_sink: "set[CellRef] | None" = None
+        #: the cells as an object array, so a mask selects delta keys in bulk
+        self._cell_array = np.fromiter(self.cells, dtype=object, count=len(self.cells))
+        self._order = np.arange(len(self.cells))
+        #: the deterministic policies' everything-replaced overlay, computed
+        #: once (see :meth:`_replacement_overlay`)
+        self._overlay: "tuple | None" = None
+        #: optional provenance record: while not ``None``, every drawn sample
+        #: ORs in the bitmask (bit ``i`` is ``self.cells[i]``) of the base
+        #: cells whose *original* values the built instances expose (the
+        #: coalition plus the kept target) — the touched-cell fingerprint the
+        #: live session's selective invalidation tests against base updates.
+        #: Recording never consumes the RNG.
+        self.touched: "int | None" = None
 
     # -- seeding -------------------------------------------------------------------
 
@@ -160,6 +158,25 @@ class CellCoalitionSampler:
         """
         self._rng = make_rng(rng)
 
+    # -- cell addressing -------------------------------------------------------------
+
+    def _index_of(self, cell: CellRef) -> int:
+        index = self._cell_index.get(cell)
+        if index is None:
+            raise TRexError(f"cell {cell} is not part of the table")
+        return index
+
+    def cell_mask(self, cells: Iterable[CellRef]) -> int:
+        """The bitmask of ``cells`` over the cell vector (unknown cells are
+        skipped) — the form :attr:`touched` records."""
+        index = self._cell_index
+        mask = 0
+        for cell in cells:
+            position = index.get(cell)
+            if position is not None:
+                mask |= 1 << position
+        return mask
+
     # -- replacement values --------------------------------------------------------
 
     def replacement_value(self, cell: CellRef):
@@ -171,131 +188,124 @@ class CellCoalitionSampler:
             return marginal.most_common()
         return marginal.sample(rng=self._rng)
 
-    def _drawn_codes(self, target_cell: CellRef, coalition: set[CellRef]
-                     ) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """``SAMPLE`` draws for every cell outside ``coalition ∪ {target}``.
+    def _drawn_view(self, kept: np.ndarray) -> PerturbationView:
+        """The ``SAMPLE`` with-instance: every cell outside ``kept`` drawn.
 
-        Returns the replaced cells' indexes (row-major), their column indexes
-        and the drawn codes.  One ``rng.random(n)`` covers the replaced cells
-        in row-major order (cells of all-null columns draw nothing) and each
-        column's slice is mapped in one
+        One ``rng.random(n)`` covers the replaced cells in row-major order
+        (cells of all-null columns draw nothing) and each column's draws are
+        mapped in one
         :meth:`~repro.engine.stats.ColumnStatistics.sample_codes` call.  That
         is the very stream, and the very values, of one
         :meth:`replacement_value` per cell in row-major order — which the
-        ``materialize=True`` reference still makes.
-        """
-        cells = self.cells
-        replaced = [i for i, cell in enumerate(cells)
-                    if cell != target_cell and cell not in coalition]
-        if not replaced:
-            return replaced, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        stats = self.table.stats
-        marginals = [stats.marginal(attribute) for attribute in self.table.attributes]
-        columns = np.asarray(replaced, dtype=np.int64) % len(marginals)
-        drawn = np.array([marginal.total > 0 for marginal in marginals])[columns]
-        uniforms = np.zeros(len(replaced))
-        uniforms[drawn] = self._rng.random(int(drawn.sum()))
-        codes = np.zeros(len(replaced), dtype=np.int64)
-        for column, marginal in enumerate(marginals):
-            positions = np.flatnonzero(columns == column)
-            if len(positions):
-                codes[positions] = marginal.sample_codes(uniforms[positions])
-        return replaced, columns, codes
-
-    def _drawn_view(self, target_cell: CellRef, coalition: set[CellRef]) -> PerturbationView:
-        """The ``SAMPLE`` with-instance, born in code space.
-
-        A drawn cell enters the delta exactly when its code differs from the
-        base cell's (the view's null-aware normalisation, by codes), and the
-        view adopts each column's ``(rows, codes)`` so neither it nor the
-        views forked off it re-encode their delta.  A view table goes through
+        ``materialize=True`` reference still makes.  A drawn cell enters the
+        delta exactly when its code differs from the base cell's (the view's
+        null-aware normalisation, by codes), and the view adopts each
+        column's ``(rows, codes)`` so neither it nor the views forked off it
+        re-encode their delta.  A view table goes through
         :meth:`Table.perturbed`'s value loop instead.
         """
-        replaced, columns, codes = self._drawn_codes(target_cell, coalition)
-        table, cells = self.table, self.cells
-        values: list = [None] * len(replaced)
-        kept = np.zeros(len(replaced), dtype=bool)
-        encoded = {}
+        table = self.table
+        attributes = table.attributes
+        n_attributes = len(attributes)
+        replaced = ~kept.reshape(-1, n_attributes)
+        stats = table.stats
+        marginals = [stats.marginal(attribute) for attribute in attributes]
+        drawn = replaced & np.array([marginal.total > 0 for marginal in marginals])
+        uniforms = np.zeros(replaced.shape)
+        uniforms[drawn] = self._rng.random(int(np.count_nonzero(drawn)))
         plain = not isinstance(table, PerturbationView)
         # the draws are codes of the root table's dictionaries
         encoding = (table if plain else table.base).store.encoding()
-        rows = np.asarray(replaced, dtype=np.int64) // len(table.attributes)
-        for column, attribute in enumerate(table.attributes):
-            positions = np.flatnonzero(columns == column)
-            if not len(positions):
+        values = np.empty(kept.size, dtype=object)
+        enters = np.zeros(replaced.shape, dtype=bool)
+        encoded = {}
+        for column, attribute in enumerate(attributes):
+            rows = np.flatnonzero(replaced[:, column])
+            if not len(rows):
                 continue
-            column_rows, column_codes = rows[positions], codes[positions]
+            codes = marginals[column].sample_codes(uniforms[rows, column])
             if plain:
-                keep = column_codes != encoding.codes(table.store, attribute)[column_rows]
-                positions, column_rows, column_codes = (
-                    positions[keep], column_rows[keep], column_codes[keep])
-                column_codes = column_codes.astype(np.int32)
-                column_rows.flags.writeable = column_codes.flags.writeable = False
-                encoded[attribute] = (column_rows, column_codes)
-            kept[positions] = True
-            decoded = encoding.dictionary(attribute).decode_list(column_codes.tolist())
-            for position, value in zip(positions.tolist(), decoded):
-                values[position] = value
-        delta = {cells[replaced[position]]: values[position]
-                 for position in np.flatnonzero(kept).tolist()}
+                keep = codes != encoding.codes(table.store, attribute)[rows]
+                rows, codes = rows[keep], codes[keep].astype(np.int32)
+                rows.flags.writeable = codes.flags.writeable = False
+                encoded[attribute] = (rows, codes)
+            enters[rows, column] = True
+            decoded = encoding.dictionary(attribute).decode_list(codes.tolist())
+            values[rows * n_attributes + column] = np.fromiter(
+                decoded, dtype=object, count=len(decoded))
+        selected = np.flatnonzero(enters.ravel())
+        delta = dict(zip(self._cell_array[selected].tolist(), values[selected].tolist()))
         if not plain:
             return table.perturbed(delta, trusted=True)
         view = table.perturbed(delta, trusted=True, prenormalized=True)
-        for attribute, (column_rows, column_codes) in encoded.items():
-            view._store.adopt_encoded_delta(attribute, column_rows, column_codes)
+        for attribute, (rows, codes) in encoded.items():
+            view._store.adopt_encoded_delta(attribute, rows, codes)
         return view
 
-    def _replacement_overlay(self) -> dict[CellRef, object] | None:
-        """Normalised delta replacing *every* cell, for deterministic policies.
+    def _replacement_overlay(self) -> tuple:
+        """The normalised delta replacing *every* cell, for deterministic policies.
 
         The ``NULL`` and ``MODE`` policies assign each cell the same
         replacement on every sample and never consume the RNG, so the
-        "replace everything" overlay can be computed once; per sample the
-        coalition's cells are simply dropped from a copy.  ``SAMPLE`` draws
-        fresh values per sample and returns ``None`` (per-cell path).
-        """
-        if self.policy is ReplacementPolicy.SAMPLE:
-            return None
-        if self._overlay is None:
-            overlay: dict[CellRef, object] = {}
-            for cell in self.cells:
-                replacement = self.replacement_value(cell)
-                if values_differ(self.table[cell], replacement):
-                    overlay[cell] = replacement
-            self._overlay = overlay
-        return self._overlay
-
-    def _overlay_encoding(self) -> "dict[str, tuple[np.ndarray, np.ndarray]]":
-        """The deterministic overlay encoded column-wise, computed once.
-
-        For each column the full overlay's override set is bulk-encoded into
-        ``(rows, codes)`` arrays
-        (:meth:`~repro.engine.encoding.TableEncoding.encode_delta`) and every
-        overlay cell's position within its column's arrays is recorded.  Per
-        sample a coalition delta's encoded form is then one boolean mask per
-        column over these arrays — the delta is born in code space and the
-        built view never re-encodes it.  Unencodable columns are simply
-        absent (their views fall back to the lazy per-view path).  The
-        encoding is RNG-free and codes stay valid for the sampler's lifetime
+        "replace everything" overlay is computed once, as arrays aligned
+        over its cells (row-major): their cell indexes, the cells and the
+        replacement values, plus per encodable column the positions of its
+        cells in those arrays and their bulk-encoded ``(rows, codes)``
+        (:meth:`~repro.engine.encoding.TableEncoding.encode_delta`).  Per
+        sample one mask over these arrays selects the with-instance's delta
+        and each column's encoded delta, so the delta is born in code space
+        and the built view never re-encodes it.  Unencodable columns are
+        simply absent from the per-column part (their views fall back to the
+        lazy per-view path).  Codes stay valid for the sampler's lifetime
         (dictionaries are append-only).
         """
-        if self._overlay_arrays is None:
-            by_column: dict[str, dict[int, object]] = {}
-            for cell, value in self._replacement_overlay().items():
-                by_column.setdefault(cell.attribute, {})[cell.row] = value
-            encoding = self.table.store.encoding()
-            arrays: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-            positions: dict[CellRef, int] = {}
-            for name, overrides in by_column.items():
-                encoded = encoding.encode_delta(name, overrides)
-                if encoded is None:
+        if self._overlay is None:
+            table = self.table
+            indexes, values = [], []
+            for index, cell in enumerate(self.cells):
+                replacement = self.replacement_value(cell)
+                if values_differ(table[cell], replacement):
+                    indexes.append(index)
+                    values.append(replacement)
+            where = np.asarray(indexes, dtype=np.int64)
+            n_attributes = len(table.attributes)
+            encoding = table.store.encoding()
+            columns: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+            for column, name in enumerate(table.attributes):
+                positions = np.flatnonzero(where % n_attributes == column)
+                if not len(positions):
                     continue
-                arrays[name] = encoded
-                for position, row in enumerate(encoded[0].tolist()):
-                    positions[CellRef(row, name)] = position
-            self._overlay_arrays = arrays
-            self._overlay_pos = positions
-        return self._overlay_arrays
+                overrides = dict(zip((where[positions] // n_attributes).tolist(),
+                                     [values[position] for position in positions.tolist()]))
+                encoded = encoding.encode_delta(name, overrides)
+                if encoded is not None:
+                    columns[name] = (positions, *encoded)
+            self._overlay = (
+                where, self._cell_array[where],
+                np.fromiter(values, dtype=object, count=len(values)), columns,
+            )
+        return self._overlay
+
+    def _overlay_view(self, kept: np.ndarray) -> PerturbationView:
+        """The deterministic-policy with-instance: the precomputed overlay
+        minus the kept cells, its delta and per-column encoding selected by
+        one mask (see :meth:`_replacement_overlay`)."""
+        where, cells, values, columns = self._replacement_overlay()
+        replaced = ~kept[where]
+        selected = np.flatnonzero(replaced)
+        view = self.table.perturbed(
+            dict(zip(cells[selected].tolist(), values[selected].tolist())),
+            trusted=True, prenormalized=True)
+        # the view (and, via cache inheritance, its sub-delta sibling and the
+        # repairers' working snapshots) never re-encodes its delta
+        store = view._store
+        for name, (positions, rows, codes) in columns.items():
+            keep = replaced[positions]
+            if keep.all():
+                store.adopt_encoded_delta(name, rows, codes)
+            else:
+                store.adopt_encoded_delta(name, rows[keep], codes[keep])
+        return view
 
     # -- permutation / coalition sampling -----------------------------------------------
 
@@ -304,10 +314,11 @@ class CellCoalitionSampler:
         return self._rng.permutation(len(self.cells))
 
     def coalition_before(self, target_cell: CellRef, permutation: np.ndarray) -> set[CellRef]:
-        """The coalition: every cell preceding ``target_cell`` in the permutation."""
-        if target_cell not in self._cell_index:
-            raise TRexError(f"cell {target_cell} is not part of the table")
-        target_index = self._cell_index[target_cell]
+        """The coalition: every cell preceding ``target_cell`` in the permutation.
+
+        The per-cell reference of :meth:`sample_pair`'s rank comparison.
+        """
+        target_index = self._index_of(target_cell)
         coalition: set[CellRef] = set()
         for index in permutation:
             if int(index) == target_index:
@@ -330,47 +341,8 @@ class CellCoalitionSampler:
         the dirty table and the second is the same view plus a one-cell
         sub-delta — no columns are ever copied.
         """
-        coalition = set(coalition)
-        if not self.materialize and not isinstance(self.table, PerturbationView):
-            overlay = self._replacement_overlay()
-            if overlay is not None:
-                # deterministic policies: copy the precomputed normalised
-                # overlay and drop the coalition instead of re-deriving every
-                # replacement per sample
-                delta = dict(overlay)
-                arrays = self._overlay_encoding()
-                positions = self._overlay_pos
-                drops: dict[str, list[int]] = {}
-                delta.pop(target_cell, None)
-                position = positions.get(target_cell)
-                if position is not None:
-                    drops.setdefault(target_cell.attribute, []).append(position)
-                for cell in coalition:
-                    delta.pop(cell, None)
-                    position = positions.get(cell)
-                    if position is not None:
-                        drops.setdefault(cell.attribute, []).append(position)
-                with_original = self.table.perturbed(delta, trusted=True,
-                                                     prenormalized=True)
-                # the delta is born in code space: one masked slice of the
-                # precomputed per-column arrays per overridden column — the
-                # view (and, via cache inheritance, its sub-delta sibling and
-                # the repairers' working snapshots) never re-encodes it
-                store = with_original._store
-                for name, (rows, codes) in arrays.items():
-                    dropped = drops.get(name)
-                    if not dropped:
-                        store.adopt_encoded_delta(name, rows, codes)
-                    else:
-                        keep = np.ones(len(rows), dtype=bool)
-                        keep[dropped] = False
-                        store.adopt_encoded_delta(name, rows[keep], codes[keep])
-                without_original = with_original.perturbed(
-                    {target_cell: self.replacement_value(target_cell)}, trusted=True
-                )
-                return with_original, without_original
-
         if self.materialize:
+            coalition = set(coalition)
             replacements = {cell: self.replacement_value(cell) for cell in self.cells
                             if cell != target_cell and cell not in coalition}
             with_original = self.table.with_values(replacements)
@@ -378,29 +350,54 @@ class CellCoalitionSampler:
             replacements_without[target_cell] = self.replacement_value(target_cell)
             without_original = self.table.with_values(replacements_without)
             return with_original, without_original
+        kept = np.zeros(len(self.cells), dtype=bool)
+        kept[self._index_of(target_cell)] = True
+        index = self._cell_index
+        kept[[index[cell] for cell in coalition if cell in index]] = True
+        return self._instances(target_cell, kept)
 
+    def _instances(self, target_cell: CellRef, kept: np.ndarray) -> tuple[Table, Table]:
+        """:meth:`build_instances` on the view path, for the cells ``kept``
+        (a mask over :attr:`cells`: the coalition plus the target)."""
         if self.policy is ReplacementPolicy.SAMPLE:
-            with_original = self._drawn_view(target_cell, coalition)
+            with_original = self._drawn_view(kept)
+        elif not isinstance(self.table, PerturbationView):
+            with_original = self._overlay_view(kept)
         else:
+            cells = self.cells
             with_original = self.table.perturbed(
-                {cell: self.replacement_value(cell) for cell in self.cells
-                 if cell != target_cell and cell not in coalition}, trusted=True)
+                {cells[index]: self.replacement_value(cells[index])
+                 for index in np.flatnonzero(~kept).tolist()}, trusted=True)
         without_original = with_original.perturbed(
             {target_cell: self.replacement_value(target_cell)}, trusted=True
         )
         return with_original, without_original
 
     def sample_pair(self, target_cell: CellRef) -> tuple[Table, Table]:
-        """Draw one permutation and return the corresponding instance pair."""
+        """Draw one permutation and return the corresponding instance pair.
+
+        On the view path the coalition is ``rank < rank[target]``, where
+        ``rank`` inverts the drawn permutation: the cells preceding the
+        target, the very set :meth:`coalition_before` walks to.  The mask of
+        kept cells adds the target itself (``<=``).
+        """
         permutation = self.sample_permutation()
-        coalition = self.coalition_before(target_cell, permutation)
-        if self.touched_sink is not None:
+        if self.materialize:
+            coalition = self.coalition_before(target_cell, permutation)
+            if self.touched is not None:
+                self.touched |= self.cell_mask(coalition | {target_cell})
+            return self.build_instances(target_cell, coalition)
+        target = self._index_of(target_cell)
+        rank = np.empty(len(permutation), dtype=np.intp)
+        rank[permutation] = self._order
+        kept = rank <= rank[target]
+        if self.touched is not None:
             # the with-instance shows the base's own value at every coalition
             # cell and at the kept target — exactly the cells whose base
             # content this sample's answer depends on
-            self.touched_sink.update(coalition)
-            self.touched_sink.add(target_cell)
-        return self.build_instances(target_cell, coalition)
+            self.touched |= int.from_bytes(
+                np.packbits(kept, bitorder="little").tobytes(), "little")
+        return self._instances(target_cell, kept)
 
     # -- base-update maintenance ---------------------------------------------------
 
@@ -409,14 +406,11 @@ class CellCoalitionSampler:
 
         The deterministic replacement overlay is normalised against base
         values (``MODE`` additionally reads column modes), so a base write
-        can both stale its entries and change which cells it covers; the
-        encoded arrays and positions are derived from it.  All three are
-        rebuilt lazily on the next sample.  Dictionary codes themselves are
-        append-only and stay valid.
+        can both stale its entries and change which cells it covers; its
+        arrays and per-column encoding are rebuilt lazily on the next
+        sample.  Dictionary codes themselves are append-only and stay valid.
         """
         self._overlay = None
-        self._overlay_arrays = None
-        self._overlay_pos = {}
 
     # -- exhaustive enumeration (tiny tables only) ------------------------------------------------
 

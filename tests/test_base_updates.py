@@ -28,16 +28,22 @@ from repro import (
     BinaryRepairOracle,
     CellRef,
     CellShapleyExplainer,
+    ErrorInjector,
+    ErrorSpec,
+    HospitalGenerator,
     NotRepairedError,
     RepairSession,
     SimpleRuleRepair,
     Table,
+    TRExExplainer,
     TRexConfig,
     la_liga_constraints,
     la_liga_dirty_table,
     paper_algorithm_1,
+    parse_dcs,
 )
 from repro.config import make_rng
+from repro.engine.storage import Fingerprint
 from repro.shapley.convergence import RunningMean
 
 CELL = CellRef(4, "Country")
@@ -366,14 +372,152 @@ def test_undo_refresh_runs_no_repairs(engine, policy):
         live.update(cell, value)
         live.explain(n_samples=N_SAMPLES)
         live.update(cell, original)
-        oracle = live._live.oracle
+        oracle, constraint_oracle = live._live.oracle, live._live.constraint_oracle
         assert oracle.statistics()["cache_entries_invalidated"] == 0
         assert live._live.pending, "the undo left nothing to refresh"
         runs = oracle.statistics()["repair_runs"]
+        constraint_runs = constraint_oracle.repair_runs
         last = live.explain(n_samples=N_SAMPLES)
         assert oracle.statistics()["repair_runs"] == runs
+        assert constraint_oracle.repair_runs == constraint_runs
+        # an explain with no update in between repairs nothing in either game
+        again = live.explain(n_samples=N_SAMPLES)
+        assert oracle.repair_runs == runs
+        assert constraint_oracle.repair_runs == constraint_runs
+        assert again.oracle_statistics["constraints"]["repair_runs"] == constraint_runs
     assert last.cell_shapley.values == first.cell_shapley.values
     assert last.cell_shapley.standard_errors == first.cell_shapley.standard_errors
+    assert last.constraint_shapley.values == first.constraint_shapley.values
+    assert _explain_key(again) == _explain_key(last)
+
+
+@pytest.mark.parallel
+@pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+def test_undo_refresh_on_two_workers_runs_no_repairs(engine):
+    """A partial undo refresh on the warm pool sends each shard back to the
+    worker that ran it at set-up, whose resident cache holds its answers."""
+    cell, value = CellRef(0, "City"), "Seville"
+    config = TRexConfig(seed=SEED, cell_samples=1, replacement_policy="mode", n_jobs=2)
+    live = _session(la_liga_dirty_table(), config, engine)
+    with live:
+        first = live.explain()
+        original = live.state.dirty_table[cell]
+        live.update(cell, value)
+        live.explain()
+        live.update(cell, original)
+        pending = set(live._live.pending)
+        assert pending and pending < set(live._live.cells)
+        oracle = live._live.oracle
+        runs = oracle.repair_runs
+        last = live.explain()
+        assert oracle.repair_runs == runs
+        assert oracle.worker_rebuilds == 2
+    assert _explain_key(last) == _explain_key(first)
+
+
+# -- equal base fingerprints are one object ------------------------------------------
+
+def test_an_undone_write_returns_the_earlier_fingerprint_object():
+    table = la_liga_dirty_table()
+    before = table.fingerprint()
+    table.set_value(0, "City", "Seville")
+    written = table.fingerprint()
+    table.set_value(0, "City", "Barcelona")
+    assert table.fingerprint() is before
+    table.set_value(0, "City", "Seville")
+    assert table.fingerprint() is written
+    # a write undone with no lookup in between
+    table.set_value(0, "City", "Madrid")
+    table.set_value(0, "City", "Seville")
+    assert table.fingerprint() is written
+    table.set_value(1, "City", "Seville")
+    assert table.fingerprint() not in (before, written)
+
+
+@pytest.mark.parallel
+def test_merged_worker_keys_share_the_parent_base_fingerprint():
+    """Keys replayed from worker cache diffs name the parent's base
+    fingerprint object, also for entries of a state an undo returned to."""
+    cell = CellRef(0, "City")
+    config = TRexConfig(seed=SEED, cell_samples=2, replacement_policy="mode", n_jobs=2)
+    live = _session(la_liga_dirty_table(), config)
+    with live:
+        live.explain()
+        original = live.state.dirty_table[cell]
+        live.update(cell, "Seville")
+        live.explain()
+        live.update(cell, original)
+        live.explain()
+        base = live.state.dirty_table.fingerprint()
+        named = 0
+        for key, _ in live._live.oracle.cache.entries():
+            for part in key:
+                if isinstance(part, Fingerprint):
+                    inner = part.data[1] if part.data[:1] == ("overlay",) else part
+                    if inner == base:
+                        assert inner is base
+                        named += 1
+    assert named > 0
+
+
+# -- the kept constraint game -------------------------------------------------------
+
+def _laliga(engine):
+    return (paper_algorithm_1(engine=engine), la_liga_constraints(),
+            la_liga_dirty_table(), CELL)
+
+
+def _hospital(engine):
+    """A generated 10-row hospital table with injected errors."""
+    dataset = HospitalGenerator(seed=3).generate(10)
+    dirty, _ = ErrorInjector(ErrorSpec(rate=0.1), seed=5).inject(dataset.table)
+    constraints = parse_dcs(list(dataset.constraint_texts))
+    algorithm = SimpleRuleRepair(engine=engine)
+    return algorithm, constraints, dirty, algorithm.repair(constraints, dirty).delta.cells()[0]
+
+
+FAMILIES = {"laliga": _laliga, "hospital": _hospital}
+
+
+def _constraint_values(explain):
+    try:
+        return explain().constraint_shapley.values
+    except NotRepairedError:
+        return None
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data(), engine=st.sampled_from(ENGINES),
+       n_jobs=st.sampled_from([None, 2]))
+def test_live_constraint_game_equals_a_fresh_one(family, data, engine, n_jobs):
+    """Write/undo sequences: after every update the live session's constraint
+    values equal a fresh explainer's on a copy of the current table."""
+    algorithm, constraints, table, cell = FAMILIES[family](engine)
+    config = TRexConfig(seed=SEED, cell_samples=1, replacement_policy="mode",
+                        n_jobs=n_jobs)
+    pools = {attribute: sorted({repr(value): value for value in table.column(attribute)}
+                               .values(), key=repr) + ["novel"]
+             for attribute in table.attributes}
+    undo: list = []
+    session = RepairSession(algorithm, constraints, table, cell_of_interest=cell,
+                            config=config)
+    with session:
+        session.explain()
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4), label="updates")):
+            if undo and data.draw(st.booleans(), label="undo"):
+                target, value = undo.pop()
+            else:
+                target = CellRef(
+                    data.draw(st.integers(min_value=0, max_value=table.n_rows - 1)),
+                    data.draw(st.sampled_from(table.attributes)))
+                value = data.draw(st.sampled_from(pools[target.attribute]))
+                undo.append((target, session.state.dirty_table[target]))
+            session.update(target, value)
+            fresh = TRExExplainer(FAMILIES[family](engine)[0], constraints,
+                                  session.state.dirty_table.copy(), config)
+            assert _constraint_values(session.explain) == _constraint_values(
+                lambda: fresh.explain_constraints(cell))
 
 
 NAN = float("nan")
