@@ -1,9 +1,12 @@
-"""Sharded multi-process execution for the Shapley hot path.
+"""Sharded multi-process execution of Example 2.5's cell game.
 
-The evaluation engine of PR 1–3 (views → indexes → shared stats → repair
-walks → paired/batched oracle) is single-core by construction: one oracle,
-one cache, one statistics instance.  This package adds the scaling axis on
-top of it without touching any of those layers' semantics:
+The evaluation engine (views → indexes → repair walks → batched oracle) is
+single-core by construction: one oracle, one cache.  This package runs the
+sampled cell game on worker processes without touching any of those
+layers' semantics.  It has one process lifecycle — the scheduler's warm
+:class:`WorkerPool` — and one cache merge, the replay of each worker's
+cache diff into the parent cache; the constraint game (exact enumeration
+or sequential permutation sampling) never leaves the parent process.
 
 * :mod:`~repro.parallel.seeding` — per-shard seed streams spawned from one
   job seed, the invariant that makes worker count irrelevant to the draws;
@@ -27,9 +30,10 @@ Failure semantics
 -----------------
 
 Every failure path preserves the core invariant — Shapley values are
-bit-identical to the sequential engine — because shard draws are seeded by
-``(job_seed, cell_position, chunk_index)`` coordinates only; faults can only
-change *where* a shard is evaluated, never *what* it computes.  The pool
+bit-identical to the in-process ``n_jobs=1`` plan — because shard draws are
+seeded by ``(job_seed, cell_position, chunk_index)`` coordinates only;
+faults can only change *where* a shard is evaluated, never *what* it
+computes.  The pool
 does not recover: it **fails over**.  On any failure below the scheduler
 keeps the round's good reports, runs the failed assignments in-process,
 closes the pool and runs the rest of the current ``run()`` /
@@ -87,7 +91,6 @@ from repro.parallel.pool import (
     TaskOutcome,
     WorkerPool,
     process_context,
-    run_worker_tasks,
 )
 from repro.parallel.scheduler import (
     DEFAULT_SAMPLES_PER_SHARD,
@@ -121,7 +124,6 @@ __all__ = [
     "partition_samples",
     "process_context",
     "run_resident_worker",
-    "run_worker_tasks",
     "shard_rng",
     "shard_seed_sequence",
 ]

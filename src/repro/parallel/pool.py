@@ -1,18 +1,13 @@
-"""Worker-pool plumbing for the sharded scheduler.
+"""The warm worker pool of the sharded scheduler.
 
-Two lifecycles share one mechanism:
-
-* :class:`WorkerPool` — the **warm pool**: worker processes spawned once and
-  kept alive across rounds, each holding whatever resident state its task
-  handler accumulates (the explain workers keep a whole oracle stack keyed by
-  job-spec fingerprint).  One dedicated pipe per worker makes the task→worker
-  assignment exact — worker ``i`` runs task ``i``, never "whichever process
-  grabs the queue first" — which is what keeps per-worker resident caches,
-  rebuild counters and diff high-water marks meaningful.
-* :func:`run_worker_tasks` — the **transient pool** of the sharded
-  permutation estimator: build a pool, run one round, tear it down.  It is
-  a thin wrapper over :class:`WorkerPool`, so it inherits the same health
-  checks.
+:class:`WorkerPool` is the only way the library starts a process.  Its
+workers are spawned once and kept alive across rounds, each holding the
+resident state its task handlers accumulate (the explain workers keep a
+whole oracle stack keyed by job-spec fingerprint).  One dedicated pipe per
+worker makes the task→worker assignment exact — worker ``i`` runs task
+``i``, never "whichever process grabs the queue first" — which is what keeps
+per-worker resident caches, rebuild counters and diff high-water marks
+meaningful.
 
 Health: the pool detects a worker that dies mid-task (EOF on its pipe), one
 that exceeds the pool timeout, and one that *answers* with an error (a task
@@ -45,8 +40,9 @@ deadline expiry        no reply by the job deadline → the worker is killed,
 The ``fork`` start method is preferred where available (POSIX): workers
 inherit the parent's interpreter state, so only task payloads cross a pickle
 boundary.  In sandboxes where child processes cannot be created at all (no
-/dev/shm, seccomp filters), execution degrades to in-process with a one-time
-warning; results are unaffected because shard draws are seeded, not shared.
+/dev/shm, seccomp filters), constructing the pool raises ``OSError`` and the
+scheduler runs in-process with a warning; results are unaffected because
+shard draws are seeded, not shared.
 """
 
 from __future__ import annotations
@@ -58,8 +54,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.observability.events import EventLog
-
-_POOL_FAILURE_WARNED = False
 
 
 def process_context():
@@ -73,8 +67,8 @@ def process_context():
 def _pool_worker_main(connection) -> None:
     """The loop every pool worker runs: recv task, execute, send report.
 
-    ``resident`` is the worker-lifetime state dict handed to resident-capable
-    handlers (see :class:`PoolTask`); it is what makes the pool *warm* —
+    ``resident`` is the worker-lifetime state dict handed to every task
+    handler (see :class:`PoolTask`); it is what makes the pool *warm* —
     state built for one task survives into every later task of this process.
     A report that fails to pickle is answered with an ``("error", …)`` tuple
     instead (``Connection.send`` pickles before writing, so a failed send
@@ -88,10 +82,8 @@ def _pool_worker_main(connection) -> None:
             break
         if message is None:
             break
-        fn, args, wants_resident, fault = message
-        kwargs: dict = {}
-        if wants_resident:
-            kwargs["resident"] = resident
+        fn, args, fault = message
+        kwargs: dict = {"resident": resident}
         if fault is not None:
             kwargs["fault"] = fault
         try:
@@ -109,18 +101,16 @@ def _pool_worker_main(connection) -> None:
 
 @dataclass
 class PoolTask:
-    """One unit of pool work: ``fn(*args)`` on a dedicated worker.
+    """One unit of pool work: ``fn(*args, resident=...)`` on a dedicated worker.
 
-    ``resident=True`` additionally passes the worker's process-lifetime state
-    dict as a ``resident`` keyword — the warm-path handlers use it to keep
-    their oracle stack between rounds.  ``fault`` is the test harness's
-    injection point (see :class:`~repro.parallel.job.WorkerFault`); it is
-    delivered as a ``fault`` keyword.
+    ``resident`` is the worker's process-lifetime state dict — the handlers
+    use it to keep their oracle stack between rounds.  ``fault`` is the test
+    harness's injection point (see :class:`~repro.parallel.job.WorkerFault`);
+    it is delivered as a ``fault`` keyword.
     """
 
     fn: Callable
     args: tuple
-    resident: bool = False
     fault: Any = None
 
 
@@ -310,7 +300,7 @@ class WorkerPool:
     def _dispatch(self, index: int, task: PoolTask) -> bool:
         try:
             self._workers[index].connection.send(
-                (task.fn, task.args, task.resident, task.fault)
+                (task.fn, task.args, task.fault)
             )
             return True
         except (OSError, ValueError):
@@ -347,42 +337,3 @@ class WorkerPool:
             # mid-computation, which would desynchronise its pipe)
             self._workers[index].kill()
 
-
-def _run_stateless(fn: Callable, args: tuple) -> Any:
-    """Adapter so plain ``fn(*args)`` tasks run under the pool protocol."""
-    return fn(*args)
-
-
-def run_worker_tasks(fn: Callable, tasks: Sequence[tuple], n_jobs: int) -> list:
-    """Run one ``fn(*task)`` call per task, in processes when ``n_jobs > 1``.
-
-    The transient-pool entry point (the sharded permutation estimator): a
-    :class:`WorkerPool` is built, runs exactly one round and is torn down.
-    Results come back in task order (never completion order), so callers can
-    merge deterministically.  With one task or one job the calls run inline
-    — the task arguments are identical either way, which is what keeps the
-    in-process and multi-process paths bit-identical.  A task whose worker
-    fails (see :meth:`WorkerPool.run_tasks`) is finished inline.
-    """
-    tasks = list(tasks)
-    if n_jobs <= 1 or len(tasks) <= 1:
-        return [fn(*task) for task in tasks]
-    try:
-        pool = WorkerPool(min(n_jobs, len(tasks)))
-    except OSError as error:  # pragma: no cover - sandbox-dependent
-        global _POOL_FAILURE_WARNED
-        if not _POOL_FAILURE_WARNED:
-            _POOL_FAILURE_WARNED = True
-            warnings.warn(
-                f"cannot run a process pool ({error}); running shards "
-                "in-process — results are identical, only slower",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return [fn(*task) for task in tasks]
-    with pool:
-        outcomes = pool.run_tasks(
-            [PoolTask(_run_stateless, (fn, tuple(task))) for task in tasks]
-        )
-    return [outcome.result if outcome.status == "ok" else fn(*task)
-            for task, outcome in zip(tasks, outcomes)]

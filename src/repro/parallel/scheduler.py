@@ -61,7 +61,7 @@ from repro.parallel.pool import PoolTask, TaskOutcome, WorkerPool
 from repro.parallel.seeding import partition_samples
 from repro.parallel.worker import run_base_update_worker, run_resident_worker
 from repro.repair.cache import OracleCache, aggregate_oracle_statistics
-from repro.shapley.cells import BATCH_CHUNK_SIZE
+from repro.shapley.cells import BATCH_CHUNK_SIZE, check_time_budgets
 from repro.shapley.convergence import ConvergenceTracker, RunningMean
 from repro.shapley.sampling import SampledShapleyEstimate
 
@@ -158,21 +158,25 @@ class ShardedExplainScheduler:
         Chunk granularity of the plan; part of the seed partition (changing
         it changes the draws), so hold it fixed when comparing runs.
     worker_timeout:
-        Seconds the warm pool waits for a worker's round report before
-        declaring it hung and failing its shards over in-process (default:
-        wait indefinitely; worker *death* is always detected immediately).
+        Seconds (finite, ``> 0``) the warm pool waits for a worker's round
+        report before declaring it hung and failing its shards over
+        in-process (default: wait indefinitely; worker *death* is always
+        detected immediately).
     fault_injector:
         Test-harness hook: ``fn(worker_index, round_index)`` returning a
         :class:`~repro.parallel.job.WorkerFault` (or ``None``) attached to
         that worker's dispatch (a :class:`~repro.parallel.chaos.FaultPlan`
         is one).  Production runs never set it.
     deadline_seconds:
-        Wall-clock budget per :meth:`run` / :meth:`run_adaptive` call.  On
-        expiry the scheduler stops at a round boundary (in-flight tasks past
-        the deadline are dropped and the pool is closed), merges what
-        every cell has so far and returns it with ``completed=False`` and a
-        ``deadline_expired`` counter — it never hangs and never raises
-        mid-merge.  ``None`` (default) runs to completion.
+        Wall-clock budget (finite, ``>= 0``) per :meth:`run` /
+        :meth:`run_adaptive` call.  On expiry the scheduler stops at a round
+        boundary (in-flight tasks past the deadline are dropped and the pool
+        is closed), merges what every cell has so far and returns it with
+        ``completed=False`` and a ``deadline_expired`` counter — it never
+        hangs and never raises mid-merge.  ``None`` (default) runs to
+        completion.
+
+    Both budgets are validated here (:class:`~repro.errors.ExplanationError`).
 
     The scheduler is a context manager; :meth:`close` shuts the warm pool
     down (idle workers cost memory, not correctness — they are daemonic and
@@ -192,10 +196,7 @@ class ShardedExplainScheduler:
             raise ValueError(
                 f"samples_per_shard must be a positive integer, got {samples_per_shard}"
             )
-        if deadline_seconds is not None and float(deadline_seconds) < 0:
-            raise ValueError(
-                f"deadline_seconds must be non-negative, got {deadline_seconds}"
-            )
+        check_time_budgets(deadline_seconds, worker_timeout)
         self.spec = spec
         self.n_jobs = int(n_jobs)
         self.samples_per_shard = (
@@ -383,8 +384,7 @@ class ShardedExplainScheduler:
         if pool is not None and old_key is not None and resident_before:
             new_key = self._spec_fingerprint()  # re-pickles; clears residency
             tasks = [PoolTask(run_base_update_worker,
-                              (old_key, new_key, delta, worker),
-                              resident=True)
+                              (old_key, new_key, delta, worker))
                      for worker in range(pool.n_workers)]
             for worker, outcome in enumerate(pool.run_tasks(tasks)):
                 if outcome.status == "ok" and isinstance(outcome.result, dict):
@@ -457,8 +457,8 @@ class ShardedExplainScheduler:
         whose resident cache holds its answers.  A worker dealt no shard
         gets no task; reports come back in worker order.  An unpicklable job
         spec (e.g. a custom repair algorithm holding a closure) degrades to
-        in-process execution with a warning, mirroring the permutation
-        estimator — the plan and therefore the values are unchanged.
+        in-process execution with a warning — the plan and therefore the
+        values are unchanged.
         Past-``deadline`` tasks are dropped (``shards_dropped`` in the round
         log); the caller reads that as the signal to stop at this round
         boundary.
@@ -523,7 +523,6 @@ class ShardedExplainScheduler:
             PoolTask(run_resident_worker,
                      (None if worker in self._resident else payload, key,
                       assignment, worker),
-                     resident=True,
                      fault=(self.fault_injector(worker, round_index)
                             if self.fault_injector is not None else None))
             if assignment else None
@@ -563,15 +562,37 @@ class ShardedExplainScheduler:
 
     # -- tracing ----------------------------------------------------------------------
 
-    def _job_span(self, tracer, kind: str, n_cells: int):
-        """Open the run-level ``explain_job`` span (deterministic id)."""
+    def _traced(self, kind: str, cells: Sequence[CellRef],
+                positions: "Sequence[int] | None",
+                execute: "Callable[[], ParallelExplainResult]"
+                ) -> ParallelExplainResult:
+        """Run ``execute()`` under the run-level ``explain_job`` span.
+
+        Without a live tracer this is just ``execute()``.  With one, the
+        span gets a deterministic id, the cell spans are stitched from the
+        run's shard spans, and the health events this run emitted are copied
+        onto the tracer.
+        """
+        tracer = otrace.current()
+        if tracer is None:
+            return execute()
+        mark = len(tracer.spans)
+        events_mark = len(self.events)
         self._job_index += 1
-        return tracer.start(
+        job_span = tracer.start(
             "explain_job",
             span_id=coordinate_span_id(self.spec.job_seed, "job", kind,
                                        self._job_index),
-            kind=kind, cells=n_cells, n_jobs=self.n_jobs,
+            kind=kind, cells=len(cells), n_jobs=self.n_jobs,
         )
+        try:
+            result = execute()
+            self._stitch_cell_spans(tracer, cells, job_span.span_id, mark,
+                                    positions)
+            return result
+        finally:
+            tracer.finish(job_span)
+            tracer.events.extend(self.events.records[events_mark:])
 
     def _stitch_cell_spans(self, tracer, cells: Sequence[CellRef],
                            job_span_id: int, mark: int,
@@ -622,20 +643,8 @@ class ShardedExplainScheduler:
         plan order — it only refines the granularity of the round log.
         """
         cells = list(cells)
-        tracer = otrace.current()
-        if tracer is None:
-            return self._run_fixed(cells, n_samples, absorb_into, positions)
-        mark = len(tracer.spans)
-        events_mark = len(self.events)
-        job_span = self._job_span(tracer, "fixed", len(cells))
-        try:
-            result = self._run_fixed(cells, n_samples, absorb_into, positions)
-            self._stitch_cell_spans(tracer, cells, job_span.span_id, mark,
-                                    positions)
-            return result
-        finally:
-            tracer.finish(job_span)
-            tracer.events.extend(self.events.records[events_mark:])
+        return self._traced("fixed", cells, positions, lambda: self._run_fixed(
+            cells, n_samples, absorb_into, positions))
 
     def _run_fixed(self, cells: "list[CellRef]", n_samples: int,
                    absorb_into,
@@ -703,21 +712,8 @@ class ShardedExplainScheduler:
         cell got.
         """
         cells = list(cells)
-        tracer = otrace.current()
-        if tracer is None:
-            return self._run_adaptive(cells, tolerance, min_samples,
-                                      max_samples, z, absorb_into)
-        mark = len(tracer.spans)
-        events_mark = len(self.events)
-        job_span = self._job_span(tracer, "adaptive", len(cells))
-        try:
-            result = self._run_adaptive(cells, tolerance, min_samples,
-                                        max_samples, z, absorb_into)
-            self._stitch_cell_spans(tracer, cells, job_span.span_id, mark)
-            return result
-        finally:
-            tracer.finish(job_span)
-            tracer.events.extend(self.events.records[events_mark:])
+        return self._traced("adaptive", cells, None, lambda: self._run_adaptive(
+            cells, tolerance, min_samples, max_samples, z, absorb_into))
 
     def _run_adaptive(self, cells: "list[CellRef]", tolerance: float,
                       min_samples: int, max_samples: int, z: float,

@@ -1,4 +1,4 @@
-"""Deterministic seed partitioning for sharded Shapley estimation.
+"""Deterministic seed partitioning for the sharded cell-Shapley scheduler.
 
 The whole parallel subsystem rests on one invariant: **the random draws of a
 shard depend only on the job seed and the shard's coordinates, never on the
@@ -28,12 +28,9 @@ _SEED_MASK = (1 << 63) - 1
 def resolve_job_seed(rng) -> int:
     """The integer seed a sharded plan is partitioned from.
 
-    One rule for every ``n_jobs`` entry point (the cell explainer and the
-    permutation estimator both resolve their ``rng`` argument here, so the
-    bit-identity invariant cannot drift between them): ``None`` means the
-    library default, an integer is used as-is, and a live generator — which
-    has no recoverable integer — contributes one draw, deterministic in its
-    state.
+    ``None`` means the library default, an integer is used as-is, and a live
+    generator — which has no recoverable integer — contributes one draw,
+    deterministic in its state.
     """
     if rng is None:
         return DEFAULT_SEED
@@ -45,9 +42,9 @@ def resolve_job_seed(rng) -> int:
 def shard_seed_sequence(job_seed: int, *key: int) -> np.random.SeedSequence:
     """The seed sequence of one shard, keyed by the job seed plus coordinates.
 
-    ``key`` is the shard's coordinate tuple — ``(cell_position, chunk_index)``
-    for the cell-Shapley scheduler, a bare chunk index for the permutation
-    estimator.  Distinct coordinates yield statistically independent streams.
+    ``key`` is the shard's coordinate tuple, ``(cell_position, chunk_index)``
+    on the cell-Shapley scheduler.  Distinct coordinates yield statistically
+    independent streams.
     """
     return np.random.SeedSequence([int(job_seed) & _SEED_MASK,
                                    *(int(part) for part in key)])

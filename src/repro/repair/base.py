@@ -657,8 +657,8 @@ class BinaryRepairOracle:
     def cache(self) -> OracleCache | None:
         """The memoisation cache (``None`` when built with ``use_cache=False``).
 
-        Exposed so the sharded scheduler can export a worker oracle's cache
-        contents and :meth:`OracleCache.merge` them into the parent's.
+        Exposed so the sharded scheduler can replay each worker's cache
+        diff into the parent's with :meth:`OracleCache.put`.
         """
         return self._cache
 
@@ -671,8 +671,7 @@ class BinaryRepairOracle:
         (into this oracle's cache object): the snapshot is the authoritative
         per-report delta, whereas a worker's live cache object may span
         several reports — which is why the scheduler pairs this call with
-        an entries-only replay of each report's cache diff, never the
-        counter-carrying :meth:`OracleCache.merge`.
+        an entries-only replay of each report's cache diff.
         """
         # the registry folds every declared absorbable metric by its kind
         # (sums add, high-water marks take the max); the two topology marks

@@ -88,10 +88,10 @@ class OracleCache:
     def entries(self) -> list[tuple[Hashable, int]]:
         """All cached entries in LRU order (least recently used first).
 
-        The order is what makes caches *mergeable*: replaying another cache's
-        entries oldest-first into :meth:`put` reproduces its recency ranking
-        inside the receiving cache, so a later eviction pass drops the same
-        entries a single shared cache would have dropped.
+        Replaying these entries oldest-first into another cache's
+        :meth:`put` reproduces this recency ranking there, so a later
+        eviction pass drops the same entries a single shared cache would
+        have dropped (the scheduler replays worker diffs the same way).
         """
         return list(self._entries.items())
 
@@ -129,39 +129,6 @@ class OracleCache:
             newer.append((key, self._entries[key]))
         newer.reverse()
         return newer
-
-    def merge_entries(self, other: "OracleCache") -> "OracleCache":
-        """Absorb another cache's *entries* (not its counters) into this one.
-
-        Entries are replayed in ``other``'s LRU order, so they land *newer*
-        than everything currently cached here while keeping their relative
-        recency; a key present in both caches is refreshed (the oracle is
-        deterministic, so both sides hold the same answer).  The bound of
-        *this* cache governs: merging a larger cache into a smaller one
-        evicts oldest-first exactly as if the entries had been inserted live
-        (those evictions do count here).  The sharded scheduler uses this
-        half of the merge — worker cache *counters* travel separately inside
-        ``oracle.statistics()`` snapshots, which stay correct even when one
-        long-lived worker cache reports several rounds of deltas.
-        ``other`` is not modified.
-        """
-        for key, value in other.entries():
-            self.put(key, value)
-        return self
-
-    def merge(self, other: "OracleCache") -> "OracleCache":
-        """Absorb another cache's entries *and* counters into this one.
-
-        Entry semantics are those of :meth:`merge_entries`; on top,
-        ``other``'s hit/miss/eviction counters are added to this cache's, so
-        the merged statistics describe the union of both workloads.
-        ``other`` is not modified.
-        """
-        self.merge_entries(other)
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-        return self
 
     def rebase(self, changes, old_base, new_base) -> int:
         """Retired: a base update keeps every entry (see the class docstring).

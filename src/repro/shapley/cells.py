@@ -203,8 +203,7 @@ class CellShapleyExplainer:
         so one is drawn from that generator — once, deterministically given
         the generator's state — and reused for every subsequent parallel run.
         The derivation rule itself lives in
-        :func:`repro.parallel.seeding.resolve_job_seed`, shared with the
-        permutation estimator.
+        :func:`repro.parallel.seeding.resolve_job_seed`.
         """
         if self._job_seed is None:
             from repro.parallel.seeding import resolve_job_seed

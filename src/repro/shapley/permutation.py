@@ -24,15 +24,24 @@ Example 2.5 (which also perturbs out-of-coalition values) lives in
 
 from __future__ import annotations
 
-import pickle
-import warnings
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.config import make_rng
+from repro.errors import ExplanationError
 from repro.shapley.convergence import RunningMean
 from repro.shapley.game import CooperativeGame, Player, ShapleyResult, validate_players
+
+
+def _check_sample_budget(count, what: str) -> None:
+    """Reject a sample budget that is not a positive integer (zero samples
+    would estimate nothing, a fraction would fail inside the walk)."""
+    if not isinstance(count, Integral) or count < 1:
+        raise ExplanationError(
+            f"the number of {what} must be an integer of at least 1, got {count!r}"
+        )
 
 
 def _walk_permutations(
@@ -44,9 +53,7 @@ def _walk_permutations(
 ) -> tuple[dict[Player, RunningMean], int, int]:
     """Walk ``n_permutations`` permutations drawn from ``rng``.
 
-    The single evaluation core shared by the sequential estimator (one call,
-    one stream) and the sharded one (one call per seeded chunk); returns the
-    per-player accumulators plus the walk/evaluation counts.
+    Returns the per-player accumulators plus the walk/evaluation counts.
     """
     n = len(all_players)
     trackers: dict[Player, RunningMean] = {player: RunningMean() for player in all_players}
@@ -76,105 +83,12 @@ def _walk_permutations(
     return trackers, n_walks, evaluations
 
 
-def _permutation_worker(game, chunks: Sequence[tuple[int, int]], job_seed: int,
-                        antithetic: bool):
-    """One worker task: walk the given ``(chunk_index, size)`` chunks.
-
-    ``game`` arrives as pickled bytes on the multi-process path and as the
-    live object in-process; each chunk draws from its own stream keyed by
-    ``(job_seed, chunk_index)``, so results are assignment-invariant.
-    """
-    from repro.parallel.seeding import shard_rng
-
-    if isinstance(game, (bytes, bytearray)):
-        game = pickle.loads(bytes(game))
-    all_players = game.players
-    return [
-        (chunk_index,
-         _walk_permutations(game, all_players, size,
-                            shard_rng(job_seed, chunk_index), antithetic))
-        for chunk_index, size in chunks
-    ]
-
-
-def _sharded_permutation_shapley(
-    game: CooperativeGame,
-    n_permutations: int,
-    requested: set[Player],
-    rng,
-    antithetic: bool,
-    n_jobs: int,
-    permutations_per_shard: int,
-) -> ShapleyResult:
-    """The ``n_jobs`` estimator: seeded permutation chunks, merged trackers.
-
-    Bit-identical for every ``n_jobs >= 1``: chunk draws depend only on the
-    job seed and the chunk index, and the per-player accumulators are merged
-    in chunk order.  Games that cannot be pickled (closures, bound lambdas)
-    degrade to in-process execution with a warning — same plan, same bits.
-    Worker health is the pool's (:mod:`repro.parallel.pool`): a worker that
-    fails mid-round has only *its* chunks re-run in-process — the seeded
-    chunk streams make the re-execution bit-identical wherever it lands.
-    """
-    from repro.parallel.pool import run_worker_tasks
-    from repro.parallel.seeding import partition_samples, resolve_job_seed
-
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be a positive integer or None, got {n_jobs}")
-    job_seed = resolve_job_seed(rng)
-    chunks = list(enumerate(partition_samples(n_permutations, permutations_per_shard)))
-    n_jobs = max(1, min(n_jobs, len(chunks) or 1))
-    assignments = [chunks[worker::n_jobs] for worker in range(n_jobs)]
-    if n_jobs == 1:
-        reports = [_permutation_worker(game, assignments[0], job_seed, antithetic)]
-    else:
-        try:
-            payload = pickle.dumps(game, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as error:  # unpicklable game: same plan, one process
-            warnings.warn(
-                f"game is not picklable ({error}); running permutation shards "
-                "in-process — estimates are identical, only slower",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            reports = [_permutation_worker(game, chunk_list, job_seed, antithetic)
-                       for chunk_list in assignments]
-        else:
-            tasks = [(payload, chunk_list, job_seed, antithetic)
-                     for chunk_list in assignments]
-            reports = run_worker_tasks(_permutation_worker, tasks, n_jobs)
-
-    all_players = game.players
-    merged: dict[Player, RunningMean] = {player: RunningMean() for player in all_players}
-    n_walks = 0
-    evaluations = 0
-    results = [entry for report in reports for entry in report]
-    results.sort(key=lambda entry: entry[0])
-    for _, (trackers, chunk_walks, chunk_evaluations) in results:
-        for player, tracker in trackers.items():
-            merged[player].merge(tracker)
-        n_walks += chunk_walks
-        evaluations += chunk_evaluations
-    values = {p: merged[p].mean for p in all_players if p in requested}
-    errors = {p: merged[p].standard_error for p in all_players if p in requested}
-    return ShapleyResult(
-        values=values,
-        standard_errors=errors,
-        n_samples=n_walks,
-        n_evaluations=evaluations,
-        method="permutation-sampling"
-        + ("-antithetic" if antithetic else "") + "-sharded",
-    )
-
-
 def permutation_shapley(
     game: CooperativeGame,
     n_permutations: int = 200,
     players: Iterable[Player] | None = None,
     rng=None,
     antithetic: bool = False,
-    n_jobs: int | None = None,
-    permutations_per_shard: int = 64,
 ) -> ShapleyResult:
     """Estimate Shapley values from ``n_permutations`` random permutations.
 
@@ -193,23 +107,9 @@ def permutation_shapley(
     antithetic:
         Also evaluate each permutation reversed (doubling the per-permutation
         cost but reducing variance for monotone games).
-    n_jobs:
-        ``None`` (default) keeps the sequential single-stream estimator.  An
-        integer shards the permutations into seeded chunks executed on that
-        many worker processes (``1`` runs the plan in-process); estimates are
-        bit-identical for every ``n_jobs >= 1`` but differ from the
-        sequential stream.  The game must be picklable for real fan-out;
-        otherwise the plan runs in-process with a warning.
-    permutations_per_shard:
-        Chunk granularity of the ``n_jobs`` plan; part of the seed partition,
-        so hold it fixed when comparing runs.
     """
+    _check_sample_budget(n_permutations, "permutations")
     requested = set(validate_players(game, players))
-    if n_jobs is not None:
-        return _sharded_permutation_shapley(
-            game, n_permutations, requested, rng, antithetic,
-            int(n_jobs), permutations_per_shard,
-        )
     rng = make_rng(rng)
     all_players = game.players
     trackers, n_walks, evaluations = _walk_permutations(
@@ -240,6 +140,7 @@ def stratified_permutation_shapley(
     sampling only achieves in expectation.  Used by the sampling-strategy
     ablation (E10).
     """
+    _check_sample_budget(n_permutations_per_position, "permutations per position")
     rng = make_rng(rng)
     all_players = game.players
     n = len(all_players)

@@ -19,8 +19,9 @@ scheme:
 This module owns steps 1–4; :class:`repro.shapley.cells.CellShapleyExplainer`
 drives the loop and aggregates estimates for many cells.  On the incremental
 path the pair of step 4 is one coalition view plus a one-cell sub-delta, which
-is exactly the shape :meth:`repro.repair.base.BinaryRepairOracle.query_pair`
-exploits to evaluate both instances in a single shared repair walk.
+is exactly the shape :meth:`repro.repair.base.BinaryRepairOracle.query_pairs`
+exploits to evaluate both instances of each pair in one primed repair walk
+forked at the differing cell.
 """
 
 from __future__ import annotations

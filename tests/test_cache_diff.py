@@ -7,9 +7,9 @@ high-water mark (:meth:`~repro.repair.cache.OracleCache.high_water_mark` /
 sequences, cache sizes and round partitions this must be indistinguishable
 from shipping the whole cache:
 
-* replaying the per-round diffs reconstructs exactly what whole-cache
-  merging reconstructs (same keys, same values), with each insertion
-  travelling once — never lost, never duplicated;
+* replaying the per-round diffs reconstructs exactly what replaying the
+  whole worker cache reconstructs (same keys, same values), with each
+  insertion travelling once — never lost, never duplicated;
 * high-water marks survive evictions: a bounded cache that cycles entries
   still cuts every diff correctly, and an entry evicted *and recomputed*
   after a sync is shipped again (its re-insertion is new information);
@@ -79,7 +79,8 @@ def test_diffs_reconstruct_exactly_the_whole_cache_merge(ops, cuts):
         for key, value in diff:
             parent_from_diffs.put(key, value)
     parent_from_whole = OracleCache()
-    parent_from_whole.merge_entries(worker)
+    for key, value in worker.entries():
+        parent_from_whole.put(key, value)
 
     assert dict(parent_from_diffs.entries()) == dict(parent_from_whole.entries())
     assert dict(parent_from_diffs.entries()) == dict(worker.entries())

@@ -1,10 +1,13 @@
-"""Mergeable oracle caches: LRU-order-preserving merge + counter aggregation.
+"""Merging oracle caches by ``put`` replay, and counter aggregation.
 
-The sharded scheduler folds per-worker caches back into the parent oracle's
-cache; these tests pin the merge semantics the scheduler relies on — entries
-land in the receiver in the donor's LRU order, the receiver's bound governs
-eviction, counters add up — including merges between caches of different
-``cache_size``s.
+The sharded scheduler merges each worker's cache diff into the parent
+oracle's cache by replaying its entries, oldest first, through
+:meth:`OracleCache.put`; worker counters travel separately, as statistics
+snapshots folded by :func:`aggregate_oracle_statistics`.  These tests pin
+what the replay guarantees — entries land in the receiver in the donor's
+LRU order, the receiver's bound governs eviction, reading the donor leaves
+it untouched — including replays between caches of different
+``cache_size``s, and how the snapshots aggregate.
 """
 
 from __future__ import annotations
@@ -27,6 +30,12 @@ def keys_of(cache):
     return [key for key, _ in cache.entries()]
 
 
+def replay(receiver, donor):
+    """Merge ``donor`` into ``receiver`` the way the scheduler merges a diff."""
+    for key, value in donor.entries():
+        receiver.put(key, value)
+
+
 # ---------------------------------------------------------------------------
 # entry order
 
@@ -40,7 +49,7 @@ def test_entries_lists_lru_order_oldest_first():
 def test_merge_preserves_donor_recency_order():
     receiver = filled(10, ["a", "b"])
     donor = filled(10, ["x", "y", "z"])
-    receiver.merge(donor)
+    replay(receiver, donor)
     # donor entries are newer than everything already cached, in donor order
     assert keys_of(receiver) == ["a", "b", "x", "y", "z"]
 
@@ -48,7 +57,7 @@ def test_merge_preserves_donor_recency_order():
 def test_merge_refreshes_overlapping_keys():
     receiver = filled(10, ["a", "b", "c"])
     donor = filled(10, ["b"])
-    receiver.merge(donor)
+    replay(receiver, donor)
     assert keys_of(receiver) == ["a", "c", "b"]
     assert len(receiver) == 3
 
@@ -60,7 +69,7 @@ def test_merge_refreshes_overlapping_keys():
 def test_merge_larger_cache_into_smaller_evicts_oldest_first():
     receiver = filled(3, ["a", "b", "c"])
     donor = filled(5, ["v", "w", "x", "y", "z"])
-    receiver.merge(donor)
+    replay(receiver, donor)
     # the receiver's bound governs: only the donor's three newest survive,
     # exactly as if its entries had been inserted live
     assert keys_of(receiver) == ["x", "y", "z"]
@@ -70,19 +79,19 @@ def test_merge_larger_cache_into_smaller_evicts_oldest_first():
 def test_merge_smaller_cache_into_larger_keeps_everything():
     receiver = filled(10, ["a", "b"])
     donor = filled(2, ["x", "y"])
-    receiver.merge(donor)
+    replay(receiver, donor)
     assert keys_of(receiver) == ["a", "b", "x", "y"]
     assert receiver.evictions == 0
 
 
 @pytest.mark.parametrize("receiver_size,donor_size", [(2, 4), (3, 2), (4, 3)])
 def test_merge_equals_live_insertion_across_bounds(receiver_size, donor_size):
-    """merge() must reproduce the entry set of one shared live cache."""
+    """A replay must reproduce the entry set of one shared live cache."""
     receiver_keys = ["a", "b", "c"][: receiver_size]
     donor_keys = ["w", "x", "y", "z"][: donor_size]
     receiver = filled(receiver_size, receiver_keys)
     donor = filled(donor_size, donor_keys)
-    receiver.merge(donor)
+    replay(receiver, donor)
 
     live = filled(receiver_size, receiver_keys)
     for key in donor_keys:
@@ -94,7 +103,7 @@ def test_merged_answers_are_retrievable():
     receiver = filled(10, ["a"])
     donor = OracleCache(10)
     donor.put(("pair", "k"), (1, 0))
-    receiver.merge(donor)
+    replay(receiver, donor)
     assert receiver.get(("pair", "k")) == (1, 0)
 
 
@@ -102,18 +111,10 @@ def test_merged_answers_are_retrievable():
 # counters
 
 
-def test_merge_sums_counters():
-    receiver = filled(10, ["a"], hits=2, misses=3)
-    donor = filled(10, ["x"], hits=5, misses=7)
-    donor.evictions = 1
-    receiver.merge(donor)
-    assert (receiver.hits, receiver.misses, receiver.evictions) == (7, 10, 1)
-
-
 def test_merge_leaves_donor_untouched():
     receiver = filled(2, ["a", "b"])
     donor = filled(10, ["x", "y", "z"], hits=4)
-    receiver.merge(donor)
+    replay(receiver, donor)
     assert keys_of(donor) == ["x", "y", "z"]
     assert donor.hits == 4 and donor.evictions == 0
 

@@ -109,3 +109,6 @@ def test_explanations_are_deterministic_given_config(explainer, cell_of_interest
 def test_explicit_zero_samples_is_rejected_not_defaulted(explainer, cell_of_interest):
     with pytest.raises(ExplanationError, match="at least 1"):
         explainer.explain_cells(cell_of_interest, n_samples=0)
+    with pytest.raises(ExplanationError, match="at least 1"):
+        explainer.explain_constraints(cell_of_interest, exact=False,
+                                      n_permutations=0)

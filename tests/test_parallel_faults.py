@@ -241,42 +241,18 @@ def test_a_crash_loop_costs_one_failed_round_per_call(mode, in_process):
         scheduler.events.count("pool_failover") == 3 * N_JOBS
 
 
-def _boom(x):
+def _boom(x, resident):
     raise ValueError(f"bad input {x}")
 
 
-def _die_in_child(x):
-    import multiprocessing
-    import os
-
-    if x == 7 and multiprocessing.parent_process() is not None:
-        os._exit(3)  # crash only inside pool workers, never in the parent
-    return x * 2
-
-
-def test_run_worker_tasks_degrades_a_crashing_task_in_process():
-    """The transient pool finishes a dead worker's task inline; order holds."""
-    from repro.parallel import run_worker_tasks
-
-    with pytest.warns(RuntimeWarning, match="died mid-task"):
-        results = run_worker_tasks(_die_in_child, [(7,), (1,)], 2)
-    # the worker died on x == 7: the task finished in the parent process
-    assert results == [14, 2]
-
-
 def test_worker_pool_task_error_degrades_with_default_fallback():
-    """A task exception comes back as an "error" outcome from the pool and
-    re-raises in the parent when the task is finished inline."""
-    from repro.parallel import run_worker_tasks
-
+    """A task exception comes back from the pool as an "error" outcome
+    carrying the worker's message; the pool only warns."""
     with WorkerPool(2) as pool:
         with pytest.warns(RuntimeWarning, match="could not complete"):
             [outcome] = pool.run_tasks([PoolTask(_boom, (7,))])
     assert outcome.status == "error"
     assert "bad input 7" in outcome.result
-    with pytest.warns(RuntimeWarning, match="could not complete"):
-        with pytest.raises(ValueError, match="bad input 7"):
-            run_worker_tasks(_boom, [(7,), (1,)], 2)
 
 
 def test_resident_worker_without_payload_or_stack_raises():
@@ -573,12 +549,18 @@ def _explainer(**budgets):
 def test_non_finite_or_negative_deadline_is_rejected(value):
     with pytest.raises(ExplanationError, match="deadline_seconds"):
         _explainer(deadline_seconds=value)
+    with pytest.raises(ExplanationError, match="deadline_seconds"):
+        ShardedExplainScheduler.from_explainer(_explainer(), n_jobs=N_JOBS,
+                                               deadline_seconds=value)
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 0.0])
 def test_non_finite_or_non_positive_worker_timeout_is_rejected(value):
     with pytest.raises(ExplanationError, match="worker_timeout"):
         _explainer(worker_timeout=value)
+    with pytest.raises(ExplanationError, match="worker_timeout"):
+        ShardedExplainScheduler.from_explainer(_explainer(), n_jobs=N_JOBS,
+                                               worker_timeout=value)
 
 
 def test_config_deadline_is_validated_on_explain():

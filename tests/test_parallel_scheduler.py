@@ -37,7 +37,6 @@ from repro import (
 )
 from repro.parallel import partition_samples, shard_rng
 from repro.shapley.convergence import ConvergenceTracker, RunningMean
-from repro.shapley.permutation import permutation_shapley
 
 pytestmark = pytest.mark.parallel
 
@@ -321,11 +320,6 @@ def test_shard_rng_streams_are_reproducible_and_distinct():
 def test_n_jobs_validation():
     with pytest.raises(ValueError):
         make_explainer(0)
-    from repro.shapley.game import CallableGame
-
-    with pytest.raises(ValueError):
-        permutation_shapley(CallableGame(("a",), _squared_size),
-                            n_permutations=4, n_jobs=0)
     explainer, _ = make_explainer(1)
     with pytest.raises(ValueError):
         ShardedExplainScheduler.from_explainer(explainer, n_jobs=0)
@@ -364,38 +358,3 @@ def test_generator_seed_draws_one_job_seed():
     fresh, _ = make_explainer(2, rng=np.random.default_rng(5))
     assert fresh.job_seed() == seed  # deterministic in the generator state
 
-
-# ---------------------------------------------------------------------------
-# sharded permutation estimator
-
-
-def _squared_size(coalition) -> float:
-    return float(len(coalition) ** 2)
-
-
-def test_permutation_shapley_sharded_is_worker_count_invariant():
-    from repro.shapley.game import CallableGame
-
-    # module-level value function: the game pickles, so n_jobs > 1 fans out
-    game = CallableGame(("a", "b", "c", "d"), _squared_size)
-    results = {
-        n_jobs: permutation_shapley(game, n_permutations=24, rng=9,
-                                    n_jobs=n_jobs, permutations_per_shard=5)
-        for n_jobs in (1, 2, 4)
-    }
-    for n_jobs in (2, 4):
-        assert results[n_jobs].values == results[1].values
-        assert results[n_jobs].standard_errors == results[1].standard_errors
-        assert results[n_jobs].n_samples == results[1].n_samples
-
-
-def test_permutation_shapley_unpicklable_game_degrades_in_process():
-    from repro.shapley.game import CallableGame
-
-    game = CallableGame(("a", "b", "c"), lambda s: float(len(s)))
-    reference = permutation_shapley(game, n_permutations=12, rng=9,
-                                    n_jobs=1, permutations_per_shard=4)
-    with pytest.warns(RuntimeWarning, match="not picklable"):
-        fallback = permutation_shapley(game, n_permutations=12, rng=9,
-                                       n_jobs=2, permutations_per_shard=4)
-    assert fallback.values == reference.values

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ExplanationError
 from repro.shapley.exact import exact_shapley
 from repro.shapley.game import CallableGame
 from repro.shapley.permutation import permutation_shapley, stratified_permutation_shapley
@@ -88,3 +89,16 @@ def test_stratified_single_player():
     game = glove_game()
     estimate = stratified_permutation_shapley(game, n_permutations_per_position=80, player="c", rng=6)
     assert set(estimate.values) == {"c"}
+
+
+@pytest.mark.parametrize("n_permutations", [0, -3, 2.5])
+def test_non_positive_or_fractional_permutation_budget_is_rejected(n_permutations):
+    with pytest.raises(ExplanationError, match="at least 1"):
+        permutation_shapley(glove_game(), n_permutations=n_permutations, rng=1)
+
+
+@pytest.mark.parametrize("per_position", [0, -2])
+def test_non_positive_stratified_budget_is_rejected(per_position):
+    with pytest.raises(ExplanationError, match="at least 1"):
+        stratified_permutation_shapley(
+            glove_game(), n_permutations_per_position=per_position, rng=1)
