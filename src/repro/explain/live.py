@@ -38,15 +38,28 @@ target itself changed, never silently skipped:
   most-common value changes;
 * the reference repair of the cell of interest produced a different target
   value (the game itself changed).
+
+A live state also keeps what each completed explain produced — the per-cell
+estimates, their fingerprints and the constraint game's result — under the
+base fingerprint it was computed on, for the :data:`KEPT_STATES` most
+recently explained states.  A refresh that returns to one of them (an undo,
+a value written back) fills its invalidated estimates from there and
+samples nothing.  The base fingerprint is the whole key: the cell, sample
+count, seed, policy and parallel knobs are fixed for the life of the state
+(:meth:`LiveExplainState.matches`), the target is a function of the base
+content, and live ≡ fresh makes a kept entry exactly what a re-run would
+compute.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.config import make_rng
 from repro.dataset.table import CellRef
-from repro.engine.storage import values_differ
+from repro.engine.storage import Fingerprint, values_differ
 from repro.observability import trace as otrace
 from repro.repair.updates import (
     BaseCellUpdate,
@@ -60,6 +73,20 @@ from repro.shapley.convergence import RunningMean
 from repro.shapley.game import ShapleyResult
 from repro.shapley.sampling import ReplacementPolicy, SampledShapleyEstimate
 
+#: how many base states a live state keeps the finished explanation of; the
+#: least recently explained one is dropped first
+KEPT_STATES = 16
+
+
+@dataclass
+class KeptState:
+    """What one completed explain produced on one base state."""
+
+    estimates: dict[CellRef, SampledShapleyEstimate]
+    provenance: dict[CellRef, int]
+    #: the constraint game's result, once one was computed on this state
+    constraints: ShapleyResult | None = None
+
 
 class LiveExplainState:
     """The session's persistent cell-Shapley state for one cell of interest.
@@ -67,7 +94,8 @@ class LiveExplainState:
     Built lazily on the first ``explain()`` and kept across base updates;
     dropped (pool closed) whenever the cell of interest, the sample count,
     the seed, the policy or the parallel knobs change — a fresh state then
-    reproduces the fresh-session stream exactly.
+    reproduces the fresh-session stream exactly.  Its kept states die with
+    it.
     """
 
     def __init__(self, session, cell: CellRef, n_samples: int):
@@ -78,6 +106,7 @@ class LiveExplainState:
         self.n_jobs = config.n_jobs
         self.policy = ReplacementPolicy.from_name(config.replacement_policy)
         self.seed = config.seed
+        self.deadline_seconds = config.deadline_seconds
         # the same oracle/explainer construction as
         # TRExExplainer.explain_cells, except the explainer outlives the call
         # so its warm pool and resident worker stacks survive updates
@@ -104,8 +133,15 @@ class LiveExplainState:
         self.estimates: dict[CellRef, SampledShapleyEstimate] = {}
         #: per-estimate touched-cell bitmasks (see module docstring)
         self.provenance: dict[CellRef, int] = {}
+        #: cells without a full-budget estimate on the current base: the
+        #: invalidated ones and any a deadline cut short
         self.pending: set[CellRef] = set(self.cells)
-        self.completed = True
+        #: finished explanations by base fingerprint, least recently
+        #: explained first (see the module docstring)
+        self.kept: OrderedDict[Fingerprint, KeptState] = OrderedDict()
+        #: the latest constraint result and the base it was computed on,
+        #: kept with that base's estimates once they complete
+        self._constraints: tuple[Fingerprint, ShapleyResult] | None = None
 
     # -- lifecycle --------------------------------------------------------------------
 
@@ -117,6 +153,7 @@ class LiveExplainState:
             and config.n_jobs == self.n_jobs
             and ReplacementPolicy.from_name(config.replacement_policy) is self.policy
             and config.seed == self.seed
+            and config.deadline_seconds == self.deadline_seconds
         )
 
     def close(self) -> None:
@@ -151,17 +188,45 @@ class LiveExplainState:
     # -- estimation -------------------------------------------------------------------
 
     def constraint_result(self) -> ShapleyResult:
-        """Exact constraint Shapley on the kept constraint oracle."""
-        return ConstraintShapleyExplainer(self.constraint_oracle).explain()
+        """Exact constraint Shapley on the kept constraint oracle (or the
+        result kept for the current base state)."""
+        base = self.oracle.dirty_table.fingerprint()
+        kept = self.kept.get(base)
+        if kept is not None and kept.constraints is not None:
+            return kept.constraints
+        result = ConstraintShapleyExplainer(self.constraint_oracle).explain()
+        if kept is not None:
+            kept.constraints = result
+        self._constraints = (base, result)
+        return result
 
     def result(self) -> ShapleyResult:
-        """Refresh every pending estimate and assemble the merged result."""
+        """Refresh every pending estimate and assemble the merged result.
+
+        Pending estimates come from the state kept for the current base when
+        there is one, and are re-sampled otherwise.  A cell whose refresh a
+        deadline cut short stays pending, so the result reads
+        ``completed=False`` until a later explain finishes it; only a
+        completed state is kept.
+        """
+        base = self.oracle.dirty_table.fingerprint()
         if self.pending:
-            if self.n_jobs is not None:
-                self._refresh_parallel()
+            kept = self.kept.get(base)
+            if kept is not None:
+                for cell in self.pending:
+                    self.estimates[cell] = kept.estimates[cell]
+                    self.provenance[cell] = kept.provenance[cell]
+                self.oracle.estimates_restored += len(self.pending)
+                self.pending.clear()
             else:
-                self._refresh_sequential()
-            self.pending.clear()
+                if self.n_jobs is not None:
+                    self._refresh_parallel()
+                else:
+                    self._refresh_sequential()
+                self.pending = {cell for cell in self.cells
+                                if self.estimates[cell].n_samples < self.n_samples}
+        if not self.pending:
+            self._keep(base)
         values = {cell: self.estimates[cell].value for cell in self.cells}
         errors = {cell: self.estimates[cell].standard_error for cell in self.cells}
         total = sum(self.estimates[cell].n_samples for cell in self.cells)
@@ -171,8 +236,21 @@ class LiveExplainState:
             n_samples=total,
             n_evaluations=self.oracle.calls,
             method=f"cell-sampling-{self.policy.value}",
-            completed=self.completed,
+            completed=not self.pending,
         )
+
+    def _keep(self, base: Fingerprint) -> None:
+        """Keep the completed estimates of ``base`` (the most recent entry)."""
+        if base in self.kept:
+            self.kept.move_to_end(base)
+            return
+        constraints = None
+        if self._constraints is not None and self._constraints[0] == base:
+            constraints = self._constraints[1]
+        self.kept[base] = KeptState(dict(self.estimates), dict(self.provenance),
+                                    constraints)
+        if len(self.kept) > KEPT_STATES:
+            self.kept.popitem(last=False)
 
     def _refresh_sequential(self) -> None:
         """Replay the fresh-session sequential stream, re-estimating only
@@ -206,7 +284,6 @@ class LiveExplainState:
             finally:
                 sampler.touched = None
             self.estimates[cell] = explainer._estimate_from(cell, tracker)
-        self.completed = True
 
     def _refresh_parallel(self) -> None:
         """Refresh pending cells through the sharded scheduler.
@@ -226,7 +303,6 @@ class LiveExplainState:
         for cell in cells:
             self.estimates[cell] = outcome.estimates[cell]
             self.provenance[cell] = outcome.touched.get(cell, 0)
-        self.completed = outcome.completed
 
 
 def apply_session_update(session, values: Mapping[CellRef, Any]) -> dict:

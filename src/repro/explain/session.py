@@ -185,8 +185,8 @@ class RepairSession:
         stream exactly (same construction, same submission order, same RNG),
         so without any intervening :meth:`update` the explanation is
         bit-identical to :meth:`TRExExplainer.explain`; after updates, only
-        the invalidated estimates are re-sampled (see
-        :mod:`repro.explain.live`).
+        the invalidated estimates are re-sampled, and none on a table state
+        the live state already explained (see :mod:`repro.explain.live`).
         """
         from repro.explain.live import LiveExplainState
 

@@ -66,6 +66,7 @@ ORACLE_METRICS: tuple[Metric, ...] = (
     Metric("deadline_expired"),
     Metric("base_updates_applied"),
     Metric("estimates_invalidated"),
+    Metric("estimates_restored"),
     Metric("cache_entries_invalidated"),
 )
 

@@ -271,10 +271,12 @@ class BinaryRepairOracle:
     deadline_expired = MetricAttribute("deadline_expired")
     # live base updates (PR 10): base-table writes applied through the
     # session's update path, Shapley estimates whose sampled coalitions
-    # overlapped the changed cells, and memoised oracle answers dropped
+    # overlapped the changed cells, estimates filled from the explanation
+    # kept for a revisited base state, and memoised oracle answers dropped
     # because the content they were keyed on no longer exists
     base_updates_applied = MetricAttribute("base_updates_applied")
     estimates_invalidated = MetricAttribute("estimates_invalidated")
+    estimates_restored = MetricAttribute("estimates_restored")
     cache_entries_invalidated = MetricAttribute("cache_entries_invalidated")
 
     def __init__(

@@ -43,7 +43,7 @@ from repro import (
     parse_dcs,
 )
 from repro.config import make_rng
-from repro.engine.storage import Fingerprint
+from repro.engine.storage import Fingerprint, values_differ
 from repro.shapley.convergence import RunningMean
 
 CELL = CellRef(4, "Country")
@@ -467,9 +467,9 @@ def _laliga(engine):
             la_liga_dirty_table(), CELL)
 
 
-def _hospital(engine):
-    """A generated 10-row hospital table with injected errors."""
-    dataset = HospitalGenerator(seed=3).generate(10)
+def _hospital(engine, rows=10):
+    """A generated hospital table (10 rows by default) with injected errors."""
+    dataset = HospitalGenerator(seed=3).generate(rows)
     dirty, _ = ErrorInjector(ErrorSpec(rate=0.1), seed=5).inject(dataset.table)
     constraints = parse_dcs(list(dataset.constraint_texts))
     algorithm = SimpleRuleRepair(engine=engine)
@@ -477,6 +477,16 @@ def _hospital(engine):
 
 
 FAMILIES = {"laliga": _laliga, "hospital": _hospital}
+#: the revisit grid's families: a 6-row hospital table keeps its per-step
+#: fresh sessions cheap (48 relevant cells instead of 80)
+REVISIT_FAMILIES = {"laliga": _laliga, "hospital": lambda engine: _hospital(engine, rows=6)}
+
+
+def _value_pools(table):
+    """Per-attribute write pools over ``table``: its own values and a novel one."""
+    return {attribute: sorted({repr(value): value for value in table.column(attribute)}
+                              .values(), key=repr) + ["novel"]
+            for attribute in table.attributes}
 
 
 def _constraint_values(explain):
@@ -496,9 +506,7 @@ def test_live_constraint_game_equals_a_fresh_one(family, data, engine, n_jobs):
     algorithm, constraints, table, cell = FAMILIES[family](engine)
     config = TRexConfig(seed=SEED, cell_samples=1, replacement_policy="mode",
                         n_jobs=n_jobs)
-    pools = {attribute: sorted({repr(value): value for value in table.column(attribute)}
-                               .values(), key=repr) + ["novel"]
-             for attribute in table.attributes}
+    pools = _value_pools(table)
     undo: list = []
     session = RepairSession(algorithm, constraints, table, cell_of_interest=cell,
                             config=config)
@@ -518,6 +526,155 @@ def test_live_constraint_game_equals_a_fresh_one(family, data, engine, n_jobs):
                                   session.state.dirty_table.copy(), config)
             assert _constraint_values(session.explain) == _constraint_values(
                 lambda: fresh.explain_constraints(cell))
+
+
+# -- kept explanations: a revisited table state re-samples nothing ------------------
+
+def _oracle_work(session):
+    """Calls on both live oracles and scheduler rounds run so far."""
+    live = session._live
+    return (live.oracle.calls, live.constraint_oracle.calls,
+            sum(len(scheduler.round_log)
+                for scheduler in live.explainer._schedulers.values()))
+
+
+@pytest.mark.parametrize("n_jobs", [None, pytest.param(2, marks=pytest.mark.parallel)],
+                         ids=["sequential", "two-workers"])
+@pytest.mark.parametrize("family", sorted(REVISIT_FAMILIES))
+@settings(max_examples=4, deadline=None)
+@given(data=st.data(), engine=st.sampled_from(ENGINES),
+       policy=st.sampled_from(["null", "mode", "sample"]))
+def test_revisited_states_sample_nothing_and_equal_fresh(family, n_jobs, data,
+                                                         engine, policy):
+    """Write/undo/redo sequences: after every update the live explanation
+    equals a fresh session's on a copy of the current table, and on a state
+    the live state already explained neither oracle is called and no
+    scheduler round runs."""
+    algorithm, constraints, table, cell = REVISIT_FAMILIES[family](engine)
+    config = TRexConfig(seed=SEED, cell_samples=2, replacement_policy=policy,
+                        n_jobs=n_jobs)
+
+    def key(session):
+        try:
+            return _explain_key(session.explain())
+        except NotRepairedError:
+            return None
+
+    pools = _value_pools(table)
+    original = table.copy()
+    undo: list = []
+    redo: list = []
+    session = RepairSession(algorithm, constraints, table, cell_of_interest=cell,
+                            config=config)
+    with session:
+        session.explain()
+        live, explained = session._live, {tuple(_content(table))}
+
+        def update_and_check(writes):
+            nonlocal live, explained
+            session.update_many(writes)
+            if session._live is not live:  # torn down: nothing is kept
+                live, explained = session._live, set()
+            revisit = live is not None and tuple(_content(table)) in explained
+            before = _oracle_work(session) if revisit else None
+            got = key(session)
+            if revisit:
+                assert _oracle_work(session) == before
+            if got is not None:
+                live = session._live
+                explained.add(tuple(_content(table)))
+            fresh = RepairSession(REVISIT_FAMILIES[family](engine)[0], constraints,
+                                  table.copy(), cell_of_interest=cell, config=config)
+            with fresh:
+                assert got == key(fresh)
+
+        for _ in range(data.draw(st.integers(min_value=2, max_value=4), label="updates")):
+            step = data.draw(st.sampled_from(["write", "undo", "redo"]), label="step")
+            if step == "undo" and undo:
+                target, value = undo.pop()
+                redo.append((target, table[target]))
+            elif step == "redo" and redo:
+                target, value = redo.pop()
+                undo.append((target, table[target]))
+            else:
+                target = CellRef(
+                    data.draw(st.integers(min_value=0, max_value=table.n_rows - 1)),
+                    data.draw(st.sampled_from(table.attributes)))
+                value = data.draw(st.sampled_from(pools[target.attribute]))
+                undo.append((target, table[target]))
+                redo.clear()
+            update_and_check({target: value})
+        # end on the set-up table, a state every sequence revisits
+        update_and_check({cell_ref: original[cell_ref] for cell_ref in original.cells()
+                          if values_differ(table[cell_ref], original[cell_ref])})
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+def test_a_state_dropped_from_the_kept_states_resamples_and_equals_fresh(engine):
+    """After more than ``KEPT_STATES`` distinct states the set-up state is no
+    longer kept: returning to it re-samples, and still equals a fresh
+    session, while a recent state is still filled from its kept entry."""
+    from repro.explain.live import KEPT_STATES
+
+    place = CellRef(0, "Place")
+    config = TRexConfig(seed=SEED, cell_samples=N_SAMPLES, replacement_policy="null")
+    live = _session(la_liga_dirty_table(), config, engine)
+    with live:
+        first = live.explain(n_samples=N_SAMPLES)
+        original = live.state.dirty_table[place]
+        for value in range(100, 100 + KEPT_STATES):
+            live.update(place, value)
+            live.explain(n_samples=N_SAMPLES)
+        state = live._live
+        assert len(state.kept) == KEPT_STATES
+        live.update(place, 100)  # the oldest state still kept
+        calls, restored = state.oracle.calls, state.oracle.estimates_restored
+        live.explain(n_samples=N_SAMPLES)
+        assert state.oracle.calls == calls
+        assert state.oracle.estimates_restored > restored
+        live.update(place, original)  # dropped: re-sampled
+        restored = state.oracle.estimates_restored
+        again = live.explain(n_samples=N_SAMPLES)
+        assert state.oracle.calls > calls
+        assert state.oracle.estimates_restored == restored
+        assert live._live is state
+    assert _explain_key(again) == _explain_key(first)
+    assert _explain_key(again) == _fresh_key(la_liga_dirty_table(), config, engine)
+
+
+def test_a_deadline_cut_refresh_stays_pending_until_it_completes():
+    """A refresh the deadline cut short is neither final nor kept: once the
+    budget is lifted, the next explain re-samples the short cells and the
+    result is complete and equal to a fresh session's."""
+    write = {CellRef(0, "City"): "Seville"}
+    config = dict(seed=SEED, cell_samples=N_SAMPLES, replacement_policy="null",
+                  n_jobs=1)
+    live = _session(la_liga_dirty_table(), TRexConfig(deadline_seconds=0, **config))
+    with live:
+        cut = live.explain(n_samples=N_SAMPLES)
+        state = live._live
+        assert not cut.cell_shapley.completed
+        assert state.pending == set(state.cells) and not state.kept
+        state.explainer._scheduler(1).deadline_seconds = None
+        live.update_many(write)
+        refreshed = live.explain(n_samples=N_SAMPLES)
+        assert live._live is state and not state.pending
+    assert refreshed.cell_shapley.completed
+    assert _explain_key(refreshed) == _fresh_key(
+        la_liga_dirty_table().with_values(write), TRexConfig(**config))
+
+
+def test_a_changed_deadline_rebuilds_the_live_state():
+    """``deadline_seconds`` is read when the live state is built, so a changed
+    session config must rebuild the state rather than be ignored."""
+    live = _session(la_liga_dirty_table(), TRexConfig(seed=SEED, n_jobs=1))
+    with live:
+        assert live.explain(n_samples=N_SAMPLES).cell_shapley.completed
+        state = live._live
+        live.config.deadline_seconds = 0
+        cut = live.explain(n_samples=N_SAMPLES)
+        assert live._live is not state
+    assert not cut.cell_shapley.completed
 
 
 NAN = float("nan")

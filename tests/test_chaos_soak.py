@@ -164,14 +164,17 @@ def test_golden_grid_values_survive_seeded_chaos(algorithm_name, path_name,
 
 # -- base updates under fire -----------------------------------------------------------
 
-#: the update cycle the interleaved soak walks: create a violation, resolve
-#: it, write a novel value, restore — every explain between steps must match
-#: a fresh session on the then-current table while the fault plan fires
+#: the update cycle the interleaved soak walks: create a violation, write a
+#: novel value, resolve the violation, write another novel value — every
+#: explain between steps must match a fresh session on the then-current table
+#: while the fault plan fires.  The four states are distinct, so each explain
+#: is one pool round (a revisited state is served from the live state's kept
+#: explanations and reaches no worker; the restore after the cycle checks it)
 UPDATE_SOAK_CYCLE = (
     (CellRef(0, "Country"), "Portugal"),
-    (CellRef(0, "Country"), "Spain"),
     (CellRef(0, "City"), "Seville"),
-    (CellRef(0, "City"), "Barcelona"),
+    (CellRef(0, "Country"), "Spain"),
+    (CellRef(0, "City"), "Valencia"),
 )
 #: seed chosen so rounds 1–4 (the post-attach rounds) schedule 2 kills and
 #: 2 corrupt replies — asserted below, not trusted
@@ -249,3 +252,10 @@ def test_update_interleaved_chaos_rounds_stay_bit_identical():
         assert statistics["estimates_invalidated"] == oracle.estimates_invalidated
         assert statistics["cache_entries_invalidated"] \
             == oracle.cache_entries_invalidated
+        # restoring the set-up table revisits a kept state: no round, no
+        # fault, and still the fresh session's values
+        rounds = len(scheduler.round_log)
+        session.update(CellRef(0, "City"), "Barcelona")
+        assert session_key(session.explain()) == fresh_key(table.copy())
+        assert len(scheduler.round_log) == rounds
+        assert oracle.estimates_restored == n_cells

@@ -7,7 +7,9 @@ in-place :func:`~repro.parallel.worker.run_base_update_worker` patch, so
 ``worker_rebuilds`` stays at exactly ``n_jobs`` (one build per worker,
 ever) across all 50 cycles.  Spot rounds and the final state are checked
 bit-identical against fresh sessions on the then-current table, and the
-update counters must reconcile at the end.
+update counters must reconcile at the end.  The small write pools make the
+stream revisit table states, whose refreshes fill their estimates from the
+live state's kept explanations (``estimates_restored``) instead of sampling.
 
 The write stream is seeded: values are drawn from per-attribute pools with a
 fixed generator, so every run walks the same 50-step trajectory.
@@ -93,6 +95,8 @@ def test_fifty_update_cycles_zero_rebuilds_after_round_one():
     # 50 updates was absorbed by an in-place worker patch
     assert statistics["worker_rebuilds"] == N_JOBS
     assert statistics["pool_failovers"] == 0
+    # revisited table states re-sampled nothing
+    assert statistics["estimates_restored"] > 0
     # counter reconciliation: no-op draws (value already in place) are
     # logged but not applied, so applied == cells actually written
     assert statistics["base_updates_applied"] == len(session.update_log) \
